@@ -1,13 +1,13 @@
-"""Numba dispatch for the hot kernels.
+"""Optional numba dispatch for the scalar-loop kernels.
 
-Every performance-critical inner loop in this package is written as a plain
-Python function over numpy arrays and decorated with :func:`njit`.  When numba
-is importable (and not disabled), the decorator compiles the function; the
-original interpreted version stays reachable through ``fn.py_func``.  Setting
-the environment variable ``RANDBATCH_DISABLE_NUMBA=1`` before import selects
-the pure-numpy path instead, which runs the identical source uncompiled.
-
-``benchmarks/backend_benchmark.py`` times both paths side by side.
+The inner loops that are not vectorised (the Markov chains and the toy
+scaling benchmark) are written as plain Python functions over numpy arrays and
+decorated with :func:`njit`.  When numba is importable (and not disabled), the
+decorator compiles the function; the original interpreted version stays
+reachable through ``fn.py_func``.  Setting the environment variable
+``RANDBATCH_DISABLE_NUMBA=1`` before import selects the interpreted path,
+which runs the identical source.  Numba is the optional ``jit`` extra; without
+it every kernel runs interpreted.
 """
 
 import os
@@ -16,7 +16,7 @@ try:
     import numba as _numba
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # numba is the optional ``jit`` extra
     _numba = None
     HAVE_NUMBA = False
 

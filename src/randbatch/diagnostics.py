@@ -8,6 +8,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .backend import njit
+from .state import minimum_image
 
 
 @dataclass
@@ -130,30 +131,8 @@ def strong_error(traj_a, traj_b, vel_a=None, vel_b=None) -> StrongError:
     return StrongError(per_time=per_time, sup=float(per_time.max()))
 
 
-@njit
-def _radial_bin_kernel(frames, charges, box, bin_width, n_bins, acc, counts):
-    n_frames, N, _ = frames.shape
-    half = 0.5 * box
-    for f in range(n_frames):
-        for i in range(N):
-            if charges[i] <= 0.0:
-                continue
-            for j in range(N):
-                if j == i:
-                    continue
-                dx = frames[f, i, 0] - frames[f, j, 0]
-                dy = frames[f, i, 1] - frames[f, j, 1]
-                dz = frames[f, i, 2] - frames[f, j, 2]
-                dx -= box * math.floor(dx / box + 0.5)
-                dy -= box * math.floor(dy / box + 0.5)
-                dz -= box * math.floor(dz / box + 0.5)
-                r = math.sqrt(dx * dx + dy * dy + dz * dz)
-                if r >= half:
-                    continue
-                k = int(r / bin_width)
-                if k < n_bins:
-                    acc[k] -= charges[j]
-                    counts[k] += 1
+# cation-ion pairs per chunk of the radial scan
+_RADIAL_CHUNK = 1 << 18
 
 
 @dataclass
@@ -185,10 +164,29 @@ def radial_net_charge(
     if frames.ndim == 2:
         frames = frames[None]
     charges = np.ascontiguousarray(np.asarray(charges, dtype=np.float64))
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("frames must be finite")
     n_bins = int((0.5 * box_length) / bin_width)
     acc = np.zeros(n_bins)
     counts = np.zeros(n_bins, dtype=np.int64)
-    _radial_bin_kernel(frames, charges, box_length, bin_width, n_bins, acc, counts)
+    cations = np.flatnonzero(charges > 0)
+    N = frames.shape[1]
+    rows = max(1, _RADIAL_CHUNK // max(N, 1))
+    for frame in frames:
+        for s in range(0, cations.size, rows):
+            c = cations[s: s + rows]
+            r2 = np.zeros((c.size, N))
+            for axis in range(frame.shape[1]):
+                dx = minimum_image(frame[c, axis][:, None] - frame[None, :, axis], box_length)
+                r2 += dx * dx
+            r = np.sqrt(r2)
+            near = r < 0.5 * box_length
+            near[np.arange(c.size), c] = False  # no self pairs
+            k = (r[near] / bin_width).astype(np.int64)
+            j = np.nonzero(near)[1]
+            keep = k < n_bins
+            acc -= np.bincount(k[keep], charges[j[keep]], minlength=n_bins)
+            counts += np.bincount(k[keep], minlength=n_bins)
     edges = bin_width * np.arange(n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     shell_vol = 4.0 / 3.0 * np.pi * (edges[1:] ** 3 - edges[:-1] ** 3)

@@ -1,7 +1,8 @@
 """Random Batch Ewald for periodic Coulomb systems.
 
 The Coulomb kernel splits as 1/r = erf(sqrt(alpha) r)/r + erfc(sqrt(alpha) r)/r.
-The erfc part is short-ranged and summed in real space; the smooth part is
+The erfc part is short-ranged and summed in real space over the neighbour
+pairs within r_c (``forces.neighbor_pairs``); the smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples
 frequency vectors from the discrete Gaussian ~ exp(-k^2 / 4 alpha).  Frequency
 samples are produced offline by a Metropolis-Hastings chain and consumed from
@@ -16,9 +17,10 @@ import numpy as np
 from scipy.special import erfc as _erfc
 
 from .backend import njit
-from .forces import CellList
+from .forces import neighbor_pairs, pair_force_sum
+from .integrators import _check_finite
 from .rng import SimStreams
-from .state import ParticleState, minimum_image
+from .state import ParticleState
 from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen, nose_hoover_step
 
 TWO_PI = 2.0 * math.pi
@@ -307,78 +309,20 @@ def rbe_force(i: int, system: PeriodicChargeSystem, kbatch: np.ndarray, S: float
     return rbe_force_all(system, kbatch, S)[i]
 
 
-@njit
-def _real_space_kernel(pos, q, L, alpha, r_c, forces):
-    """erfc-screened pair forces and energy, Newton pairs, minimum image."""
-    N = pos.shape[0]
-    sa = math.sqrt(alpha)
-    gauss_pref = 2.0 * math.sqrt(alpha / math.pi)
-    r_c2 = r_c * r_c
-    energy = 0.0
-    for i in range(N):
-        for j in range(i + 1, N):
-            dx = pos[i, 0] - pos[j, 0]
-            dy = pos[i, 1] - pos[j, 1]
-            dz = pos[i, 2] - pos[j, 2]
-            dx -= L * math.floor(dx / L + 0.5)
-            dy -= L * math.floor(dy / L + 0.5)
-            dz -= L * math.floor(dz / L + 0.5)
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 >= r_c2:
-                continue
-            r = math.sqrt(r2)
-            qq = q[i] * q[j]
-            screened = math.erfc(sa * r) / r
-            energy += qq * screened
-            fmag = qq * (screened / r2 + gauss_pref * math.exp(-alpha * r2) / r2)
-            fx = fmag * dx
-            fy = fmag * dy
-            fz = fmag * dz
-            forces[i, 0] += fx
-            forces[i, 1] += fy
-            forces[i, 2] += fz
-            forces[j, 0] -= fx
-            forces[j, 1] -= fy
-            forces[j, 2] -= fz
-    return energy
-
-
 def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> Tuple[np.ndarray, float]:
     """All short-range Coulomb forces plus the real-space energy."""
     params.validate_box(system.L)
-    forces = np.zeros((system.n_particles, 3))
-    energy = _real_space_kernel(
-        system.state.positions, system.charges, system.L, params.alpha, params.r_c, forces
-    )
-    return forces, float(energy)
-
-
-def real_space_force(
-    i: int,
-    system: PeriodicChargeSystem,
-    params: EwaldParams,
-    cell_list: Optional[CellList] = None,
-) -> np.ndarray:
-    """Short-range force on one particle through a cell list."""
-    params.validate_box(system.L)
-    st = system.state
-    if cell_list is None:
-        cell_list = CellList.build(st.positions, st.box_length, params.r_c)
-    cand = cell_list.candidates(i, 3)
-    if cand.size == 0:
-        return np.zeros(3)
-    disp = minimum_image(st.positions[i] - st.positions[cand], st.box_length)
-    r2 = np.einsum("ij,ij->i", disp, disp)
-    within = r2 < params.r_c**2
-    if not np.any(within):
-        return np.zeros(3)
-    disp, r2 = disp[within], r2[within]
+    i, j, disp, r2 = neighbor_pairs(system.state.positions, system.L, params.r_c)
     r = np.sqrt(r2)
-    qq = system.charges[i] * system.charges[cand[within]]
-    screened = _erfc(math.sqrt(params.alpha) * r) / r
-    gauss = 2.0 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r2)
-    fmag = qq * (screened + gauss) / r2
-    return (fmag[:, None] * disp).sum(axis=0)
+    qq = system.charges[i] * system.charges[j]
+    screened = qq * _erfc(math.sqrt(params.alpha) * r) / r
+    gauss = qq * 2.0 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r2)
+    forces = pair_force_sum(system.n_particles, i, j, ((screened + gauss) / r2)[:, None] * disp)
+    return forces, float(np.sum(screened))
+
+
+def real_space_force(i: int, system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
+    return real_space_force_all(system, params)[0][i]
 
 
 def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
@@ -462,18 +406,18 @@ def rbe_md_step(
         forces = forces + extra_force(st)
 
     v = st.velocities
-    if isinstance(thermostat, Langevin):
-        noise = thermostat.sigma * math.sqrt(dt) * streams.thermostat.standard_normal(v.shape)
-        new_v = v + dt * (forces - thermostat.gamma * v) + noise
-        new_x = st.positions + dt * new_v
-        new_state = st.replace(positions=new_x, velocities=new_v, time=st.time + dt)
-    elif isinstance(thermostat, NoseHoover):
+    if isinstance(thermostat, NoseHoover):
         new_state, thermostat.xi = nose_hoover_step(
             st, thermostat.xi, thermostat.Q, thermostat.beta, dt, forces
         )
     else:
-        new_v = v + dt * forces
+        if isinstance(thermostat, Langevin):
+            noise = thermostat.sigma * math.sqrt(dt) * streams.thermostat.standard_normal(v.shape)
+            new_v = v + dt * (forces - thermostat.gamma * v) + noise
+        else:
+            new_v = v + dt * forces
         new_x = st.positions + dt * new_v
+        _check_finite(new_x, new_v, "RBE step")
         new_state = st.replace(positions=new_x, velocities=new_v, time=st.time + dt)
         if isinstance(thermostat, Andersen):
             new_state = apply_andersen(

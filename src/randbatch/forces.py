@@ -1,4 +1,4 @@
-"""Pairwise-force evaluation: exact sums, random-batch estimators, cell lists.
+"""Pairwise-force evaluation: exact sums, random-batch estimators, pair search.
 
 All kernels are vectorized callables mapping an (M, d) displacement array to
 (M, d) force rows; displacements use the minimum-image convention whenever the
@@ -7,15 +7,12 @@ ascending particle order so that the p = N random-batch step reproduces the
 full-batch step bit for bit.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .batching import batch_index_matrices
 from .state import BatchDivision, Kernel, KernelSpec, ParticleState, minimum_image
-
-_OFFSETS_CACHE: dict = {}
 
 
 def _kernel_fn(kernel) -> Kernel:
@@ -171,84 +168,96 @@ def suggested_clamp_eps(state: ParticleState) -> float:
     return 1e-6 * float(typical)
 
 
-@dataclass
-class CellList:
-    """Uniform grid over a periodic box; cell edge >= the query cutoff."""
+def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of particles in the same or adjacent cells of an m^d grid.
 
-    box_length: float
-    n_cells: int
-    cell_ids: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def build(cls, positions: np.ndarray, box_length: float, cutoff: float) -> "CellList":
-        N, d = positions.shape
-        m = max(int(box_length // cutoff), 1)
-        coords = np.floor(positions / (box_length / m)).astype(np.int64)
-        coords = np.clip(coords, 0, m - 1)
-        flat = np.zeros(N, dtype=np.int64)
-        for axis in range(d):
-            flat = flat * m + coords[:, axis]
-        order = np.argsort(flat, kind="stable")
-        starts = np.searchsorted(flat[order], np.arange(m**d + 1))
-        return cls(box_length=box_length, n_cells=m, cell_ids=flat, order=order, starts=starts)
-
-    def _neighbor_cells(self, cell: int, dim: int) -> np.ndarray:
-        m = self.n_cells
-        key = (m, dim)
-        if key not in _OFFSETS_CACHE:
-            grids = np.meshgrid(*([np.array([-1, 0, 1])] * dim), indexing="ij")
-            _OFFSETS_CACHE[key] = np.stack([g.ravel() for g in grids], axis=1)
-        offsets = _OFFSETS_CACHE[key]
-        coords = np.empty(dim, dtype=np.int64)
-        c = cell
-        for axis in range(dim - 1, -1, -1):
-            coords[axis] = c % m
-            c //= m
-        neigh = np.mod(coords[None, :] + offsets, m)
-        flat = np.zeros(len(neigh), dtype=np.int64)
-        for axis in range(dim):
-            flat = flat * m + neigh[:, axis]
-        return np.unique(flat)
-
-    def candidates(self, i: int, dim: int) -> np.ndarray:
-        """Particles in the cell of i and its adjacent cells (i excluded)."""
-        cells = self._neighbor_cells(self.cell_ids[i], dim)
-        chunks = [self.order[self.starts[c]: self.starts[c + 1]] for c in cells]
-        cand = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        return cand[cand != i]
+    Each pair is generated once: from the lower-numbered of its two cells, or,
+    within a cell, from the particle that sorts first.
+    """
+    N, d = coords.shape
+    strides = m ** np.arange(d - 1, -1, -1)
+    # particles are handled by rank in cell order
+    order = np.argsort(coords @ strides, kind="stable")
+    coords = coords[order]
+    cell = coords @ strides
+    counts = np.bincount(cell, minlength=m**d)
+    ends = np.cumsum(counts)
+    # neigh[r, k]: the k-th cell that rank r is paired with; reducing the
+    # offsets {-1, 0, 1} modulo m and de-duplicating them makes m = 1 and
+    # m = 2 work like any other grid
+    shifts = np.unique(np.array([-1, 0, 1]) % m)
+    neigh = np.zeros((N, 1), dtype=np.int64)
+    for axis in range(d):
+        part = (coords[:, axis, None] + shifts) % m * strides[axis]
+        neigh = (neigh[:, :, None] + part[:, None, :]).reshape(N, neigh.shape[1] * shifts.size)
+    rank = np.arange(N)
+    own = cell[:, None]
+    first = np.where(neigh == own, rank[:, None] + 1, ends[neigh] - counts[neigh])
+    n_cand = np.where(neigh >= own, ends[neigh] - first, 0)
+    ra = np.repeat(rank, n_cand.sum(axis=1))
+    n_cand, first = n_cand.ravel(), first.ravel()
+    rb = np.arange(ra.size) - np.repeat(np.cumsum(n_cand) - n_cand - first, n_cand)
+    i, j = order[ra], order[rb]
+    return np.minimum(i, j), np.maximum(i, j)
 
 
-def short_range_force(
-    i: int,
-    state: ParticleState,
-    K1: Kernel,
-    r0: float,
-    alpha_N: float,
-    cell_list: Optional[CellList] = None,
+def neighbor_pairs(
+    positions: np.ndarray, box_length: float, cutoff: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unordered pairs i < j closer than ``cutoff`` in a periodic box.
+
+    Returns ``(i, j, disp, r2)``: the index arrays, the (M, d) minimum-image
+    displacements x_i - x_j and their squared lengths.  Particles are binned
+    into about floor(L / cutoff) cells per side, so every pair within the
+    cutoff lies in the same or an adjacent cell.
+    """
+    pos = np.asarray(positions, dtype=np.float64)
+    N, d = pos.shape
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")  # NaN has no cell
+    # the margin keeps cell edges above the cutoff despite rounding in the binning;
+    # the cap on cells per particle only coarsens the grid of a sparse system
+    m = max(min(int(box_length / (cutoff * (1 + 1e-9))), int((8 * N) ** (1.0 / d))), 1)
+    i, j = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
+    # axis-major: one-dimensional gathers are several times faster than row gathers
+    disp = np.empty((d, i.size))
+    for axis, x in enumerate(np.ascontiguousarray(pos.T)):
+        disp[axis] = minimum_image(x[i] - x[j], box_length)
+    r2 = np.einsum("ij,ij->j", disp, disp)
+    within = r2 < cutoff * cutoff
+    return i[within], j[within], disp[:, within].T, r2[within]
+
+
+def pair_force_sum(
+    n: int, i: np.ndarray, j: np.ndarray, f_ij: np.ndarray, f_ji: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """alpha_N * sum of K1 over neighbors within r0, found through a cell list."""
+    """Per-particle sums of pair forces: row k adds f_ij[k] to i[k], f_ji[k] to j[k].
+
+    ``f_ji`` defaults to -f_ij, the Newton-pair case.
+    """
+    out = np.empty((n, f_ij.shape[1]))
+    for axis in range(f_ij.shape[1]):
+        on_i = np.bincount(i, f_ij[:, axis], minlength=n)
+        if f_ji is None:
+            out[:, axis] = on_i - np.bincount(j, f_ij[:, axis], minlength=n)
+        else:
+            out[:, axis] = on_i + np.bincount(j, f_ji[:, axis], minlength=n)
+    return out
+
+
+def short_range_force_all(state: ParticleState, K1: Kernel, r0: float, alpha_N: float) -> np.ndarray:
+    """alpha_N * sum of K1(x_i - x_j) over the neighbours within r0, for every i."""
     if state.box_length is None:
         raise ValueError("short-range force requires a periodic box")
     if r0 >= state.box_length / 2:
         raise ValueError("cutoff must be below half the box length")
-    if cell_list is None:
-        cell_list = CellList.build(state.positions, state.box_length, r0)
-    cand = cell_list.candidates(i, state.dim)
-    if cand.size == 0:
-        return np.zeros(state.dim)
-    disp = minimum_image(state.positions[i] - state.positions[cand], state.box_length)
-    within = np.einsum("ij,ij->i", disp, disp) < r0 * r0
-    if not np.any(within):
-        return np.zeros(state.dim)
-    return alpha_N * np.asarray(K1(disp[within])).sum(axis=0)
+    i, j, disp, _ = neighbor_pairs(state.positions, state.box_length, r0)
+    # K1 need not be odd, so each pair is evaluated in both orientations
+    f_ij, f_ji = np.asarray(K1(disp)), np.asarray(K1(-disp))
+    return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij, f_ji)
 
 
-def short_range_force_all(state: ParticleState, K1: Kernel, r0: float, alpha_N: float) -> np.ndarray:
-    """Short-range forces on all particles; one shared cell list per call."""
-    cl = CellList.build(state.positions, state.box_length, r0)
-    out = np.empty_like(state.positions)
-    for i in range(state.n_particles):
-        out[i] = short_range_force(i, state, K1, r0, alpha_N, cell_list=cl)
-    return out
+def short_range_force(i: int, state: ParticleState, K1: Kernel, r0: float, alpha_N: float) -> np.ndarray:
+    return short_range_force_all(state, K1, r0, alpha_N)[i]

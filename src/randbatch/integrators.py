@@ -25,7 +25,7 @@ from .state import KernelSpec, ParticleState, minimum_image, wrap_positions
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a step produces non-finite coordinates."""
+    """Raised when a step produces non-finite coordinates; names the particle."""
 
 
 @dataclass
@@ -101,10 +101,13 @@ class StepSchedule:
 
 
 def _check_finite(positions: np.ndarray, velocities: Optional[np.ndarray], label: str):
-    if not np.all(np.isfinite(positions)) or (
-        velocities is not None and not np.all(np.isfinite(velocities))
-    ):
-        raise IntegrationError(f"non-finite state after {label}")
+    """Raise IntegrationError naming the first particle with a non-finite coordinate."""
+    if np.all(np.isfinite(positions)) and (velocities is None or np.all(np.isfinite(velocities))):
+        return
+    bad = ~np.isfinite(positions).all(axis=1)
+    if velocities is not None:
+        bad |= ~np.isfinite(velocities).all(axis=1)
+    raise IntegrationError(f"non-finite state after {label} at particle {int(np.argmax(bad))}")
 
 
 def _drift_term(system, x: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaincc
 
-from .backend import njit
 from .batching import batch_index_matrices, random_division
+from .forces import neighbor_pairs, pair_force_sum
 from .integrators import FirstOrderSystem, rbm_step_first_order, direct_step
 from .rng import SimStreams
 from .samplers import GibbsTarget, log_kernel_split
@@ -411,36 +411,6 @@ def simulate_consensus(
 # --- electrolyte --------------------------------------------------------------
 
 
-@njit
-def _lj_kernel(pos, L, sigma, eps, r_cut, forces):
-    """Truncated (unshifted) Lennard-Jones forces and energy, Newton pairs."""
-    N = pos.shape[0]
-    rc2 = r_cut * r_cut
-    energy = 0.0
-    for i in range(N):
-        for j in range(i + 1, N):
-            dx = pos[i, 0] - pos[j, 0]
-            dy = pos[i, 1] - pos[j, 1]
-            dz = pos[i, 2] - pos[j, 2]
-            dx -= L * math.floor(dx / L + 0.5)
-            dy -= L * math.floor(dy / L + 0.5)
-            dz -= L * math.floor(dz / L + 0.5)
-            r2 = dx * dx + dy * dy + dz * dz
-            if r2 >= rc2:
-                continue
-            s2 = sigma * sigma / r2
-            s6 = s2 * s2 * s2
-            energy += 4.0 * eps * (s6 * s6 - s6)
-            fmag = 24.0 * eps * (2.0 * s6 * s6 - s6) / r2
-            forces[i, 0] += fmag * dx
-            forces[i, 1] += fmag * dy
-            forces[i, 2] += fmag * dz
-            forces[j, 0] -= fmag * dx
-            forces[j, 1] -= fmag * dy
-            forces[j, 2] -= fmag * dz
-    return energy
-
-
 @dataclass(frozen=True)
 class ElectrolyteModel:
     """Monovalent binary electrolyte: +-1 charges with a Lennard-Jones core.
@@ -488,11 +458,12 @@ class ElectrolyteModel:
         return ParticleState(positions=pos, velocities=vel, box_length=self.L)
 
     def lj_force(self, state: ParticleState):
-        forces = np.zeros_like(state.positions)
-        energy = _lj_kernel(
-            state.positions, self.L, self.lj_sigma, self.lj_epsilon, self.lj_cutoff, forces
-        )
-        return forces, float(energy)
+        """Truncated (unshifted) Lennard-Jones forces and energy."""
+        i, j, disp, r2 = neighbor_pairs(state.positions, self.L, self.lj_cutoff)
+        s6 = (self.lj_sigma**2 / r2) ** 3
+        fmag = 24.0 * self.lj_epsilon * (2.0 * s6 * s6 - s6) / r2
+        forces = pair_force_sum(state.n_particles, i, j, fmag[:, None] * disp)
+        return forces, float(4.0 * self.lj_epsilon * np.sum(s6 * s6 - s6))
 
 
 def dh_reference(r) -> np.ndarray:

@@ -67,7 +67,7 @@ class ConfigError(ValueError):
 METHODS = ("direct", "rbm", "rbm-r", "rbm-split", "rbe", "rbmc", "rbm-svgd")
 MODEL_METHODS = {
     "toy": ("direct", "rbm", "rbm-r"),
-    "wealth": ("direct", "rbm", "rbm-r"),
+    "wealth": ("direct", "rbm"),
     "cucker-smale": ("rbm", "direct"),
     "consensus": ("rbm", "direct"),
     "lj-fluid": ("rbm-split",),
@@ -208,6 +208,8 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         r_c = model["r_c"]
         if r_c is not None and r_c >= L / 2:
             errors.append("model.r_c: real-space cutoff must be below L/2")
+    if model_id == "lj-fluid" and thermostat["kind"] == "nose-hoover":
+        errors.append("thermostat.kind: lj-fluid supports none|andersen|langevin")
     if model_id == "dyson" and model["split_radius"] <= 0:
         errors.append("model.split_radius: must be positive")
 
@@ -309,8 +311,7 @@ def _run_wealth(cfg, streams, outdir):
     run = cfg["run"]
     dt = run["dt"] or 1e-3
     T = run["T"] or 3.0
-    method = "rbm" if cfg["method"] in ("rbm", "rbm-r") else "direct"
-    res = simulate_wealth(model, run["p"], dt, T, streams, method=method)
+    res = simulate_wealth(model, run["p"], dt, T, streams, method=cfg["method"])
     _write_samples_csv(outdir / "samples.csv", [(int(round(T / dt)), res.wealth)])
     metrics = {
         "mean_wealth": float(res.wealth.mean()),
@@ -478,10 +479,10 @@ def _run_electrolyte(cfg, streams, outdir):
     if "momentum" in cfg["diagnostics"]:
         from .ewald import fourier_force_exact_all, real_space_force_all, rbe_force_all
 
-        f = real_space_force_all(system, params)[0] + fourier_force_exact_all(system, params)
+        f_real = real_space_force_all(system, params)[0]
+        f = f_real + fourier_force_exact_all(system, params)
         metrics["momentum_exact"] = float(np.abs(f.sum(axis=0)).max())
-        f_rbe = real_space_force_all(system, params)[0] + rbe_force_all(
-            system, bank.draw(params.p), S)
+        f_rbe = f_real + rbe_force_all(system, bank.draw(params.p), S)
         metrics["momentum_rbe"] = float(np.abs(f_rbe.sum(axis=0)).max())
     return metrics
 

@@ -18,8 +18,7 @@ def minimum_image(disp: np.ndarray, box_length: Optional[float]) -> np.ndarray:
     """Wrap displacement components into [-L/2, L/2)."""
     if box_length is None:
         return disp
-    half = 0.5 * box_length
-    return np.mod(disp + half, box_length) - half
+    return disp - box_length * np.floor(disp / box_length + 0.5)
 
 
 @dataclass

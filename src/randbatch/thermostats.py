@@ -10,6 +10,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from .integrators import _check_finite
 from .state import ParticleState
 
 
@@ -100,4 +101,5 @@ def nose_hoover_step(
     new_xi = xi + dt / Q * (kinetic_sum - target)
     new_v = v + dt * (forces / m[:, None] - xi * v)
     new_x = state.positions + dt * v
+    _check_finite(new_x, new_v, "Nose-Hoover step")
     return state.replace(positions=new_x, velocities=new_v, time=state.time + dt), new_xi

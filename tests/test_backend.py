@@ -23,49 +23,6 @@ def test_njit_decorator_passthrough_forms():
     assert py_func(f)(1) == 2
 
 
-def test_real_space_kernel_backends_match():
-    from randbatch.ewald import _real_space_kernel
-
-    gen = RngStream(1).generator()
-    pos = gen.uniform(0, 6.0, size=(24, 3))
-    q = np.tile([1.0, -1.0], 12)
-    f_jit = np.zeros((24, 3))
-    f_py = np.zeros((24, 3))
-    e_jit = _real_space_kernel(pos, q, 6.0, 0.8, 2.5, f_jit)
-    e_py = py_func(_real_space_kernel)(pos, q, 6.0, 0.8, 2.5, f_py)
-    assert e_jit == e_py
-    np.testing.assert_array_equal(f_jit, f_py)
-
-
-def test_lj_kernel_backends_match():
-    from randbatch.models import _lj_kernel
-
-    gen = RngStream(2).generator()
-    pos = gen.uniform(0, 5.0, size=(20, 3))
-    f_jit = np.zeros((20, 3))
-    f_py = np.zeros((20, 3))
-    e_jit = _lj_kernel(pos, 5.0, 0.4, 1.0, 1.0, f_jit)
-    e_py = py_func(_lj_kernel)(pos, 5.0, 0.4, 1.0, 1.0, f_py)
-    assert e_jit == e_py
-    np.testing.assert_array_equal(f_jit, f_py)
-
-
-def test_radial_bin_kernel_backends_match():
-    from randbatch.diagnostics import _radial_bin_kernel
-
-    gen = RngStream(3).generator()
-    frames = gen.uniform(0, 8.0, size=(3, 30, 3))
-    charges = np.tile([1.0, -1.0], 15)
-    acc_a = np.zeros(16)
-    cnt_a = np.zeros(16, dtype=np.int64)
-    acc_b = np.zeros(16)
-    cnt_b = np.zeros(16, dtype=np.int64)
-    _radial_bin_kernel(frames, charges, 8.0, 0.25, 16, acc_a, cnt_a)
-    py_func(_radial_bin_kernel)(frames, charges, 8.0, 0.25, 16, acc_b, cnt_b)
-    np.testing.assert_array_equal(acc_a, acc_b)
-    np.testing.assert_array_equal(cnt_a, cnt_b)
-
-
 def test_mh_chain_kernel_backends_match():
     from randbatch.ewald import _mh_chain_kernel
 
@@ -88,8 +45,8 @@ def test_env_flag_selects_pure_python(tmp_path):
 
     code = (
         "import randbatch.backend as b; "
-        "from randbatch.ewald import _real_space_kernel; "
-        "print(b.USE_NUMBA, hasattr(_real_space_kernel, 'py_func'))"
+        "from randbatch.ewald import _mh_chain_kernel; "
+        "print(b.USE_NUMBA, hasattr(_mh_chain_kernel, 'py_func'))"
     )
     env_on = {"RANDBATCH_DISABLE_NUMBA": "0"}
     env_off = {"RANDBATCH_DISABLE_NUMBA": "1"}

@@ -56,6 +56,19 @@ def test_incompatible_method_rejected():
         validate_dict({"model": {"id": "wealth"}, "method": "rbe"})
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"model": {"id": "wealth"}, "method": "rbm-r"}, "not available"),
+        ({"model": {"id": "lj-fluid"}, "thermostat": {"kind": "nose-hoover"}},
+         "lj-fluid supports"),
+    ],
+)
+def test_configs_the_runner_would_ignore_are_rejected(raw, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_dict(raw)
+
+
 def test_unknown_diagnostic_rejected():
     with pytest.raises(ConfigError, match="unknown for model"):
         validate_dict({"model": {"id": "wealth"}, "diagnostics": ["dh_screening"]})

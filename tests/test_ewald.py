@@ -25,6 +25,7 @@ from randbatch.ewald import (
     sum_S,
     rbe_md_step,
 )
+from randbatch.integrators import IntegrationError
 from randbatch.rng import RngStream, SimStreams
 from randbatch.state import ParticleState
 
@@ -324,6 +325,16 @@ def test_md_step_conserves_momentum_before_thermostat():
     stepped, _ = rbe_md_step(system, params, None, bank, 1e-3, SimStreams(11))
     after = stepped.state.velocities.sum(axis=0)
     np.testing.assert_allclose(after, before, atol=1e-10)
+
+
+def test_md_step_names_the_particle_with_a_non_finite_velocity():
+    system = _random_electroneutral(8, 6.0, seed=34, velocities=True)
+    velocities = system.state.velocities.copy()
+    velocities[5, 1] = np.nan
+    system = system.replace_state(system.state.replace(velocities=velocities))
+    params = EwaldParams.for_system(8, 6.0, alpha=1.0, tail=1e-10)
+    with pytest.raises(IntegrationError, match="particle 5$"):
+        rbe_md_step(system, params, None, None, 1e-3, SimStreams(12), exact_fourier=True)
 
 
 def test_self_energy_value():

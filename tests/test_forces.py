@@ -1,4 +1,4 @@
-"""Force estimators, their exact statistics, and the short-range cell list."""
+"""Force estimators, their exact statistics, and the neighbour-pair search."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from randbatch.forces import (
     full_force,
     full_force_all,
     interaction_spread,
+    neighbor_pairs,
     short_range_force,
     short_range_force_all,
     suggested_clamp_eps,
@@ -191,10 +192,62 @@ def test_short_range_force_empty_when_all_far():
 def test_short_range_force_matches_brute_force():
     gen = RngStream(13).generator()
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
-    K1 = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
-    expected = _truncated_brute_force(state, K1, 1.5, 0.7)
-    actual = short_range_force_all(state, K1, 1.5, 0.7)
-    np.testing.assert_allclose(actual, expected, atol=1e-13)
+    odd = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
+    even = lambda x: x**2  # K1(-x) != -K1(x): each pair must be evaluated both ways
+    for K1 in (odd, even):
+        expected = _truncated_brute_force(state, K1, 1.5, 0.7)
+        actual = short_range_force_all(state, K1, 1.5, 0.7)
+        np.testing.assert_allclose(actual, expected, atol=1e-13)
+
+
+def _brute_force_pairs(pos, L, cutoff):
+    i, j = np.triu_indices(len(pos), k=1)
+    disp = minimum_image(pos[i] - pos[j], L)
+    r2 = np.einsum("ij,ij->i", disp, disp)
+    keep = r2 < cutoff * cutoff
+    return i[keep], j[keep], disp[keep], r2[keep]
+
+
+def _lattice(L, n_side, dim):
+    axes = np.meshgrid(*([np.arange(n_side) * (L / n_side)] * dim), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
+@pytest.mark.parametrize(
+    "L, cutoff, dim, positions",
+    [
+        (8.0, 5.0, 3, "random"),  # one cell per side
+        (8.0, 3.5, 3, "random"),  # cutoff >= L/3: two cells per side
+        (8.0, 1.5, 3, "random"),  # five cells per side
+        (6.0, 1.3, 2, "random"),  # 2-d box
+        (8.0, 0.9, 3, "lattice"),  # spacing 1: no pair within the cutoff
+    ],
+)
+def test_neighbor_pairs_matches_brute_force(L, cutoff, dim, positions):
+    if positions == "lattice":
+        pos = _lattice(L, 8, dim)
+    else:
+        pos = RngStream(17).generator().uniform(0, L, size=(120, dim))
+        pos[0] = 0.0
+        pos[1] = np.nextafter(L, 0.0)  # one ulp from pos[0] through the boundary
+    expected = _brute_force_pairs(pos, L, cutoff)
+    i, j, disp, r2 = neighbor_pairs(pos, L, cutoff)
+    order = np.lexsort((j, i))
+    np.testing.assert_array_equal(i[order], expected[0])
+    np.testing.assert_array_equal(j[order], expected[1])
+    np.testing.assert_array_equal(disp[order], expected[2])
+    np.testing.assert_allclose(r2[order], expected[3], rtol=1e-15, atol=0)  # summation order
+    if positions == "lattice":
+        assert i.size == 0
+    else:
+        assert (0, 1) in set(zip(i.tolist(), j.tolist()))
+
+
+def test_neighbor_pairs_rejects_non_finite_positions():
+    pos = np.zeros((3, 3))
+    pos[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        neighbor_pairs(pos, 4.0, 1.0)
 
 
 def test_short_range_force_minimum_image_across_boundary():
