@@ -1,10 +1,10 @@
 """Optional numba dispatch for the scalar-loop kernels.
 
-The inner loops that are not vectorised (the Markov chains and the toy
-scaling benchmark) are written as plain Python functions over numpy arrays and
-decorated with :func:`njit`.  When numba is importable (and not disabled), the
-decorator compiles the function; the original interpreted version stays
-reachable through ``fn.py_func``.  Setting the environment variable
+The inner loops that are not vectorised (the Markov chains) are written as
+plain Python functions over numpy arrays and decorated with :func:`njit`.
+When numba is importable (and not disabled), the decorator compiles the
+function; the original interpreted version stays reachable through
+``fn.py_func``.  Setting the environment variable
 ``RANDBATCH_DISABLE_NUMBA=1`` before import selects the interpreted path,
 which runs the identical source.  Numba is the optional ``jit`` extra; without
 it every kernel runs interpreted.

@@ -3,12 +3,15 @@
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .backend import njit
-from .state import minimum_image
+from .integrators import direct_step, rbm_step_first_order
+from .models import toy_lipschitz_system
+from .rng import SimStreams
+from .state import ParticleState, minimum_image
 
 
 @dataclass
@@ -212,53 +215,7 @@ def radial_net_charge(
     )
 
 
-# --- per-step cost benchmark on the sin-kernel toy system -------------------
-
-
-@njit
-def _toy_direct_steps(x, dt, sigma, n_steps, seed):
-    np.random.seed(seed)
-    N = x.shape[0]
-    sq = math.sqrt(dt)
-    for _ in range(n_steps):
-        force = np.empty(N)
-        for i in range(N):
-            acc = 0.0
-            for j in range(N):
-                if j != i:
-                    acc += math.sin(x[i] - x[j])
-            force[i] = acc / (N - 1)
-        for i in range(N):
-            x[i] = x[i] + dt * (-x[i] + force[i]) + sigma * sq * np.random.standard_normal()
-    return x
-
-
-@njit
-def _toy_rbm_steps(x, p, dt, sigma, n_steps, seed):
-    np.random.seed(seed)
-    N = x.shape[0]
-    sq = math.sqrt(dt)
-    perm = np.arange(N)
-    xnew = np.empty(N)
-    for _ in range(n_steps):
-        for i in range(N - 1, 0, -1):
-            j = np.random.randint(0, i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        n_batches = N // p
-        for b in range(n_batches):
-            start = b * p
-            end = start + p if b < n_batches - 1 else N
-            q = end - start
-            for ii in range(start, end):
-                i = perm[ii]
-                acc = 0.0
-                for jj in range(start, end):
-                    j = perm[jj]
-                    if j != i:
-                        acc += math.sin(x[i] - x[j])
-                xnew[i] = x[i] + dt * (-x[i] + acc / (q - 1)) + sigma * sq * np.random.standard_normal()
-        x[:] = xnew
-    return x
+# --- per-step cost of the library steppers on the sin-kernel toy system ------
 
 
 def scaling_benchmark(
@@ -271,29 +228,28 @@ def scaling_benchmark(
     sigma: float = 0.5,
     seed: int = 0,
 ) -> list:
-    """Wall-clock seconds per step of the toy system at each size.
+    """Wall-clock seconds per step of ``direct_step`` or ``rbm_step_first_order``.
 
-    Returns [(N, seconds_per_step), ...] using the fastest of ``repeats``
-    timed runs of ``steps`` consecutive steps.
+    Both run on ``models.toy_lipschitz_system`` at each size.  Returns
+    [(N, seconds_per_step), ...] using the fastest of ``repeats`` timed runs
+    of ``steps`` consecutive steps.
     """
     if method not in ("rbm", "direct"):
         raise ValueError("method must be 'rbm' or 'direct'")
     rng = np.random.default_rng(seed)
     results = []
     for N in sizes:
-        x0 = rng.standard_normal(N)
-        if method == "direct":
-            _toy_direct_steps(x0.copy(), dt, sigma, 1, seed)  # warm-up / compile
-        else:
-            _toy_rbm_steps(x0.copy(), p, dt, sigma, 1, seed)
+        system = toy_lipschitz_system(N, sigma=sigma)
+        step = (partial(direct_step, system=system, dt=dt) if method == "direct"
+                else partial(rbm_step_first_order, system=system, p=p, dt=dt))
+        x0 = ParticleState(positions=rng.standard_normal((N, 1)))
+        step(x0, streams=SimStreams(seed))  # warm-up
         best = math.inf
         for rep in range(repeats):
-            x = x0.copy()
+            state, streams = x0, SimStreams(seed, replica=rep)
             t0 = time.perf_counter()
-            if method == "direct":
-                _toy_direct_steps(x, dt, sigma, steps, seed + rep)
-            else:
-                _toy_rbm_steps(x, p, dt, sigma, steps, seed + rep)
+            for _ in range(steps):
+                state = step(state, streams=streams)
             best = min(best, (time.perf_counter() - t0) / steps)
         results.append((int(N), best))
     return results

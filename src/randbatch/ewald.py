@@ -264,20 +264,21 @@ def structure_factors(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.nda
     return out
 
 
-def _fourier_forces(system, kvecs, coef) -> np.ndarray:
-    """F_i = -q_i sum_k coef_k k Im(exp(-i k.r_i) rho(k)), chunked over k."""
+def _fourier_forces(system, kvecs, coef) -> Tuple[np.ndarray, np.ndarray]:
+    """F_i = -q_i sum_k coef_k k Im(exp(-i k.r_i) rho(k)), chunked over k; also returns rho."""
     pos, q = system.state.positions, system.charges
     N = pos.shape[0]
     out = np.zeros((N, 3))
+    rho = np.empty(len(kvecs), dtype=np.complex128)
     chunk = max(1, int(4_000_000 // max(N, 1)))
     for s in range(0, len(kvecs), chunk):
         kc = kvecs[s: s + chunk]
         phase = pos @ kc.T  # (N, chunk)
         eikr = np.exp(1j * phase)
-        rho = eikr.T @ q
-        im = np.imag(np.conj(eikr) * rho[None, :])
+        rho[s: s + chunk] = eikr.T @ q
+        im = np.imag(np.conj(eikr) * rho[None, s: s + chunk])
         out -= (im * coef[s: s + chunk][None, :]) @ kc
-    return q[:, None] * out
+    return q[:, None] * out, rho
 
 
 def fourier_force_exact_all(system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
@@ -286,7 +287,7 @@ def fourier_force_exact_all(system: PeriodicChargeSystem, params: EwaldParams) -
     kvecs = kvectors_in_ball(system.L, params.k_c)
     k2 = np.einsum("ij,ij->i", kvecs, kvecs)
     coef = 4.0 * math.pi / system.volume * np.exp(-k2 / (4.0 * params.alpha)) / k2
-    return _fourier_forces(system, kvecs, coef)
+    return _fourier_forces(system, kvecs, coef)[0]
 
 
 def fourier_force_exact(i: int, system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
@@ -298,15 +299,20 @@ def rbe_force_all(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) ->
 
     The same frequency batch must be shared by all particles within a step.
     """
+    return _rbe_fourier(system, kbatch, S)[0]
+
+
+def _rbe_fourier(system: PeriodicChargeSystem, kbatch, S: float, forces: bool = True):
+    """Random-batch Fourier forces (None unless ``forces``) and k-space energy, one rho pass."""
     kbatch = np.atleast_2d(np.asarray(kbatch, dtype=np.float64))
     p = len(kbatch)
     k2 = np.einsum("ij,ij->i", kbatch, kbatch)
-    coef = (S / p) * 4.0 * math.pi / system.volume / k2
-    return _fourier_forces(system, kbatch, coef)
-
-
-def rbe_force(i: int, system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) -> np.ndarray:
-    return rbe_force_all(system, kbatch, S)[i]
+    if forces:
+        f, rho = _fourier_forces(system, kbatch, (S / p) * 4.0 * math.pi / system.volume / k2)
+    else:
+        f, rho = None, structure_factors(system, kbatch)
+    rho2 = np.abs(rho) ** 2
+    return f, float(2.0 * math.pi / system.volume * (S / p) * np.sum(rho2 / k2))
 
 
 def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> Tuple[np.ndarray, float]:
@@ -339,10 +345,7 @@ def self_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
 
 def rbe_fourier_energy(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) -> float:
     """Random-batch estimate of the k-space energy sum from one frequency batch."""
-    kbatch = np.atleast_2d(np.asarray(kbatch, dtype=np.float64))
-    k2 = np.einsum("ij,ij->i", kbatch, kbatch)
-    rho2 = np.abs(structure_factors(system, kbatch)) ** 2
-    return float(2.0 * math.pi / system.volume * (S / len(kbatch)) * np.sum(rho2 / k2))
+    return _rbe_fourier(system, kbatch, S, forces=False)[1]
 
 
 def ewald_energy_parts(system: PeriodicChargeSystem, params: EwaldParams) -> dict:
@@ -399,8 +402,8 @@ def rbe_md_step(
         if S is None:
             S = sum_S(params.alpha, system.L)
         kbatch = bank.draw(params.p)
-        forces = forces + rbe_force_all(system, kbatch, S)
-        info["U_fourier"] = rbe_fourier_energy(system, kbatch, S)
+        f_fourier, info["U_fourier"] = _rbe_fourier(system, kbatch, S)
+        forces = forces + f_fourier
     info["U_self"] = self_energy(system, params)
     if extra_force is not None:
         forces = forces + extra_force(st)

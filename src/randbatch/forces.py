@@ -2,12 +2,14 @@
 
 All kernels are vectorized callables mapping an (M, d) displacement array to
 (M, d) force rows; displacements use the minimum-image convention whenever the
-state carries a periodic box.  Summation within a batch always runs in
-ascending particle order so that the p = N random-batch step reproduces the
-full-batch step bit for bit.
+state carries a periodic box.  ``batch_pair_sum`` is the one sum over batch
+mates: the random-batch forces here, the Cucker-Smale and consensus
+right-hand sides and the RBM-SVGD update all run through it.  Summation
+within a batch always runs in ascending particle order so that the p = N
+random-batch step reproduces the full-batch step bit for bit.
 """
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -17,6 +19,12 @@ from .state import BatchDivision, Kernel, KernelSpec, ParticleState, minimum_ima
 
 def _kernel_fn(kernel) -> Kernel:
     return kernel.force if isinstance(kernel, KernelSpec) else kernel
+
+
+def _kernel_term(kernel, state: ParticleState) -> Callable:
+    """Pair term K(x_i - x_j) over minimum-image displacements, as (M, d) rows."""
+    K = _kernel_fn(kernel)
+    return lambda xi, xj: K(minimum_image(xi - xj, state.box_length).reshape(-1, state.dim))
 
 
 def batch_prefactor(alpha_N: float, N: int, batch_size: int) -> float:
@@ -55,36 +63,49 @@ def full_force(i: int, state: ParticleState, kernel, alpha_N: float) -> np.ndarr
 
 def full_force_all(state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
     """Exact forces on every particle, one vectorized O(N^2) evaluation."""
-    K = _kernel_fn(kernel)
-    pos = state.positions
-    N, d = pos.shape
-    diffs = minimum_image(pos[:, None, :] - pos[None, :, :], state.box_length)
-    mask = ~np.eye(N, dtype=bool)
-    values = np.asarray(K(diffs[mask].reshape(N * (N - 1), d)))
-    return alpha_N * values.reshape(N, N - 1, d).sum(axis=1)
+    return batch_pair_sum(None, _kernel_term(kernel, state), (state.positions,), lambda q: alpha_N)
+
+
+def batch_pair_sum(
+    assignment: Optional[np.ndarray], pair_term: Callable, fields, weight: Callable
+) -> np.ndarray:
+    """weight(q) * sum over the mates j != i in i's batch of pair_term, for every i.
+
+    ``assignment`` maps particles to batches (None: one batch of all N) and
+    ``fields`` are per-particle arrays.  Each block of B batches of size q is
+    one call ``pair_term(f_i, f_j, g_i, g_j, ...)`` that gets every field as
+    (B, q, 1, ...) rows of i and (B, q, q-1, ...) rows of its mates, j
+    ascending, and returns the B q (q-1) pair terms in that order.
+    """
+    N = len(fields[0])
+    if assignment is None:
+        assignment = np.zeros(N, dtype=np.int64)
+    out = None
+    for size, idx in batch_index_matrices(assignment):
+        if size < 2:
+            raise ValueError("degenerate batch of size < 2")
+        cols = np.arange(size - 1)
+        cols = cols + (cols >= np.arange(size)[:, None])  # row k: every column but k
+        rows = []
+        for f in fields:
+            block = f[idx]
+            rows += [block[:, :, None], block[:, cols]]
+        values = np.asarray(pair_term(*rows)).reshape(idx.shape[0], size, size - 1, -1)
+        if out is None:
+            out = np.zeros((N, values.shape[-1]))
+        out[idx] = weight(size) * values.sum(axis=2)
+    return out
 
 
 def division_forces(state: ParticleState, division: BatchDivision, kernel, alpha_N: float) -> np.ndarray:
     """Random-batch forces on every particle for one shared division.
 
-    Batches of equal size are processed as a single vectorized block; the
-    remainder batch (if any) gets its own size-matched prefactor.
+    Each batch of size q carries the unbiased weight alpha_N (N-1)/(q-1), so a
+    remainder batch gets its own size-matched prefactor.
     """
-    K = _kernel_fn(kernel)
-    pos = state.positions
-    N, d = pos.shape
-    out = np.zeros((N, d))
-    for size, idx in batch_index_matrices(division.assignment):
-        if size < 2:
-            raise ValueError("degenerate batch of size < 2")
-        x = pos[idx]
-        diffs = minimum_image(x[:, :, None, :] - x[:, None, :, :], state.box_length)
-        offdiag = ~np.eye(size, dtype=bool)
-        rows = diffs[:, offdiag].reshape(-1, d)
-        values = np.asarray(K(rows)).reshape(idx.shape[0], size, size - 1, d)
-        pref = batch_prefactor(alpha_N, N, size)
-        out[idx] = pref * values.sum(axis=2)
-    return out
+    N = state.n_particles
+    return batch_pair_sum(division.assignment, _kernel_term(kernel, state), (state.positions,),
+                          lambda q: batch_prefactor(alpha_N, N, q))
 
 
 def chi(i: int, state: ParticleState, batch: np.ndarray, kernel) -> np.ndarray:

@@ -21,7 +21,7 @@ from .forces import (
 )
 from .batching import random_division, sample_batch_with_replacement
 from .rng import SimStreams
-from .state import KernelSpec, ParticleState, minimum_image, wrap_positions
+from .state import KernelSpec, ParticleState, wrap_positions
 
 
 class IntegrationError(RuntimeError):
@@ -247,8 +247,3 @@ def rbm_split_step(
     division = random_division(state.n_particles, p, streams.division)
     smooth = division_forces(state, division, kernel.smooth_part, system.alpha_N)
     return _advance_second_order(state, system, short + smooth, dt, streams.noise)
-
-
-def full_pair_sum_displacement(state: ParticleState, i: int, j: int) -> np.ndarray:
-    """Minimum-image displacement x_i - x_j; exposed for tests."""
-    return minimum_image(state.positions[i] - state.positions[j], state.box_length)

@@ -12,8 +12,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaincc
 
-from .batching import batch_index_matrices, random_division
-from .forces import neighbor_pairs, pair_force_sum
+from .batching import random_division
+from .forces import batch_pair_sum, neighbor_pairs, pair_force_sum
 from .integrators import FirstOrderSystem, rbm_step_first_order, direct_step
 from .rng import SimStreams
 from .samplers import GibbsTarget, log_kernel_split
@@ -210,24 +210,23 @@ def cs_rhs(
     model: CuckerSmaleModel,
     assignment: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Velocity derivatives (kappa / (n-1)) sum psi(|x_j - x_i|) (v_j - v_i).
+    """Velocity derivatives (kappa / (q-1)) sum psi(|x_j - x_i|) (v_j - v_i).
 
-    Full-batch over all pairs, or batch-restricted with the kappa/(p-1)
-    weight when a division assignment is given.
+    The sum runs over each particle's batch of size q, or over all N
+    particles (one batch) when no division assignment is given.
     """
 
-    def block(x, v, weight):
-        dx = x[..., None, :, :] - x[..., :, None, :]
-        dv = v[..., None, :, :] - v[..., :, None, :]
-        w = model.psi(np.sqrt(np.einsum("...ijk,...ijk->...ij", dx, dx)))
-        return weight * np.einsum("...ij,...ijk->...ik", w, dv)
+    def term(xi, xj, vi, vj):
+        dx = xj - xi
+        return model.psi(np.sqrt(np.einsum("...k,...k->...", dx, dx)))[..., None] * (vj - vi)
 
-    if assignment is None:
-        return block(positions, velocities, model.kappa / (positions.shape[0] - 1))
-    out = np.empty_like(velocities)
-    for size, idx in batch_index_matrices(assignment):
-        out[idx] = block(positions[idx], velocities[idx], model.kappa / (size - 1))
-    return out
+    return batch_pair_sum(assignment, term, (positions, velocities),
+                          lambda q: model.kappa / (q - 1))
+
+
+def _step_assignment(N: int, p: int, streams: SimStreams, method: str) -> Optional[np.ndarray]:
+    """A fresh division's assignment for ``rbm``; None (all pairs) for ``direct``."""
+    return None if method == "direct" else random_division(N, p, streams.division).assignment
 
 
 def flocking_functionals(positions: np.ndarray, velocities: np.ndarray):
@@ -256,29 +255,24 @@ def simulate_flocking(
     steps: int,
     streams: SimStreams,
     record_every: int = 1,
+    method: str = "rbm",
 ) -> FlockingRunResult:
-    """RBM-Euler run of the Cucker-Smale dynamics, recording both spreads."""
+    """Euler run of the Cucker-Smale dynamics, recording both spreads.
+
+    ``method="rbm"`` draws one division per step; ``"direct"`` draws none.
+    """
     x, v = model.initial(streams.init)
-    times, xs, vs = [], [], []
+    rows = []
     for k in range(steps + 1):
         if k % record_every == 0:
-            sx, sv = flocking_functionals(x, v)
-            times.append(k * dt)
-            xs.append(sx)
-            vs.append(sv)
+            rows.append((k * dt, *flocking_functionals(x, v)))
         if k == steps:
             break
-        division = random_division(model.N, p, streams.division)
-        dv = cs_rhs(x, v, model, division.assignment)
+        dv = cs_rhs(x, v, model, _step_assignment(model.N, p, streams, method))
         x = x + dt * v
         v = v + dt * dv
-    return FlockingRunResult(
-        times=np.array(times),
-        x_spread=np.array(xs),
-        v_spread=np.array(vs),
-        positions=x,
-        velocities=v,
-    )
+    times, xs, vs = np.array(rows).T
+    return FlockingRunResult(times=times, x_spread=xs, v_spread=vs, positions=x, velocities=v)
 
 
 # --- consensus dynamics -------------------------------------------------------
@@ -290,8 +284,9 @@ class ConsensusModel:
 
     The dispersion term is decomposed as antisymmetric nu_bar with
     (kappa/(N-1)) sum_j nu_bar[i, j] = nu_i, so random batching can sample
-    dispersion and interaction proportionally.  The default decomposition is
-    nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N), valid when sum nu = 0.
+    dispersion and interaction proportionally.  The decomposition is
+    nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N), valid when sum nu = 0; it
+    is computed per batch from the nu rows (``dispersion``), never stored.
     """
 
     N: int
@@ -299,7 +294,6 @@ class ConsensusModel:
     nu: Optional[np.ndarray] = None
     adjacency: Optional[np.ndarray] = None
     gamma: Callable = field(default=lambda q: q)
-    nu_bar: Optional[np.ndarray] = None
     dim: int = 1
 
     def __post_init__(self):
@@ -318,19 +312,23 @@ class ConsensusModel:
             raise ValueError("adjacency must be symmetric")
         if np.any(self.adjacency < 0):
             raise ValueError("adjacency must be nonnegative")
-        if self.nu_bar is None:
-            self.nu_bar = (
-                (self.N - 1) * (self.nu[:, None, :] - self.nu[None, :, :]) / (self.kappa * self.N)
-            )
-        self.nu_bar = np.asarray(self.nu_bar, dtype=np.float64)
+
+    def dispersion(self, nu_i: np.ndarray, nu_j: np.ndarray) -> np.ndarray:
+        """nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N) for the given rows."""
+        return (self.N - 1) * (nu_i - nu_j) / (self.kappa * self.N)
 
     def check_decomposition(self, atol_antisym=1e-12, atol_recon=1e-10):
-        """Verify antisymmetry and the reconstruction identity of nu_bar."""
-        skew = self.nu_bar + np.transpose(self.nu_bar, (1, 0, 2))
-        if np.max(np.abs(skew)) > atol_antisym:
+        """Verify antisymmetry and the reconstruction identity of nu_bar in O(N).
+
+        Antisymmetry is checked on the pairs (i, i+1 mod N); the row sums use
+        sum_j (nu_i - nu_j) = N nu_i - sum_j nu_j.
+        """
+        nu, N = self.nu, self.N
+        ahead = np.roll(nu, -1, axis=0)
+        if np.max(np.abs(self.dispersion(nu, ahead) + self.dispersion(ahead, nu))) > atol_antisym:
             raise ValueError("dispersion decomposition is not antisymmetric")
-        recon = self.kappa / (self.N - 1) * self.nu_bar.sum(axis=1)
-        if np.max(np.abs(recon - self.nu)) > atol_recon:
+        recon = self.kappa / (N - 1) * self.dispersion(N * nu, nu.sum(axis=0))
+        if np.max(np.abs(recon - nu)) > atol_recon:
             raise ValueError("dispersion decomposition does not reconstruct nu")
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
@@ -344,27 +342,19 @@ def consensus_rhs(
     model: ConsensusModel,
     assignment: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """dq_i = weight * sum_j (nu_bar_ij + a_ij Gamma(q_j - q_i)), j in scope.
+    """dq_i = (kappa/(q-1)) sum_j (nu_bar_ij + a_ij Gamma(q_j - q_i)) over i's batch.
 
-    Full form uses kappa/(N-1) over all j; the batched form samples both the
-    dispersion and the interaction with weight kappa/(p-1).
+    With no assignment the sum runs over all N agents (weight kappa/(N-1));
+    a division samples the dispersion and the interaction together.
     """
     q = np.atleast_2d(q)
 
-    def block(idx):
-        qi = q[idx]
-        dq = qi[None, :, :] - qi[:, None, :]
-        inter = model.adjacency[np.ix_(idx, idx)][:, :, None] * model.gamma(dq)
-        disp = model.nu_bar[np.ix_(idx, idx)]
-        return (disp + inter).sum(axis=1)
+    def term(qi, qj, nu_i, nu_j, i, j):
+        interaction = model.adjacency[i, j][..., None] * model.gamma(qj - qi)
+        return model.dispersion(nu_i, nu_j) + interaction
 
-    if assignment is None:
-        return model.kappa / (model.N - 1) * block(np.arange(model.N))
-    out = np.empty_like(q)
-    for size, matrices in batch_index_matrices(assignment):
-        for idx in matrices:
-            out[idx] = model.kappa / (size - 1) * block(idx)
-    return out
+    fields = (q, model.nu, np.arange(model.N))
+    return batch_pair_sum(assignment, term, fields, lambda size: model.kappa / (size - 1))
 
 
 def consensus_functionals(q: np.ndarray):
@@ -392,20 +382,19 @@ def simulate_consensus(
     streams: SimStreams,
     q0: Optional[np.ndarray] = None,
     record_every: int = 1,
+    method: str = "rbm",
 ) -> ConsensusRunResult:
+    """Euler run of the consensus dynamics; ``method`` as in ``simulate_flocking``."""
     q = model.initial(streams.init) if q0 is None else np.atleast_2d(np.asarray(q0, dtype=np.float64)).reshape(model.N, -1)
-    times, m2s, ds = [], [], []
+    rows = []
     for k in range(steps + 1):
         if k % record_every == 0:
-            m2, diam = consensus_functionals(q)
-            times.append(k * dt)
-            m2s.append(m2)
-            ds.append(diam)
+            rows.append((k * dt, *consensus_functionals(q)))
         if k == steps:
             break
-        division = random_division(model.N, p, streams.division)
-        q = q + dt * consensus_rhs(q, model, division.assignment)
-    return ConsensusRunResult(times=np.array(times), m2=np.array(m2s), diameter=np.array(ds), q=q)
+        q = q + dt * consensus_rhs(q, model, _step_assignment(model.N, p, streams, method))
+    times, m2, diameter = np.array(rows).T
+    return ConsensusRunResult(times=times, m2=m2, diameter=diameter, q=q)
 
 
 # --- electrolyte --------------------------------------------------------------

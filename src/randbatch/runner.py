@@ -17,11 +17,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .batching import random_division
 from .diagnostics import radial_net_charge, scaling_benchmark, wasserstein1_1d
 from .ewald import (
     EwaldParams,
-    KSampleBank,
     PeriodicChargeSystem,
     fourier_energy,
     mh_sample_kvectors,
@@ -51,7 +49,7 @@ from .models import (
     toy_lipschitz_system,
 )
 from .rng import SimStreams
-from .samplers import GaussianKernel, SvgdState, rbm_svgd_step, run_log_gas_chain, svgd_step
+from .samplers import GaussianKernel, SvgdState, rbm_svgd_step, run_log_gas_chain
 from .state import ParticleState
 from .thermostats import Andersen, Langevin, NoseHoover
 
@@ -281,8 +279,6 @@ def _run_toy(cfg, streams, outdir):
 
 def _toy_convergence_study(N, sigma, seed, dts=(0.1, 0.05, 0.025), T=1.0, replicas=200, p=2):
     """Coupled strong error of RBM vs the full-batch reference at several dt."""
-    from .models import toy_lipschitz_system
-
     errors = {}
     for dt in dts:
         steps = int(round(T / dt))
@@ -358,7 +354,8 @@ def _run_flocking(cfg, streams, outdir):
     model = CuckerSmaleModel(N=m["N"], kappa=m["kappa"], beta=m["beta"], dim=m["dim"])
     dt = run["dt"] or 0.02
     steps = run["steps"] or 750
-    res = simulate_flocking(model, run["p"], dt, steps, streams, record_every=1)
+    res = simulate_flocking(model, run["p"], dt, steps, streams, record_every=1,
+                            method=cfg["method"])
     _write_table_csv(outdir / "functionals.csv", ("time", "x_spread", "v_spread"),
                      zip(res.times, res.x_spread, res.v_spread))
     metrics = {}
@@ -380,7 +377,7 @@ def _run_consensus(cfg, streams, outdir):
     model = ConsensusModel(N=m["N"], kappa=m["kappa"], dim=m["dim"], nu=nu)
     dt = run["dt"] or 0.05
     steps = run["steps"] or 400
-    res = simulate_consensus(model, run["p"], dt, steps, streams)
+    res = simulate_consensus(model, run["p"], dt, steps, streams, method=cfg["method"])
     _write_table_csv(outdir / "functionals.csv", ("time", "m2", "diameter"),
                      zip(res.times, res.m2, res.diameter))
     metrics = {}
@@ -496,12 +493,8 @@ def _run_svgd(cfg, streams, outdir):
     state = SvgdState(particles=X0, grad_V=lambda x: x, kernel=kernel)
     eta = run["dt"] or 0.3
     steps = run["steps"] or 2000
-    p = run["p"]
     for _ in range(steps):
-        if p >= N:
-            state = svgd_step(state, eta)
-        else:
-            state = rbm_svgd_step(state, p, eta, streams)
+        state = rbm_svgd_step(state, run["p"], eta, streams)
     _write_samples_csv(outdir / "samples.csv", [(steps, state.particles[:, 0])])
     metrics = {}
     if "moments" in cfg["diagnostics"]:
@@ -614,14 +607,11 @@ def run_bench(cfg: dict, out_root=None) -> Path:
             method, bench["sizes"], p=bench["p"], steps=bench["steps"],
             repeats=bench["repeats"], seed=cfg["seed"],
         )
-    rows = []
-    for method, entries in table.items():
-        for N, sec in entries:
-            rows.append((method, N, sec))
     with open(outdir / "bench.csv", "w") as fh:
         fh.write("method,N,seconds_per_step\n")
-        for method, N, sec in rows:
-            fh.write(f"{method},{N},{_fmt(sec)}\n")
+        for method, entries in table.items():
+            for N, sec in entries:
+                fh.write(f"{method},{N},{_fmt(sec)}\n")
     summary = {"version": __version__, "results": {
         m: {str(N): sec for N, sec in entries} for m, entries in table.items()
     }}

@@ -16,6 +16,7 @@ import numpy as np
 
 from .backend import njit
 from .batching import random_division
+from .forces import batch_pair_sum
 from .rng import SimStreams
 
 
@@ -389,11 +390,11 @@ class GaussianKernel:
 
     bandwidth: float | str = "median"
 
-    def resolve(self, sq_dists: np.ndarray, n: int) -> float:
-        """Bandwidth for a group of n particles with the given pair distances."""
+    def resolve(self, sq_dists: np.ndarray, n: int):
+        """Bandwidth for groups of n particles; the median runs over the last axis."""
         if self.bandwidth == "median":
-            med = float(np.median(sq_dists)) if sq_dists.size else 1.0
-            return max(med / max(math.log(max(n, 2)), 1.0), 1e-12)
+            med = np.median(sq_dists, axis=-1) if sq_dists.size else 1.0
+            return np.maximum(med / max(math.log(max(n, 2)), 1.0), 1e-12)
         return float(self.bandwidth)
 
 
@@ -431,17 +432,22 @@ def svgd_velocity(i: int, state: SvgdState) -> np.ndarray:
     return _svgd_term_sum(X, i, np.arange(N), h, gv) / N
 
 
-def _svgd_update(X, gv, idx_batches, batch_h, eta):
-    """Shared update: self-term plus weighted off-diagonal batch term."""
+def _svgd_update(X, gv, assignment, kernel: GaussianKernel, eta):
+    """Self-term -gv/N plus the weighted sum over batch mates, bandwidth per batch."""
     N = X.shape[0]
-    velocity = np.empty_like(X)
-    for batch, h_b in zip(idx_batches, batch_h):
-        for i in batch:
-            js = batch[batch != i]
-            self_term = _svgd_term_sum(X, i, np.array([i]), h_b, gv)
-            pref = (N - 1) / (N * (len(batch) - 1)) if len(batch) > 1 else 0.0
-            velocity[i] = self_term / N + pref * _svgd_term_sum(X, i, js, h_b, gv)
-    new = X + eta * velocity
+
+    def term(xi, xj, gi, gj):
+        diffs = xi - xj
+        sq = np.einsum("...k,...k->...", diffs, diffs)
+        B, q = sq.shape[:2]
+        h = np.reshape(kernel.resolve(sq.reshape(B, -1), q), (-1, 1, 1, 1))
+        k = np.exp(-sq[..., None] / h)
+        return (2.0 / h) * diffs * k - k * gj
+
+    pairs = 0.0
+    if N > 1:
+        pairs = batch_pair_sum(assignment, term, (X, gv), lambda q: (N - 1) / (N * (q - 1)))
+    new = X + eta * (-gv / N + pairs)
     if np.max(np.abs(new)) > 1e6:
         raise SvgdDivergence("particles exceeded 1e6; decrease the step size")
     return new
@@ -450,10 +456,8 @@ def _svgd_update(X, gv, idx_batches, batch_h, eta):
 def svgd_step(state: SvgdState, eta: float) -> SvgdState:
     """Explicit Euler step of the full Stein flow."""
     X = state.particles
-    N = X.shape[0]
-    h = state.kernel.resolve(_offdiag_sq_dists(X), N)
     gv = state.grad_V(X)
-    new = _svgd_update(X, gv, [np.arange(N)], [h], eta)
+    new = _svgd_update(X, gv, None, state.kernel, eta)
     return SvgdState(particles=new, grad_V=state.grad_V, kernel=state.kernel)
 
 
@@ -463,7 +467,5 @@ def rbm_svgd_step(state: SvgdState, p: int, eta: float, streams: SimStreams) -> 
     N = X.shape[0]
     division = random_division(N, p, streams.division)
     gv = state.grad_V(X)
-    batches = list(division.iter_batches())
-    batch_h = [state.kernel.resolve(_offdiag_sq_dists(X[batch]), len(batch)) for batch in batches]
-    new = _svgd_update(X, gv, batches, batch_h, eta)
+    new = _svgd_update(X, gv, division.assignment, state.kernel, eta)
     return SvgdState(particles=new, grad_V=state.grad_V, kernel=state.kernel)

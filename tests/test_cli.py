@@ -98,18 +98,28 @@ def test_run_outputs_and_determinism(tmp_path):
 
 
 def test_direct_and_full_batch_rbm_produce_identical_trajectories(tmp_path):
-    base = {
-        "name": "toy",
-        "seed": 11,
-        "model": {"id": "toy", "N": 8},
-        "run": {"p": 8, "dt": 0.05, "steps": 10},
-        "diagnostics": [],
-    }
-    rbm_cfg = validate_dict({**base, "method": "rbm"})
-    direct_cfg = validate_dict({**base, "method": "direct", "name": "toy-direct"})
-    out_rbm = run(rbm_cfg, out_root=tmp_path)
-    out_direct = run(direct_cfg, out_root=tmp_path)
-    assert (out_rbm / "samples.csv").read_bytes() == (out_direct / "samples.csv").read_bytes()
+    for model, artifact in (("toy", "samples.csv"), ("cucker-smale", "functionals.csv"),
+                            ("consensus", "functionals.csv")):
+        base = {
+            "name": model,
+            "seed": 11,
+            "model": {"id": model, "N": 8},
+            "run": {"p": 8, "dt": 0.05, "steps": 10},
+            "diagnostics": [],
+        }
+        rbm_cfg = validate_dict({**base, "method": "rbm"})
+        direct_cfg = validate_dict({**base, "method": "direct", "name": f"{model}-direct"})
+        out_rbm = run(rbm_cfg, out_root=tmp_path)
+        out_direct = run(direct_cfg, out_root=tmp_path)
+        assert (out_rbm / artifact).read_bytes() == (out_direct / artifact).read_bytes()
+        if model != "toy":
+            # direct ignores p: at p = 2 it must not run the random-batch step
+            p2 = {**base, "run": {**base["run"], "p": 2}}
+            out_rbm2 = run(validate_dict({**p2, "method": "rbm", "name": f"{model}-rbm2"}),
+                           out_root=tmp_path)
+            out_direct2 = run(validate_dict({**p2, "method": "direct", "name": f"{model}-direct2"}),
+                              out_root=tmp_path)
+            assert (out_rbm2 / artifact).read_bytes() != (out_direct2 / artifact).read_bytes()
 
 
 def test_cli_validate_and_error_codes(tmp_path, capsys):

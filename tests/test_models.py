@@ -171,6 +171,30 @@ def test_consensus_full_form_reproduces_original_equation():
     np.testing.assert_allclose(rhs, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("N", [10, 11])
+def test_batched_consensus_matches_double_loop_on_a_remainder_division(N):
+    # p = 3 leaves a batch of 4 (N = 10) or of 2 (N = 11)
+    gen = RngStream(20).generator()
+    nu = gen.standard_normal((N, 2))
+    nu -= nu.mean(axis=0)
+    adjacency = gen.uniform(0.0, 1.0, (N, N))
+    adjacency = adjacency + adjacency.T
+    np.fill_diagonal(adjacency, 0.0)
+    model = ConsensusModel(N=N, kappa=0.8, nu=nu, adjacency=adjacency, gamma=np.tanh, dim=2)
+    q = gen.standard_normal((N, 2))
+    division = random_division(N, 3, gen)
+    assert {len(b) for b in division.iter_batches()} != {3}
+    rhs = consensus_rhs(q, model, division.assignment)
+    oracle = np.zeros_like(q)
+    for i in range(N):
+        batch = division.batch_of(i)
+        for j in batch[batch != i]:
+            nu_bar = (N - 1) * (nu[i] - nu[j]) / (model.kappa * N)
+            oracle[i] += nu_bar + adjacency[i, j] * np.tanh(q[j] - q[i])
+        oracle[i] *= model.kappa / (len(batch) - 1)
+    np.testing.assert_allclose(rhs, oracle, rtol=1e-12)
+
+
 def test_consensus_zero_fixed_point():
     model = ConsensusModel(N=4, kappa=1.0)
     q = np.ones((4, 1)) * 2.5

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from randbatch.batching import enumerate_divisions
+from randbatch.batching import enumerate_divisions, random_division
 from randbatch.rng import RngStream, SimStreams
 from randbatch.samplers import (
     GaussianKernel,
@@ -301,6 +301,30 @@ def test_rbm_svgd_full_batch_matches_svgd_step_exactly():
             a = svgd_step(a, 0.2)
             b = rbm_svgd_step(b, 16, 0.2, SimStreams(16))
         np.testing.assert_array_equal(a.particles, b.particles)
+
+
+@pytest.mark.parametrize("N", [10, 11])
+def test_rbm_svgd_step_matches_per_particle_oracle_on_a_remainder_division(N):
+    # p = 3 leaves a batch of 4 (N = 10) or of 2 (N = 11); each batch has its own bandwidth
+    from randbatch.samplers import _offdiag_sq_dists, _svgd_term_sum
+
+    gen = RngStream(21).generator()
+    state = SvgdState(particles=gen.standard_normal((N, 2)), grad_V=lambda x: x,
+                      kernel=GaussianKernel(bandwidth="median"))
+    X, eta = state.particles, 0.2
+    gv = state.grad_V(X)
+    out = rbm_svgd_step(state, 3, eta, SimStreams(22))
+    division = random_division(N, 3, SimStreams(22).division)
+    assert {len(b) for b in division.iter_batches()} != {3}
+    velocity = np.empty_like(X)
+    for batch in division.iter_batches():
+        h = state.kernel.resolve(_offdiag_sq_dists(X[batch]), len(batch))
+        for i in batch:
+            mates = batch[batch != i]
+            pref = (N - 1) / (N * (len(batch) - 1))
+            velocity[i] = (_svgd_term_sum(X, i, np.array([i]), h, gv) / N
+                           + pref * _svgd_term_sum(X, i, mates, h, gv))
+    np.testing.assert_allclose(out.particles, X + eta * velocity, rtol=1e-12)
 
 
 def test_rbm_svgd_batch_term_unbiased_by_enumeration():
