@@ -22,7 +22,8 @@ def random_division(N: int, p: int, rng: GeneratorLike) -> BatchDivision:
     Consecutive chunks of a uniform permutation form the batches, which is
     O(N).  When p does not divide N, the leftover N mod p particles form one
     smaller batch if at least 2 remain, otherwise the single leftover joins
-    the last full batch.
+    the last full batch.  The permutation is kept as the division's
+    ``order``, so grouping the batches needs no sort.
     """
     if p < 2:
         raise ValueError("batch size must be >= 2")
@@ -38,7 +39,7 @@ def random_division(N: int, p: int, rng: GeneratorLike) -> BatchDivision:
         # lone leftover joins the last full batch
         batch_ids[-1] = n_full - 1
     assignment[perm] = batch_ids
-    return BatchDivision(assignment=assignment, batch_size=p)
+    return BatchDivision(assignment=assignment, batch_size=p, order=perm)
 
 
 def sample_batch_with_replacement(N: int, p: int, rng: GeneratorLike) -> np.ndarray:
@@ -85,23 +86,20 @@ def enumerate_divisions(N: int, p: int) -> Iterator[BatchDivision]:
         yield BatchDivision(assignment=assignment, batch_size=p)
 
 
-def batch_index_matrices(assignment: np.ndarray):
-    """Group a division's batches by size into sorted (n_batches, size) matrices.
+def batch_index_matrices(division: BatchDivision):
+    """A division's batches as (size, (n_batches, size) index matrix) blocks.
 
-    For the usual p | N division this is a single reshape; a remainder batch
-    adds one extra matrix.  Rows are sorted so batch sums run in ascending
-    particle order.
+    The full batches of size p come first as one reshape of the division's
+    ``order``, then the last batch when it holds a remainder.  Rows are
+    sorted so batch sums run in ascending particle order.
     """
-    assignment = np.asarray(assignment)
-    order = np.argsort(assignment, kind="stable")
-    counts = np.bincount(assignment)
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    out = []
-    for size in np.unique(counts):
-        starts = cum[:-1][counts == size]
-        idx = order[starts[:, None] + np.arange(size)[None, :]]
-        out.append((int(size), np.sort(idx, axis=1)))
-    return out
+    order, p = division.order, division.batch_size
+    tail = order.size - (division.n_batches - 1) * p  # size of the last batch
+    if tail == p:
+        blocks = [(p, order.reshape(-1, p))]
+    else:
+        blocks = [(p, order[: order.size - tail].reshape(-1, p)), (tail, order[-tail:][None, :])]
+    return [(size, np.sort(idx, axis=1)) for size, idx in blocks if idx.size]
 
 
 def count_divisions(N: int, p: int) -> int:

@@ -27,8 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output root directory")
     p_run.add_argument("--replicas", type=int, default=None, help="override replica count")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; execution is deterministic "
-                            "regardless of the value")
+                       help="cap on numpy's BLAS threads for the run (default 1)")
 
     p_bench = sub.add_parser("bench", help="per-step scaling benchmark (direct vs RBM)")
     p_bench.add_argument("config")
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
         if args.replicas is not None:
             cfg["run"]["replicas"] = args.replicas
         try:
-            outdir = run(cfg, out_root=args.out)
+            outdir = run(cfg, out_root=args.out, threads=args.threads)
         except Exception as exc:  # structured failure report, nonzero exit
             print(json.dumps({"error": type(exc).__name__, "details": [str(exc)]}, indent=2),
                   file=sys.stderr)

@@ -4,7 +4,9 @@ All kernels are vectorized callables mapping an (M, d) displacement array to
 (M, d) force rows; displacements use the minimum-image convention whenever the
 state carries a periodic box.  ``batch_pair_sum`` is the one sum over batch
 mates: the random-batch forces here, the Cucker-Smale and consensus
-right-hand sides and the RBM-SVGD update all run through it.  Summation
+right-hand sides and the RBM-SVGD update all run through it.  It takes a
+``BatchDivision`` (or None for one batch of all N) and groups the batches
+from the division's own order, without sorting the assignment.  Summation
 within a batch always runs in ascending particle order so that the p = N
 random-batch step reproduces the full-batch step bit for bit.
 """
@@ -67,21 +69,20 @@ def full_force_all(state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
 
 
 def batch_pair_sum(
-    assignment: Optional[np.ndarray], pair_term: Callable, fields, weight: Callable
+    division: Optional[BatchDivision], pair_term: Callable, fields, weight: Callable
 ) -> np.ndarray:
     """weight(q) * sum over the mates j != i in i's batch of pair_term, for every i.
 
-    ``assignment`` maps particles to batches (None: one batch of all N) and
-    ``fields`` are per-particle arrays.  Each block of B batches of size q is
+    ``division`` splits the particles into batches (None: one batch of all N)
+    and ``fields`` are per-particle arrays.  Each block of B batches of size q is
     one call ``pair_term(f_i, f_j, g_i, g_j, ...)`` that gets every field as
     (B, q, 1, ...) rows of i and (B, q, q-1, ...) rows of its mates, j
     ascending, and returns the B q (q-1) pair terms in that order.
     """
     N = len(fields[0])
-    if assignment is None:
-        assignment = np.zeros(N, dtype=np.int64)
+    blocks = [(N, np.arange(N)[None, :])] if division is None else batch_index_matrices(division)
     out = None
-    for size, idx in batch_index_matrices(assignment):
+    for size, idx in blocks:
         if size < 2:
             raise ValueError("degenerate batch of size < 2")
         cols = np.arange(size - 1)
@@ -104,7 +105,7 @@ def division_forces(state: ParticleState, division: BatchDivision, kernel, alpha
     remainder batch gets its own size-matched prefactor.
     """
     N = state.n_particles
-    return batch_pair_sum(division.assignment, _kernel_term(kernel, state), (state.positions,),
+    return batch_pair_sum(division, _kernel_term(kernel, state), (state.positions,),
                           lambda q: batch_prefactor(alpha_N, N, q))
 
 

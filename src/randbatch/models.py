@@ -17,7 +17,7 @@ from .forces import batch_pair_sum, neighbor_pairs, pair_force_sum
 from .integrators import FirstOrderSystem, rbm_step_first_order, direct_step
 from .rng import SimStreams
 from .samplers import GibbsTarget, log_kernel_split
-from .state import ParticleState
+from .state import BatchDivision, ParticleState
 
 ETA_WEALTH = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)| initial wealth
 
@@ -208,25 +208,25 @@ def cs_rhs(
     positions: np.ndarray,
     velocities: np.ndarray,
     model: CuckerSmaleModel,
-    assignment: Optional[np.ndarray] = None,
+    division: Optional[BatchDivision] = None,
 ) -> np.ndarray:
     """Velocity derivatives (kappa / (q-1)) sum psi(|x_j - x_i|) (v_j - v_i).
 
     The sum runs over each particle's batch of size q, or over all N
-    particles (one batch) when no division assignment is given.
+    particles (one batch) when no division is given.
     """
 
     def term(xi, xj, vi, vj):
         dx = xj - xi
         return model.psi(np.sqrt(np.einsum("...k,...k->...", dx, dx)))[..., None] * (vj - vi)
 
-    return batch_pair_sum(assignment, term, (positions, velocities),
+    return batch_pair_sum(division, term, (positions, velocities),
                           lambda q: model.kappa / (q - 1))
 
 
-def _step_assignment(N: int, p: int, streams: SimStreams, method: str) -> Optional[np.ndarray]:
-    """A fresh division's assignment for ``rbm``; None (all pairs) for ``direct``."""
-    return None if method == "direct" else random_division(N, p, streams.division).assignment
+def _step_division(N: int, p: int, streams: SimStreams, method: str) -> Optional[BatchDivision]:
+    """A fresh division for ``rbm``; None (all pairs) for ``direct``."""
+    return None if method == "direct" else random_division(N, p, streams.division)
 
 
 def flocking_functionals(positions: np.ndarray, velocities: np.ndarray):
@@ -268,7 +268,7 @@ def simulate_flocking(
             rows.append((k * dt, *flocking_functionals(x, v)))
         if k == steps:
             break
-        dv = cs_rhs(x, v, model, _step_assignment(model.N, p, streams, method))
+        dv = cs_rhs(x, v, model, _step_division(model.N, p, streams, method))
         x = x + dt * v
         v = v + dt * dv
     times, xs, vs = np.array(rows).T
@@ -340,11 +340,11 @@ class ConsensusModel:
 def consensus_rhs(
     q: np.ndarray,
     model: ConsensusModel,
-    assignment: Optional[np.ndarray] = None,
+    division: Optional[BatchDivision] = None,
 ) -> np.ndarray:
     """dq_i = (kappa/(q-1)) sum_j (nu_bar_ij + a_ij Gamma(q_j - q_i)) over i's batch.
 
-    With no assignment the sum runs over all N agents (weight kappa/(N-1));
+    With no division the sum runs over all N agents (weight kappa/(N-1));
     a division samples the dispersion and the interaction together.
     """
     q = np.atleast_2d(q)
@@ -354,7 +354,7 @@ def consensus_rhs(
         return model.dispersion(nu_i, nu_j) + interaction
 
     fields = (q, model.nu, np.arange(model.N))
-    return batch_pair_sum(assignment, term, fields, lambda size: model.kappa / (size - 1))
+    return batch_pair_sum(division, term, fields, lambda size: model.kappa / (size - 1))
 
 
 def consensus_functionals(q: np.ndarray):
@@ -392,7 +392,7 @@ def simulate_consensus(
             rows.append((k * dt, *consensus_functionals(q)))
         if k == steps:
             break
-        q = q + dt * consensus_rhs(q, model, _step_assignment(model.N, p, streams, method))
+        q = q + dt * consensus_rhs(q, model, _step_division(model.N, p, streams, method))
     times, m2, diameter = np.array(rows).T
     return ConsensusRunResult(times=times, m2=m2, diameter=diameter, q=q)
 

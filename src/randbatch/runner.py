@@ -12,11 +12,13 @@ import json
 import math
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import yaml
 
 from . import __version__
+from .backend import set_blas_threads
 from .diagnostics import radial_net_charge, scaling_benchmark, wasserstein1_1d
 from .ewald import (
     EwaldParams,
@@ -436,7 +438,7 @@ def _run_electrolyte(cfg, streams, outdir):
     params.validate_box(m["L"])
     system = PeriodicChargeSystem(state=model.initial_state(streams.init),
                                   charges=model.charges())
-    thermostat = _thermostat(cfg) or Andersen(nu=3.0, temperature=m["temperature"])
+    thermostat = _thermostat(cfg)
     dt = run["dt"] or 2e-3
     steps = run["steps"] or 5000
     warmup = run["warmup"] if run["warmup"] is not None else steps // 5
@@ -562,14 +564,21 @@ def _write_trajectory_csv(path, rows):
                 fh.write(f"{step},{i}," + ",".join(_fmt(x) for x in vals) + "\n")
 
 
-def run(cfg: dict, out_root=None) -> Path:
-    """Execute a resolved config; returns the artifact directory."""
+def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
+    """Execute a resolved config; returns the artifact directory.
+
+    ``threads`` caps numpy's BLAS thread pool before the run starts; None
+    leaves it as it is.
+    """
     out_root = Path(out_root or cfg["output"]["directory"])
     outdir = out_root / f"{cfg['name']}-seed{cfg['seed']}"
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "config.resolved.yaml", "w") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=True)
     log_lines = [f"randbatch {__version__}", f"method={cfg['method']} model={cfg['model']['id']}"]
+    if threads is not None:
+        log_lines.append(f"blas_threads={threads}" if set_blas_threads(threads) else
+                         "blas_threads: not capped, numpy's BLAS exposes no thread-count call")
     t0 = time.perf_counter()
     driver = _DRIVERS[cfg["model"]["id"]]
     replicas = cfg["run"]["replicas"]

@@ -18,6 +18,7 @@ from .backend import njit
 from .batching import random_division
 from .forces import batch_pair_sum
 from .rng import SimStreams
+from .state import BatchDivision
 
 
 @dataclass
@@ -432,7 +433,7 @@ def svgd_velocity(i: int, state: SvgdState) -> np.ndarray:
     return _svgd_term_sum(X, i, np.arange(N), h, gv) / N
 
 
-def _svgd_update(X, gv, assignment, kernel: GaussianKernel, eta):
+def _svgd_update(X, gv, division: Optional[BatchDivision], kernel: GaussianKernel, eta):
     """Self-term -gv/N plus the weighted sum over batch mates, bandwidth per batch."""
     N = X.shape[0]
 
@@ -446,7 +447,7 @@ def _svgd_update(X, gv, assignment, kernel: GaussianKernel, eta):
 
     pairs = 0.0
     if N > 1:
-        pairs = batch_pair_sum(assignment, term, (X, gv), lambda q: (N - 1) / (N * (q - 1)))
+        pairs = batch_pair_sum(division, term, (X, gv), lambda q: (N - 1) / (N * (q - 1)))
     new = X + eta * (-gv / N + pairs)
     if np.max(np.abs(new)) > 1e6:
         raise SvgdDivergence("particles exceeded 1e6; decrease the step size")
@@ -467,5 +468,5 @@ def rbm_svgd_step(state: SvgdState, p: int, eta: float, streams: SimStreams) -> 
     N = X.shape[0]
     division = random_division(N, p, streams.division)
     gv = state.grad_V(X)
-    new = _svgd_update(X, gv, division.assignment, state.kernel, eta)
+    new = _svgd_update(X, gv, division, state.kernel, eta)
     return SvgdState(particles=new, grad_V=state.grad_V, kernel=state.kernel)

@@ -119,10 +119,18 @@ class KernelSpec:
 
 @dataclass
 class BatchDivision:
-    """A random partition of {0..N-1} into batches of (nominal) size p."""
+    """A random partition of {0..N-1} into batches of (nominal) size p.
+
+    ``order`` lists the particles grouped by batch: batch b is
+    ``order[b*p:(b+1)*p]`` and the last batch takes the tail, which may hold
+    a remainder.  ``random_division`` passes the permutation it drew; for a
+    bare assignment the order is a stable argsort of it, and the assignment
+    must then have the ``validate`` layout.
+    """
 
     assignment: np.ndarray
     batch_size: int
+    order: Optional[np.ndarray] = None
     n_batches: int = field(init=False)
 
     def __post_init__(self):
@@ -130,6 +138,9 @@ class BatchDivision:
         if self.batch_size < 2:
             raise ValueError("batch size must be >= 2")
         self.n_batches = int(self.assignment.max()) + 1 if self.assignment.size else 0
+        if self.order is None:
+            self.validate()
+            self.order = np.argsort(self.assignment, kind="stable")
 
     @property
     def n_particles(self) -> int:
@@ -140,12 +151,11 @@ class BatchDivision:
         return np.flatnonzero(self.assignment == self.assignment[i])
 
     def iter_batches(self) -> Iterator[np.ndarray]:
-        """Yield each batch as a sorted index array."""
-        order = np.argsort(self.assignment, kind="stable")
-        sorted_ids = self.assignment[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-        for chunk in np.split(order, boundaries):
-            yield np.sort(chunk)
+        """Yield each batch as a sorted index array, in batch order."""
+        from .batching import batch_index_matrices  # batching imports this module
+
+        for _, idx in batch_index_matrices(self):
+            yield from idx
 
     def validate(self):
         """Check the partition property; raises on violation."""

@@ -13,6 +13,9 @@ from randbatch.batching import (
     sample_batch_with_replacement,
 )
 from randbatch.rng import RngStream
+from randbatch.state import BatchDivision
+
+LAYOUTS = [(12, 3), (9, 4), (23, 4), (8, 8)]  # p | N, N mod p = 1, N mod p >= 2, p = N
 
 
 def test_single_batch_when_p_equals_n():
@@ -124,8 +127,27 @@ def test_enumeration_counts(N, p, expected):
 def test_batch_index_matrices_roundtrip():
     gen = RngStream(21).generator()
     div = random_division(23, 4, gen)
-    all_members = np.concatenate([idx.ravel() for _, idx in batch_index_matrices(div.assignment)])
+    all_members = np.concatenate([idx.ravel() for _, idx in batch_index_matrices(div)])
     np.testing.assert_array_equal(np.sort(all_members), np.arange(23))
-    for size, idx in batch_index_matrices(div.assignment):
+    for size, idx in batch_index_matrices(div):
         assert idx.shape[1] == size
         assert np.all(np.diff(idx, axis=1) > 0)  # rows sorted
+
+
+@pytest.mark.parametrize("N,p", LAYOUTS)
+def test_kept_permutation_groups_like_the_sorted_assignment(N, p):
+    div = random_division(N, p, RngStream(N + p).generator())
+    bare = BatchDivision(assignment=div.assignment, batch_size=p)
+    kept, sorted_ = batch_index_matrices(div), batch_index_matrices(bare)
+    assert [size for size, _ in kept] == [size for size, _ in sorted_]
+    for (_, a), (_, b) in zip(kept, sorted_):
+        np.testing.assert_array_equal(a, b)
+    batches = list(div.iter_batches())
+    assert len(batches) == div.n_batches
+    for batch in batches:
+        np.testing.assert_array_equal(batch, div.batch_of(batch[0]))
+
+
+def test_bare_assignment_must_have_the_division_layout():
+    with pytest.raises(ValueError, match="uniform size"):
+        BatchDivision(assignment=np.array([0, 0, 0, 1, 1, 1, 1, 1]), batch_size=4)

@@ -5,6 +5,7 @@ import json
 import pytest
 import yaml
 
+from randbatch.backend import _openblas
 from randbatch.cli import main
 from randbatch.runner import ConfigError, run, validate_dict
 
@@ -167,3 +168,33 @@ def test_bench_subcommand_smoke(tmp_path, capsys):
     data = json.loads((tmp_path / "bo" / "b-bench" / "bench.json").read_text())
     assert set(data["results"]) == {"rbm", "direct"}
     assert all(v > 0 for k, v in data["results"]["rbm"].items() if k != "doubling_ratios")
+
+
+def test_cli_threads_caps_the_bundled_openblas(tmp_path, capsys):
+    lib = _openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count call")
+    before = lib.scipy_openblas_get_num_threads64_()
+    cfg_file = _write(tmp_path, "w.yaml", _tiny_wealth_cfg())
+    try:
+        for n in (2, 1):
+            assert main(["run", str(cfg_file), "--threads", str(n),
+                         "--out", str(tmp_path / f"t{n}")]) == 0
+            assert lib.scipy_openblas_get_num_threads64_() == n
+            log = (tmp_path / f"t{n}" / "tiny-seed3" / "log.txt").read_text()
+            assert f"blas_threads={n}" in log
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    capsys.readouterr()
+
+
+def test_electrolyte_without_thermostat_runs_nve(tmp_path):
+    # the Andersen run matches what `none` used to be replaced by
+    base = {"seed": 3, "model": {"id": "electrolyte", "N": 20, "L": 8.0},
+            "run": {"p": 10, "steps": 30, "warmup": 1}, "diagnostics": []}
+    energies = []
+    for kind in ("none", "andersen"):
+        thermostat = {"kind": kind, "nu": 3.0, "temperature": 1.0}
+        cfg = validate_dict({**base, "name": kind, "thermostat": thermostat})
+        energies.append((run(cfg, out_root=tmp_path) / "energy.csv").read_bytes())
+    assert energies[0] != energies[1]

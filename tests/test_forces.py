@@ -21,7 +21,7 @@ from randbatch.forces import (
     suggested_clamp_eps,
 )
 from randbatch.rng import RngStream
-from randbatch.state import KernelSpec, ParticleState, minimum_image
+from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image
 
 LINE4 = ParticleState(positions=np.arange(4.0)[:, None])
 
@@ -160,6 +160,16 @@ def test_division_forces_remainder_batch():
         np.testing.assert_array_equal(
             forces[i], batch_force(i, state, division.batch_of(i), linear, 1 / 6)
         )
+
+
+@pytest.mark.parametrize("N,p", [(12, 3), (9, 4), (23, 4), (8, 8)])
+def test_division_forces_same_from_kept_permutation_and_bare_assignment(N, p):
+    gen = RngStream(13).generator()
+    state = ParticleState(positions=gen.standard_normal((N, 2)))
+    division = random_division(N, p, gen)
+    bare = BatchDivision(assignment=division.assignment, batch_size=p)
+    np.testing.assert_array_equal(division_forces(state, division, gaussian, 1 / (N - 1)),
+                                  division_forces(state, bare, gaussian, 1 / (N - 1)))
 
 
 @settings(max_examples=30, deadline=None)

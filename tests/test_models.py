@@ -110,7 +110,7 @@ def test_cs_rhs_momentum_conservation_batchwise():
     x, v = gen.standard_normal((12, 3)), gen.standard_normal((12, 3))
     np.testing.assert_allclose(cs_rhs(x, v, model).sum(axis=0), 0.0, atol=1e-12)
     division = random_division(12, 3, gen)
-    dv = cs_rhs(x, v, model, division.assignment)
+    dv = cs_rhs(x, v, model, division)
     for batch in division.iter_batches():
         np.testing.assert_allclose(dv[batch].sum(axis=0), 0.0, atol=1e-12)
 
@@ -184,7 +184,7 @@ def test_batched_consensus_matches_double_loop_on_a_remainder_division(N):
     q = gen.standard_normal((N, 2))
     division = random_division(N, 3, gen)
     assert {len(b) for b in division.iter_batches()} != {3}
-    rhs = consensus_rhs(q, model, division.assignment)
+    rhs = consensus_rhs(q, model, division)
     oracle = np.zeros_like(q)
     for i in range(N):
         batch = division.batch_of(i)
