@@ -1,4 +1,12 @@
-"""Command-line entry point: validate, run, bench."""
+"""Command-line entry point: validate, run.
+
+``validate`` echoes a config resolved against the model registry in
+``runner``: every default filled in, and any field that the chosen model,
+method or thermostat kind would not use rejected rather than ignored.
+``run`` applies its ``--seed`` and ``--replicas`` overrides before that
+validation, so an override is checked like the field it replaces.  An
+invalid config exits with code 2; a run that fails exits with code 1.
+"""
 
 import argparse
 import json
@@ -7,7 +15,7 @@ import sys
 import yaml
 
 from . import __version__
-from .runner import ConfigError, run, run_bench, validate
+from .runner import ConfigError, run, validate
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,17 +36,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--replicas", type=int, default=None, help="override replica count")
     p_run.add_argument("--threads", type=int, default=1,
                        help="cap on numpy's BLAS threads for the run (default 1)")
-
-    p_bench = sub.add_parser("bench", help="per-step scaling benchmark (direct vs RBM)")
-    p_bench.add_argument("config")
-    p_bench.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {"seed": args.seed, "replicas": args.replicas} if args.command == "run" else {}
     try:
-        cfg = validate(args.config)
+        cfg = validate(args.config, **overrides)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid-config", "details": exc.errors}, indent=2),
               file=sys.stderr)
@@ -52,26 +57,14 @@ def main(argv=None) -> int:
         yaml.safe_dump(cfg, sys.stdout, sort_keys=True)
         return 0
 
-    if args.command == "run":
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.replicas is not None:
-            cfg["run"]["replicas"] = args.replicas
-        try:
-            outdir = run(cfg, out_root=args.out, threads=args.threads)
-        except Exception as exc:  # structured failure report, nonzero exit
-            print(json.dumps({"error": type(exc).__name__, "details": [str(exc)]}, indent=2),
-                  file=sys.stderr)
-            return 1
-        print(outdir)
-        return 0
-
-    if args.command == "bench":
-        outdir = run_bench(cfg, out_root=args.out)
-        print(outdir)
-        return 0
-
-    return 2
+    try:
+        outdir = run(cfg, out_root=args.out, threads=args.threads)
+    except Exception as exc:  # structured failure report, nonzero exit
+        print(json.dumps({"error": type(exc).__name__, "details": [str(exc)]}, indent=2),
+              file=sys.stderr)
+        return 1
+    print(outdir)
+    return 0
 
 
 if __name__ == "__main__":

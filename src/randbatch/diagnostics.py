@@ -1,17 +1,12 @@
 """Metrics comparing simulations against oracles and analytic references."""
 
 import math
-import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .integrators import direct_step, rbm_step_first_order
-from .models import toy_lipschitz_system
-from .rng import SimStreams
-from .state import ParticleState, minimum_image
+from .state import minimum_image
 
 
 @dataclass
@@ -213,43 +208,3 @@ def radial_net_charge(
         intercept=float(intercept),
         fit_window=fit_window,
     )
-
-
-# --- per-step cost of the library steppers on the sin-kernel toy system ------
-
-
-def scaling_benchmark(
-    method: str,
-    sizes: Sequence[int],
-    p: int = 2,
-    steps: int = 100,
-    repeats: int = 3,
-    dt: float = 0.01,
-    sigma: float = 0.5,
-    seed: int = 0,
-) -> list:
-    """Wall-clock seconds per step of ``direct_step`` or ``rbm_step_first_order``.
-
-    Both run on ``models.toy_lipschitz_system`` at each size.  Returns
-    [(N, seconds_per_step), ...] using the fastest of ``repeats`` timed runs
-    of ``steps`` consecutive steps.
-    """
-    if method not in ("rbm", "direct"):
-        raise ValueError("method must be 'rbm' or 'direct'")
-    rng = np.random.default_rng(seed)
-    results = []
-    for N in sizes:
-        system = toy_lipschitz_system(N, sigma=sigma)
-        step = (partial(direct_step, system=system, dt=dt) if method == "direct"
-                else partial(rbm_step_first_order, system=system, p=p, dt=dt))
-        x0 = ParticleState(positions=rng.standard_normal((N, 1)))
-        step(x0, streams=SimStreams(seed))  # warm-up
-        best = math.inf
-        for rep in range(repeats):
-            state, streams = x0, SimStreams(seed, replica=rep)
-            t0 = time.perf_counter()
-            for _ in range(steps):
-                state = step(state, streams=streams)
-            best = min(best, (time.perf_counter() - t0) / steps)
-        results.append((int(N), best))
-    return results

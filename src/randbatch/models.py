@@ -12,10 +12,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaincc
 
-from .batching import random_division
 from .forces import batch_pair_sum, neighbor_pairs, pair_force_sum
-from .integrators import FirstOrderSystem, rbm_step_first_order, direct_step
-from .rng import SimStreams
+from .integrators import FirstOrderSystem
 from .samplers import GibbsTarget, log_kernel_split
 from .state import BatchDivision, ParticleState
 
@@ -135,43 +133,6 @@ class WealthModel:
         return np.abs(rng.standard_normal(self.N))
 
 
-@dataclass
-class WealthRunResult:
-    wealth: np.ndarray
-    reflections: int
-    positive_fraction: float
-
-
-def simulate_wealth(
-    model: WealthModel,
-    p: int,
-    dt: float,
-    T: float,
-    streams: SimStreams,
-    method: str = "rbm",
-) -> WealthRunResult:
-    """Run the wealth SDE to time T; zero crossings are reflected and counted."""
-    system = model.system()
-    state = ParticleState(positions=model.initial(streams.init)[:, None])
-    steps = int(round(T / dt))
-    reflections = 0
-    for _ in range(steps):
-        if method == "rbm":
-            state = rbm_step_first_order(state, system, p, dt, streams)
-        else:
-            state = direct_step(state, system, dt, streams)
-        neg = state.positions <= 0
-        if np.any(neg):
-            reflections += int(neg.sum())
-            state = state.replace(positions=np.abs(state.positions))
-    wealth = state.positions[:, 0]
-    return WealthRunResult(
-        wealth=wealth,
-        reflections=reflections,
-        positive_fraction=float(np.mean(wealth > 0)),
-    )
-
-
 def wealth_equilibrium_density(y, kappa: float, D: float) -> np.ndarray:
     return WealthModel(N=2, kappa=kappa, D=D).equilibrium_density(y)
 
@@ -224,11 +185,6 @@ def cs_rhs(
                           lambda q: model.kappa / (q - 1))
 
 
-def _step_division(N: int, p: int, streams: SimStreams, method: str) -> Optional[BatchDivision]:
-    """A fresh division for ``rbm``; None (all pairs) for ``direct``."""
-    return None if method == "direct" else random_division(N, p, streams.division)
-
-
 def flocking_functionals(positions: np.ndarray, velocities: np.ndarray):
     """Mean-square spreads (1/N^2) sum_{ij} |x_i - x_j|^2 and same for v."""
 
@@ -237,42 +193,6 @@ def flocking_functionals(positions: np.ndarray, velocities: np.ndarray):
         return 2.0 * float(np.mean(np.sum((a - mean) ** 2, axis=1)))
 
     return spread(positions), spread(velocities)
-
-
-@dataclass
-class FlockingRunResult:
-    times: np.ndarray
-    x_spread: np.ndarray
-    v_spread: np.ndarray
-    positions: np.ndarray
-    velocities: np.ndarray
-
-
-def simulate_flocking(
-    model: CuckerSmaleModel,
-    p: int,
-    dt: float,
-    steps: int,
-    streams: SimStreams,
-    record_every: int = 1,
-    method: str = "rbm",
-) -> FlockingRunResult:
-    """Euler run of the Cucker-Smale dynamics, recording both spreads.
-
-    ``method="rbm"`` draws one division per step; ``"direct"`` draws none.
-    """
-    x, v = model.initial(streams.init)
-    rows = []
-    for k in range(steps + 1):
-        if k % record_every == 0:
-            rows.append((k * dt, *flocking_functionals(x, v)))
-        if k == steps:
-            break
-        dv = cs_rhs(x, v, model, _step_division(model.N, p, streams, method))
-        x = x + dt * v
-        v = v + dt * dv
-    times, xs, vs = np.array(rows).T
-    return FlockingRunResult(times=times, x_spread=xs, v_spread=vs, positions=x, velocities=v)
 
 
 # --- consensus dynamics -------------------------------------------------------
@@ -358,43 +278,20 @@ def consensus_rhs(
 
 
 def consensus_functionals(q: np.ndarray):
-    """(M2, D): mean squared norm and maximal pairwise distance."""
+    """(M2, D): mean squared norm and maximal pairwise distance.
+
+    D takes O(N) memory (max - min in 1-d, else blocks of about 2^18 pair
+    differences) and equals the dense N x N formula bit for bit.
+    """
     q = np.atleast_2d(q)
     m2 = float(np.mean(np.sum(q * q, axis=1)))
-    dq = q[:, None, :] - q[None, :, :]
-    diam = float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", dq, dq))))
-    return m2, diam
-
-
-@dataclass
-class ConsensusRunResult:
-    times: np.ndarray
-    m2: np.ndarray
-    diameter: np.ndarray
-    q: np.ndarray
-
-
-def simulate_consensus(
-    model: ConsensusModel,
-    p: int,
-    dt: float,
-    steps: int,
-    streams: SimStreams,
-    q0: Optional[np.ndarray] = None,
-    record_every: int = 1,
-    method: str = "rbm",
-) -> ConsensusRunResult:
-    """Euler run of the consensus dynamics; ``method`` as in ``simulate_flocking``."""
-    q = model.initial(streams.init) if q0 is None else np.atleast_2d(np.asarray(q0, dtype=np.float64)).reshape(model.N, -1)
-    rows = []
-    for k in range(steps + 1):
-        if k % record_every == 0:
-            rows.append((k * dt, *consensus_functionals(q)))
-        if k == steps:
-            break
-        q = q + dt * consensus_rhs(q, model, _step_division(model.N, p, streams, method))
-    times, m2, diameter = np.array(rows).T
-    return ConsensusRunResult(times=times, m2=m2, diameter=diameter, q=q)
+    N, d = q.shape
+    if d == 1:
+        return m2, float(q.max() - q.min())
+    rows = max(1, (1 << 18) // (N * d))
+    blocks = (q[s:s + rows, None, :] - q[None, :, :] for s in range(0, N, rows))
+    sq = np.max([np.einsum("ijk,ijk->ij", dq, dq).max() for dq in blocks])
+    return m2, float(np.sqrt(sq))
 
 
 # --- electrolyte --------------------------------------------------------------
@@ -514,7 +411,7 @@ def lj_kernel_spec(sigma: float = 1.0, epsilon: float = 1.0, r0: float = 1.6):
     return split_radial_force(h, h_prime, r0)
 
 
-# --- toy benchmark system -----------------------------------------------------
+# --- toy Lipschitz system -----------------------------------------------------
 
 
 def toy_lipschitz_system(N: int, sigma: float = 0.5) -> FirstOrderSystem:

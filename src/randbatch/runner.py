@@ -1,34 +1,51 @@
 """Config-driven experiment execution.
 
 A YAML config describes one experiment: a model, a method, run parameters,
-an optional thermostat and a list of diagnostics.  ``validate`` resolves it
-against the schema (unknown keys rejected, defaults applied); ``run``
-executes it and writes ``config.resolved.yaml``, ``metrics.json``, CSV
-artifacts and ``log.txt`` into the output directory.  Identical (config,
-seed) pairs produce byte-identical metrics.
+an optional thermostat, output settings and a list of diagnostics.
+
+``MODELS`` is the registry behind both halves of this module.  For each model
+it gives the model fields, the run fields and thermostat kinds the model
+honours with their defaults, its state builder, one stepper per method, the
+observable it records along the run and its final metrics.
+
+``validate`` builds its schema from the registry.  It applies and echoes
+every default, and a field that the chosen model, method or thermostat kind
+does not use is rejected, never silently ignored.  ``run`` executes a
+resolved config through one loop shared by all models: stepping, per-step
+hooks (wealth reflection, Andersen collisions), recording every
+``record_every`` steps and replicas.  It writes ``config.resolved.yaml``,
+``metrics.json``, CSV artifacts and ``log.txt`` into the output directory.
+Identical (config, seed) pairs produce byte-identical metrics.
 """
 
 import json
 import math
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .backend import set_blas_threads
-from .diagnostics import radial_net_charge, scaling_benchmark, wasserstein1_1d
+from .batching import random_division
+from .diagnostics import radial_net_charge, wasserstein1_1d
 from .ewald import (
     EwaldParams,
     PeriodicChargeSystem,
     fourier_energy,
+    fourier_force_exact_all,
     mh_sample_kvectors,
+    rbe_force_all,
     rbe_md_step,
+    real_space_force_all,
     sum_S,
 )
 from .integrators import (
+    IntegrationError,
     SecondOrderSystem,
     StepSchedule,
     direct_step,
@@ -42,18 +59,19 @@ from .models import (
     DysonModel,
     ElectrolyteModel,
     WealthModel,
+    consensus_functionals,
+    consensus_rhs,
+    cs_rhs,
+    flocking_functionals,
     lj_kernel_spec,
     semicircle_cdf,
     semicircle_density,
-    simulate_consensus,
-    simulate_flocking,
-    simulate_wealth,
     toy_lipschitz_system,
 )
 from .rng import SimStreams
 from .samplers import GaussianKernel, SvgdState, rbm_svgd_step, run_log_gas_chain
 from .state import ParticleState
-from .thermostats import Andersen, Langevin, NoseHoover
+from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen
 
 
 class ConfigError(ValueError):
@@ -64,218 +82,71 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-METHODS = ("direct", "rbm", "rbm-r", "rbm-split", "rbe", "rbmc", "rbm-svgd")
-MODEL_METHODS = {
-    "toy": ("direct", "rbm", "rbm-r"),
-    "wealth": ("direct", "rbm"),
-    "cucker-smale": ("rbm", "direct"),
-    "consensus": ("rbm", "direct"),
-    "lj-fluid": ("rbm-split",),
-    "electrolyte": ("rbe",),
-    "dyson": ("rbmc",),
-    "gaussian": ("rbm-svgd",),
+# --- the registry: builders, steppers, observables and metrics --------------
+#
+# A builder makes one replica's ``sim`` namespace: the model's ``state`` plus
+# ``streams``, the batch size ``p``, the recorded ``rows`` and the per-step
+# ``hooks``, which adjust the state in place after each step.
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model: its schema and how the shared loop runs it.
+
+    ``run`` lists the run fields the model honours with their defaults (a
+    callable default is worked out from the resolved section).  ``steppers``
+    maps each method, the default first, to ``step(sim, k, dt) -> state``.
+    ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
+    past the warmup, and before the first step when ``observe_start`` is set;
+    ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
+    """
+
+    fields: dict
+    run: dict
+    steppers: dict
+    diagnostics: tuple
+    build: Callable
+    finish: Callable
+    observe: Optional[Callable] = None
+    observe_start: bool = False
+    thermostats: tuple = ()
+    output: tuple = ("directory",)
+
+
+def _sim(cfg, streams, **fields) -> SimpleNamespace:
+    return SimpleNamespace(**{"streams": streams, "p": cfg["run"]["p"], "rows": [], "hooks": [],
+                              **fields})
+
+
+def _thermostat(t: dict):
+    kind = {"andersen": Andersen, "langevin": Langevin, "nose-hoover": NoseHoover}.get(t["kind"])
+    return kind(**{k: v for k, v in t.items() if k != "kind"}) if kind else None
+
+
+def _division(sim):
+    return random_division(sim.model.N, sim.p, sim.streams.division)
+
+
+_FIRST_ORDER = {
+    "direct": lambda s, k, dt: direct_step(s.state, s.system, dt, s.streams),
+    "rbm": lambda s, k, dt: rbm_step_first_order(s.state, s.system, s.p, dt, s.streams),
+    "rbm-r": lambda s, k, dt: rbmr_step(s.state, s.system, s.p, dt, s.streams),
 }
-MODEL_DIAGNOSTICS = {
-    "toy": ("convergence",),
-    "wealth": ("w1_equilibrium",),
-    "cucker-smale": ("flocking_decay",),
-    "consensus": ("consensus_decay", "reconstruction"),
-    "lj-fluid": ("temperature",),
-    "electrolyte": ("dh_screening", "fourier_energy_error", "momentum"),
-    "dyson": ("w1_semicircle", "density_at_zero"),
-    "gaussian": ("moments",),
-}
-
-_MODEL_FIELDS = {
-    "toy": {"N": 64, "sigma": 0.5},
-    "wealth": {"N": 10_000, "kappa": 1.0, "D": 0.5},
-    "cucker-smale": {"N": 256, "kappa": 1.0, "beta": 0.4, "dim": 3},
-    "consensus": {"N": 64, "kappa": 1.0, "dim": 1, "nu": None},
-    "lj-fluid": {"N": 125, "density": 0.3, "sigma": 1.0, "epsilon": 1.0,
-                 "split_radius": 1.6, "beta": 0.5},
-    "electrolyte": {"N": 300, "L": 10.0, "lj_sigma": 0.2, "temperature": 1.0,
-                    "alpha": None, "r_c": None},
-    "dyson": {"N": 500, "split_radius": 0.01, "m": 5},
-    "gaussian": {"N": 64, "dim": 1, "bandwidth": "median", "init_mean": -2.0,
-                 "init_std": 1.0},
-}
-_RUN_FIELDS = {
-    "p": 2,
-    "dt": None,
-    "schedule": None,
-    "T": None,
-    "steps": None,
-    "sweeps": None,
-    "warmup": None,
-    "replicas": 1,
-    "record_every": 10,
-}
-_THERMOSTAT_FIELDS = {
-    "kind": "none",
-    "nu": 1.0,
-    "temperature": 1.0,
-    "gamma": 1.0,
-    "beta": 1.0,
-    "Q": 1.0,
-}
-_OUTPUT_FIELDS = {"directory": "out", "trajectory_every": 0}
-_BENCH_FIELDS = {"sizes": [500, 1000, 2000], "p": 2, "steps": 100, "repeats": 3}
 
 
-def _reject_unknown(section: dict, allowed, path: str, errors: list):
-    for key in section:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
+def _build_toy(cfg, streams):
+    m = cfg["model"]
+    state = ParticleState(positions=streams.init.standard_normal((m["N"], 1)))
+    return _sim(cfg, streams, state=state, system=toy_lipschitz_system(m["N"], sigma=m["sigma"]))
 
 
-def _resolve_section(raw: dict, fields: dict, path: str, errors: list) -> dict:
-    _reject_unknown(raw, fields.keys(), path, errors)
-    out = dict(fields)
-    out.update({k: v for k, v in raw.items() if k in fields})
-    return out
-
-
-def validate_dict(raw: dict, name: str = "run") -> dict:
-    """Resolve a config mapping against the schema; raises ConfigError."""
-    errors: list = []
-    if not isinstance(raw, dict):
-        raise ConfigError(["top level: expected a mapping"])
-    _reject_unknown(raw, ("name", "seed", "method", "model", "run", "thermostat",
-                          "output", "diagnostics", "bench"), "config", errors)
-    cfg = {
-        "name": str(raw.get("name", name)),
-        "seed": raw.get("seed", 0),
-        "method": raw.get("method", None),
-        "version": __version__,
-    }
-    if not isinstance(cfg["seed"], int):
-        errors.append("seed: must be an integer")
-
-    model_raw = raw.get("model", {})
-    model_id = model_raw.get("id") if isinstance(model_raw, dict) else None
-    if model_id not in _MODEL_FIELDS:
-        errors.append(f"model.id: must be one of {sorted(_MODEL_FIELDS)}")
-        raise ConfigError(errors)
-    model = _resolve_section(
-        {k: v for k, v in model_raw.items() if k != "id"},
-        _MODEL_FIELDS[model_id], "model", errors,
-    )
-    model["id"] = model_id
-
-    if cfg["method"] is None:
-        cfg["method"] = MODEL_METHODS[model_id][0]
-    if cfg["method"] not in METHODS:
-        errors.append(f"method: must be one of {METHODS}")
-    elif cfg["method"] not in MODEL_METHODS[model_id]:
-        errors.append(f"method: {cfg['method']!r} not available for model {model_id!r}")
-
-    run = _resolve_section(raw.get("run", {}), _RUN_FIELDS, "run", errors)
-    thermostat = _resolve_section(raw.get("thermostat", {}), _THERMOSTAT_FIELDS,
-                                  "thermostat", errors)
-    output = _resolve_section(raw.get("output", {}), _OUTPUT_FIELDS, "output", errors)
-    bench = _resolve_section(raw.get("bench", {}), _BENCH_FIELDS, "bench", errors)
-
-    diagnostics = raw.get("diagnostics")
-    if diagnostics is None:
-        diagnostics = list(MODEL_DIAGNOSTICS[model_id])
-    for d in diagnostics:
-        if d not in MODEL_DIAGNOSTICS[model_id]:
-            errors.append(
-                f"diagnostics: {d!r} unknown for model {model_id!r}; "
-                f"available: {MODEL_DIAGNOSTICS[model_id]}"
-            )
-
-    # semantic checks
-    N = model.get("N")
-    if not isinstance(N, int) or N < 2:
-        errors.append("model.N: must be an integer >= 2")
-    p = run["p"]
-    min_p = 1 if cfg["method"] == "rbe" else 2
-    if not isinstance(p, int) or p < min_p:
-        errors.append(f"run.p: batch size must be >= {min_p}")
-    elif cfg["method"] != "rbe" and isinstance(N, int) and p > N:
-        errors.append("run.p: batch size cannot exceed model.N")
-    if run["dt"] is not None and run["dt"] <= 0:
-        errors.append("run.dt: must be positive")
-    if thermostat["kind"] not in ("none", "andersen", "langevin", "nose-hoover"):
-        errors.append("thermostat.kind: must be none|andersen|langevin|nose-hoover")
-
-    if model_id == "electrolyte":
-        if isinstance(N, int) and N % 2 != 0:
-            errors.append("model.N: electrolyte needs equal numbers of +1/-1 charges "
-                          "(electroneutrality)")
-        L = model["L"]
-        r_c = model["r_c"]
-        if r_c is not None and r_c >= L / 2:
-            errors.append("model.r_c: real-space cutoff must be below L/2")
-    if model_id == "lj-fluid" and thermostat["kind"] == "nose-hoover":
-        errors.append("thermostat.kind: lj-fluid supports none|andersen|langevin")
-    if model_id == "dyson" and model["split_radius"] <= 0:
-        errors.append("model.split_radius: must be positive")
-
-    if errors:
-        raise ConfigError(errors)
-
-    cfg.update({"model": model, "run": run, "thermostat": thermostat,
-                "output": output, "diagnostics": list(diagnostics), "bench": bench})
-    return cfg
-
-
-def validate(path) -> dict:
-    """Load and validate a YAML config file."""
-    path = Path(path)
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
-    return validate_dict(raw, name=path.stem)
-
-
-def _schedule(run: dict, default_dt: float) -> StepSchedule:
-    if run["schedule"]:
-        s = run["schedule"]
-        kind = s.get("kind", "constant")
-        if kind == "log-decay":
-            return StepSchedule(kind="log_decay", c=s.get("c", 1e-3))
-        if kind == "inverse":
-            return StepSchedule(kind="inverse", k0=s.get("k0", 1.0))
-        return StepSchedule(kind="constant", dt=s.get("dt", default_dt))
-    return StepSchedule(kind="constant", dt=run["dt"] if run["dt"] else default_dt)
-
-
-def _thermostat(cfg: dict):
-    t = cfg["thermostat"]
-    if t["kind"] == "andersen":
-        return Andersen(nu=t["nu"], temperature=t["temperature"])
-    if t["kind"] == "langevin":
-        return Langevin(gamma=t["gamma"], beta=t["beta"])
-    if t["kind"] == "nose-hoover":
-        return NoseHoover(Q=t["Q"], beta=t["beta"])
-    return None
-
-
-# --- experiment drivers -------------------------------------------------------
-
-
-def _run_toy(cfg, streams, outdir):
-    model = cfg["model"]
-    run = cfg["run"]
-    system = toy_lipschitz_system(model["N"], sigma=model["sigma"])
-    dt = run["dt"] or 0.05
-    steps = run["steps"] or (int(round(run["T"] / dt)) if run["T"] else 20)
-    state = ParticleState(positions=streams.init.standard_normal((model["N"], 1)))
-    rows = []
-    for k in range(steps):
-        if cfg["method"] == "rbm":
-            state = rbm_step_first_order(state, system, run["p"], dt, streams)
-        elif cfg["method"] == "rbm-r":
-            state = rbmr_step(state, system, run["p"], dt, streams)
-        else:
-            state = direct_step(state, system, dt, streams)
-        rows.append((k + 1, state.positions[:, 0].copy()))
-    _write_samples_csv(outdir / "samples.csv", rows)
-    metrics = {"final_mean": float(state.positions.mean()),
-               "final_second_moment": float(np.mean(state.positions**2))}
+def _finish_toy(sim, cfg, outdir):
+    _write_samples_csv(outdir / "samples.csv", sim.rows)
+    x = sim.state.positions
+    metrics = {"final_mean": float(x.mean()), "final_second_moment": float(np.mean(x**2))}
     if "convergence" in cfg["diagnostics"]:
-        metrics["convergence"] = _toy_convergence_study(model["N"], model["sigma"], cfg["seed"])
+        m = cfg["model"]
+        metrics["convergence"] = _toy_convergence_study(m["N"], m["sigma"], cfg["seed"])
     return metrics
 
 
@@ -297,51 +168,59 @@ def _toy_convergence_study(N, sigma, seed, dts=(0.1, 0.05, 0.025), T=1.0, replic
                 b = rbm_step_first_order(b, system, p, dt, st_r)
                 sup_sq[k] += float(np.mean((a.positions - b.positions) ** 2))
         errors[dt] = float(np.sqrt((sup_sq / replicas).max()))
-    slopes = []
     dts_sorted = sorted(errors, reverse=True)
-    for hi, lo in zip(dts_sorted, dts_sorted[1:]):
-        slopes.append(math.log2(errors[hi] / errors[lo]))
+    slopes = [math.log2(errors[hi] / errors[lo]) for hi, lo in zip(dts_sorted, dts_sorted[1:])]
     return {"errors": {str(k): v for k, v in errors.items()}, "slopes": slopes}
 
 
-def _run_wealth(cfg, streams, outdir):
-    model = WealthModel(N=cfg["model"]["N"], kappa=cfg["model"]["kappa"], D=cfg["model"]["D"])
-    run = cfg["run"]
-    dt = run["dt"] or 1e-3
-    T = run["T"] or 3.0
-    res = simulate_wealth(model, run["p"], dt, T, streams, method=cfg["method"])
-    _write_samples_csv(outdir / "samples.csv", [(int(round(T / dt)), res.wealth)])
-    metrics = {
-        "mean_wealth": float(res.wealth.mean()),
-        "reflections": res.reflections,
-        "positive_fraction": res.positive_fraction,
-    }
+def _build_wealth(cfg, streams):
+    m = cfg["model"]
+    model = WealthModel(N=m["N"], kappa=m["kappa"], D=m["D"])
+    state = ParticleState(positions=model.initial(streams.init)[:, None])
+    return _sim(cfg, streams, model=model, system=model.system(), state=state,
+                reflections=0, hooks=[_reflect_wealth])
+
+
+def _reflect_wealth(sim, dt):
+    """Reflect zero crossings back to positive wealth, counting them."""
+    neg = sim.state.positions <= 0
+    if np.any(neg):
+        sim.reflections += int(neg.sum())
+        sim.state = sim.state.replace(positions=np.abs(sim.state.positions))
+
+
+def _finish_wealth(sim, cfg, outdir):
+    wealth = sim.state.positions[:, 0]
+    _write_samples_csv(outdir / "samples.csv", [(_n_steps(cfg["run"]), wealth)])
+    metrics = {"mean_wealth": float(wealth.mean()), "reflections": sim.reflections,
+               "positive_fraction": float(np.mean(wealth > 0))}
     if "w1_equilibrium" in cfg["diagnostics"]:
         metrics["w1_equilibrium"] = wasserstein1_1d(
-            res.wealth, model.equilibrium_cdf, support=(0.0, max(60.0, res.wealth.max() * 2))
+            wealth, sim.model.equilibrium_cdf, support=(0.0, max(60.0, wealth.max() * 2))
         )
     return metrics
 
 
-def _run_dyson(cfg, streams, outdir):
-    m = cfg["model"]
-    run = cfg["run"]
+def _build_dyson(cfg, streams):
+    m, run = cfg["model"], cfg["run"]
     model = DysonModel(N=m["N"], split_radius=m["split_radius"])
-    target = model.gibbs_target()
-    sweeps = run["sweeps"] or 1_000_000
-    warmup = run["warmup"] if run["warmup"] is not None else sweeps // 3
-    dt = run["dt"] or 1e-4
-    x0 = model.initial(streams.init)
-    _, pooled, stats = run_log_gas_chain(
-        x0, target, sweeps, m["m"], dt, streams, warmup=warmup,
-        snapshot_every=max(sweeps // 400, 1),
-    )
-    _write_samples_csv(outdir / "samples.csv", [(sweeps, pooled)])
+    return _sim(cfg, streams, target=model.gibbs_target(),
+                state=(model.initial(streams.init), None, None),
+                m=m["m"], sweeps=run["sweeps"], warmup=run["warmup"])
+
+
+def _step_dyson(sim, k, dt):
+    """All sweeps of the compiled chain: (final config, pooled snapshots, stats)."""
+    return run_log_gas_chain(sim.state[0], sim.target, sim.sweeps, sim.m, dt, sim.streams,
+                             warmup=sim.warmup, snapshot_every=max(sim.sweeps // 400, 1))
+
+
+def _finish_dyson(sim, cfg, outdir):
+    _, pooled, stats = sim.state
+    _write_samples_csv(outdir / "samples.csv", [(sim.sweeps, pooled)])
     metrics = {"acceptance_rate": stats.acceptance_rate, "pooled_samples": int(pooled.size)}
     if "w1_semicircle" in cfg["diagnostics"]:
-        metrics["w1_semicircle"] = wasserstein1_1d(
-            pooled, lambda x: semicircle_cdf(x), support=(-2.0, 2.0)
-        )
+        metrics["w1_semicircle"] = wasserstein1_1d(pooled, semicircle_cdf, support=(-2.0, 2.0))
     if "density_at_zero" in cfg["diagnostics"]:
         halfwidth = 0.1
         frac = float(np.mean(np.abs(pooled) < halfwidth))
@@ -350,55 +229,59 @@ def _run_dyson(cfg, streams, outdir):
     return metrics
 
 
-def _run_flocking(cfg, streams, outdir):
+def _build_flocking(cfg, streams):
     m = cfg["model"]
-    run = cfg["run"]
     model = CuckerSmaleModel(N=m["N"], kappa=m["kappa"], beta=m["beta"], dim=m["dim"])
-    dt = run["dt"] or 0.02
-    steps = run["steps"] or 750
-    res = simulate_flocking(model, run["p"], dt, steps, streams, record_every=1,
-                            method=cfg["method"])
-    _write_table_csv(outdir / "functionals.csv", ("time", "x_spread", "v_spread"),
-                     zip(res.times, res.x_spread, res.v_spread))
+    return _sim(cfg, streams, model=model, state=model.initial(streams.init), dt=cfg["run"]["dt"])
+
+
+def _flock(sim, division, dt):
+    """Explicit Euler step of the Cucker-Smale (x, v)."""
+    x, v = sim.state
+    return x + dt * v, v + dt * cs_rhs(x, v, sim.model, division)
+
+
+def _finish_flocking(sim, cfg, outdir):
+    _write_csv(outdir / "functionals.csv", ("time", "x_spread", "v_spread"), sim.rows)
     metrics = {}
     if "flocking_decay" in cfg["diagnostics"]:
-        vs = res.v_spread
+        _, xs, vs = np.array(sim.rows).T
         skip = max(int(0.05 * len(vs)), 1)
         tail = vs[skip:]
         metrics["v_spread_monotone_after_transient"] = bool(np.all(np.diff(tail) <= 0))
         metrics["v_spread_decades"] = float(np.log10(vs[0] / max(tail[-1], 1e-300)))
-        at10 = res.x_spread[max(int(0.10 * len(vs)), 1)]
-        metrics["x_spread_sup_ratio"] = float(res.x_spread.max() / at10)
+        at10 = xs[max(int(0.10 * len(vs)), 1)]
+        metrics["x_spread_sup_ratio"] = float(xs.max() / at10)
     return metrics
 
 
-def _run_consensus(cfg, streams, outdir):
+def _build_consensus(cfg, streams):
     m = cfg["model"]
-    run = cfg["run"]
     nu = np.asarray(m["nu"], dtype=np.float64) if m["nu"] is not None else None
     model = ConsensusModel(N=m["N"], kappa=m["kappa"], dim=m["dim"], nu=nu)
-    dt = run["dt"] or 0.05
-    steps = run["steps"] or 400
-    res = simulate_consensus(model, run["p"], dt, steps, streams, method=cfg["method"])
-    _write_table_csv(outdir / "functionals.csv", ("time", "m2", "diameter"),
-                     zip(res.times, res.m2, res.diameter))
+    return _sim(cfg, streams, model=model, state=model.initial(streams.init), dt=cfg["run"]["dt"])
+
+
+def _finish_consensus(sim, cfg, outdir):
+    _write_csv(outdir / "functionals.csv", ("time", "m2", "diameter"), sim.rows)
     metrics = {}
     if "consensus_decay" in cfg["diagnostics"]:
-        metrics["m2_final_over_initial"] = float(res.m2[-1] / res.m2[0])
-        metrics["diameter_final_over_initial"] = float(res.diameter[-1] / res.diameter[0])
+        _, m2, diameter = np.array(sim.rows).T
+        metrics["m2_final_over_initial"] = float(m2[-1] / m2[0])
+        metrics["diameter_final_over_initial"] = float(diameter[-1] / diameter[0])
     if "reconstruction" in cfg["diagnostics"]:
-        model.check_decomposition()
+        sim.model.check_decomposition()
         metrics["reconstruction_ok"] = True
     return metrics
 
 
-def _run_lj_fluid(cfg, streams, outdir):
+def _build_lj(cfg, streams):
+    """Langevin friction rides in the system; Andersen collisions are a hook."""
     m = cfg["model"]
-    run = cfg["run"]
     N = m["N"]
     L = (N / m["density"]) ** (1.0 / 3.0)
     kernel = lj_kernel_spec(m["sigma"], m["epsilon"], m["split_radius"])
-    thermostat = _thermostat(cfg)
+    thermostat = _thermostat(cfg["thermostat"])
     gamma, sigma = 0.0, 0.0
     if isinstance(thermostat, Langevin):
         gamma, sigma = thermostat.gamma, thermostat.sigma
@@ -408,123 +291,399 @@ def _run_lj_fluid(cfg, streams, outdir):
     pos = (coords + 0.5) * (L / n_side)
     vel = math.sqrt(1.0 / m["beta"]) * streams.init.standard_normal((N, 3))
     state = ParticleState(positions=pos, velocities=vel, box_length=L)
-    schedule = _schedule(run, 1e-3)
-    steps = run["steps"] or 500
-    kinetic = []
-    for k in range(1, steps + 1):
-        dt = schedule(k)
-        state = rbm_split_step(state, system, run["p"], dt, streams)
-        if isinstance(thermostat, Andersen):
-            from .thermostats import apply_andersen
-
-            state = apply_andersen(state, thermostat.nu, thermostat.temperature, dt,
-                                   streams.thermostat)
-        kinetic.append(0.5 * float(np.sum(state.velocities**2)))
-    metrics = {}
-    if "temperature" in cfg["diagnostics"]:
-        tail = kinetic[len(kinetic) // 2:]
-        metrics["mean_temperature"] = float(2.0 * np.mean(tail) / (3 * N))
-    return metrics
+    hooks = [_andersen] if isinstance(thermostat, Andersen) else []
+    return _sim(cfg, streams, state=state, system=system, thermostat=thermostat, hooks=hooks)
 
 
-def _run_electrolyte(cfg, streams, outdir):
-    m = cfg["model"]
-    run = cfg["run"]
+def _andersen(sim, dt):
+    t = sim.thermostat
+    sim.state = apply_andersen(sim.state, t.nu, t.temperature, dt, sim.streams.thermostat)
+
+
+def _finish_lj(sim, cfg, outdir):
+    if "temperature" not in cfg["diagnostics"]:
+        return {}
+    tail = sim.rows[len(sim.rows) // 2:]
+    return {"mean_temperature": float(2.0 * np.mean(tail) / (3 * cfg["model"]["N"]))}
+
+
+def _build_electrolyte(cfg, streams):
+    m, run = cfg["model"], cfg["run"]
     model = ElectrolyteModel(N=m["N"], L=m["L"], lj_sigma=m["lj_sigma"],
                              temperature=m["temperature"])
     params = EwaldParams.for_system(m["N"], m["L"], p=run["p"], alpha=m["alpha"])
     if m["r_c"] is not None:
         params = EwaldParams(alpha=params.alpha, r_c=m["r_c"], k_c=params.k_c, p=run["p"])
     params.validate_box(m["L"])
-    system = PeriodicChargeSystem(state=model.initial_state(streams.init),
-                                  charges=model.charges())
-    thermostat = _thermostat(cfg)
-    dt = run["dt"] or 2e-3
-    steps = run["steps"] or 5000
-    warmup = run["warmup"] if run["warmup"] is not None else steps // 5
-    S = sum_S(params.alpha, m["L"])
-    bank = mh_sample_kvectors(params.alpha, m["L"], max(10 * params.p * steps // 8, 4096),
+    system = PeriodicChargeSystem(state=model.initial_state(streams.init), charges=model.charges())
+    bank = mh_sample_kvectors(params.alpha, m["L"], max(10 * params.p * run["steps"] // 8, 4096),
                               streams.proposal)
-    energy_rows, frames, traj_rows = [], [], []
-    rbe_u, exact_u = [], []
-    record_every = run["record_every"]
-    for k in range(1, steps + 1):
-        system, info = rbe_md_step(system, params, thermostat, bank, dt, streams,
-                                   extra_force=lambda st: model.lj_force(st)[0], S=S)
-        energy_rows.append((k, info["U_real"], info["U_fourier"], info["U_self"],
-                            info["kinetic"], info["T_inst"]))
-        if k > warmup:
-            rbe_u.append(info["U_fourier"])
-            if k % record_every == 0:
-                frames.append(system.state.positions.copy())
-                if "fourier_energy_error" in cfg["diagnostics"]:
-                    exact_u.append(fourier_energy(system, params))
-        if cfg["output"]["trajectory_every"] and k % cfg["output"]["trajectory_every"] == 0:
-            traj_rows.append((k, system.state))
-    _write_energy_csv(outdir / "energy.csv", energy_rows)
-    if traj_rows:
-        _write_trajectory_csv(outdir / "trajectory.csv", traj_rows)
-    metrics = {"mean_T_inst": float(np.mean([r[5] for r in energy_rows[warmup:]]))}
-    if "dh_screening" in cfg["diagnostics"] and frames:
-        profile = radial_net_charge(np.array(frames), system.charges, m["L"])
+    return _sim(cfg, streams, state=system, params=params, bank=bank,
+                S=sum_S(params.alpha, m["L"]), thermostat=_thermostat(cfg["thermostat"]),
+                lj=lambda st: model.lj_force(st)[0], energy=[], trajectory=[],
+                trajectory_every=cfg["output"]["trajectory_every"],
+                exact="fourier_energy_error" in cfg["diagnostics"])
+
+
+def _step_electrolyte(sim, k, dt):
+    """One RBE MD step; logs its energies and, every trajectory_every steps, the state."""
+    system, info = rbe_md_step(sim.state, sim.params, sim.thermostat, sim.bank, dt,
+                               sim.streams, extra_force=sim.lj, S=sim.S)
+    sim.energy.append((k, info["U_real"], info["U_fourier"], info["U_self"],
+                       info["kinetic"], info["T_inst"]))
+    if sim.trajectory_every and k % sim.trajectory_every == 0:
+        st = system.state
+        sim.trajectory.extend((k, i, *st.positions[i], *st.velocities[i])
+                              for i in range(st.n_particles))
+    return system
+
+
+def _finish_electrolyte(sim, cfg, outdir):
+    _write_csv(outdir / "energy.csv", ("step", "U_real", "U_fourier", "U_self", "kinetic",
+                                       "T_inst"), sim.energy)
+    if sim.trajectory:
+        _write_csv(outdir / "trajectory.csv", ("step", "particle", "x", "y", "z", "vx", "vy",
+                                               "vz"), sim.trajectory)
+    system, params, diagnostics = sim.state, sim.params, cfg["diagnostics"]
+    after_warmup = sim.energy[cfg["run"]["warmup"]:]
+    metrics = {"mean_T_inst": float(np.mean([r[5] for r in after_warmup]))}
+    if "dh_screening" in diagnostics and sim.rows:
+        profile = radial_net_charge(np.array([f for f, _ in sim.rows]), system.charges,
+                                    cfg["model"]["L"])
         metrics["dh_slope"] = profile.slope
         metrics["dh_intercept"] = profile.intercept
-    if "fourier_energy_error" in cfg["diagnostics"] and exact_u:
-        mean_rbe = float(np.mean(rbe_u))
-        mean_exact = float(np.mean(exact_u))
+    if "fourier_energy_error" in diagnostics and sim.rows:
+        mean_rbe = float(np.mean([r[2] for r in after_warmup]))
+        mean_exact = float(np.mean([u for _, u in sim.rows]))
         metrics["fourier_energy_rbe"] = mean_rbe
         metrics["fourier_energy_exact"] = mean_exact
         metrics["fourier_energy_rel_err"] = abs(mean_rbe - mean_exact) / abs(mean_exact)
-    if "momentum" in cfg["diagnostics"]:
-        from .ewald import fourier_force_exact_all, real_space_force_all, rbe_force_all
-
+    if "momentum" in diagnostics:
         f_real = real_space_force_all(system, params)[0]
         f = f_real + fourier_force_exact_all(system, params)
         metrics["momentum_exact"] = float(np.abs(f.sum(axis=0)).max())
-        f_rbe = f_real + rbe_force_all(system, bank.draw(params.p), S)
+        f_rbe = f_real + rbe_force_all(system, sim.bank.draw(params.p), sim.S)
         metrics["momentum_rbe"] = float(np.abs(f_rbe.sum(axis=0)).max())
     return metrics
 
 
-def _run_svgd(cfg, streams, outdir):
+def _build_svgd(cfg, streams):
     m = cfg["model"]
-    run = cfg["run"]
-    N, dim = m["N"], m["dim"]
-    X0 = m["init_mean"] + m["init_std"] * streams.init.standard_normal((N, dim))
+    X0 = m["init_mean"] + m["init_std"] * streams.init.standard_normal((m["N"], m["dim"]))
     kernel = GaussianKernel(bandwidth=m["bandwidth"])
-    state = SvgdState(particles=X0, grad_V=lambda x: x, kernel=kernel)
-    eta = run["dt"] or 0.3
-    steps = run["steps"] or 2000
-    for _ in range(steps):
-        state = rbm_svgd_step(state, run["p"], eta, streams)
-    _write_samples_csv(outdir / "samples.csv", [(steps, state.particles[:, 0])])
+    return _sim(cfg, streams, state=SvgdState(particles=X0, grad_V=lambda x: x, kernel=kernel))
+
+
+def _finish_svgd(sim, cfg, outdir):
+    particles = sim.state.particles
+    _write_samples_csv(outdir / "samples.csv", [(cfg["run"]["steps"], particles[:, 0])])
     metrics = {}
     if "moments" in cfg["diagnostics"]:
-        metrics["mean"] = [float(v) for v in state.particles.mean(axis=0)]
-        metrics["variance"] = [float(v) for v in state.particles.var(axis=0)]
+        metrics["mean"] = [float(v) for v in particles.mean(axis=0)]
+        metrics["variance"] = [float(v) for v in particles.var(axis=0)]
     return metrics
 
 
-_DRIVERS = {
-    "toy": _run_toy,
-    "wealth": _run_wealth,
-    "dyson": _run_dyson,
-    "cucker-smale": _run_flocking,
-    "consensus": _run_consensus,
-    "lj-fluid": _run_lj_fluid,
-    "electrolyte": _run_electrolyte,
-    "gaussian": _run_svgd,
+MODELS = {
+    # dx = [-x + mean_j sin(x_i - x_j)] dt + sigma dW
+    "toy": ModelSpec(
+        fields={"N": 64, "sigma": 0.5},
+        run={"p": 2, "dt": 0.05, "steps": 20, "T": None, "record_every": 1, "replicas": 1},
+        steppers=_FIRST_ORDER, diagnostics=("convergence",), build=_build_toy, finish=_finish_toy,
+        observe=lambda s, k: (k, s.state.positions[:, 0].copy()),
+    ),
+    "wealth": ModelSpec(
+        fields={"N": 10_000, "kappa": 1.0, "D": 0.5},
+        run={"p": 2, "dt": 1e-3, "T": 3.0, "replicas": 1},
+        steppers={m: _FIRST_ORDER[m] for m in ("direct", "rbm")}, diagnostics=("w1_equilibrium",),
+        build=_build_wealth, finish=_finish_wealth,
+    ),
+    "cucker-smale": ModelSpec(
+        fields={"N": 256, "kappa": 1.0, "beta": 0.4, "dim": 3},
+        run={"p": 2, "dt": 0.02, "steps": 750, "record_every": 1, "replicas": 1},
+        steppers={"rbm": lambda s, k, dt: _flock(s, _division(s), dt),
+                  "direct": lambda s, k, dt: _flock(s, None, dt)},
+        diagnostics=("flocking_decay",), build=_build_flocking, finish=_finish_flocking,
+        observe=lambda s, k: (k * s.dt, *flocking_functionals(*s.state)), observe_start=True,
+    ),
+    "consensus": ModelSpec(
+        fields={"N": 64, "kappa": 1.0, "dim": 1, "nu": None},
+        run={"p": 2, "dt": 0.05, "steps": 400, "record_every": 1, "replicas": 1},
+        steppers={
+            "rbm": lambda s, k, dt: s.state + dt * consensus_rhs(s.state, s.model, _division(s)),
+            "direct": lambda s, k, dt: s.state + dt * consensus_rhs(s.state, s.model, None),
+        },
+        diagnostics=("consensus_decay", "reconstruction"),
+        build=_build_consensus, finish=_finish_consensus,
+        observe=lambda s, k: (k * s.dt, *consensus_functionals(s.state)), observe_start=True,
+    ),
+    "lj-fluid": ModelSpec(
+        fields={"N": 125, "density": 0.3, "sigma": 1.0, "epsilon": 1.0,
+                "split_radius": 1.6, "beta": 0.5},
+        run={"p": 2, "dt": 1e-3, "schedule": None, "steps": 500, "record_every": 1,
+             "replicas": 1},
+        steppers={"rbm-split": lambda s, k, dt: rbm_split_step(s.state, s.system, s.p, dt,
+                                                               s.streams)},
+        diagnostics=("temperature",), build=_build_lj, finish=_finish_lj,
+        observe=lambda s, k: 0.5 * float(np.sum(s.state.velocities**2)),
+        thermostats=("andersen", "langevin"),
+    ),
+    "electrolyte": ModelSpec(
+        fields={"N": 300, "L": 10.0, "lj_sigma": 0.2, "temperature": 1.0,
+                "alpha": None, "r_c": None},
+        run={"p": 2, "dt": 2e-3, "steps": 5000, "warmup": lambda run: run["steps"] // 5,
+             "record_every": 10, "replicas": 1},
+        steppers={"rbe": _step_electrolyte},
+        diagnostics=("dh_screening", "fourier_energy_error", "momentum"),
+        build=_build_electrolyte, finish=_finish_electrolyte,
+        # frames for the screening profile, with the exact Fourier energy when asked for
+        observe=lambda s, k: (s.state.state.positions.copy(),
+                              fourier_energy(s.state, s.params) if s.exact else None),
+        thermostats=("andersen", "langevin", "nose-hoover"),
+        output=("directory", "trajectory_every"),
+    ),
+    "dyson": ModelSpec(
+        fields={"N": 500, "split_radius": 0.01, "m": 5},
+        run={"p": 2, "dt": 1e-4, "sweeps": 1_000_000, "warmup": lambda run: run["sweeps"] // 3,
+             "replicas": 1},
+        steppers={"rbmc": _step_dyson}, diagnostics=("w1_semicircle", "density_at_zero"),
+        build=_build_dyson, finish=_finish_dyson,
+    ),
+    # random-batch SVGD toward exp(-|x|^2 / 2); run.dt is the step size eta
+    "gaussian": ModelSpec(
+        fields={"N": 64, "dim": 1, "bandwidth": "median", "init_mean": -2.0, "init_std": 1.0},
+        run={"p": 2, "dt": 0.3, "steps": 2000, "replicas": 1},
+        steppers={"rbm-svgd": lambda s, k, dt: rbm_svgd_step(s.state, s.p, dt, s.streams)},
+        diagnostics=("moments",), build=_build_svgd, finish=_finish_svgd,
+    ),
 }
+
+MODEL_METHODS = {name: tuple(spec.steppers) for name, spec in MODELS.items()}
+
+_SECTIONS = ("model", "run", "thermostat", "output")
+_RUN_KEYS = ("p", "dt", "schedule", "T", "steps", "sweeps", "warmup", "replicas", "record_every")
+_THERMOSTAT_FIELDS = {
+    "none": {},
+    "andersen": {"nu": 1.0, "temperature": 1.0},
+    "langevin": {"gamma": 1.0, "beta": 1.0},
+    "nose-hoover": {"Q": 1.0, "beta": 1.0},
+}
+_SCHEDULE_FIELDS = {"log-decay": {"c": 1e-3}, "inverse": {"k0": 1.0}}
+_OUTPUT_FIELDS = {"directory": "out", "trajectory_every": 0}
+
+
+# --- validation ------------------------------------------------------------------
+
+
+def _resolve(raw: dict, fields: dict, known, path: str, owner: str, errors: list) -> dict:
+    """``fields`` overlaid with ``raw``; a key outside ``fields`` is an error."""
+    for key in raw:
+        if key not in fields:
+            errors.append(f"{path}.{key}: " + (f"not used by {owner}" if key in known
+                                                 else "unknown key"))
+    return {**fields, **{k: v for k, v in raw.items() if k in fields}}
+
+
+def _is_int(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
+def _resolve_thermostat(raw: dict, model_id: str, kinds: tuple, errors: list) -> dict:
+    """The chosen kind with its fields.  Kind ``none`` switches the thermostat
+    off and drops the parameters of the model's other kinds, so a config can
+    turn its thermostat off without deleting them."""
+    kind = raw.get("kind", "none")
+    if kind not in ("none", *kinds):
+        errors.append(f"thermostat.kind: {model_id} supports {'|'.join(('none', *kinds))}")
+        return {"kind": "none"}
+    params = {k: v for k, v in raw.items() if k != "kind" and not (
+        kind == "none" and any(k in _THERMOSTAT_FIELDS[t] for t in kinds))}
+    known = {key for fields in _THERMOSTAT_FIELDS.values() for key in fields}
+    return {"kind": kind, **_resolve(params, _THERMOSTAT_FIELDS[kind], known, "thermostat",
+                                     f"thermostat kind {kind!r}", errors)}
+
+
+def _check_run(run: dict, raw_run: dict, method: str, model_id: str, N, errors: list):
+    """Range checks on the resolved run section; fills in derived defaults."""
+    p = run["p"]
+    min_p = 1 if method == "rbe" else 2
+    if not _is_int(p, min_p):
+        errors.append(f"run.p: batch size must be >= {min_p}")
+    elif method != "rbe" and _is_int(N, 2) and p > N:
+        errors.append("run.p: batch size cannot exceed model.N")
+    elif method == "direct" and p not in (2, N):
+        errors.append("run.p: method 'direct' sums over all N particles; "
+                      "leave run.p at 2 or set it to model.N")
+    elif model_id == "dyson" and p != 2:
+        errors.append("run.p: the RBMC chain moves pairs; p must be 2")
+    s = run.get("schedule")
+    if s is not None:
+        run["dt"] = None
+        if not isinstance(s, dict) or s.get("kind") not in tuple(_SCHEDULE_FIELDS):
+            errors.append("run.schedule.kind: must be one of log-decay|inverse; "
+                          "a constant step is run.dt")
+        else:
+            if "dt" in raw_run:
+                errors.append("run.dt: not used when run.schedule is set")
+            params = _resolve({k: v for k, v in s.items() if k != "kind"},
+                              _SCHEDULE_FIELDS[s["kind"]], (), "run.schedule", "", errors)
+            errors += [f"run.schedule.{k}: must be positive" for k, v in params.items()
+                       if not _positive(v)]
+            run["schedule"] = {"kind": s["kind"], **params}
+    elif not _positive(run["dt"]):
+        errors.append("run.dt: must be positive")
+    if "T" in run and "steps" in run:  # the toy runs for run.steps or for run.T
+        if raw_run.get("T") is not None and "steps" in raw_run:
+            errors.append("run.T: set run.steps or run.T, not both")
+        del run["T" if run["T"] is None else "steps"]
+    if "T" in run:
+        if not _positive(run["T"]):
+            errors.append("run.T: must be positive")
+        elif _positive(run["dt"]) and round(run["T"] / run["dt"]) < 1:
+            errors.append("run.T: must span at least one step of run.dt")
+    errors += [f"run.{key}: must be an integer >= 1" for key in
+               ("steps", "sweeps", "record_every", "replicas") if key in run
+               and not _is_int(run[key], 1)]
+    if "warmup" in run:
+        length = "steps" if "steps" in run else "sweeps"
+        n = run[length]
+        if callable(run["warmup"]):
+            run["warmup"] = run["warmup"](run) if _is_int(n, 1) else 0
+        if not _is_int(run["warmup"], 0):
+            errors.append("run.warmup: must be an integer >= 0")
+        elif _is_int(n, 1) and run["warmup"] >= n:
+            errors.append(f"run.warmup: must be below run.{length}")
+
+
+def validate_dict(raw: dict, name: str = "run") -> dict:
+    """Resolve a config mapping against the registry's schema; raises ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(["top level: expected a mapping"])
+    errors = [f"config.{key}: unknown key" for key in raw
+              if key not in ("name", "seed", "method", "diagnostics", *_SECTIONS)]
+    sections = {key: raw.get(key) or {} for key in _SECTIONS}
+    errors += [f"{key}: expected a mapping" for key, section in sections.items()
+               if not isinstance(section, dict)]
+    model_id = sections["model"].get("id") if isinstance(sections["model"], dict) else None
+    if model_id not in tuple(MODELS):
+        errors.append(f"model.id: must be one of {sorted(MODELS)}")
+    if model_id not in tuple(MODELS) or any(not isinstance(s, dict) for s in sections.values()):
+        raise ConfigError(errors)
+    spec, owner = MODELS[model_id], f"model {model_id!r}"
+
+    method = raw.get("method")
+    cfg = {"name": str(raw.get("name", name)), "seed": raw.get("seed", 0), "version": __version__,
+           "method": MODEL_METHODS[model_id][0] if method is None else method}
+    if not isinstance(cfg["seed"], int):
+        errors.append("seed: must be an integer")
+    if cfg["method"] not in MODEL_METHODS[model_id]:
+        errors.append(f"method: {cfg['method']!r} not available for model {model_id!r}; "
+                      f"available: {MODEL_METHODS[model_id]}")
+
+    model_raw = {k: v for k, v in sections["model"].items() if k != "id"}
+    cfg["model"] = {**_resolve(model_raw, spec.fields, (), "model", owner, errors), "id": model_id}
+    cfg["run"] = _resolve(sections["run"], spec.run, _RUN_KEYS, "run", owner, errors)
+    if spec.thermostats:
+        cfg["thermostat"] = _resolve_thermostat(sections["thermostat"], model_id,
+                                                spec.thermostats, errors)
+    elif "thermostat" in raw:
+        errors.append(f"thermostat: {owner} takes no thermostat")
+    cfg["output"] = _resolve(sections["output"], {k: _OUTPUT_FIELDS[k] for k in spec.output},
+                             _OUTPUT_FIELDS, "output", owner, errors)
+    diagnostics = raw.get("diagnostics")
+    cfg["diagnostics"] = list(spec.diagnostics if diagnostics is None else diagnostics)
+    errors += [f"diagnostics: {d!r} unknown for model {model_id!r}; available: {spec.diagnostics}"
+               for d in cfg["diagnostics"] if d not in spec.diagnostics]
+
+    model = cfg["model"]
+    N = model["N"]
+    if not _is_int(N, 2):
+        errors.append("model.N: must be an integer >= 2")
+    _check_run(cfg["run"], sections["run"], cfg["method"], model_id, N, errors)
+    if not _is_int(cfg["output"].get("trajectory_every", 0), 0):
+        errors.append("output.trajectory_every: must be an integer >= 0")
+    if model_id == "electrolyte":
+        if _is_int(N, 2) and N % 2 != 0:
+            errors.append("model.N: electrolyte needs equal numbers of +1/-1 charges "
+                          "(electroneutrality)")
+        if model["r_c"] is not None and model["r_c"] >= model["L"] / 2:
+            errors.append("model.r_c: real-space cutoff must be below L/2")
+    if model_id == "dyson" and model["split_radius"] <= 0:
+        errors.append("model.split_radius: must be positive")
+
+    if errors:
+        raise ConfigError(errors)
+    return cfg
+
+
+def validate(path, seed: Optional[int] = None, replicas: Optional[int] = None) -> dict:
+    """Load and validate a YAML config file.
+
+    ``seed`` and ``replicas``, when given, replace the file's values before
+    validation, so they are checked like the fields they replace.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        raw = yaml.safe_load(fh) or {}
+    if seed is not None and isinstance(raw, dict):
+        raw["seed"] = seed
+    if replicas is not None and isinstance(raw, dict) and isinstance(raw.get("run") or {}, dict):
+        raw["run"] = {**(raw.get("run") or {}), "replicas": replicas}
+    return validate_dict(raw, name=path.stem)
+
+
+# --- the experiment loop ----------------------------------------------------------
+
+
+def _n_steps(run: dict) -> int:
+    if "sweeps" in run:  # the chain runs every sweep in one call
+        return 1
+    return run["steps"] if "steps" in run else int(round(run["T"] / run["dt"]))
+
+
+def _schedule(run: dict) -> StepSchedule:
+    s = run.get("schedule")
+    if s is None:
+        return StepSchedule(kind="constant", dt=run["dt"])
+    return StepSchedule(kind=s["kind"].replace("-", "_"),
+                        **{k: v for k, v in s.items() if k != "kind"})
+
+
+def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
+    spec = MODELS[cfg["model"]["id"]]
+    run = cfg["run"]
+    step = spec.steppers[cfg["method"]]
+    schedule = _schedule(run)
+    every, warmup = run.get("record_every", 1), run.get("warmup") or 0
+    sim = spec.build(cfg, streams)
+    if spec.observe_start:
+        sim.rows.append(spec.observe(sim, 0))
+    for k in range(1, _n_steps(run) + 1):
+        dt = schedule(k)
+        try:
+            sim.state = step(sim, k, dt)
+        except IntegrationError as exc:
+            raise IntegrationError(f"{exc} at step {k}") from exc
+        for hook in sim.hooks:
+            hook(sim, dt)
+        if spec.observe is not None and k > warmup and k % every == 0:
+            sim.rows.append(spec.observe(sim, k))
+    return spec.finish(sim, cfg, outdir)
 
 
 # --- output writers -----------------------------------------------------------
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
-def _write_table_csv(path, header, rows):
+def _write_csv(path, header, rows):
+    """Integers as written, every other value as the repr of a float."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -533,35 +692,10 @@ def _write_table_csv(path, header, rows):
 
 def _write_samples_csv(path, rows):
     """rows: iterable of (sweep, values) with values (N,) or (N, d)."""
-    with open(path, "w") as fh:
-        first = True
-        for sweep, values in rows:
-            values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-            if values.shape[0] == 1:
-                values = values.T
-            if first:
-                coords = ",".join(f"x{c}" for c in range(values.shape[1]))
-                fh.write(f"sweep,particle,{coords}\n")
-                first = False
-            for i, row in enumerate(values):
-                fh.write(f"{sweep},{i}," + ",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_energy_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("step,U_real,U_fourier,U_self,kinetic,T_inst\n")
-        for step, *vals in rows:
-            fh.write(f"{step}," + ",".join(_fmt(v) for v in vals) + "\n")
-
-
-def _write_trajectory_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("step,particle,x,y,z,vx,vy,vz\n")
-        for step, state in rows:
-            v = state.velocities if state.velocities is not None else np.zeros_like(state.positions)
-            for i in range(state.n_particles):
-                vals = list(state.positions[i]) + list(v[i])
-                fh.write(f"{step},{i}," + ",".join(_fmt(x) for x in vals) + "\n")
+    blocks = [(sweep, np.asarray(v, dtype=np.float64).reshape(len(v), -1)) for sweep, v in rows]
+    coords = [f"x{c}" for c in range(blocks[0][1].shape[1] if blocks else 1)]
+    _write_csv(path, ("sweep", "particle", *coords),
+               ((sweep, i, *x) for sweep, xs in blocks for i, x in enumerate(xs)))
 
 
 def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
@@ -580,12 +714,9 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
         log_lines.append(f"blas_threads={threads}" if set_blas_threads(threads) else
                          "blas_threads: not capped, numpy's BLAS exposes no thread-count call")
     t0 = time.perf_counter()
-    driver = _DRIVERS[cfg["model"]["id"]]
     replicas = cfg["run"]["replicas"]
-    per_replica = []
-    for rep in range(replicas):
-        streams = SimStreams(cfg["seed"], replica=rep)
-        per_replica.append(driver(cfg, streams, outdir))
+    per_replica = [_run_replica(cfg, SimStreams(cfg["seed"], replica=rep), outdir)
+                   for rep in range(replicas)]
     metrics = {"version": __version__, "name": cfg["name"], "seed": cfg["seed"],
                "method": cfg["method"], "model": cfg["model"]["id"]}
     if replicas == 1:
@@ -601,33 +732,4 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
         fh.write("\n")
     log_lines.append(f"elapsed_seconds={time.perf_counter() - t0:.3f}")
     (outdir / "log.txt").write_text("\n".join(log_lines) + "\n")
-    return outdir
-
-
-def run_bench(cfg: dict, out_root=None) -> Path:
-    """Per-step timing table for the direct and RBM methods."""
-    out_root = Path(out_root or cfg["output"]["directory"])
-    outdir = out_root / f"{cfg['name']}-bench"
-    outdir.mkdir(parents=True, exist_ok=True)
-    bench = cfg["bench"]
-    table = {}
-    for method in ("rbm", "direct"):
-        table[method] = scaling_benchmark(
-            method, bench["sizes"], p=bench["p"], steps=bench["steps"],
-            repeats=bench["repeats"], seed=cfg["seed"],
-        )
-    with open(outdir / "bench.csv", "w") as fh:
-        fh.write("method,N,seconds_per_step\n")
-        for method, entries in table.items():
-            for N, sec in entries:
-                fh.write(f"{method},{N},{_fmt(sec)}\n")
-    summary = {"version": __version__, "results": {
-        m: {str(N): sec for N, sec in entries} for m, entries in table.items()
-    }}
-    for m, entries in table.items():
-        ratios = [entries[i + 1][1] / entries[i][1] for i in range(len(entries) - 1)]
-        summary["results"][m]["doubling_ratios"] = ratios
-    with open(outdir / "bench.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     return outdir

@@ -1,4 +1,4 @@
-"""Config validation, the run/bench commands, and the determinism contract."""
+"""Config validation, the run command, and the determinism contract."""
 
 import json
 
@@ -155,19 +155,6 @@ def test_cli_replicas_aggregate(tmp_path):
     metrics = json.loads((outdir / "metrics.json").read_text())
     assert len(metrics["replicas"]) == 2
     assert "w1_equilibrium" in metrics["aggregate"]
-
-
-def test_bench_subcommand_smoke(tmp_path, capsys):
-    cfg_file = _write(tmp_path, "bench.yaml", {
-        "name": "b",
-        "model": {"id": "toy", "N": 8},
-        "bench": {"sizes": [32, 64], "steps": 5, "repeats": 1},
-    })
-    assert main(["bench", str(cfg_file), "--out", str(tmp_path / "bo")]) == 0
-    capsys.readouterr()
-    data = json.loads((tmp_path / "bo" / "b-bench" / "bench.json").read_text())
-    assert set(data["results"]) == {"rbm", "direct"}
-    assert all(v > 0 for k, v in data["results"]["rbm"].items() if k != "doubling_ratios")
 
 
 def test_cli_threads_caps_the_bundled_openblas(tmp_path, capsys):

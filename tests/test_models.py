@@ -1,6 +1,7 @@
 """Model zoo: analytic references and right-hand sides."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ def test_consensus_functionals():
     q = gen.standard_normal((6, 2))
     perm = gen.permutation(6)
     assert consensus_functionals(q)[1] == pytest.approx(consensus_functionals(q[perm])[1])
+
+
+@pytest.mark.parametrize("N, d", [(2, 1), (1000, 1), (7, 3), (1000, 3)])
+def test_consensus_diameter_matches_the_dense_formula(N, d):
+    q = RngStream(N + d).generator().standard_normal((N, d))
+    dq = q[:, None, :] - q[None, :, :]
+    dense = float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", dq, dq))))
+    assert consensus_functionals(q)[1] == dense
+
+
+def test_consensus_diameter_memory_is_linear():
+    q = RngStream(3).generator().standard_normal((4000, 3))
+    tracemalloc.start()
+    try:
+        consensus_functionals(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # the dense N x N x d difference array is 384 MB
 
 
 def test_consensus_requires_zero_sum_nu():
