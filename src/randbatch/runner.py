@@ -232,7 +232,8 @@ def _finish_dyson(sim, cfg, outdir):
 def _build_flocking(cfg, streams):
     m = cfg["model"]
     model = CuckerSmaleModel(N=m["N"], kappa=m["kappa"], beta=m["beta"], dim=m["dim"])
-    return _sim(cfg, streams, model=model, state=model.initial(streams.init), dt=cfg["run"]["dt"])
+    return _sim(cfg, streams, model=model, state=model.initial(streams.init),
+                dt=float(cfg["run"]["dt"]))
 
 
 def _flock(sim, division, dt):
@@ -259,7 +260,8 @@ def _build_consensus(cfg, streams):
     m = cfg["model"]
     nu = np.asarray(m["nu"], dtype=np.float64) if m["nu"] is not None else None
     model = ConsensusModel(N=m["N"], kappa=m["kappa"], dim=m["dim"], nu=nu)
-    return _sim(cfg, streams, model=model, state=model.initial(streams.init), dt=cfg["run"]["dt"])
+    return _sim(cfg, streams, model=model, state=model.initial(streams.init),
+                dt=float(cfg["run"]["dt"]))
 
 
 def _finish_consensus(sim, cfg, outdir):
@@ -388,7 +390,7 @@ MODELS = {
     # dx = [-x + mean_j sin(x_i - x_j)] dt + sigma dW
     "toy": ModelSpec(
         fields={"N": 64, "sigma": 0.5},
-        run={"p": 2, "dt": 0.05, "steps": 20, "T": None, "record_every": 1, "replicas": 1},
+        run={"p": 2, "dt": 0.05, "steps": 20, "T": None, "replicas": 1},
         steppers=_FIRST_ORDER, diagnostics=("convergence",), build=_build_toy, finish=_finish_toy,
         observe=lambda s, k: (k, s.state.positions[:, 0].copy()),
     ),
@@ -400,7 +402,7 @@ MODELS = {
     ),
     "cucker-smale": ModelSpec(
         fields={"N": 256, "kappa": 1.0, "beta": 0.4, "dim": 3},
-        run={"p": 2, "dt": 0.02, "steps": 750, "record_every": 1, "replicas": 1},
+        run={"p": 2, "dt": 0.02, "steps": 750, "replicas": 1},
         steppers={"rbm": lambda s, k, dt: _flock(s, _division(s), dt),
                   "direct": lambda s, k, dt: _flock(s, None, dt)},
         diagnostics=("flocking_decay",), build=_build_flocking, finish=_finish_flocking,
@@ -408,7 +410,7 @@ MODELS = {
     ),
     "consensus": ModelSpec(
         fields={"N": 64, "kappa": 1.0, "dim": 1, "nu": None},
-        run={"p": 2, "dt": 0.05, "steps": 400, "record_every": 1, "replicas": 1},
+        run={"p": 2, "dt": 0.05, "steps": 400, "replicas": 1},
         steppers={
             "rbm": lambda s, k, dt: s.state + dt * consensus_rhs(s.state, s.model, _division(s)),
             "direct": lambda s, k, dt: s.state + dt * consensus_rhs(s.state, s.model, None),
@@ -420,8 +422,7 @@ MODELS = {
     "lj-fluid": ModelSpec(
         fields={"N": 125, "density": 0.3, "sigma": 1.0, "epsilon": 1.0,
                 "split_radius": 1.6, "beta": 0.5},
-        run={"p": 2, "dt": 1e-3, "schedule": None, "steps": 500, "record_every": 1,
-             "replicas": 1},
+        run={"p": 2, "dt": 1e-3, "schedule": None, "steps": 500, "replicas": 1},
         steppers={"rbm-split": lambda s, k, dt: rbm_split_step(s.state, s.system, s.p, dt,
                                                                s.streams)},
         diagnostics=("temperature",), build=_build_lj, finish=_finish_lj,
@@ -678,16 +679,12 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
 # --- output writers -----------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return str(x) if isinstance(x, int) else repr(float(x))
-
-
 def _write_csv(path, header, rows):
     """Integers as written, every other value as the repr of a float."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
 
 
 def _write_samples_csv(path, rows):

@@ -136,6 +136,7 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny("lj-fluid", dt=1e-3, schedule={"kind": "inverse"}),
      "run.dt: not used when run.schedule is set"),
     (_tiny("wealth", steps=10), "run.steps: not used by model 'wealth'"),
+    (_tiny("lj-fluid", record_every=2), "run.record_every: not used by model 'lj-fluid'"),
     (_tiny("toy", method="direct", p=4), "method 'direct' sums over all N particles"),
     (_tiny("dyson", p=4), "the RBMC chain moves pairs; p must be 2"),
     (_tiny("toy", kind="langevin"), "thermostat: model 'toy' takes no thermostat"),
@@ -197,3 +198,13 @@ def test_runs_are_deterministic_for_every_model(model, tmp_path):
     first, second = (_outputs(o) for o in out)
     assert "metrics.json" in first and len(first) >= 1
     assert first == second
+
+
+@pytest.mark.parametrize("model", ["toy", "cucker-smale", "consensus"])
+def test_integer_dt_writes_the_same_outputs_as_float_dt(model, tmp_path):
+    """YAML ``dt: 1`` is an int; every value but an index column is still a float."""
+    as_int, as_float = (_outputs(run(validate_dict(_tiny(model, dt=dt)), out_root=tmp_path / side))
+                        for dt, side in ((1, "int"), (1.0, "float")))
+    assert as_int == as_float
+    if model != "toy":
+        assert as_int["functionals.csv"].splitlines()[2].startswith(b"1.0,")
