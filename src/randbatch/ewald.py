@@ -18,7 +18,7 @@ from scipy.special import erfc as _erfc
 
 from .backend import njit
 from .forces import neighbor_pairs, pair_force_sum
-from .integrators import _check_finite
+from .integrators import kick_drift
 from .rng import SimStreams
 from .state import ParticleState
 from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen, nose_hoover_step
@@ -380,19 +380,19 @@ def rbe_md_step(
     exact_fourier: bool = False,
     S: Optional[float] = None,
 ) -> Tuple[PeriodicChargeSystem, dict]:
-    """One kick-drift step of Newton's equations with thermostat coupling.
+    """One ``integrators.kick_drift`` step of Newton's equations (unit masses).
 
     Fourier forces come from the random-batch estimator fed by the bank
     (``exact_fourier=True`` switches to the full cutoff sum, the validation
     mode in which the method degenerates to direct Ewald stepping).
     ``extra_force(state) -> (N, 3)`` lets callers add non-Coulomb forces such
-    as a Lennard-Jones core.  Returns the new system plus a log record.
+    as a Lennard-Jones core.  ``Langevin`` noise comes from ``streams.noise``
+    and ``Andersen`` collisions from ``streams.thermostat``; ``NoseHoover``
+    advances its xi in place.  Returns the new system plus a log record.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     st = system.state
-    if st.velocities is None:
-        raise ValueError("MD step needs velocities")
     forces, u_real = real_space_force_all(system, params)
     info = {"U_real": u_real}
     if exact_fourier:
@@ -408,20 +408,14 @@ def rbe_md_step(
     if extra_force is not None:
         forces = forces + extra_force(st)
 
-    v = st.velocities
     if isinstance(thermostat, NoseHoover):
         new_state, thermostat.xi = nose_hoover_step(
             st, thermostat.xi, thermostat.Q, thermostat.beta, dt, forces
         )
     else:
-        if isinstance(thermostat, Langevin):
-            noise = thermostat.sigma * math.sqrt(dt) * streams.thermostat.standard_normal(v.shape)
-            new_v = v + dt * (forces - thermostat.gamma * v) + noise
-        else:
-            new_v = v + dt * forces
-        new_x = st.positions + dt * new_v
-        _check_finite(new_x, new_v, "RBE step")
-        new_state = st.replace(positions=new_x, velocities=new_v, time=st.time + dt)
+        gamma, sigma = ((thermostat.gamma, thermostat.sigma) if isinstance(thermostat, Langevin)
+                        else (0.0, 0.0))
+        new_state = kick_drift(st, forces, dt, gamma, sigma, streams.noise)
         if isinstance(thermostat, Andersen):
             new_state = apply_andersen(
                 new_state, thermostat.nu, thermostat.temperature, dt, streams.thermostat

@@ -1,4 +1,9 @@
-"""Euler-Maruyama time steppers: full-batch reference, RBM variants, splitting.
+"""Time steppers: full-batch reference, RBM variants, splitting.
+
+First-order systems take Euler-Maruyama steps.  Every second-order path, RBE
+and Nose-Hoover included, takes the symplectic Euler step ``kick_drift``: x
+moves with the *new* v (with the old v an oscillator's energy would grow by
+1 + (omega dt)^2 per step).
 
 Every stepper is a pure function of (state, rng streams) and returns a new
 state.  The full-batch ``direct_step`` and the random-batch steppers share the
@@ -21,7 +26,7 @@ from .forces import (
 )
 from .batching import random_division, sample_batch_with_replacement
 from .rng import SimStreams
-from .state import KernelSpec, ParticleState, wrap_positions
+from .state import KernelSpec, ParticleState
 
 
 class IntegrationError(RuntimeError):
@@ -52,9 +57,8 @@ class FirstOrderSystem:
 class SecondOrderSystem:
     """dr = v dt, dv = [(b + alpha_N sum K)/m - gamma v] dt + (sigma/sqrt(m)) dW.
 
-    With ``enforce_fluctuation_dissipation`` the pair (sigma, gamma, beta) is
-    required to satisfy sigma = sqrt(2 gamma / beta), which makes the Gibbs
-    measure at inverse temperature beta invariant.
+    sigma = sqrt(2 gamma / beta) makes the Gibbs measure at inverse
+    temperature beta invariant; ``thermostats.Langevin`` builds that pair.
     """
 
     kernel: object
@@ -63,8 +67,6 @@ class SecondOrderSystem:
     gamma: float = 0.0
     sigma: float = 0.0
     masses: Optional[np.ndarray] = None
-    beta: Optional[float] = None
-    enforce_fluctuation_dissipation: bool = False
 
     def __post_init__(self):
         if self.gamma < 0 or self.sigma < 0:
@@ -73,11 +75,6 @@ class SecondOrderSystem:
             self.masses = np.asarray(self.masses, dtype=np.float64)
             if np.any(self.masses <= 0):
                 raise ValueError("masses must be positive")
-        if self.enforce_fluctuation_dissipation:
-            if self.beta is None or self.beta <= 0:
-                raise ValueError("fluctuation-dissipation check needs beta > 0")
-            if abs(self.sigma - math.sqrt(2 * self.gamma / self.beta)) > 1e-12:
-                raise ValueError("sigma does not satisfy sigma = sqrt(2 gamma / beta)")
 
 
 @dataclass
@@ -110,10 +107,6 @@ def _check_finite(positions: np.ndarray, velocities: Optional[np.ndarray], label
     raise IntegrationError(f"non-finite state after {label} at particle {int(np.argmax(bad))}")
 
 
-def _drift_term(system, x: np.ndarray) -> np.ndarray:
-    return system.drift(x) if system.drift is not None else np.zeros_like(x)
-
-
 def _noise_increment(system: FirstOrderSystem, x: np.ndarray, dt: float, noise_rng) -> np.ndarray:
     if system.sigma == 0.0:
         return np.zeros_like(x)
@@ -123,44 +116,50 @@ def _noise_increment(system: FirstOrderSystem, x: np.ndarray, dt: float, noise_r
     return system.sigma * dW
 
 
-def _advance_first_order(state, system, force, dt, noise_rng) -> ParticleState:
-    x = state.positions
-    new = x + dt * (_drift_term(system, x) + force) + _noise_increment(system, x, dt, noise_rng)
-    _check_finite(new, None, "first-order step")
-    if state.box_length is not None:
-        new = wrap_positions(new, state.box_length)
-    return state.replace(positions=new, time=state.time + dt)
+def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: float = 0.0,
+               sigma: float = 0.0, noise_rng=None, masses=None) -> ParticleState:
+    """new_v = v + dt (F/m - c v) + sigma sqrt(dt/m) xi, then new_x = x + dt new_v.
 
-
-def _advance_second_order(state, system, force, dt, noise_rng) -> ParticleState:
-    x, v = state.positions, state.velocities
+    ``friction`` c is a Langevin gamma or the Nose-Hoover xi; xi ~ N(0, I)
+    comes from ``noise_rng`` when sigma > 0; ``masses`` (N,) default to 1.
+    """
+    v = state.velocities
     if v is None:
         raise ValueError("second-order step needs velocities")
-    inv_m = 1.0
-    if system.masses is not None:
-        inv_m = 1.0 / system.masses[:, None]
-    accel = (_drift_term(system, x) + force) * inv_m - system.gamma * v
-    if system.sigma > 0.0:
-        dW = math.sqrt(dt) * noise_rng.standard_normal(v.shape)
-        noise = system.sigma * np.sqrt(inv_m) * dW if system.masses is not None else system.sigma * dW
-    else:
-        noise = 0.0
-    new_v = v + dt * accel + noise
-    new_x = x + dt * v
+    accel = force if masses is None else force / masses[:, None]
+    if friction:
+        accel = accel - friction * v
+    new_v = v + dt * accel
+    if sigma > 0.0:
+        scale = sigma * math.sqrt(dt) if masses is None else sigma * np.sqrt(dt / masses)[:, None]
+        new_v = new_v + scale * noise_rng.standard_normal(v.shape)
+    new_x = state.positions + dt * new_v
     _check_finite(new_x, new_v, "second-order step")
-    if state.box_length is not None:
-        new_x = wrap_positions(new_x, state.box_length)
     return state.replace(positions=new_x, velocities=new_v, time=state.time + dt)
 
 
+def _advance(state, system, force, dt, noise_rng, batch=None) -> ParticleState:
+    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift.
+
+    ``batch`` picks the masses of a sub-state that holds only those particles."""
+    x = state.positions
+    if system.drift is not None:
+        force = system.drift(x) + force
+    if not isinstance(system, FirstOrderSystem):
+        m = system.masses
+        return kick_drift(state, force, dt, system.gamma, system.sigma, noise_rng,
+                          m if m is None or batch is None else m[batch])
+    new = x + dt * force + _noise_increment(system, x, dt, noise_rng)
+    _check_finite(new, None, "first-order step")
+    return state.replace(positions=new, time=state.time + dt)
+
+
 def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) -> ParticleState:
-    """Full-batch Euler-Maruyama step with exact O(N^2) forces."""
+    """Full-batch step with exact O(N^2) forces."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     force = full_force_all(state, system.kernel, system.alpha_N)
-    if isinstance(system, FirstOrderSystem):
-        return _advance_first_order(state, system, force, dt, streams.noise)
-    return _advance_second_order(state, system, force, dt, streams.noise)
+    return _advance(state, system, force, dt, streams.noise)
 
 
 def rbm_step_first_order(
@@ -171,18 +170,18 @@ def rbm_step_first_order(
         raise ValueError("dt must be positive")
     division = random_division(state.n_particles, p, streams.division)
     force = division_forces(state, division, system.kernel, system.alpha_N)
-    return _advance_first_order(state, system, force, dt, streams.noise)
+    return _advance(state, system, force, dt, streams.noise)
 
 
 def rbm_step_second_order(
     state: ParticleState, system: SecondOrderSystem, p: int, dt: float, streams: SimStreams
 ) -> ParticleState:
-    """Second-order RBM step: batch force in the velocity drift."""
+    """Second-order RBM step: batch force in the velocity kick."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     division = random_division(state.n_particles, p, streams.division)
     force = division_forces(state, division, system.kernel, system.alpha_N)
-    return _advance_second_order(state, system, force, dt, streams.noise)
+    return _advance(state, system, force, dt, streams.noise)
 
 
 def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStreams) -> ParticleState:
@@ -207,21 +206,7 @@ def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStrea
         )
         pref = batch_prefactor(system.alpha_N, N, batch.size)
         force = full_force_all(sub, system.kernel, pref)
-        if isinstance(system, FirstOrderSystem):
-            advanced = _advance_first_order(sub, system, force, dt, streams.noise)
-        else:
-            sub_system = system
-            if system.masses is not None:
-                sub_system = SecondOrderSystem(
-                    kernel=system.kernel,
-                    alpha_N=system.alpha_N,
-                    drift=system.drift,
-                    gamma=system.gamma,
-                    sigma=system.sigma,
-                    masses=system.masses[batch],
-                    beta=system.beta,
-                )
-            advanced = _advance_second_order(sub, sub_system, force, dt, streams.noise)
+        advanced = _advance(sub, system, force, dt, streams.noise, batch)
         positions = current.positions.copy()
         positions[batch] = advanced.positions
         velocities = current.velocities
@@ -246,4 +231,4 @@ def rbm_split_step(
     short = short_range_force_all(state, kernel.short_part, kernel.split_radius, system.alpha_N)
     division = random_division(state.n_particles, p, streams.division)
     smooth = division_forces(state, division, kernel.smooth_part, system.alpha_N)
-    return _advance_second_order(state, system, short + smooth, dt, streams.noise)
+    return _advance(state, system, short + smooth, dt, streams.noise)

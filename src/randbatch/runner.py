@@ -471,6 +471,7 @@ _THERMOSTAT_FIELDS = {
 }
 _SCHEDULE_FIELDS = {"log-decay": {"c": 1e-3}, "inverse": {"k0": 1.0}}
 _OUTPUT_FIELDS = {"directory": "out", "trajectory_every": 0}
+_FRAME_DIAGNOSTICS = ("dh_screening", "fourier_energy_error")  # electrolyte's recorded frames
 
 
 # --- validation ------------------------------------------------------------------
@@ -591,6 +592,10 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     if spec.thermostats:
         cfg["thermostat"] = _resolve_thermostat(sections["thermostat"], model_id,
                                                 spec.thermostats, errors)
+        try:  # the thermostat's own range checks
+            _thermostat(cfg["thermostat"])
+        except (TypeError, ValueError) as exc:
+            errors.append(f"thermostat: {exc}")
     elif "thermostat" in raw:
         errors.append(f"thermostat: {owner} takes no thermostat")
     cfg["output"] = _resolve(sections["output"], {k: _OUTPUT_FIELDS[k] for k in spec.output},
@@ -599,6 +604,11 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     cfg["diagnostics"] = list(spec.diagnostics if diagnostics is None else diagnostics)
     errors += [f"diagnostics: {d!r} unknown for model {model_id!r}; available: {spec.diagnostics}"
                for d in cfg["diagnostics"] if d not in spec.diagnostics]
+    if model_id == "electrolyte" and not set(_FRAME_DIAGNOSTICS) & set(cfg["diagnostics"]):
+        del cfg["run"]["record_every"]
+        if "record_every" in sections["run"]:
+            errors.append(f"run.record_every: not used by {owner} without a diagnostic that "
+                          f"reads recorded frames ({' or '.join(_FRAME_DIAGNOSTICS)})")
 
     model = cfg["model"]
     N = model["N"]
@@ -629,7 +639,10 @@ def validate(path, seed: Optional[int] = None, replicas: Optional[int] = None) -
     """
     path = Path(path)
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ConfigError([f"yaml: {exc}"]) from exc
     if seed is not None and isinstance(raw, dict):
         raw["seed"] = seed
     if replicas is not None and isinstance(raw, dict) and isinstance(raw.get("run") or {}, dict):
@@ -660,9 +673,11 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
     step = spec.steppers[cfg["method"]]
     schedule = _schedule(run)
     every, warmup = run.get("record_every", 1), run.get("warmup") or 0
+    # validation drops record_every from a model that honours it when nothing reads the rows
+    observe = None if "record_every" in spec.run and "record_every" not in run else spec.observe
     sim = spec.build(cfg, streams)
     if spec.observe_start:
-        sim.rows.append(spec.observe(sim, 0))
+        sim.rows.append(observe(sim, 0))
     for k in range(1, _n_steps(run) + 1):
         dt = schedule(k)
         try:
@@ -671,8 +686,8 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
             raise IntegrationError(f"{exc} at step {k}") from exc
         for hook in sim.hooks:
             hook(sim, dt)
-        if spec.observe is not None and k > warmup and k % every == 0:
-            sim.rows.append(spec.observe(sim, k))
+        if observe is not None and k > warmup and k % every == 0:
+            sim.rows.append(observe(sim, k))
     return spec.finish(sim, cfg, outdir)
 
 

@@ -11,7 +11,9 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 def wrap_positions(positions: np.ndarray, box_length: float) -> np.ndarray:
     """Map coordinates into the primary box [0, L)."""
-    return np.mod(positions, box_length)
+    wrapped = np.mod(positions, box_length)
+    # np.mod rounds a coordinate just below 0 up to L itself
+    return np.where(wrapped < box_length, wrapped, 0.0)
 
 
 def minimum_image(disp: np.ndarray, box_length: Optional[float]) -> np.ndarray:

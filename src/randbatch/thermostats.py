@@ -1,7 +1,8 @@
 """Heat-bath couplings: Andersen collisions, Langevin friction, Nose-Hoover.
 
-The Langevin thermostat is not a separate stepper; it is the friction/noise
-pair (gamma, sigma = sqrt(2 gamma / beta)) carried by a SecondOrderSystem.
+Each couples to the one step ``integrators.kick_drift``: Langevin is its
+friction/noise pair (gamma, sigma = sqrt(2 gamma / beta)), Nose-Hoover's xi
+is its friction, and Andersen collisions follow it.
 """
 
 import math
@@ -10,7 +11,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .integrators import _check_finite
+from .integrators import kick_drift
 from .state import ParticleState
 
 
@@ -87,19 +88,16 @@ def nose_hoover_step(
     forces: np.ndarray,
     masses: Optional[np.ndarray] = None,
 ) -> Tuple[ParticleState, float]:
-    """One explicit Euler step of the real-variable Nose-Hoover ODEs.
+    """One step of the real-variable Nose-Hoover ODEs.
 
     r' = v, v' = F/m - xi v, xi' = (sum m |v|^2 - d N / beta) / Q, with the
-    force array supplied by the caller.
+    force array supplied by the caller.  xi takes an Euler step from the
+    pre-kick kinetic energy; the particles take ``kick_drift`` with friction xi.
     """
     if state.velocities is None:
         raise ValueError("Nose-Hoover thermostat needs velocities")
     v = state.velocities
-    m = np.ones(state.n_particles) if masses is None else np.asarray(masses, dtype=np.float64)
-    kinetic_sum = float(np.sum(m[:, None] * v * v))
-    target = state.dim * state.n_particles / beta
-    new_xi = xi + dt / Q * (kinetic_sum - target)
-    new_v = v + dt * (forces / m[:, None] - xi * v)
-    new_x = state.positions + dt * v
-    _check_finite(new_x, new_v, "Nose-Hoover step")
-    return state.replace(positions=new_x, velocities=new_v, time=state.time + dt), new_xi
+    m = None if masses is None else np.asarray(masses, dtype=np.float64)
+    kinetic_sum = float(np.sum(v * v if m is None else m[:, None] * v * v))
+    new_xi = xi + dt / Q * (kinetic_sum - state.dim * state.n_particles / beta)
+    return kick_drift(state, forces, dt, friction=xi, masses=m), new_xi

@@ -25,9 +25,10 @@ from randbatch.ewald import (
     sum_S,
     rbe_md_step,
 )
-from randbatch.integrators import IntegrationError
+from randbatch.integrators import IntegrationError, kick_drift
 from randbatch.rng import RngStream, SimStreams
 from randbatch.state import ParticleState
+from randbatch.thermostats import Langevin, NoseHoover
 
 
 def _random_electroneutral(N, L, seed, velocities=False):
@@ -335,6 +336,48 @@ def test_md_step_names_the_particle_with_a_non_finite_velocity():
     params = EwaldParams.for_system(8, 6.0, alpha=1.0, tail=1e-10)
     with pytest.raises(IntegrationError, match="particle 5$"):
         rbe_md_step(system, params, None, None, 1e-3, SimStreams(12), exact_fourier=True)
+
+
+def test_md_step_wraps_an_ion_that_crosses_the_box_edge():
+    # ion 2 is uncharged, so it flies free: one lands a few 1e-19 below 0,
+    # where np.mod alone would round it up to L itself, and one crosses x = L
+    dt, L = 1e-3, 6.0
+    charges = np.array([1.0, -1.0, 0.0, 0.0, 1.0, -1.0])
+    gen = RngStream(35).generator()
+    positions, velocities = gen.uniform(0, L, size=(6, 3)), gen.standard_normal((6, 3))
+    positions[2:4] = [[np.nextafter(dt, 0.0), 1.0, 1.0], [L - 1e-4, 2.0, 2.0]]
+    velocities[2:4] = [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    system = PeriodicChargeSystem(
+        state=ParticleState(positions=positions, velocities=velocities, box_length=L),
+        charges=charges)
+    params = EwaldParams.for_system(6, L, alpha=1.0, tail=1e-10)
+    stepped, _ = rbe_md_step(system, params, None, None, dt, SimStreams(13), exact_fourier=True)
+    x = stepped.state.positions
+    assert np.all((x >= 0.0) & (x < L))
+    assert x[2, 0] == 0.0
+    np.testing.assert_allclose(x[3, 0], dt - 1e-4, rtol=1e-9)
+
+
+@pytest.mark.parametrize("thermostat", [NoseHoover(Q=2.0, beta=1.5, xi=0.3),
+                                        Langevin(gamma=0.7, beta=1.5)])
+def test_md_step_is_the_shared_kick_drift(thermostat):
+    # Nose-Hoover: friction xi, and xi advances from the pre-kick kinetic energy;
+    # Langevin: friction gamma, with its noise drawn from the noise stream
+    system = _random_electroneutral(8, 6.0, seed=36, velocities=True)
+    params = EwaldParams.for_system(8, 6.0, alpha=1.0, tail=1e-10)
+    dt, st = 1e-3, system.state
+    F = real_space_force_all(system, params)[0] + fourier_force_exact_all(system, params)
+    if isinstance(thermostat, NoseHoover):
+        expected = kick_drift(st, F, dt, friction=thermostat.xi)
+        xi = thermostat.xi + dt / thermostat.Q * (np.sum(st.velocities**2) - 3 * 8 / 1.5)
+    else:
+        expected = kick_drift(st, F, dt, thermostat.gamma, thermostat.sigma, SimStreams(14).noise)
+    stepped, _ = rbe_md_step(system, params, thermostat, None, dt, SimStreams(14),
+                             exact_fourier=True)
+    np.testing.assert_allclose(stepped.state.positions, expected.positions, rtol=1e-14)
+    np.testing.assert_allclose(stepped.state.velocities, expected.velocities, rtol=1e-14)
+    if isinstance(thermostat, NoseHoover):
+        assert thermostat.xi == pytest.approx(xi, rel=1e-14)
 
 
 def test_self_energy_value():

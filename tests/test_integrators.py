@@ -1,5 +1,7 @@
 """Time steppers: reference coupling, RBM variants, splitting, schedules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from randbatch.integrators import (
     SecondOrderSystem,
     StepSchedule,
     direct_step,
+    kick_drift,
     rbm_split_step,
     rbm_step_first_order,
     rbm_step_second_order,
@@ -16,7 +19,7 @@ from randbatch.integrators import (
 )
 from randbatch.models import lj_kernel_spec
 from randbatch.rng import SimStreams
-from randbatch.state import KernelSpec, ParticleState
+from randbatch.state import KernelSpec, ParticleState, minimum_image
 
 ZERO = lambda x: np.zeros_like(x)
 
@@ -198,14 +201,71 @@ def test_non_finite_state_raises():
         direct_step(state, system, 0.1, SimStreams(1))
 
 
-def test_fluctuation_dissipation_flag():
-    import math
+def _lj_energy(state):
+    """Kinetic plus Lennard-Jones energy (sigma = epsilon = 1) over minimum-image pairs."""
+    x = state.positions
+    disp = minimum_image(x[:, None] - x[None], state.box_length)
+    r2 = np.einsum("ijk,ijk->ij", disp, disp)[np.triu_indices(len(x), 1)]
+    s6 = r2**-3
+    return 0.5 * np.sum(state.velocities**2) + 4.0 * np.sum(s6 * s6 - s6)
 
-    SecondOrderSystem(kernel=ZERO, alpha_N=1.0, gamma=2.0, sigma=math.sqrt(4.0), beta=1.0,
-                      enforce_fluctuation_dissipation=True)
-    with pytest.raises(ValueError):
-        SecondOrderSystem(kernel=ZERO, alpha_N=1.0, gamma=2.0, sigma=1.9, beta=1.0,
-                          enforce_fluctuation_dissipation=True)
+
+def test_nve_energy_error_stays_bounded_at_full_batch():
+    # LJ fluid, N = 64 at density 0.3 and T = 2; moving x with the old v
+    # (explicit Euler) blows the energy up by many orders of magnitude here
+    N, dt = 64, 2e-3
+    L = (N / 0.3) ** (1 / 3)
+    coords = np.stack(np.meshgrid(*([np.arange(4)] * 3), indexing="ij"), -1).reshape(-1, 3)
+    streams = SimStreams(0)
+    state = ParticleState(positions=(coords + 0.5) * (L / 4), box_length=L,
+                          velocities=math.sqrt(2.0) * streams.init.standard_normal((N, 3)))
+    system = SecondOrderSystem(kernel=lj_kernel_spec(), alpha_N=1.0)
+    e0 = _lj_energy(state)
+    worst = 0.0
+    for k in range(2000):
+        state = rbm_split_step(state, system, N, dt, streams)
+        if k % 10 == 9:
+            worst = max(worst, abs(_lj_energy(state) - e0) / abs(e0))
+    assert worst < 0.05
+
+
+def test_langevin_velocity_variance_on_stiff_oscillators():
+    # independent oscillators with omega dt = 0.1: <v^2> beta -> 1 up to an
+    # O(dt) splitting bias; explicit Euler heats them about twentyfold
+    N, k_spring, dt = 4000, 100.0, 0.01
+    streams = SimStreams(0)
+    system = SecondOrderSystem(kernel=ZERO, alpha_N=1.0, drift=lambda x: -k_spring * x,
+                               gamma=1.0, sigma=math.sqrt(2.0))  # beta = 1
+    state = ParticleState(positions=streams.init.standard_normal((N, 1)) / 10,
+                          velocities=streams.init.standard_normal((N, 1)))
+    v2 = []
+    for k in range(3000):
+        state = rbm_step_second_order(state, system, 2, dt, streams)
+        if k >= 500:
+            v2.append(np.mean(state.velocities**2))
+    assert abs(np.mean(v2) - 1.0) < 0.03
+
+
+def test_kick_drift_moves_positions_with_the_new_velocity():
+    state = _state2(N=5, d=2, seed=15, box=3.0)
+    force = SimStreams(16).init.standard_normal((5, 2))
+    masses = np.array([1.0, 2.0, 0.5, 4.0, 1.5])
+    out = kick_drift(state, force, 0.1, friction=0.3, masses=masses)
+    v = state.velocities + 0.1 * (force / masses[:, None] - 0.3 * state.velocities)
+    np.testing.assert_array_equal(out.velocities, v)
+    np.testing.assert_array_equal(out.positions, np.mod(state.positions + 0.1 * v, 3.0))
+    assert out.time == pytest.approx(0.1)
+
+
+def test_rbmr_second_order_uses_the_masses_of_the_batch():
+    # with one inner batch of all N, rbm-r is the direct step with the same masses
+    N = 6
+    system = SecondOrderSystem(kernel=np.sin, alpha_N=1 / (N - 1), gamma=0.2, sigma=0.3,
+                               masses=np.linspace(0.5, 3.0, N))
+    a = rbmr_step(_state2(N, seed=17), system, N, 0.05, SimStreams(18))
+    b = direct_step(_state2(N, seed=17), system, 0.05, SimStreams(18))
+    np.testing.assert_allclose(a.positions, b.positions, rtol=1e-14)
+    np.testing.assert_allclose(a.velocities, b.velocities, rtol=1e-14)
 
 
 def test_multiplicative_noise_uses_state_scale():

@@ -147,6 +147,14 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     ({**_tiny("electrolyte"), "output": {"trajectory_every": -1}},
      "output.trajectory_every: must be an integer >= 0"),
     ({**_tiny("toy"), "run": [1, 2]}, "run: expected a mapping"),
+    ({**_tiny("lj-fluid"), "thermostat": {"kind": "andersen", "nu": -1}},
+     "thermostat: need nu >= 0 and temperature > 0"),
+    ({**_tiny("lj-fluid"), "thermostat": {"kind": "langevin", "gamma": 0.0}},
+     "thermostat: need gamma > 0 and beta > 0"),
+    ({**_tiny("electrolyte"), "thermostat": {"kind": "nose-hoover", "Q": "big"}},
+     "thermostat: '<=' not supported"),
+    ({**_tiny("electrolyte", record_every=2), "diagnostics": ["momentum"]},
+     "run.record_every: not used by model 'electrolyte' without a diagnostic"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -165,6 +173,11 @@ def test_hidden_defaults_are_echoed():
     assert "thermostat" not in wealth
 
 
+def test_electrolyte_records_no_frames_when_no_diagnostic_reads_them():
+    cfg = validate_dict({**_tiny("electrolyte"), "diagnostics": ["momentum"]})
+    assert "record_every" not in cfg["run"]
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
@@ -177,6 +190,18 @@ def test_cli_overrides_are_validated(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-config"
     assert any("run.replicas" in d for d in err["details"])
+
+
+@pytest.mark.parametrize("text", [
+    yaml.safe_dump({**_tiny("lj-fluid"), "thermostat": {"kind": "andersen", "nu": -1}}),
+    "model: {id: wealth\nrun: [\n",
+], ids=["thermostat-range", "yaml-syntax"])
+def test_cli_reports_bad_thermostat_values_and_yaml_syntax_as_invalid_config(text, tmp_path,
+                                                                             capsys):
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(text)
+    assert main(["validate", str(cfg_file)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
 
 def test_diverging_run_names_step_and_particle(tmp_path, capsys):

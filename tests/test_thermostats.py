@@ -59,8 +59,7 @@ def test_langevin_fluctuation_dissipation_positional_variance():
     beta, gamma = 2.0, 1.0
     system = SecondOrderSystem(
         kernel=lambda x: np.zeros_like(x), alpha_N=1.0, drift=lambda x: -x,
-        gamma=gamma, sigma=math.sqrt(2 * gamma / beta), beta=beta,
-        enforce_fluctuation_dissipation=True,
+        gamma=gamma, sigma=Langevin(gamma, beta).sigma,
     )
     streams = SimStreams(5)
     M, dt = 64, 0.01
