@@ -1,13 +1,13 @@
 """Optional numba dispatch for the scalar-loop kernels, and the BLAS thread cap.
 
-The inner loops that are not vectorised (the Markov chains) are written as
-plain Python functions over numpy arrays and decorated with :func:`njit`.
-When numba is importable (and not disabled), the decorator compiles the
-function; the original interpreted version stays reachable through
-``fn.py_func``.  Setting the environment variable
-``RANDBATCH_DISABLE_NUMBA=1`` before import selects the interpreted path,
-which runs the identical source.  Numba is the optional ``jit`` extra; without
-it every kernel runs interpreted.
+The one inner loop that is not vectorised, the RBMC log-gas chain
+(``samplers._log_gas_chunk`` and its helpers), is written as plain Python
+functions over numpy arrays decorated with :func:`njit`.  When numba is
+importable (and not disabled), the decorator compiles them; the original
+interpreted versions stay reachable through ``fn.py_func``.  Setting the
+environment variable ``RANDBATCH_DISABLE_NUMBA=1`` before import selects the
+interpreted path, which runs the identical source.  Numba is the optional
+``jit`` extra; without it every kernel runs interpreted.
 
 ``set_blas_threads`` caps the thread pool of the OpenBLAS that numpy wheels
 bundle, through its exported ``scipy_openblas_set_num_threads64_``.

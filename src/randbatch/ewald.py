@@ -5,8 +5,8 @@ The erfc part is short-ranged and summed in real space over the neighbour
 pairs within r_c (``forces.neighbor_pairs``); the smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples
 frequency vectors from the discrete Gaussian ~ exp(-k^2 / 4 alpha).  Frequency
-samples are produced offline by a Metropolis-Hastings chain and consumed from
-a bank in order.
+samples are exact i.i.d. draws from that target, made in blocks ahead of use
+and consumed from a bank in order.
 """
 
 import math
@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .backend import njit
 from .forces import neighbor_pairs, pair_force_sum
 from .integrators import kick_drift
 from .rng import SimStreams
@@ -94,20 +93,45 @@ class EwaldParams:
         return cls(alpha=alpha, r_c=r_c, k_c=TWO_PI * m_max / L, p=p)
 
 
-def sum_S(alpha: float, L: float) -> float:
-    """S = H^3 - 1 with H = sum_m exp(-pi^2 m^2 / (alpha L^2))."""
+def _weight_table(alpha: float, L: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Integers |m| <= m_max and their weights w(m) = exp(-pi^2 m^2 / (alpha L^2)).
+
+    exp(-k^2 / 4 alpha) on Z^3 is the product w(m_x) w(m_y) w(m_z).
+    """
     if alpha <= 0 or L <= 0:
         raise ValueError("alpha and L must be positive")
     c = math.pi**2 / (alpha * L**2)
-    H = 1.0
-    m = 1
-    while True:
-        term = 2.0 * math.exp(-c * m * m)
-        H += term
-        if term < 1e-18 * H:
-            break
-        m += 1
-    return H**3 - 1.0
+    m_max = math.ceil(10.0 / math.sqrt(c))  # c m_max^2 >= 100: each dropped w is below 4e-44
+    m = np.arange(-m_max, m_max + 1)
+    return m, np.exp(-c * m * m)
+
+
+def sum_S(alpha: float, L: float) -> float:
+    """S = H^3 - 1 with H = sum_m w(m), the normaliser of the frequency target."""
+    m, w = _weight_table(alpha, L)
+    h = 2.0 * w[m > 0].sum()  # H - 1; (1 + h)^3 - 1 expanded, free of cancellation
+    return float(h * (3.0 + h * (3.0 + h)))
+
+
+def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
+
+    Each component is drawn by inverse CDF from the 1-d table; all-zero rows
+    are dropped and redrawn.
+    """
+    m, w = _weight_table(alpha, L)
+    cdf = np.cumsum(w)
+    keep = 1.0 - cdf[-1] ** -3.0  # P(m != 0), as w(0) = 1
+    if keep < 1e-4:
+        raise ValueError(f"alpha L^2 = {alpha * L**2:g} leaves P(m != 0) = {keep:.1e}: "
+                         "too little frequency mass to sample")
+    blocks, need = [], count
+    while need > 0:
+        u = rng.random((min(int(need / keep) + 16, 1 << 18), 3)) * cdf[-1]
+        block = m[np.searchsorted(cdf[:-1], u, side="right")]
+        blocks.append(block[np.any(block != 0, axis=1)][:need])
+        need -= len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 _KVEC_CACHE: dict = {}
@@ -137,11 +161,6 @@ class KSampleBank:
     samples: np.ndarray
     cursor: int = 0
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
-    refill_size: int = 0
-
-    def __post_init__(self):
-        if self.refill_size == 0:
-            self.refill_size = max(len(self.samples), 1024)
 
     @property
     def remaining(self) -> int:
@@ -156,79 +175,24 @@ class KSampleBank:
         return out
 
     def refill(self):
+        """Append max(len(samples), 1024) fresh draws."""
         if self._rng is None:
             raise RuntimeError("bank exhausted and no generator attached for refills")
-        more = _mh_sample_m(self.alpha, self.L, self.refill_size, self._rng, burn_in=0,
-                            start=self._last_m())
+        more = _sample_m(self.alpha, self.L, max(len(self.samples), 1024), self._rng)
         self.samples = np.concatenate([self.samples, TWO_PI * more / self.L])
-
-    def _last_m(self) -> np.ndarray:
-        return np.rint(self.samples[-1] * self.L / TWO_PI).astype(np.int64)
-
-
-@njit(inline="always")
-def _log_q1(v, sigma):
-    """log of the rounded-Gaussian proposal mass for one integer component."""
-    inv = 1.0 / (sigma * math.sqrt(2.0))
-    hi = 0.5 * (1.0 + math.erf((v + 0.5) * inv))
-    lo = 0.5 * (1.0 + math.erf((v - 0.5) * inv))
-    return math.log(max(hi - lo, 1e-300))
-
-
-@njit
-def _mh_chain_kernel(proposals, uniforms, sigma, c, start, out):
-    """Independence MH on integer vectors with target exp(-c |m|^2), m != 0."""
-    mx, my, mz = start[0], start[1], start[2]
-    log_q = _log_q1(mx, sigma) + _log_q1(my, sigma) + _log_q1(mz, sigma)
-    log_pi = -c * (mx * mx + my * my + mz * mz)
-    n = proposals.shape[0]
-    for t in range(n):
-        px = int(math.floor(proposals[t, 0] + 0.5))
-        py = int(math.floor(proposals[t, 1] + 0.5))
-        pz = int(math.floor(proposals[t, 2] + 0.5))
-        if not (px == 0 and py == 0 and pz == 0):
-            cand_pi = -c * (px * px + py * py + pz * pz)
-            cand_q = _log_q1(px, sigma) + _log_q1(py, sigma) + _log_q1(pz, sigma)
-            if math.log(max(uniforms[t], 1e-300)) <= (cand_pi - log_pi) + (log_q - cand_q):
-                mx, my, mz = px, py, pz
-                log_pi = cand_pi
-                log_q = cand_q
-        out[t, 0] = mx
-        out[t, 1] = my
-        out[t, 2] = mz
-
-
-def _mh_sample_m(
-    alpha: float,
-    L: float,
-    count: int,
-    rng: np.random.Generator,
-    burn_in: int = 1000,
-    start: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    sigma = math.sqrt(alpha * L**2 / (2.0 * math.pi**2))
-    c = math.pi**2 / (alpha * L**2)
-    total = count + burn_in
-    proposals = sigma * rng.standard_normal((total, 3))
-    uniforms = rng.random(total)
-    out = np.empty((total, 3), dtype=np.int64)
-    if start is None:
-        start = np.array([1, 0, 0], dtype=np.int64)
-    _mh_chain_kernel(proposals, uniforms, sigma, c, start.astype(np.int64), out)
-    return out[burn_in:]
 
 
 def mh_sample_kvectors(alpha: float, L: float, count: int, rng) -> KSampleBank:
-    """Offline Metropolis-Hastings sampling of the discrete Gaussian frequencies.
+    """A bank of ``count`` i.i.d. frequencies k = 2 pi m / L drawn by ``_sample_m``.
 
-    The proposal is the component-wise continuous Gaussian N(0, alpha L^2 /
-    (2 pi^2)) rounded to the nearest integer vector; zero-vector proposals are
-    rejected outright.
+    ``rng`` is a generator or an ``RngStream``; the bank keeps the generator
+    for refills.  The name predates the exact sampler; it stays because the
+    benchmark's layer trace reports this function as ``ewald.mh_sample_kvectors``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     gen = rng.generator() if hasattr(rng, "generator") else rng
-    m = _mh_sample_m(alpha, L, count, gen)
+    m = _sample_m(alpha, L, count, gen)
     return KSampleBank(alpha=alpha, L=L, samples=TWO_PI * m / L, _rng=gen)
 
 
@@ -290,10 +254,6 @@ def fourier_force_exact_all(system: PeriodicChargeSystem, params: EwaldParams) -
     return _fourier_forces(system, kvecs, coef)[0]
 
 
-def fourier_force_exact(i: int, system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
-    return fourier_force_exact_all(system, params)[i]
-
-
 def rbe_force_all(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) -> np.ndarray:
     """Random-batch Fourier forces: (S/p) importance-sampled over the batch.
 
@@ -327,10 +287,6 @@ def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> T
     return forces, float(np.sum(screened))
 
 
-def real_space_force(i: int, system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
-    return real_space_force_all(system, params)[0][i]
-
-
 def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     """k-space sum (2 pi / V) sum_k |rho(k)|^2 exp(-k^2/4 alpha)/k^2."""
     kvecs = kvectors_in_ball(system.L, params.k_c)
@@ -362,11 +318,8 @@ def ewald_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     return float(sum(ewald_energy_parts(system, params).values()))
 
 
-def kinetic_energy(state: ParticleState, masses: Optional[np.ndarray] = None) -> float:
-    v = state.velocities
-    if masses is None:
-        return float(0.5 * np.sum(v * v))
-    return float(0.5 * np.sum(np.asarray(masses)[:, None] * v * v))
+def kinetic_energy(state: ParticleState) -> float:
+    return float(0.5 * np.sum(state.velocities * state.velocities))
 
 
 def rbe_md_step(

@@ -279,7 +279,3 @@ def short_range_force_all(state: ParticleState, K1: Kernel, r0: float, alpha_N: 
     # K1 need not be odd, so each pair is evaluated in both orientations
     f_ij, f_ji = np.asarray(K1(disp)), np.asarray(K1(-disp))
     return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij, f_ji)
-
-
-def short_range_force(i: int, state: ParticleState, K1: Kernel, r0: float, alpha_N: float) -> np.ndarray:
-    return short_range_force_all(state, K1, r0, alpha_N)[i]

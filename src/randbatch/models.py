@@ -207,6 +207,7 @@ class ConsensusModel:
     dispersion and interaction proportionally.  The decomposition is
     nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N), valid when sum nu = 0; it
     is computed per batch from the nu rows (``dispersion``), never stored.
+    ``adjacency=None`` means a_ij = 1 for every pair, with no N x N array.
     """
 
     N: int
@@ -225,13 +226,12 @@ class ConsensusModel:
         self.dim = self.nu.shape[1]
         if abs(self.nu.sum(axis=0)).max() > 1e-10:
             raise ValueError("intrinsic velocities must sum to zero")
-        if self.adjacency is None:
-            self.adjacency = np.ones((self.N, self.N)) - np.eye(self.N)
-        self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
-        if not np.allclose(self.adjacency, self.adjacency.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(self.adjacency < 0):
-            raise ValueError("adjacency must be nonnegative")
+        if self.adjacency is not None:
+            self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
+            if not np.allclose(self.adjacency, self.adjacency.T):
+                raise ValueError("adjacency must be symmetric")
+            if np.any(self.adjacency < 0):
+                raise ValueError("adjacency must be nonnegative")
 
     def dispersion(self, nu_i: np.ndarray, nu_j: np.ndarray) -> np.ndarray:
         """nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N) for the given rows."""
@@ -269,11 +269,13 @@ def consensus_rhs(
     """
     q = np.atleast_2d(q)
 
-    def term(qi, qj, nu_i, nu_j, i, j):
-        interaction = model.adjacency[i, j][..., None] * model.gamma(qj - qi)
+    def term(qi, qj, nu_i, nu_j, *ij):  # ij: index rows, given for an explicit adjacency
+        interaction = model.gamma(qj - qi)
+        if ij:
+            interaction = model.adjacency[ij][..., None] * interaction
         return model.dispersion(nu_i, nu_j) + interaction
 
-    fields = (q, model.nu, np.arange(model.N))
+    fields = (q, model.nu) if model.adjacency is None else (q, model.nu, np.arange(model.N))
     return batch_pair_sum(division, term, fields, lambda size: model.kappa / (size - 1))
 
 

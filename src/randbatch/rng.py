@@ -1,7 +1,8 @@
 """Reproducible random-number streams.
 
 Batch divisions, Brownian increments (``noise``, Langevin thermostat noise
-included), Andersen collisions (``thermostat``) and Monte Carlo proposals each
+included), Andersen collisions (``thermostat``) and Monte Carlo proposals
+(``proposal``, which also feeds the Random Batch Ewald frequency draws) each
 get their own substream so that they are mutually independent and results do
 not depend on evaluation order.  A stream is addressed by
 ``(seed, stream_id)``; identical addresses produce bit-identical sequences.

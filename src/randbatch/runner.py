@@ -609,6 +609,9 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         if "record_every" in sections["run"]:
             errors.append(f"run.record_every: not used by {owner} without a diagnostic that "
                           f"reads recorded frames ({' or '.join(_FRAME_DIAGNOSTICS)})")
+    if model_id == "lj-fluid" and "temperature" not in cfg["diagnostics"]:
+        errors.append(f"diagnostics: {owner} writes no results without 'temperature', "
+                      "so no run field would change its output")
 
     model = cfg["model"]
     N = model["N"]

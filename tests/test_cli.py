@@ -1,19 +1,27 @@
 """Config validation, the run command, and the determinism contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from randbatch.backend import _openblas
 from randbatch.cli import main
-from randbatch.runner import ConfigError, run, validate_dict
+from randbatch.runner import ConfigError, run, validate, validate_dict
+
+EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
 
 
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
     return path
+
+
+@pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda path: path.name)
+def test_example_configs_validate(path):
+    assert validate(path)["name"]
 
 
 def test_minimal_dyson_config_gets_defaults():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from randbatch.ewald import (
     EwaldParams,
@@ -12,12 +13,10 @@ from randbatch.ewald import (
     discrete_gaussian_moments,
     ewald_energy,
     fourier_energy,
-    fourier_force_exact,
     fourier_force_exact_all,
     kvectors_in_ball,
     mh_sample_kvectors,
     rbe_force_all,
-    real_space_force,
     real_space_force_all,
     self_energy,
     structure_factor,
@@ -88,6 +87,47 @@ def test_bank_refills_instead_of_reusing():
     assert bank.cursor == 100
     assert out.shape == (50, 3)
     assert not np.any(np.all(out == 0.0, axis=1))
+
+
+def _enumerated_target(alpha, L, m_max=40):
+    """Every m != 0 with |m_c| <= m_max and its probability exp(-k^2 / 4 alpha) / S."""
+    g = np.arange(-m_max, m_max + 1)
+    mm = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+    mm = mm[np.any(mm != 0, axis=1)]
+    w = np.exp(-np.pi**2 * (mm**2).sum(1) / (alpha * L**2))
+    return mm, w / w.sum()
+
+
+def test_sampled_shells_match_the_enumerated_pmf():
+    alpha, L, n = 1.0, 10.0, 200_000
+    mm, prob = _enumerated_target(alpha, L)
+    shell_prob = np.bincount((mm**2).sum(1), prob)
+    # pool the shells |m|^2 into bins of about 1/30 probability each, by the
+    # mass below the shell, so an empty shell joins the next populated one
+    label = np.minimum((np.cumsum(shell_prob) - shell_prob) * 30, 29).astype(int)
+    label = np.unique(label, return_inverse=True)[1]
+    expected = n * np.bincount(label, shell_prob)
+    m = np.rint(mh_sample_kvectors(alpha, L, n, RngStream(19)).samples * L / (2 * np.pi))
+    observed = np.bincount(label[(m**2).sum(1).astype(int)], minlength=len(expected))
+    chi2 = np.sum((observed - expected) ** 2 / expected)
+    assert scipy.stats.chi2.sf(chi2, len(expected) - 1) > 1e-3
+
+
+def test_consecutive_draws_repeat_as_often_as_independent_ones():
+    # i.i.d. draws repeat with probability sum_m P(m)^2; a Markov chain that
+    # rejects a proposal repeats its last state and so repeats more often
+    alpha, L, n = 0.3 ** (2 / 3), 10.0, 100_000
+    _, prob = _enumerated_target(alpha, L)
+    p_repeat = np.sum(prob**2)
+    k = mh_sample_kvectors(alpha, L, n, RngStream(23)).samples
+    repeats = np.all(k[1:] == k[:-1], axis=1).sum()
+    se = math.sqrt((n - 1) * p_repeat * (1 - p_repeat))
+    assert abs(repeats - (n - 1) * p_repeat) < 4 * se
+
+
+def test_sampler_rejects_a_target_with_almost_no_nonzero_mass():
+    with pytest.raises(ValueError, match="frequency mass"):
+        mh_sample_kvectors(0.01, 8.0, 10, RngStream(24))
 
 
 def test_structure_factor_point_charges():
@@ -162,7 +202,7 @@ def test_fourier_force_pair_attraction():
     st = ParticleState(positions=np.array([[1.0, 3.0, 3.0], [3.0, 3.0, 3.0]]), box_length=6.0)
     system = PeriodicChargeSystem(state=st, charges=np.array([1.0, -1.0]))
     params = EwaldParams.for_system(2, 6.0, alpha=1.0)
-    F = fourier_force_exact(0, system, params)
+    F = fourier_force_exact_all(system, params)[0]
     assert F[0] > 0  # toward the negative charge at larger x
     np.testing.assert_allclose(F[1:], 0.0, atol=1e-12)
 
@@ -216,7 +256,7 @@ def test_rbe_monte_carlo_mean_approaches_exact():
     mean = batch_means.mean(axis=0)
     se = batch_means.std(axis=0) / math.sqrt(n_batches)
     params = EwaldParams.for_system(8, L, alpha=alpha, tail=1e-12)
-    exact = fourier_force_exact(i, system, params)
+    exact = fourier_force_exact_all(system, params)[i]
     assert np.all(np.abs(mean - exact) < 3 * se + 1e-12)
 
 
@@ -258,8 +298,6 @@ def test_real_space_newton_and_single_particle_path():
     params = EwaldParams(alpha=1.0, r_c=2.5, k_c=1.0, p=1)
     F_all, _ = real_space_force_all(system, params)
     np.testing.assert_allclose(F_all.sum(axis=0), 0.0, atol=1e-13)
-    for i in range(0, 20, 5):
-        np.testing.assert_allclose(real_space_force(i, system, params), F_all[i], atol=1e-13)
 
 
 def test_real_space_rejects_wide_cutoff():

@@ -16,7 +16,6 @@ from randbatch.forces import (
     full_force_all,
     interaction_spread,
     neighbor_pairs,
-    short_range_force,
     short_range_force_all,
     suggested_clamp_eps,
 )
@@ -195,7 +194,7 @@ def _truncated_brute_force(state, K1, r0, alpha_N):
 
 def test_short_range_force_empty_when_all_far():
     state = ParticleState(positions=np.array([[0.0, 0, 0], [4.0, 4, 4]]), box_length=10.0)
-    out = short_range_force(0, state, lambda x: x, r0=1.0, alpha_N=1.0)
+    out = short_range_force_all(state, lambda x: x, r0=1.0, alpha_N=1.0)[0]
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -263,7 +262,7 @@ def test_neighbor_pairs_rejects_non_finite_positions():
 def test_short_range_force_minimum_image_across_boundary():
     L = 10.0
     state = ParticleState(positions=np.array([[0.1, 0, 0], [L - 0.1, 0, 0]]), box_length=L)
-    out = short_range_force(0, state, lambda x: x, r0=0.5, alpha_N=1.0)
+    out = short_range_force_all(state, lambda x: x, r0=0.5, alpha_N=1.0)[0]
     # interaction seen at displacement +0.2 through the boundary
     np.testing.assert_allclose(out, [0.2, 0.0, 0.0], atol=1e-13)
 
@@ -271,7 +270,7 @@ def test_short_range_force_minimum_image_across_boundary():
 def test_short_range_force_rejects_wide_cutoff():
     state = ParticleState(positions=np.zeros((2, 3)), box_length=4.0)
     with pytest.raises(ValueError):
-        short_range_force(0, state, lambda x: x, r0=2.0, alpha_N=1.0)
+        short_range_force_all(state, lambda x: x, r0=2.0, alpha_N=1.0)
 
 
 def test_clamped_kernel_counts_and_bounds():

@@ -167,7 +167,7 @@ def test_consensus_full_form_reproduces_original_equation():
         acc = np.zeros(2)
         for j in range(6):
             if j != i:
-                acc += model.adjacency[i, j] * np.tanh(q[j] - q[i])
+                acc += 1.0 * np.tanh(q[j] - q[i])  # the default a_ij
         direct[i] = nu[i] + model.kappa / 5 * acc
     np.testing.assert_allclose(rhs, direct, atol=1e-12)
 
@@ -230,6 +230,29 @@ def test_consensus_diameter_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16e6  # the dense N x N x d difference array is 384 MB
+
+
+def test_consensus_default_adjacency_memory_is_linear():
+    # the default a_ij = 1 is implicit: a dense N x N adjacency would be 128 MB
+    tracemalloc.start()
+    try:
+        model = ConsensusModel(N=4000)
+        gen = RngStream(21).generator()
+        q = model.initial(gen)
+        q + 0.05 * consensus_rhs(q, model, random_division(4000, 2, gen))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.adjacency is None
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("adjacency", [np.array([[0.0, 1.0], [2.0, 0.0]]),
+                                       np.array([[0.0, -1.0], [-1.0, 0.0]])],
+                         ids=["asymmetric", "negative"])
+def test_consensus_checks_an_explicit_adjacency(adjacency):
+    with pytest.raises(ValueError, match="adjacency"):
+        ConsensusModel(N=2, adjacency=adjacency)
 
 
 def test_consensus_requires_zero_sum_nu():

@@ -155,6 +155,8 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
      "thermostat: '<=' not supported"),
     ({**_tiny("electrolyte", record_every=2), "diagnostics": ["momentum"]},
      "run.record_every: not used by model 'electrolyte' without a diagnostic"),
+    ({**_tiny("lj-fluid"), "diagnostics": []},
+     "diagnostics: model 'lj-fluid' writes no results without 'temperature'"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -195,7 +197,8 @@ def test_cli_overrides_are_validated(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     yaml.safe_dump({**_tiny("lj-fluid"), "thermostat": {"kind": "andersen", "nu": -1}}),
     "model: {id: wealth\nrun: [\n",
-], ids=["thermostat-range", "yaml-syntax"])
+    yaml.safe_dump({**_tiny("lj-fluid"), "diagnostics": []}),
+], ids=["thermostat-range", "yaml-syntax", "lj-fluid-without-temperature"])
 def test_cli_reports_bad_thermostat_values_and_yaml_syntax_as_invalid_config(text, tmp_path,
                                                                              capsys):
     cfg_file = tmp_path / "bad.yaml"
