@@ -2,11 +2,16 @@
 
 The Coulomb kernel splits as 1/r = erf(sqrt(alpha) r)/r + erfc(sqrt(alpha) r)/r.
 The erfc part is short-ranged and summed in real space over the neighbour
-pairs within r_c (``forces.neighbor_pairs``); the smooth part is
+pairs within r_c.  Those come from a ``forces.PairList`` that the system
+carries from step to step: it lists the pairs within r_c + skin (skin =
+0.1 r_c) and repeats the cell search only once some ion has moved skin/2, so
+most steps filter the listed pairs instead of searching.  The smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples
 frequency vectors from the discrete Gaussian ~ exp(-k^2 / 4 alpha).  Frequency
 samples are exact i.i.d. draws from that target, made in blocks ahead of use
-and consumed from a bank in order.
+and consumed from a bank in order.  The exact k-space sums, kept as
+references, run over half the ball: rho(-k) is the conjugate of rho(k) for
+real charges, so k and -k contribute alike.
 """
 
 import math
@@ -16,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import erfc as _erfc
 
-from .forces import neighbor_pairs, pair_force_sum
+from .forces import PairList, pair_force_sum
 from .integrators import kick_drift
 from .rng import SimStreams
 from .state import ParticleState
@@ -27,10 +32,15 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class PeriodicChargeSystem:
-    """Point charges in a periodic cubic box; must be electroneutral."""
+    """Point charges in a periodic cubic box; must be electroneutral.
+
+    ``pairs`` is the real-space pair list that ``real_space_force_all``
+    creates and ``replace_state`` hands on to the next step's system.
+    """
 
     state: ParticleState
     charges: np.ndarray
+    pairs: Optional[PairList] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state.box_length is None:
@@ -54,7 +64,7 @@ class PeriodicChargeSystem:
         return self.state.n_particles
 
     def replace_state(self, state: ParticleState) -> "PeriodicChargeSystem":
-        return PeriodicChargeSystem(state=state, charges=self.charges)
+        return PeriodicChargeSystem(state=state, charges=self.charges, pairs=self.pairs)
 
 
 @dataclass(frozen=True)
@@ -152,6 +162,16 @@ def kvectors_in_ball(L: float, k_c: float) -> np.ndarray:
     return _KVEC_CACHE[key]
 
 
+def _half_ball(L: float, k_c: float) -> np.ndarray:
+    """The k of ``kvectors_in_ball`` whose first nonzero component is positive."""
+    key = ("half", float(L), float(k_c))
+    if key not in _KVEC_CACHE:
+        k = kvectors_in_ball(L, k_c)
+        lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+        _KVEC_CACHE[key] = np.ascontiguousarray(k[lead > 0])
+    return _KVEC_CACHE[key]
+
+
 @dataclass
 class KSampleBank:
     """Pre-sampled frequency vectors, consumed in order; refills on demand."""
@@ -196,15 +216,20 @@ def mh_sample_kvectors(alpha: float, L: float, count: int, rng) -> KSampleBank:
     return KSampleBank(alpha=alpha, L=L, samples=TWO_PI * m / L, _rng=gen)
 
 
-def discrete_gaussian_moments(alpha: float, L: float, m_max: int = 60) -> Tuple[float, float]:
-    """Exact per-component (mean, variance) of the zero-excluded target."""
+def discrete_gaussian_moments(alpha: float, L: float) -> Tuple[float, float]:
+    """Exact per-component (mean, variance) of m under the zero-excluded target.
+
+    With h = sum_{m != 0} w(m) and V1 = sum_m m^2 w(m), the variance is
+    V1 (1 + h)^2 / S and S = (1 + h)^3 - 1 = h (3 + h (3 + h)), which keeps
+    full precision when h is tiny.  The sums run to the m where c m^2 >= 200
+    (m^2 w(m) is then below 1e-80 of its peak), taken relative to w(1) so
+    that they do not underflow either.
+    """
     c = math.pi**2 / (alpha * L**2)
-    m = np.arange(-m_max, m_max + 1)
-    w = np.exp(-c * m**2)
-    H = w.sum()
-    V1 = (m**2 * w).sum()
-    S = H**3 - 1.0
-    return 0.0, float(V1 * H**2 / S)
+    m2 = np.arange(1, math.ceil(math.sqrt(200.0 / c)) + 2) ** 2
+    u = np.exp(-c * (m2 - 1))  # w(m) / w(1) for m >= 1
+    h = 2.0 * math.exp(-c) * u.sum()
+    return 0.0, float((m2 * u).sum() * (1.0 + h) ** 2 / (u.sum() * (3.0 + h * (3.0 + h))))
 
 
 def structure_factor(system: PeriodicChargeSystem, k: np.ndarray) -> complex:
@@ -248,9 +273,9 @@ def _fourier_forces(system, kvecs, coef) -> Tuple[np.ndarray, np.ndarray]:
 def fourier_force_exact_all(system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
     """Exact Fourier-space Ewald forces with cutoff |k| <= k_c."""
     params.validate_box(system.L)
-    kvecs = kvectors_in_ball(system.L, params.k_c)
+    kvecs = _half_ball(system.L, params.k_c)
     k2 = np.einsum("ij,ij->i", kvecs, kvecs)
-    coef = 4.0 * math.pi / system.volume * np.exp(-k2 / (4.0 * params.alpha)) / k2
+    coef = 8.0 * math.pi / system.volume * np.exp(-k2 / (4.0 * params.alpha)) / k2
     return _fourier_forces(system, kvecs, coef)[0]
 
 
@@ -276,9 +301,15 @@ def _rbe_fourier(system: PeriodicChargeSystem, kbatch, S: float, forces: bool = 
 
 
 def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> Tuple[np.ndarray, float]:
-    """All short-range Coulomb forces plus the real-space energy."""
+    """All short-range Coulomb forces plus the real-space energy.
+
+    The pairs come from ``system.pairs``, which is created here when the
+    system has no list yet or one for another cutoff.
+    """
     params.validate_box(system.L)
-    i, j, disp, r2 = neighbor_pairs(system.state.positions, system.L, params.r_c)
+    if system.pairs is None or system.pairs.cutoff != params.r_c:
+        system.pairs = PairList(params.r_c)
+    i, j, disp, r2 = system.pairs(system.state.positions, system.L)
     r = np.sqrt(r2)
     qq = system.charges[i] * system.charges[j]
     screened = qq * _erfc(math.sqrt(params.alpha) * r) / r
@@ -288,11 +319,11 @@ def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> T
 
 
 def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
-    """k-space sum (2 pi / V) sum_k |rho(k)|^2 exp(-k^2/4 alpha)/k^2."""
-    kvecs = kvectors_in_ball(system.L, params.k_c)
+    """k-space sum (2 pi / V) sum_k |rho(k)|^2 exp(-k^2/4 alpha)/k^2 over |k| <= k_c."""
+    kvecs = _half_ball(system.L, params.k_c)
     k2 = np.einsum("ij,ij->i", kvecs, kvecs)
     rho2 = np.abs(structure_factors(system, kvecs)) ** 2
-    return float(2.0 * math.pi / system.volume * np.sum(rho2 * np.exp(-k2 / (4 * params.alpha)) / k2))
+    return float(4.0 * math.pi / system.volume * np.sum(rho2 * np.exp(-k2 / (4 * params.alpha)) / k2))
 
 
 def self_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:

@@ -9,6 +9,11 @@ right-hand sides and the RBM-SVGD update all run through it.  It takes a
 from the division's own order, without sorting the assignment.  Summation
 within a batch always runs in ascending particle order so that the p = N
 random-batch step reproduces the full-batch step bit for bit.
+
+Short-range sums find their pairs with ``neighbor_pairs``, one cell search
+per call.  ``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev.
+159, 98, 1967): it searches once at cutoff + skin and, until some particle
+has moved skin/2 since, answers each call by filtering the listed pairs.
 """
 
 from typing import Callable, Optional, Tuple
@@ -223,6 +228,21 @@ def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray
     return np.minimum(i, j), np.maximum(i, j)
 
 
+def _pairs_within(
+    pos: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray, cutoff: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs (i, j) closer than ``cutoff``, as ``neighbor_pairs`` returns them."""
+    # axis-major: one-dimensional gathers are several times faster than row gathers
+    disp = np.empty((pos.shape[1], i.size))
+    for axis, x in enumerate(np.ascontiguousarray(pos.T)):
+        disp[axis] = minimum_image(x[i] - x[j], box_length)
+    r2 = np.einsum("ij,ij->j", disp, disp)
+    # indices rather than a boolean mask, which is several times slower to apply
+    # when it keeps a scattered half of the pairs; disp.T[keep] is C-ordered
+    keep = np.flatnonzero(r2 < cutoff * cutoff)
+    return i[keep], j[keep], disp.T[keep], r2[keep]
+
+
 def neighbor_pairs(
     positions: np.ndarray, box_length: float, cutoff: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -243,13 +263,46 @@ def neighbor_pairs(
     # the cap on cells per particle only coarsens the grid of a sparse system
     m = max(min(int(box_length / (cutoff * (1 + 1e-9))), int((8 * N) ** (1.0 / d))), 1)
     i, j = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
-    # axis-major: one-dimensional gathers are several times faster than row gathers
-    disp = np.empty((d, i.size))
-    for axis, x in enumerate(np.ascontiguousarray(pos.T)):
-        disp[axis] = minimum_image(x[i] - x[j], box_length)
-    r2 = np.einsum("ij,ij->j", disp, disp)
-    within = r2 < cutoff * cutoff
-    return i[within], j[within], disp[:, within].T, r2[within]
+    return _pairs_within(pos, box_length, i, j, cutoff)
+
+
+class PairList:
+    """Verlet list: the pairs within ``cutoff`` + skin, reused across calls.
+
+    A call returns what ``neighbor_pairs(positions, box_length, cutoff)``
+    returns, up to the order of the pairs, by filtering the pairs listed at
+    the last build.  That is exact while no particle has moved more than
+    skin/2 (minimum image) since the build; otherwise, or when the box or
+    the particle count changes, the call first rebuilds the list with one
+    ``neighbor_pairs`` search.  ``builds`` counts those searches.
+    """
+
+    def __init__(self, cutoff: float):
+        self.cutoff = cutoff
+        self.skin = 0.1 * cutoff
+        self.builds = 0
+        self._built = None  # (positions, box length, i, j) of the last build
+
+    def __call__(
+        self, positions: np.ndarray, box_length: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        pos = np.asarray(positions, dtype=np.float64)
+        if self._stale(pos, box_length):
+            # a NaN position makes the list stale, and the search raises on it
+            i, j, _, _ = neighbor_pairs(pos, box_length, self.cutoff + self.skin)
+            self._built = (pos.copy(), box_length, i, j)
+            self.builds += 1
+        _, _, i, j = self._built
+        return _pairs_within(pos, box_length, i, j, self.cutoff)
+
+    def _stale(self, pos: np.ndarray, box_length: float) -> bool:
+        if self._built is None:
+            return True
+        x0, L0 = self._built[:2]
+        if L0 != box_length or x0.shape != pos.shape:
+            return True
+        moved = minimum_image(pos - x0, box_length)
+        return not np.max(np.einsum("ij,ij->i", moved, moved)) <= (0.5 * self.skin) ** 2
 
 
 def pair_force_sum(

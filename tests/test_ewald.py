@@ -1,12 +1,16 @@
 """Ewald splitting: exact sums, discrete-Gaussian sampling, RBE estimator."""
 
 import cmath
+import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
+from randbatch import forces, runner
 from randbatch.ewald import (
     EwaldParams,
     PeriodicChargeSystem,
@@ -52,6 +56,30 @@ def test_sum_s_matches_brute_lattice_sum():
     mm = mm[np.any(mm != 0, axis=1)]
     brute = np.exp(-np.pi**2 * (mm**2).sum(1) / 100.0).sum()
     assert abs(sum_S(1.0, 10.0) - brute) < 1e-10
+
+
+def _brute_moments(alpha, L):
+    """Per-component variance of m under the zero-excluded target, by plain sums."""
+    c = math.pi**2 / (alpha * L**2)
+    if alpha * L**2 <= 20:
+        # every m with |m_c| <= 15 on the 3-d lattice; the rest weighs below e^-110
+        g = np.arange(-15, 16)
+        mm = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+        mm = mm[np.any(mm != 0, axis=1)]
+        w = np.exp(-c * (mm**2).sum(1))
+        return math.fsum(mm[:, 0] ** 2 * w) / math.fsum(w)
+    # H > 5 here, so H^3 - 1 cancels nothing; m runs far beyond the Gaussian's reach
+    m = np.arange(-20_000, 20_001)
+    w = np.exp(-c * m * m)
+    H = math.fsum(w)
+    return math.fsum(m * m * w) * H**2 / (H**3 - 1.0)
+
+
+@pytest.mark.parametrize("alpha_L2", [0.2, 2.0, 20.0, 100.0, 4480.0, 40_000.0])
+def test_discrete_gaussian_moments_match_brute_force_sums(alpha_L2):
+    mean, var = discrete_gaussian_moments(alpha_L2 / 100.0, 10.0)
+    assert mean == 0.0
+    assert var == pytest.approx(_brute_moments(alpha_L2 / 100.0, 10.0), rel=1e-12)
 
 
 def test_sum_s_positive():
@@ -163,6 +191,22 @@ def test_structure_factor_conjugate_symmetry():
     assert abs(structure_factor(system, k) - structure_factor(system, -k).conjugate()) < 1e-12
 
 
+def test_exact_fourier_sums_over_half_the_ball_match_the_full_ball():
+    system = _random_electroneutral(40, 7.0, seed=37)
+    params = EwaldParams.for_system(40, 7.0)
+    kvecs = kvectors_in_ball(7.0, params.k_c)
+    k2 = np.einsum("ij,ij->i", kvecs, kvecs)
+    weight = np.exp(-k2 / (4 * params.alpha)) / k2
+    rho = structure_factors(system, kvecs)
+    energy = 2 * np.pi / system.volume * np.sum(np.abs(rho) ** 2 * weight)
+    assert fourier_energy(system, params) == pytest.approx(energy, rel=1e-12)
+    phase = np.exp(1j * system.state.positions @ kvecs.T)
+    im = np.imag(np.conj(phase) * rho)
+    full = -system.charges[:, None] * (4 * np.pi / system.volume * im * weight) @ kvecs
+    np.testing.assert_allclose(fourier_force_exact_all(system, params), full, rtol=1e-12,
+                               atol=1e-12 * np.abs(full).max())
+
+
 def test_fourier_force_zero_charges():
     st = ParticleState(positions=RngStream(1).generator().uniform(0, 5, (6, 3)), box_length=5.0)
     system = PeriodicChargeSystem(state=st, charges=np.zeros(6))
@@ -266,6 +310,104 @@ def test_real_space_far_pair_negligible():
     params = EwaldParams(alpha=4.0, r_c=4.9, k_c=1.0, p=1)
     F, _ = real_space_force_all(system, params)
     assert np.max(np.abs(F)) < 1e-10
+
+
+def _brute_real_space_forces(system, params):
+    """O(N^2) real-space forces over every minimum-image pair within r_c."""
+    pos, L, q = system.state.positions, system.L, system.charges
+    d = pos[:, None, :] - pos[None, :, :]
+    d -= L * np.floor(d / L + 0.5)
+    r2 = np.einsum("ijk,ijk->ij", d, d)
+    np.fill_diagonal(r2, np.inf)
+    within = r2 < params.r_c**2
+    r = np.sqrt(np.where(within, r2, 1.0))
+    mag = (scipy.special.erfc(math.sqrt(params.alpha) * r) / r
+           + 2 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r * r)) / r**2
+    return np.einsum("ij,ijk->ik", np.where(within, q[:, None] * q[None, :] * mag, 0.0), d)
+
+
+def _moved(system, shift):
+    L = system.L
+    return system.replace_state(system.state.replace(
+        positions=np.mod(system.state.positions + shift, L)))
+
+
+def test_pair_list_forces_match_brute_force_with_and_without_a_rebuild():
+    system = _random_electroneutral(64, 6.0, seed=38)
+    params = EwaldParams(alpha=1.0, r_c=2.5, k_c=1.0, p=1)
+    real_space_force_all(system, params)
+    pairs = system.pairs
+    assert pairs.builds == 1 and pairs.skin == pytest.approx(0.25)
+    # every ion moves by just under skin/2: pairs cross r_c, the list stays
+    gen = RngStream(39).generator()
+    shift = gen.standard_normal((64, 3))
+    shift *= 0.999 * pairs.skin / 2 / np.linalg.norm(shift, axis=1)[:, None]
+    moved = _moved(system, shift)
+    within = [set(zip(*forces.neighbor_pairs(s.state.positions, 6.0, 2.5)[:2]))
+              for s in (system, moved)]
+    assert within[0] != within[1]
+    for step in (system, moved):
+        F, _ = real_space_force_all(step, params)
+        expected = _brute_real_space_forces(step, params)
+        np.testing.assert_allclose(F, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert step.pairs is pairs and pairs.builds == 1
+    # one ion past skin/2 from where the list was built costs exactly one more build
+    far = np.zeros((64, 3))
+    far[7, 0] = 0.51 * pairs.skin
+    step = _moved(system, far)
+    F, _ = real_space_force_all(step, params)
+    assert pairs.builds == 2
+    expected = _brute_real_space_forces(step, params)
+    np.testing.assert_allclose(F, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_pair_list_rebuilds_for_another_cutoff():
+    system = _random_electroneutral(64, 6.0, seed=40)
+    real_space_force_all(system, EwaldParams(alpha=1.0, r_c=2.5, k_c=1.0, p=1))
+    first = system.pairs
+    params = EwaldParams(alpha=1.0, r_c=1.8, k_c=1.0, p=1)
+    F, _ = real_space_force_all(system, params)
+    assert system.pairs is not first and system.pairs.cutoff == 1.8
+    assert system.pairs.builds == 1
+    expected = _brute_real_space_forces(system, params)
+    np.testing.assert_allclose(F, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_pair_list_is_handed_on_but_not_compared():
+    system = _random_electroneutral(8, 6.0, seed=41)
+    real_space_force_all(system, EwaldParams(alpha=1.0, r_c=2.5, k_c=1.0, p=1))
+    other = system.replace_state(system.state)
+    assert other.pairs is system.pairs
+    assert other == PeriodicChargeSystem(state=system.state, charges=system.charges)
+    assert "pairs" not in repr(other)
+
+
+def test_pair_list_raises_on_a_nan_position_after_replace_state():
+    system = _random_electroneutral(16, 6.0, seed=42)
+    params = EwaldParams(alpha=1.0, r_c=2.5, k_c=1.0, p=1)
+    real_space_force_all(system, params)
+    # ParticleState refuses NaN, so corrupt a copy after construction
+    bad = copy.copy(system.state)
+    bad.positions = bad.positions.copy()
+    bad.positions[3, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        real_space_force_all(system.replace_state(bad), params)
+    assert system.pairs.builds == 1
+
+
+def test_pair_list_search_runs_only_on_builds_over_the_benchmark_episode(monkeypatch):
+    calls = []
+    search = forces.neighbor_pairs
+    monkeypatch.setattr(forces, "neighbor_pairs", lambda *a: calls.append(1) or search(*a))
+    cfg = runner.validate(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                          / "electrolyte-rbe.yaml")
+    spec = runner.MODELS["electrolyte"]
+    sim = spec.build(cfg, SimStreams(cfg["seed"]))
+    for k in range(1, cfg["run"]["steps"] + 1):
+        sim.state = spec.steppers["rbe"](sim, k, cfg["run"]["dt"])
+    assert cfg["run"]["steps"] == 40
+    assert 1 <= sim.state.pairs.builds <= 3
+    assert len(calls) == sim.state.pairs.builds
 
 
 def test_real_space_matches_brute_double_loop():
