@@ -9,11 +9,22 @@ most steps filter the listed pairs instead of searching.  The smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples
 frequency vectors from the discrete Gaussian ~ exp(-k^2 / 4 alpha).  Frequency
 samples are exact i.i.d. draws from that target, made in blocks ahead of use
-and consumed from a bank in order.  The exact k-space sums, kept as
-references, run over half the ball: rho(-k) is the conjugate of rho(k) for
-real charges, so k and -k contribute alike.
+and consumed from a bank in order.
+
+Every frequency is a lattice vector k = 2 pi m / L, so exp(i k.r) is the
+product e_x[m_x] e_y[m_y] e_z[m_z] of per-axis phase tables
+e_a[m, n] = exp(2 pi i m x_na / L), |m| <= m_max, built as powers of the
+m = 1 entry: 3N cosines and sines replace one complex exponential per
+particle and frequency.  The random batch gathers its p rows from tables
+sized by the batch's largest |m|.  The exact k-space sums, kept as
+references, run over the half cube m_x >= 0 with weight zero outside half
+the ball (rho(-k) is the conjugate of rho(k) for real charges, so k and -k
+contribute alike), as two matrix products: rho on the cube is
+(e_x e_y) (q e_z)^T, and the forces contract e_x e_y with coef conj(rho) k,
+then with e_z.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -144,32 +155,50 @@ def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> n
     return np.concatenate(blocks)
 
 
-_KVEC_CACHE: dict = {}
-
-
 def kvectors_in_ball(L: float, k_c: float) -> np.ndarray:
     """All nonzero lattice frequencies k = 2 pi m / L with |k| <= k_c."""
-    key = (float(L), float(k_c))
-    if key in _KVEC_CACHE:
-        return _KVEC_CACHE[key]
     m_max = int(math.floor(k_c * L / TWO_PI + 1e-9))
-    rng = np.arange(-m_max, m_max + 1)
-    mm = np.stack(np.meshgrid(rng, rng, rng, indexing="ij"), axis=-1).reshape(-1, 3)
-    mm = mm[np.any(mm != 0, axis=1)]
-    k = TWO_PI * mm / L
-    k = k[np.einsum("ij,ij->i", k, k) <= k_c**2 * (1 + 1e-12)]
-    _KVEC_CACHE[key] = np.ascontiguousarray(k)
-    return _KVEC_CACHE[key]
+    g = np.arange(-m_max, m_max + 1)
+    mm = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    k = TWO_PI * mm[np.any(mm != 0, axis=1)] / L
+    return np.ascontiguousarray(k[np.einsum("ij,ij->i", k, k) <= k_c**2 * (1 + 1e-12)])
 
 
-def _half_ball(L: float, k_c: float) -> np.ndarray:
-    """The k of ``kvectors_in_ball`` whose first nonzero component is positive."""
-    key = ("half", float(L), float(k_c))
-    if key not in _KVEC_CACHE:
-        k = kvectors_in_ball(L, k_c)
-        lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-        _KVEC_CACHE[key] = np.ascontiguousarray(k[lead > 0])
-    return _KVEC_CACHE[key]
+@functools.lru_cache(maxsize=8)
+def _cube_weights(L: float, k_c: float, alpha: float) -> Tuple[int, np.ndarray]:
+    """m_max and exp(-k^2 / 4 alpha) / k^2 on the half cube 0 <= m_x, |m_y|, |m_z| <= m_max.
+
+    w[m_x, m_max + m_y, m_max + m_z] is zero outside the half ball, i.e.
+    where |k| > k_c or the first nonzero m is not positive.  The array is
+    read-only, as the cache hands the same one to every caller.
+    """
+    m_max = int(math.floor(k_c * L / TWO_PI + 1e-9))
+    k = TWO_PI * np.arange(-m_max, m_max + 1) / L
+    kx, ky, kz = k[m_max:, None, None], k[:, None], k
+    k2 = kx * kx + ky * ky + kz * kz
+    half = (kx > 0) | ((kx == 0) & ((ky > 0) | ((ky == 0) & (kz > 0))))
+    keep = half & (k2 <= k_c**2 * (1 + 1e-12))
+    w = np.zeros(k2.shape)
+    w[keep] = np.exp(-k2[keep] / (4.0 * alpha)) / k2[keep]
+    w.flags.writeable = False
+    return m_max, w
+
+
+def _phase_tables(positions: np.ndarray, L: float, m_max: int) -> np.ndarray:
+    """e[a, m_max + m, n] = exp(2 pi i m x_na / L) for |m| <= m_max, shape (3, 2 m_max + 1, N).
+
+    Built as powers of the m = 1 entry, for 3N cosines and sines; the phase
+    error of the m-th power grows like m eps, as that of cos(m theta) does
+    from the rounding of m theta.
+    """
+    theta = (TWO_PI / L) * positions.T
+    e1 = np.empty(theta.shape, dtype=np.complex128)
+    e1.real, e1.imag = np.cos(theta), np.sin(theta)
+    e = np.empty((3, 2 * m_max + 1, theta.shape[1]), dtype=np.complex128)
+    e[:, m_max] = 1.0
+    e[:, m_max + 1:] = np.cumprod(np.broadcast_to(e1[:, None], (3, m_max, e1.shape[1])), axis=1)
+    e[:, :m_max] = np.conj(e[:, :m_max:-1])  # e(-m) = conj e(m)
+    return e
 
 
 @dataclass
@@ -232,51 +261,50 @@ def discrete_gaussian_moments(alpha: float, L: float) -> Tuple[float, float]:
     return 0.0, float((m2 * u).sum() * (1.0 + h) ** 2 / (u.sum() * (3.0 + h * (3.0 + h))))
 
 
-def structure_factor(system: PeriodicChargeSystem, k: np.ndarray) -> complex:
-    """rho(k) = sum_i q_i exp(i k . r_i) for a single frequency."""
-    k = np.asarray(k, dtype=np.float64)
-    if np.all(k == 0):
-        raise ValueError("k must be nonzero")
-    phase = system.state.positions @ k
-    return complex(np.sum(system.charges * np.exp(1j * phase)))
+def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:
+    """exp(i k.r_n) for every frequency k and particle n, shape (len(kvecs), N).
+
+    Raises ValueError unless each k is 2 pi m / L for an integer m, within
+    1e-9 2 pi / L: the periodic box has no other modes.
+    """
+    mf = np.asarray(kvecs, dtype=np.float64) * (system.L / TWO_PI)
+    m = np.rint(mf)
+    if not np.all(np.abs(mf - m) <= 1e-9):
+        raise ValueError("frequencies must be lattice vectors 2 pi m / L of the box")
+    m_max = int(np.abs(m).max(initial=0))
+    e = _phase_tables(system.state.positions, system.L, m_max)
+    idx = m.astype(np.intp) + m_max
+    return e[0][idx[:, 0]] * e[1][idx[:, 1]] * e[2][idx[:, 2]]
 
 
 def structure_factors(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:
-    """Vectorized rho(k) for a batch of frequencies, chunked for memory."""
-    pos, q = system.state.positions, system.charges
-    M = len(kvecs)
-    out = np.empty(M, dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(pos.shape[0], 1)))
-    for s in range(0, M, chunk):
-        phase = pos @ kvecs[s: s + chunk].T
-        out[s: s + chunk] = np.exp(1j * phase).T @ q
-    return out
+    """rho(k) = sum_n q_n exp(i k.r_n) for each lattice frequency k in ``kvecs``."""
+    return _lattice_phases(system, np.atleast_2d(kvecs)) @ system.charges
 
 
-def _fourier_forces(system, kvecs, coef) -> Tuple[np.ndarray, np.ndarray]:
-    """F_i = -q_i sum_k coef_k k Im(exp(-i k.r_i) rho(k)), chunked over k; also returns rho."""
-    pos, q = system.state.positions, system.charges
-    N = pos.shape[0]
-    out = np.zeros((N, 3))
-    rho = np.empty(len(kvecs), dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(N, 1)))
-    for s in range(0, len(kvecs), chunk):
-        kc = kvecs[s: s + chunk]
-        phase = pos @ kc.T  # (N, chunk)
-        eikr = np.exp(1j * phase)
-        rho[s: s + chunk] = eikr.T @ q
-        im = np.imag(np.conj(eikr) * rho[None, s: s + chunk])
-        out -= (im * coef[s: s + chunk][None, :]) @ kc
-    return q[:, None] * out, rho
+def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bool = True):
+    """Exact Fourier forces (None unless ``forces``) and k-space energy over |k| <= k_c, one rho pass."""
+    m_max, w = _cube_weights(system.L, params.k_c, params.alpha)
+    q = system.charges
+    e = _phase_tables(system.state.positions, system.L, m_max)
+    exy = (e[0][m_max:, None] * e[1]).reshape(-1, len(q))  # rows (m_x, m_y)
+    rho = (exy @ (q * e[2]).T).reshape(w.shape)
+    energy = float(4.0 * math.pi / system.volume * np.sum(w * np.abs(rho) ** 2))
+    if not forces:
+        return None, energy
+    # F_n = -q_n sum_k coef k Im(conj(e_nk) rho) = q_n Im(sum_k e_nk coef conj(rho) k):
+    # conjugating rho, not the (cube, N) phases, spares a copy of exy
+    wr = (8.0 * math.pi / system.volume) * w * np.conj(rho)
+    k = TWO_PI * np.arange(-m_max, m_max + 1) / system.L
+    wk = np.stack([wr * k[m_max:, None, None], wr * k[:, None], wr * k], axis=-1)
+    t = (exy.T @ wk.reshape(len(exy), -1)).reshape(len(q), -1, 3)
+    return q[:, None] * np.einsum("nmc,mn->nc", t, e[2]).imag, energy
 
 
 def fourier_force_exact_all(system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
     """Exact Fourier-space Ewald forces with cutoff |k| <= k_c."""
     params.validate_box(system.L)
-    kvecs = _half_ball(system.L, params.k_c)
-    k2 = np.einsum("ij,ij->i", kvecs, kvecs)
-    coef = 8.0 * math.pi / system.volume * np.exp(-k2 / (4.0 * params.alpha)) / k2
-    return _fourier_forces(system, kvecs, coef)[0]
+    return _exact_fourier(system, params)[0]
 
 
 def rbe_force_all(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) -> np.ndarray:
@@ -290,12 +318,15 @@ def rbe_force_all(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) ->
 def _rbe_fourier(system: PeriodicChargeSystem, kbatch, S: float, forces: bool = True):
     """Random-batch Fourier forces (None unless ``forces``) and k-space energy, one rho pass."""
     kbatch = np.atleast_2d(np.asarray(kbatch, dtype=np.float64))
-    p = len(kbatch)
+    p, q = len(kbatch), system.charges
     k2 = np.einsum("ij,ij->i", kbatch, kbatch)
+    eikr = _lattice_phases(system, kbatch)
+    rho = eikr @ q
+    f = None
     if forces:
-        f, rho = _fourier_forces(system, kbatch, (S / p) * 4.0 * math.pi / system.volume / k2)
-    else:
-        f, rho = None, structure_factors(system, kbatch)
+        im = eikr.real * rho.imag[:, None] - eikr.imag * rho.real[:, None]  # Im(conj(eikr) rho)
+        coef = (S / p) * 4.0 * math.pi / system.volume / k2
+        f = -q[:, None] * (im.T @ (coef[:, None] * kbatch))
     rho2 = np.abs(rho) ** 2
     return f, float(2.0 * math.pi / system.volume * (S / p) * np.sum(rho2 / k2))
 
@@ -320,10 +351,7 @@ def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> T
 
 def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     """k-space sum (2 pi / V) sum_k |rho(k)|^2 exp(-k^2/4 alpha)/k^2 over |k| <= k_c."""
-    kvecs = _half_ball(system.L, params.k_c)
-    k2 = np.einsum("ij,ij->i", kvecs, kvecs)
-    rho2 = np.abs(structure_factors(system, kvecs)) ** 2
-    return float(4.0 * math.pi / system.volume * np.sum(rho2 * np.exp(-k2 / (4 * params.alpha)) / k2))
+    return _exact_fourier(system, params, forces=False)[1]
 
 
 def self_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
@@ -380,14 +408,12 @@ def rbe_md_step(
     forces, u_real = real_space_force_all(system, params)
     info = {"U_real": u_real}
     if exact_fourier:
-        forces = forces + fourier_force_exact_all(system, params)
-        info["U_fourier"] = fourier_energy(system, params)
+        f_fourier, info["U_fourier"] = _exact_fourier(system, params)
     else:
         if S is None:
             S = sum_S(params.alpha, system.L)
-        kbatch = bank.draw(params.p)
-        f_fourier, info["U_fourier"] = _rbe_fourier(system, kbatch, S)
-        forces = forces + f_fourier
+        f_fourier, info["U_fourier"] = _rbe_fourier(system, bank.draw(params.p), S)
+    forces = forces + f_fourier
     info["U_self"] = self_energy(system, params)
     if extra_force is not None:
         forces = forces + extra_force(st)

@@ -3,6 +3,7 @@
 import cmath
 import copy
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from randbatch.ewald import (
     rbe_force_all,
     real_space_force_all,
     self_energy,
-    structure_factor,
     structure_factors,
     sum_S,
     rbe_md_step,
@@ -167,8 +167,8 @@ def test_structure_factor_point_charges():
     k = np.array([2 * np.pi / 5, 0, 0])
     # single positive charge at the origin plus canceling partner far away
     sys_cancel = PeriodicChargeSystem(state=st, charges=np.array([1.0, -1.0]))
-    assert abs(structure_factor(sys_cancel, k)) < 1e-14
-    rho = structure_factor(sys_one, k)
+    assert abs(structure_factors(sys_cancel, k[None])[0]) < 1e-14
+    rho = structure_factors(sys_one, k[None])[0]
     expected = 1.0 - cmath.exp(1j * k[0] * 2.0)
     assert abs(rho - expected) < 1e-13
 
@@ -188,7 +188,8 @@ def test_structure_factor_against_independent_loop():
 def test_structure_factor_conjugate_symmetry():
     system = _random_electroneutral(8, 6.0, seed=22)
     k = np.array([2 * np.pi / 6, -4 * np.pi / 6, 2 * np.pi / 6])
-    assert abs(structure_factor(system, k) - structure_factor(system, -k).conjugate()) < 1e-12
+    assert abs(structure_factors(system, k[None])[0]
+               - structure_factors(system, -k[None])[0].conjugate()) < 1e-12
 
 
 def test_exact_fourier_sums_over_half_the_ball_match_the_full_ball():
@@ -205,6 +206,71 @@ def test_exact_fourier_sums_over_half_the_ball_match_the_full_ball():
     full = -system.charges[:, None] * (4 * np.pi / system.volume * im * weight) @ kvecs
     np.testing.assert_allclose(fourier_force_exact_all(system, params), full, rtol=1e-12,
                                atol=1e-12 * np.abs(full).max())
+
+
+def _brute_phases(system, m):
+    """k = 2 pi m / L, exp(i k.r) from one complex exponential per pair, and rho(k)."""
+    k = 2 * np.pi * m / system.L
+    eikr = np.exp(1j * system.state.positions @ k.T)
+    return k, eikr, eikr.T @ system.charges
+
+
+def test_exact_fourier_sums_match_a_brute_force_sum_over_the_full_ball():
+    # k_c L / 2 pi = 5 is an integer, so the sphere |m| = 5 (m = (3, 4, 0), ...) is in
+    system = _random_electroneutral(30, 7.0, seed=41, velocities=True)
+    params = EwaldParams(alpha=1.2, r_c=3.0, k_c=2 * np.pi * 5 / 7.0, p=10)
+    g = np.arange(-5, 6)
+    mm = np.stack(np.meshgrid(g, g, g, indexing="ij"), -1).reshape(-1, 3)
+    m2 = (mm**2).sum(1)
+    mm, m2 = mm[(m2 > 0) & (m2 <= 25)], m2[(m2 > 0) & (m2 <= 25)]
+    k, eikr, rho = _brute_phases(system, mm)
+    k2 = (k**2).sum(1)
+    weight = np.exp(-k2 / (4 * params.alpha)) / k2
+    terms = 2 * np.pi / system.volume * np.abs(rho) ** 2 * weight
+    energy = terms.sum()
+    assert terms[m2 == 25].sum() > 1e-6 * energy  # the sphere matters at this tolerance
+    forces = -system.charges[:, None] * (
+        4 * np.pi / system.volume * np.imag(np.conj(eikr) * rho) * weight) @ k
+    assert fourier_energy(system, params) == pytest.approx(energy, rel=1e-12)
+    np.testing.assert_allclose(fourier_force_exact_all(system, params), forces, rtol=1e-12,
+                               atol=1e-12 * np.abs(forces).max())
+    _, info = rbe_md_step(system, params, None, None, 1e-3, SimStreams(1), exact_fourier=True)
+    assert info["U_fourier"] == pytest.approx(energy, rel=1e-12)
+
+
+def test_rbe_force_matches_a_brute_force_sum_over_its_batch():
+    system = _random_electroneutral(20, 6.0, seed=42)
+    m = np.array([[1, 0, 0], [-3, 2, 1], [0, 0, -7], [4, -4, 2], [1, 0, 0], [0, 1, -1]])
+    k, eikr, rho = _brute_phases(system, m)
+    S, p = 3.5, len(m)
+    coef = (S / p) * 4 * np.pi / system.volume / (k**2).sum(1)
+    forces = -system.charges[:, None] * (np.imag(np.conj(eikr) * rho) * coef) @ k
+    np.testing.assert_allclose(rbe_force_all(system, k, S), forces, rtol=1e-12,
+                               atol=1e-12 * np.abs(forces).max())
+    np.testing.assert_allclose(structure_factors(system, k), rho, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("call", [structure_factors, lambda s, k: rbe_force_all(s, k, 1.0)])
+def test_off_lattice_frequencies_are_rejected(call):
+    system = _random_electroneutral(6, 5.0, seed=43)
+    k = 2 * np.pi / 5.0 * np.array([[1.0, -2.0, 0.0]])
+    call(system, k * (1 + 1e-12))  # rounding off a lattice vector is accepted
+    with pytest.raises(ValueError, match="lattice"):
+        call(system, k * (1 + 1e-6))
+
+
+def test_exact_fourier_force_memory_at_n1200():
+    # at electrolyte density 0.3, one (N, K) complex array over the half ball is 234 MB
+    L = (1200 / 0.3) ** (1 / 3)
+    system = _random_electroneutral(1200, L, seed=44)
+    params = EwaldParams.for_system(1200, L)
+    tracemalloc.start()
+    try:
+        fourier_force_exact_all(system, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_fourier_force_zero_charges():
