@@ -73,16 +73,21 @@ def full_force_all(state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
     return batch_pair_sum(None, _kernel_term(kernel, state), (state.positions,), lambda q: alpha_N)
 
 
+_CHUNK_PAIRS = 1 << 18  # pair terms per block chunk in ``batch_pair_sum``
+
+
 def batch_pair_sum(
     division: Optional[BatchDivision], pair_term: Callable, fields, weight: Callable
 ) -> np.ndarray:
     """weight(q) * sum over the mates j != i in i's batch of pair_term, for every i.
 
     ``division`` splits the particles into batches (None: one batch of all N)
-    and ``fields`` are per-particle arrays.  Each block of B batches of size q is
-    one call ``pair_term(f_i, f_j, g_i, g_j, ...)`` that gets every field as
-    (B, q, 1, ...) rows of i and (B, q, q-1, ...) rows of its mates, j
-    ascending, and returns the B q (q-1) pair terms in that order.
+    and ``fields`` are per-particle arrays.  Each block of B batches of size q
+    comes in calls ``pair_term(f_i, f_j, g_i, g_j, ...)`` over c of the q
+    particles i per batch (c = q unless that exceeds about 2^18 pair terms):
+    each gets every field as (B, c, 1, ...) rows of i and (B, c, q-1, ...) rows
+    of their mates, j ascending, and returns the B c (q-1) pair terms in that
+    order.  A term may therefore depend only on its own pair (i, j).
     """
     N = len(fields[0])
     blocks = [(N, np.arange(N)[None, :])] if division is None else batch_index_matrices(division)
@@ -90,16 +95,21 @@ def batch_pair_sum(
     for size, idx in blocks:
         if size < 2:
             raise ValueError("degenerate batch of size < 2")
-        cols = np.arange(size - 1)
-        cols = cols + (cols >= np.arange(size)[:, None])  # row k: every column but k
-        rows = []
-        for f in fields:
-            block = f[idx]
-            rows += [block[:, :, None], block[:, cols]]
-        values = np.asarray(pair_term(*rows)).reshape(idx.shape[0], size, size - 1, -1)
-        if out is None:
-            out = np.zeros((N, values.shape[-1]))
-        out[idx] = weight(size) * values.sum(axis=2)
+        gathered = [f[idx] for f in fields]
+        step = max(1, _CHUNK_PAIRS // (idx.shape[0] * (size - 1)))
+        # rows k0..k1-1 of every batch at a time; a row sums the same terms in
+        # the same order whatever the chunk, so the result is bit-identical
+        for k0 in range(0, size, step):
+            k1 = min(k0 + step, size)
+            cols = np.arange(size - 1)
+            cols = cols + (cols >= np.arange(k0, k1)[:, None])  # row k: every column but k
+            rows = []
+            for block in gathered:
+                rows += [block[:, k0:k1, None], block[:, cols]]
+            values = np.asarray(pair_term(*rows)).reshape(idx.shape[0], k1 - k0, size - 1, -1)
+            if out is None:
+                out = np.zeros((N, values.shape[-1]))
+            out[idx[:, k0:k1]] = weight(size) * values.sum(axis=2)
     return out
 
 
@@ -322,13 +332,23 @@ def pair_force_sum(
     return out
 
 
-def short_range_force_all(state: ParticleState, K1: Kernel, r0: float, alpha_N: float) -> np.ndarray:
-    """alpha_N * sum of K1(x_i - x_j) over the neighbours within r0, for every i."""
+def short_range_force_all(
+    state: ParticleState, K1: Kernel, r0: float, alpha_N: float, pairs: Optional[PairList] = None
+) -> np.ndarray:
+    """alpha_N * sum of K1(x_i - x_j) over the neighbours within r0, for every i.
+
+    The pairs come from ``pairs``, a ``PairList`` at cutoff r0 that the caller
+    carries across steps; None searches with a fresh list.
+    """
     if state.box_length is None:
         raise ValueError("short-range force requires a periodic box")
     if r0 >= state.box_length / 2:
         raise ValueError("cutoff must be below half the box length")
-    i, j, disp, _ = neighbor_pairs(state.positions, state.box_length, r0)
+    if pairs is None:
+        pairs = PairList(r0)
+    elif pairs.cutoff != r0:
+        raise ValueError("pair list cutoff differs from r0")
+    i, j, disp, _ = pairs(state.positions, state.box_length)
     # K1 need not be odd, so each pair is evaluated in both orientations
     f_ij, f_ji = np.asarray(K1(disp)), np.asarray(K1(-disp))
     return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij, f_ji)

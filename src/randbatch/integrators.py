@@ -10,15 +10,21 @@ state.  The full-batch ``direct_step`` and the random-batch steppers share the
 same update expression and the same per-step noise draw, so a random-batch
 step with p = N reproduces the direct step bit for bit under identical
 streams; that coupling also underlies the strong-error measurements.
+
+A ``SecondOrderSystem`` carries the Verlet list (``forces.PairList``) of the
+kernel-splitting step's exact short-range sum from step to step.  The list
+changes only how the pairs within the split radius are found and the order
+in which they are summed, not which pairs are summed.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .forces import (
+    PairList,
     batch_prefactor,
     division_forces,
     full_force_all,
@@ -59,6 +65,8 @@ class SecondOrderSystem:
 
     sigma = sqrt(2 gamma / beta) makes the Gibbs measure at inverse
     temperature beta invariant; ``thermostats.Langevin`` builds that pair.
+    ``pairs`` is the short-range pair list that ``rbm_split_step`` creates at
+    the kernel's split radius and reuses on later steps.
     """
 
     kernel: object
@@ -67,6 +75,7 @@ class SecondOrderSystem:
     gamma: float = 0.0
     sigma: float = 0.0
     masses: Optional[np.ndarray] = None
+    pairs: Optional[PairList] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma < 0 or self.sigma < 0:
@@ -220,7 +229,11 @@ def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStrea
 def rbm_split_step(
     state: ParticleState, system: SecondOrderSystem, p: int, dt: float, streams: SimStreams
 ) -> ParticleState:
-    """Kernel-splitting RBM: exact short-range sum plus random-batch smooth part."""
+    """Kernel-splitting RBM: exact short-range sum plus random-batch smooth part.
+
+    The short-range pairs come from ``system.pairs``, which is created here
+    when the system has no list yet or one for another split radius.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     kernel = system.kernel
@@ -228,7 +241,10 @@ def rbm_split_step(
         raise ValueError("rbm_split_step needs a kernel with a declared split")
     if state.box_length is None:
         raise ValueError("rbm_split_step needs a periodic box")
-    short = short_range_force_all(state, kernel.short_part, kernel.split_radius, system.alpha_N)
+    if system.pairs is None or system.pairs.cutoff != kernel.split_radius:
+        system.pairs = PairList(kernel.split_radius)
+    short = short_range_force_all(state, kernel.short_part, kernel.split_radius, system.alpha_N,
+                                  system.pairs)
     division = random_division(state.n_particles, p, streams.division)
     smooth = division_forces(state, division, kernel.smooth_part, system.alpha_N)
     return _advance(state, system, short + smooth, dt, streams.noise)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaincc
 
-from .forces import batch_pair_sum, neighbor_pairs, pair_force_sum
+from .forces import PairList, batch_pair_sum, pair_force_sum
 from .integrators import FirstOrderSystem
 from .samplers import GibbsTarget, log_kernel_split
 from .state import BatchDivision, ParticleState
@@ -305,6 +305,7 @@ class ElectrolyteModel:
 
     Reduced units with dielectric 1/(4 pi), so a unit charge has potential
     q/r.  The LJ diameter plays the role of the effective ion size.
+    ``pairs`` is the Verlet list of the LJ core, at cutoff ``lj_cutoff``.
     """
 
     N: int
@@ -314,9 +315,12 @@ class ElectrolyteModel:
     lj_cutoff_factor: float = 2.5
     temperature: float = 1.0
 
+    pairs: PairList = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if self.N % 2 != 0:
             raise ValueError("need an even particle count (half cations, half anions)")
+        object.__setattr__(self, "pairs", PairList(self.lj_cutoff))
 
     @property
     def rho_r(self) -> float:
@@ -346,8 +350,12 @@ class ElectrolyteModel:
         return ParticleState(positions=pos, velocities=vel, box_length=self.L)
 
     def lj_force(self, state: ParticleState):
-        """Truncated (unshifted) Lennard-Jones forces and energy."""
-        i, j, disp, r2 = neighbor_pairs(state.positions, self.L, self.lj_cutoff)
+        """Truncated (unshifted) Lennard-Jones forces and energy.
+
+        The pairs within the cutoff come from the model's ``pairs`` list, which
+        is kept from call to call, so a trajectory searches only on rebuilds.
+        """
+        i, j, disp, r2 = self.pairs(state.positions, self.L)
         s6 = (self.lj_sigma**2 / r2) ** 3
         fmag = 24.0 * self.lj_epsilon * (2.0 * s6 * s6 - s6) / r2
         forces = pair_force_sum(state.n_particles, i, j, fmag[:, None] * disp)
@@ -382,19 +390,20 @@ def split_radial_force(h: Callable, h_prime: Callable, r0: float) -> "KernelSpec
         r = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
         return x, r
 
+    def smooth_h(r):
+        return np.where(r >= r0, h(np.maximum(r, r0)), h0 * (a + b * (r / r0) ** 2))
+
     def force(x):
         x, r = radial(x)
         return x * h(np.maximum(r, 1e-300))
 
     def smooth(x):
         x, r = radial(x)
-        outer = h(np.maximum(r, r0))
-        inner = h0 * (a + b * (r / r0) ** 2)
-        return x * np.where(r >= r0, outer, inner)
+        return x * smooth_h(r)
 
     def short(x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return force(x) - smooth(x)
+        x, r = radial(x)  # one |x| for both parts
+        return x * h(np.maximum(r, 1e-300)) - x * smooth_h(r)
 
     return KernelSpec(force=force, split_radius=r0, short_part=short, smooth_part=smooth)
 

@@ -320,7 +320,7 @@ def _build_electrolyte(cfg, streams):
     system = PeriodicChargeSystem(state=model.initial_state(streams.init), charges=model.charges())
     bank = mh_sample_kvectors(params.alpha, m["L"], max(10 * params.p * run["steps"] // 8, 4096),
                               streams.proposal)
-    return _sim(cfg, streams, state=system, params=params, bank=bank,
+    return _sim(cfg, streams, model=model, state=system, params=params, bank=bank,
                 S=sum_S(params.alpha, m["L"]), thermostat=_thermostat(cfg["thermostat"]),
                 lj=lambda st: model.lj_force(st)[0], energy=[], trajectory=[],
                 trajectory_every=cfg["output"]["trajectory_every"],

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .backend import njit
-from .batching import random_division
+from .batching import batch_index_matrices, random_division
 from .forces import batch_pair_sum
 from .rng import SimStreams
 from .state import BatchDivision
@@ -433,21 +433,40 @@ def svgd_velocity(i: int, state: SvgdState) -> np.ndarray:
     return _svgd_term_sum(X, i, np.arange(N), h, gv) / N
 
 
+def _batch_bandwidths(X: np.ndarray, division: Optional[BatchDivision], kernel: GaussianKernel):
+    """Each particle's bandwidth, resolved over every pair of its batch (None: all N).
+
+    The squared distances come in chunks of rows of about 2^18 entries, so the
+    (q, q, d) differences of a large batch never exist at once.
+    """
+    N = X.shape[0]
+    if kernel.bandwidth != "median":
+        return np.full((N, 1), float(kernel.bandwidth))
+    h = np.empty((N, 1))
+    blocks = [(N, np.arange(N)[None, :])] if division is None else batch_index_matrices(division)
+    for size, idx in blocks:
+        xb = X[idx]
+        step = max(1, (1 << 18) // idx.size)
+        sq = np.concatenate([np.einsum("...k,...k->...", d, d) for d in
+                             (xb[:, s:s + step, None] - xb[:, None] for s in range(0, size, step))],
+                            axis=1)
+        h[idx] = kernel.resolve(sq[:, ~np.eye(size, dtype=bool)], size)[:, None, None]
+    return h
+
+
 def _svgd_update(X, gv, division: Optional[BatchDivision], kernel: GaussianKernel, eta):
     """Self-term -gv/N plus the weighted sum over batch mates, bandwidth per batch."""
     N = X.shape[0]
 
-    def term(xi, xj, gi, gj):
+    def term(xi, xj, gi, gj, hi, hj):
         diffs = xi - xj
-        sq = np.einsum("...k,...k->...", diffs, diffs)
-        B, q = sq.shape[:2]
-        h = np.reshape(kernel.resolve(sq.reshape(B, -1), q), (-1, 1, 1, 1))
-        k = np.exp(-sq[..., None] / h)
-        return (2.0 / h) * diffs * k - k * gj
+        k = np.exp(-np.einsum("...k,...k->...", diffs, diffs)[..., None] / hi)
+        return (2.0 / hi) * diffs * k - k * gj
 
     pairs = 0.0
     if N > 1:
-        pairs = batch_pair_sum(division, term, (X, gv), lambda q: (N - 1) / (N * (q - 1)))
+        h = _batch_bandwidths(X, division, kernel)
+        pairs = batch_pair_sum(division, term, (X, gv, h), lambda q: (N - 1) / (N * (q - 1)))
     new = X + eta * (-gv / N + pairs)
     if np.max(np.abs(new)) > 1e6:
         raise SvgdDivergence("particles exceeded 1e6; decrease the step size")

@@ -462,6 +462,7 @@ def test_pair_list_raises_on_a_nan_position_after_replace_state():
 
 
 def test_pair_list_search_runs_only_on_builds_over_the_benchmark_episode(monkeypatch):
+    # the Coulomb real-space list and the model's LJ list both search through neighbor_pairs
     calls = []
     search = forces.neighbor_pairs
     monkeypatch.setattr(forces, "neighbor_pairs", lambda *a: calls.append(1) or search(*a))
@@ -471,9 +472,11 @@ def test_pair_list_search_runs_only_on_builds_over_the_benchmark_episode(monkeyp
     sim = spec.build(cfg, SimStreams(cfg["seed"]))
     for k in range(1, cfg["run"]["steps"] + 1):
         sim.state = spec.steppers["rbe"](sim, k, cfg["run"]["dt"])
+    lj = sim.model.pairs
     assert cfg["run"]["steps"] == 40
     assert 1 <= sim.state.pairs.builds <= 3
-    assert len(calls) == sim.state.pairs.builds
+    assert 1 <= lj.builds < cfg["run"]["steps"]
+    assert len(calls) == sim.state.pairs.builds + lj.builds
 
 
 def test_real_space_matches_brute_double_loop():

@@ -1,13 +1,20 @@
 """Force estimators, their exact statistics, and the neighbour-pair search."""
 
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randbatch
+from randbatch import forces
 from randbatch.batching import enumerate_divisions, random_division
 from randbatch.forces import (
     ClampedKernel,
+    PairList,
     batch_force,
     chi,
     chi_variance_exact,
@@ -19,6 +26,7 @@ from randbatch.forces import (
     short_range_force_all,
     suggested_clamp_eps,
 )
+from randbatch.models import CuckerSmaleModel, cs_rhs
 from randbatch.rng import RngStream
 from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image
 
@@ -207,6 +215,73 @@ def test_short_range_force_matches_brute_force():
         expected = _truncated_brute_force(state, K1, 1.5, 0.7)
         actual = short_range_force_all(state, K1, 1.5, 0.7)
         np.testing.assert_allclose(actual, expected, atol=1e-13)
+
+
+def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
+    gen = RngStream(31).generator()
+    state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
+    K1 = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
+    pairs = PairList(1.5)
+    for _ in range(6):  # the list's skin/2 is 0.075: the jitter forces a rebuild
+        np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7, pairs),
+                                   _truncated_brute_force(state, K1, 1.5, 0.7), atol=1e-13)
+        state = state.replace(positions=state.positions + gen.uniform(-0.02, 0.02, (64, 3)))
+    assert 2 <= pairs.builds < 6
+    with pytest.raises(ValueError, match="cutoff"):
+        short_range_force_all(state, K1, 1.2, 0.7, pairs)
+
+
+def test_only_forces_searches_for_neighbour_pairs():
+    # every other module takes its pairs from a PairList, which searches only on
+    # rebuilds; any reference to neighbor_pairs outside forces.py (a call, an
+    # import) would bring a per-call search back
+    offenders = []
+    for path in sorted(Path(randbatch.__file__).parent.glob("*.py")):
+        if path.name == "forces.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "neighbor_pairs":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _pair_sums(N, d):
+    gen = RngStream(N).generator()
+    x, v = gen.standard_normal((2, N, d))
+    state = ParticleState(positions=x)
+    division = random_division(N, N // 2, gen)  # two or three large batches
+    return [full_force_all(state, np.sin, 1.0 / (N - 1)),
+            division_forces(state, division, np.sin, 1.0),
+            cs_rhs(x, v, CuckerSmaleModel(N=N, dim=d))]
+
+
+@pytest.mark.parametrize("N, d, chunk", [(77, 3, 1000), (1001, 1, None), (700, 2, None)])
+def test_chunked_batch_pair_sum_is_bit_identical_to_one_block(monkeypatch, N, d, chunk):
+    # chunk None keeps the default of 2^18 pair terms, which splits N = 700 and
+    # 1001 into row chunks; 1000 splits N = 77 into chunks of 13 rows
+    monkeypatch.setattr(forces, "_CHUNK_PAIRS", N * N)
+    whole = _pair_sums(N, d)
+    monkeypatch.setattr(forces, "_CHUNK_PAIRS", chunk or 1 << 18)
+    assert N % max(1, forces._CHUNK_PAIRS // (N - 1)) != 0
+    for a, b in zip(_pair_sums(N, d), whole):
+        assert np.array_equal(a, b)
+
+
+def test_full_force_memory_is_linear_in_N():
+    def peak(N):
+        state = ParticleState(positions=RngStream(N).generator().standard_normal((N, 1)))
+        tracemalloc.start()
+        try:
+            full_force_all(state, np.sin, 1.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one (N, N-1, 1) block would grow 16-fold from 600 to 2400 particles
+    assert peak(2400) <= 4 * peak(600)
 
 
 def _brute_force_pairs(pos, L, cutoff):

@@ -1,10 +1,12 @@
 """Time steppers: reference coupling, RBM variants, splitting, schedules."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from randbatch import forces, integrators, runner
 from randbatch.integrators import (
     FirstOrderSystem,
     IntegrationError,
@@ -175,6 +177,76 @@ def test_lj_split_reconstructs_total_force():
     assert np.all(np.abs(recomposed - total) <= 1e-10 * (1 + np.abs(total)))
     far = x[radii >= 1.6]
     np.testing.assert_allclose(spec.short_part(far), 0.0, atol=1e-15)
+
+
+def _lj_fluid(N, seed, beta=0.5):
+    """LJ fluid at density 0.3 on a cubic lattice, with velocities at temperature 1/beta."""
+    n_side = round(N ** (1 / 3))
+    L = (N / 0.3) ** (1 / 3)
+    coords = np.stack(np.meshgrid(*([np.arange(n_side)] * 3), indexing="ij"), -1).reshape(-1, 3)
+    streams = SimStreams(seed)
+    velocities = math.sqrt(1 / beta) * streams.init.standard_normal((N, 3))
+    return ParticleState(positions=(coords + 0.5) * (L / n_side), box_length=L,
+                         velocities=velocities), streams
+
+
+def test_split_step_short_force_matches_a_fresh_search_across_list_rebuilds(monkeypatch):
+    seen = []
+    short_range = integrators.short_range_force_all
+
+    def recording(state, K1, r0, alpha_N, pairs=None):
+        out = short_range(state, K1, r0, alpha_N, pairs)
+        seen.append((state.positions.copy(), out))
+        return out
+
+    monkeypatch.setattr(integrators, "short_range_force_all", recording)
+    state, streams = _lj_fluid(125, seed=3)
+    spec = lj_kernel_spec()
+    system = SecondOrderSystem(kernel=spec, alpha_N=1.0, gamma=1.0, sigma=2.0)  # beta = 0.5
+    for _ in range(40):
+        state = rbm_split_step(state, system, 2, 2e-3, streams)
+    assert 2 <= system.pairs.builds < 40
+    assert len(seen) == 40
+    L = state.box_length
+    for pos, out in seen:
+        disp = minimum_image(pos[:, None] - pos[None], L)
+        near = (np.einsum("ijk,ijk->ij", disp, disp) < 1.6**2) & ~np.eye(len(pos), dtype=bool)
+        expected = np.zeros_like(pos)
+        for i in range(len(pos)):
+            expected[i] = spec.short_part(disp[i, near[i]]).sum(axis=0)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_split_list_searches_only_on_builds_over_the_benchmark_episode(monkeypatch):
+    calls = []
+    search = forces.neighbor_pairs
+    monkeypatch.setattr(forces, "neighbor_pairs", lambda *a: calls.append(1) or search(*a))
+    cfg = runner.validate(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                          / "lj-split.yaml")
+    spec = runner.MODELS["lj-fluid"]
+    sim = spec.build(cfg, SimStreams(cfg["seed"]))
+    for k in range(1, cfg["run"]["steps"] + 1):
+        sim.state = spec.steppers["rbm-split"](sim, k, cfg["run"]["dt"])
+    assert cfg["run"]["steps"] == 60
+    assert 1 <= sim.system.pairs.builds < cfg["run"]["steps"]
+    assert len(calls) == sim.system.pairs.builds
+
+
+def test_split_step_makes_a_new_pair_list_for_a_new_split_radius():
+    state, _ = _lj_fluid(64, seed=4)
+    system = SecondOrderSystem(kernel=lj_kernel_spec(r0=1.6), alpha_N=1.0)
+    rbm_split_step(state, system, 2, 1e-3, SimStreams(1))
+    first = system.pairs
+    rbm_split_step(state, system, 2, 1e-3, SimStreams(1))
+    assert system.pairs is first and first.cutoff == 1.6 and first.builds == 1
+    assert "pairs" not in repr(system)
+    assert system == SecondOrderSystem(kernel=system.kernel, alpha_N=1.0)
+    system.kernel = lj_kernel_spec(r0=1.2)
+    out = rbm_split_step(state, system, 2, 1e-3, SimStreams(1))
+    assert system.pairs is not first and system.pairs.cutoff == 1.2
+    fresh = SecondOrderSystem(kernel=system.kernel, alpha_N=1.0)
+    np.testing.assert_array_equal(
+        out.velocities, rbm_split_step(state, fresh, 2, 1e-3, SimStreams(1)).velocities)
 
 
 def test_schedules():

@@ -281,17 +281,16 @@ def test_electrolyte_construction():
         ElectrolyteModel(N=63, L=8.0)
 
 
-def test_electrolyte_lj_matches_brute_force():
-    model = ElectrolyteModel(N=16, L=4.0, lj_sigma=0.4)
-    state = model.initial_state(RngStream(10).generator())
-    F, energy = model.lj_force(state)
+def _lj_brute_force(model, state):
+    """Truncated LJ forces and energy by a double loop over minimum-image pairs."""
+    N, L = state.n_particles, model.L
     sig, eps, rc = model.lj_sigma, model.lj_epsilon, model.lj_cutoff
-    expected = np.zeros((16, 3))
+    expected = np.zeros((N, 3))
     e_expected = 0.0
-    for i in range(16):
-        for j in range(i + 1, 16):
+    for i in range(N):
+        for j in range(i + 1, N):
             d = state.positions[i] - state.positions[j]
-            d -= 4.0 * np.floor(d / 4.0 + 0.5)
+            d -= L * np.floor(d / L + 0.5)
             r2 = float(d @ d)
             if r2 >= rc * rc:
                 continue
@@ -300,8 +299,30 @@ def test_electrolyte_lj_matches_brute_force():
             fmag = 24 * eps * (2 * s6 * s6 - s6) / r2
             expected[i] += fmag * d
             expected[j] -= fmag * d
+    return expected, e_expected
+
+
+def test_electrolyte_lj_matches_brute_force():
+    model = ElectrolyteModel(N=16, L=4.0, lj_sigma=0.4)
+    state = model.initial_state(RngStream(10).generator())
+    F, energy = model.lj_force(state)
+    expected, e_expected = _lj_brute_force(model, state)
     np.testing.assert_allclose(F, expected, atol=1e-12)
     assert energy == pytest.approx(e_expected, abs=1e-12)
+
+
+def test_electrolyte_lj_list_matches_brute_force_across_a_rebuild():
+    model = ElectrolyteModel(N=64, L=4.0, lj_sigma=0.3)
+    gen = RngStream(32).generator()
+    state = model.initial_state(gen)
+    assert "pairs" not in repr(model) and model == ElectrolyteModel(N=64, L=4.0, lj_sigma=0.3)
+    for _ in range(8):  # skin/2 = 0.0375 at cutoff 0.75: the jitter forces rebuilds
+        F, energy = model.lj_force(state)
+        expected, e_expected = _lj_brute_force(model, state)
+        np.testing.assert_allclose(F, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert energy == pytest.approx(e_expected, rel=1e-12)
+        state = state.replace(positions=state.positions + gen.uniform(-0.01, 0.01, (64, 3)))
+    assert 2 <= model.pairs.builds < 8
 
 
 def test_dyson_target_drift_symmetry():
@@ -322,6 +343,16 @@ def test_dyson_target_drift_symmetry():
         orig = drift(x, i)
         relabeled = drift(x[perm], int(np.flatnonzero(perm == i)[0]))
         np.testing.assert_allclose(orig, relabeled, atol=1e-12)
+
+
+def test_split_short_part_is_force_minus_smooth_bit_for_bit_and_odd():
+    spec = lj_kernel_spec(sigma=1.0, epsilon=1.0, r0=1.6)
+    x = RngStream(12).generator().uniform(-2.0, 2.0, size=(3000, 3))
+    r = np.linalg.norm(x, axis=1)
+    assert np.any(r < 1.6) and np.any(r >= 1.6)
+    short = spec.short_part(x)
+    np.testing.assert_array_equal(short, spec.force(x) - spec.smooth_part(x))
+    np.testing.assert_array_equal(spec.short_part(-x), -short)
 
 
 def test_lj_kernel_split_is_c1_and_bounded():

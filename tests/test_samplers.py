@@ -327,6 +327,19 @@ def test_rbm_svgd_step_matches_per_particle_oracle_on_a_remainder_division(N):
     np.testing.assert_allclose(out.particles, X + eta * velocity, rtol=1e-12)
 
 
+def test_svgd_step_takes_the_median_over_all_pairs_when_chunked():
+    # 600 x 599 pair terms exceed one chunk of 2^18, so the sum and the median
+    # distances come in row chunks; the bandwidth must still be the global one
+    gen = RngStream(23).generator()
+    state = SvgdState(particles=gen.standard_normal((600, 2)), grad_V=lambda x: x,
+                      kernel=GaussianKernel(bandwidth="median"))
+    eta = 0.1
+    out = svgd_step(state, eta)
+    for i in (0, 299, 599):
+        expected = state.particles[i] + eta * svgd_velocity(i, state)
+        np.testing.assert_allclose(out.particles[i], expected, rtol=1e-12, atol=1e-14)
+
+
 def test_rbm_svgd_batch_term_unbiased_by_enumeration():
     # mean over all divisions of the batch term equals the full off-diagonal sum
     gen = RngStream(17).generator()
