@@ -17,10 +17,10 @@ Every frequency is a lattice vector k = 2 pi m / L, so exp(i k.r) is the
 product e_x[m_x] e_y[m_y] e_z[m_z] of per-axis phase tables
 e_a[m, n] = exp(2 pi i m x_na / L), |m| <= m_max, built as powers of the
 m = 1 entry: 3N cosines and sines replace one complex exponential per
-particle and frequency.  The random batch gathers its p rows from tables
-sized by the batch's largest |m|.  The exact k-space sums, kept as
-references, run over the half cube m_x >= 0 with weight zero outside half
-the ball (rho(-k) is the conjugate of rho(k) for real charges, so k and -k
+particle and frequency.  A far frequency costs time, not memory, in
+proportion to its |m|.  The exact k-space sums, kept as references, run
+over the half cube m_x >= 0 with weight zero outside half the ball
+(rho(-k) is the conjugate of rho(k) for real charges, so k and -k
 contribute alike), as two matrix products: rho on the cube is
 (e_x e_y) (q e_z)^T, and the forces contract e_x e_y with coef conj(rho) k,
 then with e_z.
@@ -41,6 +41,7 @@ from .state import ParticleState
 from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen, nose_hoover_step
 
 TWO_PI = 2.0 * math.pi
+_PHASE_BLOCK = 1 << 16  # complex entries per block of powers in ``_phase_tables``
 
 
 @dataclass
@@ -186,20 +187,33 @@ def _cube_weights(L: float, k_c: float, alpha: float) -> Tuple[int, np.ndarray]:
     return m_max, w
 
 
-def _phase_tables(positions: np.ndarray, L: float, m_max: int) -> np.ndarray:
-    """e[a, m_max + m, n] = exp(2 pi i m x_na / L) for |m| <= m_max, shape (3, 2 m_max + 1, N).
+def _phase_tables(positions: np.ndarray, L: float, m: np.ndarray) -> np.ndarray:
+    """e[a, k, n] = exp(2 pi i m[k] x_na / L) for ascending integers m, shape (3, len(m), N).
 
     Built as powers of the m = 1 entry, for 3N cosines and sines; the phase
     error of the m-th power grows like m eps, as that of cos(m theta) does
-    from the rounding of m theta.
+    from the rounding of m theta.  The powers come in blocks of about
+    ``_PHASE_BLOCK`` entries, and only the rows of m are kept.
     """
     theta = (TWO_PI / L) * positions.T
     e1 = np.empty(theta.shape, dtype=np.complex128)
     e1.real, e1.imag = np.cos(theta), np.sin(theta)
-    e = np.empty((3, 2 * m_max + 1, theta.shape[1]), dtype=np.complex128)
-    e[:, m_max] = 1.0
-    e[:, m_max + 1:] = np.cumprod(np.broadcast_to(e1[:, None], (3, m_max, e1.shape[1])), axis=1)
-    e[:, :m_max] = np.conj(e[:, :m_max:-1])  # e(-m) = conj e(m)
+    a = np.abs(m)
+    e = np.empty((3, len(m), e1.shape[1]), dtype=np.complex128)
+    e[:, a == 0], e[:, a == 1] = 1.0, e1[:, None]
+    step, top, m0, power = max(2, _PHASE_BLOCK // e1.size), int(a.max(initial=0)), 1, e1
+    while m0 < top:
+        # numpy takes its vector loop for a cumprod of one product, its scalar loop for
+        # longer ones; only a lone block is that short, so the bits match one cumprod
+        n = top - m0 if top - m0 <= step + 1 else step
+        block = np.empty((3, n + 1, e1.shape[1]), dtype=np.complex128)
+        block[:, 0], block[:, 1:] = power, e1[:, None]
+        block = np.cumprod(block, axis=1)  # block[:, k] = e(m0 + k)
+        sel = (a > m0) & (a <= m0 + n)
+        e[:, sel] = block[:, a[sel] - m0]
+        power, m0 = block[:, -1], m0 + n
+    neg = e[:, :np.searchsorted(m, 0)]
+    np.conj(neg, out=neg)  # e(-m) = conj e(m)
     return e
 
 
@@ -273,10 +287,13 @@ def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarr
     m = np.rint(mf)
     if not np.all(np.abs(mf - m) <= 1e-9):
         raise ValueError("frequencies must be lattice vectors 2 pi m / L of the box")
-    m_max = int(np.abs(m).max(initial=0))
-    e = _phase_tables(system.state.positions, system.L, m_max)
-    idx = m.astype(np.intp) + m_max
-    return e[0][idx[:, 0]] * e[1][idx[:, 1]] * e[2][idx[:, 2]]
+    m, pos = m.astype(np.intp), system.state.positions
+    top = int(np.abs(m).max(initial=0))
+    # every row from -top to top unless that table outgrows one block of powers
+    rows = np.arange(-top, top + 1) if (2 * top + 1) * pos.size <= _PHASE_BLOCK else np.unique(m)
+    e, idx = _phase_tables(pos, system.L, rows), np.searchsorted(rows, m)
+    out = e[0][idx[:, 0]]
+    return np.multiply(np.multiply(out, e[1][idx[:, 1]], out=out), e[2][idx[:, 2]], out=out)
 
 
 def structure_factors(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:
@@ -288,7 +305,7 @@ def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bo
     """Exact Fourier forces (None unless ``forces``) and k-space energy over |k| <= k_c, one rho pass."""
     m_max, w = _cube_weights(system.L, params.k_c, params.alpha)
     q = system.charges
-    e = _phase_tables(system.state.positions, system.L, m_max)
+    e = _phase_tables(system.state.positions, system.L, np.arange(-m_max, m_max + 1))
     exy = (e[0][m_max:, None] * e[1]).reshape(-1, len(q))  # rows (m_x, m_y)
     rho = (exy @ (q * e[2]).T).reshape(w.shape)
     energy = float(4.0 * math.pi / system.volume * np.sum(w * np.abs(rho) ** 2))

@@ -5,10 +5,10 @@ All kernels are vectorized callables mapping an (M, d) displacement array to
 state carries a periodic box.  ``batch_pair_sum`` is the one sum over batch
 mates: the random-batch forces here, the Cucker-Smale and consensus
 right-hand sides and the RBM-SVGD update all run through it.  It takes a
-``BatchDivision`` (or None for one batch of all N) and groups the batches
-from the division's own order, without sorting the assignment.  Summation
-within a batch always runs in ascending particle order so that the p = N
-random-batch step reproduces the full-batch step bit for bit.
+``BatchDivision`` (or None for one batch of all N), groups the batches from
+its order and gathers each field by ``np.take``.  Summation within a batch
+runs in ascending particle order so that the p = N random-batch step
+reproduces the full-batch step bit for bit.
 
 Short-range sums find their pairs with ``neighbor_pairs``, one cell search
 per call.  ``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev.
@@ -86,8 +86,8 @@ def batch_pair_sum(
     comes in calls ``pair_term(f_i, f_j, g_i, g_j, ...)`` over c of the q
     particles i per batch (c = q unless that exceeds about 2^18 pair terms):
     each gets every field as (B, c, 1, ...) rows of i and (B, c, q-1, ...) rows
-    of their mates, j ascending, and returns the B c (q-1) pair terms in that
-    order.  A term may therefore depend only on its own pair (i, j).
+    of their mates, j ascending (``np.take`` of the field's rows), and returns
+    the B c (q-1) pair terms in that order; a term may use only its own pair.
     """
     N = len(fields[0])
     blocks = [(N, np.arange(N)[None, :])] if division is None else batch_index_matrices(division)
@@ -95,7 +95,6 @@ def batch_pair_sum(
     for size, idx in blocks:
         if size < 2:
             raise ValueError("degenerate batch of size < 2")
-        gathered = [f[idx] for f in fields]
         step = max(1, _CHUNK_PAIRS // (idx.shape[0] * (size - 1)))
         # rows k0..k1-1 of every batch at a time; a row sums the same terms in
         # the same order whatever the chunk, so the result is bit-identical
@@ -103,13 +102,14 @@ def batch_pair_sum(
             k1 = min(k0 + step, size)
             cols = np.arange(size - 1)
             cols = cols + (cols >= np.arange(k0, k1)[:, None])  # row k: every column but k
+            I, J = idx[:, k0:k1], idx[:, cols]
             rows = []
-            for block in gathered:
-                rows += [block[:, k0:k1, None], block[:, cols]]
+            for f in fields:
+                rows += [np.take(f, I[:, :, None], axis=0), np.take(f, J, axis=0)]
             values = np.asarray(pair_term(*rows)).reshape(idx.shape[0], k1 - k0, size - 1, -1)
             if out is None:
                 out = np.zeros((N, values.shape[-1]))
-            out[idx[:, k0:k1]] = weight(size) * values.sum(axis=2)
+            out[I] = weight(size) * (values[:, :, 0] if size == 2 else values.sum(axis=2))
     return out
 
 
@@ -247,10 +247,10 @@ def _pairs_within(
     for axis, x in enumerate(np.ascontiguousarray(pos.T)):
         disp[axis] = minimum_image(x[i] - x[j], box_length)
     r2 = np.einsum("ij,ij->j", disp, disp)
-    # indices rather than a boolean mask, which is several times slower to apply
-    # when it keeps a scattered half of the pairs; disp.T[keep] is C-ordered
+    # indices rather than a boolean mask, which is several times slower to apply when
+    # it keeps a scattered half of the pairs; the rows returned are a transposed view
     keep = np.flatnonzero(r2 < cutoff * cutoff)
-    return i[keep], j[keep], disp.T[keep], r2[keep]
+    return i[keep], j[keep], np.take(disp, keep, axis=1).T, r2[keep]
 
 
 def neighbor_pairs(
@@ -349,6 +349,7 @@ def short_range_force_all(
     elif pairs.cutoff != r0:
         raise ValueError("pair list cutoff differs from r0")
     i, j, disp, _ = pairs(state.positions, state.box_length)
+    disp = np.ascontiguousarray(disp)  # an einsum in K1 may round differently on a strided view
     # K1 need not be odd, so each pair is evaluated in both orientations
     f_ij, f_ji = np.asarray(K1(disp)), np.asarray(K1(-disp))
     return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij, f_ji)

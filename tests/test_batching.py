@@ -15,7 +15,9 @@ from randbatch.batching import (
 from randbatch.rng import RngStream
 from randbatch.state import BatchDivision
 
-LAYOUTS = [(12, 3), (9, 4), (23, 4), (8, 8)]  # p | N, N mod p = 1, N mod p >= 2, p = N
+# p | N, N mod p = 1, N mod p >= 2, p = N; then p = 2, whose rows are ordered by
+# min/max, with N = 11 adding a last batch of 3 that np.sort orders
+LAYOUTS = [(12, 3), (9, 4), (23, 4), (8, 8), (10, 2), (11, 2)]
 
 
 def test_single_batch_when_p_equals_n():
@@ -126,12 +128,13 @@ def test_enumeration_counts(N, p, expected):
 
 def test_batch_index_matrices_roundtrip():
     gen = RngStream(21).generator()
-    div = random_division(23, 4, gen)
-    all_members = np.concatenate([idx.ravel() for _, idx in batch_index_matrices(div)])
-    np.testing.assert_array_equal(np.sort(all_members), np.arange(23))
-    for size, idx in batch_index_matrices(div):
-        assert idx.shape[1] == size
-        assert np.all(np.diff(idx, axis=1) > 0)  # rows sorted
+    for N, p in [(23, 4), (10, 2), (11, 2)]:
+        div = random_division(N, p, gen)
+        all_members = np.concatenate([idx.ravel() for _, idx in batch_index_matrices(div)])
+        np.testing.assert_array_equal(np.sort(all_members), np.arange(N))
+        for size, idx in batch_index_matrices(div):
+            assert idx.shape[1] == size
+            assert np.all(np.diff(idx, axis=1) > 0)  # rows sorted
 
 
 @pytest.mark.parametrize("N,p", LAYOUTS)

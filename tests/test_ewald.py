@@ -273,6 +273,25 @@ def test_exact_fourier_force_memory_at_n1200():
     assert peak < 64 * 2**20
 
 
+def test_far_frequency_phases_take_memory_independent_of_its_m():
+    # the powers up to |m| = 2000 come in blocks, and only the rows the batch
+    # indexes are kept; a (3, 4001, 300) table would be 55 MiB.  A far phase is
+    # ill-conditioned in x (any method errs by about m |k_1 x| eps), so the ions
+    # sit within L/64 of the origin, where both sides are good to about 1e-13
+    base = _random_electroneutral(300, 10.0, seed=45)
+    system = PeriodicChargeSystem(base.state.replace(positions=base.state.positions / 64),
+                                  base.charges)
+    k, _, rho = _brute_phases(system, np.array([[2000, 0, 0]]))
+    tracemalloc.start()
+    try:
+        fast = structure_factors(system, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    np.testing.assert_allclose(fast, rho, rtol=1e-12)
+
+
 def test_fourier_force_zero_charges():
     st = ParticleState(positions=RngStream(1).generator().uniform(0, 5, (6, 3)), box_length=5.0)
     system = PeriodicChargeSystem(state=st, charges=np.zeros(6))

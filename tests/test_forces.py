@@ -16,6 +16,7 @@ from randbatch.forces import (
     ClampedKernel,
     PairList,
     batch_force,
+    batch_prefactor,
     chi,
     chi_variance_exact,
     division_forces,
@@ -26,7 +27,7 @@ from randbatch.forces import (
     short_range_force_all,
     suggested_clamp_eps,
 )
-from randbatch.models import CuckerSmaleModel, cs_rhs
+from randbatch.models import ConsensusModel, CuckerSmaleModel, consensus_rhs, cs_rhs
 from randbatch.rng import RngStream
 from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image
 
@@ -179,6 +180,56 @@ def test_division_forces_same_from_kept_permutation_and_bare_assignment(N, p):
                                   division_forces(state, bare, gaussian, 1 / (N - 1)))
 
 
+def _per_pair_oracle(division, term, weight):
+    """weight(q) times the sum of term(i, j) over i's mates j, one pair at a time.
+
+    The batches are read off ``division.order`` and summed in ascending order.
+    """
+    order, p, n = division.order, division.batch_size, division.n_batches
+    out = {}
+    for b in range(n):
+        batch = np.sort(order[b * p:] if b == n - 1 else order[b * p:(b + 1) * p])
+        for i in batch:
+            terms = [term(i, j) for j in batch if j != i]
+            out[i] = weight(batch.size) * sum(terms[1:], terms[0])
+    return np.array([out[i] for i in range(division.n_particles)])
+
+
+@pytest.mark.parametrize("N", [10, 11])  # N = 11 ends in a batch of three
+@pytest.mark.parametrize("d", [1, 3])
+def test_pair_batches_are_bit_identical_to_a_per_pair_oracle(N, d):
+    gen = RngStream(50 + N + d).generator()
+    x, v, nu = gen.standard_normal((3, N, d))
+    division = random_division(N, 2, gen)
+    kernel = lambda r: r * np.exp(-np.sum(r * r, axis=-1, keepdims=True))
+    for L in (None, 2.5):
+        state = ParticleState(positions=x, box_length=L)
+        pos = state.positions
+        expected = _per_pair_oracle(
+            division, lambda i, j: kernel(minimum_image(pos[i] - pos[j], L)[None])[0],
+            lambda q: batch_prefactor(0.3, N, q))
+        assert np.array_equal(division_forces(state, division, kernel, 0.3), expected)
+
+    cs = CuckerSmaleModel(N=N, dim=d)
+
+    def cs_term(i, j):
+        dx = x[j] - x[i]
+        # psi's power on an array may round differently from numpy's scalar power
+        return cs.psi(np.sqrt(np.einsum("k,k->", dx, dx))[None]) * (v[j] - v[i])
+
+    expected = _per_pair_oracle(division, cs_term, lambda q: cs.kappa / (q - 1))
+    assert np.array_equal(cs_rhs(x, v, cs, division), expected)
+
+    adjacency = gen.uniform(0.0, 1.0, (N, N))
+    model = ConsensusModel(N=N, kappa=0.8, nu=nu - nu.mean(axis=0),
+                           adjacency=adjacency + adjacency.T, gamma=np.tanh, dim=d)
+    expected = _per_pair_oracle(
+        division, lambda i, j: (model.dispersion(model.nu[i], model.nu[j])
+                                + model.adjacency[i, j] * np.tanh(x[j] - x[i])),
+        lambda q: model.kappa / (q - 1))
+    assert np.array_equal(consensus_rhs(x, model, division), expected)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-50, 50), st.floats(0.5, 20))
 def test_minimum_image_bounds(x, L):
@@ -229,6 +280,20 @@ def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
     assert 2 <= pairs.builds < 6
     with pytest.raises(ValueError, match="cutoff"):
         short_range_force_all(state, K1, 1.2, 0.7, pairs)
+
+
+def test_short_range_kernel_gets_c_ordered_rows():
+    # the pair list keeps its displacements axis-major; a kernel that reduces
+    # over a strided view (an einsum, say) may round differently
+    gen = RngStream(32).generator()
+    state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
+
+    def K1(x):
+        assert x.flags.c_contiguous
+        return x * np.exp(-np.einsum("ij,ij->i", x, x))[:, None]
+
+    np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7),
+                               _truncated_brute_force(state, K1, 1.5, 0.7), atol=1e-13)
 
 
 def test_only_forces_searches_for_neighbour_pairs():
