@@ -193,27 +193,29 @@ def _phase_tables(positions: np.ndarray, L: float, m: np.ndarray) -> np.ndarray:
     Built as powers of the m = 1 entry, for 3N cosines and sines; the phase
     error of the m-th power grows like m eps, as that of cos(m theta) does
     from the rounding of m theta.  The powers come in blocks of about
-    ``_PHASE_BLOCK`` entries, and only the rows of m are kept.
+    ``_PHASE_BLOCK`` entries, built in place when m holds all of a block's rows.
     """
     theta = (TWO_PI / L) * positions.T
     e1 = np.empty(theta.shape, dtype=np.complex128)
     e1.real, e1.imag = np.cos(theta), np.sin(theta)
-    a = np.abs(m)
     e = np.empty((3, len(m), e1.shape[1]), dtype=np.complex128)
-    e[:, a == 0], e[:, a == 1] = 1.0, e1[:, None]
-    step, top, m0, power = max(2, _PHASE_BLOCK // e1.size), int(a.max(initial=0)), 1, e1
-    while m0 < top:
+    e[:, m == 0] = 1.0
+    step, top = max(2, _PHASE_BLOCK // max(e1.size, 1)), max(int(np.abs(m).max(initial=0)), 1)
+    m0, power = 1, e1
+    while m0 < top or power is e1:  # the first block also fills the rows m = +-1
         # numpy takes its vector loop for a cumprod of one product, its scalar loop for
         # longer ones; only a lone block is that short, so the bits match one cumprod
         n = top - m0 if top - m0 <= step + 1 else step
-        block = np.empty((3, n + 1, e1.shape[1]), dtype=np.complex128)
+        lo, hi = np.searchsorted(m, (m0, m0 + n + 1))  # rows m0 <= m <= m0 + n
+        inplace = hi - lo == n + 1
+        block = e[:, lo:hi] if inplace else np.empty((3, n + 1, e1.shape[1]), dtype=np.complex128)
         block[:, 0], block[:, 1:] = power, e1[:, None]
-        block = np.cumprod(block, axis=1)  # block[:, k] = e(m0 + k)
-        sel = (a > m0) & (a <= m0 + n)
-        e[:, sel] = block[:, a[sel] - m0]
+        np.cumprod(block, axis=1, out=block)  # block[:, k] = e(m0 + k)
+        if not inplace:
+            e[:, lo:hi] = block[:, m[lo:hi] - m0]
+        lo, hi = np.searchsorted(m, (-m0 - n, 1 - m0))  # rows -m0 - n <= m <= -m0
+        np.conj(block[:, -m[lo:hi] - m0], out=e[:, lo:hi])  # e(-m) = conj e(m)
         power, m0 = block[:, -1], m0 + n
-    neg = e[:, :np.searchsorted(m, 0)]
-    np.conj(neg, out=neg)  # e(-m) = conj e(m)
     return e
 
 
@@ -287,11 +289,9 @@ def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarr
     m = np.rint(mf)
     if not np.all(np.abs(mf - m) <= 1e-9):
         raise ValueError("frequencies must be lattice vectors 2 pi m / L of the box")
-    m, pos = m.astype(np.intp), system.state.positions
-    top = int(np.abs(m).max(initial=0))
-    # every row from -top to top unless that table outgrows one block of powers
-    rows = np.arange(-top, top + 1) if (2 * top + 1) * pos.size <= _PHASE_BLOCK else np.unique(m)
-    e, idx = _phase_tables(pos, system.L, rows), np.searchsorted(rows, m)
+    m = m.astype(np.intp)
+    rows = np.unique(m)
+    e, idx = _phase_tables(system.state.positions, system.L, rows), np.searchsorted(rows, m)
     out = e[0][idx[:, 0]]
     return np.multiply(np.multiply(out, e[1][idx[:, 1]], out=out), e[2][idx[:, 2]], out=out)
 
@@ -306,7 +306,7 @@ def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bo
     m_max, w = _cube_weights(system.L, params.k_c, params.alpha)
     q = system.charges
     e = _phase_tables(system.state.positions, system.L, np.arange(-m_max, m_max + 1))
-    exy = (e[0][m_max:, None] * e[1]).reshape(-1, len(q))  # rows (m_x, m_y)
+    exy = (e[0][m_max:, None] * e[1]).reshape(w.shape[0] * w.shape[1], len(q))  # rows (m_x, m_y)
     rho = (exy @ (q * e[2]).T).reshape(w.shape)
     energy = float(4.0 * math.pi / system.volume * np.sum(w * np.abs(rho) ** 2))
     if not forces:
@@ -316,7 +316,7 @@ def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bo
     wr = (8.0 * math.pi / system.volume) * w * np.conj(rho)
     k = TWO_PI * np.arange(-m_max, m_max + 1) / system.L
     wk = np.stack([wr * k[m_max:, None, None], wr * k[:, None], wr * k], axis=-1)
-    t = (exy.T @ wk.reshape(len(exy), -1)).reshape(len(q), -1, 3)
+    t = (exy.T @ wk.reshape(len(exy), -1)).reshape(len(q), w.shape[2], 3)
     return q[:, None] * np.einsum("nmc,mn->nc", t, e[2]).imag, energy
 
 

@@ -299,6 +299,17 @@ def test_fourier_force_zero_charges():
     np.testing.assert_array_equal(fourier_force_exact_all(system, params), np.zeros((6, 3)))
 
 
+def test_k_space_sums_of_an_empty_system():
+    system = PeriodicChargeSystem(state=ParticleState(positions=np.zeros((0, 3)), box_length=5.0),
+                                  charges=np.zeros(0))
+    params = EwaldParams(alpha=1.0, r_c=2.0, k_c=3.0)
+    k = 2 * np.pi / 5.0 * np.array([[1, 0, 0], [0, -2, 3]])
+    assert fourier_energy(system, params) == 0.0
+    assert fourier_force_exact_all(system, params).shape == (0, 3)
+    np.testing.assert_array_equal(structure_factors(system, k), [0, 0])
+    assert rbe_force_all(system, k, 1.0).shape == (0, 3)
+
+
 def test_fourier_forces_sum_to_zero():
     system = _random_electroneutral(16, 8.0, seed=23)
     params = EwaldParams.for_system(16, 8.0)
