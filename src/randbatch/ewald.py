@@ -203,9 +203,10 @@ def _phase_tables(positions: np.ndarray, L: float, m: np.ndarray) -> np.ndarray:
     step, top = max(2, _PHASE_BLOCK // max(e1.size, 1)), max(int(np.abs(m).max(initial=0)), 1)
     m0, power = 1, e1
     while m0 < top or power is e1:  # the first block also fills the rows m = +-1
-        # numpy takes its vector loop for a cumprod of one product, its scalar loop for
-        # longer ones; only a lone block is that short, so the bits match one cumprod
+        # numpy rounds a cumprod of one product (vector loop) unlike longer ones (scalar
+        # loop); a lone block for top = 2 builds e(3) too, so e(m) ignores m's other rows
         n = top - m0 if top - m0 <= step + 1 else step
+        n += n == 1
         lo, hi = np.searchsorted(m, (m0, m0 + n + 1))  # rows m0 <= m <= m0 + n
         inplace = hi - lo == n + 1
         block = e[:, lo:hi] if inplace else np.empty((3, n + 1, e1.shape[1]), dtype=np.complex128)
@@ -298,7 +299,8 @@ def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarr
 
 def structure_factors(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:
     """rho(k) = sum_n q_n exp(i k.r_n) for each lattice frequency k in ``kvecs``."""
-    return _lattice_phases(system, np.atleast_2d(kvecs)) @ system.charges
+    # not a BLAS product, which rounds a lone row unlike a row of a longer kvecs
+    return np.einsum("kn,n->k", _lattice_phases(system, np.atleast_2d(kvecs)), system.charges)
 
 
 def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bool = True):

@@ -14,6 +14,8 @@ Short-range sums find their pairs with ``neighbor_pairs``, one cell search
 per call.  ``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev.
 159, 98, 1967): it searches once at cutoff + skin and, until some particle
 has moved skin/2 since, answers each call by filtering the listed pairs.
+All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
+core) are Newton pairs: one evaluation per pair i < j, summed by ``pair_force_sum``.
 """
 
 from typing import Callable, Optional, Tuple
@@ -312,23 +314,15 @@ class PairList:
         if L0 != box_length or x0.shape != pos.shape:
             return True
         moved = minimum_image(pos - x0, box_length)
-        return not np.max(np.einsum("ij,ij->i", moved, moved)) <= (0.5 * self.skin) ** 2
+        return not np.all(np.einsum("ij,ij->i", moved, moved) <= (0.5 * self.skin) ** 2)
 
 
-def pair_force_sum(
-    n: int, i: np.ndarray, j: np.ndarray, f_ij: np.ndarray, f_ji: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Per-particle sums of pair forces: row k adds f_ij[k] to i[k], f_ji[k] to j[k].
-
-    ``f_ji`` defaults to -f_ij, the Newton-pair case.
-    """
+def pair_force_sum(n: int, i: np.ndarray, j: np.ndarray, f_ij: np.ndarray) -> np.ndarray:
+    """Per-particle sums of Newton pair forces: row k adds f_ij[k] to i[k], -f_ij[k] to j[k]."""
     out = np.empty((n, f_ij.shape[1]))
     for axis in range(f_ij.shape[1]):
-        on_i = np.bincount(i, f_ij[:, axis], minlength=n)
-        if f_ji is None:
-            out[:, axis] = on_i - np.bincount(j, f_ij[:, axis], minlength=n)
-        else:
-            out[:, axis] = on_i + np.bincount(j, f_ji[:, axis], minlength=n)
+        f = f_ij[:, axis]
+        out[:, axis] = np.bincount(i, f, minlength=n) - np.bincount(j, f, minlength=n)
     return out
 
 
@@ -338,7 +332,10 @@ def short_range_force_all(
     """alpha_N * sum of K1(x_i - x_j) over the neighbours within r0, for every i.
 
     The pairs come from ``pairs``, a ``PairList`` at cutoff r0 that the caller
-    carries across steps; None searches with a fresh list.
+    carries across steps; None searches with a fresh list.  K1 must be odd,
+    K1(-x) = -K1(x): it is evaluated once per pair and the pair's force goes
+    to both particles with opposite signs.  Each call that rebuilds the list
+    checks that on its pairs and raises ``ValueError`` for an odd-violating K1.
     """
     if state.box_length is None:
         raise ValueError("short-range force requires a periodic box")
@@ -348,8 +345,10 @@ def short_range_force_all(
         pairs = PairList(r0)
     elif pairs.cutoff != r0:
         raise ValueError("pair list cutoff differs from r0")
+    builds = pairs.builds
     i, j, disp, _ = pairs(state.positions, state.box_length)
     disp = np.ascontiguousarray(disp)  # an einsum in K1 may round differently on a strided view
-    # K1 need not be odd, so each pair is evaluated in both orientations
-    f_ij, f_ji = np.asarray(K1(disp)), np.asarray(K1(-disp))
-    return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij, f_ji)
+    f_ij = np.asarray(K1(disp))
+    if pairs.builds != builds and np.any(np.abs(K1(-disp) + f_ij) > 1e-12 * np.abs(f_ij)):
+        raise ValueError("short-range kernel K1 must be odd: K1(-x) = -K1(x)")
+    return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij)

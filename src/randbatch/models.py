@@ -391,7 +391,9 @@ def split_radial_force(h: Callable, h_prime: Callable, r0: float) -> "KernelSpec
         return x, r
 
     def smooth_h(r):
-        return np.where(r >= r0, h(np.maximum(r, r0)), h0 * (a + b * (r / r0) ** 2))
+        inner, far = h0 * (a + b * (r / r0) ** 2), r >= r0
+        # h costs two powers per row; the short part's listed pairs never need it
+        return np.where(far, h(np.maximum(r, r0)), inner) if far.any() else inner
 
     def force(x):
         x, r = radial(x)

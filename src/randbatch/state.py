@@ -10,7 +10,10 @@ Kernel = Callable[[np.ndarray], np.ndarray]
 
 
 def wrap_positions(positions: np.ndarray, box_length: float) -> np.ndarray:
-    """Map coordinates into the primary box [0, L)."""
+    """Map coordinates into the primary box [0, L); an array inside (0, L) is
+    returned as is, so a periodic ``ParticleState`` may share its caller's array."""
+    if positions.size and positions.min() > 0 and positions.max() < box_length:
+        return positions  # np.mod would return these unchanged; 0 and -0.0 still go through it
     wrapped = np.mod(positions, box_length)
     # np.mod rounds a coordinate just below 0 up to L itself
     return np.where(wrapped < box_length, wrapped, 0.0)
@@ -76,7 +79,8 @@ class ParticleState:
 class KernelSpec:
     """Pairwise force kernel, optionally split into short + smooth parts.
 
-    When a split is declared, ``short_part`` must vanish for |x| >= split_radius
+    When a split is declared, ``short_part`` must vanish for |x| >= split_radius,
+    be odd (K1(-x) = -K1(x), as the short-range sum evaluates each pair once)
     and ``short_part + smooth_part`` must reproduce ``force``.
     """
 

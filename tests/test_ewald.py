@@ -310,6 +310,25 @@ def test_k_space_sums_of_an_empty_system():
     assert rbe_force_all(system, k, 1.0).shape == (0, 3)
 
 
+def test_real_space_sum_of_an_empty_system_twice():
+    # the second call asks the pair list whether anything moved
+    system = PeriodicChargeSystem(state=ParticleState(positions=np.zeros((0, 3)), box_length=5.0),
+                                  charges=np.zeros(0))
+    params = EwaldParams(alpha=1.0, r_c=2.0, k_c=3.0)
+    for _ in range(2):
+        forces, energy = real_space_force_all(system, params)
+        assert forces.shape == (0, 3) and energy == 0.0
+    assert system.pairs.builds == 1
+
+
+def test_a_frequency_phase_does_not_depend_on_its_batch():
+    # numpy's cumprod rounds a lone product differently from a chain of them
+    system = _random_electroneutral(300, 9.0, seed=36)
+    k = 2 * np.pi / 9.0 * np.array([[2, 1, 0], [3, 0, 0]])
+    alone, batched = structure_factors(system, k[:1]), structure_factors(system, k)
+    np.testing.assert_array_equal(alone, batched[:1])
+
+
 def test_fourier_forces_sum_to_zero():
     system = _random_electroneutral(16, 8.0, seed=23)
     params = EwaldParams.for_system(16, 8.0)

@@ -24,12 +24,13 @@ from randbatch.forces import (
     full_force_all,
     interaction_spread,
     neighbor_pairs,
+    pair_force_sum,
     short_range_force_all,
     suggested_clamp_eps,
 )
 from randbatch.models import ConsensusModel, CuckerSmaleModel, consensus_rhs, cs_rhs
 from randbatch.rng import RngStream
-from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image
+from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image, wrap_positions
 
 LINE4 = ParticleState(positions=np.arange(4.0)[:, None])
 
@@ -261,11 +262,11 @@ def test_short_range_force_matches_brute_force():
     gen = RngStream(13).generator()
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
     odd = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
-    even = lambda x: x**2  # K1(-x) != -K1(x): each pair must be evaluated both ways
-    for K1 in (odd, even):
-        expected = _truncated_brute_force(state, K1, 1.5, 0.7)
-        actual = short_range_force_all(state, K1, 1.5, 0.7)
-        np.testing.assert_allclose(actual, expected, atol=1e-13)
+    expected = _truncated_brute_force(state, odd, 1.5, 0.7)
+    np.testing.assert_allclose(short_range_force_all(state, odd, 1.5, 0.7), expected, atol=1e-13)
+    # each pair is evaluated once, as a Newton pair: a K1 with K1(-x) != -K1(x) is refused
+    with pytest.raises(ValueError, match="odd"):
+        short_range_force_all(state, lambda x: x**2, 1.5, 0.7)
 
 
 def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
@@ -280,6 +281,32 @@ def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
     assert 2 <= pairs.builds < 6
     with pytest.raises(ValueError, match="cutoff"):
         short_range_force_all(state, K1, 1.2, 0.7, pairs)
+
+
+def test_short_range_oddness_is_checked_on_list_builds_only():
+    gen = RngStream(33).generator()
+    state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
+    odd = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
+    pairs = PairList(1.5)
+    short_range_force_all(state, odd, 1.5, 0.7, pairs)
+    # the list is fresh, so this call does not build it and K1 runs once, unchecked
+    even = lambda x: odd(x) ** 2
+    i, j, disp, _ = pairs(state.positions, 8.0)
+    expected = 0.7 * pair_force_sum(64, i, j, even(np.ascontiguousarray(disp)))
+    np.testing.assert_array_equal(short_range_force_all(state, even, 1.5, 0.7, pairs), expected)
+    moved = state.replace(positions=state.positions + 0.2)  # the list is stale: a build
+    with pytest.raises(ValueError, match="odd"):
+        short_range_force_all(moved, even, 1.5, 0.7, pairs)
+
+
+def test_pair_search_on_an_empty_system_twice():
+    state = ParticleState(positions=np.zeros((0, 3)), box_length=5.0)
+    pairs = PairList(1.0)
+    for _ in range(2):
+        i, j, disp, r2 = pairs(state.positions, 5.0)
+        assert i.size == j.size == r2.size == 0 and disp.shape == (0, 3)
+        assert short_range_force_all(state, lambda x: x, 1.0, 1.0, pairs).shape == (0, 3)
+    assert pairs.builds == 1
 
 
 def test_short_range_kernel_gets_c_ordered_rows():
@@ -441,6 +468,29 @@ def test_kernel_split_invariants_checked():
     )
     with pytest.raises(ValueError):
         bad.check_split(RngStream(6).generator(), dim=1)
+
+
+def _np_mod_wrap(positions, L):
+    """wrap_positions as the np.mod formula alone, with no in-box shortcut."""
+    wrapped = np.mod(positions, L)
+    return np.where(wrapped < L, wrapped, 0.0)
+
+
+def test_wrap_positions_matches_np_mod_in_values_and_sign_bits():
+    L = 10.0
+    edge = [-0.0, 0.0, 5e-324, np.nextafter(L, 0.0), L, -1e-300, 1.5 * L]
+    inside = RngStream(34).generator().uniform(0.0, L, size=(50, 3))
+    cases = [np.array([[v, 1.0, 2.0]]) for v in edge]
+    cases += [np.array([edge]), inside, inside[:, :1], np.array([[5e-324, np.nextafter(L, 0.0)]])]
+    for pos in cases:
+        expected = _np_mod_wrap(pos, L)
+        out = wrap_positions(pos, L)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+        assert np.all((out >= 0) & (out < L))
+    # an array wholly inside the box is returned as is, and a state shares it
+    assert wrap_positions(inside, L) is inside
+    assert ParticleState(positions=inside, box_length=L).positions is inside
 
 
 def test_particle_state_invariants():

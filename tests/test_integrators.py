@@ -217,6 +217,35 @@ def test_split_step_short_force_matches_a_fresh_search_across_list_rebuilds(monk
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
+def test_split_step_evaluates_k1_once_per_pair_plus_a_check_per_build():
+    spec = lj_kernel_spec()
+    calls = []
+
+    def counting(x):
+        calls.append(x.copy())
+        return spec.short_part(x)
+
+    state, streams = _lj_fluid(125, seed=6)
+    kernel = KernelSpec(force=spec.force, split_radius=1.6, short_part=counting,
+                        smooth_part=spec.smooth_part)
+    system = SecondOrderSystem(kernel=kernel, alpha_N=1.0, gamma=1.0, sigma=2.0)
+    builds = 0
+    for _ in range(40):
+        pos, seen = state.positions, len(calls)
+        state = rbm_split_step(state, system, 2, 2e-3, streams)
+        built, builds = system.pairs.builds - builds, system.pairs.builds
+        assert len(calls) - seen == 1 + built
+        disp = minimum_image(pos[:, None] - pos[None], state.box_length)
+        r2 = np.einsum("ijk,ijk->ij", disp, disp)[np.triu_indices(len(pos), 1)]
+        kept = np.sort(r2[r2 < 1.6**2])
+        x = calls[seen]  # one row per kept pair i < j
+        np.testing.assert_allclose(np.sort(np.einsum("ij,ij->i", x, x)), kept, rtol=1e-12)
+        if built:
+            np.testing.assert_array_equal(calls[seen + 1], -x)
+    assert 2 <= builds < 40
+    assert len(calls) == 40 + builds
+
+
 def test_split_list_searches_only_on_builds_over_the_benchmark_episode(monkeypatch):
     calls = []
     search = forces.neighbor_pairs

@@ -355,6 +355,28 @@ def test_split_short_part_is_force_minus_smooth_bit_for_bit_and_odd():
     np.testing.assert_array_equal(spec.short_part(-x), -short)
 
 
+def test_lj_split_parts_equal_the_two_branch_formula_bit_for_bit():
+    # smooth_h skips the h branch when no row needs it; np.where only selects, so
+    # the parts must equal the formula that evaluates both branches on every row
+    sigma, epsilon, r0 = 1.0, 1.0, 1.6
+    h = lambda r: 24.0 * epsilon * (2.0 * sigma**12 / r**14 - sigma**6 / r**8)
+    h_prime = lambda r: 24.0 * epsilon * (-28.0 * sigma**12 / r**15 + 8.0 * sigma**6 / r**9)
+    h0 = h(r0)
+    b = r0 * h_prime(r0) / (2.0 * h0)
+    a = 1.0 - b
+    spec = lj_kernel_spec(sigma, epsilon, r0)
+    gen = RngStream(14).generator()
+    dirs = gen.standard_normal((500, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    inside = gen.uniform(0.3, r0, 500)[:, None] * dirs
+    outside = gen.uniform(r0, 3.0, 500)[:, None] * dirs
+    for x in (inside, outside, np.concatenate([inside[:250], outside[250:]]), r0 * dirs[:3]):
+        r = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        smooth = x * np.where(r >= r0, h(np.maximum(r, r0)), h0 * (a + b * (r / r0) ** 2))
+        np.testing.assert_array_equal(spec.smooth_part(x), smooth)
+        np.testing.assert_array_equal(spec.short_part(x), x * h(np.maximum(r, 1e-300)) - smooth)
+
+
 def test_lj_kernel_split_is_c1_and_bounded():
     spec = lj_kernel_spec(sigma=1.0, epsilon=1.0, r0=1.6)
     eps = 1e-7
