@@ -22,24 +22,15 @@ def random_division(N: int, p: int, rng: GeneratorLike) -> BatchDivision:
     Consecutive chunks of a uniform permutation form the batches, which is
     O(N).  When p does not divide N, the leftover N mod p particles form one
     smaller batch if at least 2 remain, otherwise the single leftover joins
-    the last full batch.  The permutation is kept as the division's
-    ``order``, so grouping the batches needs no sort.
+    the last full batch.  The division holds the permutation alone, as its
+    ``order``: grouping the batches needs no sort, and the per-particle
+    ``assignment`` is only built if something reads it.
     """
     if p < 2:
         raise ValueError("batch size must be >= 2")
     if p > N:
         raise ValueError("batch size cannot exceed the particle count")
-    gen = _as_generator(rng)
-    perm = gen.permutation(N)
-    assignment = np.empty(N, dtype=np.int64)
-    n_full = N // p
-    remainder = N % p
-    batch_ids = np.minimum(np.arange(N) // p, n_full - (1 if remainder == 1 else 0))
-    if remainder == 1:
-        # lone leftover joins the last full batch
-        batch_ids[-1] = n_full - 1
-    assignment[perm] = batch_ids
-    return BatchDivision(assignment=assignment, batch_size=p, order=perm)
+    return BatchDivision(order=_as_generator(rng).permutation(N), batch_size=p)
 
 
 def sample_batch_with_replacement(N: int, p: int, rng: GeneratorLike) -> np.ndarray:
@@ -105,11 +96,12 @@ def batch_index_matrices(division: BatchDivision):
 
 
 def count_divisions(N: int, p: int) -> int:
-    """Number of distinct partitions into N/p batches of size p."""
-    from math import comb
+    """Number of distinct partitions ``random_division(N, p, ...)`` can draw.
 
-    total, remaining = 1, N
-    while remaining > 0:
-        total *= comb(remaining - 1, p - 1)
-        remaining -= p
-    return total
+    N // p batches of size p, except that a lone leftover makes the last one
+    p + 1, and a remainder of at least 2 forms one more batch of its own.
+    """
+    from math import factorial
+
+    n_p = N // p - (N % p == 1)  # batches of exactly p; at most one other batch
+    return factorial(N) // (factorial(p) ** n_p * factorial(n_p) * factorial(N - n_p * p))

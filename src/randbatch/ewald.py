@@ -222,32 +222,43 @@ def _phase_tables(positions: np.ndarray, L: float, m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KSampleBank:
-    """Pre-sampled frequency vectors, consumed in order; refills on demand."""
+    """Pre-sampled frequency vectors, consumed in order; refills on demand.
+
+    ``cursor`` counts every sample drawn; ``samples`` holds the unconsumed
+    ones, from the ``cursor - _dropped``-th on, and refills drop the rest.
+    """
 
     alpha: float
     L: float
     samples: np.ndarray
     cursor: int = 0
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
+    _dropped: int = field(default=0, repr=False)  # consumed samples no longer held
 
     @property
     def remaining(self) -> int:
-        return len(self.samples) - self.cursor
+        return len(self.samples) + self._dropped - self.cursor
 
     def draw(self, p: int) -> np.ndarray:
         """Next p unused samples; extends the bank rather than reusing any."""
         while self.remaining < p:
             self.refill()
-        out = self.samples[self.cursor: self.cursor + p]
+        out = self.samples[self.cursor - self._dropped: self.cursor - self._dropped + p]
         self.cursor += p
         return out
 
     def refill(self):
-        """Append max(len(samples), 1024) fresh draws."""
+        """Replace the consumed samples by max(their count, 1024) fresh draws.
+
+        A bank drawn p at a time thus never holds more than max(its first
+        size, 1024 + p) samples, however many it has handed out.
+        """
         if self._rng is None:
             raise RuntimeError("bank exhausted and no generator attached for refills")
-        more = _sample_m(self.alpha, self.L, max(len(self.samples), 1024), self._rng)
-        self.samples = np.concatenate([self.samples, TWO_PI * more / self.L])
+        used = self.cursor - self._dropped
+        more = _sample_m(self.alpha, self.L, max(used, 1024), self._rng)
+        self.samples = np.concatenate([self.samples[used:], TWO_PI * more / self.L])
+        self._dropped = self.cursor
 
 
 def mh_sample_kvectors(alpha: float, L: float, count: int, rng) -> KSampleBank:

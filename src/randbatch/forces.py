@@ -6,7 +6,8 @@ state carries a periodic box.  ``batch_pair_sum`` is the one sum over batch
 mates: the random-batch forces here, the Cucker-Smale and consensus
 right-hand sides and the RBM-SVGD update all run through it.  It takes a
 ``BatchDivision`` (or None for one batch of all N), groups the batches from
-its order and gathers each field by ``np.take``.  Summation within a batch
+its order and gathers each field by ``np.take``, once for batches of two,
+whose mates are the same rows reversed.  Summation within a batch
 runs in ascending particle order so that the p = N random-batch step
 reproduces the full-batch step bit for bit.
 
@@ -90,6 +91,8 @@ def batch_pair_sum(
     each gets every field as (B, c, 1, ...) rows of i and (B, c, q-1, ...) rows
     of their mates, j ascending (``np.take`` of the field's rows), and returns
     the B c (q-1) pair terms in that order; a term may use only its own pair.
+    A block of batches of two is never chunked and gathers each field once:
+    its mate rows are the reversed view of the rows of i.
     """
     N = len(fields[0])
     blocks = [(N, np.arange(N)[None, :])] if division is None else batch_index_matrices(division)
@@ -97,17 +100,20 @@ def batch_pair_sum(
     for size, idx in blocks:
         if size < 2:
             raise ValueError("degenerate batch of size < 2")
-        step = max(1, _CHUNK_PAIRS // (idx.shape[0] * (size - 1)))
         # rows k0..k1-1 of every batch at a time; a row sums the same terms in
-        # the same order whatever the chunk, so the result is bit-identical
+        # the same order whatever the chunk, so the result is bit-identical.
+        # A block of two is one chunk: its 2B terms are O(N), like the fields.
+        step = size if size == 2 else max(1, _CHUNK_PAIRS // (idx.shape[0] * (size - 1)))
         for k0 in range(0, size, step):
             k1 = min(k0 + step, size)
-            cols = np.arange(size - 1)
-            cols = cols + (cols >= np.arange(k0, k1)[:, None])  # row k: every column but k
-            I, J = idx[:, k0:k1], idx[:, cols]
-            rows = []
+            I, rows = idx[:, k0:k1], []
+            if size > 2:
+                cols = np.arange(size - 1)
+                J = idx[:, cols + (cols >= np.arange(k0, k1)[:, None])]  # row k: all columns but k
             for f in fields:
-                rows += [np.take(f, I[:, :, None], axis=0), np.take(f, J, axis=0)]
+                fi = np.take(f, I[:, :, None], axis=0)
+                # in a batch of two, the mate of row 0 is row 1 and vice versa
+                rows += [fi, fi[:, ::-1] if size == 2 else np.take(f, J, axis=0)]
             values = np.asarray(pair_term(*rows)).reshape(idx.shape[0], k1 - k0, size - 1, -1)
             if out is None:
                 out = np.zeros((N, values.shape[-1]))

@@ -318,8 +318,7 @@ def _build_electrolyte(cfg, streams):
         params = EwaldParams(alpha=params.alpha, r_c=m["r_c"], k_c=params.k_c, p=run["p"])
     params.validate_box(m["L"])
     system = PeriodicChargeSystem(state=model.initial_state(streams.init), charges=model.charges())
-    bank = mh_sample_kvectors(params.alpha, m["L"], max(10 * params.p * run["steps"] // 8, 4096),
-                              streams.proposal)
+    bank = mh_sample_kvectors(params.alpha, m["L"], 4096, streams.proposal)  # refills on demand
     return _sim(cfg, streams, model=model, state=system, params=params, bank=bank,
                 S=sum_S(params.alpha, m["L"]), thermostat=_thermostat(cfg["thermostat"]),
                 lj=lambda st: model.lj_force(st)[0], energy=[], trajectory=[],

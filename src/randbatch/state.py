@@ -1,6 +1,6 @@
 """Particle state, interaction kernels and batch divisions."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -123,34 +123,40 @@ class KernelSpec:
             raise ValueError("short_part + smooth_part does not reproduce force")
 
 
-@dataclass
 class BatchDivision:
     """A random partition of {0..N-1} into batches of (nominal) size p.
 
     ``order`` lists the particles grouped by batch: batch b is
-    ``order[b*p:(b+1)*p]`` and the last batch takes the tail, which may hold
-    a remainder.  ``random_division`` passes the permutation it drew; for a
-    bare assignment the order is a stable argsort of it, and the assignment
-    must then have the ``validate`` layout.
+    ``order[b*p:(b+1)*p]`` and the last batch takes the tail, which holds a
+    remainder of at least 2, or p + 1 particles when one is left over.
+    ``random_division`` builds a division from the permutation it drew alone,
+    and ``assignment`` (particle -> batch) is derived from it on first read.
+    A bare assignment must have the ``validate`` layout, and its order is a
+    stable argsort of it.
     """
 
-    assignment: np.ndarray
-    batch_size: int
-    order: Optional[np.ndarray] = None
-    n_batches: int = field(init=False)
-
-    def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=np.int64)
-        if self.batch_size < 2:
+    def __init__(self, assignment=None, batch_size: Optional[int] = None, order=None):
+        if batch_size is None or batch_size < 2:
             raise ValueError("batch size must be >= 2")
-        self.n_batches = int(self.assignment.max()) + 1 if self.assignment.size else 0
-        if self.order is None:
+        self.batch_size = batch_size
+        self._assignment = None if assignment is None else np.asarray(assignment, dtype=np.int64)
+        self.order = np.argsort(self._assignment, kind="stable") if order is None else order
+        self.n_batches = self.order.size // batch_size + (self.order.size % batch_size >= 2)
+        if order is None:
             self.validate()
-            self.order = np.argsort(self.assignment, kind="stable")
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """Each particle's batch, derived from ``order`` on first read and then kept."""
+        if self._assignment is None:
+            self._assignment = np.empty(self.order.size, dtype=np.int64)
+            self._assignment[self.order] = np.minimum(
+                np.arange(self.order.size) // self.batch_size, self.n_batches - 1)
+        return self._assignment
 
     @property
     def n_particles(self) -> int:
-        return self.assignment.shape[0]
+        return self.order.size
 
     def batch_of(self, i: int) -> np.ndarray:
         """Sorted indices of the batch containing particle i."""

@@ -1,5 +1,8 @@
 """Random divisions and with-replacement batch sampling."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,3 +157,61 @@ def test_kept_permutation_groups_like_the_sorted_assignment(N, p):
 def test_bare_assignment_must_have_the_division_layout():
     with pytest.raises(ValueError, match="uniform size"):
         BatchDivision(assignment=np.array([0, 0, 0, 1, 1, 1, 1, 1]), batch_size=4)
+
+
+def _assignment_formula(perm: np.ndarray, p: int) -> np.ndarray:
+    """Each particle's batch, written out: consecutive chunks of ``perm`` of size p."""
+    N = perm.size
+    n_full, remainder = N // p, N % p
+    batch_ids = np.minimum(np.arange(N) // p, n_full - (1 if remainder == 1 else 0))
+    if remainder == 1:
+        batch_ids[-1] = n_full - 1  # lone leftover joins the last full batch
+    assignment = np.empty(N, dtype=np.int64)
+    assignment[perm] = batch_ids
+    return assignment
+
+
+def test_derived_assignment_matches_the_explicit_formula():
+    gen = RngStream(31).generator()
+    for N in range(2, 41):
+        for p in range(2, N + 1):  # remainders 0, 1 and >= 2
+            div = random_division(N, p, gen)
+            expected = _assignment_formula(div.order, p)
+            assert div.assignment.dtype == expected.dtype
+            assert np.array_equal(div.assignment, expected)
+            assert div.n_batches == expected.max() + 1
+            assert div.n_particles == N
+            div.validate()
+
+
+def test_random_division_allocates_only_its_permutation():
+    N, gen = 10**5, RngStream(32).generator()
+    random_division(N, 2, gen)  # warm-up
+    tracemalloc.start()
+    try:
+        div = random_division(N, 2, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * div.order.nbytes  # 800 kB; an assignment array would double it
+
+
+def _set_partitions(n: int):
+    """Every partition of {0..n-1}, as restricted-growth strings (block of each element)."""
+    def rec(prefix, n_blocks):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for b in range(n_blocks + 1):
+            yield from rec(prefix + [b], max(n_blocks, b + 1))
+
+    yield from rec([0], 1)
+
+
+@pytest.mark.parametrize("N", range(2, 10))
+def test_count_divisions_counts_the_layouts_random_division_draws(N):
+    layouts = Counter(tuple(sorted(Counter(blocks).values())) for blocks in _set_partitions(N))
+    gen = RngStream(33).generator()
+    for p in range(2, N + 1):
+        drawn = tuple(sorted(np.bincount(random_division(N, p, gen).assignment)))
+        assert count_divisions(N, p) == layouts[drawn] > 0

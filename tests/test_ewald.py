@@ -117,6 +117,23 @@ def test_bank_refills_instead_of_reusing():
     assert not np.any(np.all(out == 0.0, axis=1))
 
 
+def test_refilled_bank_keeps_a_bounded_size_and_reproduces_its_draws():
+    def draws(seed):
+        bank = mh_sample_kvectors(0.8, 9.0, 64, RngStream(seed))
+        out = []
+        for _ in range(2000):
+            out.append(bank.draw(100).copy())
+            assert len(bank.samples) <= 1024 + 100  # whatever the number of draws
+        assert bank.cursor == 2000 * 100
+        return np.concatenate(out)
+
+    a = draws(7)
+    np.testing.assert_array_equal(a, draws(7))
+    assert not np.any(np.all(a == 0.0, axis=1))
+    # the first draw hands out the 64 drawn up front, in order, then fresh ones
+    np.testing.assert_array_equal(a[:64], mh_sample_kvectors(0.8, 9.0, 64, RngStream(7)).samples)
+
+
 def _enumerated_target(alpha, L, m_max=40):
     """Every m != 0 with |m_c| <= m_max and its probability exp(-k^2 / 4 alpha) / S."""
     g = np.arange(-m_max, m_max + 1)

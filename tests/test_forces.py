@@ -231,6 +231,21 @@ def test_pair_batches_are_bit_identical_to_a_per_pair_oracle(N, d):
     assert np.array_equal(consensus_rhs(x, model, division), expected)
 
 
+@pytest.mark.parametrize("N", [10, 11])
+def test_pair_batches_ignore_the_row_chunk_size(monkeypatch, N):
+    # four pair terms per chunk would split every block into one-row chunks;
+    # a block of two stays whole, and a batch of three still chunks
+    monkeypatch.setattr(forces, "_CHUNK_PAIRS", 4)
+    gen = RngStream(60 + N).generator()
+    pos = gen.standard_normal((N, 2))
+    division = random_division(N, 2, gen)
+    kernel = lambda r: r * np.exp(-np.sum(r * r, axis=-1, keepdims=True))
+    expected = _per_pair_oracle(division, lambda i, j: kernel((pos[i] - pos[j])[None])[0],
+                                lambda q: batch_prefactor(0.3, N, q))
+    state = ParticleState(positions=pos)
+    assert np.array_equal(division_forces(state, division, kernel, 0.3), expected)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-50, 50), st.floats(0.5, 20))
 def test_minimum_image_bounds(x, L):
