@@ -4,8 +4,9 @@ The Coulomb kernel splits as 1/r = erf(sqrt(alpha) r)/r + erfc(sqrt(alpha) r)/r.
 The erfc part is short-ranged and summed in real space over the neighbour
 pairs within r_c.  Those come from a ``forces.PairList`` that the system
 carries from step to step: it lists the pairs within r_c + skin (skin =
-0.1 r_c) and repeats the cell search only once some ion has moved skin/2, so
-most steps filter the listed pairs instead of searching.  The electrolyte's
+0.1 r_c at the default alpha, where r_c is 3 particle spacings) and repeats
+the cell search only once some ion has moved skin/2, so most steps filter the
+listed pairs instead of searching.  The electrolyte's
 Lennard-Jones core, passed in as ``extra_force``, filters a list of its own
 at its own cutoff, held by ``models.ElectrolyteModel``.  The smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples

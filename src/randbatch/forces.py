@@ -12,9 +12,12 @@ runs in ascending particle order so that the p = N random-batch step
 reproduces the full-batch step bit for bit.
 
 Short-range sums find their pairs with ``neighbor_pairs``, one cell search
-per call.  ``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev.
-159, 98, 1967): it searches once at cutoff + skin and, until some particle
-has moved skin/2 since, answers each call by filtering the listed pairs.
+per call, which returns them in ascending (i, j) order.  ``PairList`` is the
+Verlet list on top of it (Verlet, Phys. Rev. 159, 98, 1967): it searches once
+at cutoff + skin and, until some particle has moved skin/2 since, answers each
+call by filtering the listed pairs in order.  Every answer is therefore the
+array a fresh search would return, so forces depend on the positions alone,
+not on the skin, the cell grid or when the list was last built.
 All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
 core) are Newton pairs: one evaluation per pair i < j, summed by ``pair_force_sum``.
 """
@@ -267,9 +270,10 @@ def neighbor_pairs(
     """Unordered pairs i < j closer than ``cutoff`` in a periodic box.
 
     Returns ``(i, j, disp, r2)``: the index arrays, the (M, d) minimum-image
-    displacements x_i - x_j and their squared lengths.  Particles are binned
-    into about floor(L / cutoff) cells per side, so every pair within the
-    cutoff lies in the same or an adjacent cell.
+    displacements x_i - x_j and their squared lengths, in ascending (i, j)
+    order, so the answer depends on the positions alone.  Particles are
+    binned into about floor(L / cutoff) cells per side, so every pair within
+    the cutoff lies in the same or an adjacent cell.
     """
     pos = np.asarray(positions, dtype=np.float64)
     N, d = pos.shape
@@ -281,18 +285,29 @@ def neighbor_pairs(
     # the cap on cells per particle only coarsens the grid of a sparse system
     m = max(min(int(box_length / (cutoff * (1 + 1e-9))), int((8 * N) ** (1.0 / d))), 1)
     i, j = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
-    return _pairs_within(pos, box_length, i, j, cutoff)
+    i, j, disp, r2 = _pairs_within(pos, box_length, i, j, cutoff)
+    order = np.argsort(i * N + j)  # the keys are distinct: each pair is listed once
+    return i[order], j[order], disp[order], r2[order]
 
 
 class PairList:
     """Verlet list: the pairs within ``cutoff`` + skin, reused across calls.
 
     A call returns what ``neighbor_pairs(positions, box_length, cutoff)``
-    returns, up to the order of the pairs, by filtering the pairs listed at
-    the last build.  That is exact while no particle has moved more than
-    skin/2 (minimum image) since the build; otherwise, or when the box or
-    the particle count changes, the call first rebuilds the list with one
-    ``neighbor_pairs`` search.  ``builds`` counts those searches.
+    returns, array for array, by filtering the pairs listed at the last
+    build in their (i, j) order.  That is exact while no particle has moved
+    more than skin/2 (minimum image) since the build; otherwise, or when the
+    box or the particle count changes, the call first rebuilds the list with
+    one ``neighbor_pairs`` search.  ``builds`` counts those searches.
+
+    Each build sets skin = max(0.1 cutoff, 0.3 s), with s = (L^d / N)^(1/d)
+    the mean particle spacing.  The skin is sized by how far particles move
+    between builds, which scales with the spacing, not with the cutoff:
+    about 0.3 sigma is the usual choice (Allen & Tildesley, *Computer
+    Simulation of Liquids*), and the spacing stands in for sigma.  A cutoff
+    of 3 spacings or more, such as the default Ewald r_c, keeps 0.1 cutoff.
+    Answers do not depend on when the list was built, so the skin sets only
+    the cost: a wider one lists more pairs and builds less often.
     """
 
     def __init__(self, cutoff: float):
@@ -307,11 +322,15 @@ class PairList:
         pos = np.asarray(positions, dtype=np.float64)
         if self._stale(pos, box_length):
             # a NaN position makes the list stale, and the search raises on it
+            self.skin = self._skin(box_length, *pos.shape)
             i, j, _, _ = neighbor_pairs(pos, box_length, self.cutoff + self.skin)
             self._built = (pos.copy(), box_length, i, j)
             self.builds += 1
         _, _, i, j = self._built
         return _pairs_within(pos, box_length, i, j, self.cutoff)
+
+    def _skin(self, box_length: float, n: int, d: int) -> float:
+        return max(0.1 * self.cutoff, 0.3 * (box_length**d / max(n, 1)) ** (1.0 / d))
 
     def _stale(self, pos: np.ndarray, box_length: float) -> bool:
         if self._built is None:

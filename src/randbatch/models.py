@@ -355,6 +355,8 @@ class ElectrolyteModel:
         The pairs within the cutoff come from the model's ``pairs`` list, which
         is kept from call to call, so a trajectory searches only on rebuilds.
         """
+        if self.lj_cutoff >= self.L / 2:
+            raise ValueError("LJ cutoff must be below half the box length")
         i, j, disp, r2 = self.pairs(state.positions, self.L)
         s6 = (self.lj_sigma**2 / r2) ** 3
         fmag = 24.0 * self.lj_epsilon * (2.0 * s6 * s6 - s6) / r2

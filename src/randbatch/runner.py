@@ -99,6 +99,8 @@ class ModelSpec:
     ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
     past the warmup, and before the first step when ``observe_start`` is set;
     ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
+    ``positive`` names the model fields that must be positive numbers; one
+    whose default is None may also be left unset.
     """
 
     fields: dict
@@ -111,6 +113,7 @@ class ModelSpec:
     observe_start: bool = False
     thermostats: tuple = ()
     output: tuple = ("directory",)
+    positive: tuple = ()
 
 
 def _sim(cfg, streams, **fields) -> SimpleNamespace:
@@ -427,6 +430,7 @@ MODELS = {
         diagnostics=("temperature",), build=_build_lj, finish=_finish_lj,
         observe=lambda s, k: 0.5 * float(np.sum(s.state.velocities**2)),
         thermostats=("andersen", "langevin"),
+        positive=("density", "sigma", "epsilon", "split_radius", "beta"),
     ),
     "electrolyte": ModelSpec(
         fields={"N": 300, "L": 10.0, "lj_sigma": 0.2, "temperature": 1.0,
@@ -441,13 +445,14 @@ MODELS = {
                               fourier_energy(s.state, s.params) if s.exact else None),
         thermostats=("andersen", "langevin", "nose-hoover"),
         output=("directory", "trajectory_every"),
+        positive=("L", "lj_sigma", "temperature", "alpha", "r_c"),
     ),
     "dyson": ModelSpec(
         fields={"N": 500, "split_radius": 0.01, "m": 5},
         run={"p": 2, "dt": 1e-4, "sweeps": 1_000_000, "warmup": lambda run: run["sweeps"] // 3,
              "replicas": 1},
         steppers={"rbmc": _step_dyson}, diagnostics=("w1_semicircle", "density_at_zero"),
-        build=_build_dyson, finish=_finish_dyson,
+        build=_build_dyson, finish=_finish_dyson, positive=("split_radius",),
     ),
     # random-batch SVGD toward exp(-|x|^2 / 2); run.dt is the step size eta
     "gaussian": ModelSpec(
@@ -619,14 +624,23 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     _check_run(cfg["run"], sections["run"], cfg["method"], model_id, N, errors)
     if not _is_int(cfg["output"].get("trajectory_every", 0), 0):
         errors.append("output.trajectory_every: must be an integer >= 0")
+    bad = {k for k in spec.positive if not _positive(model[k])
+           and not (model[k] is None and spec.fields[k] is None)}
+    errors += [f"model.{k}: must be positive" for k in spec.positive if k in bad]
     if model_id == "electrolyte":
         if _is_int(N, 2) and N % 2 != 0:
             errors.append("model.N: electrolyte needs equal numbers of +1/-1 charges "
                           "(electroneutrality)")
-        if model["r_c"] is not None and model["r_c"] >= model["L"] / 2:
+        if model["r_c"] is not None and not {"r_c", "L"} & bad and model["r_c"] >= model["L"] / 2:
             errors.append("model.r_c: real-space cutoff must be below L/2")
-    if model_id == "dyson" and model["split_radius"] <= 0:
-        errors.append("model.split_radius: must be positive")
+        factor = ElectrolyteModel.lj_cutoff_factor
+        if not {"lj_sigma", "L"} & bad and factor * model["lj_sigma"] >= model["L"] / 2:
+            errors.append(f"model.lj_sigma: the LJ cutoff {factor:g} lj_sigma must be below L/2")
+    if model_id == "lj-fluid" and _is_int(N, 2) and not {"density", "split_radius"} & bad:
+        L = (N / model["density"]) ** (1.0 / 3.0)
+        if model["split_radius"] >= L / 2:
+            errors.append(f"model.split_radius: must be below L/2 = {L / 2:g}, "
+                          "with L = (N / density)^(1/3)")
 
     if errors:
         raise ConfigError(errors)

@@ -469,7 +469,8 @@ def test_pair_list_forces_match_brute_force_with_and_without_a_rebuild():
     params = EwaldParams(alpha=1.0, r_c=2.5, k_c=1.0, p=1)
     real_space_force_all(system, params)
     pairs = system.pairs
-    assert pairs.builds == 1 and pairs.skin == pytest.approx(0.25)
+    # skin = max(0.1 r_c, 0.3 spacings): 0.3 (6^3 / 64)^(1/3) = 0.45 here
+    assert pairs.builds == 1 and pairs.skin == pytest.approx(0.45)
     # every ion moves by just under skin/2: pairs cross r_c, the list stays
     gen = RngStream(39).generator()
     shift = gen.standard_normal((64, 3))
@@ -543,6 +544,15 @@ def test_pair_list_search_runs_only_on_builds_over_the_benchmark_episode(monkeyp
     assert 1 <= sim.state.pairs.builds <= 3
     assert 1 <= lj.builds < cfg["run"]["steps"]
     assert len(calls) == sim.state.pairs.builds + lj.builds
+
+
+@pytest.mark.parametrize("N, L", [(300, 10.0), (600, 12.6), (3000, 21.5)])
+def test_coulomb_list_keeps_a_skin_of_a_tenth_of_r_c_at_the_default_alpha(N, L):
+    # the default r_c is 3 / sqrt(alpha) = 3 particle spacings
+    system = _random_electroneutral(N, L, seed=N)
+    params = EwaldParams.for_system(N, L, p=10)
+    real_space_force_all(system, params)
+    assert abs(system.pairs.skin - 0.1 * params.r_c) <= np.spacing(0.1 * params.r_c)
 
 
 def test_real_space_matches_brute_double_loop():

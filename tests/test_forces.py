@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randbatch
-from randbatch import forces
+from randbatch import forces, runner
 from randbatch.batching import enumerate_divisions, random_division
 from randbatch.forces import (
     ClampedKernel,
@@ -29,7 +29,7 @@ from randbatch.forces import (
     suggested_clamp_eps,
 )
 from randbatch.models import ConsensusModel, CuckerSmaleModel, consensus_rhs, cs_rhs
-from randbatch.rng import RngStream
+from randbatch.rng import RngStream, SimStreams
 from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image, wrap_positions
 
 LINE4 = ParticleState(positions=np.arange(4.0)[:, None])
@@ -289,10 +289,11 @@ def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
     K1 = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
     pairs = PairList(1.5)
-    for _ in range(6):  # the list's skin/2 is 0.075: the jitter forces a rebuild
+    for _ in range(6):  # moves of up to 0.27 skin/2 per axis and step force a rebuild
         np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7, pairs),
                                    _truncated_brute_force(state, K1, 1.5, 0.7), atol=1e-13)
-        state = state.replace(positions=state.positions + gen.uniform(-0.02, 0.02, (64, 3)))
+        jitter = gen.uniform(-0.02, 0.02, (64, 3)) * (pairs.skin / 0.15)
+        state = state.replace(positions=state.positions + jitter)
     assert 2 <= pairs.builds < 6
     with pytest.raises(ValueError, match="cutoff"):
         short_range_force_all(state, K1, 1.2, 0.7, pairs)
@@ -421,17 +422,74 @@ def test_neighbor_pairs_matches_brute_force(L, cutoff, dim, positions):
         pos = RngStream(17).generator().uniform(0, L, size=(120, dim))
         pos[0] = 0.0
         pos[1] = np.nextafter(L, 0.0)  # one ulp from pos[0] through the boundary
+    # the brute-force pairs come in ascending (i, j) order, and so must the search's
     expected = _brute_force_pairs(pos, L, cutoff)
     i, j, disp, r2 = neighbor_pairs(pos, L, cutoff)
-    order = np.lexsort((j, i))
-    np.testing.assert_array_equal(i[order], expected[0])
-    np.testing.assert_array_equal(j[order], expected[1])
-    np.testing.assert_array_equal(disp[order], expected[2])
-    np.testing.assert_allclose(r2[order], expected[3], rtol=1e-15, atol=0)  # summation order
+    np.testing.assert_array_equal(i, expected[0])
+    np.testing.assert_array_equal(j, expected[1])
+    np.testing.assert_array_equal(disp, expected[2])
+    np.testing.assert_allclose(r2, expected[3], rtol=1e-15, atol=0)  # summation order
     if positions == "lattice":
         assert i.size == 0
     else:
         assert (0, 1) in set(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize(
+    "d, N, L, cutoff, m",  # m: cells per side of the list's grid, at cutoff + skin
+    [
+        (3, 64, 8.0, 1.5, 3),
+        (3, 64, 8.0, 3.0, 2),
+        (3, 64, 8.0, 3.7, 1),
+        (2, 100, 10.0, 1.2, 6),
+        (2, 100, 10.0, 3.5, 2),
+        (2, 100, 10.0, 4.8, 1),
+        (1, 50, 20.0, 1.0, 17),
+        (1, 50, 20.0, 7.0, 2),
+        (1, 50, 20.0, 9.5, 1),
+    ],
+)
+def test_pair_list_answers_equal_a_fresh_search_along_a_jittered_trajectory(
+    monkeypatch, d, N, L, cutoff, m
+):
+    grids = []
+    search = forces._cell_candidates
+    monkeypatch.setattr(forces, "_cell_candidates", lambda c, k: grids.append(k) or search(c, k))
+    gen = RngStream(40 + d).generator()
+    pos = gen.uniform(0, L, size=(N, d))
+    pairs = PairList(cutoff)
+    for _ in range(12):
+        listed = pairs(pos, L)
+        n = len(grids)
+        fresh = neighbor_pairs(pos, L, cutoff)
+        del grids[n:]  # keep only the grids the list was built on
+        assert all(np.array_equal(a, b) for a, b in zip(listed, fresh))
+        # each step moves a particle by at most 0.2 sqrt(d) skin: a build every few steps
+        pos = pos + gen.uniform(-0.2, 0.2, size=(N, d)) * pairs.skin
+    assert set(grids) == {m} and 2 < pairs.builds < 12
+
+
+@pytest.mark.parametrize("name, model, method", [("lj-split", "lj-fluid", "rbm-split"),
+                                                 ("electrolyte-rbe", "electrolyte", "rbe")])
+def test_the_skin_cannot_change_a_trajectory(monkeypatch, name, model, method):
+    cfg = runner.validate(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+                          / f"{name}.yaml")
+    spec = runner.MODELS[model]
+
+    def episode():
+        sim = spec.build(cfg, SimStreams(5))
+        for k in range(1, cfg["run"]["steps"] + 1):
+            sim.state = spec.steppers[method](sim, k, cfg["run"]["dt"])
+        if model == "lj-fluid":
+            return sim.state, [sim.system.pairs.builds]
+        return sim.state.state, [sim.state.pairs.builds, sim.model.pairs.builds]
+
+    state, builds = episode()
+    monkeypatch.setattr(PairList, "_skin", lambda self, *shape: 0.1 * self.cutoff)
+    pinned, pinned_builds = episode()
+    assert sum(builds) < sum(pinned_builds)
+    np.testing.assert_array_equal(state.positions, pinned.positions)
+    np.testing.assert_array_equal(state.velocities, pinned.velocities)
 
 
 def test_neighbor_pairs_rejects_non_finite_positions():

@@ -311,17 +311,25 @@ def test_electrolyte_lj_matches_brute_force():
     assert energy == pytest.approx(e_expected, abs=1e-12)
 
 
+def test_electrolyte_lj_refuses_a_cutoff_of_half_the_box():
+    # at 2.25 >= L/2 the minimum image would drop the second image of a pair
+    model = ElectrolyteModel(N=16, L=4.0, lj_sigma=0.9)
+    with pytest.raises(ValueError, match="half the box"):
+        model.lj_force(model.initial_state(RngStream(10).generator()))
+
+
 def test_electrolyte_lj_list_matches_brute_force_across_a_rebuild():
     model = ElectrolyteModel(N=64, L=4.0, lj_sigma=0.3)
     gen = RngStream(32).generator()
     state = model.initial_state(gen)
     assert "pairs" not in repr(model) and model == ElectrolyteModel(N=64, L=4.0, lj_sigma=0.3)
-    for _ in range(8):  # skin/2 = 0.0375 at cutoff 0.75: the jitter forces rebuilds
+    for _ in range(8):  # moves of up to 0.27 skin/2 per axis and step force rebuilds
         F, energy = model.lj_force(state)
         expected, e_expected = _lj_brute_force(model, state)
         np.testing.assert_allclose(F, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
         assert energy == pytest.approx(e_expected, rel=1e-12)
-        state = state.replace(positions=state.positions + gen.uniform(-0.01, 0.01, (64, 3)))
+        jitter = gen.uniform(-0.01, 0.01, (64, 3)) * (model.pairs.skin / 0.075)
+        state = state.replace(positions=state.positions + jitter)
     assert 2 <= model.pairs.builds < 8
 
 

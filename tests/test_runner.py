@@ -40,6 +40,12 @@ def _tiny(model, method=None, kind="none", **run_fields):
     return raw
 
 
+def _tiny_model(model, **fields):
+    raw = _tiny(model)
+    raw["model"].update(fields)
+    return raw
+
+
 def _outputs(outdir):
     """The files a run's results live in: metrics.json and every CSV."""
     return {f.name: f.read_bytes() for f in sorted(outdir.iterdir())
@@ -157,6 +163,22 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
      "run.record_every: not used by model 'electrolyte' without a diagnostic"),
     ({**_tiny("lj-fluid"), "diagnostics": []},
      "diagnostics: model 'lj-fluid' writes no results without 'temperature'"),
+    # model fields that would fail mid-run, or run wrong, if accepted
+    (_tiny_model("electrolyte", lj_sigma=0), "model.lj_sigma: must be positive"),
+    (_tiny_model("electrolyte", lj_sigma=-0.2), "model.lj_sigma: must be positive"),
+    (_tiny_model("electrolyte", temperature=-1), "model.temperature: must be positive"),
+    (_tiny_model("electrolyte", alpha=-1), "model.alpha: must be positive"),
+    (_tiny_model("electrolyte", r_c=0), "model.r_c: must be positive"),
+    (_tiny_model("electrolyte", L=-10), "model.L: must be positive"),
+    (_tiny_model("electrolyte", lj_sigma=0.9, L=4),
+     "model.lj_sigma: the LJ cutoff 2.5 lj_sigma must be below L/2"),
+    (_tiny_model("lj-fluid", N=64, split_radius=3.5), "model.split_radius: must be below L/2"),
+    (_tiny_model("lj-fluid", density=-0.3), "model.density: must be positive"),
+    (_tiny_model("lj-fluid", beta=0), "model.beta: must be positive"),
+    (_tiny_model("lj-fluid", beta=-0.5), "model.beta: must be positive"),
+    (_tiny_model("lj-fluid", sigma=-1), "model.sigma: must be positive"),
+    (_tiny_model("lj-fluid", epsilon=-1), "model.epsilon: must be positive"),
+    (_tiny_model("dyson", split_radius="wide"), "model.split_radius: must be positive"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
