@@ -10,14 +10,14 @@ diagnostics used to validate them.
 
 __version__ = "0.1.0"
 
-from .backend import HAVE_NUMBA, USE_NUMBA
 from .rng import RngStream, SimStreams
 from .state import BatchDivision, KernelSpec, ParticleState
 
+# no numba kernel is left; perfbench's environment record reads these, ROADMAP item 6 drops them
+HAVE_NUMBA = USE_NUMBA = False
+
 __all__ = [
     "__version__",
-    "HAVE_NUMBA",
-    "USE_NUMBA",
     "RngStream",
     "SimStreams",
     "BatchDivision",

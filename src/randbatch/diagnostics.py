@@ -1,7 +1,7 @@
 """Metrics comparing simulations against oracles and analytic references."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,31 +25,6 @@ class EmpiricalMeasure:
             if abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1")
             self.weights = w
-
-
-@dataclass
-class Histogram:
-    edges: np.ndarray
-    counts: np.ndarray
-    density: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.float64)
-        if np.any(np.diff(self.edges) <= 0):
-            raise ValueError("edges must be strictly increasing")
-        self.counts = np.asarray(self.counts, dtype=np.float64)
-        widths = np.diff(self.edges)
-        total = self.counts.sum()
-        self.density = self.counts / (total * widths) if total > 0 else np.zeros_like(widths)
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, edges: np.ndarray) -> "Histogram":
-        counts, _ = np.histogram(samples, bins=edges)
-        return cls(edges=edges, counts=counts)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 def _as_weighted(measure) -> Tuple[np.ndarray, np.ndarray]:

@@ -176,46 +176,6 @@ def chi_variance_exact(i: int, state: ParticleState, p: int, kernel) -> float:
     return (1.0 / (p - 1) - 1.0 / (N - 1)) * interaction_spread(i, state, kernel)
 
 
-class ClampedKernel:
-    """Guard for singular kernels used without a declared split.
-
-    Displacement rows with |x| below ``eps`` are rescaled to length ``eps``
-    before evaluation, and every clamp is counted; the counter makes silent
-    regularization impossible.
-    """
-
-    def __init__(self, kernel: Kernel, eps: float):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.kernel = kernel
-        self.eps = eps
-        self.clamp_count = 0
-
-    def __call__(self, disp: np.ndarray) -> np.ndarray:
-        disp = np.atleast_2d(np.asarray(disp, dtype=np.float64))
-        norms = np.linalg.norm(disp, axis=1)
-        small = norms < self.eps
-        if np.any(small):
-            self.clamp_count += int(small.sum())
-            disp = disp.copy()
-            zero = small & (norms == 0.0)
-            if np.any(zero):
-                disp[zero, 0] = self.eps  # direction undefined at 0; pick axis 0
-            grow = small & (norms > 0.0)
-            disp[grow] *= (self.eps / norms[grow])[:, None]
-        return self.kernel(disp)
-
-
-def suggested_clamp_eps(state: ParticleState) -> float:
-    """1e-6 times the typical inter-particle distance."""
-    if state.box_length is not None:
-        typical = state.box_length / state.n_particles ** (1.0 / state.dim)
-    else:
-        span = np.ptp(state.positions, axis=0).max()
-        typical = span / max(state.n_particles ** (1.0 / state.dim), 1.0)
-    return 1e-6 * float(typical)
-
-
 def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j of particles in the same or adjacent cells of an m^d grid.
 

@@ -62,7 +62,7 @@ class FirstOrderSystem:
 
 @dataclass
 class SecondOrderSystem:
-    """dr = v dt, dv = [(b + alpha_N sum K)/m - gamma v] dt + (sigma/sqrt(m)) dW.
+    """dr = v dt, dv = [b + alpha_N sum K - gamma v] dt + sigma dW, with unit masses.
 
     sigma = sqrt(2 gamma / beta) makes the Gibbs measure at inverse
     temperature beta invariant; ``thermostats.Langevin`` builds that pair.
@@ -75,16 +75,11 @@ class SecondOrderSystem:
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gamma: float = 0.0
     sigma: float = 0.0
-    masses: Optional[np.ndarray] = None
     pairs: Optional[PairList] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.gamma < 0 or self.sigma < 0:
             raise ValueError("gamma and sigma must be nonnegative")
-        if self.masses is not None:
-            self.masses = np.asarray(self.masses, dtype=np.float64)
-            if np.any(self.masses <= 0):
-                raise ValueError("masses must be positive")
 
 
 @dataclass
@@ -127,38 +122,33 @@ def _noise_increment(system: FirstOrderSystem, x: np.ndarray, dt: float, noise_r
 
 
 def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: float = 0.0,
-               sigma: float = 0.0, noise_rng=None, masses=None) -> ParticleState:
-    """new_v = v + dt (F/m - c v) + sigma sqrt(dt/m) xi, then new_x = x + dt new_v.
+               sigma: float = 0.0, noise_rng=None) -> ParticleState:
+    """new_v = v + dt (F - c v) + sigma sqrt(dt) xi, then new_x = x + dt new_v (unit masses).
 
     ``friction`` c is a Langevin gamma or the Nose-Hoover xi; xi ~ N(0, I)
-    comes from ``noise_rng`` when sigma > 0; ``masses`` (N,) default to 1.
+    comes from ``noise_rng`` when sigma > 0.
     """
     v = state.velocities
     if v is None:
         raise ValueError("second-order step needs velocities")
-    accel = force if masses is None else force / masses[:, None]
+    accel = force
     if friction:
         accel = accel - friction * v
     new_v = v + dt * accel
     if sigma > 0.0:
-        scale = sigma * math.sqrt(dt) if masses is None else sigma * np.sqrt(dt / masses)[:, None]
-        new_v = new_v + scale * noise_rng.standard_normal(v.shape)
+        new_v = new_v + sigma * math.sqrt(dt) * noise_rng.standard_normal(v.shape)
     new_x = state.positions + dt * new_v
     _check_finite(new_x, new_v, "second-order step")
     return state.replace(positions=new_x, velocities=new_v, time=state.time + dt)
 
 
-def _advance(state, system, force, dt, noise_rng, batch=None) -> ParticleState:
-    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift.
-
-    ``batch`` picks the masses of a sub-state that holds only those particles."""
+def _advance(state, system, force, dt, noise_rng) -> ParticleState:
+    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift."""
     x = state.positions
     if system.drift is not None:
         force = system.drift(x) + force
     if not isinstance(system, FirstOrderSystem):
-        m = system.masses
-        return kick_drift(state, force, dt, system.gamma, system.sigma, noise_rng,
-                          m if m is None or batch is None else m[batch])
+        return kick_drift(state, force, dt, system.gamma, system.sigma, noise_rng)
     new = x + dt * force + _noise_increment(system, x, dt, noise_rng)
     _check_finite(new, None, "first-order step")
     return state.replace(positions=new, time=state.time + dt)
@@ -172,21 +162,14 @@ def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) ->
     return _advance(state, system, force, dt, streams.noise)
 
 
-def rbm_step_first_order(
-    state: ParticleState, system: FirstOrderSystem, p: int, dt: float, streams: SimStreams
-) -> ParticleState:
-    """One random division, then an Euler-Maruyama substep with batch forces."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    division = random_division(state.n_particles, p, streams.division)
-    force = division_forces(state, division, system.kernel, system.alpha_N)
-    return _advance(state, system, force, dt, streams.noise)
+def rbm_step_first_order(state: ParticleState, system, p: int, dt: float,
+                         streams: SimStreams) -> ParticleState:
+    """One random division, then ``_advance`` with the batch forces.
 
-
-def rbm_step_second_order(
-    state: ParticleState, system: SecondOrderSystem, p: int, dt: float, streams: SimStreams
-) -> ParticleState:
-    """Second-order RBM step: batch force in the velocity kick."""
+    ``_advance`` serves both orders: an Euler-Maruyama step for a
+    ``FirstOrderSystem``, the ``kick_drift`` velocity kick for a
+    ``SecondOrderSystem``.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     division = random_division(state.n_particles, p, streams.division)
@@ -216,7 +199,7 @@ def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStrea
         )
         pref = batch_prefactor(system.alpha_N, N, batch.size)
         force = full_force_all(sub, system.kernel, pref)
-        advanced = _advance(sub, system, force, dt, streams.noise, batch)
+        advanced = _advance(sub, system, force, dt, streams.noise)
         positions = current.positions.copy()
         positions[batch] = advanced.positions
         velocities = current.velocities

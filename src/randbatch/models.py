@@ -133,10 +133,6 @@ class WealthModel:
         return np.abs(rng.standard_normal(self.N))
 
 
-def wealth_equilibrium_density(y, kappa: float, D: float) -> np.ndarray:
-    return WealthModel(N=2, kappa=kappa, D=D).equilibrium_density(y)
-
-
 # --- Cucker-Smale flocking ----------------------------------------------------
 
 

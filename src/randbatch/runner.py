@@ -16,6 +16,8 @@ hooks (wealth reflection, Andersen collisions), recording every
 ``record_every`` steps and replicas.  It writes ``config.resolved.yaml``,
 ``metrics.json``, CSV artifacts and ``log.txt`` into the output directory.
 Identical (config, seed) pairs produce byte-identical metrics.
+``metrics.json`` is strict JSON: a run whose metrics hold a NaN or an
+infinity fails with their key paths and writes no ``metrics.json``.
 """
 
 import json
@@ -213,7 +215,7 @@ def _build_dyson(cfg, streams):
 
 
 def _step_dyson(sim, k, dt):
-    """All sweeps of the compiled chain: (final config, pooled snapshots, stats)."""
+    """All sweeps of the RBMC chain: (final config, pooled snapshots, stats)."""
     return run_log_gas_chain(sim.state[0], sim.target, sim.sweeps, sim.m, dt, sim.streams,
                              warmup=sim.warmup, snapshot_every=max(sim.sweeps // 400, 1))
 
@@ -354,8 +356,10 @@ def _finish_electrolyte(sim, cfg, outdir):
     if "dh_screening" in diagnostics and sim.rows:
         profile = radial_net_charge(np.array([f for f, _ in sim.rows]), system.charges,
                                     cfg["model"]["L"])
-        metrics["dh_slope"] = profile.slope
-        metrics["dh_intercept"] = profile.intercept
+        # null when too few bins of the fit window hold net screening charge to fit a line
+        fitted = math.isfinite(profile.slope)
+        metrics["dh_slope"] = profile.slope if fitted else None
+        metrics["dh_intercept"] = profile.intercept if fitted else None
     if "fourier_energy_error" in diagnostics and sim.rows:
         mean_rbe = float(np.mean([r[2] for r in after_warmup]))
         mean_exact = float(np.mean([u for _, u in sim.rows]))
@@ -726,6 +730,16 @@ def _write_samples_csv(path, rows):
                ((sweep, i, *x) for sweep, xs in blocks for i, x in enumerate(xs)))
 
 
+def _non_finite_paths(value, path):
+    """Key paths of the non-finite floats in a metrics tree, in key order."""
+    if isinstance(value, dict):
+        return [p for k in sorted(value)
+                for p in _non_finite_paths(value[k], f"{path}.{k}" if path else str(k))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _non_finite_paths(v, f"{path}[{i}]")]
+    return [path] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
     """Execute a resolved config; returns the artifact directory.
 
@@ -751,13 +765,17 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
         metrics.update(per_replica[0])
     else:
         metrics["replicas"] = per_replica
-        numeric = {k for k in per_replica[0] if isinstance(per_replica[0][k], (int, float))}
+        numeric = {k for k in per_replica[0]
+                   if all(isinstance(r[k], (int, float)) for r in per_replica)}
         metrics["aggregate"] = {
             k: float(np.mean([r[k] for r in per_replica])) for k in sorted(numeric)
         }
-    with open(outdir / "metrics.json", "w") as fh:
-        json.dump(metrics, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        text = json.dumps(metrics, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("metrics.json: non-finite value at "
+                         + ", ".join(_non_finite_paths(metrics, ""))) from None
+    (outdir / "metrics.json").write_text(text + "\n")
     log_lines.append(f"elapsed_seconds={time.perf_counter() - t0:.3f}")
     (outdir / "log.txt").write_text("\n".join(log_lines) + "\n")
     return outdir

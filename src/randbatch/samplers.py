@@ -9,12 +9,12 @@ variational particle flow.
 """
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .backend import njit
 from .batching import batch_index_matrices, random_division
 from .forces import batch_pair_sum
 from .rng import SimStreams
@@ -198,123 +198,6 @@ def log_kernel_split(r0: float):
     return phi1, grad_phi1, phi2
 
 
-@njit(inline="always")
-def _grad_phi1_scalar(y, r0, use_phi1):
-    if use_phi1 == 0:
-        return 0.0
-    ay = abs(y)
-    if ay >= r0:
-        return -1.0 / y
-    return -y / (r0 * r0)
-
-
-@njit(inline="always")
-def _phi2_scalar(y, r0):
-    ay = abs(y)
-    if ay >= r0:
-        return 0.0
-    if ay <= 0.0:
-        return 1e300  # hard-core: candidate sitting exactly on a particle
-    return -math.log(ay) - (-math.log(r0) + 0.5) + ay * ay / (2.0 * r0 * r0)
-
-
-@njit
-def _bin_of(x, lo, inv_width, n_bins):
-    b = int((x - lo) * inv_width)
-    if b < 0:
-        b = 0
-    elif b >= n_bins:
-        b = n_bins - 1
-    return b
-
-
-@njit
-def _bins_build(x, lo, inv_width, n_bins, members, counts):
-    counts[:] = 0
-    for idx in range(x.shape[0]):
-        b = _bin_of(x[idx], lo, inv_width, n_bins)
-        members[b, counts[b]] = idx
-        counts[b] += 1
-
-
-@njit
-def _bins_remove(members, counts, b, idx):
-    c = counts[b]
-    for s in range(c):
-        if members[b, s] == idx:
-            members[b, s] = members[b, c - 1]
-            counts[b] = c - 1
-            return
-    raise RuntimeError("particle missing from its bin")
-
-
-@njit
-def _phi2_delta(x, i, x_old, x_new, r0, lo, inv_width, n_bins, members, counts):
-    """sum_j phi2(x_new - x_j) - phi2(x_old - x_j) via the neighbor bins."""
-    delta = 0.0
-    for which in range(2):
-        pos = x_new if which == 0 else x_old
-        sign = 1.0 if which == 0 else -1.0
-        b0 = _bin_of(pos, lo, inv_width, n_bins)
-        for b in range(max(b0 - 1, 0), min(b0 + 2, n_bins)):
-            for s in range(counts[b]):
-                j = members[b, s]
-                if j == i:
-                    continue
-                delta += sign * _phi2_scalar(pos - x[j], r0)
-    return delta
-
-
-@njit
-def _log_gas_chunk(
-    x,
-    picks,
-    batch_ints,
-    normals,
-    accept_u,
-    dt,
-    r0,
-    v_coef,
-    noise_std,
-    beta_w2,
-    use_phi1,
-    lo,
-    inv_width,
-    n_bins,
-    members,
-    counts,
-    cap,
-):
-    """Process one chunk of single-particle RBMC updates (p = 2 fast path)."""
-    n_iter, m = batch_ints.shape
-    accepted = 0
-    for t in range(n_iter):
-        i = picks[t]
-        xi = x[i]
-        r = xi
-        for k in range(m):
-            u = batch_ints[t, k]
-            j = u if u < i else u + 1
-            drift = v_coef * r + _grad_phi1_scalar(r - x[j], r0, use_phi1)
-            r = r - dt * drift + noise_std * normals[t, k]
-        if not math.isfinite(r):
-            continue
-        delta = _phi2_delta(x, i, xi, r, r0, lo, inv_width, n_bins, members, counts)
-        log_acc = -beta_w2 * delta
-        if log_acc >= 0.0 or math.log(max(accept_u[t], 1e-300)) <= log_acc:
-            b_old = _bin_of(xi, lo, inv_width, n_bins)
-            b_new = _bin_of(r, lo, inv_width, n_bins)
-            if b_new != b_old:
-                if counts[b_new] >= cap:
-                    raise RuntimeError("neighbor bin overflow; increase capacity")
-                _bins_remove(members, counts, b_old, i)
-                members[b_new, counts[b_new]] = i
-                counts[b_new] += 1
-            x[i] = r
-            accepted += 1
-    return accepted
-
-
 def run_log_gas_chain(
     x0: np.ndarray,
     target: GibbsTarget,
@@ -324,58 +207,72 @@ def run_log_gas_chain(
     streams: SimStreams,
     warmup: int = 0,
     snapshot_every: int = 20_000,
-    r0: Optional[float] = None,
-    use_phi1: bool = True,
-    domain_halfwidth: float = 4.0,
 ) -> Tuple[np.ndarray, np.ndarray, MarkovChainStats]:
-    """Compiled RBMC chain for 1-d log-gas targets (V quadratic, p = 2).
+    """RBMC chain for 1-d log-gas targets (V quadratic, p = 2), split at ``target.phi2_cutoff``.
 
-    The short-range acceptance uses a uniform bin grid of width r0, the 1-d
-    cell list.  Returns (final config, pooled post-warmup snapshots, stats).
-    Randomness is pre-drawn per chunk from ``streams.proposal`` so the numba
-    and pure-python backends walk identical chains.
+    The m proposal steps each take the phi1 force of one random other
+    particle; the phi2 acceptance reads the neighbours within the cutoff off a
+    sorted list of positions.  Returns (final config, pooled post-warmup
+    snapshots, stats).  Randomness is pre-drawn from ``streams.proposal`` in
+    chunks of ``snapshot_every`` iterations.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    N = x.shape[0]
+    x = np.asarray(x0, dtype=np.float64).tolist()
+    N = len(x)
     if target.N != N:
         raise ValueError("config size does not match target")
-    if r0 is None:
-        r0 = target.phi2_cutoff
+    dt, r0 = float(dt), float(target.phi2_cutoff)
     v_coef = 1.0 / (target.w * (N - 1))
     noise_std = math.sqrt(2.0 * dt / ((N - 1) * target.w**2 * target.beta))
     beta_w2 = target.beta * target.w**2
-    lo = -domain_halfwidth
-    bin_width = max(r0, 1e-6)
-    n_bins = max(int((2 * domain_halfwidth) / bin_width), 1)
-    inv_width = 1.0 / bin_width
-    cap = max(64, 4 * N // n_bins + 8)
-    members = np.zeros((n_bins, cap), dtype=np.int64)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    _bins_build(x, lo, inv_width, n_bins, members, counts)
+    r0_sq, phi1_at_0 = r0 * r0, -math.log(r0) + 0.5
+    ordered = sorted(x)
 
     rng = streams.proposal
     stats = MarkovChainStats()
     snapshots = []
-    chunk = snapshot_every
     done = 0
     while done < n_iterations:
-        size = min(chunk, n_iterations - done)
-        picks = rng.integers(0, N, size=size)
-        batch_ints = rng.integers(0, N - 1, size=(size, m))
-        normals = rng.standard_normal((size, m))
-        accept_u = rng.random(size)
-        accepted = _log_gas_chunk(
-            x, picks, batch_ints, normals, accept_u,
-            dt, r0, v_coef, noise_std, beta_w2, 1 if use_phi1 else 0,
-            lo, inv_width, n_bins, members, counts, cap,
-        )
+        size = min(snapshot_every, n_iterations - done)
+        picks = rng.integers(0, N, size=size).tolist()
+        batch_ints = rng.integers(0, N - 1, size=(size, m)).tolist()
+        normals = rng.standard_normal((size, m)).tolist()
+        accept_u = rng.random(size).tolist()
+        for i, mates, noise, u in zip(picks, batch_ints, normals, accept_u):
+            xi = x[i]
+            r = xi
+            for j, z in zip(mates, noise):
+                y = r - x[j if j < i else j + 1]
+                drift = v_coef * r + (-1.0 / y if abs(y) >= r0 else -y / r0_sq)
+                r = r - dt * drift + noise_std * z
+            if not math.isfinite(r):
+                continue
+            # sum_j phi2(r - x_j) - phi2(xi - x_j) over j != i; one entry xi is i's own
+            delta = 0.0
+            for pos, sign in ((r, 1.0), (xi, -1.0)):
+                own = True
+                for xj in ordered[bisect_left(ordered, pos - r0):bisect_right(ordered, pos + r0)]:
+                    if own and xj == xi:
+                        own = False
+                        continue
+                    ay = abs(pos - xj)
+                    if ay >= r0:
+                        continue
+                    # 1e300: a hard core for a position exactly on another particle
+                    phi2 = (-math.log(ay) - phi1_at_0 + ay * ay / (2.0 * r0_sq) if ay > 0.0
+                            else 1e300)
+                    delta += sign * phi2
+            log_acc = -beta_w2 * delta
+            if log_acc >= 0.0 or math.log(max(u, 1e-300)) <= log_acc:
+                del ordered[bisect_left(ordered, xi)]
+                insort(ordered, r)
+                x[i] = r
+                stats.acceptance_count += 1
         stats.proposal_count += size
-        stats.acceptance_count += int(accepted)
         done += size
         if done > warmup:
-            snapshots.append(x.copy())
+            snapshots.append(np.array(x))
     pooled = np.concatenate(snapshots) if snapshots else np.empty(0)
-    return x, pooled, stats
+    return np.array(x), pooled, stats
 
 
 # --- Stein variational gradient descent --------------------------------------

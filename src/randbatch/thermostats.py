@@ -7,7 +7,7 @@ is its friction, and Andersen collisions follow it.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -63,9 +63,8 @@ def apply_andersen(
     temperature: float,
     dt: float,
     rng: np.random.Generator,
-    masses: Optional[np.ndarray] = None,
 ) -> ParticleState:
-    """Redraw each velocity from N(0, T/m I_d) with probability 1 - exp(-nu dt)."""
+    """Redraw each velocity from N(0, T I_d) with probability 1 - exp(-nu dt) (unit masses)."""
     if state.velocities is None:
         raise ValueError("Andersen thermostat needs velocities")
     if nu == 0.0:
@@ -73,8 +72,6 @@ def apply_andersen(
     p_collide = 1.0 - math.exp(-nu * dt)
     hit = rng.random(state.n_particles) < p_collide
     fresh = rng.standard_normal(state.positions.shape) * math.sqrt(temperature)
-    if masses is not None:
-        fresh /= np.sqrt(np.asarray(masses))[:, None]
     velocities = np.where(hit[:, None], fresh, state.velocities)
     return state.replace(velocities=velocities)
 
@@ -86,18 +83,16 @@ def nose_hoover_step(
     beta: float,
     dt: float,
     forces: np.ndarray,
-    masses: Optional[np.ndarray] = None,
 ) -> Tuple[ParticleState, float]:
     """One step of the real-variable Nose-Hoover ODEs.
 
-    r' = v, v' = F/m - xi v, xi' = (sum m |v|^2 - d N / beta) / Q, with the
+    r' = v, v' = F - xi v, xi' = (sum |v|^2 - d N / beta) / Q (unit masses), with the
     force array supplied by the caller.  xi takes an Euler step from the
     pre-kick kinetic energy; the particles take ``kick_drift`` with friction xi.
     """
     if state.velocities is None:
         raise ValueError("Nose-Hoover thermostat needs velocities")
     v = state.velocities
-    m = None if masses is None else np.asarray(masses, dtype=np.float64)
-    kinetic_sum = float(np.sum(v * v if m is None else m[:, None] * v * v))
+    kinetic_sum = float(np.sum(v * v))
     new_xi = xi + dt / Q * (kinetic_sum - state.dim * state.n_particles / beta)
-    return kick_drift(state, forces, dt, friction=xi, masses=m), new_xi
+    return kick_drift(state, forces, dt, friction=xi), new_xi

@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 from randbatch.diagnostics import (
     EmpiricalMeasure,
-    Histogram,
     radial_net_charge,
     strong_error,
     wasserstein1_1d,
@@ -166,12 +165,3 @@ def test_radial_profile_synthetic_screening_roundtrip():
     charges = np.concatenate([[1.0], -np.ones(len(radii))])
     prof = radial_net_charge(frames, charges, L, bin_width=0.1, fit_window=(0.5, 2.5))
     assert abs(prof.slope - (-kappa)) < 0.05
-
-
-def test_histogram_density_normalization():
-    gen = RngStream(10).generator()
-    h = Histogram.from_samples(gen.standard_normal(10_000), np.linspace(-5, 5, 41))
-    widths = np.diff(h.edges)
-    assert abs(np.sum(h.density * widths) - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        Histogram(edges=np.array([0.0, 0.0, 1.0]), counts=np.array([1.0, 2.0]))

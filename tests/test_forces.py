@@ -13,7 +13,6 @@ import randbatch
 from randbatch import forces, runner
 from randbatch.batching import enumerate_divisions, random_division
 from randbatch.forces import (
-    ClampedKernel,
     PairList,
     batch_force,
     batch_prefactor,
@@ -26,7 +25,6 @@ from randbatch.forces import (
     neighbor_pairs,
     pair_force_sum,
     short_range_force_all,
-    suggested_clamp_eps,
 )
 from randbatch.models import ConsensusModel, CuckerSmaleModel, consensus_rhs, cs_rhs
 from randbatch.rng import RngStream, SimStreams
@@ -511,21 +509,6 @@ def test_short_range_force_rejects_wide_cutoff():
     state = ParticleState(positions=np.zeros((2, 3)), box_length=4.0)
     with pytest.raises(ValueError):
         short_range_force_all(state, lambda x: x, r0=2.0, alpha_N=1.0)
-
-
-def test_clamped_kernel_counts_and_bounds():
-    clamped = ClampedKernel(lambda x: 1.0 / x, eps=1e-3)
-    rows = np.array([[1.0], [1e-9], [0.0]])
-    out = clamped(rows)
-    assert clamped.clamp_count == 2
-    assert np.all(np.isfinite(out))
-    assert abs(out[1, 0]) <= 1e3 + 1e-9
-
-
-def test_suggested_clamp_eps_periodic():
-    state = ParticleState(positions=np.zeros((8, 2)) + 0.5, box_length=4.0)
-    eps = suggested_clamp_eps(state)
-    assert 0 < eps < 1e-5
 
 
 def test_kernel_split_invariants_checked():

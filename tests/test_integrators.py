@@ -16,7 +16,6 @@ from randbatch.integrators import (
     kick_drift,
     rbm_split_step,
     rbm_step_first_order,
-    rbm_step_second_order,
     rbmr_step,
 )
 from randbatch.models import lj_kernel_spec
@@ -84,7 +83,7 @@ def test_rbm_second_order_full_batch_matches_direct():
     sa, sb = SimStreams(3), SimStreams(3)
     for _ in range(4):
         a = direct_step(a, system, 0.02, sa)
-        b = rbm_step_second_order(b, system, N, 0.02, sb)
+        b = rbm_step_first_order(b, system, N, 0.02, sb)
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.velocities, b.velocities)
 
@@ -160,7 +159,7 @@ def test_split_step_with_zero_short_part_matches_plain_rbm():
     system = SecondOrderSystem(kernel=spec, alpha_N=1 / 7, gamma=0.1, sigma=0.2)
     plain_system = SecondOrderSystem(kernel=smooth, alpha_N=1 / 7, gamma=0.1, sigma=0.2)
     a = rbm_split_step(state, system, 2, 0.01, SimStreams(21))
-    b = rbm_step_second_order(state, plain_system, 2, 0.01, SimStreams(21))
+    b = rbm_step_first_order(state, plain_system, 2, 0.01, SimStreams(21))
     np.testing.assert_array_equal(a.positions, b.positions)
     np.testing.assert_array_equal(a.velocities, b.velocities)
 
@@ -341,7 +340,7 @@ def test_langevin_velocity_variance_on_stiff_oscillators():
                           velocities=streams.init.standard_normal((N, 1)))
     v2 = []
     for k in range(3000):
-        state = rbm_step_second_order(state, system, 2, dt, streams)
+        state = rbm_step_first_order(state, system, 2, dt, streams)
         if k >= 500:
             v2.append(np.mean(state.velocities**2))
     assert abs(np.mean(v2) - 1.0) < 0.03
@@ -350,19 +349,17 @@ def test_langevin_velocity_variance_on_stiff_oscillators():
 def test_kick_drift_moves_positions_with_the_new_velocity():
     state = _state2(N=5, d=2, seed=15, box=3.0)
     force = SimStreams(16).init.standard_normal((5, 2))
-    masses = np.array([1.0, 2.0, 0.5, 4.0, 1.5])
-    out = kick_drift(state, force, 0.1, friction=0.3, masses=masses)
-    v = state.velocities + 0.1 * (force / masses[:, None] - 0.3 * state.velocities)
+    out = kick_drift(state, force, 0.1, friction=0.3)
+    v = state.velocities + 0.1 * (force - 0.3 * state.velocities)
     np.testing.assert_array_equal(out.velocities, v)
     np.testing.assert_array_equal(out.positions, np.mod(state.positions + 0.1 * v, 3.0))
     assert out.time == pytest.approx(0.1)
 
 
-def test_rbmr_second_order_uses_the_masses_of_the_batch():
-    # with one inner batch of all N, rbm-r is the direct step with the same masses
+def test_rbmr_second_order_full_batch_matches_direct():
+    # with one inner batch of all N, rbm-r is the direct step
     N = 6
-    system = SecondOrderSystem(kernel=np.sin, alpha_N=1 / (N - 1), gamma=0.2, sigma=0.3,
-                               masses=np.linspace(0.5, 3.0, N))
+    system = SecondOrderSystem(kernel=np.sin, alpha_N=1 / (N - 1), gamma=0.2, sigma=0.3)
     a = rbmr_step(_state2(N, seed=17), system, N, 0.05, SimStreams(18))
     b = direct_step(_state2(N, seed=17), system, 0.05, SimStreams(18))
     np.testing.assert_allclose(a.positions, b.positions, rtol=1e-14)

@@ -24,7 +24,6 @@ from randbatch.models import (
     lj_kernel_spec,
     semicircle_cdf,
     semicircle_density,
-    wealth_equilibrium_density,
 )
 from randbatch.rng import RngStream, SimStreams
 from randbatch.state import ParticleState
@@ -53,8 +52,6 @@ def test_wealth_density_support_and_normalization():
     np.testing.assert_array_equal(model.equilibrium_density(np.array([-1.0, 0.0])), [0.0, 0.0])
     val, _ = quad(lambda y: float(model.equilibrium_density(y)), 0, 200, limit=200)
     assert abs(val - 1.0) < 1e-6
-    assert wealth_equilibrium_density(0.5, 1.0, 0.5) == pytest.approx(
-        float(model.equilibrium_density(np.array([0.5]))[0]))
 
 
 def test_wealth_mode_matches_numeric_maximization():

@@ -250,6 +250,31 @@ def test_runs_are_deterministic_for_every_model(model, tmp_path):
     assert first == second
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("model, method", [(model, method) for model, methods
+                                           in MODEL_METHODS.items() for method in methods])
+def test_metrics_json_is_strict_json(model, method, baselines):
+    json.loads(baselines(model, method, "none")["metrics.json"], parse_constant=_reject_constant)
+
+
+def test_a_screening_profile_with_too_few_bins_to_fit_writes_null(baselines):
+    metrics = json.loads(baselines("electrolyte", "rbe", "andersen")["metrics.json"])
+    assert metrics["dh_slope"] is None and metrics["dh_intercept"] is None
+
+
+def test_non_finite_metrics_fail_the_run_and_write_no_metrics_json(tmp_path):
+    # consensus at dt = 400 overflows, and its final functionals are NaN
+    cfg = validate_dict(_tiny("consensus", dt=400, steps=200))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
+        run(cfg, out_root=tmp_path)
+    assert "m2_final_over_initial" in str(info.value)
+    assert "diameter_final_over_initial" in str(info.value)
+    assert not list(tmp_path.rglob("metrics.json"))
+
+
 @pytest.mark.parametrize("model", ["toy", "cucker-smale", "consensus"])
 def test_integer_dt_writes_the_same_outputs_as_float_dt(model, tmp_path):
     """YAML ``dt: 1`` is an int; every value but an index column is still a float."""

@@ -1,4 +1,4 @@
-"""RBMC proposal/acceptance semantics, the compiled log-gas chain, and SVGD."""
+"""RBMC proposal/acceptance semantics, the log-gas chain, and SVGD."""
 
 import math
 
@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from randbatch.batching import enumerate_divisions, random_division
+from randbatch.models import DysonModel
 from randbatch.rng import RngStream, SimStreams
 from randbatch.samplers import (
     GaussianKernel,
@@ -217,12 +218,8 @@ def test_fast_chain_agrees_with_generic_sampler():
     assert wasserstein1_1d(pooled_fast, np.concatenate(pooled)) < 0.15
 
 
-def test_fast_chain_backend_paths_identical():
-    from randbatch.backend import USE_NUMBA, py_func
-    from randbatch.samplers import _log_gas_chunk
-
-    if not USE_NUMBA:
-        pytest.skip("fallback already active")
+def test_log_gas_chain_final_config_is_pinned():
+    """Pinned bits of the chain; half the particles start outside [-4, 4], in pairs within r0."""
     N = 12
     phi1, grad_phi1, phi2 = log_kernel_split(0.05)
     target = GibbsTarget(
@@ -231,19 +228,27 @@ def test_fast_chain_backend_paths_identical():
         phi1=phi1, grad_phi1=grad_phi1, phi2=phi2, phi2_cutoff=0.05,
         beta=float((N - 1) ** 2), w=1.0 / (N - 1), N=N,
     )
-    x0 = RngStream(11).generator().uniform(-1, 1, N)
-    kwargs = dict(n_iterations=4000, m=3, dt=1e-3, warmup=0, snapshot_every=1000)
-    out_jit, _, _ = run_log_gas_chain(x0, target, streams=SimStreams(12), **kwargs)
+    x0 = np.concatenate([RngStream(11).generator().uniform(-1, 1, 6),
+                         4.5 + 0.03 * np.arange(3), -5.0 - 0.03 * np.arange(3)])
+    x, pooled, stats = run_log_gas_chain(x0, target, 4000, m=3, dt=1e-3, streams=SimStreams(12),
+                                         warmup=0, snapshot_every=1000)
+    expected = [
+        0.9795057688346478, 0.5871028207133473, 0.00872862292552165, -0.9959566394875689,
+        0.11197550741682333, -0.5515782495984912, 1.5762874919452805, 2.1128697516534465,
+        2.207394553316923, -2.250527498094395, -1.608188258164005, -2.0942962060994126,
+    ]
+    np.testing.assert_array_equal(x, expected)
+    np.testing.assert_array_equal(pooled[-N:], expected)
+    assert (stats.proposal_count, stats.acceptance_count, pooled.size) == (4000, 3946, 4 * N)
 
-    import randbatch.samplers as mod
 
-    original = mod._log_gas_chunk
-    mod._log_gas_chunk = py_func(original)
-    try:
-        out_py, _, _ = run_log_gas_chain(x0, target, streams=SimStreams(12), **kwargs)
-    finally:
-        mod._log_gas_chunk = original
-    np.testing.assert_array_equal(out_jit, out_py)
+@pytest.mark.parametrize("seed, accepted", [(0, 15036), (1, 15002)])
+def test_dyson_chain_acceptance_counts_are_pinned(seed, accepted):
+    model = DysonModel(N=500, split_radius=0.01)
+    streams = SimStreams(seed)
+    _, _, stats = run_log_gas_chain(model.initial(streams.init), model.gibbs_target(), 20_000,
+                                    m=5, dt=1e-4, streams=streams, snapshot_every=5000)
+    assert stats.acceptance_count == accepted
 
 
 # --- SVGD --------------------------------------------------------------------
