@@ -6,6 +6,11 @@ their exact statistics, the RBM family of SDE integrators, the Random Batch
 Ewald pipeline for periodic Coulomb systems, random-batch Monte Carlo and
 Stein variational samplers, a model zoo with analytic references, and the
 diagnostics used to validate them.
+
+A heavy dependency is loaded by the object that needs it, when that object
+is built, never at package import: ``scipy.special`` by
+``ewald.PeriodicChargeSystem`` and ``models.WealthModel`` (through
+``backend.special``), and ``scipy.spatial`` likewise once it is used.
 """
 
 __version__ = "0.1.0"

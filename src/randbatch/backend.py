@@ -1,10 +1,13 @@
-"""The BLAS thread cap.
+"""The BLAS thread cap, and scipy.special on first need.
 
 ``set_blas_threads`` caps the thread pool of the OpenBLAS that numpy wheels
 bundle, through its exported ``scipy_openblas_set_num_threads64_``.
+``special`` imports scipy.special, about 18 MB and 0.3 s, only when an object
+that needs one of its functions is built.
 """
 
 import ctypes
+import functools
 import glob
 import os
 
@@ -30,3 +33,15 @@ def set_blas_threads(n: int) -> bool:
         return False
     lib.scipy_openblas_set_num_threads64_(ctypes.c_int(n))
     return True
+
+
+@functools.cache
+def special(name: str):
+    """The scipy.special function ``name``, imported on the first call.
+
+    The objects whose methods use one call this when they are built, so
+    set-up pays the import, not a step or an analysis.
+    """
+    import scipy.special
+
+    return getattr(scipy.special, name)

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
+from .backend import special
 from .forces import PairList, pair_force_sum
 from .integrators import kick_drift
 from .rng import SimStreams
@@ -65,6 +65,7 @@ class PeriodicChargeSystem:
             raise ValueError("need one charge per particle")
         if abs(self.charges.sum()) > 1e-12:
             raise ValueError("system must be electroneutral")
+        special("erfc")  # for real_space_force_all
 
     @property
     def L(self) -> float:
@@ -376,7 +377,7 @@ def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> T
     i, j, disp, r2 = system.pairs(system.state.positions, system.L)
     r = np.sqrt(r2)
     qq = system.charges[i] * system.charges[j]
-    screened = qq * _erfc(math.sqrt(params.alpha) * r) / r
+    screened = qq * special("erfc")(math.sqrt(params.alpha) * r) / r
     gauss = qq * 2.0 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r2)
     forces = pair_force_sum(system.n_particles, i, j, ((screened + gauss) / r2)[:, None] * disp)
     return forces, float(np.sum(screened))

@@ -79,7 +79,8 @@ def full_force_all(state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
     return batch_pair_sum(None, _kernel_term(kernel, state), (state.positions,), lambda q: alpha_N)
 
 
-_CHUNK_PAIRS = 1 << 18  # pair terms per block chunk in ``batch_pair_sum``
+# pair terms per block chunk in ``batch_pair_sum``; candidates per block of ``neighbor_pairs``
+_CHUNK_PAIRS = 1 << 18
 
 
 def batch_pair_sum(
@@ -176,10 +177,13 @@ def chi_variance_exact(i: int, state: ParticleState, p: int, kernel) -> float:
     return (1.0 / (p - 1) - 1.0 / (N - 1)) * interaction_spread(i, state, kernel)
 
 
-def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of particles in the same or adjacent cells of an m^d grid.
+def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs i < j in the same or adjacent cells of an m^d grid, as runs.
 
-    Each pair is generated once: from the lower-numbered of its two cells, or,
+    Returns ``(order, first, count)``: the particles sorted into cell order,
+    and, for rank r and the k-th cell it is paired with, the ranks
+    ``first[r, k]`` .. ``first[r, k] + count[r, k] - 1`` it pairs with.  Each
+    pair is generated once: from the lower-numbered of its two cells, or,
     within a cell, from the particle that sorts first.
     """
     N, d = coords.shape
@@ -199,12 +203,19 @@ def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray
         part = (coords[:, axis, None] + shifts) % m * strides[axis]
         neigh = (neigh[:, :, None] + part[:, None, :]).reshape(N, neigh.shape[1] * shifts.size)
     rank = np.arange(N)
-    own = cell[:, None]
-    first = np.where(neigh == own, rank[:, None] + 1, ends[neigh] - counts[neigh])
-    n_cand = np.where(neigh >= own, ends[neigh] - first, 0)
-    ra = np.repeat(rank, n_cand.sum(axis=1))
-    n_cand, first = n_cand.ravel(), first.ravel()
-    rb = np.arange(ra.size) - np.repeat(np.cumsum(n_cand) - n_cand - first, n_cand)
+    own, end = cell[:, None], ends[neigh]  # end: one past the last rank of each paired cell
+    first = np.where(neigh == own, rank[:, None] + 1, end - counts[neigh])
+    return order, first, np.where(neigh >= own, end - first, 0)
+
+
+def _run_pairs(
+    order: np.ndarray, rank: np.ndarray, n_cand: np.ndarray, first: np.ndarray, count: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The index pairs (i, j), i < j, that ranks ``rank`` list, from their rows of
+    ``_cell_candidates``' ``first`` and ``count`` and their candidate totals ``n_cand``."""
+    ra = np.repeat(rank, n_cand)
+    count, first = count.ravel(), first.ravel()
+    rb = np.arange(ra.size) - np.repeat(np.cumsum(count) - count - first, count)
     i, j = order[ra], order[rb]
     return np.minimum(i, j), np.maximum(i, j)
 
@@ -233,7 +244,9 @@ def neighbor_pairs(
     displacements x_i - x_j and their squared lengths, in ascending (i, j)
     order, so the answer depends on the positions alone.  Particles are
     binned into about floor(L / cutoff) cells per side, so every pair within
-    the cutoff lies in the same or an adjacent cell.
+    the cutoff lies in the same or an adjacent cell.  The candidate pairs are
+    expanded and filtered in blocks of about ``_CHUNK_PAIRS``, so beyond its
+    answer a search holds one block of candidates at a time.
     """
     pos = np.asarray(positions, dtype=np.float64)
     N, d = pos.shape
@@ -244,8 +257,25 @@ def neighbor_pairs(
     # the margin keeps cell edges above the cutoff despite rounding in the binning;
     # the cap on cells per particle only coarsens the grid of a sparse system
     m = max(min(int(box_length / (cutoff * (1 + 1e-9))), int((8 * N) ** (1.0 / d))), 1)
-    i, j = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
-    i, j, disp, r2 = _pairs_within(pos, box_length, i, j, cutoff)
+    order, first, count = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
+    # expand and filter the candidates in blocks of consecutive ranks with at most
+    # _CHUNK_PAIRS candidates (or a single rank), so that beyond the kept pairs a
+    # search holds one block at a time; searches of up to a few thousand
+    # particles at the benchmark densities are a single block
+    rank, n_cand = np.arange(N), count.sum(axis=1)
+    ends, kept, start = np.cumsum(n_cand), [], 0
+    while start < N or not kept:
+        before = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, before + _CHUNK_PAIRS, "right")), start + 1)
+        rows = slice(start, stop)
+        block = _run_pairs(order, rank[rows], n_cand[rows], first[rows], count[rows])
+        start = stop
+        if start >= N:  # the last block: free the (N, 3^d) runs before filtering it
+            order = rank = n_cand = first = count = ends = None
+        kept.append(_pairs_within(pos, box_length, *block, cutoff))
+        block = None  # so that two blocks of candidates are never held at once
+    i, j, disp, r2 = kept[0] if len(kept) == 1 else [np.concatenate(a) for a in zip(*kept)]
+    del kept
     order = np.argsort(i * N + j)  # the keys are distinct: each pair is listed once
     return i[order], j[order], disp[order], r2[order]
 
@@ -287,6 +317,8 @@ class PairList:
             self._built = (pos.copy(), box_length, i, j)
             self.builds += 1
         _, _, i, j = self._built
+        if i.size == 0:  # nothing listed, so nothing to filter
+            return i, j, np.empty((0, pos.shape[1])), np.empty(0)
         return _pairs_within(pos, box_length, i, j, self.cutoff)
 
     def _skin(self, box_length: float, n: int, d: int) -> float:

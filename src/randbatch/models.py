@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaincc
 
+from .backend import special
 from .forces import PairList, batch_pair_sum, pair_force_sum
 from .integrators import FirstOrderSystem
 from .samplers import GibbsTarget, log_kernel_split
@@ -89,6 +89,7 @@ class WealthModel:
     def __post_init__(self):
         if self.kappa <= 0 or self.D <= 0:
             raise ValueError("kappa and D must be positive")
+        special("gammaincc")  # for equilibrium_cdf
 
     def system(self) -> FirstOrderSystem:
         kappa = self.kappa
@@ -126,7 +127,7 @@ class WealthModel:
         y = np.asarray(y, dtype=np.float64)
         out = np.zeros_like(y)
         pos = y > 0
-        out[pos] = gammaincc(self.shape, self.scale / y[pos])
+        out[pos] = special("gammaincc")(self.shape, self.scale / y[pos])
         return out
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
@@ -354,6 +355,8 @@ class ElectrolyteModel:
         if self.lj_cutoff >= self.L / 2:
             raise ValueError("LJ cutoff must be below half the box length")
         i, j, disp, r2 = self.pairs(state.positions, self.L)
+        if i.size == 0:  # the usual case in a dilute electrolyte: no ion inside the core cutoff
+            return np.zeros((state.n_particles, state.dim)), 0.0
         s6 = (self.lj_sigma**2 / r2) ** 3
         fmag = 24.0 * self.lj_epsilon * (2.0 * s6 * s6 - s6) / r2
         forces = pair_force_sum(state.n_particles, i, j, fmag[:, None] * disp)

@@ -223,7 +223,8 @@ def _step_dyson(sim, k, dt):
 def _finish_dyson(sim, cfg, outdir):
     _, pooled, stats = sim.state
     _write_samples_csv(outdir / "samples.csv", [(sim.sweeps, pooled)])
-    metrics = {"acceptance_rate": stats.acceptance_rate, "pooled_samples": int(pooled.size)}
+    metrics = {"acceptance_rate": stats.acceptance_rate, "pooled_samples": int(pooled.size),
+               "clamp_count": stats.clamp_count}
     if "w1_semicircle" in cfg["diagnostics"]:
         metrics["w1_semicircle"] = wasserstein1_1d(pooled, semicircle_cdf, support=(-2.0, 2.0))
     if "density_at_zero" in cfg["diagnostics"]:

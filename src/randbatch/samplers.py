@@ -212,7 +212,8 @@ def run_log_gas_chain(
 
     The m proposal steps each take the phi1 force of one random other
     particle; the phi2 acceptance reads the neighbours within the cutoff off a
-    sorted list of positions.  Returns (final config, pooled post-warmup
+    sorted list of positions.  A proposal that is not finite is dropped and
+    counted in ``clamp_count``.  Returns (final config, pooled post-warmup
     snapshots, stats).  Randomness is pre-drawn from ``streams.proposal`` in
     chunks of ``snapshot_every`` iterations.
     """
@@ -245,6 +246,7 @@ def run_log_gas_chain(
                 drift = v_coef * r + (-1.0 / y if abs(y) >= r0 else -y / r0_sq)
                 r = r - dt * drift + noise_std * z
             if not math.isfinite(r):
+                stats.clamp_count += 1  # dropped, as in rbmc_step
                 continue
             # sum_j phi2(r - x_j) - phi2(xi - x_j) over j != i; one entry xi is i's own
             delta = 0.0

@@ -1,11 +1,14 @@
 """Config validation, the run command, and the determinism contract."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import randbatch
 from randbatch.backend import _openblas
 from randbatch.cli import main
 from randbatch.runner import ConfigError, run, validate, validate_dict
@@ -22,6 +25,24 @@ def _write(tmp_path, name, payload):
 @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda path: path.name)
 def test_example_configs_validate(path):
     assert validate(path)["name"]
+
+
+@pytest.mark.parametrize("build, loads", [
+    ("", False),
+    ("ewald.PeriodicChargeSystem(state=ParticleState(positions=np.zeros((2, 3)), box_length=1.0),"
+     " charges=[1.0, -1.0])", True),
+    ("models.WealthModel(N=4)", True),
+], ids=["package", "charge-system", "wealth-model"])
+def test_scipy_is_imported_by_the_objects_that_use_it_not_by_the_package(build, loads):
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+            "import randbatch.cli, randbatch.runner; from randbatch import ewald, models; "
+            "from randbatch.state import ParticleState; "
+            "before = 'scipy' in sys.modules; " + (build or "None") + "; "
+            "print(before, 'scipy.special' in sys.modules)")
+    src = str(Path(randbatch.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["False", str(loads)]
 
 
 def test_minimal_dyson_config_gets_defaults():

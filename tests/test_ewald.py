@@ -555,6 +555,23 @@ def test_coulomb_list_keeps_a_skin_of_a_tenth_of_r_c_at_the_default_alpha(N, L):
     assert abs(system.pairs.skin - 0.1 * params.r_c) <= np.spacing(0.1 * params.r_c)
 
 
+def test_coulomb_list_build_at_n_3000_peaks_at_a_few_times_the_list():
+    # the candidates are expanded and filtered in blocks; all at once, the build
+    # peaked at 11 times the arrays it returns
+    N, L = 3000, 21.5
+    pos = _random_electroneutral(N, L, seed=7).state.positions
+    r_c = EwaldParams.for_system(N, L).r_c
+    cutoff = r_c + forces.PairList(r_c)._skin(L, N, 3)
+    tracemalloc.start()
+    try:
+        listed = forces.neighbor_pairs(pos, L, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listed[0].size > 200_000
+    assert peak <= 4 * sum(a.nbytes for a in listed)
+
+
 def test_real_space_matches_brute_double_loop():
     system = _random_electroneutral(32, 8.0, seed=28)
     params = EwaldParams(alpha=0.7, r_c=3.5, k_c=1.0, p=1)

@@ -433,6 +433,21 @@ def test_neighbor_pairs_matches_brute_force(L, cutoff, dim, positions):
         assert (0, 1) in set(zip(i.tolist(), j.tolist()))
 
 
+@pytest.mark.parametrize("d, N, L, cutoff", [(1, 400, 50.0, 2.0), (2, 300, 12.0, 1.5),
+                                             (3, 200, 6.0, 1.6)])
+def test_a_search_in_many_blocks_equals_one_block(monkeypatch, d, N, L, cutoff):
+    pos = RngStream(60 + d).generator().uniform(0, L, size=(N, d))
+    monkeypatch.setattr(forces, "_CHUNK_PAIRS", N * N)
+    whole = neighbor_pairs(pos, L, cutoff)
+    blocks = []
+    within = forces._pairs_within
+    monkeypatch.setattr(forces, "_pairs_within", lambda *a: blocks.append(a[2].size) or within(*a))
+    monkeypatch.setattr(forces, "_CHUNK_PAIRS", 40)
+    split = neighbor_pairs(pos, L, cutoff)
+    assert len(blocks) > 20 and max(blocks) <= 40 + N  # at most the budget, or a single rank
+    assert whole[0].size > 0 and all(np.array_equal(a, b) for a, b in zip(split, whole))
+
+
 @pytest.mark.parametrize(
     "d, N, L, cutoff, m",  # m: cells per side of the list's grid, at cutoff + skin
     [

@@ -8,7 +8,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from randbatch import forces
 from randbatch.batching import random_division
+from randbatch.forces import neighbor_pairs, pair_force_sum
 from randbatch.models import (
     ConsensusModel,
     CuckerSmaleModel,
@@ -328,6 +330,36 @@ def test_electrolyte_lj_list_matches_brute_force_across_a_rebuild():
         jitter = gen.uniform(-0.01, 0.01, (64, 3)) * (model.pairs.skin / 0.075)
         state = state.replace(positions=state.positions + jitter)
     assert 2 <= model.pairs.builds < 8
+
+
+def test_electrolyte_lj_with_no_listed_pair_skips_the_filter_and_kernel(monkeypatch):
+    model = ElectrolyteModel(N=300, L=10.0)  # the benchmark's dilute electrolyte
+    state = model.initial_state(RngStream(3).generator())
+
+    def full_path(st):
+        i, j, disp, r2 = neighbor_pairs(st.positions, model.L, model.lj_cutoff)
+        s6 = (model.lj_sigma**2 / r2) ** 3
+        fmag = 24.0 * model.lj_epsilon * (2.0 * s6 * s6 - s6) / r2
+        return (pair_force_sum(st.n_particles, i, j, fmag[:, None] * disp),
+                float(4.0 * model.lj_epsilon * np.sum(s6 * s6 - s6)))
+
+    model.lj_force(state)
+    assert model.pairs.builds == 1
+    filters = []
+    within = forces._pairs_within
+    monkeypatch.setattr(forces, "_pairs_within", lambda *a: filters.append(1) or within(*a))
+    F, energy = model.lj_force(state)
+    assert filters == [] and model.pairs.builds == 1
+    F_full, e_full = full_path(state)
+    assert np.array_equal(F, F_full) and energy == e_full == 0.0 and not F.any()
+    # staleness is still checked: two ions pushed into contact rebuild the list
+    pos = state.positions.copy()
+    pos[1] = pos[0] + [1.5 * model.lj_sigma, 0.0, 0.0]
+    state = state.replace(positions=pos)
+    F, energy = model.lj_force(state)
+    F_full, e_full = full_path(state)
+    assert model.pairs.builds == 2 and F.any()
+    assert np.array_equal(F, F_full) and energy == e_full
 
 
 def test_dyson_target_drift_symmetry():

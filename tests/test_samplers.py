@@ -251,6 +251,17 @@ def test_dyson_chain_acceptance_counts_are_pinned(seed, accepted):
     assert stats.acceptance_count == accepted
 
 
+def test_dyson_chain_counts_the_proposals_it_drops():
+    # at dt = 1e3 the proposals overflow; each non-finite one is dropped and counted
+    model = DysonModel(N=50)
+    streams = SimStreams(0)
+    x, _, stats = run_log_gas_chain(model.initial(streams.init), model.gibbs_target(), 2000,
+                                    m=5, dt=1e3, streams=streams)
+    assert stats.clamp_count > 0
+    assert stats.acceptance_count + stats.clamp_count <= stats.proposal_count == 2000
+    assert np.all(np.isfinite(x))
+
+
 # --- SVGD --------------------------------------------------------------------
 
 
