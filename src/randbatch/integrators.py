@@ -1,9 +1,12 @@
 """Time steppers: full-batch reference, RBM variants, splitting.
 
-First-order systems take Euler-Maruyama steps.  Every second-order path, RBE
-and Nose-Hoover included, takes the symplectic Euler step ``kick_drift``: x
-moves with the *new* v (with the old v an oscillator's energy would grow by
-1 + (omega dt)^2 per step).
+First-order systems (toy, wealth, consensus) take Euler-Maruyama steps.
+Every second-order path (Cucker-Smale, the split LJ fluid, RBE, Nose-Hoover)
+takes the symplectic Euler step ``kick_drift``: x moves with the *new* v (with
+the old v an oscillator's energy would grow by 1 + (omega dt)^2 per step).  A
+non-finite result raises ``IntegrationError`` naming its first such particle.
+The force comes from the system's ``batch_forces``: a kernel sum, which the
+Cucker-Smale and consensus systems replace by their right-hand sides.
 
 Every stepper is a pure function of (state, rng streams) and returns a new
 state.  The full-batch ``direct_step`` and the random-batch steppers share the
@@ -40,28 +43,31 @@ class IntegrationError(RuntimeError):
     """Raised when a step produces non-finite coordinates; names the particle."""
 
 
+class _KernelForces:
+    def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
+        """alpha_N times the kernel sum over each particle's batch (None: all N)."""
+        if division is None:
+            return full_force_all(state, self.kernel, self.alpha_N)
+        return division_forces(state, division, self.kernel, self.alpha_N)
+
+
 @dataclass
-class FirstOrderSystem:
-    """dx = [b(x) + alpha_N sum K] dt + noise."""
+class FirstOrderSystem(_KernelForces):
+    """dx = [b(x) + alpha_N sum K] dt + sigma g(x) dW; g is ``noise_scale``, 1 when unset."""
 
     kernel: object
     alpha_N: float
     drift: Optional[Callable[[np.ndarray], np.ndarray]] = None
     sigma: float = 0.0
-    noise_mode: str = "additive"  # "additive" | "multiplicative"
     noise_scale: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        if self.noise_mode not in ("additive", "multiplicative"):
-            raise ValueError("noise_mode must be additive or multiplicative")
-        if self.noise_mode == "multiplicative" and self.noise_scale is None:
-            raise ValueError("multiplicative noise needs a noise_scale function")
 
 
 @dataclass
-class SecondOrderSystem:
+class SecondOrderSystem(_KernelForces):
     """dr = v dt, dv = [b + alpha_N sum K - gamma v] dt + sigma dW, with unit masses.
 
     sigma = sqrt(2 gamma / beta) makes the Gibbs measure at inverse
@@ -112,15 +118,6 @@ def _check_finite(positions: np.ndarray, velocities: Optional[np.ndarray], label
     raise IntegrationError(f"non-finite state after {label} at particle {int(np.argmax(bad))}")
 
 
-def _noise_increment(system: FirstOrderSystem, x: np.ndarray, dt: float, noise_rng) -> np.ndarray:
-    if system.sigma == 0.0:
-        return np.zeros_like(x)
-    dW = math.sqrt(dt) * noise_rng.standard_normal(x.shape)
-    if system.noise_mode == "multiplicative":
-        return system.sigma * system.noise_scale(x) * dW
-    return system.sigma * dW
-
-
 def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: float = 0.0,
                sigma: float = 0.0, noise_rng=None) -> ParticleState:
     """new_v = v + dt (F - c v) + sigma sqrt(dt) xi, then new_x = x + dt new_v (unit masses).
@@ -149,7 +146,10 @@ def _advance(state, system, force, dt, noise_rng) -> ParticleState:
         force = system.drift(x) + force
     if not isinstance(system, FirstOrderSystem):
         return kick_drift(state, force, dt, system.gamma, system.sigma, noise_rng)
-    new = x + dt * force + _noise_increment(system, x, dt, noise_rng)
+    new = x + dt * force
+    if system.sigma:
+        scale = system.sigma if system.noise_scale is None else system.sigma * system.noise_scale(x)
+        new = new + scale * (math.sqrt(dt) * noise_rng.standard_normal(x.shape))
     _check_finite(new, None, "first-order step")
     return state.replace(positions=new, time=state.time + dt)
 
@@ -158,8 +158,7 @@ def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) ->
     """Full-batch step with exact O(N^2) forces."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    force = full_force_all(state, system.kernel, system.alpha_N)
-    return _advance(state, system, force, dt, streams.noise)
+    return _advance(state, system, system.batch_forces(state), dt, streams.noise)
 
 
 def rbm_step_first_order(state: ParticleState, system, p: int, dt: float,
@@ -173,8 +172,7 @@ def rbm_step_first_order(state: ParticleState, system, p: int, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     division = random_division(state.n_particles, p, streams.division)
-    force = division_forces(state, division, system.kernel, system.alpha_N)
-    return _advance(state, system, force, dt, streams.noise)
+    return _advance(state, system, system.batch_forces(state, division), dt, streams.noise)
 
 
 def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStreams) -> ParticleState:

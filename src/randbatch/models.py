@@ -13,7 +13,7 @@ import numpy as np
 
 from .backend import special
 from .forces import PairList, batch_pair_sum, pair_force_sum
-from .integrators import FirstOrderSystem
+from .integrators import FirstOrderSystem, SecondOrderSystem
 from .samplers import GibbsTarget, log_kernel_split
 from .state import BatchDivision, ParticleState
 
@@ -97,7 +97,6 @@ class WealthModel:
             kernel=lambda y: -kappa * y,
             alpha_N=1.0 / (self.N - 1),
             sigma=math.sqrt(2.0 * self.D),
-            noise_mode="multiplicative",
             noise_scale=lambda y: y,
         )
 
@@ -156,10 +155,13 @@ class CuckerSmaleModel:
         r = np.asarray(r, dtype=np.float64)
         return (1.0 + r * r) ** (-self.beta / 2.0)
 
-    def initial(self, rng: np.random.Generator):
+    def initial(self, rng: np.random.Generator) -> ParticleState:
         x = rng.standard_normal((self.N, self.dim))
-        v = rng.standard_normal((self.N, self.dim))
-        return x, v
+        return ParticleState(positions=x, velocities=rng.standard_normal((self.N, self.dim)))
+
+    def system(self) -> SecondOrderSystem:
+        """``kick_drift`` flocking: the force on v_i is ``cs_rhs`` over i's batch."""
+        return _FlockingSystem(kernel=self, alpha_N=1.0)
 
 
 def cs_rhs(
@@ -180,6 +182,11 @@ def cs_rhs(
 
     return batch_pair_sum(division, term, (positions, velocities),
                           lambda q: model.kappa / (q - 1))
+
+
+class _FlockingSystem(SecondOrderSystem):
+    def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
+        return cs_rhs(state.positions, state.velocities, self.kernel, division)  # kernel: the model
 
 
 def flocking_functionals(positions: np.ndarray, velocities: np.ndarray):
@@ -248,10 +255,14 @@ class ConsensusModel:
         if np.max(np.abs(recon - nu)) > atol_recon:
             raise ValueError("dispersion decomposition does not reconstruct nu")
 
-    def initial(self, rng: np.random.Generator) -> np.ndarray:
+    def initial(self, rng: np.random.Generator) -> ParticleState:
         """Centered Gaussian start (zero mean, so consensus targets the origin)."""
         q = rng.standard_normal((self.N, self.dim))
-        return q - q.mean(axis=0)
+        return ParticleState(positions=q - q.mean(axis=0))
+
+    def system(self) -> FirstOrderSystem:
+        """Euler steps whose force on q_i is ``consensus_rhs`` over i's batch."""
+        return _ConsensusSystem(kernel=self, alpha_N=1.0)
 
 
 def consensus_rhs(
@@ -261,10 +272,9 @@ def consensus_rhs(
 ) -> np.ndarray:
     """dq_i = (kappa/(q-1)) sum_j (nu_bar_ij + a_ij Gamma(q_j - q_i)) over i's batch.
 
-    With no division the sum runs over all N agents (weight kappa/(N-1));
-    a division samples the dispersion and the interaction together.
+    ``q`` is (N, d).  With no division the sum runs over all N agents (weight
+    kappa/(N-1)); a division samples the dispersion and the interaction together.
     """
-    q = np.atleast_2d(q)
 
     def term(qi, qj, nu_i, nu_j, *ij):  # ij: index rows, given for an explicit adjacency
         interaction = model.gamma(qj - qi)
@@ -276,13 +286,17 @@ def consensus_rhs(
     return batch_pair_sum(division, term, fields, lambda size: model.kappa / (size - 1))
 
 
+class _ConsensusSystem(FirstOrderSystem):
+    def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
+        return consensus_rhs(state.positions, self.kernel, division)  # kernel: the model
+
+
 def consensus_functionals(q: np.ndarray):
-    """(M2, D): mean squared norm and maximal pairwise distance.
+    """(M2, D) of the (N, d) positions q: mean squared norm, maximal pairwise distance.
 
     D takes O(N) memory (max - min in 1-d, else blocks of about 2^18 pair
     differences) and equals the dense N x N formula bit for bit.
     """
-    q = np.atleast_2d(q)
     m2 = float(np.mean(np.sum(q * q, axis=1)))
     N, d = q.shape
     if d == 1:
@@ -294,6 +308,14 @@ def consensus_functionals(q: np.ndarray):
 
 
 # --- electrolyte --------------------------------------------------------------
+
+
+def cubic_lattice(N: int, L: float):
+    """(positions, spacing): the first N cell centres of the smallest cubic
+    lattice in the box [0, L)^3 with at least N cells, in row-major order."""
+    n_side = math.ceil(N ** (1.0 / 3.0))
+    coords = np.stack(np.meshgrid(*([np.arange(n_side)] * 3), indexing="ij"), -1).reshape(-1, 3)
+    return (coords[:N] + 0.5) * (L / n_side), L / n_side
 
 
 @dataclass(frozen=True)
@@ -335,12 +357,7 @@ class ElectrolyteModel:
 
     def initial_state(self, rng: np.random.Generator) -> ParticleState:
         """Charges alternating on a cubic lattice with a small jitter."""
-        n_side = math.ceil(self.N ** (1.0 / 3.0))
-        spacing = self.L / n_side
-        coords = np.stack(
-            np.meshgrid(*([np.arange(n_side)] * 3), indexing="ij"), axis=-1
-        ).reshape(-1, 3)[: self.N]
-        pos = (coords + 0.5) * spacing
+        pos, spacing = cubic_lattice(self.N, self.L)
         pos = pos + 0.05 * spacing * rng.standard_normal(pos.shape)
         vel = math.sqrt(self.temperature) * rng.standard_normal(pos.shape)
         vel -= vel.mean(axis=0)

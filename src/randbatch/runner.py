@@ -33,7 +33,6 @@ import yaml
 
 from . import __version__
 from .backend import set_blas_threads
-from .batching import random_division
 from .diagnostics import radial_net_charge, wasserstein1_1d
 from .ewald import (
     EwaldParams,
@@ -62,8 +61,7 @@ from .models import (
     ElectrolyteModel,
     WealthModel,
     consensus_functionals,
-    consensus_rhs,
-    cs_rhs,
+    cubic_lattice,
     flocking_functionals,
     lj_kernel_spec,
     semicircle_cdf,
@@ -87,8 +85,9 @@ class ConfigError(ValueError):
 # --- the registry: builders, steppers, observables and metrics --------------
 #
 # A builder makes one replica's ``sim`` namespace: the model's ``state`` plus
-# ``streams``, the batch size ``p``, the recorded ``rows`` and the per-step
-# ``hooks``, which adjust the state in place after each step.
+# ``streams``, the batch size ``p``, the recorded ``rows``, the per-step
+# ``hooks``, which adjust the state in place after each step, and, for the
+# ``integrators`` steppers in ``_STEPPERS``, the ``system`` they step.
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,8 @@ class ModelSpec:
 
     ``run`` lists the run fields the model honours with their defaults (a
     callable default is worked out from the resolved section).  ``steppers``
-    maps each method, the default first, to ``step(sim, k, dt) -> state``.
+    maps each method, the default first, to ``step(sim, k, dt) -> state``;
+    the toy, wealth, Cucker-Smale and consensus take theirs from ``_STEPPERS``.
     ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
     past the warmup, and before the first step when ``observe_start`` is set;
     ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
@@ -128,11 +128,7 @@ def _thermostat(t: dict):
     return kind(**{k: v for k, v in t.items() if k != "kind"}) if kind else None
 
 
-def _division(sim):
-    return random_division(sim.model.N, sim.p, sim.streams.division)
-
-
-_FIRST_ORDER = {
+_STEPPERS = {
     "direct": lambda s, k, dt: direct_step(s.state, s.system, dt, s.streams),
     "rbm": lambda s, k, dt: rbm_step_first_order(s.state, s.system, s.p, dt, s.streams),
     "rbm-r": lambda s, k, dt: rbmr_step(s.state, s.system, s.p, dt, s.streams),
@@ -238,14 +234,8 @@ def _finish_dyson(sim, cfg, outdir):
 def _build_flocking(cfg, streams):
     m = cfg["model"]
     model = CuckerSmaleModel(N=m["N"], kappa=m["kappa"], beta=m["beta"], dim=m["dim"])
-    return _sim(cfg, streams, model=model, state=model.initial(streams.init),
+    return _sim(cfg, streams, system=model.system(), state=model.initial(streams.init),
                 dt=float(cfg["run"]["dt"]))
-
-
-def _flock(sim, division, dt):
-    """Explicit Euler step of the Cucker-Smale (x, v)."""
-    x, v = sim.state
-    return x + dt * v, v + dt * cs_rhs(x, v, sim.model, division)
 
 
 def _finish_flocking(sim, cfg, outdir):
@@ -264,10 +254,9 @@ def _finish_flocking(sim, cfg, outdir):
 
 def _build_consensus(cfg, streams):
     m = cfg["model"]
-    nu = np.asarray(m["nu"], dtype=np.float64) if m["nu"] is not None else None
-    model = ConsensusModel(N=m["N"], kappa=m["kappa"], dim=m["dim"], nu=nu)
-    return _sim(cfg, streams, model=model, state=model.initial(streams.init),
-                dt=float(cfg["run"]["dt"]))
+    model = ConsensusModel(N=m["N"], kappa=m["kappa"], dim=m["dim"], nu=m["nu"])
+    return _sim(cfg, streams, model=model, system=model.system(),
+                state=model.initial(streams.init), dt=float(cfg["run"]["dt"]))
 
 
 def _finish_consensus(sim, cfg, outdir):
@@ -294,9 +283,7 @@ def _build_lj(cfg, streams):
     if isinstance(thermostat, Langevin):
         gamma, sigma = thermostat.gamma, thermostat.sigma
     system = SecondOrderSystem(kernel=kernel, alpha_N=1.0, gamma=gamma, sigma=sigma)
-    n_side = math.ceil(N ** (1 / 3))
-    coords = np.stack(np.meshgrid(*([np.arange(n_side)] * 3), indexing="ij"), -1).reshape(-1, 3)[:N]
-    pos = (coords + 0.5) * (L / n_side)
+    pos, _ = cubic_lattice(N, L)
     vel = math.sqrt(1.0 / m["beta"]) * streams.init.standard_normal((N, 3))
     state = ParticleState(positions=pos, velocities=vel, box_length=L)
     hooks = [_andersen] if isinstance(thermostat, Andersen) else []
@@ -398,33 +385,32 @@ MODELS = {
     "toy": ModelSpec(
         fields={"N": 64, "sigma": 0.5},
         run={"p": 2, "dt": 0.05, "steps": 20, "T": None, "replicas": 1},
-        steppers=_FIRST_ORDER, diagnostics=("convergence",), build=_build_toy, finish=_finish_toy,
+        steppers=_STEPPERS, diagnostics=("convergence",), build=_build_toy, finish=_finish_toy,
         observe=lambda s, k: (k, s.state.positions[:, 0].copy()),
     ),
     "wealth": ModelSpec(
         fields={"N": 10_000, "kappa": 1.0, "D": 0.5},
         run={"p": 2, "dt": 1e-3, "T": 3.0, "replicas": 1},
-        steppers={m: _FIRST_ORDER[m] for m in ("direct", "rbm")}, diagnostics=("w1_equilibrium",),
+        steppers={m: _STEPPERS[m] for m in ("direct", "rbm")}, diagnostics=("w1_equilibrium",),
         build=_build_wealth, finish=_finish_wealth,
     ),
     "cucker-smale": ModelSpec(
         fields={"N": 256, "kappa": 1.0, "beta": 0.4, "dim": 3},
         run={"p": 2, "dt": 0.02, "steps": 750, "replicas": 1},
-        steppers={"rbm": lambda s, k, dt: _flock(s, _division(s), dt),
-                  "direct": lambda s, k, dt: _flock(s, None, dt)},
+        steppers={m: _STEPPERS[m] for m in ("rbm", "direct")},
         diagnostics=("flocking_decay",), build=_build_flocking, finish=_finish_flocking,
-        observe=lambda s, k: (k * s.dt, *flocking_functionals(*s.state)), observe_start=True,
+        observe_start=True,
+        observe=lambda s, k: (k * s.dt, *flocking_functionals(s.state.positions,
+                                                              s.state.velocities)),
     ),
     "consensus": ModelSpec(
         fields={"N": 64, "kappa": 1.0, "dim": 1, "nu": None},
         run={"p": 2, "dt": 0.05, "steps": 400, "replicas": 1},
-        steppers={
-            "rbm": lambda s, k, dt: s.state + dt * consensus_rhs(s.state, s.model, _division(s)),
-            "direct": lambda s, k, dt: s.state + dt * consensus_rhs(s.state, s.model, None),
-        },
+        steppers={m: _STEPPERS[m] for m in ("rbm", "direct")},
         diagnostics=("consensus_decay", "reconstruction"),
         build=_build_consensus, finish=_finish_consensus,
-        observe=lambda s, k: (k * s.dt, *consensus_functionals(s.state)), observe_start=True,
+        observe=lambda s, k: (k * s.dt, *consensus_functionals(s.state.positions)),
+        observe_start=True,
     ),
     "lj-fluid": ModelSpec(
         fields={"N": 125, "density": 0.3, "sigma": 1.0, "epsilon": 1.0,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .batching import batch_index_matrices, random_division
 from .forces import batch_pair_sum
+from .integrators import IntegrationError
 from .rng import SimStreams
 from .state import BatchDivision
 
@@ -280,8 +281,8 @@ def run_log_gas_chain(
 # --- Stein variational gradient descent --------------------------------------
 
 
-class SvgdDivergence(RuntimeError):
-    """Raised when particles blow up; use a smaller or decaying step size."""
+class SvgdDivergence(IntegrationError):
+    """Raised when a coordinate passes 1e6; use a smaller or decaying step size."""
 
 
 @dataclass
@@ -368,7 +369,8 @@ def _svgd_update(X, gv, division: Optional[BatchDivision], kernel: GaussianKerne
         pairs = batch_pair_sum(division, term, (X, gv, h), lambda q: (N - 1) / (N * (q - 1)))
     new = X + eta * (-gv / N + pairs)
     if np.max(np.abs(new)) > 1e6:
-        raise SvgdDivergence("particles exceeded 1e6; decrease the step size")
+        first = int(np.argmax(np.abs(new).max(axis=1) > 1e6))
+        raise SvgdDivergence(f"coordinate beyond 1e6 (decrease the step size) at particle {first}")
     return new
 
 

@@ -62,10 +62,6 @@ class ParticleState:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    def displacement(self, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-        """xi - xj under the minimum-image convention when periodic."""
-        return minimum_image(xi - xj, self.box_length)
-
     def replace(self, positions=None, velocities=None, time=None) -> "ParticleState":
         return ParticleState(
             positions=self.positions if positions is None else positions,

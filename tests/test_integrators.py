@@ -368,8 +368,7 @@ def test_rbmr_second_order_full_batch_matches_direct():
 
 def test_multiplicative_noise_uses_state_scale():
     state = ParticleState(positions=np.full((4, 1), 2.0))
-    system = FirstOrderSystem(kernel=ZERO, alpha_N=1.0, sigma=1.0,
-                              noise_mode="multiplicative", noise_scale=lambda x: x)
+    system = FirstOrderSystem(kernel=ZERO, alpha_N=1.0, sigma=1.0, noise_scale=lambda x: x)
     reference = FirstOrderSystem(kernel=ZERO, alpha_N=1.0, sigma=2.0)
     a = direct_step(state, system, 0.04, SimStreams(33))
     b = direct_step(state, reference, 0.04, SimStreams(33))

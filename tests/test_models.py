@@ -1,5 +1,6 @@
 """Model zoo: analytic references and right-hand sides."""
 
+import json
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from scipy.optimize import minimize_scalar
 from randbatch import forces
 from randbatch.batching import random_division
 from randbatch.forces import neighbor_pairs, pair_force_sum
+from randbatch.integrators import direct_step, rbm_step_first_order
 from randbatch.models import (
     ConsensusModel,
     CuckerSmaleModel,
@@ -28,6 +30,7 @@ from randbatch.models import (
     semicircle_density,
 )
 from randbatch.rng import RngStream, SimStreams
+from randbatch.runner import run, validate_dict
 from randbatch.state import ParticleState
 
 
@@ -135,6 +138,42 @@ def test_flocking_functionals_values():
                                                 pytest.approx(0.0, abs=1e-12))
 
 
+def test_cucker_smale_system_takes_a_symplectic_euler_step_under_cs_rhs():
+    model = CuckerSmaleModel(N=10, beta=0.4, dim=2)
+    state = model.initial(RngStream(6).generator())
+    stepped = rbm_step_first_order(state, model.system(), 3, 0.1, SimStreams(2))
+    division = random_division(10, 3, SimStreams(2).division)
+    v = state.velocities + 0.1 * cs_rhs(state.positions, state.velocities, model, division)
+    assert np.array_equal(stepped.velocities, v)
+    assert np.array_equal(stepped.positions, state.positions + 0.1 * v)  # x moves with the new v
+
+
+def test_consensus_system_takes_an_euler_step_under_consensus_rhs():
+    model = ConsensusModel(N=8, dim=2)
+    state = model.initial(RngStream(7).generator())
+    stepped = direct_step(state, model.system(), 0.05, SimStreams(3))
+    expected = state.positions + 0.05 * consensus_rhs(state.positions, model)
+    assert np.array_equal(stepped.positions, expected)
+
+
+def _default_rbm_metrics(model, tmp_path):
+    cfg = validate_dict({"model": {"id": model}, "method": "rbm"})
+    return json.loads((run(cfg, out_root=tmp_path) / "metrics.json").read_text())
+
+
+def test_cucker_smale_rbm_flocks_at_the_default_size(tmp_path):
+    # the velocity spread falls monotonically by more than six decades, while the
+    # position spread stays bounded (Ha, Jin & Kim, M3AS 2021)
+    metrics = _default_rbm_metrics("cucker-smale", tmp_path)
+    assert metrics["v_spread_monotone_after_transient"] is True
+    assert metrics["v_spread_decades"] >= 6
+    assert metrics["x_spread_sup_ratio"] <= 2.2
+
+
+def test_consensus_rbm_contracts_at_the_default_size(tmp_path):
+    assert _default_rbm_metrics("consensus", tmp_path)["m2_final_over_initial"] < 1e-15
+
+
 def test_flocking_functionals_match_double_loop():
     gen = RngStream(5).generator()
     x = gen.standard_normal((7, 3))
@@ -237,7 +276,7 @@ def test_consensus_default_adjacency_memory_is_linear():
     try:
         model = ConsensusModel(N=4000)
         gen = RngStream(21).generator()
-        q = model.initial(gen)
+        q = model.initial(gen).positions
         q + 0.05 * consensus_rhs(q, model, random_division(4000, 2, gen))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -229,9 +229,31 @@ def test_cli_reports_bad_thermostat_values_and_yaml_syntax_as_invalid_config(tex
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
 
 
-def test_diverging_run_names_step_and_particle(tmp_path, capsys):
+# Changes to each model's tiny config that make its run blow up part way
+_DIVERGING = {
     # x -> x + 3 (-x + ...) doubles |x| every step, overflowing after ~1000 steps
-    cfg_file = _write(tmp_path, "boom.yaml", _tiny("toy", method="rbm", dt=3.0, steps=3000))
+    "toy": {"method": "rbm", "run": {"dt": 3.0, "steps": 3000}},
+    # the exchange drift multiplies a wealth's distance from the mean by about 1 - dt each step
+    "wealth": {"run": {"dt": 50.0, "T": 50_000.0}},
+    # with constant communication (beta = 0) a pair's velocity difference grows by 1 - 2 dt
+    "cucker-smale": {"model": {"beta": 0.0}, "run": {"dt": 100.0, "steps": 1000}},
+    "consensus": {"run": {"dt": 400, "steps": 200}},
+    # friction at gamma dt = 10 multiplies the velocities by about -9 each step
+    "lj-fluid": {"thermostat": {"kind": "langevin", "gamma": 1000.0},
+                 "run": {"dt": 0.01, "steps": 1000}},
+    # eta = 100 overshoots the -x/N pull toward the Gaussian's mean by a factor of about 11
+    "gaussian": {"run": {"dt": 100.0, "steps": 100}},
+}
+
+
+@pytest.mark.parametrize("model", sorted(_DIVERGING))
+def test_diverging_run_names_step_and_particle(model, tmp_path, capsys):
+    raw = _tiny(model)
+    for key, value in _DIVERGING[model].items():
+        raw[key] = {**raw.get(key, {}), **value} if isinstance(value, dict) else value
+    run_section = validate_dict(raw)["run"]
+    steps = run_section.get("steps") or round(run_section["T"] / run_section["dt"])
+    cfg_file = _write(tmp_path, "boom.yaml", raw)
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
@@ -239,7 +261,8 @@ def test_diverging_run_names_step_and_particle(tmp_path, capsys):
     (detail,) = err["details"]
     assert "at particle" in detail and "at step" in detail
     step = int(detail.rsplit("at step ", 1)[1])
-    assert 1 < step < 3000
+    assert 1 < step < steps
+    assert not list(tmp_path.rglob("metrics.json"))
 
 
 @pytest.mark.parametrize("model", sorted(TINY))
@@ -266,12 +289,11 @@ def test_a_screening_profile_with_too_few_bins_to_fit_writes_null(baselines):
 
 
 def test_non_finite_metrics_fail_the_run_and_write_no_metrics_json(tmp_path):
-    # consensus at dt = 400 overflows, and its final functionals are NaN
-    cfg = validate_dict(_tiny("consensus", dt=400, steps=200))
+    # after 600 steps at dt = 3 the toy's coordinates are finite, but their squares overflow
+    cfg = validate_dict(_tiny("toy", dt=3.0, steps=600))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as info:
         run(cfg, out_root=tmp_path)
-    assert "m2_final_over_initial" in str(info.value)
-    assert "diameter_final_over_initial" in str(info.value)
+    assert str(info.value) == "metrics.json: non-finite value at final_second_moment"
     assert not list(tmp_path.rglob("metrics.json"))
 
 

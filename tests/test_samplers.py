@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from randbatch.batching import enumerate_divisions, random_division
+from randbatch.integrators import IntegrationError
 from randbatch.models import DysonModel
 from randbatch.rng import RngStream, SimStreams
 from randbatch.samplers import (
@@ -385,6 +386,14 @@ def test_rbm_svgd_divergence_guard():
     state.grad_V = lambda x: -x * 1e4  # explosive anti-gradient
     with pytest.raises(SvgdDivergence):
         rbm_svgd_step(state, 2, 10.0, SimStreams(18))
+
+
+def test_svgd_divergence_is_an_integration_error_naming_the_first_particle_beyond_1e6():
+    # particle 0 lands at 50, particle 1 near 5e9; the kernel between them is exp(-1e10) = 0
+    state = _gaussian_state([[1e-3], [1e5]])
+    state.grad_V = lambda x: -x * 1e4
+    with pytest.raises(IntegrationError, match="at particle 1$"):
+        svgd_step(state, 10.0)
 
 
 def test_svgd_converges_to_standard_normal_moments():
