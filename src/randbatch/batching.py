@@ -82,8 +82,7 @@ def batch_index_matrices(division: BatchDivision):
 
     The full batches of size p come first as one reshape of the division's
     ``order``, then the last batch when it holds a remainder.  Rows are
-    sorted so batch sums run in ascending particle order, by ``np.sort`` or,
-    many times faster for rows of two, by ``np.minimum`` and ``np.maximum``.
+    sorted so batch sums run in ascending particle order.
     """
     order, p = division.order, division.batch_size
     tail = order.size - (division.n_batches - 1) * p  # size of the last batch
@@ -91,8 +90,7 @@ def batch_index_matrices(division: BatchDivision):
         blocks = [(p, order.reshape(-1, p))]
     else:
         blocks = [(p, order[: order.size - tail].reshape(-1, p)), (tail, order[-tail:][None, :])]
-    return [(size, np.column_stack([np.minimum(*idx.T), np.maximum(*idx.T)]) if size == 2
-             else np.sort(idx, axis=1)) for size, idx in blocks if idx.size]
+    return [(size, np.sort(idx, axis=1)) for size, idx in blocks if idx.size]
 
 
 def count_divisions(N: int, p: int) -> int:

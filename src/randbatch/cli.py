@@ -6,11 +6,15 @@ method or thermostat kind would not use rejected rather than ignored.
 ``run`` applies its ``--seed`` and ``--replicas`` overrides before that
 validation, so an override is checked like the field it replaces.  An
 invalid config exits with code 2; a run that fails exits with code 1.
+Either failure writes one JSON report to stderr; the warnings a failed run
+raised (numpy's overflow warnings on the way to a blow-up, say) go into it
+under ``"warnings"``, and a run that succeeds prints its warnings when done.
 """
 
 import argparse
 import json
 import sys
+import warnings
 
 import yaml
 
@@ -58,11 +62,16 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        outdir = run(cfg, out_root=args.out, threads=args.threads)
+        with warnings.catch_warnings(record=True) as caught:
+            outdir = run(cfg, out_root=args.out, threads=args.threads)
     except Exception as exc:  # structured failure report, nonzero exit
-        print(json.dumps({"error": type(exc).__name__, "details": [str(exc)]}, indent=2),
-              file=sys.stderr)
+        report = {"error": type(exc).__name__, "details": [str(exc)],
+                  "warnings": [f"{w.filename}:{w.lineno}: {w.category.__name__}: {w.message}"
+                               for w in caught]}
+        print(json.dumps(report, indent=2), file=sys.stderr)
         return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     print(outdir)
     return 0
 

@@ -6,10 +6,11 @@ state carries a periodic box.  ``batch_pair_sum`` is the one sum over batch
 mates: the random-batch forces here, the Cucker-Smale and consensus
 right-hand sides and the RBM-SVGD update all run through it.  It takes a
 ``BatchDivision`` (or None for one batch of all N), groups the batches from
-its order and gathers each field by ``np.take``, once for batches of two,
-whose mates are the same rows reversed.  Summation within a batch
-runs in ascending particle order so that the p = N random-batch step
-reproduces the full-batch step bit for bit.
+its order and gathers each field by ``np.take``.  Batches of two, the
+paper's p = 2, skip the grouping: a mate array pairs each particle with its
+batch mate, so each field is gathered once and the sums come out in particle
+order.  Summation within a batch runs in ascending particle order so that
+the p = N random-batch step reproduces the full-batch step bit for bit.
 
 Short-range sums find their pairs with ``neighbor_pairs``, one cell search
 per call, which returns them in ascending (i, j) order.  ``PairList`` is the
@@ -95,34 +96,57 @@ def batch_pair_sum(
     each gets every field as (B, c, 1, ...) rows of i and (B, c, q-1, ...) rows
     of their mates, j ascending (``np.take`` of the field's rows), and returns
     the B c (q-1) pair terms in that order; a term may use only its own pair.
-    A block of batches of two is never chunked and gathers each field once:
-    its mate rows are the reversed view of the rows of i.
+    Batches of two (and N = 2 with no division) take one call with B = N and
+    c = 1: mate[i] is i's batch mate, and each field comes as its own rows and
+    as its rows at ``mate``, so the sums are in particle order with no sort or
+    scatter.  An odd N's last batch of three then goes through the blocks.
     """
     N = len(fields[0])
-    blocks = [(N, np.arange(N)[None, :])] if division is None else batch_index_matrices(division)
-    out = None
+    if (N if division is None else division.batch_size) == 2:
+        order = np.arange(N) if division is None else division.order
+        out = weight(2) * _mate_terms(order, pair_term, fields)
+        # an odd N ends in a batch of three, whose mate rows were placeholders
+        blocks = [(3, np.sort(order[-3:])[None, :])] if N % 2 else []
+    else:
+        out = None
+        blocks = ([(N, np.arange(N)[None, :])] if division is None
+                  else batch_index_matrices(division))
     for size, idx in blocks:
         if size < 2:
             raise ValueError("degenerate batch of size < 2")
         # rows k0..k1-1 of every batch at a time; a row sums the same terms in
-        # the same order whatever the chunk, so the result is bit-identical.
-        # A block of two is one chunk: its 2B terms are O(N), like the fields.
-        step = size if size == 2 else max(1, _CHUNK_PAIRS // (idx.shape[0] * (size - 1)))
+        # the same order whatever the chunk, so the result is bit-identical
+        step = max(1, _CHUNK_PAIRS // (idx.shape[0] * (size - 1)))
+        cols = np.arange(size - 1)
         for k0 in range(0, size, step):
             k1 = min(k0 + step, size)
-            I, rows = idx[:, k0:k1], []
-            if size > 2:
-                cols = np.arange(size - 1)
-                J = idx[:, cols + (cols >= np.arange(k0, k1)[:, None])]  # row k: all columns but k
-            for f in fields:
-                fi = np.take(f, I[:, :, None], axis=0)
-                # in a batch of two, the mate of row 0 is row 1 and vice versa
-                rows += [fi, fi[:, ::-1] if size == 2 else np.take(f, J, axis=0)]
+            I = idx[:, k0:k1]
+            J = idx[:, cols + (cols >= np.arange(k0, k1)[:, None])]  # row k: all columns but k
+            rows = [np.take(f, ix, axis=0) for f in fields for ix in (I[:, :, None], J)]
             values = np.asarray(pair_term(*rows)).reshape(idx.shape[0], k1 - k0, size - 1, -1)
             if out is None:
                 out = np.zeros((N, values.shape[-1]))
-            out[I] = weight(size) * (values[:, :, 0] if size == 2 else values.sum(axis=2))
+            out[I] = weight(size) * values.sum(axis=2)
     return out
+
+
+def _mate_terms(order: np.ndarray, pair_term: Callable, fields) -> np.ndarray:
+    """pair_term of every particle with its mate, as (N, D) rows in particle order.
+
+    Consecutive entries of ``order`` are mates.  An odd tail of three gets the
+    3-cycle of mates, so each of its rows is a finite placeholder term.
+    """
+    N = order.size
+    mate = np.empty_like(order)
+    even = order[: N - 3] if N % 2 else order
+    mate[even[0::2]], mate[even[1::2]] = even[1::2], even[0::2]
+    if N % 2:
+        mate[order[-3:]] = np.roll(order[-3:], 1)
+    rows = []
+    for f in fields:
+        shape = (N, 1, 1, *np.shape(f)[1:])
+        rows += [np.reshape(f, shape), np.take(f, mate, axis=0).reshape(shape)]
+    return np.asarray(pair_term(*rows)).reshape(N, -1)
 
 
 def division_forces(state: ParticleState, division: BatchDivision, kernel, alpha_N: float) -> np.ndarray:

@@ -146,10 +146,15 @@ def _advance(state, system, force, dt, noise_rng) -> ParticleState:
         force = system.drift(x) + force
     if not isinstance(system, FirstOrderSystem):
         return kick_drift(state, force, dt, system.gamma, system.sigma, noise_rng)
-    new = x + dt * force
+    # in place: the products and sums of x + dt F + scale (sqrt(dt) xi), so the same bits
+    new = dt * force
+    new += x
     if system.sigma:
         scale = system.sigma if system.noise_scale is None else system.sigma * system.noise_scale(x)
-        new = new + scale * (math.sqrt(dt) * noise_rng.standard_normal(x.shape))
+        xi = noise_rng.standard_normal(x.shape)
+        xi *= math.sqrt(dt)
+        xi *= scale
+        new += xi
     _check_finite(new, None, "first-order step")
     return state.replace(positions=new, time=state.time + dt)
 

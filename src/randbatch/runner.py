@@ -627,6 +627,8 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         factor = ElectrolyteModel.lj_cutoff_factor
         if not {"lj_sigma", "L"} & bad and factor * model["lj_sigma"] >= model["L"] / 2:
             errors.append(f"model.lj_sigma: the LJ cutoff {factor:g} lj_sigma must be below L/2")
+    if model_id == "consensus" and model["nu"] is not None and _is_int(N, 2):
+        errors += _nu_errors(model["nu"], N, model["dim"])
     if model_id == "lj-fluid" and _is_int(N, 2) and not {"density", "split_radius"} & bad:
         L = (N / model["density"]) ** (1.0 / 3.0)
         if model["split_radius"] >= L / 2:
@@ -636,6 +638,25 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     if errors:
         raise ConfigError(errors)
     return cfg
+
+
+def _nu_errors(nu, N: int, dim) -> list:
+    """Consensus ``model.nu`` must be N rows of ``dim`` numbers (N numbers when
+    dim is 1) whose columns sum to zero, as ``ConsensusModel`` requires."""
+    try:
+        rows = np.asarray(nu, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        rows = None
+    shapes = [(N, dim)] + ([(N,)] if dim == 1 else [])
+    if rows is None or rows.shape not in shapes:
+        return [f"model.nu: intrinsic velocities must be N = {N} rows of model.dim = {dim} numbers"]
+    if not np.all(np.isfinite(rows)):
+        return ["model.nu: intrinsic velocities must be finite"]
+    try:
+        ConsensusModel(N=N, nu=rows)
+    except ValueError as exc:
+        return [f"model.nu: {exc}"]
+    return []
 
 
 def validate(path, seed: Optional[int] = None, replicas: Optional[int] = None) -> dict:

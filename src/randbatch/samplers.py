@@ -21,6 +21,9 @@ from .integrators import IntegrationError
 from .rng import SimStreams
 from .state import BatchDivision
 
+# |x| past which a chain or a Stein flow has diverged
+_FAR = 1e6
+
 
 @dataclass
 class GibbsTarget:
@@ -216,7 +219,9 @@ def run_log_gas_chain(
     sorted list of positions.  A proposal that is not finite is dropped and
     counted in ``clamp_count``.  Returns (final config, pooled post-warmup
     snapshots, stats).  Randomness is pre-drawn from ``streams.proposal`` in
-    chunks of ``snapshot_every`` iterations.
+    chunks of ``snapshot_every`` iterations.  If a position has left
+    |x| <= 1e6 by the end of a chunk, the chain raises ``IntegrationError``
+    naming that iteration and the first such particle.
     """
     x = np.asarray(x0, dtype=np.float64).tolist()
     N = len(x)
@@ -272,6 +277,10 @@ def run_log_gas_chain(
                 stats.acceptance_count += 1
         stats.proposal_count += size
         done += size
+        if ordered[0] < -_FAR or ordered[-1] > _FAR:
+            far = next(k for k, xk in enumerate(x) if abs(xk) > _FAR)
+            raise IntegrationError(f"position beyond 1e6 (decrease the step size) by iteration "
+                                   f"{done} at particle {far}")
         if done > warmup:
             snapshots.append(np.array(x))
     pooled = np.concatenate(snapshots) if snapshots else np.empty(0)
@@ -368,8 +377,8 @@ def _svgd_update(X, gv, division: Optional[BatchDivision], kernel: GaussianKerne
         h = _batch_bandwidths(X, division, kernel)
         pairs = batch_pair_sum(division, term, (X, gv, h), lambda q: (N - 1) / (N * (q - 1)))
     new = X + eta * (-gv / N + pairs)
-    if np.max(np.abs(new)) > 1e6:
-        first = int(np.argmax(np.abs(new).max(axis=1) > 1e6))
+    if np.max(np.abs(new)) > _FAR:
+        first = int(np.argmax(np.abs(new).max(axis=1) > _FAR))
         raise SvgdDivergence(f"coordinate beyond 1e6 (decrease the step size) at particle {first}")
     return new
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -214,3 +215,41 @@ def test_electrolyte_without_thermostat_runs_nve(tmp_path):
         cfg = validate_dict({**base, "name": kind, "thermostat": thermostat})
         energies.append((run(cfg, out_root=tmp_path) / "energy.csv").read_bytes())
     assert energies[0] != energies[1]
+
+
+def test_consensus_nu_off_the_model_is_an_invalid_config(tmp_path, capsys):
+    for nu, message in (([1, 2, 3, 4], "sum to zero"), ([1, -1, 0], "N = 4 rows"),
+                        ([[1, -1], [-1, 1], [0, 0], [0, 0]], "N = 4 rows of model.dim = 1")):
+        cfg_file = _write(tmp_path, "nu.yaml", {"model": {"id": "consensus", "N": 4, "nu": nu}})
+        assert main(["validate", str(cfg_file)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "invalid-config"
+        (detail,) = err["details"]
+        assert detail.startswith("model.nu: ") and message in detail
+    ok = {"model": {"id": "consensus", "N": 4, "dim": 2, "nu": [[1, -1], [-1, 1], [0, 0], [0, 0]]}}
+    assert main(["validate", str(_write(tmp_path, "ok.yaml", ok))]) == 0
+    capsys.readouterr()
+
+
+def test_a_blow_up_reports_its_warnings_in_one_json_document(tmp_path, capsys):
+    # consensus at dt = 400 overflows on its way to a non-finite state
+    raw = {"model": {"id": "consensus"}, "run": {"dt": 400, "steps": 200}}
+    assert main(["run", str(_write(tmp_path, "boom.yaml", raw)), "--out", str(tmp_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IntegrationError"
+    assert err["warnings"] and all("RuntimeWarning: overflow" in w for w in err["warnings"])
+
+
+def test_a_run_that_succeeds_emits_its_warnings(tmp_path, capsys, monkeypatch):
+    import randbatch.cli
+
+    def warn_and_run(cfg, out_root, threads):
+        np.exp(np.array([1e3]))  # overflow: inf, with a RuntimeWarning
+        return run(cfg, out_root=out_root, threads=threads)
+
+    monkeypatch.setattr(randbatch.cli, "run", warn_and_run)
+    cfg_file = _write(tmp_path, "w.yaml", _tiny_wealth_cfg())
+    overflow = pytest.warns(RuntimeWarning, match="overflow encountered in exp")
+    with np.errstate(over="warn"), overflow:
+        assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.strip().endswith("tiny-seed3")

@@ -179,15 +179,21 @@ def test_division_forces_same_from_kept_permutation_and_bare_assignment(N, p):
                                   division_forces(state, bare, gaussian, 1 / (N - 1)))
 
 
+def _sorted_batches(division, N):
+    """The batches read off ``division.order`` (None: all N), each sorted."""
+    if division is None:
+        return [np.arange(N)]
+    order, p, n = division.order, division.batch_size, division.n_batches
+    return [np.sort(order[b * p:] if b == n - 1 else order[b * p:(b + 1) * p]) for b in range(n)]
+
+
 def _per_pair_oracle(division, term, weight):
     """weight(q) times the sum of term(i, j) over i's mates j, one pair at a time.
 
     The batches are read off ``division.order`` and summed in ascending order.
     """
-    order, p, n = division.order, division.batch_size, division.n_batches
     out = {}
-    for b in range(n):
-        batch = np.sort(order[b * p:] if b == n - 1 else order[b * p:(b + 1) * p])
+    for batch in _sorted_batches(division, division.n_particles):
         for i in batch:
             terms = [term(i, j) for j in batch if j != i]
             out[i] = weight(batch.size) * sum(terms[1:], terms[0])
@@ -232,7 +238,7 @@ def test_pair_batches_are_bit_identical_to_a_per_pair_oracle(N, d):
 @pytest.mark.parametrize("N", [10, 11])
 def test_pair_batches_ignore_the_row_chunk_size(monkeypatch, N):
     # four pair terms per chunk would split every block into one-row chunks;
-    # a block of two stays whole, and a batch of three still chunks
+    # batches of two are one call whatever the chunk, and a batch of three still chunks
     monkeypatch.setattr(forces, "_CHUNK_PAIRS", 4)
     gen = RngStream(60 + N).generator()
     pos = gen.standard_normal((N, 2))
@@ -242,6 +248,72 @@ def test_pair_batches_ignore_the_row_chunk_size(monkeypatch, N):
                                 lambda q: batch_prefactor(0.3, N, q))
     state = ParticleState(positions=pos)
     assert np.array_equal(division_forces(state, division, kernel, 0.3), expected)
+
+
+def _loop_oracle(division, pair_term, fields, weight):
+    """``batch_pair_sum`` one batch, one particle and one mate at a time.
+
+    Each pair term gets the rows of i and j alone, as (1, 1, 1, ...) arrays,
+    and the terms of a particle are added left to right in ascending j.
+    """
+    N = len(fields[0])
+    rows = {}
+    for batch in _sorted_batches(division, N):
+        for i in batch:
+            total = None
+            for j in batch[batch != i]:
+                args = [np.asarray(f)[k].reshape(1, 1, 1, *np.shape(f)[1:])
+                        for f in fields for k in (i, j)]
+                term = np.asarray(pair_term(*args)).reshape(-1)
+                total = term if total is None else total + term
+            rows[i] = weight(batch.size) * total
+    return np.array([rows[i] for i in range(N)])
+
+
+def _sine_term(xi, xj):
+    return np.sin(xi - xj)
+
+
+_FLOCK = CuckerSmaleModel(N=2, dim=2)
+
+
+def _flocking_term(xi, xj, vi, vj):
+    dx = xj - xi
+    return _FLOCK.psi(np.sqrt(np.einsum("...k,...k->...", dx, dx)))[..., None] * (vj - vi)
+
+
+def _svgd_term(xi, xj, gi, gj, hi, hj):
+    diffs = xi - xj
+    k = np.exp(-np.einsum("...k,...k->...", diffs, diffs)[..., None] / hi)
+    return (2.0 / hi) * diffs * k - k * gj
+
+
+@pytest.mark.parametrize("N", [2, 3, 10, 11, 1001])  # odd N ends in a batch of three
+def test_batches_of_two_equal_a_per_batch_loop(N):
+    from randbatch.samplers import GaussianKernel, _batch_bandwidths
+
+    gen = RngStream(70 + N).generator()
+    x, v, g = gen.standard_normal((3, N, 2))
+    # N = 2 is also the one batch of all N that no division describes
+    divisions = [random_division(N, 2, gen)] + ([None] if N == 2 else [])
+    for division in divisions:
+        h = _batch_bandwidths(x, division, GaussianKernel())
+        for term, fields in ((_sine_term, (x[:, :1],)), (_flocking_term, (x, v)),
+                             (_svgd_term, (x, g, h))):
+            weight = lambda q: 0.7 / (q - 1)
+            got = forces.batch_pair_sum(division, term, fields, weight)
+            assert np.array_equal(got, _loop_oracle(division, term, fields, weight))
+
+
+def test_a_remainder_batch_of_two_equals_a_per_batch_loop():
+    # p = 5 on N = 12 leaves a batch of two behind two batches of five
+    gen = RngStream(80).generator()
+    x, v = gen.standard_normal((2, 12, 2))
+    division = random_division(12, 5, gen)
+    weight = lambda q: 0.7 / (q - 1)
+    for term, fields in ((_sine_term, (x[:, :1],)), (_flocking_term, (x, v))):
+        got = forces.batch_pair_sum(division, term, fields, weight)
+        assert np.array_equal(got, _loop_oracle(division, term, fields, weight))
 
 
 @settings(max_examples=30, deadline=None)

@@ -265,6 +265,18 @@ def test_diverging_run_names_step_and_particle(model, tmp_path, capsys):
     assert not list(tmp_path.rglob("metrics.json"))
 
 
+def test_a_diverging_dyson_chain_exits_1_naming_iteration_and_particle(tmp_path, capsys):
+    # at dt = 1000 the proposals fling particles out to about 1e300 within the first sweeps
+    raw = {"model": {"id": "dyson", "N": 50}, "run": {"dt": 1000, "sweeps": 2000}}
+    assert main(["run", str(_write(tmp_path, "boom.yaml", raw)), "--out", str(tmp_path / "o")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IntegrationError"
+    (detail,) = err["details"]
+    assert "beyond 1e6" in detail and "by iteration" in detail and "at particle" in detail
+    assert 0 < int(detail.split("by iteration ", 1)[1].split()[0]) <= 2000
+    assert not list(tmp_path.rglob("metrics.json"))
+
+
 @pytest.mark.parametrize("model", sorted(TINY))
 def test_runs_are_deterministic_for_every_model(model, tmp_path):
     out = [run(validate_dict(_tiny(model)), out_root=tmp_path / side) for side in "ab"]

@@ -253,14 +253,28 @@ def test_dyson_chain_acceptance_counts_are_pinned(seed, accepted):
 
 
 def test_dyson_chain_counts_the_proposals_it_drops():
-    # at dt = 1e3 the proposals overflow; each non-finite one is dropped and counted
+    # at dt = inf every proposal is non-finite; each is dropped and counted
     model = DysonModel(N=50)
     streams = SimStreams(0)
-    x, _, stats = run_log_gas_chain(model.initial(streams.init), model.gibbs_target(), 2000,
-                                    m=5, dt=1e3, streams=streams)
-    assert stats.clamp_count > 0
-    assert stats.acceptance_count + stats.clamp_count <= stats.proposal_count == 2000
-    assert np.all(np.isfinite(x))
+    x0 = model.initial(streams.init)
+    x, _, stats = run_log_gas_chain(x0, model.gibbs_target(), 2000, m=5, dt=math.inf,
+                                    streams=streams)
+    assert stats.clamp_count == stats.proposal_count == 2000
+    assert stats.acceptance_count == 0
+    assert np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("chunk", [5, 20_000])
+def test_a_diverging_dyson_chain_stops_at_the_chunk_it_leaves_the_bound_in(chunk):
+    # at dt = 1e3 accepted proposals fling particles out to about 1e300
+    model = DysonModel(N=50)
+    streams = SimStreams(0)
+    message = r"beyond 1e6 .* by iteration \d+ at particle \d+$"
+    with pytest.raises(IntegrationError, match=message) as info:
+        run_log_gas_chain(model.initial(streams.init), model.gibbs_target(), 2000, m=5, dt=1e3,
+                          streams=streams, snapshot_every=chunk)
+    iteration = int(str(info.value).split("by iteration ")[1].split()[0])
+    assert iteration % chunk == 0 or iteration == 2000
 
 
 # --- SVGD --------------------------------------------------------------------
