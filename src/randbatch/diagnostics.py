@@ -9,35 +9,10 @@ import numpy as np
 from .state import minimum_image
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Weighted sample cloud standing in for a probability measure."""
-
-    samples: np.ndarray
-    weights: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.samples = np.atleast_1d(np.asarray(self.samples, dtype=np.float64))
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if np.any(w < 0):
-                raise ValueError("weights must be nonnegative")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1")
-            self.weights = w
-
-
-def _as_weighted(measure) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(measure, EmpiricalMeasure):
-        samples = measure.samples.reshape(-1)
-        w = measure.weights
-        if w is None:
-            w = np.full(samples.size, 1.0 / samples.size)
-    else:
-        samples = np.asarray(measure, dtype=np.float64).reshape(-1)
-        w = np.full(samples.size, 1.0 / samples.size)
-    order = np.argsort(samples, kind="stable")
-    return samples[order], w[order]
+def _as_weighted(samples) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted samples, each with weight 1/n."""
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1), kind="stable")
+    return x, np.full(x.size, 1.0 / x.size)
 
 
 def _step_cdf(x_sorted: np.ndarray, w_sorted: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -54,10 +29,10 @@ def wasserstein1_1d(
 ) -> float:
     """W1 distance between two 1-d measures via their CDFs.
 
-    ``a`` is samples (or an EmpiricalMeasure); ``b`` is either samples or a
-    callable CDF.  The two-sample case integrates |F_a - F_b| exactly between
-    merged sample points.  Against a callable CDF the integral runs over
-    ``support`` (default: padded sample range) on a dense grid.
+    ``a`` is samples; ``b`` is either samples or a callable CDF.  The
+    two-sample case integrates |F_a - F_b| exactly between merged sample
+    points.  Against a callable CDF the integral runs over ``support``
+    (default: padded sample range) on a dense grid.
     """
     xa, wa = _as_weighted(a)
     if callable(b):
@@ -70,38 +45,6 @@ def wasserstein1_1d(
     grid.sort(kind="stable")
     diff = np.abs(_step_cdf(xa, wa, grid) - _step_cdf(xb, wb, grid))
     return float(np.sum(diff[:-1] * np.diff(grid)))
-
-
-@dataclass
-class StrongError:
-    """Root-mean-square coupled trajectory difference, per time and sup."""
-
-    per_time: np.ndarray
-    sup: float
-
-
-def strong_error(traj_a, traj_b, vel_a=None, vel_b=None) -> StrongError:
-    """sqrt(E |r_a - r_b|^2 [+ E |v_a - v_b|^2]) over replicas and particles.
-
-    Trajectories are arrays shaped (replicas, times, N, d) or (times, N, d);
-    both must share initial data and noise streams for the result to measure
-    the batching error alone.
-    """
-    a = np.asarray(traj_a, dtype=np.float64)
-    b = np.asarray(traj_b, dtype=np.float64)
-    if a.ndim == 3:
-        a, b = a[None], b[None]
-    if a.shape != b.shape:
-        raise ValueError("trajectories must have identical shapes")
-    sq = np.sum((a - b) ** 2, axis=3)
-    if vel_a is not None:
-        va = np.asarray(vel_a, dtype=np.float64)
-        vb = np.asarray(vel_b, dtype=np.float64)
-        if va.ndim == 3:
-            va, vb = va[None], vb[None]
-        sq = sq + np.sum((va - vb) ** 2, axis=3)
-    per_time = np.sqrt(sq.mean(axis=(0, 2)))
-    return StrongError(per_time=per_time, sup=float(per_time.max()))
 
 
 # cation-ion pairs per chunk of the radial scan

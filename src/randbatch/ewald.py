@@ -349,18 +349,16 @@ def rbe_force_all(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) ->
     return _rbe_fourier(system, kbatch, S)[0]
 
 
-def _rbe_fourier(system: PeriodicChargeSystem, kbatch, S: float, forces: bool = True):
-    """Random-batch Fourier forces (None unless ``forces``) and k-space energy, one rho pass."""
+def _rbe_fourier(system: PeriodicChargeSystem, kbatch, S: float):
+    """Random-batch Fourier forces and k-space energy, one rho pass."""
     kbatch = np.atleast_2d(np.asarray(kbatch, dtype=np.float64))
     p, q = len(kbatch), system.charges
     k2 = np.einsum("ij,ij->i", kbatch, kbatch)
     eikr = _lattice_phases(system, kbatch)
     rho = eikr @ q
-    f = None
-    if forces:
-        im = eikr.real * rho.imag[:, None] - eikr.imag * rho.real[:, None]  # Im(conj(eikr) rho)
-        coef = (S / p) * 4.0 * math.pi / system.volume / k2
-        f = -q[:, None] * (im.T @ (coef[:, None] * kbatch))
+    im = eikr.real * rho.imag[:, None] - eikr.imag * rho.real[:, None]  # Im(conj(eikr) rho)
+    coef = (S / p) * 4.0 * math.pi / system.volume / k2
+    f = -q[:, None] * (im.T @ (coef[:, None] * kbatch))
     rho2 = np.abs(rho) ** 2
     return f, float(2.0 * math.pi / system.volume * (S / p) * np.sum(rho2 / k2))
 
@@ -390,11 +388,6 @@ def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
 
 def self_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     return float(-math.sqrt(params.alpha / math.pi) * np.sum(system.charges**2))
-
-
-def rbe_fourier_energy(system: PeriodicChargeSystem, kbatch: np.ndarray, S: float) -> float:
-    """Random-batch estimate of the k-space energy sum from one frequency batch."""
-    return _rbe_fourier(system, kbatch, S, forces=False)[1]
 
 
 def ewald_energy_parts(system: PeriodicChargeSystem, params: EwaldParams) -> dict:

@@ -1,12 +1,13 @@
 """Time steppers: full-batch reference, RBM variants, splitting.
 
-First-order systems (toy, wealth, consensus) take Euler-Maruyama steps.
-Every second-order path (Cucker-Smale, the split LJ fluid, RBE, Nose-Hoover)
-takes the symplectic Euler step ``kick_drift``: x moves with the *new* v (with
-the old v an oscillator's energy would grow by 1 + (omega dt)^2 per step).  A
+First-order systems (toy, wealth, consensus, and the noiseless Stein flow of
+SVGD, ``samplers.stein_system``) take Euler-Maruyama steps.  Every
+second-order path (Cucker-Smale, the split LJ fluid, RBE, Nose-Hoover) takes
+the symplectic Euler step ``kick_drift``: x moves with the *new* v (with the
+old v an oscillator's energy would grow by 1 + (omega dt)^2 per step).  A
 non-finite result raises ``IntegrationError`` naming its first such particle.
 The force comes from the system's ``batch_forces``: a kernel sum, which the
-Cucker-Smale and consensus systems replace by their right-hand sides.
+Cucker-Smale, consensus and Stein systems replace by their right-hand sides.
 
 Every stepper is a pure function of (state, rng streams) and returns a new
 state.  The full-batch ``direct_step`` and the random-batch steppers share the
@@ -191,26 +192,18 @@ def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStrea
         raise ValueError("dt must be positive")
     N = state.n_particles
     n_inner = -(-N // p)
-    current = state
+    x = state.positions.copy()
+    v = None if state.velocities is None else state.velocities.copy()
     for _ in range(n_inner):
         batch = sample_batch_with_replacement(N, p, streams.division)
-        sub = ParticleState(
-            positions=current.positions[batch],
-            velocities=None if current.velocities is None else current.velocities[batch],
-            box_length=current.box_length,
-            time=current.time,
-        )
-        pref = batch_prefactor(system.alpha_N, N, batch.size)
-        force = full_force_all(sub, system.kernel, pref)
+        sub = ParticleState(positions=x[batch], velocities=None if v is None else v[batch],
+                            box_length=state.box_length, time=state.time)
+        force = full_force_all(sub, system.kernel, batch_prefactor(system.alpha_N, N, batch.size))
         advanced = _advance(sub, system, force, dt, streams.noise)
-        positions = current.positions.copy()
-        positions[batch] = advanced.positions
-        velocities = current.velocities
-        if velocities is not None:
-            velocities = velocities.copy()
-            velocities[batch] = advanced.velocities
-        current = current.replace(positions=positions, velocities=velocities)
-    return current.replace(time=state.time + dt)
+        x[batch] = advanced.positions
+        if v is not None:
+            v[batch] = advanced.velocities
+    return state.replace(positions=x, velocities=v, time=state.time + dt)
 
 
 def rbm_split_step(

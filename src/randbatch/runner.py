@@ -12,9 +12,10 @@ observable it records along the run and its final metrics.
 every default, and a field that the chosen model, method or thermostat kind
 does not use is rejected, never silently ignored.  ``run`` executes a
 resolved config through one loop shared by all models: stepping, per-step
-hooks (wealth reflection, Andersen collisions), recording every
-``record_every`` steps and replicas.  It writes ``config.resolved.yaml``,
-``metrics.json``, CSV artifacts and ``log.txt`` into the output directory.
+hooks (wealth reflection, Andersen collisions, the Stein flow's 1e6 bound),
+recording every ``record_every`` steps and replicas.  It writes
+``config.resolved.yaml``, ``metrics.json``, CSV artifacts and ``log.txt`` into
+the output directory.
 Identical (config, seed) pairs produce byte-identical metrics.
 ``metrics.json`` is strict JSON: a run whose metrics hold a NaN or an
 infinity fails with their key paths and writes no ``metrics.json``.
@@ -69,7 +70,7 @@ from .models import (
     toy_lipschitz_system,
 )
 from .rng import SimStreams
-from .samplers import GaussianKernel, SvgdState, rbm_svgd_step, run_log_gas_chain
+from .samplers import GaussianKernel, run_log_gas_chain, stein_system
 from .state import ParticleState
 from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen
 
@@ -86,8 +87,9 @@ class ConfigError(ValueError):
 #
 # A builder makes one replica's ``sim`` namespace: the model's ``state`` plus
 # ``streams``, the batch size ``p``, the recorded ``rows``, the per-step
-# ``hooks``, which adjust the state in place after each step, and, for the
-# ``integrators`` steppers in ``_STEPPERS``, the ``system`` they step.
+# ``hooks``, which adjust the state in place after each step or stop the run
+# with an ``IntegrationError``, and, for the ``integrators`` steppers in
+# ``_STEPPERS``, the ``system`` they step.
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,8 @@ class ModelSpec:
     ``run`` lists the run fields the model honours with their defaults (a
     callable default is worked out from the resolved section).  ``steppers``
     maps each method, the default first, to ``step(sim, k, dt) -> state``;
-    the toy, wealth, Cucker-Smale and consensus take theirs from ``_STEPPERS``.
+    the toy, wealth, Cucker-Smale, consensus and gaussian take theirs from
+    ``_STEPPERS``.
     ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
     past the warmup, and before the first step when ``observe_start`` is set;
     ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
@@ -366,12 +369,21 @@ def _finish_electrolyte(sim, cfg, outdir):
 def _build_svgd(cfg, streams):
     m = cfg["model"]
     X0 = m["init_mean"] + m["init_std"] * streams.init.standard_normal((m["N"], m["dim"]))
-    kernel = GaussianKernel(bandwidth=m["bandwidth"])
-    return _sim(cfg, streams, state=SvgdState(particles=X0, grad_V=lambda x: x, kernel=kernel))
+    system = stein_system(lambda x: x, GaussianKernel(bandwidth=m["bandwidth"]), m["N"])
+    return _sim(cfg, streams, state=ParticleState(positions=X0), system=system,
+                hooks=[_stop_far_svgd])
+
+
+def _stop_far_svgd(sim, dt):
+    """Stop a diverging Stein flow while it is finite: no coordinate may pass 1e6."""
+    far = np.abs(sim.state.positions).max(axis=1) > 1e6
+    if np.any(far):
+        raise IntegrationError("coordinate beyond 1e6 (decrease the step size) at particle "
+                               f"{int(np.argmax(far))}")
 
 
 def _finish_svgd(sim, cfg, outdir):
-    particles = sim.state.particles
+    particles = sim.state.positions
     _write_samples_csv(outdir / "samples.csv", [(cfg["run"]["steps"], particles[:, 0])])
     metrics = {}
     if "moments" in cfg["diagnostics"]:
@@ -392,7 +404,7 @@ MODELS = {
         fields={"N": 10_000, "kappa": 1.0, "D": 0.5},
         run={"p": 2, "dt": 1e-3, "T": 3.0, "replicas": 1},
         steppers={m: _STEPPERS[m] for m in ("direct", "rbm")}, diagnostics=("w1_equilibrium",),
-        build=_build_wealth, finish=_finish_wealth,
+        build=_build_wealth, finish=_finish_wealth, positive=("kappa", "D"),
     ),
     "cucker-smale": ModelSpec(
         fields={"N": 256, "kappa": 1.0, "beta": 0.4, "dim": 3},
@@ -410,7 +422,7 @@ MODELS = {
         diagnostics=("consensus_decay", "reconstruction"),
         build=_build_consensus, finish=_finish_consensus,
         observe=lambda s, k: (k * s.dt, *consensus_functionals(s.state.positions)),
-        observe_start=True,
+        observe_start=True, positive=("kappa",),
     ),
     "lj-fluid": ModelSpec(
         fields={"N": 125, "density": 0.3, "sigma": 1.0, "epsilon": 1.0,
@@ -449,7 +461,7 @@ MODELS = {
     "gaussian": ModelSpec(
         fields={"N": 64, "dim": 1, "bandwidth": "median", "init_mean": -2.0, "init_std": 1.0},
         run={"p": 2, "dt": 0.3, "steps": 2000, "replicas": 1},
-        steppers={"rbm-svgd": lambda s, k, dt: rbm_svgd_step(s.state, s.p, dt, s.streams)},
+        steppers={"rbm-svgd": _STEPPERS["rbm"]},
         diagnostics=("moments",), build=_build_svgd, finish=_finish_svgd,
     ),
 }
@@ -612,6 +624,8 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     N = model["N"]
     if not _is_int(N, 2):
         errors.append("model.N: must be an integer >= 2")
+    if "dim" in model and not _is_int(model["dim"], 1):
+        errors.append("model.dim: must be an integer >= 1")
     _check_run(cfg["run"], sections["run"], cfg["method"], model_id, N, errors)
     if not _is_int(cfg["output"].get("trajectory_every", 0), 0):
         errors.append("output.trajectory_every: must be an integer >= 0")
@@ -629,6 +643,15 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
             errors.append(f"model.lj_sigma: the LJ cutoff {factor:g} lj_sigma must be below L/2")
     if model_id == "consensus" and model["nu"] is not None and _is_int(N, 2):
         errors += _nu_errors(model["nu"], N, model["dim"])
+    try:  # the range checks of the objects the builders construct from these fields
+        if model_id == "toy" and _is_int(N, 2):
+            toy_lipschitz_system(N, sigma=model["sigma"])
+        elif model_id == "cucker-smale":
+            CuckerSmaleModel(N=N, kappa=model["kappa"], beta=model["beta"], dim=model["dim"])
+        elif model_id == "gaussian":
+            GaussianKernel(bandwidth=model["bandwidth"])
+    except (TypeError, ValueError) as exc:
+        errors.append(f"model: {exc}")
     if model_id == "lj-fluid" and _is_int(N, 2) and not {"density", "split_radius"} & bad:
         L = (N / model["density"]) ** (1.0 / 3.0)
         if model["split_radius"] >= L / 2:
@@ -710,10 +733,10 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
         dt = schedule(k)
         try:
             sim.state = step(sim, k, dt)
+            for hook in sim.hooks:
+                hook(sim, dt)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}") from exc
-        for hook in sim.hooks:
-            hook(sim, dt)
         if observe is not None and k > warmup and k % every == 0:
             sim.rows.append(observe(sim, k))
     return spec.finish(sim, cfg, outdir)

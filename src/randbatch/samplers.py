@@ -5,7 +5,9 @@ exp(-beta H): the smooth long-range pair part phi1 drives a mini-batched
 overdamped-Langevin proposal (never rejected on its own), and the short-range
 singular part phi2 enters only through the Metropolis accept/reject, made
 cheap by its cutoff.  RBM-SVGD applies random batching to the Stein
-variational particle flow.
+variational particle flow: ``stein_system`` makes that flow a
+``FirstOrderSystem``, so the ``integrators`` steppers take its explicit Euler
+steps, one random division per step for RBM-SVGD.
 """
 
 import math
@@ -15,13 +17,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .batching import batch_index_matrices, random_division
+from .batching import batch_index_matrices
 from .forces import batch_pair_sum
-from .integrators import IntegrationError
+from .integrators import FirstOrderSystem, IntegrationError
 from .rng import SimStreams
 from .state import BatchDivision
 
-# |x| past which a chain or a Stein flow has diverged
+# |x| past which a chain has diverged
 _FAR = 1e6
 
 
@@ -290,15 +292,16 @@ def run_log_gas_chain(
 # --- Stein variational gradient descent --------------------------------------
 
 
-class SvgdDivergence(IntegrationError):
-    """Raised when a coordinate passes 1e6; use a smaller or decaying step size."""
-
-
 @dataclass
 class GaussianKernel:
     """K(x, y) = exp(-|x - y|^2 / h); bandwidth fixed or by median heuristic."""
 
     bandwidth: float | str = "median"
+
+    def __post_init__(self):
+        if self.bandwidth != "median" and not (isinstance(self.bandwidth, (int, float))
+                                               and self.bandwidth > 0):
+            raise ValueError("bandwidth must be 'median' or a positive number")
 
     def resolve(self, sq_dists: np.ndarray, n: int):
         """Bandwidth for groups of n particles; the median runs over the last axis."""
@@ -306,18 +309,6 @@ class GaussianKernel:
             med = np.median(sq_dists, axis=-1) if sq_dists.size else 1.0
             return np.maximum(med / max(math.log(max(n, 2)), 1.0), 1e-12)
         return float(self.bandwidth)
-
-
-@dataclass
-class SvgdState:
-    """Particle cloud descending the KL gradient toward exp(-V)."""
-
-    particles: np.ndarray
-    grad_V: Callable
-    kernel: GaussianKernel = field(default_factory=GaussianKernel)
-
-    def __post_init__(self):
-        self.particles = np.atleast_2d(np.asarray(self.particles, dtype=np.float64))
 
 
 def _offdiag_sq_dists(X: np.ndarray) -> np.ndarray:
@@ -333,13 +324,11 @@ def _svgd_term_sum(X: np.ndarray, i: int, js: np.ndarray, h: float, gv: np.ndarr
     return ((2.0 / h) * diffs * k[:, None] - k[:, None] * gv[js]).sum(axis=0)
 
 
-def svgd_velocity(i: int, state: SvgdState) -> np.ndarray:
-    """Full-batch Stein flow velocity (1/N) sum_j [grad_y K - K grad V]."""
-    X = state.particles
+def svgd_velocity(i: int, X: np.ndarray, grad_V: Callable, kernel: GaussianKernel) -> np.ndarray:
+    """Full-batch Stein flow velocity (1/N) sum_j [grad_y K - K grad V] of particle i."""
     N = X.shape[0]
-    h = state.kernel.resolve(_offdiag_sq_dists(X), N)
-    gv = state.grad_V(X)
-    return _svgd_term_sum(X, i, np.arange(N), h, gv) / N
+    h = kernel.resolve(_offdiag_sq_dists(X), N)
+    return _svgd_term_sum(X, i, np.arange(N), h, grad_V(X)) / N
 
 
 def _batch_bandwidths(X: np.ndarray, division: Optional[BatchDivision], kernel: GaussianKernel):
@@ -363,39 +352,32 @@ def _batch_bandwidths(X: np.ndarray, division: Optional[BatchDivision], kernel: 
     return h
 
 
-def _svgd_update(X, gv, division: Optional[BatchDivision], kernel: GaussianKernel, eta):
-    """Self-term -gv/N plus the weighted sum over batch mates, bandwidth per batch."""
-    N = X.shape[0]
-
-    def term(xi, xj, gi, gj, hi, hj):
-        diffs = xi - xj
-        k = np.exp(-np.einsum("...k,...k->...", diffs, diffs)[..., None] / hi)
-        return (2.0 / hi) * diffs * k - k * gj
-
-    pairs = 0.0
-    if N > 1:
-        h = _batch_bandwidths(X, division, kernel)
-        pairs = batch_pair_sum(division, term, (X, gv, h), lambda q: (N - 1) / (N * (q - 1)))
-    new = X + eta * (-gv / N + pairs)
-    if np.max(np.abs(new)) > _FAR:
-        first = int(np.argmax(np.abs(new).max(axis=1) > _FAR))
-        raise SvgdDivergence(f"coordinate beyond 1e6 (decrease the step size) at particle {first}")
-    return new
+def _stein_term(xi, xj, gi, gj, hi, hj):
+    """grad_y K(x_i, x_j) - K(x_i, x_j) grad V(x_j) at i's bandwidth."""
+    diffs = xi - xj
+    k = np.exp(-np.einsum("...k,...k->...", diffs, diffs)[..., None] / hi)
+    return (2.0 / hi) * diffs * k - k * gj
 
 
-def svgd_step(state: SvgdState, eta: float) -> SvgdState:
-    """Explicit Euler step of the full Stein flow."""
-    X = state.particles
-    gv = state.grad_V(X)
-    new = _svgd_update(X, gv, None, state.kernel, eta)
-    return SvgdState(particles=new, grad_V=state.grad_V, kernel=state.kernel)
+@dataclass
+class _SteinSystem(FirstOrderSystem):
+    grad_V: Optional[Callable] = None
+
+    def batch_forces(self, state, division=None) -> np.ndarray:
+        """The pair part of the Stein velocity over each particle's batch, bandwidth per batch."""
+        X = state.positions
+        N = X.shape[0]
+        fields = (X, self.grad_V(X), _batch_bandwidths(X, division, self.kernel))
+        return batch_pair_sum(division, _stein_term, fields, lambda q: (N - 1) / (N * (q - 1)))
 
 
-def rbm_svgd_step(state: SvgdState, p: int, eta: float, streams: SimStreams) -> SvgdState:
-    """Random-batch Stein step: one division, batch-local kernel interactions."""
-    X = state.particles
-    N = X.shape[0]
-    division = random_division(N, p, streams.division)
-    gv = state.grad_V(X)
-    new = _svgd_update(X, gv, division, state.kernel, eta)
-    return SvgdState(particles=new, grad_V=state.grad_V, kernel=state.kernel)
+def stein_system(grad_V: Callable, kernel: GaussianKernel, N: int) -> FirstOrderSystem:
+    """The Stein variational flow of N particles toward exp(-V) as a noiseless first-order system.
+
+    dx_i/dt = -grad V(x_i) / N + (1/N) sum_{j != i} [grad_y K(x_i, x_j) - K grad V(x_j)]:
+    the self term is the drift and the sum over j is ``batch_forces``, which
+    over a batch of q takes weight (N - 1) / (N (q - 1)).  ``direct_step`` is
+    then an explicit Euler step of SVGD and ``rbm_step_first_order`` is
+    RBM-SVGD, with dt as the step size eta.
+    """
+    return _SteinSystem(kernel=kernel, alpha_N=1.0, drift=lambda x: -grad_V(x) / N, grad_V=grad_V)

@@ -1,16 +1,10 @@
-"""Wasserstein distance, strong error, radial profiles, histograms."""
+"""Wasserstein distance and radial profiles."""
 
 import numpy as np
-import pytest
 from scipy.optimize import linprog
 from scipy.stats import norm
 
-from randbatch.diagnostics import (
-    EmpiricalMeasure,
-    radial_net_charge,
-    strong_error,
-    wasserstein1_1d,
-)
+from randbatch.diagnostics import radial_net_charge, wasserstein1_1d
 from randbatch.rng import RngStream
 
 
@@ -77,47 +71,6 @@ def test_w1_against_callable_cdf():
     against_samples = wasserstein1_1d(x, quantiles)
     assert abs(against_cdf - against_samples) < 1e-3
     assert against_cdf < 0.05
-
-
-def test_w1_weighted_measure():
-    m = EmpiricalMeasure(samples=np.array([0.0, 1.0]), weights=np.array([0.25, 0.75]))
-    point = EmpiricalMeasure(samples=np.array([1.0]))
-    # transport 0.25 mass across distance 1
-    assert abs(wasserstein1_1d(m, point) - 0.25) < 1e-12
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(samples=np.array([0.0, 1.0]), weights=np.array([0.5, 0.6]))
-
-
-def test_strong_error_zero_and_offset():
-    traj = RngStream(6).generator().standard_normal((3, 5, 8, 2))
-    res = strong_error(traj, traj.copy())
-    np.testing.assert_array_equal(res.per_time, np.zeros(5))
-    shifted = traj.copy()
-    shifted[..., 0] += 0.25
-    res = strong_error(traj, shifted)
-    np.testing.assert_allclose(res.per_time, 0.25, atol=1e-14)
-    assert res.sup == pytest.approx(0.25)
-
-
-def test_strong_error_closed_form():
-    # per-replica difference (t+1) * c_r in one coordinate:
-    # error(t) = (t+1) * sqrt(mean c_r^2), exactly computable
-    c = np.array([0.5, 1.0, 2.0])
-    T, N = 4, 6
-    a = np.zeros((3, T, N, 1))
-    b = a + c[:, None, None, None] * (np.arange(1.0, T + 1.0))[None, :, None, None]
-    expected = np.arange(1.0, T + 1.0) * np.sqrt(np.mean(c**2))
-    res = strong_error(a, b)
-    np.testing.assert_allclose(res.per_time, expected, atol=1e-8)
-
-
-def test_strong_error_includes_velocities():
-    a = np.zeros((1, 2, 3, 1))
-    b = a + 3.0
-    va = np.zeros((1, 2, 3, 1))
-    vb = va + 4.0
-    res = strong_error(a, b, vel_a=va, vel_b=vb)
-    np.testing.assert_allclose(res.per_time, 5.0, atol=1e-14)
 
 
 def test_radial_profile_symmetric_noise_is_near_zero():

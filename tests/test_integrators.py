@@ -366,6 +366,52 @@ def test_rbmr_second_order_full_batch_matches_direct():
     np.testing.assert_allclose(a.velocities, b.velocities, rtol=1e-14)
 
 
+def _rbmr_copy_per_batch(state, system, p, dt, streams):
+    """The RBM-r step as a loop that copies the whole state after each inner batch."""
+    from randbatch.batching import sample_batch_with_replacement
+    from randbatch.forces import batch_prefactor, full_force_all
+
+    N = state.n_particles
+    current = state
+    for _ in range(-(-N // p)):
+        batch = sample_batch_with_replacement(N, p, streams.division)
+        sub = ParticleState(
+            positions=current.positions[batch],
+            velocities=None if current.velocities is None else current.velocities[batch],
+            box_length=current.box_length, time=current.time)
+        force = full_force_all(sub, system.kernel, batch_prefactor(system.alpha_N, N, batch.size))
+        advanced = integrators._advance(sub, system, force, dt, streams.noise)
+        positions = current.positions.copy()
+        positions[batch] = advanced.positions
+        velocities = current.velocities
+        if velocities is not None:
+            velocities = velocities.copy()
+            velocities[batch] = advanced.velocities
+        current = current.replace(positions=positions, velocities=velocities)
+    return current.replace(time=state.time + dt)
+
+
+@pytest.mark.parametrize("order, N, p", [(1, 10, 2), (1, 33, 3), (1, 64, 64), (2, 50, 4)])
+def test_rbmr_advances_its_batches_on_one_copy_as_the_copy_per_batch_loop_does(order, N, p):
+    # p < N: the batches of one step overlap, so particles picked twice move twice
+    if order == 1:
+        system = FirstOrderSystem(kernel=np.sin, alpha_N=1 / (N - 1), drift=lambda x: -x,
+                                  sigma=0.5)
+        state = _state1(N, seed=N)
+    else:
+        system = SecondOrderSystem(kernel=np.sin, alpha_N=1 / (N - 1), gamma=0.5, sigma=0.4)
+        state = _state2(N, d=2, seed=N, box=4.0)
+    got, expected = state, state
+    s_got, s_expected = SimStreams(p), SimStreams(p)
+    for _ in range(5):
+        got = rbmr_step(got, system, p, 0.05, s_got)
+        expected = _rbmr_copy_per_batch(expected, system, p, 0.05, s_expected)
+    np.testing.assert_array_equal(got.positions, expected.positions)
+    if order == 2:
+        np.testing.assert_array_equal(got.velocities, expected.velocities)
+    assert got.time == expected.time
+
+
 def test_multiplicative_noise_uses_state_scale():
     state = ParticleState(positions=np.full((4, 1), 2.0))
     system = FirstOrderSystem(kernel=ZERO, alpha_N=1.0, sigma=1.0, noise_scale=lambda x: x)

@@ -179,6 +179,16 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny_model("lj-fluid", sigma=-1), "model.sigma: must be positive"),
     (_tiny_model("lj-fluid", epsilon=-1), "model.epsilon: must be positive"),
     (_tiny_model("dyson", split_radius="wide"), "model.split_radius: must be positive"),
+    (_tiny_model("consensus", kappa=-1), "model.kappa: must be positive"),
+    (_tiny_model("consensus", dim=0), "model.dim: must be an integer >= 1"),
+    (_tiny_model("cucker-smale", kappa=-1), "model: kappa must be nonnegative"),
+    (_tiny_model("cucker-smale", beta=1.5), "model: beta must lie in [0, 1)"),
+    (_tiny_model("wealth", D=-1), "model.D: must be positive"),
+    (_tiny_model("wealth", kappa=0), "model.kappa: must be positive"),
+    (_tiny_model("toy", sigma=-1), "model: sigma must be nonnegative"),
+    (_tiny_model("gaussian", bandwidth="wide"), "model: bandwidth must be 'median' or a positive"),
+    (_tiny_model("gaussian", bandwidth=-1.0), "model: bandwidth must be 'median' or a positive"),
+    (_tiny_model("gaussian", dim=0), "model.dim: must be an integer >= 1"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:

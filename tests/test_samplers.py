@@ -1,6 +1,7 @@
 """RBMC proposal/acceptance semantics, the log-gas chain, and SVGD."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,24 +10,23 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from randbatch.batching import enumerate_divisions, random_division
-from randbatch.integrators import IntegrationError
+from randbatch.integrators import IntegrationError, direct_step, rbm_step_first_order
 from randbatch.models import DysonModel
 from randbatch.rng import RngStream, SimStreams
+from randbatch.runner import _stop_far_svgd
 from randbatch.samplers import (
     GaussianKernel,
     GibbsTarget,
     MarkovChainStats,
-    SvgdDivergence,
-    SvgdState,
     log_kernel_split,
-    rbm_svgd_step,
     rbmc_accept,
     rbmc_propose,
     rbmc_step,
     run_log_gas_chain,
-    svgd_step,
+    stein_system,
     svgd_velocity,
 )
+from randbatch.state import ParticleState
 
 
 def _free_target(N, beta=1.0, w=1.0):
@@ -280,58 +280,54 @@ def test_a_diverging_dyson_chain_stops_at_the_chunk_it_leaves_the_bound_in(chunk
 # --- SVGD --------------------------------------------------------------------
 
 
-def _gaussian_state(particles, bandwidth=1.0):
-    return SvgdState(particles=np.asarray(particles, dtype=np.float64),
-                     grad_V=lambda x: x, kernel=GaussianKernel(bandwidth=bandwidth))
+GRAD_V = lambda x: x  # V = |x|^2 / 2: the flow targets N(0, I)
+
+
+def _velocity(i, particles, bandwidth=1.0):
+    return svgd_velocity(i, np.asarray(particles, dtype=np.float64), GRAD_V,
+                         GaussianKernel(bandwidth=bandwidth))
+
+
+def _stein(X, bandwidth=1.0, grad_V=GRAD_V):
+    """The start state and the Stein system of the cloud X."""
+    return ParticleState(positions=X), stein_system(grad_V, GaussianKernel(bandwidth), len(X))
 
 
 def test_svgd_single_particle_is_map_descent():
-    state = _gaussian_state([[1.0]])
-    np.testing.assert_allclose(svgd_velocity(0, state), [-1.0], atol=1e-14)
+    np.testing.assert_allclose(_velocity(0, [[1.0]]), [-1.0], atol=1e-14)
 
 
 def test_svgd_two_particle_hand_value():
     # particles at 0 and 1, K = exp(-(x-y)^2), V = x^2/2
-    state = _gaussian_state([[0.0], [1.0]])
     k = math.exp(-1.0)
     expected = 0.5 * ((0.0 - 0.0) + (2 * (0.0 - 1.0) * k - k * 1.0))
-    np.testing.assert_allclose(svgd_velocity(0, state), [expected], atol=1e-14)
+    np.testing.assert_allclose(_velocity(0, [[0.0], [1.0]]), [expected], atol=1e-14)
 
 
 def test_svgd_velocity_antisymmetric_for_symmetric_cloud():
-    pts = np.array([[-1.3], [-0.4], [0.4], [1.3]])
-    state = _gaussian_state(pts)
+    pts = [[-1.3], [-0.4], [0.4], [1.3]]
     for i, j in ((0, 3), (1, 2)):
-        vi = svgd_velocity(i, state)
-        vj = svgd_velocity(j, state)
-        np.testing.assert_allclose(vi, -vj, atol=1e-12)
+        np.testing.assert_allclose(_velocity(i, pts), -_velocity(j, pts), atol=1e-12)
 
 
 def test_svgd_fixed_point_from_root_finding_oracle():
     # closed-form stationarity for two particles at +-c: (c/2)(5 e^{-4c^2} - 1) = 0
     c_star = brentq(lambda c: 5 * math.exp(-4 * c * c) - 1.0, 0.1, 2.0, xtol=1e-14)
     assert c_star == pytest.approx(math.sqrt(math.log(5.0)) / 2, abs=1e-12)
-    state = _gaussian_state([[+c_star], [-c_star]])
-    np.testing.assert_allclose(svgd_velocity(0, state), 0.0, atol=1e-10)
-    np.testing.assert_allclose(svgd_velocity(1, state), 0.0, atol=1e-10)
-
-
-def test_rbm_svgd_zero_step_is_identity():
-    gen = RngStream(13).generator()
-    state = _gaussian_state(gen.standard_normal((8, 2)))
-    out = rbm_svgd_step(state, 2, 0.0, SimStreams(14))
-    np.testing.assert_array_equal(out.particles, state.particles)
+    pts = [[+c_star], [-c_star]]
+    np.testing.assert_allclose(_velocity(0, pts), 0.0, atol=1e-10)
+    np.testing.assert_allclose(_velocity(1, pts), 0.0, atol=1e-10)
 
 
 def test_rbm_svgd_full_batch_matches_svgd_step_exactly():
     gen = RngStream(15).generator()
-    for kernel in (GaussianKernel(bandwidth=0.7), GaussianKernel(bandwidth="median")):
-        a = SvgdState(particles=gen.standard_normal((16, 2)), grad_V=lambda x: x, kernel=kernel)
-        b = SvgdState(particles=a.particles.copy(), grad_V=a.grad_V, kernel=kernel)
+    for bandwidth in (0.7, "median"):
+        a, system = _stein(gen.standard_normal((16, 2)), bandwidth)
+        b = ParticleState(positions=a.positions.copy())
         for _ in range(5):
-            a = svgd_step(a, 0.2)
-            b = rbm_svgd_step(b, 16, 0.2, SimStreams(16))
-        np.testing.assert_array_equal(a.particles, b.particles)
+            a = direct_step(a, system, 0.2, SimStreams(16))
+            b = rbm_step_first_order(b, system, 16, 0.2, SimStreams(16))
+        np.testing.assert_array_equal(a.positions, b.positions)
 
 
 @pytest.mark.parametrize("N", [10, 11])
@@ -340,43 +336,42 @@ def test_rbm_svgd_step_matches_per_particle_oracle_on_a_remainder_division(N):
     from randbatch.samplers import _offdiag_sq_dists, _svgd_term_sum
 
     gen = RngStream(21).generator()
-    state = SvgdState(particles=gen.standard_normal((N, 2)), grad_V=lambda x: x,
-                      kernel=GaussianKernel(bandwidth="median"))
-    X, eta = state.particles, 0.2
-    gv = state.grad_V(X)
-    out = rbm_svgd_step(state, 3, eta, SimStreams(22))
+    X = gen.standard_normal((N, 2))
+    state, system = _stein(X, "median")
+    eta = 0.2
+    gv = GRAD_V(X)
+    out = rbm_step_first_order(state, system, 3, eta, SimStreams(22))
     division = random_division(N, 3, SimStreams(22).division)
     assert {len(b) for b in division.iter_batches()} != {3}
     velocity = np.empty_like(X)
     for batch in division.iter_batches():
-        h = state.kernel.resolve(_offdiag_sq_dists(X[batch]), len(batch))
+        h = system.kernel.resolve(_offdiag_sq_dists(X[batch]), len(batch))
         for i in batch:
             mates = batch[batch != i]
             pref = (N - 1) / (N * (len(batch) - 1))
             velocity[i] = (_svgd_term_sum(X, i, np.array([i]), h, gv) / N
                            + pref * _svgd_term_sum(X, i, mates, h, gv))
-    np.testing.assert_allclose(out.particles, X + eta * velocity, rtol=1e-12)
+    np.testing.assert_allclose(out.positions, X + eta * velocity, rtol=1e-12)
 
 
 def test_svgd_step_takes_the_median_over_all_pairs_when_chunked():
     # 600 x 599 pair terms exceed one chunk of 2^18, so the sum and the median
     # distances come in row chunks; the bandwidth must still be the global one
     gen = RngStream(23).generator()
-    state = SvgdState(particles=gen.standard_normal((600, 2)), grad_V=lambda x: x,
-                      kernel=GaussianKernel(bandwidth="median"))
+    X = gen.standard_normal((600, 2))
+    state, system = _stein(X, "median")
     eta = 0.1
-    out = svgd_step(state, eta)
+    out = direct_step(state, system, eta, SimStreams(0))
     for i in (0, 299, 599):
-        expected = state.particles[i] + eta * svgd_velocity(i, state)
-        np.testing.assert_allclose(out.particles[i], expected, rtol=1e-12, atol=1e-14)
+        expected = X[i] + eta * _velocity(i, X, "median")
+        np.testing.assert_allclose(out.positions[i], expected, rtol=1e-12, atol=1e-14)
 
 
 def test_rbm_svgd_batch_term_unbiased_by_enumeration():
     # mean over all divisions of the batch term equals the full off-diagonal sum
     gen = RngStream(17).generator()
     X = gen.standard_normal((4, 1))
-    state = _gaussian_state(X, bandwidth=0.9)
-    gv = state.grad_V(X)
+    gv = X
     h = 0.9
 
     from randbatch.samplers import _svgd_term_sum
@@ -395,26 +390,31 @@ def test_rbm_svgd_batch_term_unbiased_by_enumeration():
     np.testing.assert_allclose(batch_terms.mean(axis=0), full_offdiag, atol=1e-12)
 
 
+def _guard(state):
+    """The gaussian run's per-step hook on ``state``."""
+    _stop_far_svgd(SimpleNamespace(state=state), None)
+
+
 def test_rbm_svgd_divergence_guard():
-    state = _gaussian_state([[1e5], [-1e5]])
-    state.grad_V = lambda x: -x * 1e4  # explosive anti-gradient
-    with pytest.raises(SvgdDivergence):
-        rbm_svgd_step(state, 2, 10.0, SimStreams(18))
+    state, system = _stein(np.array([[1e5], [-1e5]]), grad_V=lambda x: -x * 1e4)  # explosive
+    _guard(state)
+    with pytest.raises(IntegrationError, match="beyond 1e6"):
+        _guard(rbm_step_first_order(state, system, 2, 10.0, SimStreams(18)))
 
 
 def test_svgd_divergence_is_an_integration_error_naming_the_first_particle_beyond_1e6():
     # particle 0 lands at 50, particle 1 near 5e9; the kernel between them is exp(-1e10) = 0
-    state = _gaussian_state([[1e-3], [1e5]])
-    state.grad_V = lambda x: -x * 1e4
+    state, system = _stein(np.array([[1e-3], [1e5]]), grad_V=lambda x: -x * 1e4)
+    out = direct_step(state, system, 10.0, SimStreams(0))
+    assert abs(out.positions[0, 0]) < 1e6 < abs(out.positions[1, 0])
     with pytest.raises(IntegrationError, match="at particle 1$"):
-        svgd_step(state, 10.0)
+        _guard(out)
 
 
 def test_svgd_converges_to_standard_normal_moments():
     gen = RngStream(19).generator()
-    state = SvgdState(particles=-2.0 + gen.standard_normal((64, 1)),
-                      grad_V=lambda x: x, kernel=GaussianKernel(bandwidth="median"))
+    state, system = _stein(-2.0 + gen.standard_normal((64, 1)), "median")
     for _ in range(600):
-        state = svgd_step(state, 0.3)
-    assert abs(state.particles.mean()) < 0.05
-    assert abs(state.particles.var() - 1.0) < 0.1
+        state = direct_step(state, system, 0.3, SimStreams(0))
+    assert abs(state.positions.mean()) < 0.05
+    assert abs(state.positions.var() - 1.0) < 0.1
