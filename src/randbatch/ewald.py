@@ -6,7 +6,9 @@ pairs within r_c.  Those come from a ``forces.PairList`` that the system
 carries from step to step: it lists the pairs within r_c + skin (skin =
 0.1 r_c at the default alpha, where r_c is 3 particle spacings) and repeats
 the cell search only once some ion has moved skin/2, so most steps filter the
-listed pairs instead of searching.  The electrolyte's
+listed pairs, in place, instead of searching.  The real-space kernel also
+works in place, with the operations of its plain expression in their order,
+so its forces keep the same bits.  The electrolyte's
 Lennard-Jones core, passed in as ``extra_force``, filters a list of its own
 at its own cutoff, held by ``models.ElectrolyteModel``.  The smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples
@@ -24,7 +26,9 @@ over the half cube m_x >= 0 with weight zero outside half the ball
 (rho(-k) is the conjugate of rho(k) for real charges, so k and -k
 contribute alike), as two matrix products: rho on the cube is
 (e_x e_y) (q e_z)^T, and the forces contract e_x e_y with coef conj(rho) k,
-then with e_z.
+then with e_z.  Both Fourier paths take the force as
+F_n = q_n Im(sum_k e_kn coef_k conj(rho_k) k): the random-batch one as a
+single (N, p) @ (p, 3) complex product over its batch.
 """
 
 import functools
@@ -356,9 +360,9 @@ def _rbe_fourier(system: PeriodicChargeSystem, kbatch, S: float):
     k2 = np.einsum("ij,ij->i", kbatch, kbatch)
     eikr = _lattice_phases(system, kbatch)
     rho = eikr @ q
-    im = eikr.real * rho.imag[:, None] - eikr.imag * rho.real[:, None]  # Im(conj(eikr) rho)
     coef = (S / p) * 4.0 * math.pi / system.volume / k2
-    f = -q[:, None] * (im.T @ (coef[:, None] * kbatch))
+    # F_n = q_n Im(sum_k e_kn coef_k conj(rho_k) k), as in ``_exact_fourier``: one (N, p) @ (p, 3)
+    f = q[:, None] * (eikr.T @ ((coef * np.conj(rho))[:, None] * kbatch)).imag
     rho2 = np.abs(rho) ** 2
     return f, float(2.0 * math.pi / system.volume * (S / p) * np.sum(rho2 / k2))
 
@@ -373,12 +377,23 @@ def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> T
     if system.pairs is None or system.pairs.cutoff != params.r_c:
         system.pairs = PairList(params.r_c)
     i, j, disp, r2 = system.pairs(system.state.positions, system.L)
+    # in place, with the operations of qq erfc(sqrt(alpha) r) / r and
+    # qq 2 sqrt(alpha / pi) exp(-alpha r2) in that order, so the same bits
     r = np.sqrt(r2)
-    qq = system.charges[i] * system.charges[j]
-    screened = qq * special("erfc")(math.sqrt(params.alpha) * r) / r
-    gauss = qq * 2.0 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r2)
-    forces = pair_force_sum(system.n_particles, i, j, ((screened + gauss) / r2)[:, None] * disp)
-    return forces, float(np.sum(screened))
+    qq = system.charges.take(i)
+    qq *= system.charges.take(j)
+    screened = np.multiply(r, math.sqrt(params.alpha))
+    special("erfc")(screened, out=screened)
+    screened *= qq
+    screened /= r
+    coef = np.multiply(r2, -params.alpha, out=r)
+    np.exp(coef, out=coef)
+    qq *= 2.0
+    qq *= math.sqrt(params.alpha / math.pi)
+    coef *= qq
+    coef += screened
+    coef /= r2  # (screened + gauss) / r2, the radial force over r
+    return pair_force_sum(system.n_particles, i, j, disp, coef), float(np.sum(screened))
 
 
 def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:

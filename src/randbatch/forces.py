@@ -18,9 +18,18 @@ Verlet list on top of it (Verlet, Phys. Rev. 159, 98, 1967): it searches once
 at cutoff + skin and, until some particle has moved skin/2 since, answers each
 call by filtering the listed pairs in order.  Every answer is therefore the
 array a fresh search would return, so forces depend on the positions alone,
-not on the skin, the cell grid or when the list was last built.
+not on the skin, the cell grid or when the list was last built.  Searches
+and lists share one filter, ``_pairs_within``, which works in place: each
+axis is gathered with ``take`` into a row of one (d, M) displacement block,
+and the minimum image is d - L rint(d / L), four in-place passes over the
+row through one shift buffer.  rint picks the image that ``minimum_image``'s
+floor(d / L + 0.5) picks unless d / L is within a few ulps of +-1/2, where
+the component is about L/2 either way; a pair kept at a cutoff below L/2 has
+no such component, so its displacement has the same bits.
 All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
-core) are Newton pairs: one evaluation per pair i < j, summed by ``pair_force_sum``.
+core) are Newton pairs: one evaluation per pair i < j, summed by
+``pair_force_sum``, which takes a radial kernel's per-pair coefficient and
+scales the displacements one axis at a time.
 """
 
 from typing import Callable, Optional, Tuple
@@ -247,16 +256,23 @@ def _run_pairs(
 def _pairs_within(
     pos: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray, cutoff: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate pairs (i, j) closer than ``cutoff``, as ``neighbor_pairs`` returns them."""
+    """The candidate pairs (i, j) closer than ``cutoff``, as ``neighbor_pairs`` returns them.
+
+    The minimum image is d - L rint(d / L), taken in place (see the module notes).
+    """
     # axis-major: one-dimensional gathers are several times faster than row gathers
-    disp = np.empty((pos.shape[1], i.size))
+    disp, shift = np.empty((pos.shape[1], i.size)), np.empty(i.size)
     for axis, x in enumerate(np.ascontiguousarray(pos.T)):
-        disp[axis] = minimum_image(x[i] - x[j], box_length)
+        d = np.subtract(x.take(i), x.take(j), out=disp[axis])
+        np.multiply(d, 1.0 / box_length, out=shift)
+        np.rint(shift, out=shift)
+        shift *= box_length
+        d -= shift
     r2 = np.einsum("ij,ij->j", disp, disp)
     # indices rather than a boolean mask, which is several times slower to apply when
     # it keeps a scattered half of the pairs; the rows returned are a transposed view
     keep = np.flatnonzero(r2 < cutoff * cutoff)
-    return i[keep], j[keep], np.take(disp, keep, axis=1).T, r2[keep]
+    return i.take(keep), j.take(keep), disp.take(keep, axis=1).T, r2.take(keep)
 
 
 def neighbor_pairs(
@@ -321,7 +337,10 @@ class PairList:
     Simulation of Liquids*), and the spacing stands in for sigma.  A cutoff
     of 3 spacings or more, such as the default Ewald r_c, keeps 0.1 cutoff.
     Answers do not depend on when the list was built, so the skin sets only
-    the cost: a wider one lists more pairs and builds less often.
+    the cost: a wider one lists more pairs and builds less often.  A call
+    between builds gathers, minimum-images and filters the listed pairs in
+    place (see the module notes); the list keeps only its build's positions
+    and (i, j), and no work arrays, whose memory a long-lived list would hold.
     """
 
     def __init__(self, cutoff: float):
@@ -358,11 +377,19 @@ class PairList:
         return not np.all(np.einsum("ij,ij->i", moved, moved) <= (0.5 * self.skin) ** 2)
 
 
-def pair_force_sum(n: int, i: np.ndarray, j: np.ndarray, f_ij: np.ndarray) -> np.ndarray:
-    """Per-particle sums of Newton pair forces: row k adds f_ij[k] to i[k], -f_ij[k] to j[k]."""
+def pair_force_sum(
+    n: int, i: np.ndarray, j: np.ndarray, f_ij: np.ndarray, scale: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Per-particle sums of Newton pair forces: row k adds f_ij[k] to i[k], -f_ij[k] to j[k].
+
+    With ``scale`` the pair force is scale[k] f_ij[k], formed one axis at a
+    time, so a radial kernel passes its displacements and its coefficients
+    and no (M, d) product is built.
+    """
     out = np.empty((n, f_ij.shape[1]))
+    buf = None if scale is None else np.empty(len(scale))
     for axis in range(f_ij.shape[1]):
-        f = f_ij[:, axis]
+        f = f_ij[:, axis] if buf is None else np.multiply(scale, f_ij[:, axis], out=buf)
         out[:, axis] = np.bincount(i, f, minlength=n) - np.bincount(j, f, minlength=n)
     return out
 

@@ -119,6 +119,21 @@ def _check_finite(positions: np.ndarray, velocities: Optional[np.ndarray], label
     raise IntegrationError(f"non-finite state after {label} at particle {int(np.argmax(bad))}")
 
 
+def _stepped(state: ParticleState, label: str, **fields) -> ParticleState:
+    """``state.replace(**fields)``, with a non-finite position raised as IntegrationError
+    naming the first bad particle.
+
+    ``ParticleState``'s own check is the step's one pass over the new
+    positions.  A non-finite velocity makes its particle's position x + dt v
+    non-finite too, so that check catches it as well.
+    """
+    try:
+        return state.replace(**fields)
+    except ValueError:
+        _check_finite(fields["positions"], fields.get("velocities"), label)
+        raise
+
+
 def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: float = 0.0,
                sigma: float = 0.0, noise_rng=None) -> ParticleState:
     """new_v = v + dt (F - c v) + sigma sqrt(dt) xi, then new_x = x + dt new_v (unit masses).
@@ -136,8 +151,8 @@ def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: flo
     if sigma > 0.0:
         new_v = new_v + sigma * math.sqrt(dt) * noise_rng.standard_normal(v.shape)
     new_x = state.positions + dt * new_v
-    _check_finite(new_x, new_v, "second-order step")
-    return state.replace(positions=new_x, velocities=new_v, time=state.time + dt)
+    return _stepped(state, "second-order step", positions=new_x, velocities=new_v,
+                    time=state.time + dt)
 
 
 def _advance(state, system, force, dt, noise_rng) -> ParticleState:
@@ -156,8 +171,7 @@ def _advance(state, system, force, dt, noise_rng) -> ParticleState:
         xi *= math.sqrt(dt)
         xi *= scale
         new += xi
-    _check_finite(new, None, "first-order step")
-    return state.replace(positions=new, time=state.time + dt)
+    return _stepped(state, "first-order step", positions=new, time=state.time + dt)
 
 
 def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) -> ParticleState:

@@ -25,10 +25,18 @@ ETA_WEALTH = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)| initial wealth
 
 @dataclass(frozen=True)
 class DysonModel:
-    """Eigenvalue gas: drift -x, kernel 1/x, noise 1/sqrt(N-1), d = 1."""
+    """Eigenvalue gas: drift -x, kernel 1/x, noise 1/sqrt(N-1), d = 1.
+
+    ``m`` is the number of proposal steps per RBMC iteration.
+    """
 
     N: int
     split_radius: float = 0.01
+    m: int = 5
+
+    def __post_init__(self):
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+            raise ValueError("m must be an integer >= 1")
 
     def gibbs_target(self) -> GibbsTarget:
         """Invariant Gibbs measure exp(-[(N-1)/2 sum x^2 - sum_{i<j} ln|x_i-x_j|]).
@@ -376,7 +384,7 @@ class ElectrolyteModel:
             return np.zeros((state.n_particles, state.dim)), 0.0
         s6 = (self.lj_sigma**2 / r2) ** 3
         fmag = 24.0 * self.lj_epsilon * (2.0 * s6 * s6 - s6) / r2
-        forces = pair_force_sum(state.n_particles, i, j, fmag[:, None] * disp)
+        forces = pair_force_sum(state.n_particles, i, j, disp, fmag)
         return forces, float(4.0 * self.lj_epsilon * np.sum(s6 * s6 - s6))
 
 

@@ -207,10 +207,10 @@ def _finish_wealth(sim, cfg, outdir):
 
 def _build_dyson(cfg, streams):
     m, run = cfg["model"], cfg["run"]
-    model = DysonModel(N=m["N"], split_radius=m["split_radius"])
+    model = DysonModel(N=m["N"], split_radius=m["split_radius"], m=m["m"])
     return _sim(cfg, streams, target=model.gibbs_target(),
                 state=(model.initial(streams.init), None, None),
-                m=m["m"], sweeps=run["sweeps"], warmup=run["warmup"])
+                m=model.m, sweeps=run["sweeps"], warmup=run["warmup"])
 
 
 def _step_dyson(sim, k, dt):
@@ -369,7 +369,7 @@ def _finish_electrolyte(sim, cfg, outdir):
 def _build_svgd(cfg, streams):
     m = cfg["model"]
     X0 = m["init_mean"] + m["init_std"] * streams.init.standard_normal((m["N"], m["dim"]))
-    system = stein_system(lambda x: x, GaussianKernel(bandwidth=m["bandwidth"]), m["N"])
+    system = stein_system(lambda x: x, GaussianKernel(bandwidth=m["bandwidth"]))
     return _sim(cfg, streams, state=ParticleState(positions=X0), system=system,
                 hooks=[_stop_far_svgd])
 
@@ -463,6 +463,7 @@ MODELS = {
         run={"p": 2, "dt": 0.3, "steps": 2000, "replicas": 1},
         steppers={"rbm-svgd": _STEPPERS["rbm"]},
         diagnostics=("moments",), build=_build_svgd, finish=_finish_svgd,
+        positive=("init_std",),
     ),
 }
 
@@ -499,6 +500,10 @@ def _is_int(v, lo: int) -> bool:
 
 def _positive(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _resolve_thermostat(raw: dict, model_id: str, kinds: tuple, errors: list) -> dict:
@@ -641,6 +646,8 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         factor = ElectrolyteModel.lj_cutoff_factor
         if not {"lj_sigma", "L"} & bad and factor * model["lj_sigma"] >= model["L"] / 2:
             errors.append(f"model.lj_sigma: the LJ cutoff {factor:g} lj_sigma must be below L/2")
+    if model_id == "gaussian" and not _is_real(model["init_mean"]):
+        errors.append("model.init_mean: must be a finite number")
     if model_id == "consensus" and model["nu"] is not None and _is_int(N, 2):
         errors += _nu_errors(model["nu"], N, model["dim"])
     try:  # the range checks of the objects the builders construct from these fields
@@ -648,6 +655,8 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
             toy_lipschitz_system(N, sigma=model["sigma"])
         elif model_id == "cucker-smale":
             CuckerSmaleModel(N=N, kappa=model["kappa"], beta=model["beta"], dim=model["dim"])
+        elif model_id == "dyson":
+            DysonModel(N=N, split_radius=model["split_radius"], m=model["m"])
         elif model_id == "gaussian":
             GaussianKernel(bandwidth=model["bandwidth"])
     except (TypeError, ValueError) as exc:

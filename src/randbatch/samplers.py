@@ -364,20 +364,24 @@ class _SteinSystem(FirstOrderSystem):
     grad_V: Optional[Callable] = None
 
     def batch_forces(self, state, division=None) -> np.ndarray:
-        """The pair part of the Stein velocity over each particle's batch, bandwidth per batch."""
+        """The Stein velocity over each particle's batch, bandwidth per batch: the pair
+        sum plus the self term -grad V(x_i) / N, from one evaluation of grad V."""
         X = state.positions
         N = X.shape[0]
-        fields = (X, self.grad_V(X), _batch_bandwidths(X, division, self.kernel))
-        return batch_pair_sum(division, _stein_term, fields, lambda q: (N - 1) / (N * (q - 1)))
+        gv = self.grad_V(X)
+        fields = (X, gv, _batch_bandwidths(X, division, self.kernel))
+        pairs = batch_pair_sum(division, _stein_term, fields, lambda q: (N - 1) / (N * (q - 1)))
+        return -gv / N + pairs
 
 
-def stein_system(grad_V: Callable, kernel: GaussianKernel, N: int) -> FirstOrderSystem:
+def stein_system(grad_V: Callable, kernel: GaussianKernel) -> FirstOrderSystem:
     """The Stein variational flow of N particles toward exp(-V) as a noiseless first-order system.
 
     dx_i/dt = -grad V(x_i) / N + (1/N) sum_{j != i} [grad_y K(x_i, x_j) - K grad V(x_j)]:
-    the self term is the drift and the sum over j is ``batch_forces``, which
-    over a batch of q takes weight (N - 1) / (N (q - 1)).  ``direct_step`` is
-    then an explicit Euler step of SVGD and ``rbm_step_first_order`` is
-    RBM-SVGD, with dt as the step size eta.
+    ``batch_forces`` gives the self term plus the sum over j, which over a
+    batch of q takes weight (N - 1) / (N (q - 1)); the system has no separate
+    drift, so one grad V evaluation serves both.  ``direct_step`` is then an
+    explicit Euler step of SVGD and ``rbm_step_first_order`` is RBM-SVGD,
+    with dt as the step size eta.
     """
-    return _SteinSystem(kernel=kernel, alpha_N=1.0, drift=lambda x: -grad_V(x) / N, grad_V=grad_V)
+    return _SteinSystem(kernel=kernel, alpha_N=1.0, grad_V=grad_V)

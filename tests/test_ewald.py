@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from randbatch import forces, runner
+from randbatch import ewald, forces, runner
 from randbatch.ewald import (
     EwaldParams,
     PeriodicChargeSystem,
@@ -391,6 +391,26 @@ def test_rbe_forces_sum_to_zero_any_batch():
     np.testing.assert_allclose(F.sum(axis=0), 0.0, atol=1e-10)
 
 
+def test_rbe_force_matches_the_real_contraction_of_im_conj_e_rho():
+    # the one complex product against the (p, N) real form
+    # -q_n sum_k coef_k Im(conj(e_kn) rho_k) k it replaced
+    N, L, p = 300, 10.0, 100
+    system = _random_electroneutral(N, L, seed=92)
+    params = EwaldParams.for_system(N, L, p=p)
+    S = sum_S(params.alpha, L)
+    bank = mh_sample_kvectors(params.alpha, L, 5 * p, RngStream(93))
+    q = system.charges
+    for _ in range(5):
+        k = bank.draw(p)
+        eikr = ewald._lattice_phases(system, k)  # the same phases, so only the contraction differs
+        rho = eikr @ q
+        im = eikr.real * rho.imag[:, None] - eikr.imag * rho.real[:, None]
+        coef = (S / p) * 4.0 * math.pi / system.volume / np.einsum("ij,ij->i", k, k)
+        expected = -q[:, None] * (im.T @ (coef[:, None] * k))
+        np.testing.assert_allclose(rbe_force_all(system, k, S), expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
+
+
 def test_rbe_exhaustive_weighting_is_unbiased():
     # weight every lattice vector |m| <= 6 by its target probability: the
     # weighted mean of single-frequency estimates must equal the exact force
@@ -595,6 +615,68 @@ def test_real_space_matches_brute_double_loop():
             expected[i] += qq * (math.erfc(sa * r) / r + pref * math.exp(-params.alpha * r * r)) / r**2 * d
     np.testing.assert_allclose(F, expected, atol=1e-13)
     assert abs(energy - e_expected) < 1e-12
+
+
+def _real_space_oracle(system, params):
+    """Real-space forces and energy by the plain expressions, over every pair i < j.
+
+    The pairs are minimum-imaged with ``minimum_image``'s floor(d / L + 0.5),
+    taken in the ascending (i, j) order of a search, axis-major like the search,
+    and the kernel is evaluated out of place: the bits the in-place filter and
+    kernel must reproduce.
+    """
+    pos, L, q = system.state.positions, system.L, system.charges
+    i, j = np.triu_indices(len(pos), k=1)
+    disp = np.empty((3, i.size))
+    for axis, x in enumerate(np.ascontiguousarray(pos.T)):
+        d = x[i] - x[j]
+        disp[axis] = d - L * np.floor(d / L + 0.5)
+    r2 = np.einsum("ij,ij->j", disp, disp)
+    keep = np.flatnonzero(r2 < params.r_c * params.r_c)
+    i, j, disp, r2 = i[keep], j[keep], np.take(disp, keep, axis=1).T, r2[keep]
+    r = np.sqrt(r2)
+    qq = q[i] * q[j]
+    screened = qq * scipy.special.erfc(math.sqrt(params.alpha) * r) / r
+    gauss = qq * 2.0 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r2)
+    f_ij = ((screened + gauss) / r2)[:, None] * disp
+    out = np.empty((len(pos), 3))
+    for axis in range(3):
+        f = f_ij[:, axis]
+        out[:, axis] = (np.bincount(i, f, minlength=len(pos))
+                        - np.bincount(j, f, minlength=len(pos)))
+    return out, float(np.sum(screened))
+
+
+@pytest.mark.parametrize("r_c_over_L", [None, 0.49])
+def test_real_space_is_bit_identical_to_the_plain_expressions_along_a_trajectory(r_c_over_L):
+    # ions on the box faces and pairs with a component at or within a few ulps of
+    # +-L/2, where rint(d / L) and floor(d / L + 0.5) may pick different images
+    N, L = 300, 10.0
+    params = EwaldParams.for_system(N, L)
+    if r_c_over_L is not None:
+        params = EwaldParams(alpha=params.alpha, r_c=r_c_over_L * L, k_c=params.k_c)
+    system = _random_electroneutral(N, L, seed=90)
+    gen = RngStream(91).generator()
+    half = L / 2
+    for step in range(30):
+        pos = system.state.positions.copy()
+        pos[0:4, 0] = 0.0  # on the face x = 0
+        pos[4, 1] = np.nextafter(L, 0.0)  # on the far face, one ulp inside
+        pos[5:9] = pos[0:4]  # partners a half box away along x: d_x = -L/2, +L/2 and near
+        pos[5:9, 0] = [half, np.nextafter(half, 0.0), np.nextafter(half, L), 0.0]
+        pos[8, 2] = (pos[0, 2] + half) % L
+        pos[9], pos[10] = pos[11], pos[11]  # and the other way round: d_x = +L/2
+        pos[9, 0], pos[10, 0] = half, 0.0
+        system = system.replace_state(system.state.replace(positions=pos))
+        F, energy = real_space_force_all(system, params)
+        expected, e_expected = _real_space_oracle(system, params)
+        np.testing.assert_array_equal(F, expected)
+        assert energy == e_expected
+        # each ion moves up to 0.35 skin a step, so the list is rebuilt every few steps
+        shift = gen.uniform(-0.2, 0.2, size=(N, 3)) * system.pairs.skin
+        system = system.replace_state(system.state.replace(
+            positions=np.mod(system.state.positions + shift, L)))
+    assert system.pairs.builds > 3
 
 
 def test_real_space_newton_and_single_particle_path():

@@ -301,6 +301,38 @@ def test_non_finite_state_raises():
         direct_step(state, system, 0.1, SimStreams(1))
 
 
+def test_a_state_with_a_nan_position_is_refused():
+    with pytest.raises(ValueError, match="finite"):
+        ParticleState(positions=np.array([[0.0], [np.nan]]))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_step_checks_its_new_positions_once(monkeypatch, order):
+    calls = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+    state = _state1(N=6, d=2)
+    if order == 1:
+        system = FirstOrderSystem(kernel=ZERO, alpha_N=1.0, drift=lambda x: -x, sigma=0.3)
+    else:
+        state = state.replace(velocities=np.ones((6, 2)))
+        system = SecondOrderSystem(kernel=ZERO, alpha_N=1.0, drift=lambda x: -x)
+    calls.clear()
+    integrators._advance(state, system, np.zeros((6, 2)), 0.1, SimStreams(2).noise)
+    assert calls == [(6, 2)]
+
+
+def test_a_kick_drift_step_names_the_first_non_finite_particle():
+    # a NaN velocity at particle 3 is found through its position, ahead of particle 4
+    velocities = np.ones((6, 2))
+    velocities[3, 1] = np.nan
+    state = _state1(N=6, d=2).replace(velocities=velocities)
+    force = np.zeros((6, 2))
+    force[4, 0] = np.inf
+    with pytest.raises(IntegrationError, match="at particle 3$"):
+        kick_drift(state, force, 0.1)
+
+
 def _lj_energy(state):
     """Kinetic plus Lennard-Jones energy (sigma = epsilon = 1) over minimum-image pairs."""
     x = state.positions

@@ -189,6 +189,12 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny_model("gaussian", bandwidth="wide"), "model: bandwidth must be 'median' or a positive"),
     (_tiny_model("gaussian", bandwidth=-1.0), "model: bandwidth must be 'median' or a positive"),
     (_tiny_model("gaussian", dim=0), "model.dim: must be an integer >= 1"),
+    (_tiny_model("gaussian", init_std="wide"), "model.init_std: must be positive"),
+    (_tiny_model("gaussian", init_std=0.0), "model.init_std: must be positive"),
+    (_tiny_model("gaussian", init_mean=None), "model.init_mean: must be a finite number"),
+    (_tiny_model("gaussian", init_mean="far"), "model.init_mean: must be a finite number"),
+    (_tiny_model("dyson", m="x"), "model: m must be an integer >= 1"),
+    (_tiny_model("dyson", m=0), "model: m must be an integer >= 1"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:

@@ -290,7 +290,7 @@ def _velocity(i, particles, bandwidth=1.0):
 
 def _stein(X, bandwidth=1.0, grad_V=GRAD_V):
     """The start state and the Stein system of the cloud X."""
-    return ParticleState(positions=X), stein_system(grad_V, GaussianKernel(bandwidth), len(X))
+    return ParticleState(positions=X), stein_system(grad_V, GaussianKernel(bandwidth))
 
 
 def test_svgd_single_particle_is_map_descent():
@@ -352,6 +352,17 @@ def test_rbm_svgd_step_matches_per_particle_oracle_on_a_remainder_division(N):
             velocity[i] = (_svgd_term_sum(X, i, np.array([i]), h, gv) / N
                            + pref * _svgd_term_sum(X, i, mates, h, gv))
     np.testing.assert_allclose(out.positions, X + eta * velocity, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 16])
+def test_a_stein_step_evaluates_grad_v_once(p):
+    calls = []
+    state, system = _stein(RngStream(24).generator().standard_normal((16, 2)), "median",
+                           grad_V=lambda x: calls.append(1) or GRAD_V(x))
+    for k in range(3):
+        state = (direct_step(state, system, 0.1, SimStreams(25)) if p == 16
+                 else rbm_step_first_order(state, system, p, 0.1, SimStreams(25)))
+        assert len(calls) == k + 1
 
 
 def test_svgd_step_takes_the_median_over_all_pairs_when_chunked():
