@@ -9,8 +9,8 @@ the cell search only once some ion has moved skin/2, so most steps filter the
 listed pairs, in place, instead of searching.  The real-space kernel also
 works in place, with the operations of its plain expression in their order,
 so its forces keep the same bits.  The electrolyte's
-Lennard-Jones core, passed in as ``extra_force``, filters a list of its own
-at its own cutoff, held by ``models.ElectrolyteModel``.  The smooth part is
+Lennard-Jones core, a ``CoulombSystem``'s ``extra_force``, filters a list of
+its own at its own cutoff, held by ``models.ElectrolyteModel``.  The smooth part is
 summed in Fourier space, where the random-batch estimator importance-samples
 frequency vectors from the discrete Gaussian ~ exp(-k^2 / 4 alpha).  Frequency
 samples are exact i.i.d. draws from that target, made in blocks ahead of use
@@ -40,10 +40,9 @@ import numpy as np
 
 from .backend import special
 from .forces import PairList, pair_force_sum
-from .integrators import kick_drift
+from .integrators import SecondOrderSystem
 from .rng import SimStreams
 from .state import ParticleState
-from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen, nose_hoover_step
 
 TWO_PI = 2.0 * math.pi
 _PHASE_BLOCK = 1 << 16  # complex entries per block of powers in ``_phase_tables``
@@ -54,7 +53,7 @@ class PeriodicChargeSystem:
     """Point charges in a periodic cubic box; must be electroneutral.
 
     ``pairs`` is the real-space pair list that ``real_space_force_all``
-    creates and ``replace_state`` hands on to the next step's system.
+    creates and ``replace_state`` hands on to the system at another state.
     """
 
     state: ParticleState
@@ -419,8 +418,36 @@ def ewald_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     return float(sum(ewald_energy_parts(system, params).values()))
 
 
-def kinetic_energy(state: ParticleState) -> float:
-    return float(0.5 * np.sum(state.velocities * state.velocities))
+class CoulombSystem(SecondOrderSystem):
+    """The charges of ``ions`` as a second-order system (unit masses).
+
+    ``batch_forces(state)`` is real space plus the Fourier part, plus
+    ``extra_force(state)`` when given (the electrolyte's LJ core), in that
+    order.  The Fourier part is the random-batch sum over ``params.p``
+    frequencies from ``bank`` (S is ``sum_S`` when not given), or the exact
+    sum when there is no bank.  ``U_real`` and ``U_fourier`` are the last
+    call's, for the energy log.  ``batch_forces`` points ``ions``, which keeps
+    the real-space pair list, at its state.
+    """
+
+    def __init__(self, ions, params, bank=None, extra_force=None, S=None, gamma=0.0, sigma=0.0):
+        super().__init__(kernel=None, alpha_N=1.0, gamma=gamma, sigma=sigma)
+        self.ions, self.params, self.bank, self.extra_force = ions, params, bank, extra_force
+        self.S = sum_S(params.alpha, ions.L) if S is None and bank is not None else S
+        self.U_self, self.U_real, self.U_fourier = self_energy(ions, params), None, None
+
+    def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
+        ions = self.ions
+        ions.state = state
+        forces, self.U_real = real_space_force_all(ions, self.params)
+        if self.bank is None:
+            fourier, self.U_fourier = _exact_fourier(ions, self.params)
+        else:
+            fourier, self.U_fourier = _rbe_fourier(ions, self.bank.draw(self.params.p), self.S)
+        forces += fourier
+        if self.extra_force is not None:
+            forces += self.extra_force(state)
+        return forces
 
 
 def rbe_md_step(
@@ -431,47 +458,20 @@ def rbe_md_step(
     dt: float,
     streams: SimStreams,
     extra_force=None,
-    exact_fourier: bool = False,
     S: Optional[float] = None,
 ) -> Tuple[PeriodicChargeSystem, dict]:
-    """One ``integrators.kick_drift`` step of Newton's equations (unit masses).
-
-    Fourier forces come from the random-batch estimator fed by the bank
-    (``exact_fourier=True`` switches to the full cutoff sum, the validation
-    mode in which the method degenerates to direct Ewald stepping).
-    ``extra_force(state) -> (N, 3)`` lets callers add non-Coulomb forces such
-    as a Lennard-Jones core.  ``Langevin`` noise comes from ``streams.noise``
-    and ``Andersen`` collisions from ``streams.thermostat``; ``NoseHoover``
-    advances its xi in place.  Returns the new system plus a log record.
+    """The electrolyte's step in ``randbatch run``: the ``direct`` stepper on a
+    ``CoulombSystem`` (no bank: the exact Fourier sum), then the thermostat's
+    hooks and the energy log.  Returns the system at the new state, with its
+    pair list, and the energies by their ``energy.csv`` names.  Kept for the
+    benchmark's layer names until a benchmark change renames
+    ``ewald.rbe_md_step.self_ms`` and ``scaling.rbe_md_step.ratio_2N``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    st = system.state
-    forces, u_real = real_space_force_all(system, params)
-    info = {"U_real": u_real}
-    if exact_fourier:
-        f_fourier, info["U_fourier"] = _exact_fourier(system, params)
-    else:
-        if S is None:
-            S = sum_S(params.alpha, system.L)
-        f_fourier, info["U_fourier"] = _rbe_fourier(system, bank.draw(params.p), S)
-    forces = forces + f_fourier
-    info["U_self"] = self_energy(system, params)
-    if extra_force is not None:
-        forces = forces + extra_force(st)
+    from . import runner  # which imports this module
 
-    if isinstance(thermostat, NoseHoover):
-        new_state, thermostat.xi = nose_hoover_step(
-            st, thermostat.xi, thermostat.Q, thermostat.beta, dt, forces
-        )
-    else:
-        gamma, sigma = ((thermostat.gamma, thermostat.sigma) if isinstance(thermostat, Langevin)
-                        else (0.0, 0.0))
-        new_state = kick_drift(st, forces, dt, gamma, sigma, streams.noise)
-        if isinstance(thermostat, Andersen):
-            new_state = apply_andersen(
-                new_state, thermostat.nu, thermostat.temperature, dt, streams.thermostat
-            )
-    info["kinetic"] = kinetic_energy(new_state)
-    info["T_inst"] = 2.0 * info["kinetic"] / (3.0 * system.n_particles)
-    return system.replace_state(new_state), info
+    sim = runner._electrolyte_sim(system, params, thermostat, bank, streams, extra_force, S)
+    sim.state = runner._STEPPERS["direct"](sim, 1, dt)
+    for hook in sim.hooks:
+        hook(sim, 1, dt)
+    return (system.replace_state(sim.state),
+            dict(zip(runner.ENERGY_COLUMNS[1:], sim.energy[0][1:])))

@@ -2,12 +2,12 @@
 
 First-order systems (toy, wealth, consensus, and the noiseless Stein flow of
 SVGD, ``samplers.stein_system``) take Euler-Maruyama steps.  Every
-second-order path (Cucker-Smale, the split LJ fluid, RBE, Nose-Hoover) takes
-the symplectic Euler step ``kick_drift``: x moves with the *new* v (with the
-old v an oscillator's energy would grow by 1 + (omega dt)^2 per step).  A
-non-finite result raises ``IntegrationError`` naming its first such particle.
-The force comes from the system's ``batch_forces``: a kernel sum, which the
-Cucker-Smale, consensus and Stein systems replace by their right-hand sides.
+second-order one (Cucker-Smale, the split LJ fluid, ``ewald.CoulombSystem``)
+takes the symplectic Euler step ``kick_drift``: x moves with the *new* v
+(with the old v an oscillator's energy would grow by 1 + (omega dt)^2 per
+step).  A non-finite result raises ``IntegrationError`` naming its first
+such particle.  The force comes from the system's ``batch_forces``: a kernel
+sum, which the Cucker-Smale, consensus, Stein and Coulomb systems replace.
 
 Every stepper is a pure function of (state, rng streams) and returns a new
 state.  The full-batch ``direct_step`` and the random-batch steppers share the
@@ -73,6 +73,7 @@ class SecondOrderSystem(_KernelForces):
 
     sigma = sqrt(2 gamma / beta) makes the Gibbs measure at inverse
     temperature beta invariant; ``thermostats.Langevin`` builds that pair.
+    Without noise gamma may be negative, as the Nose-Hoover xi of a cold system is.
     ``pairs`` is the short-range pair list that ``rbm_split_step`` creates at
     the kernel's split radius and reuses on later steps.
     """
@@ -85,8 +86,8 @@ class SecondOrderSystem(_KernelForces):
     pairs: Optional[PairList] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.gamma < 0 or self.sigma < 0:
-            raise ValueError("gamma and sigma must be nonnegative")
+        if self.sigma < 0 or (self.sigma > 0 and self.gamma < 0):
+            raise ValueError("sigma must be nonnegative, and gamma too when sigma > 0")
 
 
 @dataclass

@@ -12,10 +12,10 @@ observable it records along the run and its final metrics.
 every default, and a field that the chosen model, method or thermostat kind
 does not use is rejected, never silently ignored.  ``run`` executes a
 resolved config through one loop shared by all models: stepping, per-step
-hooks (wealth reflection, Andersen collisions, the Stein flow's 1e6 bound),
-recording every ``record_every`` steps and replicas.  It writes
-``config.resolved.yaml``, ``metrics.json``, CSV artifacts and ``log.txt`` into
-the output directory.
+hooks (wealth reflection, thermostats, the electrolyte's energy log, the Stein
+flow's 1e6 bound), recording every ``record_every`` steps and replicas.  It
+writes ``config.resolved.yaml``, ``metrics.json``, CSV artifacts and
+``log.txt`` into the output directory.
 Identical (config, seed) pairs produce byte-identical metrics.
 ``metrics.json`` is strict JSON: a run whose metrics hold a NaN or an
 infinity fails with their key paths and writes no ``metrics.json``.
@@ -36,15 +36,14 @@ from . import __version__
 from .backend import set_blas_threads
 from .diagnostics import radial_net_charge, wasserstein1_1d
 from .ewald import (
+    CoulombSystem,
     EwaldParams,
     PeriodicChargeSystem,
     fourier_energy,
     fourier_force_exact_all,
     mh_sample_kvectors,
     rbe_force_all,
-    rbe_md_step,
     real_space_force_all,
-    sum_S,
 )
 from .integrators import (
     IntegrationError,
@@ -87,9 +86,10 @@ class ConfigError(ValueError):
 #
 # A builder makes one replica's ``sim`` namespace: the model's ``state`` plus
 # ``streams``, the batch size ``p``, the recorded ``rows``, the per-step
-# ``hooks``, which adjust the state in place after each step or stop the run
-# with an ``IntegrationError``, and, for the ``integrators`` steppers in
-# ``_STEPPERS``, the ``system`` they step.
+# ``hooks``, and, for the ``integrators`` steppers in ``_STEPPERS``, the
+# ``system`` they step.  After step k of size dt each hook(sim, k, dt) runs in
+# order: it may replace ``sim.state``, adjust the system, log, or stop the run
+# with an ``IntegrationError``.
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,7 @@ class ModelSpec:
     ``run`` lists the run fields the model honours with their defaults (a
     callable default is worked out from the resolved section).  ``steppers``
     maps each method, the default first, to ``step(sim, k, dt) -> state``;
-    the toy, wealth, Cucker-Smale, consensus and gaussian take theirs from
-    ``_STEPPERS``.
+    every model but lj-fluid and dyson takes its steppers from ``_STEPPERS``.
     ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
     past the warmup, and before the first step when ``observe_start`` is set;
     ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
@@ -185,7 +184,7 @@ def _build_wealth(cfg, streams):
                 reflections=0, hooks=[_reflect_wealth])
 
 
-def _reflect_wealth(sim, dt):
+def _reflect_wealth(sim, k, dt):
     """Reflect zero crossings back to positive wealth, counting them."""
     neg = sim.state.positions <= 0
     if np.any(neg):
@@ -275,27 +274,41 @@ def _finish_consensus(sim, cfg, outdir):
     return metrics
 
 
+def _couple(t, state):
+    """(gamma, sigma, hooks): thermostat ``t`` as a second-order system's
+    friction and noise and the hooks after each step, for a run from ``state``."""
+    if isinstance(t, Langevin):
+        return t.gamma, t.sigma, []
+    if isinstance(t, Andersen):
+        def andersen(sim, k, dt):
+            sim.state = apply_andersen(sim.state, t.nu, t.temperature, dt, sim.streams.thermostat)
+        return 0.0, 0.0, [andersen]
+    if not isinstance(t, NoseHoover):
+        return 0.0, 0.0, []
+    kinetic_sum = float(np.sum(state.velocities * state.velocities))
+
+    def nose_hoover(sim, k, dt):
+        """The next kick's friction is xi + dt / Q (sum v^2 - d N / beta), with v from
+        the state the step started from: ``state``, then the one the last step ended on."""
+        nonlocal kinetic_sum
+        st = sim.state
+        t.xi = sim.system.gamma = t.xi + dt / t.Q * (kinetic_sum - st.dim * st.n_particles / t.beta)
+        kinetic_sum = float(np.sum(st.velocities * st.velocities))
+
+    return t.xi, 0.0, [nose_hoover]
+
+
 def _build_lj(cfg, streams):
-    """Langevin friction rides in the system; Andersen collisions are a hook."""
     m = cfg["model"]
     N = m["N"]
     L = (N / m["density"]) ** (1.0 / 3.0)
     kernel = lj_kernel_spec(m["sigma"], m["epsilon"], m["split_radius"])
-    thermostat = _thermostat(cfg["thermostat"])
-    gamma, sigma = 0.0, 0.0
-    if isinstance(thermostat, Langevin):
-        gamma, sigma = thermostat.gamma, thermostat.sigma
-    system = SecondOrderSystem(kernel=kernel, alpha_N=1.0, gamma=gamma, sigma=sigma)
     pos, _ = cubic_lattice(N, L)
     vel = math.sqrt(1.0 / m["beta"]) * streams.init.standard_normal((N, 3))
     state = ParticleState(positions=pos, velocities=vel, box_length=L)
-    hooks = [_andersen] if isinstance(thermostat, Andersen) else []
-    return _sim(cfg, streams, state=state, system=system, thermostat=thermostat, hooks=hooks)
-
-
-def _andersen(sim, dt):
-    t = sim.thermostat
-    sim.state = apply_andersen(sim.state, t.nu, t.temperature, dt, sim.streams.thermostat)
+    gamma, sigma, hooks = _couple(_thermostat(cfg["thermostat"]), state)
+    system = SecondOrderSystem(kernel=kernel, alpha_N=1.0, gamma=gamma, sigma=sigma)
+    return _sim(cfg, streams, state=state, system=system, hooks=hooks)
 
 
 def _finish_lj(sim, cfg, outdir):
@@ -312,36 +325,42 @@ def _build_electrolyte(cfg, streams):
     params = EwaldParams.for_system(m["N"], m["L"], p=run["p"], alpha=m["alpha"])
     if m["r_c"] is not None:
         params = EwaldParams(alpha=params.alpha, r_c=m["r_c"], k_c=params.k_c, p=run["p"])
-    params.validate_box(m["L"])
-    system = PeriodicChargeSystem(state=model.initial_state(streams.init), charges=model.charges())
+    ions = PeriodicChargeSystem(state=model.initial_state(streams.init), charges=model.charges())
     bank = mh_sample_kvectors(params.alpha, m["L"], 4096, streams.proposal)  # refills on demand
-    return _sim(cfg, streams, model=model, state=system, params=params, bank=bank,
-                S=sum_S(params.alpha, m["L"]), thermostat=_thermostat(cfg["thermostat"]),
-                lj=lambda st: model.lj_force(st)[0], energy=[], trajectory=[],
-                trajectory_every=cfg["output"]["trajectory_every"],
-                exact="fourier_energy_error" in cfg["diagnostics"])
+    return _electrolyte_sim(ions, params, _thermostat(cfg["thermostat"]), bank, streams,
+                            lambda st: model.lj_force(st)[0], p=run["p"], model=model,
+                            trajectory_every=cfg["output"]["trajectory_every"],
+                            exact="fourier_energy_error" in cfg["diagnostics"])
 
 
-def _step_electrolyte(sim, k, dt):
-    """One RBE MD step; logs its energies and, every trajectory_every steps, the state."""
-    system, info = rbe_md_step(sim.state, sim.params, sim.thermostat, sim.bank, dt,
-                               sim.streams, extra_force=sim.lj, S=sim.S)
-    sim.energy.append((k, info["U_real"], info["U_fourier"], info["U_self"],
-                       info["kinetic"], info["T_inst"]))
+def _electrolyte_sim(ions, params, thermostat, bank, streams, extra_force=None, S=None, **fields):
+    """``ions`` as a ``CoulombSystem`` under ``thermostat``, with the energy log after its hooks."""
+    gamma, sigma, hooks = _couple(thermostat, ions.state)
+    system = CoulombSystem(ions, params, bank, extra_force, S, gamma, sigma)
+    return SimpleNamespace(**{"state": ions.state, "system": system, "streams": streams,
+                              "hooks": [*hooks, _log_electrolyte], "rows": [], "energy": [],
+                              "trajectory": [], "trajectory_every": 0, **fields})
+
+
+def _log_electrolyte(sim, k, dt):
+    """The step's energies and, every trajectory_every steps, the state; after
+    the thermostat's hooks, so the kinetic energy is the collided one."""
+    st, system = sim.state, sim.system
+    kinetic = float(0.5 * np.sum(st.velocities * st.velocities))
+    sim.energy.append((k, system.U_real, system.U_fourier, system.U_self, kinetic,
+                       2.0 * kinetic / (3.0 * st.n_particles)))
     if sim.trajectory_every and k % sim.trajectory_every == 0:
-        st = system.state
         sim.trajectory.extend((k, i, *st.positions[i], *st.velocities[i])
                               for i in range(st.n_particles))
-    return system
 
 
 def _finish_electrolyte(sim, cfg, outdir):
-    _write_csv(outdir / "energy.csv", ("step", "U_real", "U_fourier", "U_self", "kinetic",
-                                       "T_inst"), sim.energy)
+    _write_csv(outdir / "energy.csv", ENERGY_COLUMNS, sim.energy)
     if sim.trajectory:
         _write_csv(outdir / "trajectory.csv", ("step", "particle", "x", "y", "z", "vx", "vy",
                                                "vz"), sim.trajectory)
-    system, params, diagnostics = sim.state, sim.params, cfg["diagnostics"]
+    system, params = sim.system.ions.replace_state(sim.state), sim.system.params
+    diagnostics = cfg["diagnostics"]
     after_warmup = sim.energy[cfg["run"]["warmup"]:]
     metrics = {"mean_T_inst": float(np.mean([r[5] for r in after_warmup]))}
     if "dh_screening" in diagnostics and sim.rows:
@@ -361,7 +380,7 @@ def _finish_electrolyte(sim, cfg, outdir):
         f_real = real_space_force_all(system, params)[0]
         f = f_real + fourier_force_exact_all(system, params)
         metrics["momentum_exact"] = float(np.abs(f.sum(axis=0)).max())
-        f_rbe = f_real + rbe_force_all(system, sim.bank.draw(params.p), sim.S)
+        f_rbe = f_real + rbe_force_all(system, sim.system.bank.draw(params.p), sim.system.S)
         metrics["momentum_rbe"] = float(np.abs(f_rbe.sum(axis=0)).max())
     return metrics
 
@@ -374,7 +393,7 @@ def _build_svgd(cfg, streams):
                 hooks=[_stop_far_svgd])
 
 
-def _stop_far_svgd(sim, dt):
+def _stop_far_svgd(sim, k, dt):
     """Stop a diverging Stein flow while it is finite: no coordinate may pass 1e6."""
     far = np.abs(sim.state.positions).max(axis=1) > 1e6
     if np.any(far):
@@ -440,12 +459,12 @@ MODELS = {
                 "alpha": None, "r_c": None},
         run={"p": 2, "dt": 2e-3, "steps": 5000, "warmup": lambda run: run["steps"] // 5,
              "record_every": 10, "replicas": 1},
-        steppers={"rbe": _step_electrolyte},
+        steppers={"rbe": _STEPPERS["direct"]},  # p sizes the frequency batch alone
         diagnostics=("dh_screening", "fourier_energy_error", "momentum"),
         build=_build_electrolyte, finish=_finish_electrolyte,
         # frames for the screening profile, with the exact Fourier energy when asked for
-        observe=lambda s, k: (s.state.state.positions.copy(),
-                              fourier_energy(s.state, s.params) if s.exact else None),
+        observe=lambda s, k: (s.state.positions.copy(), fourier_energy(
+            s.system.ions.replace_state(s.state), s.system.params) if s.exact else None),
         thermostats=("andersen", "langevin", "nose-hoover"),
         output=("directory", "trajectory_every"),
         positive=("L", "lj_sigma", "temperature", "alpha", "r_c"),
@@ -480,6 +499,7 @@ _THERMOSTAT_FIELDS = {
 _SCHEDULE_FIELDS = {"log-decay": {"c": 1e-3}, "inverse": {"k0": 1.0}}
 _OUTPUT_FIELDS = {"directory": "out", "trajectory_every": 0}
 _FRAME_DIAGNOSTICS = ("dh_screening", "fourier_energy_error")  # electrolyte's recorded frames
+ENERGY_COLUMNS = ("step", "U_real", "U_fourier", "U_self", "kinetic", "T_inst")  # energy.csv
 
 
 # --- validation ------------------------------------------------------------------
@@ -743,7 +763,7 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
         try:
             sim.state = step(sim, k, dt)
             for hook in sim.hooks:
-                hook(sim, dt)
+                hook(sim, k, dt)
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}") from exc
         if observe is not None and k > warmup and k % every == 0:

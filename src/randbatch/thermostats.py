@@ -1,17 +1,16 @@
 """Heat-bath couplings: Andersen collisions, Langevin friction, Nose-Hoover.
 
-Each couples to the one step ``integrators.kick_drift``: Langevin is its
-friction/noise pair (gamma, sigma = sqrt(2 gamma / beta)), Nose-Hoover's xi
-is its friction, and Andersen collisions follow it.
+``runner._couple`` maps each to the friction and noise of the one
+second-order step ``integrators.kick_drift`` and to hooks after the step:
+Langevin is the pair (gamma, sigma = sqrt(2 gamma / beta)), Andersen
+collisions are a hook, and Nose-Hoover's xi is the friction, which a hook advances.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
 
 import numpy as np
 
-from .integrators import kick_drift
 from .state import ParticleState
 
 
@@ -43,7 +42,11 @@ class Langevin:
 
 @dataclass
 class NoseHoover:
-    """Deterministic thermostat with thermal mass Q and auxiliary variable xi."""
+    """Deterministic thermostat with thermal mass Q and auxiliary variable xi.
+
+    r' = v, v' = F - xi v, xi' = (sum |v|^2 - d N / beta) / Q (unit masses):
+    each step kicks with friction xi, then xi takes an Euler step in place.
+    """
 
     Q: float
     beta: float
@@ -52,9 +55,6 @@ class NoseHoover:
     def __post_init__(self):
         if self.Q <= 0 or self.beta <= 0:
             raise ValueError("need Q > 0 and beta > 0")
-
-
-Thermostat = Union[Andersen, Langevin, NoseHoover, None]
 
 
 def apply_andersen(
@@ -74,25 +74,3 @@ def apply_andersen(
     fresh = rng.standard_normal(state.positions.shape) * math.sqrt(temperature)
     velocities = np.where(hit[:, None], fresh, state.velocities)
     return state.replace(velocities=velocities)
-
-
-def nose_hoover_step(
-    state: ParticleState,
-    xi: float,
-    Q: float,
-    beta: float,
-    dt: float,
-    forces: np.ndarray,
-) -> Tuple[ParticleState, float]:
-    """One step of the real-variable Nose-Hoover ODEs.
-
-    r' = v, v' = F - xi v, xi' = (sum |v|^2 - d N / beta) / Q (unit masses), with the
-    force array supplied by the caller.  xi takes an Euler step from the
-    pre-kick kinetic energy; the particles take ``kick_drift`` with friction xi.
-    """
-    if state.velocities is None:
-        raise ValueError("Nose-Hoover thermostat needs velocities")
-    v = state.velocities
-    kinetic_sum = float(np.sum(v * v))
-    new_xi = xi + dt / Q * (kinetic_sum - state.dim * state.n_particles / beta)
-    return kick_drift(state, forces, dt, friction=xi), new_xi

@@ -30,8 +30,9 @@ from randbatch.ewald import (
 )
 from randbatch.integrators import IntegrationError, kick_drift
 from randbatch.rng import RngStream, SimStreams
+from randbatch.models import ElectrolyteModel
 from randbatch.state import ParticleState
-from randbatch.thermostats import Langevin, NoseHoover
+from randbatch.thermostats import Andersen, Langevin, NoseHoover, apply_andersen
 
 
 def _random_electroneutral(N, L, seed, velocities=False):
@@ -251,7 +252,7 @@ def test_exact_fourier_sums_match_a_brute_force_sum_over_the_full_ball():
     assert fourier_energy(system, params) == pytest.approx(energy, rel=1e-12)
     np.testing.assert_allclose(fourier_force_exact_all(system, params), forces, rtol=1e-12,
                                atol=1e-12 * np.abs(forces).max())
-    _, info = rbe_md_step(system, params, None, None, 1e-3, SimStreams(1), exact_fourier=True)
+    _, info = rbe_md_step(system, params, None, None, 1e-3, SimStreams(1))
     assert info["U_fourier"] == pytest.approx(energy, rel=1e-12)
 
 
@@ -559,11 +560,13 @@ def test_pair_list_search_runs_only_on_builds_over_the_benchmark_episode(monkeyp
     sim = spec.build(cfg, SimStreams(cfg["seed"]))
     for k in range(1, cfg["run"]["steps"] + 1):
         sim.state = spec.steppers["rbe"](sim, k, cfg["run"]["dt"])
-    lj = sim.model.pairs
+        for hook in sim.hooks:
+            hook(sim, k, cfg["run"]["dt"])
+    coulomb, lj = sim.system.ions.pairs, sim.model.pairs
     assert cfg["run"]["steps"] == 40
-    assert 1 <= sim.state.pairs.builds <= 3
+    assert 1 <= coulomb.builds <= 3
     assert 1 <= lj.builds < cfg["run"]["steps"]
-    assert len(calls) == sim.state.pairs.builds + lj.builds
+    assert len(calls) == coulomb.builds + lj.builds
 
 
 @pytest.mark.parametrize("N, L", [(300, 10.0), (600, 12.6), (3000, 21.5)])
@@ -732,8 +735,7 @@ def test_md_step_exact_mode_matches_manual_direct_step():
     system = _random_electroneutral(8, 6.0, seed=31, velocities=True)
     params = EwaldParams.for_system(8, 6.0, alpha=1.0, tail=1e-10)
     dt = 1e-3
-    stepped, info = rbe_md_step(system, params, None, None, dt, SimStreams(9),
-                                exact_fourier=True)
+    stepped, info = rbe_md_step(system, params, None, None, dt, SimStreams(9))
     F = real_space_force_all(system, params)[0] + fourier_force_exact_all(system, params)
     v_new = system.state.velocities + dt * F
     x_new = np.mod(system.state.positions + dt * v_new, 6.0)
@@ -759,7 +761,7 @@ def test_md_step_names_the_particle_with_a_non_finite_velocity():
     system = system.replace_state(system.state.replace(velocities=velocities))
     params = EwaldParams.for_system(8, 6.0, alpha=1.0, tail=1e-10)
     with pytest.raises(IntegrationError, match="particle 5$"):
-        rbe_md_step(system, params, None, None, 1e-3, SimStreams(12), exact_fourier=True)
+        rbe_md_step(system, params, None, None, 1e-3, SimStreams(12))
 
 
 def test_md_step_wraps_an_ion_that_crosses_the_box_edge():
@@ -775,7 +777,7 @@ def test_md_step_wraps_an_ion_that_crosses_the_box_edge():
         state=ParticleState(positions=positions, velocities=velocities, box_length=L),
         charges=charges)
     params = EwaldParams.for_system(6, L, alpha=1.0, tail=1e-10)
-    stepped, _ = rbe_md_step(system, params, None, None, dt, SimStreams(13), exact_fourier=True)
+    stepped, _ = rbe_md_step(system, params, None, None, dt, SimStreams(13))
     x = stepped.state.positions
     assert np.all((x >= 0.0) & (x < L))
     assert x[2, 0] == 0.0
@@ -796,12 +798,109 @@ def test_md_step_is_the_shared_kick_drift(thermostat):
         xi = thermostat.xi + dt / thermostat.Q * (np.sum(st.velocities**2) - 3 * 8 / 1.5)
     else:
         expected = kick_drift(st, F, dt, thermostat.gamma, thermostat.sigma, SimStreams(14).noise)
-    stepped, _ = rbe_md_step(system, params, thermostat, None, dt, SimStreams(14),
-                             exact_fourier=True)
+    stepped, _ = rbe_md_step(system, params, thermostat, None, dt, SimStreams(14))
     np.testing.assert_allclose(stepped.state.positions, expected.positions, rtol=1e-14)
     np.testing.assert_allclose(stepped.state.velocities, expected.velocities, rtol=1e-14)
     if isinstance(thermostat, NoseHoover):
         assert thermostat.xi == pytest.approx(xi, rel=1e-14)
+
+
+def _reference_nose_hoover_step(state, xi, Q, beta, dt, forces):
+    """``thermostats.nose_hoover_step`` before Nose-Hoover became a runner hook."""
+    if state.velocities is None:
+        raise ValueError("Nose-Hoover thermostat needs velocities")
+    v = state.velocities
+    kinetic_sum = float(np.sum(v * v))
+    new_xi = xi + dt / Q * (kinetic_sum - state.dim * state.n_particles / beta)
+    return kick_drift(state, forces, dt, friction=xi), new_xi
+
+
+def _reference_rbe_md_step(system, params, thermostat, bank, dt, streams, extra_force=None,
+                           exact_fourier=False, S=None):
+    """``rbe_md_step`` before the electrolyte stepped through ``integrators``: its own
+    force sum and thermostat branches."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    st = system.state
+    forces, u_real = real_space_force_all(system, params)
+    info = {"U_real": u_real}
+    if exact_fourier:
+        f_fourier, info["U_fourier"] = ewald._exact_fourier(system, params)
+    else:
+        if S is None:
+            S = sum_S(params.alpha, system.L)
+        f_fourier, info["U_fourier"] = ewald._rbe_fourier(system, bank.draw(params.p), S)
+    forces = forces + f_fourier
+    info["U_self"] = self_energy(system, params)
+    if extra_force is not None:
+        forces = forces + extra_force(st)
+
+    if isinstance(thermostat, NoseHoover):
+        new_state, thermostat.xi = _reference_nose_hoover_step(
+            st, thermostat.xi, thermostat.Q, thermostat.beta, dt, forces
+        )
+    else:
+        gamma, sigma = ((thermostat.gamma, thermostat.sigma) if isinstance(thermostat, Langevin)
+                        else (0.0, 0.0))
+        new_state = kick_drift(st, forces, dt, gamma, sigma, streams.noise)
+        if isinstance(thermostat, Andersen):
+            new_state = apply_andersen(
+                new_state, thermostat.nu, thermostat.temperature, dt, streams.thermostat
+            )
+    info["kinetic"] = float(0.5 * np.sum(new_state.velocities * new_state.velocities))
+    info["T_inst"] = 2.0 * info["kinetic"] / (3.0 * system.n_particles)
+    return system.replace_state(new_state), info
+
+
+_THERMOSTATS = {"none": lambda: None,
+                "andersen": lambda: Andersen(nu=5.0, temperature=1.0),
+                "langevin": lambda: Langevin(gamma=1.0, beta=1.0),
+                "nose-hoover": lambda: NoseHoover(Q=0.5, beta=1.0, xi=0.2)}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "rbe"])
+@pytest.mark.parametrize("kind", sorted(_THERMOSTATS))
+def test_the_step_is_bit_identical_to_the_old_rbe_md_step(kind, exact):
+    # 20 ions at L = 8 move past half the Coulomb list's skin within 30 steps of dt = 0.02
+    N, L, dt, steps = 20, 8.0, 0.02, 30
+    params = EwaldParams.for_system(N, L, p=10)
+
+    def start():
+        model = ElectrolyteModel(N=N, L=L)
+        streams = SimStreams(7)
+        ions = PeriodicChargeSystem(state=model.initial_state(streams.init),
+                                    charges=model.charges())
+        bank = None if exact else mh_sample_kvectors(params.alpha, L, 4096, streams.proposal)
+        return ions, bank, streams, _THERMOSTATS[kind](), lambda st: model.lj_force(st)[0]
+
+    ions, bank, streams, reference, lj = start()
+    old = [ions]
+    for _ in range(steps):
+        ions, info = _reference_rbe_md_step(ions, params, reference, bank, dt, streams, lj,
+                                            exact_fourier=exact)
+        old.append((ions, info, getattr(reference, "xi", None)))
+
+    # the benchmark's step, one call per step
+    ions, bank, streams, thermostat, lj = start()
+    for ions_old, info_old, xi_old in old[1:]:
+        ions, info = rbe_md_step(ions, params, thermostat, bank, dt, streams, lj)
+        np.testing.assert_array_equal(ions.state.positions, ions_old.state.positions)
+        np.testing.assert_array_equal(ions.state.velocities, ions_old.state.velocities)
+        assert info == info_old and getattr(thermostat, "xi", None) == xi_old
+    assert ions.pairs.builds >= 2
+
+    # the runner's loop: the direct stepper, then the hooks, on one system
+    ions, bank, streams, thermostat, lj = start()
+    sim = runner._electrolyte_sim(ions, params, thermostat, bank, streams, lj)
+    for k, (ions_old, info_old, xi_old) in enumerate(old[1:], start=1):
+        sim.state = runner._STEPPERS["direct"](sim, k, dt)
+        for hook in sim.hooks:
+            hook(sim, k, dt)
+        np.testing.assert_array_equal(sim.state.positions, ions_old.state.positions)
+        np.testing.assert_array_equal(sim.state.velocities, ions_old.state.velocities)
+        assert sim.energy[-1] == (k, *info_old.values())
+        assert getattr(thermostat, "xi", None) == xi_old
+    assert sim.system.ions.pairs.builds >= 2
 
 
 def test_self_energy_value():

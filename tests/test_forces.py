@@ -565,9 +565,11 @@ def test_the_skin_cannot_change_a_trajectory(monkeypatch, name, model, method):
         sim = spec.build(cfg, SimStreams(5))
         for k in range(1, cfg["run"]["steps"] + 1):
             sim.state = spec.steppers[method](sim, k, cfg["run"]["dt"])
+            for hook in sim.hooks:
+                hook(sim, k, cfg["run"]["dt"])
         if model == "lj-fluid":
             return sim.state, [sim.system.pairs.builds]
-        return sim.state.state, [sim.state.pairs.builds, sim.model.pairs.builds]
+        return sim.state, [sim.system.ions.pairs.builds, sim.model.pairs.builds]
 
     state, builds = episode()
     monkeypatch.setattr(PairList, "_skin", lambda self, *shape: 0.1 * self.cutoff)

@@ -403,7 +403,7 @@ def test_rbm_svgd_batch_term_unbiased_by_enumeration():
 
 def _guard(state):
     """The gaussian run's per-step hook on ``state``."""
-    _stop_far_svgd(SimpleNamespace(state=state), None)
+    _stop_far_svgd(SimpleNamespace(state=state), None, None)
 
 
 def test_rbm_svgd_divergence_guard():

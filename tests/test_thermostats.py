@@ -1,14 +1,16 @@
 """Thermostat behavior: collision statistics, invariant measures, Nose-Hoover."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from randbatch.integrators import SecondOrderSystem, direct_step
 from randbatch.rng import SimStreams
+from randbatch.runner import _couple
 from randbatch.state import ParticleState
-from randbatch.thermostats import Andersen, Langevin, NoseHoover, apply_andersen, nose_hoover_step
+from randbatch.thermostats import Andersen, Langevin, NoseHoover, apply_andersen
 
 
 def test_andersen_zero_frequency_is_identity():
@@ -73,31 +75,52 @@ def test_langevin_fluctuation_dissipation_positional_variance():
     assert abs(np.mean(xsq) - 1 / beta) * beta < 0.03
 
 
+def _nose_hoover_step(state, xi, Q, beta, dt, forces):
+    """One step under the runner's Nose-Hoover coupling and a constant force: (state, new xi)."""
+    thermostat = NoseHoover(Q=Q, beta=beta, xi=xi)
+    gamma, sigma, hooks = _couple(thermostat, state)
+    system = SecondOrderSystem(kernel=lambda x: np.zeros_like(x), alpha_N=1.0,
+                               drift=lambda x: forces, gamma=gamma, sigma=sigma)
+    sim = SimpleNamespace(state=state, system=system)
+    sim.state = direct_step(state, system, dt, SimStreams(0))
+    for hook in hooks:
+        hook(sim, 1, dt)
+    assert system.gamma == thermostat.xi  # the next step's friction
+    return sim.state, thermostat.xi
+
+
 def test_nose_hoover_fixed_point_and_sign():
     N, d, beta, Q = 4, 3, 2.0, 1.5
     target = d * N / beta
     v = np.full((N, d), math.sqrt(target / (N * d)))
     state = ParticleState(positions=np.zeros((N, d)), velocities=v)
     forces = np.zeros((N, d))
-    _, xi = nose_hoover_step(state, 0.3, Q, beta, 0.01, forces)
+    _, xi = _nose_hoover_step(state, 0.3, Q, beta, 0.01, forces)
     assert xi == pytest.approx(0.3)  # kinetic sum exactly at target: xi frozen
 
     hot = ParticleState(positions=np.zeros((N, d)), velocities=2 * v)
-    _, xi_hot = nose_hoover_step(hot, 0.3, Q, beta, 0.01, forces)
+    _, xi_hot = _nose_hoover_step(hot, 0.3, Q, beta, 0.01, forces)
     assert xi_hot > 0.3
     cold = ParticleState(positions=np.zeros((N, d)), velocities=0.5 * v)
-    _, xi_cold = nose_hoover_step(cold, 0.3, Q, beta, 0.01, forces)
+    _, xi_cold = _nose_hoover_step(cold, 0.3, Q, beta, 0.01, forces)
     assert xi_cold < 0.3
 
 
 def test_nose_hoover_deterministic():
     state = ParticleState(positions=np.ones((3, 3)), velocities=np.full((3, 3), 0.7))
     forces = np.full((3, 3), -0.2)
-    a = nose_hoover_step(state, 0.1, 1.0, 1.0, 0.05, forces)
-    b = nose_hoover_step(state, 0.1, 1.0, 1.0, 0.05, forces)
+    a = _nose_hoover_step(state, 0.1, 1.0, 1.0, 0.05, forces)
+    b = _nose_hoover_step(state, 0.1, 1.0, 1.0, 0.05, forces)
     np.testing.assert_array_equal(a[0].positions, b[0].positions)
     np.testing.assert_array_equal(a[0].velocities, b[0].velocities)
     assert a[1] == b[1]
+
+
+def test_friction_may_be_negative_only_without_noise():
+    SecondOrderSystem(kernel=None, alpha_N=1.0, gamma=-0.5)  # a cold Nose-Hoover xi
+    for gamma, sigma in ((-0.5, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SecondOrderSystem(kernel=None, alpha_N=1.0, gamma=gamma, sigma=sigma)
 
 
 def test_thermostat_parameter_validation():
