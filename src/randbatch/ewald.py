@@ -20,9 +20,13 @@ Every frequency is a lattice vector k = 2 pi m / L, so exp(i k.r) is the
 product e_x[m_x] e_y[m_y] e_z[m_z] of per-axis phase tables
 e_a[m, n] = exp(2 pi i m x_na / L), |m| <= m_max, built as powers of the
 m = 1 entry: 3N cosines and sines replace one complex exponential per
-particle and frequency.  A far frequency costs time, not memory, in
-proportion to its |m|.  The exact k-space sums, kept as references, run
-over the half cube m_x >= 0 with weight zero outside half the ball
+particle and frequency.  Each power is one vectorised product of all 3N
+phases, e(m) = e(m - 1) e(1), and a table keeps only the rows it is asked
+for, so a far frequency costs time, not memory, in proportion to its |m|.
+A batch whose components fill -top..top densely reads its rows at m + top;
+a sparse one (a lone far frequency) keeps just its distinct components.
+The exact k-space sums, kept as references, run over the half cube
+m_x >= 0 with weight zero outside half the ball
 (rho(-k) is the conjugate of rho(k) for real charges, so k and -k
 contribute alike), as two matrix products: rho on the cube is
 (e_x e_y) (q e_z)^T, and the forces contract e_x e_y with coef conj(rho) k,
@@ -45,7 +49,6 @@ from .rng import SimStreams
 from .state import ParticleState
 
 TWO_PI = 2.0 * math.pi
-_PHASE_BLOCK = 1 << 16  # complex entries per block of powers in ``_phase_tables``
 
 
 @dataclass
@@ -142,11 +145,12 @@ def sum_S(alpha: float, L: float) -> float:
     return float(h * (3.0 + h * (3.0 + h)))
 
 
-def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
+def sampling_table(alpha: float, L: float) -> Tuple[np.ndarray, np.ndarray, float]:
+    """``_sample_m``'s 1-d table: the integers m, the CDF of their weights, and P(m != 0).
 
-    Each component is drawn by inverse CDF from the 1-d table; all-zero rows
-    are dropped and redrawn.
+    Raises ValueError when P(m != 0) is below 1e-4, where all-zero draws would
+    be redrawn thousands of times per sample; ``validate`` rejects such an
+    electrolyte by this check.
     """
     m, w = _weight_table(alpha, L)
     cdf = np.cumsum(w)
@@ -154,6 +158,16 @@ def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> n
     if keep < 1e-4:
         raise ValueError(f"alpha L^2 = {alpha * L**2:g} leaves P(m != 0) = {keep:.1e}: "
                          "too little frequency mass to sample")
+    return m, cdf, keep
+
+
+def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
+
+    Each component is drawn by inverse CDF from the 1-d table; all-zero rows
+    are dropped and redrawn.
+    """
+    m, cdf, keep = sampling_table(alpha, L)
     blocks, need = [], count
     while need > 0:
         u = rng.random((min(int(need / keep) + 16, 1 << 18), 3)) * cdf[-1]
@@ -193,35 +207,30 @@ def _cube_weights(L: float, k_c: float, alpha: float) -> Tuple[int, np.ndarray]:
 
 
 def _phase_tables(positions: np.ndarray, L: float, m: np.ndarray) -> np.ndarray:
-    """e[a, k, n] = exp(2 pi i m[k] x_na / L) for ascending integers m, shape (3, len(m), N).
+    """e[a, k, n] = exp(2 pi i m[k] x_na / L) for distinct integers m, shape (3, len(m), N).
 
-    Built as powers of the m = 1 entry, for 3N cosines and sines; the phase
-    error of the m-th power grows like m eps, as that of cos(m theta) does
-    from the rounding of m theta.  The powers come in blocks of about
-    ``_PHASE_BLOCK`` entries, built in place when m holds all of a block's rows.
+    Built as powers of the m = 1 entry, for 3N cosines and sines: e(m) is
+    e(m - 1) e(1), one product of the contiguous (3, N) block per power, and
+    e(-m) its conjugate, so a row has the same bits whatever other rows are
+    asked for.  The phase error of the m-th power grows like m eps, as that
+    of cos(m theta) does from the rounding of m theta.  Only the rows of m
+    are kept, beyond one (3, N) power.
     """
-    theta = (TWO_PI / L) * positions.T
+    theta = (TWO_PI / L) * np.ascontiguousarray(positions.T)
     e1 = np.empty(theta.shape, dtype=np.complex128)
     e1.real, e1.imag = np.cos(theta), np.sin(theta)
     e = np.empty((3, len(m), e1.shape[1]), dtype=np.complex128)
-    e[:, m == 0] = 1.0
-    step, top = max(2, _PHASE_BLOCK // max(e1.size, 1)), max(int(np.abs(m).max(initial=0)), 1)
-    m0, power = 1, e1
-    while m0 < top or power is e1:  # the first block also fills the rows m = +-1
-        # numpy rounds a cumprod of one product (vector loop) unlike longer ones (scalar
-        # loop); a lone block for top = 2 builds e(3) too, so e(m) ignores m's other rows
-        n = top - m0 if top - m0 <= step + 1 else step
-        n += n == 1
-        lo, hi = np.searchsorted(m, (m0, m0 + n + 1))  # rows m0 <= m <= m0 + n
-        inplace = hi - lo == n + 1
-        block = e[:, lo:hi] if inplace else np.empty((3, n + 1, e1.shape[1]), dtype=np.complex128)
-        block[:, 0], block[:, 1:] = power, e1[:, None]
-        np.cumprod(block, axis=1, out=block)  # block[:, k] = e(m0 + k)
-        if not inplace:
-            e[:, lo:hi] = block[:, m[lo:hi] - m0]
-        lo, hi = np.searchsorted(m, (-m0 - n, 1 - m0))  # rows -m0 - n <= m <= -m0
-        np.conj(block[:, -m[lo:hi] - m0], out=e[:, lo:hi])  # e(-m) = conj e(m)
-        power, m0 = block[:, -1], m0 + n
+    row = {int(v): r for r, v in enumerate(m)}
+    if 0 in row:
+        e[:, row[0]] = 1.0
+    power = e1.copy()
+    for k in range(1, int(np.abs(m).max(initial=0)) + 1):
+        if k > 1:
+            power *= e1
+        if k in row:
+            e[:, row[k]] = power
+        if -k in row:
+            np.conj(power, out=e[:, row[-k]])
     return e
 
 
@@ -307,8 +316,13 @@ def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarr
     if not np.all(np.abs(mf - m) <= 1e-9):
         raise ValueError("frequencies must be lattice vectors 2 pi m / L of the box")
     m = m.astype(np.intp)
-    rows = np.unique(m)
-    e, idx = _phase_tables(system.state.positions, system.L, rows), np.searchsorted(rows, m)
+    top = int(np.abs(m).max(initial=0))
+    if 2 * top + 1 <= m.size:  # dense: the whole table has no more rows than m has entries
+        rows, idx = np.arange(-top, top + 1), m + top
+    else:
+        rows = np.unique(m)
+        idx = np.searchsorted(rows, m)
+    e = _phase_tables(system.state.positions, system.L, rows)
     out = e[0][idx[:, 0]]
     return np.multiply(np.multiply(out, e[1][idx[:, 1]], out=out), e[2][idx[:, 2]], out=out)
 

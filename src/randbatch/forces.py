@@ -13,23 +13,30 @@ order.  Summation within a batch runs in ascending particle order so that
 the p = N random-batch step reproduces the full-batch step bit for bit.
 
 Short-range sums find their pairs with ``neighbor_pairs``, one cell search
-per call, which returns them in ascending (i, j) order.  ``PairList`` is the
-Verlet list on top of it (Verlet, Phys. Rev. 159, 98, 1967): it searches once
-at cutoff + skin and, until some particle has moved skin/2 since, answers each
-call by filtering the listed pairs in order.  Every answer is therefore the
-array a fresh search would return, so forces depend on the positions alone,
-not on the skin, the cell grid or when the list was last built.  Searches
-and lists share one filter, ``_pairs_within``, which works in place: each
-axis is gathered with ``take`` into a row of one (d, M) displacement block,
-and the minimum image is d - L rint(d / L), four in-place passes over the
-row through one shift buffer.  rint picks the image that ``minimum_image``'s
-floor(d / L + 0.5) picks unless d / L is within a few ulps of +-1/2, where
-the component is about L/2 either way; a pair kept at a cutoff below L/2 has
-no such component, so its displacement has the same bits.
+per call, which returns them in anti-diagonal order: by i + j, then by i.
+``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev. 159, 98,
+1967): it searches once at cutoff + skin and, until some particle has moved
+skin/2 since, answers each call by filtering the listed pairs in order.
+Every answer is therefore the array a fresh search would return, so forces
+depend on the positions alone, not on the skin, the cell grid or when the
+list was last built.  Searches and lists share one filter,
+``_pairs_within``, which works in place: each axis is gathered with
+``take`` into a row of one (d, M) displacement block, and the minimum image
+is d - L rint(d / L), four in-place passes over the row through one shift
+buffer.  rint picks the image that ``minimum_image``'s floor(d / L + 0.5)
+picks unless d / L is within a few ulps of +-1/2, where the component is
+about L/2 either way; a pair kept at a cutoff below L/2 has no such
+component, so its displacement has the same bits.
 All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
 core) are Newton pairs: one evaluation per pair i < j, summed by
 ``pair_force_sum``, which takes a radial kernel's per-pair coefficient and
-scales the displacements one axis at a time.
+scales the displacements one axis at a time.  Its ``bincount``s add each
+particle's terms in list order, and in anti-diagonal order, as in (i, j)
+order, the pairs sharing i come by ascending j and those sharing j by
+ascending i, so the sums have the same bits in either order.  Consecutive
+pairs rarely share an end in anti-diagonal order (in (i, j) order nearly
+all share i), so the ``bincount``s do not add into one location in a serial
+chain.
 """
 
 from typing import Callable, Optional, Tuple
@@ -281,8 +288,9 @@ def neighbor_pairs(
     """Unordered pairs i < j closer than ``cutoff`` in a periodic box.
 
     Returns ``(i, j, disp, r2)``: the index arrays, the (M, d) minimum-image
-    displacements x_i - x_j and their squared lengths, in ascending (i, j)
-    order, so the answer depends on the positions alone.  Particles are
+    displacements x_i - x_j and their squared lengths, in anti-diagonal
+    order (ascending i + j, then ascending i; see the module notes), so the
+    answer depends on the positions alone.  Particles are
     binned into about floor(L / cutoff) cells per side, so every pair within
     the cutoff lies in the same or an adjacent cell.  The candidate pairs are
     expanded and filtered in blocks of about ``_CHUNK_PAIRS``, so beyond its
@@ -316,7 +324,7 @@ def neighbor_pairs(
         block = None  # so that two blocks of candidates are never held at once
     i, j, disp, r2 = kept[0] if len(kept) == 1 else [np.concatenate(a) for a in zip(*kept)]
     del kept
-    order = np.argsort(i * N + j)  # the keys are distinct: each pair is listed once
+    order = np.argsort((i + j) * N + i)  # the keys are distinct: each pair is listed once
     return i[order], j[order], disp[order], r2[order]
 
 
@@ -325,8 +333,8 @@ class PairList:
 
     A call returns what ``neighbor_pairs(positions, box_length, cutoff)``
     returns, array for array, by filtering the pairs listed at the last
-    build in their (i, j) order.  That is exact while no particle has moved
-    more than skin/2 (minimum image) since the build; otherwise, or when the
+    build in their anti-diagonal order.  That is exact while no particle has
+    moved more than skin/2 (minimum image) since the build; otherwise, or when the
     box or the particle count changes, the call first rebuilds the list with
     one ``neighbor_pairs`` search.  ``builds`` counts those searches.
 

@@ -18,8 +18,8 @@ streams; that coupling also underlies the strong-error measurements.
 A ``SecondOrderSystem`` carries the Verlet list (``forces.PairList``) of the
 kernel-splitting step's exact short-range sum from step to step.  The list
 changes only how the pairs within the split radius are found: it hands them
-on in the ascending (i, j) order of a fresh search, so they are summed in the
-same order whenever the list was built.
+on in the anti-diagonal order of a fresh search (by i + j, then i), so they
+are summed in the same order whenever the list was built.
 """
 
 import math

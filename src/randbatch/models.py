@@ -388,11 +388,6 @@ class ElectrolyteModel:
         return forces, float(4.0 * self.lj_epsilon * np.sum(s6 * s6 - s6))
 
 
-def dh_reference(r) -> np.ndarray:
-    """Debye-Hueckel screening line ln(r rho(r)) = -1.941 r - 1.144."""
-    return -1.941 * np.asarray(r, dtype=np.float64) - 1.144
-
-
 def dh_kappa(rho_r: float, beta: float = 1.0, q: float = 1.0) -> float:
     """Inverse screening length kappa = sqrt(4 pi beta q^2 rho_r)."""
     return math.sqrt(4.0 * math.pi * beta * q * q * rho_r)

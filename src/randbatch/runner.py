@@ -44,6 +44,7 @@ from .ewald import (
     mh_sample_kvectors,
     rbe_force_all,
     real_space_force_all,
+    sampling_table,
 )
 from .integrators import (
     IntegrationError,
@@ -62,6 +63,7 @@ from .models import (
     WealthModel,
     consensus_functionals,
     cubic_lattice,
+    dh_kappa,
     flocking_functionals,
     lj_kernel_spec,
     semicircle_cdf,
@@ -370,6 +372,9 @@ def _finish_electrolyte(sim, cfg, outdir):
         fitted = math.isfinite(profile.slope)
         metrics["dh_slope"] = profile.slope if fitted else None
         metrics["dh_intercept"] = profile.intercept if fitted else None
+        # the Debye-Hueckel line's slope, -kappa at the ions' density and temperature
+        m = cfg["model"]
+        metrics["dh_slope_reference"] = -dh_kappa(m["N"] / m["L"] ** 3, 1.0 / m["temperature"])
     if "fourier_energy_error" in diagnostics and sim.rows:
         mean_rbe = float(np.mean([r[2] for r in after_warmup]))
         mean_exact = float(np.mean([u for _, u in sim.rows]))
@@ -666,6 +671,17 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         factor = ElectrolyteModel.lj_cutoff_factor
         if not {"lj_sigma", "L"} & bad and factor * model["lj_sigma"] >= model["L"] / 2:
             errors.append(f"model.lj_sigma: the LJ cutoff {factor:g} lj_sigma must be below L/2")
+        # the frequency sampler's own check; the default alpha = (N / L^3)^(2/3) has
+        # alpha L^2 = N^(2/3) >= 1.5, which passes it
+        if model["alpha"] is not None and not {"alpha", "L"} & bad:
+            try:
+                sampling_table(model["alpha"], model["L"])
+            except ValueError as exc:
+                errors.append(f"model.alpha: {exc}")
+    if model_id == "toy" and "convergence" in cfg["diagnostics"] and _is_int(N, 2) and N < 4:
+        errors.append(f"model.N: the 'convergence' diagnostic needs N >= 4; at N = {N} its "
+                      "p = 2 division is one batch, so RBM is the direct step and no error "
+                      "is measured")
     if model_id == "gaussian" and not _is_real(model["init_mean"]):
         errors.append("model.init_mean: must be a finite number")
     if model_id == "consensus" and model["nu"] is not None and _is_int(N, 2):

@@ -292,7 +292,7 @@ def test_exact_fourier_force_memory_at_n1200():
 
 
 def test_far_frequency_phases_take_memory_independent_of_its_m():
-    # the powers up to |m| = 2000 come in blocks, and only the rows the batch
+    # the powers up to |m| = 2000 come one at a time, and only the rows the batch
     # indexes are kept; a (3, 4001, 300) table would be 55 MiB.  A far phase is
     # ill-conditioned in x (any method errs by about m |k_1 x| eps), so the ions
     # sit within L/64 of the origin, where both sides are good to about 1e-13
@@ -340,11 +340,52 @@ def test_real_space_sum_of_an_empty_system_twice():
 
 
 def test_a_frequency_phase_does_not_depend_on_its_batch():
-    # numpy's cumprod rounds a lone product differently from a chain of them
+    # each power is one product of the whole (3, N) block, whatever rows the batch
+    # asks for, so a frequency alone and in a batch gets the same bits
     system = _random_electroneutral(300, 9.0, seed=36)
     k = 2 * np.pi / 9.0 * np.array([[2, 1, 0], [3, 0, 0]])
     alone, batched = structure_factors(system, k[:1]), structure_factors(system, k)
     np.testing.assert_array_equal(alone, batched[:1])
+
+
+def _phase_chain(positions, L, top):
+    """e(m) for |m| <= top as a chain of products: e(m) = e(m - 1) e(1), e(-m) = conj e(m)."""
+    theta = (2 * np.pi / L) * np.ascontiguousarray(positions.T)
+    e1 = np.empty(theta.shape, dtype=complex)
+    e1.real, e1.imag = np.cos(theta), np.sin(theta)
+    chain = {0: np.ones_like(e1), 1: e1}
+    for m in range(2, top + 1):
+        chain[m] = chain[m - 1] * e1
+    chain.update({-m: np.conj(chain[m]) for m in range(1, top + 1)})
+    return chain
+
+
+@pytest.mark.parametrize("m", [[1], [3], [-7], [-2, 0, 5], list(range(-6, 7)), [-40, 1, 17]])
+def test_phase_table_rows_are_a_chain_of_products_of_e1(m):
+    system = _random_electroneutral(300, 9.0, seed=37)
+    pos = system.state.positions
+    chain = _phase_chain(pos, 9.0, 40)
+    e = ewald._phase_tables(pos, 9.0, np.array(m))
+    assert e.shape == (3, len(m), 300)
+    for row, v in enumerate(m):
+        np.testing.assert_array_equal(e[:, row], chain[v])
+
+
+def test_batch_phases_are_products_of_the_chain_alone_and_in_a_batch():
+    # a batch of 100 reads a dense table at m + top; a lone frequency keeps its
+    # distinct components; both give each row the bits of the chain
+    N, L = 300, 10.0
+    system = _random_electroneutral(N, L, seed=38)
+    params = EwaldParams.for_system(N, L, p=100)
+    k = mh_sample_kvectors(params.alpha, L, 100, RngStream(39)).draw(100)
+    m = np.rint(k * (L / (2 * np.pi))).astype(int)
+    chain = _phase_chain(system.state.positions, L, int(np.abs(m).max()))
+    expected = np.array([chain[a][0] * chain[b][1] * chain[c][2] for a, b, c in m])
+    assert 2 * np.abs(m).max() + 1 <= m.size  # the dense path
+    np.testing.assert_array_equal(ewald._lattice_phases(system, k), expected)
+    for row in (0, 1, 57, 99):
+        np.testing.assert_array_equal(ewald._lattice_phases(system, k[row:row + 1]),
+                                      expected[row:row + 1])
 
 
 def test_fourier_forces_sum_to_zero():
@@ -624,12 +665,17 @@ def _real_space_oracle(system, params):
     """Real-space forces and energy by the plain expressions, over every pair i < j.
 
     The pairs are minimum-imaged with ``minimum_image``'s floor(d / L + 0.5),
-    taken in the ascending (i, j) order of a search, axis-major like the search,
-    and the kernel is evaluated out of place: the bits the in-place filter and
-    kernel must reproduce.
+    taken in the anti-diagonal order of a search (by i + j, then i),
+    axis-major like the search, and the kernel is evaluated out of place: the
+    bits the in-place filter and kernel must reproduce.  The energy is summed
+    in that order, the forces by ``bincount``s in ascending (i, j) order, the
+    order searches listed pairs in before: a force equal to these has the
+    bits of either order.
     """
     pos, L, q = system.state.positions, system.L, system.charges
     i, j = np.triu_indices(len(pos), k=1)
+    anti = np.lexsort((i, i + j))
+    i, j = i[anti], j[anti]
     disp = np.empty((3, i.size))
     for axis, x in enumerate(np.ascontiguousarray(pos.T)):
         d = x[i] - x[j]
@@ -642,6 +688,8 @@ def _real_space_oracle(system, params):
     screened = qq * scipy.special.erfc(math.sqrt(params.alpha) * r) / r
     gauss = qq * 2.0 * math.sqrt(params.alpha / math.pi) * np.exp(-params.alpha * r2)
     f_ij = ((screened + gauss) / r2)[:, None] * disp
+    ij = np.lexsort((j, i))
+    i, j, f_ij = i[ij], j[ij], f_ij[ij]
     out = np.empty((len(pos), 3))
     for axis in range(3):
         f = f_ij[:, axis]

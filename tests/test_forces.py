@@ -463,7 +463,10 @@ def test_full_force_memory_is_linear_in_N():
 
 
 def _brute_force_pairs(pos, L, cutoff):
+    """Every pair i < j within ``cutoff``, in anti-diagonal order: by i + j, then by i."""
     i, j = np.triu_indices(len(pos), k=1)
+    order = np.lexsort((i, i + j))
+    i, j = i[order], j[order]
     disp = minimum_image(pos[i] - pos[j], L)
     r2 = np.einsum("ij,ij->i", disp, disp)
     keep = r2 < cutoff * cutoff
@@ -492,7 +495,7 @@ def test_neighbor_pairs_matches_brute_force(L, cutoff, dim, positions):
         pos = RngStream(17).generator().uniform(0, L, size=(120, dim))
         pos[0] = 0.0
         pos[1] = np.nextafter(L, 0.0)  # one ulp from pos[0] through the boundary
-    # the brute-force pairs come in ascending (i, j) order, and so must the search's
+    # the brute-force pairs come in anti-diagonal order, and so must the search's
     expected = _brute_force_pairs(pos, L, cutoff)
     i, j, disp, r2 = neighbor_pairs(pos, L, cutoff)
     np.testing.assert_array_equal(i, expected[0])
@@ -503,6 +506,26 @@ def test_neighbor_pairs_matches_brute_force(L, cutoff, dim, positions):
         assert i.size == 0
     else:
         assert (0, 1) in set(zip(i.tolist(), j.tolist()))
+
+
+@pytest.mark.parametrize("n, d, M", [(300, 3, 20_000), (50, 2, 1000), (2, 1, 1), (40, 3, 0)])
+def test_pair_force_sum_has_the_same_bits_in_ij_and_anti_diagonal_order(n, d, M):
+    # pairs sharing i come by ascending j, and pairs sharing j by ascending i,
+    # in both orders, so each particle's bincount adds the same terms in turn
+    gen = RngStream(70 + n).generator()
+    i, j = np.triu_indices(n, k=1)
+    pick = np.sort(gen.choice(i.size, size=M, replace=False))
+    i, j = i[pick], j[pick]  # (i, j) order
+    f_ij, scale = gen.standard_normal((M, d)), gen.standard_normal(M)
+    anti = np.lexsort((i, i + j))
+    assert M < 3 or not np.array_equal(anti, np.arange(M))
+    for s in (None, scale):
+        ij = pair_force_sum(n, i, j, f_ij, s)
+        np.testing.assert_array_equal(
+            ij, pair_force_sum(n, i[anti], j[anti], f_ij[anti], None if s is None else s[anti]))
+        # and summing the other way round changes bits: the test can see an order
+        if M == 20_000 and s is None:
+            assert not np.array_equal(ij, pair_force_sum(n, i[::-1], j[::-1], f_ij[::-1]))
 
 
 @pytest.mark.parametrize("d, N, L, cutoff", [(1, 400, 50.0, 2.0), (2, 300, 12.0, 1.5),

@@ -22,8 +22,6 @@ from randbatch.models import (
     consensus_functionals,
     consensus_rhs,
     cs_rhs,
-    dh_reference,
-    dh_kappa,
     flocking_functionals,
     lj_kernel_spec,
     semicircle_cdf,
@@ -296,16 +294,6 @@ def test_consensus_checks_an_explicit_adjacency(adjacency):
 def test_consensus_requires_zero_sum_nu():
     with pytest.raises(ValueError):
         ConsensusModel(N=3, nu=np.array([[1.0], [1.0], [1.0]]))
-
-
-def test_dh_reference_line():
-    assert dh_reference(1.0) == pytest.approx(-3.085)
-    assert dh_reference(2.0) == pytest.approx(-5.026)
-    r = np.linspace(0.5, 2.5, 9)
-    slope = np.polyfit(r, dh_reference(r), 1)[0]
-    assert slope == pytest.approx(-1.941)
-    # the stated slope is the Debye constant sqrt(4 pi beta rho) at rho = 0.3
-    assert dh_kappa(0.3) == pytest.approx(1.941, abs=1e-3)
 
 
 def test_electrolyte_construction():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,12 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny_model("gaussian", init_mean="far"), "model.init_mean: must be a finite number"),
     (_tiny_model("dyson", m="x"), "model: m must be an integer >= 1"),
     (_tiny_model("dyson", m=0), "model: m must be an integer >= 1"),
+    ({**_tiny_model("toy", N=2), "diagnostics": ["convergence"]},
+     "model.N: the 'convergence' diagnostic needs N >= 4; at N = 2"),
+    ({**_tiny_model("toy", N=3), "diagnostics": ["convergence"]},
+     "model.N: the 'convergence' diagnostic needs N >= 4; at N = 3"),
+    (_tiny_model("electrolyte", alpha=0.001),
+     "model.alpha: alpha L^2 = 0.064 leaves P(m != 0) = 0.0e+00: too little frequency mass"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -314,6 +321,35 @@ def test_metrics_json_is_strict_json(model, method, baselines):
 def test_a_screening_profile_with_too_few_bins_to_fit_writes_null(baselines):
     metrics = json.loads(baselines("electrolyte", "rbe", "andersen")["metrics.json"])
     assert metrics["dh_slope"] is None and metrics["dh_intercept"] is None
+
+
+def test_a_toy_convergence_study_at_the_smallest_accepted_n_measures_an_error(tmp_path):
+    # at N = 4 the p = 2 division has two batches, so RBM leaves the direct step
+    raw = {**_tiny_model("toy", N=4), "diagnostics": ["convergence"]}
+    metrics = json.loads((run(validate_dict(raw), out_root=tmp_path) / "metrics.json").read_text())
+    assert all(e > 0 for e in metrics["convergence"]["errors"].values())
+
+
+def test_an_alpha_just_above_the_sampler_floor_validates_and_runs(tmp_path):
+    # alpha L^2 = 1.28 leaves P(m != 0) = 2.7e-3, above the sampler's 1e-4
+    cfg = validate_dict(_tiny_model("electrolyte", alpha=0.02))
+    assert (run(cfg, out_root=tmp_path) / "metrics.json").is_file()
+
+
+@pytest.mark.parametrize("fields, rho, temperature",
+                         [({}, 0.3, 1.0), ({"N": 40, "temperature": 2.0}, 0.04, 2.0)],
+                         ids=["default", "N40-T2"])
+def test_electrolyte_reports_the_debye_hueckel_slope_of_its_config(fields, rho, temperature,
+                                                                  tmp_path):
+    # the reference line ln(r rho(r)) has slope -kappa = -sqrt(4 pi beta rho), beside the fit;
+    # the default N = 300 ions in L = 10 give rho = 0.3 and kappa = 1.941
+    raw = {"model": {"id": "electrolyte", **fields},
+           "run": {"p": 10, "steps": 20, "warmup": 2, "record_every": 10}}
+    metrics = json.loads((run(validate_dict(raw), out_root=tmp_path) / "metrics.json").read_text())
+    kappa = math.sqrt(4 * math.pi * rho / temperature)
+    assert metrics["dh_slope_reference"] == pytest.approx(-kappa, rel=1e-14)
+    if not fields:
+        assert metrics["dh_slope_reference"] == pytest.approx(-1.941, abs=1e-3)
 
 
 def test_non_finite_metrics_fail_the_run_and_write_no_metrics_json(tmp_path):
