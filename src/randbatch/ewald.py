@@ -22,9 +22,8 @@ e_a[m, n] = exp(2 pi i m x_na / L), |m| <= m_max, built as powers of the
 m = 1 entry: 3N cosines and sines replace one complex exponential per
 particle and frequency.  Each power is one vectorised product of all 3N
 phases, e(m) = e(m - 1) e(1), and a table keeps only the rows it is asked
-for, so a far frequency costs time, not memory, in proportion to its |m|.
-A batch whose components fill -top..top densely reads its rows at m + top;
-a sparse one (a lone far frequency) keeps just its distinct components.
+for (a batch's distinct components), so a far frequency costs time, not
+memory, in proportion to its |m|.
 The exact k-space sums, kept as references, run over the half cube
 m_x >= 0 with weight zero outside half the ball
 (rho(-k) is the conjugate of rho(k) for real charges, so k and -k
@@ -316,12 +315,8 @@ def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarr
     if not np.all(np.abs(mf - m) <= 1e-9):
         raise ValueError("frequencies must be lattice vectors 2 pi m / L of the box")
     m = m.astype(np.intp)
-    top = int(np.abs(m).max(initial=0))
-    if 2 * top + 1 <= m.size:  # dense: the whole table has no more rows than m has entries
-        rows, idx = np.arange(-top, top + 1), m + top
-    else:
-        rows = np.unique(m)
-        idx = np.searchsorted(rows, m)
+    rows = np.unique(m)
+    idx = np.searchsorted(rows, m)
     e = _phase_tables(system.state.positions, system.L, rows)
     out = e[0][idx[:, 0]]
     return np.multiply(np.multiply(out, e[1][idx[:, 1]], out=out), e[2][idx[:, 2]], out=out)

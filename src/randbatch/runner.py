@@ -373,8 +373,7 @@ def _finish_electrolyte(sim, cfg, outdir):
         metrics["dh_slope"] = profile.slope if fitted else None
         metrics["dh_intercept"] = profile.intercept if fitted else None
         # the Debye-Hueckel line's slope, -kappa at the ions' density and temperature
-        m = cfg["model"]
-        metrics["dh_slope_reference"] = -dh_kappa(m["N"] / m["L"] ** 3, 1.0 / m["temperature"])
+        metrics["dh_slope_reference"] = -dh_kappa(sim.model.rho_r, 1.0 / sim.model.temperature)
     if "fourier_energy_error" in diagnostics and sim.rows:
         mean_rbe = float(np.mean([r[2] for r in after_warmup]))
         mean_exact = float(np.mean([u for _, u in sim.rows]))
