@@ -105,7 +105,7 @@ class EwaldParams:
 
     def validate_box(self, L: float):
         if self.r_c >= L / 2:
-            raise ValueError("real-space cutoff must be below half the box length")
+            raise ValueError("the real-space cutoff r_c must be below L/2")
 
     @classmethod
     def for_system(
@@ -148,8 +148,7 @@ def sampling_table(alpha: float, L: float) -> Tuple[np.ndarray, np.ndarray, floa
     """``_sample_m``'s 1-d table: the integers m, the CDF of their weights, and P(m != 0).
 
     Raises ValueError when P(m != 0) is below 1e-4, where all-zero draws would
-    be redrawn thousands of times per sample; ``validate`` rejects such an
-    electrolyte by this check.
+    be redrawn thousands of times per sample.
     """
     m, w = _weight_table(alpha, L)
     cdf = np.cumsum(w)
@@ -176,9 +175,21 @@ def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> n
     return np.concatenate(blocks)
 
 
+def cube_m_max(L: float, k_c: float) -> int:
+    """The largest |m| of a lattice frequency 2 pi m / L with |k| <= k_c; raises
+    ValueError past 2^24 frequencies in the exact sums' half cube (128 MiB of
+    ``_cube_weights``; the default alpha gives about 19 N)."""
+    m_max = int(math.floor(k_c * L / TWO_PI + 1e-9))
+    size = (m_max + 1) * (2 * m_max + 1) ** 2
+    if size > 1 << 24:
+        raise ValueError(f"the exact Fourier sums' half cube at m_max = {m_max} holds "
+                         f"{size:.3g} frequencies, more than 2^24: lower alpha")
+    return m_max
+
+
 def kvectors_in_ball(L: float, k_c: float) -> np.ndarray:
     """All nonzero lattice frequencies k = 2 pi m / L with |k| <= k_c."""
-    m_max = int(math.floor(k_c * L / TWO_PI + 1e-9))
+    m_max = cube_m_max(L, k_c)
     g = np.arange(-m_max, m_max + 1)
     mm = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
     k = TWO_PI * mm[np.any(mm != 0, axis=1)] / L
@@ -193,7 +204,7 @@ def _cube_weights(L: float, k_c: float, alpha: float) -> Tuple[int, np.ndarray]:
     where |k| > k_c or the first nonzero m is not positive.  The array is
     read-only, as the cache hands the same one to every caller.
     """
-    m_max = int(math.floor(k_c * L / TWO_PI + 1e-9))
+    m_max = cube_m_max(L, k_c)
     k = TWO_PI * np.arange(-m_max, m_max + 1) / L
     kx, ky, kz = k[m_max:, None, None], k[:, None], k
     k2 = kx * kx + ky * ky + kz * kz
@@ -349,7 +360,6 @@ def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bo
 
 def fourier_force_exact_all(system: PeriodicChargeSystem, params: EwaldParams) -> np.ndarray:
     """Exact Fourier-space Ewald forces with cutoff |k| <= k_c."""
-    params.validate_box(system.L)
     return _exact_fourier(system, params)[0]
 
 
@@ -440,6 +450,7 @@ class CoulombSystem(SecondOrderSystem):
     """
 
     def __init__(self, ions, params, bank=None, extra_force=None, S=None, gamma=0.0, sigma=0.0):
+        params.validate_box(ions.L)
         super().__init__(kernel=None, alpha_N=1.0, gamma=gamma, sigma=sigma)
         self.ions, self.params, self.bank, self.extra_force = ions, params, bank, extra_force
         self.S = sum_S(params.alpha, ions.L) if S is None and bank is not None else S

@@ -219,6 +219,7 @@ class ConsensusModel:
     dispersion and interaction proportionally.  The decomposition is
     nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N), valid when sum nu = 0; it
     is computed per batch from the nu rows (``dispersion``), never stored.
+    ``nu`` must be N finite rows of ``dim`` numbers (N numbers when dim is 1).
     ``adjacency=None`` means a_ij = 1 for every pair, with no N x N array.
     """
 
@@ -232,12 +233,15 @@ class ConsensusModel:
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.nu is None:
-            self.nu = np.zeros((self.N, self.dim))
-        self.nu = np.asarray(self.nu, dtype=np.float64).reshape(self.N, -1)
-        self.dim = self.nu.shape[1]
+        nu = np.zeros((self.N, self.dim)) if self.nu is None else np.asarray(self.nu, float)
+        if nu.shape not in [(self.N, self.dim)] + ([(self.N,)] if self.dim == 1 else []):
+            raise ValueError(f"intrinsic velocities nu must be N = {self.N} rows of "
+                             f"dim = {self.dim} numbers")
+        if not np.all(np.isfinite(nu)):
+            raise ValueError("intrinsic velocities nu must be finite")
+        self.nu = nu.reshape(self.N, self.dim)
         if abs(self.nu.sum(axis=0)).max() > 1e-10:
-            raise ValueError("intrinsic velocities must sum to zero")
+            raise ValueError("intrinsic velocities nu must sum to zero")
         if self.adjacency is not None:
             self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
             if not np.allclose(self.adjacency, self.adjacency.T):
@@ -346,7 +350,9 @@ class ElectrolyteModel:
 
     def __post_init__(self):
         if self.N % 2 != 0:
-            raise ValueError("need an even particle count (half cations, half anions)")
+            raise ValueError("N must be even for electroneutrality: half +1, half -1 charges")
+        if self.lj_cutoff >= self.L / 2:  # else the minimum image drops a pair's second image
+            raise ValueError(f"the LJ cutoff {self.lj_cutoff_factor:g} lj_sigma must be below L/2")
         object.__setattr__(self, "pairs", PairList(self.lj_cutoff))
 
     @property
@@ -377,8 +383,6 @@ class ElectrolyteModel:
         The pairs within the cutoff come from the model's ``pairs`` list, which
         is kept from call to call, so a trajectory searches only on rebuilds.
         """
-        if self.lj_cutoff >= self.L / 2:
-            raise ValueError("LJ cutoff must be below half the box length")
         i, j, disp, r2 = self.pairs(state.positions, self.L)
         if i.size == 0:  # the usual case in a dilute electrolyte: no ion inside the core cutoff
             return np.zeros((state.n_particles, state.dim)), 0.0

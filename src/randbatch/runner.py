@@ -10,7 +10,9 @@ observable it records along the run and its final metrics.
 
 ``validate`` builds its schema from the registry.  It applies and echoes
 every default, and a field that the chosen model, method or thermostat kind
-does not use is rejected, never silently ignored.  ``run`` executes a
+does not use is rejected, never silently ignored.  It then builds replica 0,
+so the range checks of model fields live only in the constructors the
+builders call, and a config that validates builds.  ``run`` executes a
 resolved config through one loop shared by all models: stepping, per-step
 hooks (wealth reflection, thermostats, the electrolyte's energy log, the Stein
 flow's 1e6 bound), recording every ``record_every`` steps and replicas.  It
@@ -39,12 +41,12 @@ from .ewald import (
     CoulombSystem,
     EwaldParams,
     PeriodicChargeSystem,
+    cube_m_max,
     fourier_energy,
     fourier_force_exact_all,
     mh_sample_kvectors,
     rbe_force_all,
     real_space_force_all,
-    sampling_table,
 )
 from .integrators import (
     IntegrationError,
@@ -304,6 +306,8 @@ def _build_lj(cfg, streams):
     m = cfg["model"]
     N = m["N"]
     L = (N / m["density"]) ** (1.0 / 3.0)
+    if m["split_radius"] >= L / 2:
+        raise ValueError(f"split_radius must be below L/2 = {L / 2:g}, L = (N / density)^(1/3)")
     kernel = lj_kernel_spec(m["sigma"], m["epsilon"], m["split_radius"])
     pos, _ = cubic_lattice(N, L)
     vel = math.sqrt(1.0 / m["beta"]) * streams.init.standard_normal((N, 3))
@@ -327,6 +331,8 @@ def _build_electrolyte(cfg, streams):
     params = EwaldParams.for_system(m["N"], m["L"], p=run["p"], alpha=m["alpha"])
     if m["r_c"] is not None:
         params = EwaldParams(alpha=params.alpha, r_c=m["r_c"], k_c=params.k_c, p=run["p"])
+    if {"fourier_energy_error", "momentum"} & set(cfg["diagnostics"]):
+        cube_m_max(m["L"], params.k_c)  # the exact sums' cube, checked before it is built
     ions = PeriodicChargeSystem(state=model.initial_state(streams.init), charges=model.charges())
     bank = mh_sample_kvectors(params.alpha, m["L"], 4096, streams.proposal)  # refills on demand
     return _electrolyte_sim(ions, params, _thermostat(cfg["thermostat"]), bank, streams,
@@ -598,7 +604,11 @@ def _check_run(run: dict, raw_run: dict, method: str, model_id: str, N, errors: 
 
 
 def validate_dict(raw: dict, name: str = "run") -> dict:
-    """Resolve a config mapping against the registry's schema; raises ConfigError."""
+    """Resolve a config mapping against the registry's schema; raises ConfigError.
+
+    A config past the schema is built (replica 0, on throwaway streams), and a
+    TypeError, ValueError or ArithmeticError of the build is ``model: <message>``.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a mapping"])
     errors = [f"config.{key}: unknown key" for key in raw
@@ -616,8 +626,8 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     method = raw.get("method")
     cfg = {"name": str(raw.get("name", name)), "seed": raw.get("seed", 0), "version": __version__,
            "method": MODEL_METHODS[model_id][0] if method is None else method}
-    if not isinstance(cfg["seed"], int):
-        errors.append("seed: must be an integer")
+    if not _is_int(cfg["seed"], 0):
+        errors.append("seed: must be an integer >= 0")
     if cfg["method"] not in MODEL_METHODS[model_id]:
         errors.append(f"method: {cfg['method']!r} not available for model {model_id!r}; "
                       f"available: {MODEL_METHODS[model_id]}")
@@ -658,72 +668,21 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     _check_run(cfg["run"], sections["run"], cfg["method"], model_id, N, errors)
     if not _is_int(cfg["output"].get("trajectory_every", 0), 0):
         errors.append("output.trajectory_every: must be an integer >= 0")
-    bad = {k for k in spec.positive if not _positive(model[k])
-           and not (model[k] is None and spec.fields[k] is None)}
-    errors += [f"model.{k}: must be positive" for k in spec.positive if k in bad]
-    if model_id == "electrolyte":
-        if _is_int(N, 2) and N % 2 != 0:
-            errors.append("model.N: electrolyte needs equal numbers of +1/-1 charges "
-                          "(electroneutrality)")
-        if model["r_c"] is not None and not {"r_c", "L"} & bad and model["r_c"] >= model["L"] / 2:
-            errors.append("model.r_c: real-space cutoff must be below L/2")
-        factor = ElectrolyteModel.lj_cutoff_factor
-        if not {"lj_sigma", "L"} & bad and factor * model["lj_sigma"] >= model["L"] / 2:
-            errors.append(f"model.lj_sigma: the LJ cutoff {factor:g} lj_sigma must be below L/2")
-        # the frequency sampler's own check; the default alpha = (N / L^3)^(2/3) has
-        # alpha L^2 = N^(2/3) >= 1.5, which passes it
-        if model["alpha"] is not None and not {"alpha", "L"} & bad:
-            try:
-                sampling_table(model["alpha"], model["L"])
-            except ValueError as exc:
-                errors.append(f"model.alpha: {exc}")
+    errors += [f"model.{k}: must be positive" for k in spec.positive if not _positive(model[k])
+               and not (model[k] is None and spec.fields[k] is None)]
     if model_id == "toy" and "convergence" in cfg["diagnostics"] and _is_int(N, 2) and N < 4:
         errors.append(f"model.N: the 'convergence' diagnostic needs N >= 4; at N = {N} its "
                       "p = 2 division is one batch, so RBM is the direct step and no error "
                       "is measured")
     if model_id == "gaussian" and not _is_real(model["init_mean"]):
         errors.append("model.init_mean: must be a finite number")
-    if model_id == "consensus" and model["nu"] is not None and _is_int(N, 2):
-        errors += _nu_errors(model["nu"], N, model["dim"])
-    try:  # the range checks of the objects the builders construct from these fields
-        if model_id == "toy" and _is_int(N, 2):
-            toy_lipschitz_system(N, sigma=model["sigma"])
-        elif model_id == "cucker-smale":
-            CuckerSmaleModel(N=N, kappa=model["kappa"], beta=model["beta"], dim=model["dim"])
-        elif model_id == "dyson":
-            DysonModel(N=N, split_radius=model["split_radius"], m=model["m"])
-        elif model_id == "gaussian":
-            GaussianKernel(bandwidth=model["bandwidth"])
-    except (TypeError, ValueError) as exc:
-        errors.append(f"model: {exc}")
-    if model_id == "lj-fluid" and _is_int(N, 2) and not {"density", "split_radius"} & bad:
-        L = (N / model["density"]) ** (1.0 / 3.0)
-        if model["split_radius"] >= L / 2:
-            errors.append(f"model.split_radius: must be below L/2 = {L / 2:g}, "
-                          "with L = (N / density)^(1/3)")
-
     if errors:
         raise ConfigError(errors)
+    try:
+        spec.build(cfg, SimStreams(cfg["seed"]))
+    except (TypeError, ValueError, ArithmeticError) as exc:  # L = 1e300 overflows L^3
+        raise ConfigError([f"model: {exc}"]) from exc
     return cfg
-
-
-def _nu_errors(nu, N: int, dim) -> list:
-    """Consensus ``model.nu`` must be N rows of ``dim`` numbers (N numbers when
-    dim is 1) whose columns sum to zero, as ``ConsensusModel`` requires."""
-    try:
-        rows = np.asarray(nu, dtype=np.float64)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        rows = None
-    shapes = [(N, dim)] + ([(N,)] if dim == 1 else [])
-    if rows is None or rows.shape not in shapes:
-        return [f"model.nu: intrinsic velocities must be N = {N} rows of model.dim = {dim} numbers"]
-    if not np.all(np.isfinite(rows)):
-        return ["model.nu: intrinsic velocities must be finite"]
-    try:
-        ConsensusModel(N=N, nu=rows)
-    except ValueError as exc:
-        return [f"model.nu: {exc}"]
-    return []
 
 
 def validate(path, seed: Optional[int] = None, replicas: Optional[int] = None) -> dict:

@@ -218,14 +218,15 @@ def test_electrolyte_without_thermostat_runs_nve(tmp_path):
 
 
 def test_consensus_nu_off_the_model_is_an_invalid_config(tmp_path, capsys):
-    for nu, message in (([1, 2, 3, 4], "sum to zero"), ([1, -1, 0], "N = 4 rows"),
-                        ([[1, -1], [-1, 1], [0, 0], [0, 0]], "N = 4 rows of model.dim = 1")):
+    rows = "intrinsic velocities nu must be N = 4 rows of dim = 1 numbers"
+    for nu, message in (([1, 2, 3, 4], "intrinsic velocities nu must sum to zero"),
+                        ([1, -1, 0], rows), ([[1, -1], [-1, 1], [0, 0], [0, 0]], rows)):
         cfg_file = _write(tmp_path, "nu.yaml", {"model": {"id": "consensus", "N": 4, "nu": nu}})
         assert main(["validate", str(cfg_file)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "invalid-config"
         (detail,) = err["details"]
-        assert detail.startswith("model.nu: ") and message in detail
+        assert detail == f"model: {message}"
     ok = {"model": {"id": "consensus", "N": 4, "dim": 2, "nu": [[1, -1], [-1, 1], [0, 0], [0, 0]]}}
     assert main(["validate", str(_write(tmp_path, "ok.yaml", ok))]) == 0
     capsys.readouterr()

@@ -9,7 +9,8 @@ import pytest
 import yaml
 
 from randbatch.cli import main
-from randbatch.runner import MODEL_METHODS, ConfigError, run, validate_dict
+from randbatch.integrators import IntegrationError
+from randbatch.runner import MODEL_METHODS, MODELS, ConfigError, run, validate_dict
 
 # One tiny config per model.  The toy's convergence study is a fixed
 # experiment of its own that no run field reaches, and it is slow, so the toy
@@ -172,8 +173,9 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny_model("electrolyte", r_c=0), "model.r_c: must be positive"),
     (_tiny_model("electrolyte", L=-10), "model.L: must be positive"),
     (_tiny_model("electrolyte", lj_sigma=0.9, L=4),
-     "model.lj_sigma: the LJ cutoff 2.5 lj_sigma must be below L/2"),
-    (_tiny_model("lj-fluid", N=64, split_radius=3.5), "model.split_radius: must be below L/2"),
+     "model: the LJ cutoff 2.5 lj_sigma must be below L/2"),
+    (_tiny_model("lj-fluid", N=64, split_radius=3.5),
+     "model: split_radius must be below L/2 = 2.9876, L = (N / density)^(1/3)"),
     (_tiny_model("lj-fluid", density=-0.3), "model.density: must be positive"),
     (_tiny_model("lj-fluid", beta=0), "model.beta: must be positive"),
     (_tiny_model("lj-fluid", beta=-0.5), "model.beta: must be positive"),
@@ -201,7 +203,17 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     ({**_tiny_model("toy", N=3), "diagnostics": ["convergence"]},
      "model.N: the 'convergence' diagnostic needs N >= 4; at N = 3"),
     (_tiny_model("electrolyte", alpha=0.001),
-     "model.alpha: alpha L^2 = 0.064 leaves P(m != 0) = 0.0e+00: too little frequency mass"),
+     "model: alpha L^2 = 0.064 leaves P(m != 0) = 0.0e+00: too little frequency mass"),
+    (_tiny_model("electrolyte", L=1e300), "model: "),  # L^3 overflows
+    ({**_tiny("toy"), "seed": -1}, "seed: must be an integer >= 0"),
+    ({**_tiny("toy"), "seed": True}, "seed: must be an integer >= 0"),
+    # the exact Fourier sums' half cube, refused before it is allocated
+    (_tiny_model("electrolyte", alpha=1e6),
+     "model: the exact Fourier sums' half cube at m_max = 13386 holds 9.6e+12 frequencies, "
+     "more than 2^24: lower alpha"),
+    ({"model": {"id": "electrolyte", "alpha": 100}},
+     "model: the exact Fourier sums' half cube at m_max = 168 holds 1.92e+07 frequencies, "
+     "more than 2^24: lower alpha"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -237,6 +249,54 @@ def test_cli_overrides_are_validated(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "invalid-config"
     assert any("run.replicas" in d for d in err["details"])
+
+
+def test_cli_rejects_a_negative_seed_before_writing_anything(tmp_path, capsys):
+    cfg_file = _write(tmp_path, "w.yaml", _tiny("wealth"))
+    assert main(["run", str(cfg_file), "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "invalid-config", "details": ["seed: must be an integer >= 0"]}
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_alpha_whose_cube_is_too_big_validates_without_the_exact_sums():
+    # alpha = 100 at the default N and L gives m_max = 168, past the exact sums' cap,
+    # but the screening profile alone never builds their cube
+    cfg = validate_dict({"model": {"id": "electrolyte", "alpha": 100},
+                         "diagnostics": ["dh_screening"]})
+    assert cfg["model"]["alpha"] == 100
+
+
+# every model field of each tiny config takes each of these values in turn; alpha
+# stays at most 3, where the exact Fourier sums' cube is small even without its cap
+# (at alpha = 1e3 on the tiny box it would hold 3e8 frequencies)
+_SWEEP_VALUES = (0, -1, 1e-3, 0.5, 3.0, 1e3, "x", None, True)
+_SWEEP_N = (2, 3, 4, 5, 7, 0, "x", True)
+
+
+@pytest.mark.parametrize("model", sorted(TINY))
+def test_every_accepted_model_field_runs(model, tmp_path):
+    """A config that validates runs: it fails, if at all, only by blowing up."""
+    failures, accepted = [], 0
+    for field in MODELS[model].fields:
+        values = _SWEEP_N if field == "N" else _SWEEP_VALUES
+        for value in values:
+            if field == "alpha" and isinstance(value, float) and value > 3:
+                continue
+            try:
+                cfg = validate_dict(_tiny_model(model, **{field: value}))
+            except ConfigError:
+                continue
+            accepted += 1
+            try:
+                with np.errstate(all="ignore"):
+                    run(cfg, out_root=tmp_path)
+            except IntegrationError:
+                pass
+            except Exception as exc:  # any other failure is a config validate should refuse
+                failures.append(f"{field}={value!r}: {type(exc).__name__}: {exc}")
+    assert accepted > 0
+    assert failures == []
 
 
 @pytest.mark.parametrize("text", [
