@@ -16,7 +16,7 @@ is built, never at package import: ``scipy.special`` by
 __version__ = "0.1.0"
 
 from .rng import RngStream, SimStreams
-from .state import BatchDivision, KernelSpec, ParticleState
+from .state import BatchDivision, KernelSpec, ParticleState, RadialKernel
 
 # no numba kernel is left; perfbench's environment record reads these, ROADMAP item 6 drops them
 HAVE_NUMBA = USE_NUMBA = False
@@ -28,4 +28,5 @@ __all__ = [
     "BatchDivision",
     "KernelSpec",
     "ParticleState",
+    "RadialKernel",
 ]

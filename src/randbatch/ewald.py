@@ -389,9 +389,9 @@ def real_space_force_all(system: PeriodicChargeSystem, params: EwaldParams) -> T
     """All short-range Coulomb forces plus the real-space energy.
 
     The pairs come from ``system.pairs``, which is created here when the
-    system has no list yet or one for another cutoff.
+    system has no list yet or one for another cutoff; the list refuses an
+    r_c of L/2 or more.
     """
-    params.validate_box(system.L)
     if system.pairs is None or system.pairs.cutoff != params.r_c:
         system.pairs = PairList(params.r_c)
     i, j, disp, r2 = system.pairs(system.state.positions, system.L)

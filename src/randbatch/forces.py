@@ -28,15 +28,16 @@ picks unless d / L is within a few ulps of +-1/2, where the component is
 about L/2 either way; a pair kept at a cutoff below L/2 has no such
 component, so its displacement has the same bits.
 All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
-core) are Newton pairs: one evaluation per pair i < j, summed by
-``pair_force_sum``, which takes a radial kernel's per-pair coefficient and
-scales the displacements one axis at a time.  Its ``bincount``s add each
-particle's terms in list order, and in anti-diagonal order, as in (i, j)
-order, the pairs sharing i come by ascending j and those sharing j by
-ascending i, so the sums have the same bits in either order.  Consecutive
-pairs rarely share an end in anti-diagonal order (in (i, j) order nearly
-all share i), so the ``bincount``s do not add into one location in a serial
-chain.
+core) are Newton pairs of a radial kernel: each passes one coefficient per
+pair i < j, computed from the r^2 that the list answer carries (the split
+step's K1 is a ``state.RadialKernel``, which exposes it as a function of
+r^2), to ``pair_force_sum``, which scales the displacements by it one axis at
+a time.  Its ``bincount``s add each particle's terms in list order, and in
+anti-diagonal order, as in (i, j) order, the pairs sharing i come by
+ascending j and those sharing j by ascending i, so the sums have the same
+bits in either order.  Consecutive pairs rarely share an end in
+anti-diagonal order (in (i, j) order nearly all share i), so the
+``bincount``s do not add into one location in a serial chain.
 """
 
 from typing import Callable, Optional, Tuple
@@ -44,7 +45,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .batching import batch_index_matrices
-from .state import BatchDivision, Kernel, KernelSpec, ParticleState, minimum_image
+from .state import BatchDivision, Kernel, KernelSpec, ParticleState, RadialKernel, minimum_image
 
 
 def _kernel_fn(kernel) -> Kernel:
@@ -336,7 +337,9 @@ class PairList:
     build in their anti-diagonal order.  That is exact while no particle has
     moved more than skin/2 (minimum image) since the build; otherwise, or when the
     box or the particle count changes, the call first rebuilds the list with
-    one ``neighbor_pairs`` search.  ``builds`` counts those searches.
+    one ``neighbor_pairs`` search.  ``builds`` counts those searches.  A
+    build raises ``ValueError`` when the cutoff is L/2 or more, where the
+    minimum image would drop a pair's second image.
 
     Each build sets skin = max(0.1 cutoff, 0.3 s), with s = (L^d / N)^(1/d)
     the mean particle spacing.  The skin is sized by how far particles move
@@ -362,6 +365,11 @@ class PairList:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         pos = np.asarray(positions, dtype=np.float64)
         if self._stale(pos, box_length):
+            # else the minimum image drops a pair's second image; the answer's cutoff
+            # is checked, as the listed radius cutoff + skin may pass L/2
+            if self.cutoff >= box_length / 2:
+                raise ValueError(f"pair list cutoff {self.cutoff:g} must be below "
+                                 f"half the box length {box_length:g}")
             # a NaN position makes the list stale, and the search raises on it
             self.skin = self._skin(box_length, *pos.shape)
             i, j, _, _ = neighbor_pairs(pos, box_length, self.cutoff + self.skin)
@@ -381,7 +389,13 @@ class PairList:
         x0, L0 = self._built[:2]
         if L0 != box_length or x0.shape != pos.shape:
             return True
-        moved = minimum_image(pos - x0, box_length)
+        # minimum_image(pos - x0), in place with its operations in their order
+        moved = np.subtract(pos, x0)
+        shift = np.divide(moved, box_length)
+        shift += 0.5
+        np.floor(shift, out=shift)
+        shift *= box_length
+        moved -= shift
         return not np.all(np.einsum("ij,ij->i", moved, moved) <= (0.5 * self.skin) ** 2)
 
 
@@ -403,28 +417,24 @@ def pair_force_sum(
 
 
 def short_range_force_all(
-    state: ParticleState, K1: Kernel, r0: float, alpha_N: float, pairs: Optional[PairList] = None
+    state: ParticleState, K1: RadialKernel, r0: float, alpha_N: float,
+    pairs: Optional[PairList] = None,
 ) -> np.ndarray:
     """alpha_N * sum of K1(x_i - x_j) over the neighbours within r0, for every i.
 
     The pairs come from ``pairs``, a ``PairList`` at cutoff r0 that the caller
-    carries across steps; None searches with a fresh list.  K1 must be odd,
-    K1(-x) = -K1(x): it is evaluated once per pair and the pair's force goes
-    to both particles with opposite signs.  Each call that rebuilds the list
-    checks that on its pairs and raises ``ValueError`` for an odd-violating K1.
+    carries across steps; None searches with a fresh list.  K1 is evaluated
+    once per pair and the pair's force goes to both particles with opposite
+    signs, so K1 must be odd; it is taken only as a ``RadialKernel``, odd by
+    construction, whose coefficient is evaluated on the list's own r^2.
     """
+    if not isinstance(K1, RadialKernel):
+        raise TypeError("the short-range kernel K1 must be a RadialKernel, x c(|x|^2)")
     if state.box_length is None:
         raise ValueError("short-range force requires a periodic box")
-    if r0 >= state.box_length / 2:
-        raise ValueError("cutoff must be below half the box length")
     if pairs is None:
         pairs = PairList(r0)
     elif pairs.cutoff != r0:
         raise ValueError("pair list cutoff differs from r0")
-    builds = pairs.builds
-    i, j, disp, _ = pairs(state.positions, state.box_length)
-    disp = np.ascontiguousarray(disp)  # an einsum in K1 may round differently on a strided view
-    f_ij = np.asarray(K1(disp))
-    if pairs.builds != builds and np.any(np.abs(K1(-disp) + f_ij) > 1e-12 * np.abs(f_ij)):
-        raise ValueError("short-range kernel K1 must be odd: K1(-x) = -K1(x)")
-    return alpha_N * pair_force_sum(state.n_particles, i, j, f_ij)
+    i, j, disp, r2 = pairs(state.positions, state.box_length)
+    return alpha_N * pair_force_sum(state.n_particles, i, j, disp, K1.coef(r2))

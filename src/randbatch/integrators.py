@@ -145,13 +145,21 @@ def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: flo
     v = state.velocities
     if v is None:
         raise ValueError("second-order step needs velocities")
-    accel = force
+    # in place: the products and sums of v + dt (F - c v) + (sigma sqrt(dt)) xi and
+    # x + dt new_v in that order, so the same bits
     if friction:
-        accel = accel - friction * v
-    new_v = v + dt * accel
+        new_v = np.multiply(friction, v)
+        np.subtract(force, new_v, out=new_v)
+        new_v *= dt
+    else:
+        new_v = np.multiply(force, dt)
+    new_v += v
     if sigma > 0.0:
-        new_v = new_v + sigma * math.sqrt(dt) * noise_rng.standard_normal(v.shape)
-    new_x = state.positions + dt * new_v
+        xi = noise_rng.standard_normal(v.shape)
+        xi *= sigma * math.sqrt(dt)
+        new_v += xi
+    new_x = np.multiply(new_v, dt)
+    new_x += state.positions
     return _stepped(state, "second-order step", positions=new_x, velocities=new_v,
                     time=state.time + dt)
 

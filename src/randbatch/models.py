@@ -15,7 +15,7 @@ from .backend import special
 from .forces import PairList, batch_pair_sum, pair_force_sum
 from .integrators import FirstOrderSystem, SecondOrderSystem
 from .samplers import GibbsTarget, log_kernel_split
-from .state import BatchDivision, ParticleState
+from .state import BatchDivision, KernelSpec, ParticleState, RadialKernel
 
 ETA_WEALTH = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)| initial wealth
 
@@ -397,56 +397,51 @@ def dh_kappa(rho_r: float, beta: float = 1.0, q: float = 1.0) -> float:
     return math.sqrt(4.0 * math.pi * beta * q * q * rho_r)
 
 
-def split_radial_force(h: Callable, h_prime: Callable, r0: float) -> "KernelSpec":
-    """Split a radial force K(x) = x h(|x|) at r0 into short + smooth parts.
+def split_radial_force(c: Callable, c_prime: Callable, r0: float) -> KernelSpec:
+    """Split a radial force K(x) = x c(|x|^2) at r0 into short + smooth parts.
 
-    The smooth part continues h inside r0 as h(r0) (a + b (r/r0)^2) with value
-    and slope matched at r0, so it is C^1, bounded and free of the core
-    singularity; the short part K - K2 vanishes identically beyond r0.
+    ``c`` is the force over r as a function of r^2, and ``c_prime`` its
+    derivative in r^2.  The smooth coefficient continues c inside r0 as
+    c(r0^2) (1 - b + b r^2 / r0^2), with b matching the slope at r0, so the
+    smooth part is C^1, bounded and free of the core singularity.  The short
+    coefficient is the force's minus the smooth one, exactly 0 for r >= r0,
+    where both are c(r^2).  All three parts are ``RadialKernel``s, so the
+    short part is odd by construction.
     """
-    from .state import KernelSpec
+    r0sq = r0 * r0
+    c0 = float(c(r0sq))
+    b = r0sq * float(c_prime(r0sq)) / c0
+    c0a, c0b = c0 * (1.0 - b), c0 * b / r0sq  # inside: c0a + c0b r^2
 
-    h0 = float(h(r0))
-    b = r0 * float(h_prime(r0)) / (2.0 * h0)
-    a = 1.0 - b
+    def smooth(r2):
+        inner, far = c0a + c0b * r2, r2 >= r0sq
+        # c costs a few products per row; the short part's listed pairs never need it
+        return np.where(far, c(np.maximum(r2, r0sq)), inner) if far.any() else inner
 
-    def radial(x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        r = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-        return x, r
-
-    def smooth_h(r):
-        inner, far = h0 * (a + b * (r / r0) ** 2), r >= r0
-        # h costs two powers per row; the short part's listed pairs never need it
-        return np.where(far, h(np.maximum(r, r0)), inner) if far.any() else inner
-
-    def force(x):
-        x, r = radial(x)
-        return x * h(np.maximum(r, 1e-300))
-
-    def smooth(x):
-        x, r = radial(x)
-        return x * smooth_h(r)
-
-    def short(x):
-        x, r = radial(x)  # one |x| for both parts
-        return x * h(np.maximum(r, 1e-300)) - x * smooth_h(r)
-
-    return KernelSpec(force=force, split_radius=r0, short_part=short, smooth_part=smooth)
+    return KernelSpec(force=RadialKernel(c), split_radius=r0,
+                      short_part=RadialKernel(lambda r2: c(r2) - smooth(r2)),
+                      smooth_part=RadialKernel(smooth))
 
 
-def lj_kernel_spec(sigma: float = 1.0, epsilon: float = 1.0, r0: float = 1.6):
-    """Lennard-Jones pair force split for the kernel-splitting RBM."""
-    s6 = sigma**6
-    s12 = s6 * s6
+def lj_kernel_spec(sigma: float = 1.0, epsilon: float = 1.0, r0: float = 1.6) -> KernelSpec:
+    """Lennard-Jones pair force split for the kernel-splitting RBM.
 
-    def h(r):
-        return 24.0 * epsilon * (2.0 * s12 / r**14 - s6 / r**8)
+    The force over r is 24 eps (2 u^6 - u^3) / r^2 with u = sigma^2 / r^2,
+    in inverse powers of r^2 as ``ElectrolyteModel.lj_force`` takes it.
+    """
+    s2 = sigma * sigma
 
-    def h_prime(r):
-        return 24.0 * epsilon * (-28.0 * s12 / r**15 + 8.0 * s6 / r**9)
+    def c(r2):
+        u = s2 / r2
+        u3 = u * u * u
+        return 24.0 * epsilon * (2.0 * u3 * u3 - u3) / r2
 
-    return split_radial_force(h, h_prime, r0)
+    def c_prime(r2):
+        u = s2 / r2
+        u3 = u * u * u
+        return -24.0 * epsilon * (14.0 * u3 * u3 - 4.0 * u3) / (r2 * r2)
+
+    return split_radial_force(c, c_prime, r0)
 
 
 # --- toy Lipschitz system -----------------------------------------------------

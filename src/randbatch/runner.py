@@ -25,6 +25,7 @@ infinity fails with their key paths and writes no ``metrics.json``.
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -685,16 +686,31 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     return cfg
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads YAML 1.2's exponent floats.
+
+    YAML 1.1 wants a dot and a signed exponent, so it reads ``1e-3`` and
+    ``1.0e6`` as strings; here they, and ``-2E+5``, are floats.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def validate(path, seed: Optional[int] = None, replicas: Optional[int] = None) -> dict:
     """Load and validate a YAML config file.
 
+    Exponent floats load as floats in both spellings, ``1e-3`` and ``1.0e-3``.
     ``seed`` and ``replicas``, when given, replace the file's values before
     validation, so they are checked like the fields they replace.
     """
     path = Path(path)
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_ConfigLoader) or {}
         except yaml.YAMLError as exc:
             raise ConfigError([f"yaml: {exc}"]) from exc
     if seed is not None and isinstance(raw, dict):

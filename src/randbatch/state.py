@@ -71,13 +71,31 @@ class ParticleState:
         )
 
 
+@dataclass(frozen=True)
+class RadialKernel:
+    """Radial pair kernel K(x) = x c(|x|^2), with the coefficient c given as a function of r^2.
+
+    A call maps (M, d) displacements to (M, d) forces like any ``Kernel``; a
+    pair sum that already holds each pair's r^2 scales the displacements by
+    ``coef(r2)`` instead.  K(-x) = -K(x) for every x, so a radial kernel is
+    odd by construction.
+    """
+
+    coef: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        return x * self.coef(np.einsum("ij,ij->i", x, x))[:, None]
+
+
 @dataclass
 class KernelSpec:
     """Pairwise force kernel, optionally split into short + smooth parts.
 
-    When a split is declared, ``short_part`` must vanish for |x| >= split_radius,
-    be odd (K1(-x) = -K1(x), as the short-range sum evaluates each pair once)
-    and ``short_part + smooth_part`` must reproduce ``force``.
+    When a split is declared, ``short_part`` must vanish for |x| >= split_radius
+    and ``short_part + smooth_part`` must reproduce ``force``.  The split step
+    sums the short part once per pair, so it takes only a ``RadialKernel``
+    short part, whose oddness K1(-x) = -K1(x) holds by construction.
     """
 
     force: Kernel

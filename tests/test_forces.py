@@ -28,7 +28,14 @@ from randbatch.forces import (
 )
 from randbatch.models import ConsensusModel, CuckerSmaleModel, consensus_rhs, cs_rhs
 from randbatch.rng import RngStream, SimStreams
-from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image, wrap_positions
+from randbatch.state import (
+    BatchDivision,
+    KernelSpec,
+    ParticleState,
+    RadialKernel,
+    minimum_image,
+    wrap_positions,
+)
 
 LINE4 = ParticleState(positions=np.arange(4.0)[:, None])
 
@@ -337,27 +344,28 @@ def _truncated_brute_force(state, K1, r0, alpha_N):
     return out
 
 
+# K(x) = x and K(x) = x exp(-|x|^2) as radial kernels x c(|x|^2)
+IDENTITY = RadialKernel(np.ones_like)
+GAUSS = RadialKernel(lambda r2: np.exp(-r2))
+
+
 def test_short_range_force_empty_when_all_far():
     state = ParticleState(positions=np.array([[0.0, 0, 0], [4.0, 4, 4]]), box_length=10.0)
-    out = short_range_force_all(state, lambda x: x, r0=1.0, alpha_N=1.0)[0]
+    out = short_range_force_all(state, IDENTITY, r0=1.0, alpha_N=1.0)[0]
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
 def test_short_range_force_matches_brute_force():
     gen = RngStream(13).generator()
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
-    odd = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
-    expected = _truncated_brute_force(state, odd, 1.5, 0.7)
-    np.testing.assert_allclose(short_range_force_all(state, odd, 1.5, 0.7), expected, atol=1e-13)
-    # each pair is evaluated once, as a Newton pair: a K1 with K1(-x) != -K1(x) is refused
-    with pytest.raises(ValueError, match="odd"):
-        short_range_force_all(state, lambda x: x**2, 1.5, 0.7)
+    expected = _truncated_brute_force(state, GAUSS, 1.5, 0.7)
+    np.testing.assert_allclose(short_range_force_all(state, GAUSS, 1.5, 0.7), expected, atol=1e-13)
 
 
 def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
     gen = RngStream(31).generator()
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
-    K1 = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
+    K1 = GAUSS
     pairs = PairList(1.5)
     for _ in range(6):  # moves of up to 0.27 skin/2 per axis and step force a rebuild
         np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7, pairs),
@@ -369,20 +377,18 @@ def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
         short_range_force_all(state, K1, 1.2, 0.7, pairs)
 
 
-def test_short_range_oddness_is_checked_on_list_builds_only():
+def test_short_range_force_refuses_a_non_radial_k1():
+    # each pair is evaluated once, as a Newton pair, so K1 must be odd; a radial
+    # kernel is odd by construction, and any other callable is refused, odd or not,
+    # before the list is searched
     gen = RngStream(33).generator()
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
-    odd = lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True))
     pairs = PairList(1.5)
-    short_range_force_all(state, odd, 1.5, 0.7, pairs)
-    # the list is fresh, so this call does not build it and K1 runs once, unchecked
-    even = lambda x: odd(x) ** 2
-    i, j, disp, _ = pairs(state.positions, 8.0)
-    expected = 0.7 * pair_force_sum(64, i, j, even(np.ascontiguousarray(disp)))
-    np.testing.assert_array_equal(short_range_force_all(state, even, 1.5, 0.7, pairs), expected)
-    moved = state.replace(positions=state.positions + 0.2)  # the list is stale: a build
-    with pytest.raises(ValueError, match="odd"):
-        short_range_force_all(moved, even, 1.5, 0.7, pairs)
+    for K1 in (lambda x: x * np.exp(-np.sum(x**2, axis=-1, keepdims=True)),  # odd
+               lambda x: x**2):  # even
+        with pytest.raises(TypeError, match="RadialKernel"):
+            short_range_force_all(state, K1, 1.5, 0.7, pairs)
+    assert pairs.builds == 0
 
 
 def test_pair_search_on_an_empty_system_twice():
@@ -391,22 +397,8 @@ def test_pair_search_on_an_empty_system_twice():
     for _ in range(2):
         i, j, disp, r2 = pairs(state.positions, 5.0)
         assert i.size == j.size == r2.size == 0 and disp.shape == (0, 3)
-        assert short_range_force_all(state, lambda x: x, 1.0, 1.0, pairs).shape == (0, 3)
+        assert short_range_force_all(state, IDENTITY, 1.0, 1.0, pairs).shape == (0, 3)
     assert pairs.builds == 1
-
-
-def test_short_range_kernel_gets_c_ordered_rows():
-    # the pair list keeps its displacements axis-major; a kernel that reduces
-    # over a strided view (an einsum, say) may round differently
-    gen = RngStream(32).generator()
-    state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
-
-    def K1(x):
-        assert x.flags.c_contiguous
-        return x * np.exp(-np.einsum("ij,ij->i", x, x))[:, None]
-
-    np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7),
-                               _truncated_brute_force(state, K1, 1.5, 0.7), atol=1e-13)
 
 
 def test_only_forces_searches_for_neighbour_pairs():
@@ -612,15 +604,40 @@ def test_neighbor_pairs_rejects_non_finite_positions():
 def test_short_range_force_minimum_image_across_boundary():
     L = 10.0
     state = ParticleState(positions=np.array([[0.1, 0, 0], [L - 0.1, 0, 0]]), box_length=L)
-    out = short_range_force_all(state, lambda x: x, r0=0.5, alpha_N=1.0)[0]
+    out = short_range_force_all(state, IDENTITY, r0=0.5, alpha_N=1.0)[0]
     # interaction seen at displacement +0.2 through the boundary
     np.testing.assert_allclose(out, [0.2, 0.0, 0.0], atol=1e-13)
 
 
 def test_short_range_force_rejects_wide_cutoff():
     state = ParticleState(positions=np.zeros((2, 3)), box_length=4.0)
-    with pytest.raises(ValueError):
-        short_range_force_all(state, lambda x: x, r0=2.0, alpha_N=1.0)
+    with pytest.raises(ValueError, match="half the box"):
+        short_range_force_all(state, IDENTITY, r0=2.0, alpha_N=1.0)
+
+
+def test_pair_list_refuses_a_cutoff_of_half_the_box():
+    pos = RngStream(34).generator().uniform(0, 10.0, size=(20, 3))
+    pairs = PairList(5.0)
+    with pytest.raises(ValueError, match="half the box"):
+        pairs(pos, 10.0)
+    assert pairs.builds == 0
+    # the box the list is asked about decides: the same list answers in a wider one
+    assert all(np.array_equal(a, b)
+               for a, b in zip(pairs(pos, 10.5), neighbor_pairs(pos, 10.5, 5.0)))
+
+
+def test_pair_list_just_below_half_the_box_answers_equal_a_fresh_search():
+    # at r_c = 0.49 L the listed radius r_c + skin passes L/2; only r_c is checked
+    L = 10.0
+    gen = RngStream(35).generator()
+    pos = gen.uniform(0, L, size=(60, 3))
+    pairs = PairList(0.49 * L)
+    for _ in range(6):
+        listed = pairs(pos, L)
+        assert pairs.cutoff + pairs.skin > L / 2
+        assert all(np.array_equal(a, b) for a, b in zip(listed, neighbor_pairs(pos, L, 0.49 * L)))
+        pos = pos + gen.uniform(-0.3, 0.3, size=pos.shape) * pairs.skin
+    assert pairs.builds >= 2
 
 
 def test_kernel_split_invariants_checked():

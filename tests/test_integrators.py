@@ -20,7 +20,7 @@ from randbatch.integrators import (
 )
 from randbatch.models import lj_kernel_spec
 from randbatch.rng import SimStreams
-from randbatch.state import KernelSpec, ParticleState, minimum_image
+from randbatch.state import BatchDivision, KernelSpec, ParticleState, RadialKernel, minimum_image
 
 ZERO = lambda x: np.zeros_like(x)
 
@@ -137,11 +137,9 @@ def test_rbmr_zero_kernel_moves_only_selected():
 
 def test_split_step_with_zero_smooth_part_is_deterministic():
     spec = KernelSpec(
-        force=lambda x: x * np.exp(-np.sum(x**2, -1, keepdims=True)),
+        force=RadialKernel(lambda r2: np.exp(-r2)),
         split_radius=1.5,
-        short_part=lambda x: np.where(
-            (np.sum(x**2, -1, keepdims=True) < 1.5**2),
-            x * np.exp(-np.sum(x**2, -1, keepdims=True)), 0.0),
+        short_part=RadialKernel(lambda r2: np.where(r2 < 1.5**2, np.exp(-r2), 0.0)),
         smooth_part=ZERO,
     )
     state = _state2(N=16, d=3, seed=11, box=6.0)
@@ -154,7 +152,8 @@ def test_split_step_with_zero_smooth_part_is_deterministic():
 
 def test_split_step_with_zero_short_part_matches_plain_rbm():
     smooth = lambda x: np.sin(x)
-    spec = KernelSpec(force=smooth, split_radius=1.0, short_part=ZERO, smooth_part=smooth)
+    spec = KernelSpec(force=smooth, split_radius=1.0, short_part=RadialKernel(np.zeros_like),
+                      smooth_part=smooth)
     state = _state2(N=8, d=3, seed=12, box=7.0)
     system = SecondOrderSystem(kernel=spec, alpha_N=1 / 7, gamma=0.1, sigma=0.2)
     plain_system = SecondOrderSystem(kernel=smooth, alpha_N=1 / 7, gamma=0.1, sigma=0.2)
@@ -189,6 +188,25 @@ def _lj_fluid(N, seed, beta=0.5):
                          velocities=velocities), streams
 
 
+def test_split_smooth_part_takes_the_minimum_image_of_mates_half_a_box_apart():
+    # on the lj-split lattice start (10 sites per side) sites 5 and 0 of a row are
+    # exactly L/2 apart, where floor(d / L + 0.5) and rint(d / L) pick opposite
+    # images; the smooth term takes minimum_image's, so both mates see d_x = -L/2
+    state, _ = _lj_fluid(1000, seed=0)
+    L, pos = state.box_length, state.positions
+    assert (pos[500, 0] - pos[0, 0]) / L == 0.5 and np.all(pos[500, 1:] == pos[0, 1:])
+    order = np.concatenate([[0, 500], np.delete(np.arange(1000), [0, 500])])
+    spec = lj_kernel_spec()
+    smooth = forces.division_forces(state, BatchDivision(order=order, batch_size=2),
+                                    spec.smooth_part, 1.0)
+    for i, j in ((0, 500), (500, 0)):
+        d = minimum_image(pos[i] - pos[j], L)
+        assert d[0] == -L / 2
+        expected = forces.batch_prefactor(1.0, 1000, 2) * spec.smooth_part(d[None, :])[0]
+        np.testing.assert_allclose(smooth[i], expected, rtol=1e-14)
+    assert smooth[500, 0] == smooth[0, 0] != 0.0
+
+
 def test_split_step_short_force_matches_a_fresh_search_across_list_rebuilds(monkeypatch):
     seen = []
     short_range = integrators.short_range_force_all
@@ -216,33 +234,31 @@ def test_split_step_short_force_matches_a_fresh_search_across_list_rebuilds(monk
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
-def test_split_step_evaluates_k1_once_per_pair_plus_a_check_per_build():
+def test_split_step_evaluates_k1_once_per_pair_and_refuses_a_non_radial_k1():
     spec = lj_kernel_spec()
     calls = []
 
-    def counting(x):
-        calls.append(x.copy())
-        return spec.short_part(x)
+    def counting(r2):
+        calls.append(r2.copy())
+        return spec.short_part.coef(r2)
 
     state, streams = _lj_fluid(125, seed=6)
-    kernel = KernelSpec(force=spec.force, split_radius=1.6, short_part=counting,
+    kernel = KernelSpec(force=spec.force, split_radius=1.6, short_part=RadialKernel(counting),
                         smooth_part=spec.smooth_part)
     system = SecondOrderSystem(kernel=kernel, alpha_N=1.0, gamma=1.0, sigma=2.0)
-    builds = 0
     for _ in range(40):
-        pos, seen = state.positions, len(calls)
+        pos = state.positions
         state = rbm_split_step(state, system, 2, 2e-3, streams)
-        built, builds = system.pairs.builds - builds, system.pairs.builds
-        assert len(calls) - seen == 1 + built
         disp = minimum_image(pos[:, None] - pos[None], state.box_length)
         r2 = np.einsum("ijk,ijk->ij", disp, disp)[np.triu_indices(len(pos), 1)]
-        kept = np.sort(r2[r2 < 1.6**2])
-        x = calls[seen]  # one row per kept pair i < j
-        np.testing.assert_allclose(np.sort(np.einsum("ij,ij->i", x, x)), kept, rtol=1e-12)
-        if built:
-            np.testing.assert_array_equal(calls[seen + 1], -x)
-    assert 2 <= builds < 40
-    assert len(calls) == 40 + builds
+        # one coefficient per kept pair i < j, on a list build or not
+        np.testing.assert_allclose(np.sort(calls[-1]), np.sort(r2[r2 < 1.6**2]), rtol=1e-12)
+    assert 2 <= system.pairs.builds < 40
+    assert len(calls) == 40
+    # the short part is summed once per pair, so it must be odd: only a radial one is taken
+    kernel.short_part = lambda x: spec.short_part(x)
+    with pytest.raises(TypeError, match="RadialKernel"):
+        rbm_split_step(state, system, 2, 2e-3, streams)
 
 
 def test_split_list_searches_only_on_builds_over_the_benchmark_episode(monkeypatch):

@@ -408,19 +408,19 @@ def test_dyson_target_drift_symmetry():
         np.testing.assert_allclose(orig, relabeled, atol=1e-12)
 
 
-def test_split_short_part_is_force_minus_smooth_bit_for_bit_and_odd():
+def test_split_short_coefficient_is_force_minus_smooth_and_the_short_part_odd_bit_for_bit():
     spec = lj_kernel_spec(sigma=1.0, epsilon=1.0, r0=1.6)
     x = RngStream(12).generator().uniform(-2.0, 2.0, size=(3000, 3))
-    r = np.linalg.norm(x, axis=1)
-    assert np.any(r < 1.6) and np.any(r >= 1.6)
-    short = spec.short_part(x)
-    np.testing.assert_array_equal(short, spec.force(x) - spec.smooth_part(x))
-    np.testing.assert_array_equal(spec.short_part(-x), -short)
+    r2 = np.einsum("ij,ij->i", x, x)
+    assert np.any(r2 < 1.6**2) and np.any(r2 >= 1.6**2)
+    np.testing.assert_array_equal(spec.short_part.coef(r2),
+                                  spec.force.coef(r2) - spec.smooth_part.coef(r2))
+    assert np.all(spec.short_part.coef(r2[r2 >= 1.6 * 1.6]) == 0.0)
+    np.testing.assert_array_equal(spec.short_part(-x), -spec.short_part(x))
 
 
-def test_lj_split_parts_equal_the_two_branch_formula_bit_for_bit():
-    # smooth_h skips the h branch when no row needs it; np.where only selects, so
-    # the parts must equal the formula that evaluates both branches on every row
+def test_lj_split_parts_match_the_two_branch_formula():
+    # the split written in r with powers of r, both branches on every row
     sigma, epsilon, r0 = 1.0, 1.0, 1.6
     h = lambda r: 24.0 * epsilon * (2.0 * sigma**12 / r**14 - sigma**6 / r**8)
     h_prime = lambda r: 24.0 * epsilon * (-28.0 * sigma**12 / r**15 + 8.0 * sigma**6 / r**9)
@@ -433,11 +433,18 @@ def test_lj_split_parts_equal_the_two_branch_formula_bit_for_bit():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     inside = gen.uniform(0.3, r0, 500)[:, None] * dirs
     outside = gen.uniform(r0, 3.0, 500)[:, None] * dirs
-    for x in (inside, outside, np.concatenate([inside[:250], outside[250:]]), r0 * dirs[:3]):
+    at_r0 = np.array([[r0, 0.0, 0.0], [0.0, -r0, 0.0], [0.0, 0.0, r0]])
+    for x in (inside, outside, np.concatenate([inside[:250], outside[250:]]), r0 * dirs[:3], at_r0):
         r = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        force = x * h(r)
         smooth = x * np.where(r >= r0, h(np.maximum(r, r0)), h0 * (a + b * (r / r0) ** 2))
-        np.testing.assert_array_equal(spec.smooth_part(x), smooth)
-        np.testing.assert_array_equal(spec.short_part(x), x * h(np.maximum(r, 1e-300)) - smooth)
+        # the short part cancels force against smooth near r0: an absolute tolerance
+        # on the scale of the force
+        atol = 1e-12 * np.abs(force).max()
+        np.testing.assert_allclose(spec.force(x), force, rtol=1e-12)
+        np.testing.assert_allclose(spec.smooth_part(x), smooth, rtol=1e-12)
+        np.testing.assert_allclose(spec.short_part(x), force - smooth, rtol=1e-12, atol=atol)
+    np.testing.assert_array_equal(spec.short_part(at_r0), 0.0)
 
 
 def test_lj_kernel_split_is_c1_and_bounded():

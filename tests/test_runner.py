@@ -10,7 +10,7 @@ import yaml
 
 from randbatch.cli import main
 from randbatch.integrators import IntegrationError
-from randbatch.runner import MODEL_METHODS, MODELS, ConfigError, run, validate_dict
+from randbatch.runner import MODEL_METHODS, MODELS, ConfigError, run, validate, validate_dict
 
 # One tiny config per model.  The toy's convergence study is a fixed
 # experiment of its own that no run field reaches, and it is slow, so the toy
@@ -257,6 +257,25 @@ def test_cli_rejects_a_negative_seed_before_writing_anything(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "invalid-config", "details": ["seed: must be an integer >= 0"]}
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("written, value", [("1e-3", 1e-3), ("1.0e-3", 1e-3), ("2.0e-3", 2e-3),
+                                            ("1E-3", 1e-3), ("+5e-4", 5e-4)])
+def test_a_config_file_reads_exponent_floats_in_either_spelling(written, value, tmp_path):
+    # YAML 1.1 reads 1e-3 (no dot, unsigned exponent) as a string
+    path = tmp_path / "w.yaml"
+    path.write_text(f"model:\n  id: wealth\nrun:\n  dt: {written}\n")
+    cfg = validate(path)
+    assert cfg["run"]["dt"] == value and isinstance(cfg["run"]["dt"], float)
+
+
+def test_an_exponent_alpha_in_a_config_file_is_refused_by_its_half_cube(tmp_path):
+    path = tmp_path / "e.yaml"
+    path.write_text("model:\n  id: electrolyte\n  alpha: 1e6\n")
+    with pytest.raises(ConfigError) as info:
+        validate(path)
+    assert info.value.errors == ["model: the exact Fourier sums' half cube at m_max = 16733 "
+                                 "holds 1.87e+13 frequencies, more than 2^24: lower alpha"]
 
 
 def test_an_alpha_whose_cube_is_too_big_validates_without_the_exact_sums():
