@@ -391,6 +391,43 @@ def test_short_range_force_refuses_a_non_radial_k1():
     assert pairs.builds == 0
 
 
+def test_short_range_oddness_is_checked_on_list_builds_only():
+    # a RadialKernel is odd by construction, so a list build adds no K1 call of
+    # its own: a build and a reuse each evaluate the coefficient once, on the
+    # list's own r^2, and a K1 that is not radial is refused on a stale list too
+    gen = RngStream(33).generator()
+    state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
+    calls = []
+    K1 = RadialKernel(lambda r2: calls.append(r2.size) or np.exp(-r2))
+    pairs = PairList(1.5)
+    moved = state.replace(positions=state.positions + 0.2)
+    for s in (state, state, moved):  # a build, a reuse, a rebuild
+        got = short_range_force_all(s, K1, 1.5, 0.7, pairs)
+        i, j, disp, r2 = pairs(s.positions, 8.0)
+        np.testing.assert_array_equal(got, 0.7 * pair_force_sum(64, i, j, disp, np.exp(-r2)))
+        assert calls[-1] == i.size
+    assert len(calls) == 3 and pairs.builds == 2
+    stale = moved.replace(positions=moved.positions + 0.2)
+    with pytest.raises(TypeError, match="RadialKernel"):
+        short_range_force_all(stale, lambda x: x**2, 1.5, 0.7, pairs)
+    assert pairs.builds == 2
+
+
+def test_short_range_kernel_gets_c_ordered_rows():
+    # the pair list keeps its displacements axis-major; K1 sees none of them:
+    # its coefficient gets the list's r^2, one C-ordered row of M values
+    gen = RngStream(32).generator()
+    state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
+
+    def coef(r2):
+        assert r2.ndim == 1 and r2.flags.c_contiguous
+        return np.exp(-r2)
+
+    K1 = RadialKernel(coef)
+    np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7),
+                               _truncated_brute_force(state, K1, 1.5, 0.7), atol=1e-13)
+
+
 def test_pair_search_on_an_empty_system_twice():
     state = ParticleState(positions=np.zeros((0, 3)), box_length=5.0)
     pairs = PairList(1.0)
