@@ -1,22 +1,14 @@
-"""Random batch divisions and with-replacement batch sampling."""
+"""Random batch divisions and with-replacement batch sampling, drawn from a
+``np.random.Generator`` (``RngStream.generator()`` gives a stream's)."""
 
-from typing import Iterator, List, Union
+from typing import Iterator, List
 
 import numpy as np
 
-from .rng import RngStream
 from .state import BatchDivision
 
-GeneratorLike = Union[np.random.Generator, RngStream]
 
-
-def _as_generator(rng: GeneratorLike) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
-def random_division(N: int, p: int, rng: GeneratorLike) -> BatchDivision:
+def random_division(N: int, p: int, rng: np.random.Generator) -> BatchDivision:
     """Uniformly random partition of {0..N-1} into batches of size p.
 
     Consecutive chunks of a uniform permutation form the batches, which is
@@ -30,10 +22,10 @@ def random_division(N: int, p: int, rng: GeneratorLike) -> BatchDivision:
         raise ValueError("batch size must be >= 2")
     if p > N:
         raise ValueError("batch size cannot exceed the particle count")
-    return BatchDivision(order=_as_generator(rng).permutation(N), batch_size=p)
+    return BatchDivision(rng.permutation(N), p)
 
 
-def sample_batch_with_replacement(N: int, p: int, rng: GeneratorLike) -> np.ndarray:
+def sample_batch_with_replacement(N: int, p: int, rng: np.random.Generator) -> np.ndarray:
     """One batch of p distinct indices, uniform over all p-subsets.
 
     "With replacement" refers to successive calls: the same particle may
@@ -43,8 +35,7 @@ def sample_batch_with_replacement(N: int, p: int, rng: GeneratorLike) -> np.ndar
         raise ValueError("batch size must be >= 2")
     if p > N:
         raise ValueError("batch size cannot exceed the particle count")
-    gen = _as_generator(rng)
-    return np.sort(gen.choice(N, size=p, replace=False))
+    return np.sort(rng.choice(N, size=p, replace=False))
 
 
 def enumerate_divisions(N: int, p: int) -> Iterator[BatchDivision]:
@@ -71,10 +62,7 @@ def enumerate_divisions(N: int, p: int) -> Iterator[BatchDivision]:
                 yield [batch, *tail]
 
     for batches in rec(list(range(N))):
-        assignment = np.empty(N, dtype=np.int64)
-        for b, members in enumerate(batches):
-            assignment[members] = b
-        yield BatchDivision(assignment=assignment, batch_size=p)
+        yield BatchDivision(np.concatenate(batches), p)  # each batch ascending
 
 
 def batch_index_matrices(division: BatchDivision):

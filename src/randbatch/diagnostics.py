@@ -21,23 +21,18 @@ def _step_cdf(x_sorted: np.ndarray, w_sorted: np.ndarray, grid: np.ndarray) -> n
     return cw[idx]
 
 
-def wasserstein1_1d(
-    a,
-    b,
-    support: Optional[Tuple[float, float]] = None,
-    grid_points: int = 200_001,
-) -> float:
+def wasserstein1_1d(a, b, support: Optional[Tuple[float, float]] = None) -> float:
     """W1 distance between two 1-d measures via their CDFs.
 
     ``a`` is samples; ``b`` is either samples or a callable CDF.  The
     two-sample case integrates |F_a - F_b| exactly between merged sample
     points.  Against a callable CDF the integral runs over ``support``
-    (default: padded sample range) on a dense grid.
+    (default: padded sample range) on 200 001 points plus the samples.
     """
     xa, wa = _as_weighted(a)
     if callable(b):
         lo, hi = support if support is not None else (xa[0] - 1.0, xa[-1] + 1.0)
-        grid = np.union1d(np.linspace(lo, hi, grid_points), xa[(xa >= lo) & (xa <= hi)])
+        grid = np.union1d(np.linspace(lo, hi, 200_001), xa[(xa >= lo) & (xa <= hi)])
         diff = np.abs(_step_cdf(xa, wa, grid) - np.asarray(b(grid), dtype=np.float64))
         return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
     xb, wb = _as_weighted(b)

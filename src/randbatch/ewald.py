@@ -144,11 +144,12 @@ def sum_S(alpha: float, L: float) -> float:
     return float(h * (3.0 + h * (3.0 + h)))
 
 
-def sampling_table(alpha: float, L: float) -> Tuple[np.ndarray, np.ndarray, float]:
-    """``_sample_m``'s 1-d table: the integers m, the CDF of their weights, and P(m != 0).
+def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
 
-    Raises ValueError when P(m != 0) is below 1e-4, where all-zero draws would
-    be redrawn thousands of times per sample.
+    Each component is drawn by inverse CDF from the 1-d table of weights; all-zero
+    rows are dropped and redrawn.  Raises ValueError when P(m != 0) is below
+    1e-4, where all-zero draws would be redrawn thousands of times per sample.
     """
     m, w = _weight_table(alpha, L)
     cdf = np.cumsum(w)
@@ -156,16 +157,6 @@ def sampling_table(alpha: float, L: float) -> Tuple[np.ndarray, np.ndarray, floa
     if keep < 1e-4:
         raise ValueError(f"alpha L^2 = {alpha * L**2:g} leaves P(m != 0) = {keep:.1e}: "
                          "too little frequency mass to sample")
-    return m, cdf, keep
-
-
-def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
-
-    Each component is drawn by inverse CDF from the 1-d table; all-zero rows
-    are dropped and redrawn.
-    """
-    m, cdf, keep = sampling_table(alpha, L)
     blocks, need = [], count
     while need > 0:
         u = rng.random((min(int(need / keep) + 16, 1 << 18), 3)) * cdf[-1]
@@ -285,18 +276,17 @@ class KSampleBank:
         self._dropped = self.cursor
 
 
-def mh_sample_kvectors(alpha: float, L: float, count: int, rng) -> KSampleBank:
+def mh_sample_kvectors(alpha: float, L: float, count: int, rng: np.random.Generator) -> KSampleBank:
     """A bank of ``count`` i.i.d. frequencies k = 2 pi m / L drawn by ``_sample_m``.
 
-    ``rng`` is a generator or an ``RngStream``; the bank keeps the generator
-    for refills.  The name predates the exact sampler; it stays because the
-    benchmark's layer trace reports this function as ``ewald.mh_sample_kvectors``.
+    The bank keeps ``rng`` for refills.  The name predates the exact sampler;
+    it stays because the benchmark's layer trace reports this function as
+    ``ewald.mh_sample_kvectors``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    m = _sample_m(alpha, L, count, gen)
-    return KSampleBank(alpha=alpha, L=L, samples=TWO_PI * m / L, _rng=gen)
+    m = _sample_m(alpha, L, count, rng)
+    return KSampleBank(alpha=alpha, L=L, samples=TWO_PI * m / L, _rng=rng)
 
 
 def discrete_gaussian_moments(alpha: float, L: float) -> Tuple[float, float]:
@@ -423,18 +413,10 @@ def self_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     return float(-math.sqrt(params.alpha / math.pi) * np.sum(system.charges**2))
 
 
-def ewald_energy_parts(system: PeriodicChargeSystem, params: EwaldParams) -> dict:
-    _, u_real = real_space_force_all(system, params)
-    return {
-        "U_real": u_real,
-        "U_fourier": fourier_energy(system, params),
-        "U_self": self_energy(system, params),
-    }
-
-
 def ewald_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     """Total Coulomb energy U_real + U_fourier + U_self (reference value)."""
-    return float(sum(ewald_energy_parts(system, params).values()))
+    return (real_space_force_all(system, params)[1] + fourier_energy(system, params)
+            + self_energy(system, params))
 
 
 class CoulombSystem(SecondOrderSystem):

@@ -110,16 +110,6 @@ class StepSchedule:
         raise ValueError(f"unknown schedule kind {self.kind!r}")
 
 
-def _check_finite(positions: np.ndarray, velocities: Optional[np.ndarray], label: str):
-    """Raise IntegrationError naming the first particle with a non-finite coordinate."""
-    if np.all(np.isfinite(positions)) and (velocities is None or np.all(np.isfinite(velocities))):
-        return
-    bad = ~np.isfinite(positions).all(axis=1)
-    if velocities is not None:
-        bad |= ~np.isfinite(velocities).all(axis=1)
-    raise IntegrationError(f"non-finite state after {label} at particle {int(np.argmax(bad))}")
-
-
 def _stepped(state: ParticleState, label: str, **fields) -> ParticleState:
     """``state.replace(**fields)``, with a non-finite position raised as IntegrationError
     naming the first bad particle.
@@ -131,7 +121,10 @@ def _stepped(state: ParticleState, label: str, **fields) -> ParticleState:
     try:
         return state.replace(**fields)
     except ValueError:
-        _check_finite(fields["positions"], fields.get("velocities"), label)
+        bad = ~np.isfinite(fields["positions"]).all(axis=1)
+        if bad.any():
+            raise IntegrationError(f"non-finite state after {label} at particle "
+                                   f"{int(np.argmax(bad))}")
         raise
 
 
@@ -160,8 +153,7 @@ def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: flo
         new_v += xi
     new_x = np.multiply(new_v, dt)
     new_x += state.positions
-    return _stepped(state, "second-order step", positions=new_x, velocities=new_v,
-                    time=state.time + dt)
+    return _stepped(state, "second-order step", positions=new_x, velocities=new_v)
 
 
 def _advance(state, system, force, dt, noise_rng) -> ParticleState:
@@ -180,7 +172,7 @@ def _advance(state, system, force, dt, noise_rng) -> ParticleState:
         xi *= math.sqrt(dt)
         xi *= scale
         new += xi
-    return _stepped(state, "first-order step", positions=new, time=state.time + dt)
+    return _stepped(state, "first-order step", positions=new)
 
 
 def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) -> ParticleState:
@@ -220,13 +212,13 @@ def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStrea
     for _ in range(n_inner):
         batch = sample_batch_with_replacement(N, p, streams.division)
         sub = ParticleState(positions=x[batch], velocities=None if v is None else v[batch],
-                            box_length=state.box_length, time=state.time)
+                            box_length=state.box_length)
         force = full_force_all(sub, system.kernel, batch_prefactor(system.alpha_N, N, batch.size))
         advanced = _advance(sub, system, force, dt, streams.noise)
         x[batch] = advanced.positions
         if v is not None:
             v[batch] = advanced.velocities
-    return state.replace(positions=x, velocities=v, time=state.time + dt)
+    return state.replace(positions=x, velocities=v)
 
 
 def rbm_split_step(

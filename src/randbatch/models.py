@@ -7,7 +7,7 @@ checked quantitatively without external data.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -335,15 +335,17 @@ class ElectrolyteModel:
     """Monovalent binary electrolyte: +-1 charges with a Lennard-Jones core.
 
     Reduced units with dielectric 1/(4 pi), so a unit charge has potential
-    q/r.  The LJ diameter plays the role of the effective ion size.
+    q/r.  The LJ diameter plays the role of the effective ion size; the
+    core's depth and its cutoff in diameters are fixed.
     ``pairs`` is the Verlet list of the LJ core, at cutoff ``lj_cutoff``.
     """
+
+    lj_epsilon: ClassVar[float] = 1.0
+    lj_cutoff_factor: ClassVar[float] = 2.5
 
     N: int
     L: float
     lj_sigma: float = 0.2
-    lj_epsilon: float = 1.0
-    lj_cutoff_factor: float = 2.5
     temperature: float = 1.0
 
     pairs: PairList = field(init=False, repr=False, compare=False)

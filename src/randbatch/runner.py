@@ -16,9 +16,12 @@ builders call, and a config that validates builds.  ``run`` executes a
 resolved config through one loop shared by all models: stepping, per-step
 hooks (wealth reflection, thermostats, the electrolyte's energy log, the Stein
 flow's 1e6 bound), recording every ``record_every`` steps and replicas.  It
-writes ``config.resolved.yaml``, ``metrics.json``, CSV artifacts and
-``log.txt`` into the output directory.
+writes ``config.resolved.yaml``, ``metrics.json`` and ``log.txt`` into the
+output directory, and the CSV artifacts there too for one replica; with
+``run.replicas`` > 1, replica r writes its CSVs into ``replica<r>/`` under it.
 Identical (config, seed) pairs produce byte-identical metrics.
+Without ``method`` a config runs its model's first: ``rbm`` for wealth,
+cucker-smale and consensus, ``direct`` for the toy, and every other model's one.
 ``metrics.json`` is strict JSON: a run whose metrics hold a NaN or an
 infinity fails with their key paths and writes no ``metrics.json``.
 """
@@ -126,8 +129,8 @@ class ModelSpec:
 
 
 def _sim(cfg, streams, **fields) -> SimpleNamespace:
-    return SimpleNamespace(**{"streams": streams, "p": cfg["run"]["p"], "rows": [], "hooks": [],
-                              **fields})
+    return SimpleNamespace(**{"streams": streams, "p": cfg["run"].get("p"), "rows": [],
+                              "hooks": [], **fields})
 
 
 def _thermostat(t: dict):
@@ -433,7 +436,7 @@ MODELS = {
     "wealth": ModelSpec(
         fields={"N": 10_000, "kappa": 1.0, "D": 0.5},
         run={"p": 2, "dt": 1e-3, "T": 3.0, "replicas": 1},
-        steppers={m: _STEPPERS[m] for m in ("direct", "rbm")}, diagnostics=("w1_equilibrium",),
+        steppers={m: _STEPPERS[m] for m in ("rbm", "direct")}, diagnostics=("w1_equilibrium",),
         build=_build_wealth, finish=_finish_wealth, positive=("kappa", "D"),
     ),
     "cucker-smale": ModelSpec(
@@ -482,7 +485,7 @@ MODELS = {
     ),
     "dyson": ModelSpec(
         fields={"N": 500, "split_radius": 0.01, "m": 5},
-        run={"p": 2, "dt": 1e-4, "sweeps": 1_000_000, "warmup": lambda run: run["sweeps"] // 3,
+        run={"dt": 1e-4, "sweeps": 1_000_000, "warmup": lambda run: run["sweeps"] // 3,
              "replicas": 1},
         steppers={"rbmc": _step_dyson}, diagnostics=("w1_semicircle", "density_at_zero"),
         build=_build_dyson, finish=_finish_dyson, positive=("split_radius",),
@@ -552,9 +555,9 @@ def _resolve_thermostat(raw: dict, model_id: str, kinds: tuple, errors: list) ->
                                      f"thermostat kind {kind!r}", errors)}
 
 
-def _check_run(run: dict, raw_run: dict, method: str, model_id: str, N, errors: list):
+def _check_run(run: dict, raw_run: dict, method: str, N, errors: list):
     """Range checks on the resolved run section; fills in derived defaults."""
-    p = run["p"]
+    p = run.get("p", 2)  # dyson has no run.p: its RBMC chain moves pairs, p = 2
     min_p = 1 if method == "rbe" else 2
     if not _is_int(p, min_p):
         errors.append(f"run.p: batch size must be >= {min_p}")
@@ -563,8 +566,6 @@ def _check_run(run: dict, raw_run: dict, method: str, model_id: str, N, errors: 
     elif method == "direct" and p not in (2, N):
         errors.append("run.p: method 'direct' sums over all N particles; "
                       "leave run.p at 2 or set it to model.N")
-    elif model_id == "dyson" and p != 2:
-        errors.append("run.p: the RBMC chain moves pairs; p must be 2")
     s = run.get("schedule")
     if s is not None:
         run["dt"] = None
@@ -666,7 +667,7 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         errors.append("model.N: must be an integer >= 2")
     if "dim" in model and not _is_int(model["dim"], 1):
         errors.append("model.dim: must be an integer >= 1")
-    _check_run(cfg["run"], sections["run"], cfg["method"], model_id, N, errors)
+    _check_run(cfg["run"], sections["run"], cfg["method"], N, errors)
     if not _is_int(cfg["output"].get("trajectory_every", 0), 0):
         errors.append("output.trajectory_every: must be an integer >= 0")
     errors += [f"model.{k}: must be positive" for k in spec.positive if not _positive(model[k])
@@ -807,8 +808,11 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
                          "blas_threads: not capped, numpy's BLAS exposes no thread-count call")
     t0 = time.perf_counter()
     replicas = cfg["run"]["replicas"]
-    per_replica = [_run_replica(cfg, SimStreams(cfg["seed"], replica=rep), outdir)
-                   for rep in range(replicas)]
+    dirs = [outdir] if replicas == 1 else [outdir / f"replica{rep}" for rep in range(replicas)]
+    per_replica = []
+    for rep, rep_dir in enumerate(dirs):
+        rep_dir.mkdir(exist_ok=True)
+        per_replica.append(_run_replica(cfg, SimStreams(cfg["seed"], replica=rep), rep_dir))
     metrics = {"version": __version__, "name": cfg["name"], "seed": cfg["seed"],
                "method": cfg["method"], "model": cfg["model"]["id"]}
     if replicas == 1:

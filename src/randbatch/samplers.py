@@ -12,7 +12,7 @@ steps, one random division per step for RBM-SVGD.
 
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -58,7 +58,6 @@ class MarkovChainStats:
     proposal_count: int = 0
     acceptance_count: int = 0
     clamp_count: int = 0
-    energy_trace: list = field(default_factory=list)
 
     @property
     def acceptance_rate(self) -> float:

@@ -1,4 +1,5 @@
-"""Particle state, interaction kernels and batch divisions."""
+"""Particle state (positions and optional velocities; a run's clock is its
+loop counter), interaction kernels and batch divisions, built from their order."""
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -33,7 +34,6 @@ class ParticleState:
     positions: np.ndarray
     velocities: Optional[np.ndarray] = None
     box_length: Optional[float] = None
-    time: float = 0.0
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.atleast_2d(np.asarray(self.positions, dtype=np.float64)))
@@ -51,8 +51,6 @@ class ParticleState:
             if vel.shape != pos.shape:
                 raise ValueError("velocities must have the same shape as positions")
             self.velocities = vel
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
 
     @property
     def n_particles(self) -> int:
@@ -62,12 +60,11 @@ class ParticleState:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    def replace(self, positions=None, velocities=None, time=None) -> "ParticleState":
+    def replace(self, positions=None, velocities=None) -> "ParticleState":
         return ParticleState(
             positions=self.positions if positions is None else positions,
             velocities=self.velocities if velocities is None else velocities,
             box_length=self.box_length,
-            time=self.time if time is None else time,
         )
 
 
@@ -94,8 +91,9 @@ class KernelSpec:
 
     When a split is declared, ``short_part`` must vanish for |x| >= split_radius
     and ``short_part + smooth_part`` must reproduce ``force``.  The split step
-    sums the short part once per pair, so it takes only a ``RadialKernel``
-    short part, whose oddness K1(-x) = -K1(x) holds by construction.
+    sums the short part once per pair, so the short part must be a
+    ``RadialKernel``, whose oddness K1(-x) = -K1(x) holds by construction; any
+    other is refused with TypeError here, where the split is built.
     """
 
     force: Kernel
@@ -109,6 +107,8 @@ class KernelSpec:
                 raise ValueError("split_radius must be positive")
             if self.short_part is None or self.smooth_part is None:
                 raise ValueError("a split kernel needs both short_part and smooth_part")
+            if not isinstance(self.short_part, RadialKernel):
+                raise TypeError("the short part K1 must be a RadialKernel, x c(|x|^2)")
 
     @property
     def has_split(self) -> bool:
@@ -145,19 +145,15 @@ class BatchDivision:
     remainder of at least 2, or p + 1 particles when one is left over.
     ``random_division`` builds a division from the permutation it drew alone,
     and ``assignment`` (particle -> batch) is derived from it on first read.
-    A bare assignment must have the ``validate`` layout, and its order is a
-    stable argsort of it.
     """
 
-    def __init__(self, assignment=None, batch_size: Optional[int] = None, order=None):
-        if batch_size is None or batch_size < 2:
+    def __init__(self, order: np.ndarray, batch_size: int):
+        if batch_size < 2:
             raise ValueError("batch size must be >= 2")
+        self.order = order
         self.batch_size = batch_size
-        self._assignment = None if assignment is None else np.asarray(assignment, dtype=np.int64)
-        self.order = np.argsort(self._assignment, kind="stable") if order is None else order
-        self.n_batches = self.order.size // batch_size + (self.order.size % batch_size >= 2)
-        if order is None:
-            self.validate()
+        self.n_batches = order.size // batch_size + (order.size % batch_size >= 2)
+        self._assignment = None
 
     @property
     def assignment(self) -> np.ndarray:

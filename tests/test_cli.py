@@ -51,7 +51,7 @@ def test_minimal_dyson_config_gets_defaults():
     assert cfg["method"] == "rbmc"
     assert cfg["model"]["N"] == 500
     assert cfg["model"]["split_radius"] == 0.01
-    assert cfg["run"]["p"] == 2
+    assert "p" not in cfg["run"]  # the RBMC chain moves pairs by construction
     assert cfg["diagnostics"] == ["w1_semicircle", "density_at_zero"]
     assert cfg["seed"] == 0
 

@@ -89,7 +89,7 @@ def test_sum_s_positive():
 
 
 def test_mh_sampler_statistics():
-    bank = mh_sample_kvectors(1.0, 10.0, 100_000, RngStream(17))
+    bank = mh_sample_kvectors(1.0, 10.0, 100_000, RngStream(17).generator())
     m = np.rint(bank.samples * 10.0 / (2 * np.pi))
     assert not np.any(np.all(m == 0, axis=1))
     _, var_exact = discrete_gaussian_moments(1.0, 10.0)
@@ -99,8 +99,8 @@ def test_mh_sampler_statistics():
 
 
 def test_bank_determinism_and_ordered_consumption():
-    a = mh_sample_kvectors(0.8, 9.0, 2000, RngStream(5))
-    b = mh_sample_kvectors(0.8, 9.0, 2000, RngStream(5))
+    a = mh_sample_kvectors(0.8, 9.0, 2000, RngStream(5).generator())
+    b = mh_sample_kvectors(0.8, 9.0, 2000, RngStream(5).generator())
     np.testing.assert_array_equal(a.samples, b.samples)
     first = a.draw(100)
     np.testing.assert_array_equal(first, b.samples[:100])
@@ -109,7 +109,7 @@ def test_bank_determinism_and_ordered_consumption():
 
 
 def test_bank_refills_instead_of_reusing():
-    bank = mh_sample_kvectors(0.8, 9.0, 64, RngStream(6))
+    bank = mh_sample_kvectors(0.8, 9.0, 64, RngStream(6).generator())
     bank.draw(50)
     out = bank.draw(50)  # forces a refill
     assert len(bank.samples) > 64
@@ -120,7 +120,7 @@ def test_bank_refills_instead_of_reusing():
 
 def test_refilled_bank_keeps_a_bounded_size_and_reproduces_its_draws():
     def draws(seed):
-        bank = mh_sample_kvectors(0.8, 9.0, 64, RngStream(seed))
+        bank = mh_sample_kvectors(0.8, 9.0, 64, RngStream(seed).generator())
         out = []
         for _ in range(2000):
             out.append(bank.draw(100).copy())
@@ -132,7 +132,8 @@ def test_refilled_bank_keeps_a_bounded_size_and_reproduces_its_draws():
     np.testing.assert_array_equal(a, draws(7))
     assert not np.any(np.all(a == 0.0, axis=1))
     # the first draw hands out the 64 drawn up front, in order, then fresh ones
-    np.testing.assert_array_equal(a[:64], mh_sample_kvectors(0.8, 9.0, 64, RngStream(7)).samples)
+    first = mh_sample_kvectors(0.8, 9.0, 64, RngStream(7).generator())
+    np.testing.assert_array_equal(a[:64], first.samples)
 
 
 def _enumerated_target(alpha, L, m_max=40):
@@ -153,7 +154,8 @@ def test_sampled_shells_match_the_enumerated_pmf():
     label = np.minimum((np.cumsum(shell_prob) - shell_prob) * 30, 29).astype(int)
     label = np.unique(label, return_inverse=True)[1]
     expected = n * np.bincount(label, shell_prob)
-    m = np.rint(mh_sample_kvectors(alpha, L, n, RngStream(19)).samples * L / (2 * np.pi))
+    bank = mh_sample_kvectors(alpha, L, n, RngStream(19).generator())
+    m = np.rint(bank.samples * L / (2 * np.pi))
     observed = np.bincount(label[(m**2).sum(1).astype(int)], minlength=len(expected))
     chi2 = np.sum((observed - expected) ** 2 / expected)
     assert scipy.stats.chi2.sf(chi2, len(expected) - 1) > 1e-3
@@ -165,7 +167,7 @@ def test_consecutive_draws_repeat_as_often_as_independent_ones():
     alpha, L, n = 0.3 ** (2 / 3), 10.0, 100_000
     _, prob = _enumerated_target(alpha, L)
     p_repeat = np.sum(prob**2)
-    k = mh_sample_kvectors(alpha, L, n, RngStream(23)).samples
+    k = mh_sample_kvectors(alpha, L, n, RngStream(23).generator()).samples
     repeats = np.all(k[1:] == k[:-1], axis=1).sum()
     se = math.sqrt((n - 1) * p_repeat * (1 - p_repeat))
     assert abs(repeats - (n - 1) * p_repeat) < 4 * se
@@ -173,7 +175,7 @@ def test_consecutive_draws_repeat_as_often_as_independent_ones():
 
 def test_sampler_rejects_a_target_with_almost_no_nonzero_mass():
     with pytest.raises(ValueError, match="frequency mass"):
-        mh_sample_kvectors(0.01, 8.0, 10, RngStream(24))
+        mh_sample_kvectors(0.01, 8.0, 10, RngStream(24).generator())
 
 
 def test_structure_factor_point_charges():
@@ -377,7 +379,7 @@ def test_batch_phases_are_products_of_the_chain_alone_and_in_a_batch():
     N, L = 300, 10.0
     system = _random_electroneutral(N, L, seed=38)
     params = EwaldParams.for_system(N, L, p=100)
-    k = mh_sample_kvectors(params.alpha, L, 100, RngStream(39)).draw(100)
+    k = mh_sample_kvectors(params.alpha, L, 100, RngStream(39).generator()).draw(100)
     m = np.rint(k * (L / (2 * np.pi))).astype(int)
     chain = _phase_chain(system.state.positions, L, int(np.abs(m).max()))
     expected = np.array([chain[a][0] * chain[b][1] * chain[c][2] for a, b, c in m])
@@ -426,7 +428,7 @@ def test_fourier_force_pair_attraction():
 
 def test_rbe_forces_sum_to_zero_any_batch():
     system = _random_electroneutral(12, 7.0, seed=25)
-    bank = mh_sample_kvectors(1.0, 7.0, 64, RngStream(7))
+    bank = mh_sample_kvectors(1.0, 7.0, 64, RngStream(7).generator())
     S = sum_S(1.0, 7.0)
     F = rbe_force_all(system, bank.draw(10), S)
     np.testing.assert_allclose(F.sum(axis=0), 0.0, atol=1e-10)
@@ -439,7 +441,7 @@ def test_rbe_force_matches_the_real_contraction_of_im_conj_e_rho():
     system = _random_electroneutral(N, L, seed=92)
     params = EwaldParams.for_system(N, L, p=p)
     S = sum_S(params.alpha, L)
-    bank = mh_sample_kvectors(params.alpha, L, 5 * p, RngStream(93))
+    bank = mh_sample_kvectors(params.alpha, L, 5 * p, RngStream(93).generator())
     q = system.charges
     for _ in range(5):
         k = bank.draw(p)
@@ -479,7 +481,7 @@ def test_rbe_monte_carlo_mean_approaches_exact():
     system = _random_electroneutral(8, L, seed=27)
     S = sum_S(alpha, L)
     n_batches, p = 100_000, 10
-    bank = mh_sample_kvectors(alpha, L, n_batches * p, RngStream(8))
+    bank = mh_sample_kvectors(alpha, L, n_batches * p, RngStream(8).generator())
     kall = bank.samples
     k2 = np.einsum("ij,ij->i", kall, kall)
     coef = S * 4 * np.pi / system.volume / k2
@@ -794,7 +796,7 @@ def test_md_step_exact_mode_matches_manual_direct_step():
 def test_md_step_conserves_momentum_before_thermostat():
     system = _random_electroneutral(16, 7.0, seed=32, velocities=True)
     params = EwaldParams.for_system(16, 7.0, p=8)
-    bank = mh_sample_kvectors(params.alpha, 7.0, 256, RngStream(10))
+    bank = mh_sample_kvectors(params.alpha, 7.0, 256, RngStream(10).generator())
     before = system.state.velocities.sum(axis=0)
     stepped, _ = rbe_md_step(system, params, None, bank, 1e-3, SimStreams(11))
     after = stepped.state.velocities.sum(axis=0)

@@ -181,7 +181,8 @@ def test_division_forces_same_from_kept_permutation_and_bare_assignment(N, p):
     gen = RngStream(13).generator()
     state = ParticleState(positions=gen.standard_normal((N, 2)))
     division = random_division(N, p, gen)
-    bare = BatchDivision(assignment=division.assignment, batch_size=p)
+    # the order a bare assignment gives: its stable argsort, each batch ascending
+    bare = BatchDivision(np.argsort(division.assignment, kind="stable"), p)
     np.testing.assert_array_equal(division_forces(state, division, gaussian, 1 / (N - 1)),
                                   division_forces(state, bare, gaussian, 1 / (N - 1)))
 
@@ -682,14 +683,19 @@ def test_kernel_split_invariants_checked():
 
     spec = lj_kernel_spec(sigma=1.0, epsilon=1.0, r0=1.6)
     spec.check_split(RngStream(6).generator(), dim=3)
-    bad = KernelSpec(
-        force=lambda x: x,
-        split_radius=1.0,
-        short_part=lambda x: x,  # does not vanish outside the cutoff
-        smooth_part=lambda x: np.zeros_like(x),
-    )
-    with pytest.raises(ValueError):
+    zero = RadialKernel(np.zeros_like)
+    # K1 = x does not vanish outside the cutoff, though K1 + K2 = K everywhere
+    bad = KernelSpec(force=IDENTITY, split_radius=1.0, short_part=IDENTITY, smooth_part=zero)
+    with pytest.raises(ValueError, match="does not vanish"):
         bad.check_split(RngStream(6).generator(), dim=1)
+    # K1 = x inside the cutoff and 0 beyond it, but K1 + K2 misses K = x beyond it
+    inside = RadialKernel(lambda r2: np.where(r2 < 1.0, 1.0, 0.0))
+    bad = KernelSpec(force=IDENTITY, split_radius=1.0, short_part=inside, smooth_part=zero)
+    with pytest.raises(ValueError, match="does not reproduce"):
+        bad.check_split(RngStream(6).generator(), dim=1)
+    # a short part that is not radial is refused where the split is built
+    with pytest.raises(TypeError, match="RadialKernel"):
+        KernelSpec(force=IDENTITY, split_radius=1.0, short_part=lambda x: x, smooth_part=zero)
 
 
 def _np_mod_wrap(positions, L):

@@ -10,7 +10,16 @@ import yaml
 
 from randbatch.cli import main
 from randbatch.integrators import IntegrationError
-from randbatch.runner import MODEL_METHODS, MODELS, ConfigError, run, validate, validate_dict
+from randbatch.rng import SimStreams
+from randbatch.runner import (
+    MODEL_METHODS,
+    MODELS,
+    ConfigError,
+    _run_replica,
+    run,
+    validate,
+    validate_dict,
+)
 
 # One tiny config per model.  The toy's convergence study is a fixed
 # experiment of its own that no run field reaches, and it is slow, so the toy
@@ -146,7 +155,7 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny("wealth", steps=10), "run.steps: not used by model 'wealth'"),
     (_tiny("lj-fluid", record_every=2), "run.record_every: not used by model 'lj-fluid'"),
     (_tiny("toy", method="direct", p=4), "method 'direct' sums over all N particles"),
-    (_tiny("dyson", p=4), "the RBMC chain moves pairs; p must be 2"),
+    (_tiny("dyson", p=2), "run.p: not used by model 'dyson'"),
     (_tiny("toy", kind="langevin"), "thermostat: model 'toy' takes no thermostat"),
     ({**_tiny("lj-fluid"), "thermostat": {"kind": "andersen", "gamma": 2.0}},
      "thermostat.gamma: not used by thermostat kind 'andersen'"),
@@ -230,6 +239,31 @@ def test_hidden_defaults_are_echoed():
     wealth = validate_dict({"model": {"id": "wealth"}})
     assert wealth["run"] == {"p": 2, "dt": 1e-3, "T": 3.0, "replicas": 1}
     assert "thermostat" not in wealth
+
+
+def test_the_wealth_model_runs_rbm_by_default():
+    # the direct step is O(N^2): at the default N = 10^4 about 1.4 s per step
+    assert validate_dict({"model": {"id": "wealth"}})["method"] == "rbm"
+    assert MODEL_METHODS["wealth"] == ("rbm", "direct")
+
+
+@pytest.mark.parametrize("model", ["toy", "wealth", "cucker-smale"])
+def test_each_replica_writes_its_own_csvs_as_a_lone_run_of_its_streams(model, tmp_path):
+    cfg = validate_dict({**_tiny(model), "run": {**_tiny(model)["run"], "replicas": 2}})
+    outdir = run(cfg, out_root=tmp_path / "run")
+    assert not list(outdir.glob("*.csv"))  # only one replica's would fit here
+    per_replica = json.loads((outdir / "metrics.json").read_text())["replicas"]
+    for rep in range(2):
+        lone = tmp_path / f"lone{rep}"
+        lone.mkdir()
+        metrics = _run_replica(cfg, SimStreams(cfg["seed"], replica=rep), lone)
+        csvs = sorted(f.name for f in lone.glob("*.csv"))
+        assert csvs and csvs == sorted(f.name for f in (outdir / f"replica{rep}").iterdir())
+        for name in csvs:
+            assert (outdir / f"replica{rep}" / name).read_bytes() == (lone / name).read_bytes()
+        assert json.loads(json.dumps(metrics)) == per_replica[rep]
+    assert ((outdir / "replica0" / csvs[0]).read_bytes()
+            != (outdir / "replica1" / csvs[0]).read_bytes())
 
 
 def test_electrolyte_records_no_frames_when_no_diagnostic_reads_them():
