@@ -15,6 +15,21 @@ same update expression and the same per-step noise draw, so a random-batch
 step with p = N reproduces the direct step bit for bit under identical
 streams; that coupling also underlies the strong-error measurements.
 
+At p = 2 a large first-order step spends a large share of its time filling
+the Brownian increments.  ``direct_step`` and ``rbm_step_first_order``
+therefore hand an Euler-Maruyama draw of at least ``_CONCURRENT_DRAW``
+values to one worker thread, when the process may run on more than one CPU,
+and divide and sum the forces while numpy fills it without the interpreter
+lock; ``_advance`` takes the finished array.  The draw comes from the same
+``noise`` generator, which nothing else in the step reads, so its bits do not
+change.  Smaller draws are drawn in line: a round trip to the thread costs
+about as much as drawing 10^3 normals, and a step at N = 10^3 gained nothing
+from it.  Second-order steps draw their noise in line too.  The worker is
+made on the first large draw, dropped in a forked child, and runs nothing but
+the generator.  A step that needs its draw before the worker has started it
+makes the draw itself, and each step waits for its draw before it returns or
+raises.
+
 A ``SecondOrderSystem`` carries the Verlet list (``forces.PairList``) of the
 kernel-splitting step's exact short-range sum from step to step.  The list
 changes only how the pairs within the split radius are found: it hands them
@@ -23,6 +38,10 @@ are summed in the same order whenever the list was built.
 """
 
 import math
+import os
+import queue
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -156,8 +175,98 @@ def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: flo
     return _stepped(state, "second-order step", positions=new_x, velocities=new_v)
 
 
-def _advance(state, system, force, dt, noise_rng) -> ParticleState:
-    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift."""
+# the smallest Euler-Maruyama draw that goes to the worker thread
+_CONCURRENT_DRAW = 1 << 13
+_jobs = None  # the worker thread's queue of _Draw jobs, made on first use
+
+
+def _drop_worker():
+    global _jobs
+    _jobs = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill(claim, rng, shape, box):
+    """Put ``rng.standard_normal(shape)``, or what it raised, into ``box``, unless
+    the other thread has taken ``claim`` first."""
+    if claim.acquire(blocking=False):
+        try:
+            box.put(rng.standard_normal(shape))
+        except BaseException as exc:  # handed to the step, which raises it
+            box.put(exc)
+
+
+def _serve_draws(jobs):
+    while True:
+        _fill(*jobs.get())
+
+
+class _Draw:
+    """``rng.standard_normal(shape)`` queued for the worker thread.
+
+    A step that needs the draw before the worker has started it makes it in
+    line, so a worker that wakes late costs the step little more than the
+    in-line draw would.  Leaving a ``with`` block on it waits for the draw, so
+    none outlives its step.
+    """
+
+    def __init__(self, rng, shape):
+        global _jobs
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve_draws, args=(_jobs,), name="randbatch-noise",
+                             daemon=True).start()
+        self._job = (threading.Lock(), rng, shape, queue.SimpleQueue())
+        _jobs.put(self._job)
+
+    def _wait(self):
+        if self._job is not None:
+            _fill(*self._job)
+            self._value, self._job = self._job[3].get(), None
+
+    def result(self) -> np.ndarray:
+        """The drawn array."""
+        self._wait()
+        if isinstance(self._value, BaseException):
+            raise self._value
+        return self._value
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._wait()
+
+
+def _noise_alongside(system, shape, noise_rng):
+    """A ``_Draw`` of the Euler-Maruyama step's ``noise_rng.standard_normal(shape)``,
+    or a context yielding None when the step draws it in line.
+
+    The worker takes a noisy ``FirstOrderSystem``'s draw of at least
+    ``_CONCURRENT_DRAW`` values, when the process may use more than one CPU.
+    """
+    if (isinstance(system, FirstOrderSystem) and system.sigma
+            and math.prod(shape) >= _CONCURRENT_DRAW and _cpus() > 1):
+        return _Draw(noise_rng, shape)
+    return nullcontext()
+
+
+def _advance(state, system, force, dt, noise_rng, drawn=None) -> ParticleState:
+    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift.
+
+    ``drawn``, when given, is the ``_Draw`` of the Euler-Maruyama step's
+    N(0, I) increments from ``noise_rng``.
+    """
     x = state.positions
     if system.drift is not None:
         force = system.drift(x) + force
@@ -168,7 +277,7 @@ def _advance(state, system, force, dt, noise_rng) -> ParticleState:
     new += x
     if system.sigma:
         scale = system.sigma if system.noise_scale is None else system.sigma * system.noise_scale(x)
-        xi = noise_rng.standard_normal(x.shape)
+        xi = noise_rng.standard_normal(x.shape) if drawn is None else drawn.result()
         xi *= math.sqrt(dt)
         xi *= scale
         new += xi
@@ -179,7 +288,8 @@ def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) ->
     """Full-batch step with exact O(N^2) forces."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _advance(state, system, system.batch_forces(state), dt, streams.noise)
+    with _noise_alongside(system, state.positions.shape, streams.noise) as drawn:
+        return _advance(state, system, system.batch_forces(state), dt, streams.noise, drawn)
 
 
 def rbm_step_first_order(state: ParticleState, system, p: int, dt: float,
@@ -192,8 +302,10 @@ def rbm_step_first_order(state: ParticleState, system, p: int, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    division = random_division(state.n_particles, p, streams.division)
-    return _advance(state, system, system.batch_forces(state, division), dt, streams.noise)
+    with _noise_alongside(system, state.positions.shape, streams.noise) as drawn:
+        division = random_division(state.n_particles, p, streams.division)
+        return _advance(state, system, system.batch_forces(state, division), dt, streams.noise,
+                        drawn)
 
 
 def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStreams) -> ParticleState:

@@ -6,6 +6,14 @@ included), Andersen collisions (``thermostat``) and Monte Carlo proposals
 get their own substream so that they are mutually independent and results do
 not depend on evaluation order.  A stream is addressed by
 ``(seed, stream_id)``; identical addresses produce bit-identical sequences.
+
+One draw may run on another thread: a first-order step's Brownian increments
+from ``noise``, when they number at least 2^13 and the process may use more
+than one CPU (``integrators._noise_alongside``).  It is made once, by the
+worker or, when the worker has not started it, by the step itself, and the
+step waits for it before it returns.  Meanwhile the step draws the division
+and sums the forces from other streams, so ``noise`` yields the same values
+in the same order and the bits cannot change.
 """
 
 from dataclasses import dataclass

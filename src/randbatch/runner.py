@@ -19,6 +19,7 @@ flow's 1e6 bound), recording every ``record_every`` steps and replicas.  It
 writes ``config.resolved.yaml``, ``metrics.json`` and ``log.txt`` into the
 output directory, and the CSV artifacts there too for one replica; with
 ``run.replicas`` > 1, replica r writes its CSVs into ``replica<r>/`` under it.
+A rerun into the same directory first removes those files of the earlier run.
 Identical (config, seed) pairs produce byte-identical metrics.
 Without ``method`` a config runs its model's first: ``rbm`` for wealth,
 cucker-smale and consensus, ``direct`` for the toy, and every other model's one.
@@ -791,15 +792,37 @@ def _non_finite_paths(value, path):
     return [path] if isinstance(value, float) and not math.isfinite(value) else []
 
 
+# every file a run writes, into its output directory or a replica<r>/ under it
+_ARTIFACTS = ("config.resolved.yaml", "metrics.json", "log.txt", "samples.csv", "energy.csv",
+             "functionals.csv", "trajectory.csv")
+
+
+def _clear_artifacts(outdir: Path):
+    """Remove an earlier run's ``_ARTIFACTS`` from ``outdir`` and its ``replica<r>/``
+    directories, and each such directory left empty; every other file stays."""
+    for name in _ARTIFACTS:
+        (outdir / name).unlink(missing_ok=True)
+    for rep_dir in list(outdir.iterdir()):
+        if re.fullmatch(r"replica\d+", rep_dir.name) and rep_dir.is_dir():
+            for name in _ARTIFACTS:
+                (rep_dir / name).unlink(missing_ok=True)
+            if not any(rep_dir.iterdir()):
+                rep_dir.rmdir()
+
+
 def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
     """Execute a resolved config; returns the artifact directory.
 
+    An earlier run's artifacts in that directory are removed first (see
+    ``_clear_artifacts``), so what it holds afterwards is this run's alone.
     ``threads`` caps numpy's BLAS thread pool before the run starts; None
-    leaves it as it is.
+    leaves it as it is.  It caps BLAS only: a first-order step whose noise
+    draw is large fills it on one more thread (``integrators``).
     """
     out_root = Path(out_root or cfg["output"]["directory"])
     outdir = out_root / f"{cfg['name']}-seed{cfg['seed']}"
     outdir.mkdir(parents=True, exist_ok=True)
+    _clear_artifacts(outdir)
     with open(outdir / "config.resolved.yaml", "w") as fh:
         yaml.safe_dump(cfg, fh, sort_keys=True)
     log_lines = [f"randbatch {__version__}", f"method={cfg['method']} model={cfg['model']['id']}"]

@@ -180,7 +180,12 @@ class BatchDivision:
             yield from idx
 
     def validate(self):
-        """Check the partition property; raises on violation."""
+        """Check that ``order`` is a permutation of 0..N-1 and the partition
+        property; raises on violation."""
+        n = self.order.size
+        if not (np.issubdtype(self.order.dtype, np.integer)
+                and np.array_equal(np.sort(self.order), np.arange(n))):
+            raise ValueError(f"order is not a permutation of 0..{n - 1}")
         counts = np.bincount(self.assignment, minlength=self.n_batches)
         small = np.flatnonzero(counts != self.batch_size)
         # at most one remainder batch, and it must be the last one

@@ -117,6 +117,12 @@ def test_with_replacement_pair_frequencies():
         assert abs(freq / n_draws - 1 / 6) < 0.01
 
 
+def test_validate_refuses_an_order_that_is_not_a_permutation():
+    # read first, this order's assignment would hold an uninitialised entry
+    with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.5"):
+        BatchDivision(np.array([0, 0, 1, 2, 3, 4]), 2).validate()
+
+
 @pytest.mark.parametrize("N,p,expected", [(4, 2, 3), (6, 2, 15), (6, 3, 10), (4, 4, 1)])
 def test_enumeration_counts(N, p, expected):
     divisions = list(enumerate_divisions(N, p))

@@ -1,11 +1,17 @@
 """Time steppers: reference coupling, RBM variants, splitting, schedules."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randbatch
 from randbatch import forces, integrators, runner
 from randbatch.integrators import (
     FirstOrderSystem,
@@ -18,7 +24,7 @@ from randbatch.integrators import (
     rbm_step_first_order,
     rbmr_step,
 )
-from randbatch.models import lj_kernel_spec
+from randbatch.models import WealthModel, lj_kernel_spec
 from randbatch.rng import SimStreams
 from randbatch.state import BatchDivision, KernelSpec, ParticleState, RadialKernel, minimum_image
 
@@ -95,6 +101,180 @@ def test_rbm_zero_kernel_matches_direct_under_same_noise():
     out_a = direct_step(a, system, 0.1, SimStreams(9))
     out_b = rbm_step_first_order(b, system, 2, 0.1, SimStreams(9))
     np.testing.assert_array_equal(out_a.positions, out_b.positions)
+
+
+def _wealth(N):
+    model = WealthModel(N=N)
+    return ParticleState(positions=model.initial(SimStreams(0).init)[:, None]), model.system()
+
+
+def _count_worker_draws(monkeypatch):
+    made = []
+
+    class Counted(integrators._Draw):
+        def __init__(self, rng, shape):
+            made.append(shape)
+            super().__init__(rng, shape)
+
+    monkeypatch.setattr(integrators, "_Draw", Counted)
+    return made
+
+
+STEPS = {
+    "rbm": lambda state, system, streams: rbm_step_first_order(state, system, 2, 1e-3, streams),
+    "direct": lambda state, system, streams: direct_step(state, system, 1e-3, streams),
+}
+
+
+def _steps(step, state, system, k, seed):
+    streams = SimStreams(seed)
+    for _ in range(k):
+        state = STEPS[step](state, system, streams)
+    return state
+
+
+@pytest.mark.parametrize("step, N, gate, cpus, on_worker", [
+    ("rbm", 10_000, None, {0, 1}, True),  # wealth-rbm's size under the gate as it is
+    ("rbm", 3000, 1 << 10, {0, 1}, True),
+    ("direct", 300, 1 << 8, {0, 1}, True),
+    ("rbm", 10_000, None, {0}, False),  # one CPU: in line
+    ("rbm", 5000, None, {0, 1}, False),  # below the gate
+    ("second-order", 10_000, None, {0, 1}, False),
+])
+def test_a_noise_draw_on_the_worker_gives_the_in_line_bits(monkeypatch, step, N, gate, cpus,
+                                                           on_worker):
+    state, system = _wealth(N)
+    if step == "second-order":
+        step = "rbm"
+        state = state.replace(velocities=np.zeros_like(state.positions))
+        system = SecondOrderSystem(kernel=system.kernel, alpha_N=system.alpha_N, gamma=1.0,
+                                   sigma=1.0)
+    if gate is not None:
+        monkeypatch.setattr(integrators, "_CONCURRENT_DRAW", gate)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    made = _count_worker_draws(monkeypatch)
+    got = _steps(step, state, system, 5, seed=7)
+    assert made == ([(N, 1)] * 5 if on_worker else [])
+    monkeypatch.setattr(integrators, "_CONCURRENT_DRAW", sys.maxsize)
+    expected = _steps(step, state, system, 5, seed=7)
+    assert len(made) == (5 if on_worker else 0)
+    np.testing.assert_array_equal(got.positions, expected.positions)
+
+
+class _SlowNoise:
+    """A noise generator whose draws finish late and say when they have."""
+
+    def __init__(self, gen):
+        self.gen, self.done = gen, threading.Event()
+
+    def standard_normal(self, shape):
+        time.sleep(0.2)
+        out = self.gen.standard_normal(shape)
+        self.done.set()
+        return out
+
+
+@pytest.mark.parametrize("step", ["rbm", "direct"])
+def test_a_step_whose_forces_raise_waits_for_its_draw(monkeypatch, step):
+    class Failing(FirstOrderSystem):
+        def batch_forces(self, state, division=None):
+            raise RuntimeError("forces failed")
+
+    N = 1 << 13
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    made = _count_worker_draws(monkeypatch)
+    streams = SimStreams(3)
+    streams.noise = _SlowNoise(streams.noise)
+    with pytest.raises(RuntimeError, match="forces failed"):
+        STEPS[step](_state1(N), Failing(kernel=ZERO, alpha_N=1.0, sigma=1.0), streams)
+    assert made == [(N, 1)]
+    assert streams.noise.done.is_set()  # no draw outlives its step
+    fresh = SimStreams(3).noise
+    fresh.standard_normal((N, 1))
+    np.testing.assert_array_equal(streams.noise.gen.standard_normal((N, 1)),
+                                  fresh.standard_normal((N, 1)))
+
+
+class _ThreadNoise:
+    """A noise generator that records the thread of each draw."""
+
+    def __init__(self, gen):
+        self.gen, self.threads = gen, []
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.current_thread())
+        return self.gen.standard_normal(shape)
+
+
+def test_a_step_draws_in_line_what_the_busy_worker_has_not_started(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    state, system = _wealth(10_000)
+    expected = _steps("rbm", state, system, 5, seed=8).positions
+    busy = _SlowNoise(np.random.default_rng(0))
+    with integrators._Draw(busy, (2,)):  # holds the worker for 0.2 s
+        streams = SimStreams(8)
+        streams.noise = _ThreadNoise(streams.noise)
+        got = state
+        for _ in range(5):
+            got = rbm_step_first_order(got, system, 2, 1e-3, streams)
+        assert not busy.done.is_set()
+    assert streams.noise.threads == [threading.main_thread()] * 5
+    np.testing.assert_array_equal(got.positions, expected)
+
+
+def test_a_draw_that_raises_on_the_worker_raises_from_its_step(monkeypatch):
+    class Broken:
+        def standard_normal(self, shape):
+            raise FloatingPointError("draw failed")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    state, system = _wealth(10_000)
+    streams = SimStreams(0)
+    streams.noise = Broken()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        rbm_step_first_order(state, system, 2, 1e-3, streams)
+
+
+def test_importing_starts_no_thread_and_the_first_large_draw_starts_one():
+    code = ("import os, sys, threading; sys.path.insert(0, sys.argv[1]); "
+            "os.sched_getaffinity = lambda pid: {0, 1}; "
+            "import randbatch.cli, randbatch.runner; "
+            "from randbatch import integrators, models; from randbatch.rng import SimStreams; "
+            "from randbatch.state import ParticleState; counts = [threading.active_count()]; "
+            "streams = SimStreams(0)\n"
+            "for N in (1000, 10000, 10000):\n"
+            "    model = models.WealthModel(N=N)\n"
+            "    state = ParticleState(positions=model.initial(streams.init)[:, None])\n"
+            "    integrators.rbm_step_first_order(state, model.system(), 2, 1e-3, streams)\n"
+            "    counts.append(threading.active_count())\n"
+            "print(*counts)")
+    src = str(Path(randbatch.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=120).stdout.split()
+    assert out == ["1", "1", "2", "2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_on_a_worker_of_its_own(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    state, system = _wealth(10_000)
+    expected = _steps("rbm", state, system, 2, seed=4).positions  # the worker runs by now
+    pid = os.fork()
+    if pid == 0:  # the child: its parent's worker thread did not come along
+        status = 2
+        try:
+            status = int(not np.array_equal(_steps("rbm", state, system, 2, seed=4).positions,
+                                            expected))
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the child's step waited on its parent's worker")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_rbmr_full_batch_is_single_inner_update():

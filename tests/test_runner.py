@@ -266,6 +266,30 @@ def test_each_replica_writes_its_own_csvs_as_a_lone_run_of_its_streams(model, tm
             != (outdir / "replica1" / csvs[0]).read_bytes())
 
 
+def test_a_rerun_removes_the_earlier_runs_artifacts_and_nothing_else(tmp_path):
+    outdir = run(validate_dict(_tiny("toy")), out_root=tmp_path)
+    assert (outdir / "samples.csv").exists()
+    (outdir / "notes.txt").write_text("kept\n")
+    run(validate_dict({**_tiny("toy"), "run": {"replicas": 2}}), out_root=tmp_path)
+    assert not (outdir / "samples.csv").exists()  # one replica's, from the lone run
+    assert (outdir / "replica1" / "samples.csv").exists()
+    (outdir / "replica1" / "notes.txt").write_text("kept\n")
+    run(validate_dict(_tiny("toy")), out_root=tmp_path)
+    assert sorted(f.name for f in outdir.iterdir()) == [
+        "config.resolved.yaml", "log.txt", "metrics.json", "notes.txt", "replica1", "samples.csv"]
+    assert [f.name for f in (outdir / "replica1").iterdir()] == ["notes.txt"]
+    assert (outdir / "notes.txt").read_text() == "kept\n"
+
+
+def test_a_rerun_without_a_trajectory_leaves_no_trajectory_csv(tmp_path):
+    raw = _tiny("electrolyte")
+    outdir = run(validate_dict({**raw, "output": {"trajectory_every": 5}}), out_root=tmp_path)
+    assert (outdir / "trajectory.csv").exists()
+    run(validate_dict({**raw, "output": {"trajectory_every": 0}}), out_root=tmp_path)
+    assert not (outdir / "trajectory.csv").exists()
+    assert (outdir / "energy.csv").exists()
+
+
 def test_electrolyte_records_no_frames_when_no_diagnostic_reads_them():
     cfg = validate_dict({**_tiny("electrolyte"), "diagnostics": ["momentum"]})
     assert "record_every" not in cfg["run"]
