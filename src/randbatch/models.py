@@ -131,11 +131,11 @@ class WealthModel:
         return out
 
     def equilibrium_cdf(self, y) -> np.ndarray:
+        """Inverse-Gamma CDF, elementwise: 0 wherever y is not positive."""
         y = np.asarray(y, dtype=np.float64)
-        out = np.zeros_like(y)
         pos = y > 0
-        out[pos] = special("gammaincc")(self.shape, self.scale / y[pos])
-        return out
+        z = np.divide(self.scale, y, out=np.ones_like(y), where=pos)
+        return special("gammaincc")(self.shape, z, out=np.zeros_like(y), where=pos)
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         return np.abs(rng.standard_normal(self.N))

@@ -1,11 +1,21 @@
 """Wasserstein distance and radial profiles."""
 
+import json
+import math
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
+import pytest
 from scipy.optimize import linprog
+from scipy.special import gammaincc
 from scipy.stats import norm
 
+from randbatch import diagnostics
 from randbatch.diagnostics import radial_net_charge, wasserstein1_1d
+from randbatch.models import WealthModel, semicircle_cdf
 from randbatch.rng import RngStream
+from randbatch.runner import run, validate
 
 
 def _w1_lp_oracle(a, b):
@@ -118,3 +128,209 @@ def test_radial_profile_synthetic_screening_roundtrip():
     charges = np.concatenate([[1.0], -np.ones(len(radii))])
     prof = radial_net_charge(frames, charges, L, bin_width=0.1, fit_window=(0.5, 2.5))
     assert abs(prof.slope - (-kappa)) < 0.05
+
+
+# --- the blocked W1 scan and the mask-free radial scan, exactly against the
+# whole-array formulas they replace
+
+ROOT = Path(__file__).resolve().parents[1]
+GRID = np.linspace(-3.0, 5.0, 200_001)
+
+
+def _w1_whole_grid(a, cdf, support=None):
+    """W1 against a CDF with every array spanning the merged grid."""
+    x = np.sort(np.asarray(a, dtype=np.float64).reshape(-1), kind="stable")
+    lo, hi = support if support is not None else (x[0] - 1.0, x[-1] + 1.0)
+    grid = np.union1d(np.linspace(lo, hi, 200_001), x[(x >= lo) & (x <= hi)])
+    cw = np.concatenate([[0.0], np.cumsum(np.full(x.size, 1.0 / x.size))])
+    f_n = cw[np.searchsorted(x, grid, side="right")]
+    diff = np.abs(f_n - np.asarray(cdf(grid), dtype=np.float64))
+    return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
+
+
+@pytest.fixture(scope="module")
+def wealth_final(tmp_path_factory):
+    """The wealth-rbm bench config's final wealth, its model and its w1_equilibrium."""
+    cfg = validate(ROOT / "perfbench" / "configs" / "wealth-rbm.yaml")
+    outdir = run(cfg, out_root=tmp_path_factory.mktemp("wealth-rbm"))
+    wealth = np.loadtxt(outdir / "samples.csv", delimiter=",", skiprows=1, usecols=2)
+    metrics = json.loads((outdir / "metrics.json").read_text())
+    return wealth, WealthModel(N=wealth.size), metrics["w1_equilibrium"]
+
+
+def _wealth_support(wealth):
+    return (0.0, max(60.0, wealth.max() * 2))
+
+
+def test_w1_against_the_wealth_equilibrium_has_the_whole_grid_bits(wealth_final):
+    wealth, model, written = wealth_final
+    support = _wealth_support(wealth)
+    got = wasserstein1_1d(wealth, model.equilibrium_cdf, support=support)
+    assert got == _w1_whole_grid(wealth, model.equilibrium_cdf, support) == written
+
+
+def _on_grid_points():
+    block = diagnostics._W1_BLOCK
+    idx = [0, 1, block - 1, block, block + 1, 2 * block, 3 * block - 1, 199_999, 200_000]
+    return np.concatenate([GRID[idx], RngStream(11).generator().uniform(-3.0, 5.0, 200)])
+
+
+W1_CASES = {
+    "on-grid-points": lambda: (_on_grid_points(), norm.cdf, (-3.0, 5.0)),
+    "duplicates": lambda: (np.repeat(_on_grid_points()[::3], 4), norm.cdf, (-3.0, 5.0)),
+    "outside-support": lambda: (RngStream(12).generator().uniform(-6.0, 8.0, 500), norm.cdf,
+                                (-3.0, 5.0)),
+    "none-in-support": lambda: (RngStream(13).generator().uniform(6.0, 9.0, 50), norm.cdf,
+                                (-3.0, 5.0)),
+    "single-sample": lambda: (np.array([0.3]), norm.cdf, (-3.0, 5.0)),
+    "integer-support": lambda: (RngStream(14).generator().standard_normal(5000), norm.cdf, (-8, 8)),
+    "support-none": lambda: (RngStream(15).generator().standard_normal(3000), norm.cdf, None),
+    "many-samples-per-grid-step": lambda: (1e-6 * RngStream(16).generator().standard_normal(
+        20_000), norm.cdf, (-1.0, 1.0)),
+    "semicircle-2e5": lambda: (
+        math.sqrt(2.0) * (2.0 * RngStream(17).generator().beta(1.5, 1.5, 200_000) - 1.0),
+        semicircle_cdf, (-2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(W1_CASES))
+def test_w1_against_a_cdf_has_the_whole_grid_bits(case):
+    a, cdf, support = W1_CASES[case]()
+    assert wasserstein1_1d(a, cdf, support=support) == _w1_whole_grid(a, cdf, support)
+
+
+@pytest.mark.parametrize("case", ["wealth", "on-grid-points", "duplicates", "semicircle-2e5",
+                                  "many-samples-per-grid-step"])
+def test_w1_calls_the_cdf_once_per_point_on_block_sized_arrays(case, wealth_final):
+    if case == "wealth":
+        wealth, model, _ = wealth_final
+        a, cdf, support = wealth, model.equilibrium_cdf, _wealth_support(wealth)
+    else:
+        a, cdf, support = W1_CASES[case]()
+    sizes = []
+
+    def recording(x):
+        sizes.append(x.size)
+        return cdf(x)
+
+    wasserstein1_1d(a, recording, support=support)
+    inside = a[(a >= support[0]) & (a <= support[1])]
+    assert sum(sizes) == np.union1d(np.linspace(*support, 200_001), inside).size
+    # samples piled into one grid step cannot be split further
+    limit = 2 * diagnostics._W1_BLOCK + 1 if case != "many-samples-per-grid-step" else a.size + 2
+    assert max(sizes) <= limit
+
+
+def test_w1_against_the_wealth_equilibrium_peaks_under_4_mb(wealth_final):
+    wealth, model, _ = wealth_final
+    support = _wealth_support(wealth)
+    wasserstein1_1d(wealth, model.equilibrium_cdf, support=support)  # warm caches
+    tracemalloc.start()
+    try:
+        wasserstein1_1d(wealth, model.equilibrium_cdf, support=support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (0.0, math.nan),
+                                     (0.0, math.inf), (-math.inf, 0.0), (1e6, 1e6 + 1e-9)])
+def test_w1_refuses_a_reversed_non_finite_or_unresolvable_support(support):
+    with pytest.raises(ValueError, match="support"):
+        wasserstein1_1d(np.array([0.5, 1.5]), norm.cdf, support=support)
+
+
+def test_w1_with_a_nan_sample_and_no_support_refuses_the_nan_range():
+    with pytest.raises(ValueError, match="support"):
+        wasserstein1_1d(np.array([0.5, math.nan]), norm.cdf)
+
+
+def _radial_masked(frames, charges, box_length, bin_width=0.1, fit_window=(0.5, 2.5)):
+    """The radial profile with boolean masks over each (cations x N) chunk."""
+    frames = np.asarray(frames, dtype=np.float64)
+    frames = frames[None] if frames.ndim == 2 else frames
+    n_bins = int((0.5 * box_length) / bin_width)
+    acc = np.zeros(n_bins)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    cations = np.flatnonzero(charges > 0)
+    N = frames.shape[1]
+    rows = max(1, diagnostics._RADIAL_CHUNK // N)  # the same chunks: the same float sums
+    for frame in frames:
+        for s in range(0, cations.size, rows):
+            c = cations[s: s + rows]
+            r2 = np.zeros((c.size, N))
+            for axis in range(frame.shape[1]):
+                d = frame[c, axis][:, None] - frame[None, :, axis]
+                d = d - box_length * np.floor(d / box_length + 0.5)
+                r2 += d * d
+            r = np.sqrt(r2)
+            near = r < 0.5 * box_length
+            near[np.arange(c.size), c] = False
+            k = (r[near] / bin_width).astype(np.int64)
+            j = np.nonzero(near)[1]
+            keep = k < n_bins
+            acc -= np.bincount(k[keep], charges[j[keep]], minlength=n_bins)
+            counts += np.bincount(k[keep], minlength=n_bins)
+    edges = bin_width * np.arange(n_bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    shell_vol = 4.0 / 3.0 * np.pi * (edges[1:] ** 3 - edges[:-1] ** 3)
+    net_density = acc / (frames.shape[0] * max(int(np.sum(charges > 0)), 1) * shell_vol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_r_rho = np.where(net_density > 0, np.log(centers * net_density), np.nan)
+    ok = (centers >= fit_window[0]) & (centers <= fit_window[1]) & np.isfinite(ln_r_rho)
+    slope, intercept = np.polyfit(centers[ok], ln_r_rho[ok], 1) if ok.sum() >= 2 else (math.nan,
+                                                                                         math.nan)
+    return counts, net_density, float(slope), float(intercept)
+
+
+def _ions(seed, n_frames, N, L, charges):
+    return RngStream(seed).generator().uniform(0.0, L, size=(n_frames, N, 3)), np.asarray(charges)
+
+
+def _half_box_apart():
+    """Ions 0 and 1 exactly L/2 apart along x, ions 2 and 3 along z."""
+    frames, q = _ions(21, 2, 40, 8.0, np.tile([1.0, -1.0], 20))
+    frames[:, 1] = frames[:, 0]
+    frames[:, 0, 0], frames[:, 1, 0] = 1.25, 5.25
+    frames[:, 3] = frames[:, 2]
+    frames[:, 2, 2], frames[:, 3, 2] = 7.5, 3.5
+    return frames, q, 8.0
+
+
+RADIAL_CASES = {
+    "non-unit-charges": lambda: (*_ions(22, 3, 60, 7.0, np.tile([2.0, -1.0, 0.3, -0.7, 0.5, -1.1],
+                                                                  10)), 7.0),
+    "odd-n": lambda: (*_ions(23, 2, 41, 6.5, np.r_[np.tile([1.0, -1.0], 20), 1.0]), 6.5),
+    "half-box-apart": _half_box_apart,
+    "two-ions-at-one-position": lambda: (lambda f, q: (np.concatenate(
+        [f, f[:, :1]], axis=1), np.r_[q, -1.0], 8.0))(*_ions(24, 2, 40, 8.0,
+                                                            np.tile([1.0, -1.0], 20))),
+    "several-chunks": lambda: (*_ions(25, 4, 300, 6.69, np.tile([1.0, -1.0], 150)), 6.69),
+    "one-2d-frame": lambda: (lambda f, q: (f[0], q, 6.0))(*_ions(26, 1, 30, 6.0,
+                                                                np.tile([1.0, -1.0], 15))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+def test_radial_net_charge_has_the_masked_scans_bits(case):
+    frames, charges, L = RADIAL_CASES[case]()
+    prof = radial_net_charge(frames, charges, L)
+    counts, net_density, slope, intercept = _radial_masked(frames, charges, L)
+    assert np.array_equal(prof.counts, counts)
+    assert np.array_equal(prof.net_density, net_density)
+    assert np.array_equal([prof.slope, prof.intercept], [slope, intercept], equal_nan=True)
+
+
+def test_the_several_chunks_case_spans_more_than_one_chunk():
+    frames, charges, _ = RADIAL_CASES["several-chunks"]()
+    assert np.sum(charges > 0) > diagnostics._RADIAL_CHUNK // frames.shape[1]
+
+
+def test_the_equilibrium_cdf_equals_the_masked_formula_everywhere():
+    model = WealthModel(N=10)
+    y = np.array([-1.0, 0.0, math.nan, 1e-300, 0.5, 3.0, 1e300, math.inf])
+    masked = np.zeros_like(y)
+    pos = y > 0
+    masked[pos] = gammaincc(model.shape, model.scale / y[pos])
+    assert np.array_equal(model.equilibrium_cdf(y), masked)
