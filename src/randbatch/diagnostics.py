@@ -18,8 +18,13 @@ import numpy as np
 
 
 def _as_weighted(samples) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted samples, each with weight 1/n."""
-    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1), kind="stable")
+    """Sorted samples, each with weight 1/n.
+
+    Only the sorted values are read, so numpy's default sort serves: it can
+    differ from a stable sort only in the order of equal values (-0.0 and
+    +0.0), which the CDFs built from them cannot see.
+    """
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
     return x, np.full(x.size, 1.0 / x.size)
 
 

@@ -20,19 +20,26 @@ skin/2 since, answers each call by filtering the listed pairs in order.
 Every answer is therefore the array a fresh search would return, so forces
 depend on the positions alone, not on the skin, the cell grid or when the
 list was last built.  Searches and lists share one filter,
-``_pairs_within``, which works in place: each axis is gathered with
-``take`` into a row of one (d, M) displacement block, and the minimum image
-is d - L rint(d / L), four in-place passes over the row through one shift
-buffer.  rint picks the image that ``minimum_image``'s floor(d / L + 0.5)
-picks unless d / L is within a few ulps of +-1/2, where the component is
-about L/2 either way; a pair kept at a cutoff below L/2 has no such
-component, so its displacement has the same bits.
+``_pairs_within``, which works on the whole (d, M) displacement block at
+once: both ends are gathered with ``take`` from the (d, N) coordinates, and
+the difference, the minimum image d - L rint(d / L) (four in-place passes
+through one shift block) and r^2 each run once over the block rather than
+once per axis.  rint picks the image that ``minimum_image``'s
+floor(d / L + 0.5) picks unless d / L is within a few ulps of +-1/2, where
+the component is about L/2 either way; a pair kept at a cutoff below L/2 has
+no such component, so its displacement has the same bits.  The list's
+staleness test takes the same image: a component of about L/2 is far past
+skin/2, so the list is stale under either image.  A search expands and
+filters its candidates in blocks of ``_SEARCH_BLOCK`` = 2^13, small enough
+that each block reuses the heap memory the last one freed rather than
+faulting in fresh pages, which cost a build more than the extra calls per
+block do.
 All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
 core) are Newton pairs of a radial kernel: each passes one coefficient per
 pair i < j, computed from the r^2 that the list answer carries (the split
 step's K1 is a ``state.RadialKernel``, which exposes it as a function of
-r^2), to ``pair_force_sum``, which scales the displacements by it one axis at
-a time.  Its ``bincount``s add each particle's terms in list order, and in
+r^2), to ``pair_force_sum``, which scales the (d, M) displacements by it in
+one product.  Its ``bincount``s add each particle's terms in list order, and in
 anti-diagonal order, as in (i, j) order, the pairs sharing i come by
 ascending j and those sharing j by ascending i, so the sums have the same
 bits in either order.  Consecutive pairs rarely share an end in
@@ -97,7 +104,8 @@ def full_force_all(state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
     return batch_pair_sum(None, _kernel_term(kernel, state), (state.positions,), lambda q: alpha_N)
 
 
-# pair terms per block chunk in ``batch_pair_sum``; candidates per block of ``neighbor_pairs``
+# pair terms per block chunk in ``batch_pair_sum``: a chunk's (B, c, q-1, d) rows
+# and terms stay a few MB, whatever the batch count and size
 _CHUNK_PAIRS = 1 << 18
 
 
@@ -231,22 +239,24 @@ def _cell_candidates(coords: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray
     strides = m ** np.arange(d - 1, -1, -1)
     # particles are handled by rank in cell order
     order = np.argsort(coords @ strides, kind="stable")
-    coords = coords[order]
+    coords = coords.take(order, axis=0)
     cell = coords @ strides
     counts = np.bincount(cell, minlength=m**d)
     ends = np.cumsum(counts)
-    # neigh[r, k]: the k-th cell that rank r is paired with; reducing the
+    # neigh[k, r]: the k-th cell that rank r is paired with; reducing the
     # offsets {-1, 0, 1} modulo m and de-duplicating them makes m = 1 and
-    # m = 2 work like any other grid
+    # m = 2 work like any other grid.  The (k, r) arrays are built with the
+    # ranks along their rows, where a broadcast runs over N rather than 3^d
+    # entries, and returned transposed
     shifts = np.unique(np.array([-1, 0, 1]) % m)
-    neigh = np.zeros((N, 1), dtype=np.int64)
+    neigh = np.zeros((1, N), dtype=np.int64)
     for axis in range(d):
-        part = (coords[:, axis, None] + shifts) % m * strides[axis]
-        neigh = (neigh[:, :, None] + part[:, None, :]).reshape(N, neigh.shape[1] * shifts.size)
-    rank = np.arange(N)
-    own, end = cell[:, None], ends[neigh]  # end: one past the last rank of each paired cell
-    first = np.where(neigh == own, rank[:, None] + 1, end - counts[neigh])
-    return order, first, np.where(neigh >= own, end - first, 0)
+        part = (shifts[:, None] + coords[:, axis]) % m * strides[axis]
+        neigh = (neigh[:, None, :] + part).reshape(neigh.shape[0] * shifts.size, N)
+    end = ends.take(neigh)  # one past the last rank of each paired cell
+    first = np.where(neigh == cell, np.arange(1, N + 1), end - counts.take(neigh))
+    end -= first
+    return order, first.T, np.where(neigh >= cell, end, 0).T
 
 
 def _run_pairs(
@@ -257,7 +267,7 @@ def _run_pairs(
     ra = np.repeat(rank, n_cand)
     count, first = count.ravel(), first.ravel()
     rb = np.arange(ra.size) - np.repeat(np.cumsum(count) - count - first, count)
-    i, j = order[ra], order[rb]
+    i, j = order.take(ra), order.take(rb)
     return np.minimum(i, j), np.maximum(i, j)
 
 
@@ -268,19 +278,34 @@ def _pairs_within(
 
     The minimum image is d - L rint(d / L), taken in place (see the module notes).
     """
-    # axis-major: one-dimensional gathers are several times faster than row gathers
-    disp, shift = np.empty((pos.shape[1], i.size)), np.empty(i.size)
-    for axis, x in enumerate(np.ascontiguousarray(pos.T)):
-        d = np.subtract(x.take(i), x.take(j), out=disp[axis])
-        np.multiply(d, 1.0 / box_length, out=shift)
-        np.rint(shift, out=shift)
-        shift *= box_length
-        d -= shift
+    # axis-major: gathers along the rows of (d, N) coordinates are two to five
+    # times faster than gathers of (N, d) rows
+    coords = np.ascontiguousarray(pos.T)
+    disp, shift = coords.take(i, axis=1), coords.take(j, axis=1)
+    disp -= shift
+    _rint_image(disp, box_length, shift)
     r2 = np.einsum("ij,ij->j", disp, disp)
     # indices rather than a boolean mask, which is several times slower to apply when
     # it keeps a scattered half of the pairs; the rows returned are a transposed view
     keep = np.flatnonzero(r2 < cutoff * cutoff)
     return i.take(keep), j.take(keep), disp.take(keep, axis=1).T, r2.take(keep)
+
+
+def _rint_image(disp: np.ndarray, box_length: float, shift: np.ndarray) -> None:
+    """disp -= L rint(disp / L), in place; ``shift`` is a work array of disp's shape."""
+    np.multiply(disp, 1.0 / box_length, out=shift)
+    np.rint(shift, out=shift)
+    shift *= box_length
+    disp -= shift
+
+
+# candidates per block of ``neighbor_pairs``: a block's rows of 2^13 entries
+# (64 KiB) stay below glibc's 128 KiB mmap threshold, and its (d, M) blocks just
+# above it, where the threshold moves once one is freed, so later blocks reuse
+# heap memory rather than mapping fresh pages and faulting them in.  On lj-split
+# (about 39 000 candidates a build) faults per build fell from about 360 in one
+# block of 2^18 to about 210; the answer does not depend on the block size
+_SEARCH_BLOCK = 1 << 13
 
 
 def neighbor_pairs(
@@ -294,7 +319,7 @@ def neighbor_pairs(
     answer depends on the positions alone.  Particles are
     binned into about floor(L / cutoff) cells per side, so every pair within
     the cutoff lies in the same or an adjacent cell.  The candidate pairs are
-    expanded and filtered in blocks of about ``_CHUNK_PAIRS``, so beyond its
+    expanded and filtered in blocks of about ``_SEARCH_BLOCK``, so beyond its
     answer a search holds one block of candidates at a time.
     """
     pos = np.asarray(positions, dtype=np.float64)
@@ -308,14 +333,13 @@ def neighbor_pairs(
     m = max(min(int(box_length / (cutoff * (1 + 1e-9))), int((8 * N) ** (1.0 / d))), 1)
     order, first, count = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
     # expand and filter the candidates in blocks of consecutive ranks with at most
-    # _CHUNK_PAIRS candidates (or a single rank), so that beyond the kept pairs a
-    # search holds one block at a time; searches of up to a few thousand
-    # particles at the benchmark densities are a single block
+    # _SEARCH_BLOCK candidates (or a single rank), so that beyond the kept pairs a
+    # search holds one block at a time
     rank, n_cand = np.arange(N), count.sum(axis=1)
     ends, kept, start = np.cumsum(n_cand), [], 0
     while start < N or not kept:
         before = ends[start - 1] if start else 0
-        stop = max(int(np.searchsorted(ends, before + _CHUNK_PAIRS, "right")), start + 1)
+        stop = max(int(np.searchsorted(ends, before + _SEARCH_BLOCK, "right")), start + 1)
         rows = slice(start, stop)
         block = _run_pairs(order, rank[rows], n_cand[rows], first[rows], count[rows])
         start = stop
@@ -326,7 +350,7 @@ def neighbor_pairs(
     i, j, disp, r2 = kept[0] if len(kept) == 1 else [np.concatenate(a) for a in zip(*kept)]
     del kept
     order = np.argsort((i + j) * N + i)  # the keys are distinct: each pair is listed once
-    return i[order], j[order], disp[order], r2[order]
+    return i.take(order), j.take(order), disp.take(order, axis=0), r2.take(order)
 
 
 class PairList:
@@ -389,14 +413,12 @@ class PairList:
         x0, L0 = self._built[:2]
         if L0 != box_length or x0.shape != pos.shape:
             return True
-        # minimum_image(pos - x0), in place with its operations in their order
+        # the filter's minimum image: it differs from minimum_image's only in
+        # components of about L/2, far past skin/2, which are stale either way
         moved = np.subtract(pos, x0)
-        shift = np.divide(moved, box_length)
-        shift += 0.5
-        np.floor(shift, out=shift)
-        shift *= box_length
-        moved -= shift
-        return not np.all(np.einsum("ij,ij->i", moved, moved) <= (0.5 * self.skin) ** 2)
+        _rint_image(moved, box_length, np.empty_like(moved))
+        # a NaN is the max, and fails the comparison
+        return not np.einsum("ij,ij->i", moved, moved).max(initial=0.0) <= (0.5 * self.skin) ** 2
 
 
 def pair_force_sum(
@@ -404,15 +426,16 @@ def pair_force_sum(
 ) -> np.ndarray:
     """Per-particle sums of Newton pair forces: row k adds f_ij[k] to i[k], -f_ij[k] to j[k].
 
-    With ``scale`` the pair force is scale[k] f_ij[k], formed one axis at a
-    time, so a radial kernel passes its displacements and its coefficients
-    and no (M, d) product is built.
+    With ``scale`` the pair force is scale[k] f_ij[k], formed for all axes in
+    one product over the (d, M) transpose, so a radial kernel passes its
+    displacements and its coefficients; the list's displacements are the
+    transpose of a (d, M) block, whose rows are contiguous.
     """
+    f = f_ij.T if scale is None else np.multiply(scale, f_ij.T)
     out = np.empty((n, f_ij.shape[1]))
-    buf = None if scale is None else np.empty(len(scale))
-    for axis in range(f_ij.shape[1]):
-        f = f_ij[:, axis] if buf is None else np.multiply(scale, f_ij[:, axis], out=buf)
-        out[:, axis] = np.bincount(i, f, minlength=n) - np.bincount(j, f, minlength=n)
+    for axis, f_axis in enumerate(f):
+        np.subtract(np.bincount(i, f_axis, minlength=n), np.bincount(j, f_axis, minlength=n),
+                    out=out[:, axis])
     return out
 
 

@@ -41,15 +41,26 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
+_LABELS = {"division": DIVISION, "noise": NOISE, "thermostat": THERMOSTAT,
+           "proposal": PROPOSAL, "init": INIT}
+
+
 class SimStreams:
-    """The bundle of generators one simulation (or one replica) consumes."""
+    """The bundle of generators one simulation (or one replica) consumes.
+
+    Each generator is built on the first access of its attribute and then
+    kept, so a run builds only the streams it draws from; a stream's draws do
+    not depend on when, or in what order, the streams are first accessed.
+    """
 
     def __init__(self, seed: int, replica: int = 0):
         self.seed = seed
         self.replica = replica
-        base = STRIDE * replica
-        self.division = RngStream(seed, base + DIVISION).generator()
-        self.noise = RngStream(seed, base + NOISE).generator()
-        self.thermostat = RngStream(seed, base + THERMOSTAT).generator()
-        self.proposal = RngStream(seed, base + PROPOSAL).generator()
-        self.init = RngStream(seed, base + INIT).generator()
+
+    def __getattr__(self, name: str) -> np.random.Generator:
+        # reached only while the attribute is unset: the stream's first access
+        if name not in _LABELS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gen = RngStream(self.seed, STRIDE * self.replica + _LABELS[name]).generator()
+        setattr(self, name, gen)
+        return gen

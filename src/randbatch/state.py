@@ -24,12 +24,25 @@ def minimum_image(disp: np.ndarray, box_length: Optional[float]) -> np.ndarray:
     """Wrap displacement components into [-L/2, L/2)."""
     if box_length is None:
         return disp
-    return disp - box_length * np.floor(disp / box_length + 0.5)
+    # disp - L floor(disp / L + 0.5), with its operations in their order on one temporary
+    shift = np.divide(disp, box_length)
+    shift += 0.5
+    np.floor(shift, out=shift)
+    shift *= box_length
+    return np.subtract(disp, shift, out=shift)
 
 
 @dataclass
 class ParticleState:
-    """Positions (and optionally velocities) of N particles in d dimensions."""
+    """Positions (and optionally velocities) of N particles in d dimensions.
+
+    Positions must be finite, and a periodic state's are wrapped into [0, L).
+    A periodic state first takes the positions' min and max: when both lie in
+    (0, L), the positions are finite and inside the box, and the state keeps
+    the array as is.  Only when that test fails (a NaN fails it too) are the
+    positions checked with ``isfinite`` and wrapped by ``wrap_positions``.  A
+    state with no box checks ``isfinite`` on every construction.
+    """
 
     positions: np.ndarray
     velocities: Optional[np.ndarray] = None
@@ -39,12 +52,16 @@ class ParticleState:
         pos = np.ascontiguousarray(np.atleast_2d(np.asarray(self.positions, dtype=np.float64)))
         if pos.ndim != 2:
             raise ValueError("positions must be an (N, d) array")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        if self.box_length is not None:
-            if self.box_length <= 0:
-                raise ValueError("box_length must be positive")
-            pos = wrap_positions(pos, self.box_length)
+        L = self.box_length
+        # min and max inside (0, L): finite and in the box (a NaN fails the test,
+        # and so does every position when L <= 0)
+        if L is None or not (pos.size and pos.min() > 0 and pos.max() < L):
+            if not np.all(np.isfinite(pos)):
+                raise ValueError("positions must be finite")
+            if L is not None:
+                if L <= 0:
+                    raise ValueError("box_length must be positive")
+                pos = wrap_positions(pos, L)
         self.positions = pos
         if self.velocities is not None:
             vel = np.ascontiguousarray(np.asarray(self.velocities, dtype=np.float64))

@@ -234,6 +234,30 @@ def test_w1_against_the_wealth_equilibrium_peaks_under_4_mb(wealth_final):
     assert peak <= 4 * 2**20
 
 
+def _stable_sorted(samples):
+    """``_as_weighted`` with a stable sort, which keeps -0.0 and +0.0 in input order."""
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1), kind="stable")
+    return x, np.full(x.size, 1.0 / x.size)
+
+
+def test_w1_with_the_default_sort_equals_the_stable_sort_on_signed_zeros_ties_and_duplicates(
+    monkeypatch
+):
+    gen = RngStream(19).generator()
+    zeros = np.array([0.0, -0.0] * 40)
+    a = np.concatenate([zeros, np.round(gen.standard_normal(400), 1), [1.5] * 30, GRID[:50:7]])
+    b = np.concatenate([zeros[:30], np.round(gen.standard_normal(300) + 0.2, 2), [-0.0] * 9])
+    gen.shuffle(a)
+    gen.shuffle(b)
+    cases = [(a, b, None), (b, a, None), (a, a[::-1].copy(), None), (a, norm.cdf, (-3.0, 5.0)),
+             (b, norm.cdf, None), (0.5 * a, semicircle_cdf, (-2.0, 2.0)),
+             (np.concatenate([zeros, [1.0]]), norm.cdf, (-1.0, 1.0))]
+    got = [wasserstein1_1d(x, y, support=s) for x, y, s in cases]
+    monkeypatch.setattr(diagnostics, "_as_weighted", _stable_sorted)
+    want = [wasserstein1_1d(x, y, support=s) for x, y, s in cases]
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
 @pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (0.0, math.nan),
                                      (0.0, math.inf), (-math.inf, 0.0), (1e6, 1e6 + 1e-9)])
 def test_w1_refuses_a_reversed_non_finite_or_unresolvable_support(support):

@@ -558,16 +558,93 @@ def test_pair_force_sum_has_the_same_bits_in_ij_and_anti_diagonal_order(n, d, M)
             assert not np.array_equal(ij, pair_force_sum(n, i[::-1], j[::-1], f_ij[::-1]))
 
 
+def _per_axis_force_sum(n, i, j, f_ij, scale):
+    """pair_force_sum formed one axis at a time, scale[k] f_ij[k, axis] for each axis."""
+    out = np.empty((n, f_ij.shape[1]))
+    for axis in range(f_ij.shape[1]):
+        f = f_ij[:, axis] if scale is None else scale * f_ij[:, axis]
+        out[:, axis] = np.bincount(i, f, minlength=n) - np.bincount(j, f, minlength=n)
+    return out
+
+
+@pytest.mark.parametrize("d, cutoff", [(1, 0.2), (2, 1.0), (3, 1.5)])
+def test_pair_force_sum_equals_the_per_axis_sum_on_the_list_view_and_on_plain_rows(d, cutoff):
+    N, L = 200, 8.0
+    i, j, disp, r2 = PairList(cutoff)(RngStream(80 + d).generator().uniform(0, L, (N, d)), L)
+    assert i.size > 2 * N and disp.T.flags.c_contiguous  # the list's transposed (d, M) view
+    plain = np.ascontiguousarray(disp)
+    for f_ij in (disp, plain):
+        for scale in (None, np.exp(-r2) - 0.5):  # coefficients of both signs
+            got = pair_force_sum(N, i, j, f_ij, scale)
+            want = _per_axis_force_sum(N, i, j, plain, scale)
+            assert got.flags.c_contiguous and got.shape == (N, d)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
+def _floor_form_stale(x0, pos, L, skin):
+    """PairList's staleness test with ``minimum_image``'s floor(d / L + 0.5) image."""
+    moved = minimum_image(pos - x0, L)
+    return not np.all(np.einsum("ij,ij->i", moved, moved) <= (0.5 * skin) ** 2)
+
+
+def test_pair_list_staleness_decides_as_the_floor_form_image_at_half_the_box_and_skin():
+    # each case moves one particle along one axis by exactly +-c or one ulp either
+    # side of it, c = L/2 or skin/2: rint and floor(d / L + 0.5) pick opposite
+    # images at L/2, and the skin/2 cases decide on the comparison's last bit
+    L = 10.0
+    base = RngStream(36).generator().uniform(1.0, 9.0, size=(30, 3))
+    skin = PairList(2.0)._skin(L, *base.shape)
+    decided = set()
+    for c in (L / 2, 0.5 * skin):
+        for v in (np.nextafter(c, 0.0), c, np.nextafter(c, L)):
+            for axis in range(3):
+                for sign in (1.0, -1.0):
+                    # the component of pos - x0 is exactly sign * v
+                    x0, pos = base.copy(), base.copy()
+                    x0[4, axis], pos[4, axis] = (0.0, v) if sign > 0 else (v, 0.0)
+                    pairs = PairList(2.0)
+                    pairs(x0, L)  # built at x0
+                    want = _floor_form_stale(x0, pos, L, skin)
+                    assert pairs._stale(pos, L) == want
+                    decided.add((c, want))
+    assert decided == {(L / 2, True), (0.5 * skin, True), (0.5 * skin, False)}
+    pairs = PairList(2.0)
+    pairs(base, L)
+    nan = base.copy()
+    nan[3, 1] = np.nan  # the only particle that moved
+    assert pairs._stale(nan, L) and not pairs._stale(base, L)
+
+
+def test_an_lj_split_sized_build_holds_about_a_megabyte_beyond_its_answer():
+    # lj-split's list: N = 1000 at density 0.3 searched at r0 = 1.6 plus its skin,
+    # about 39 000 candidates.  In blocks of 2^13 candidates a build peaked at
+    # 1.03 MB beyond its 0.26 MB answer, most of it the (N, 27) candidate runs;
+    # in one block of 2^18 it peaked at 2.27 MB beyond it
+    N = 1000
+    L = (N / 0.3) ** (1 / 3)
+    pos = RngStream(38).generator().uniform(0, L, size=(N, 3))
+    cutoff = 1.6 + PairList(1.6)._skin(L, N, 3)
+    neighbor_pairs(pos, L, cutoff)  # a first search imports what it uses
+    tracemalloc.start()
+    try:
+        listed = neighbor_pairs(pos, L, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert listed[0].size > 5000
+    assert peak - sum(a.nbytes for a in listed) <= 1.5e6
+
+
 @pytest.mark.parametrize("d, N, L, cutoff", [(1, 400, 50.0, 2.0), (2, 300, 12.0, 1.5),
                                              (3, 200, 6.0, 1.6)])
 def test_a_search_in_many_blocks_equals_one_block(monkeypatch, d, N, L, cutoff):
     pos = RngStream(60 + d).generator().uniform(0, L, size=(N, d))
-    monkeypatch.setattr(forces, "_CHUNK_PAIRS", N * N)
+    monkeypatch.setattr(forces, "_SEARCH_BLOCK", N * N)
     whole = neighbor_pairs(pos, L, cutoff)
     blocks = []
     within = forces._pairs_within
     monkeypatch.setattr(forces, "_pairs_within", lambda *a: blocks.append(a[2].size) or within(*a))
-    monkeypatch.setattr(forces, "_CHUNK_PAIRS", 40)
+    monkeypatch.setattr(forces, "_SEARCH_BLOCK", 40)
     split = neighbor_pairs(pos, L, cutoff)
     assert len(blocks) > 20 and max(blocks) <= 40 + N  # at most the budget, or a single rank
     assert whole[0].size > 0 and all(np.array_equal(a, b) for a, b in zip(split, whole))
@@ -719,6 +796,44 @@ def test_wrap_positions_matches_np_mod_in_values_and_sign_bits():
     # an array wholly inside the box is returned as is, and a state shares it
     assert wrap_positions(inside, L) is inside
     assert ParticleState(positions=inside, box_length=L).positions is inside
+
+
+def _isfinite_and_np_mod_positions(positions, L):
+    """ParticleState's positions as an isfinite check and the np.mod wrap give them."""
+    pos = np.ascontiguousarray(np.atleast_2d(np.asarray(positions, dtype=np.float64)))
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")
+    if L is None:
+        return pos
+    if L <= 0:
+        raise ValueError("box_length must be positive")
+    return _np_mod_wrap(pos, L)
+
+
+@pytest.mark.parametrize("L", [10.0, None, -1.0])
+def test_particle_state_positions_match_the_isfinite_and_np_mod_forms_at_every_edge(L):
+    edge = [np.nan, np.inf, -np.inf, 0.0, -0.0, 10.0, np.nextafter(10.0, 0.0), 5e-324,
+            -1e-300, -3.5, 13.0]
+    inside = RngStream(37).generator().uniform(0.0, 10.0, size=(20, 3))
+    cases = [inside, np.empty((0, 3))]
+    for v in edge:
+        for axis in range(3):
+            pos = inside.copy()
+            pos[7, axis] = v
+            cases.append(pos)
+    for pos in cases:
+        try:
+            expected = _isfinite_and_np_mod_positions(pos, L)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                ParticleState(positions=pos, box_length=L)
+            continue
+        out = ParticleState(positions=pos, box_length=L).positions
+        assert out.shape == expected.shape and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+    if L != -1.0:  # inside the box (or with no box) the state keeps the array itself
+        assert ParticleState(positions=inside, box_length=L).positions is inside
 
 
 def test_particle_state_invariants():
