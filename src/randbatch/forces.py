@@ -12,15 +12,15 @@ batch mate, so each field is gathered once and the sums come out in particle
 order.  Summation within a batch runs in ascending particle order so that
 the p = N random-batch step reproduces the full-batch step bit for bit.
 
-Short-range sums find their pairs with ``neighbor_pairs``, one cell search
-per call, which returns them in anti-diagonal order: by i + j, then by i.
+Short-range sums find their pairs with one cell search, ``_search_pairs``,
+which returns only (i, j), in anti-diagonal order: by i + j, then by i.
 ``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev. 159, 98,
 1967): it searches once at cutoff + skin and, until some particle has moved
 skin/2 since, answers each call by filtering the listed pairs in order.
-Every answer is therefore the array a fresh search would return, so forces
+Every answer is therefore the array ``neighbor_pairs`` would return, so forces
 depend on the positions alone, not on the skin, the cell grid or when the
 list was last built.  Searches and lists share one filter,
-``_pairs_within``, which works on the whole (d, M) displacement block at
+``_filter``, which works on the whole (d, M) displacement block at
 once: both ends are gathered with ``take`` from the (d, N) coordinates, and
 the difference, the minimum image d - L rint(d / L) (four in-place passes
 through one shift block) and r^2 each run once over the block rather than
@@ -274,21 +274,21 @@ def _run_pairs(
 def _pairs_within(
     pos: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray, cutoff: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate pairs (i, j) closer than ``cutoff``, as ``neighbor_pairs`` returns them.
+    """The candidate pairs (i, j) closer than ``cutoff``, as ``neighbor_pairs`` returns them."""
+    disp, r2, keep = _filter(np.ascontiguousarray(pos.T), box_length, i, j, cutoff)
+    return i.take(keep), j.take(keep), disp.take(keep, axis=1).T, r2.take(keep)
 
-    The minimum image is d - L rint(d / L), taken in place (see the module notes).
-    """
-    # axis-major: gathers along the rows of (d, N) coordinates are two to five
-    # times faster than gathers of (N, d) rows
-    coords = np.ascontiguousarray(pos.T)
+
+def _filter(coords: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray, cutoff: float):
+    """The candidates' (d, M) displacements x_i - x_j, their r^2 and the indices of
+    those closer than ``cutoff``, from the (d, N) ``coords``: gathers along its
+    rows are two to five times faster than gathers of (N, d) rows, and indices
+    several times faster to apply than a mask that keeps a scattered half."""
     disp, shift = coords.take(i, axis=1), coords.take(j, axis=1)
     disp -= shift
-    _rint_image(disp, box_length, shift)
+    _rint_image(disp, box_length, shift)  # the minimum image in place (see the module notes)
     r2 = np.einsum("ij,ij->j", disp, disp)
-    # indices rather than a boolean mask, which is several times slower to apply when
-    # it keeps a scattered half of the pairs; the rows returned are a transposed view
-    keep = np.flatnonzero(r2 < cutoff * cutoff)
-    return i.take(keep), j.take(keep), disp.take(keep, axis=1).T, r2.take(keep)
+    return disp, r2, np.flatnonzero(r2 < cutoff * cutoff)
 
 
 def _rint_image(disp: np.ndarray, box_length: float, shift: np.ndarray) -> None:
@@ -299,7 +299,7 @@ def _rint_image(disp: np.ndarray, box_length: float, shift: np.ndarray) -> None:
     disp -= shift
 
 
-# candidates per block of ``neighbor_pairs``: a block's rows of 2^13 entries
+# candidates per block of ``_search_pairs``: a block's rows of 2^13 entries
 # (64 KiB) stay below glibc's 128 KiB mmap threshold, and its (d, M) blocks just
 # above it, where the threshold moves once one is freed, so later blocks reuse
 # heap memory rather than mapping fresh pages and faulting them in.  On lj-split
@@ -316,13 +316,19 @@ def neighbor_pairs(
     Returns ``(i, j, disp, r2)``: the index arrays, the (M, d) minimum-image
     displacements x_i - x_j and their squared lengths, in anti-diagonal
     order (ascending i + j, then ascending i; see the module notes), so the
-    answer depends on the positions alone.  Particles are
-    binned into about floor(L / cutoff) cells per side, so every pair within
-    the cutoff lies in the same or an adjacent cell.  The candidate pairs are
-    expanded and filtered in blocks of about ``_SEARCH_BLOCK``, so beyond its
-    answer a search holds one block of candidates at a time.
+    answer depends on the positions alone: the (i, j) of ``_search_pairs``,
+    then one ``_pairs_within`` pass at the same cutoff, which keeps them all.
     """
     pos = np.asarray(positions, dtype=np.float64)
+    return _pairs_within(pos, box_length, *_search_pairs(pos, box_length, cutoff), cutoff)
+
+
+def _search_pairs(pos: np.ndarray, box_length: float, cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The (i, j) of ``neighbor_pairs``, in its order, from one cell search.
+
+    Particles are binned into about floor(L / cutoff) cells per side, so
+    every pair within the cutoff lies in the same or an adjacent cell.
+    """
     N, d = pos.shape
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -332,8 +338,9 @@ def neighbor_pairs(
     # the cap on cells per particle only coarsens the grid of a sparse system
     m = max(min(int(box_length / (cutoff * (1 + 1e-9))), int((8 * N) ** (1.0 / d))), 1)
     order, first, count = _cell_candidates(np.floor(pos * (m / box_length)).astype(np.int64) % m, m)
+    coords = np.ascontiguousarray(pos.T)
     # expand and filter the candidates in blocks of consecutive ranks with at most
-    # _SEARCH_BLOCK candidates (or a single rank), so that beyond the kept pairs a
+    # _SEARCH_BLOCK candidates (or a single rank), so that beyond the kept (i, j) a
     # search holds one block at a time
     rank, n_cand = np.arange(N), count.sum(axis=1)
     ends, kept, start = np.cumsum(n_cand), [], 0
@@ -341,16 +348,17 @@ def neighbor_pairs(
         before = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, before + _SEARCH_BLOCK, "right")), start + 1)
         rows = slice(start, stop)
-        block = _run_pairs(order, rank[rows], n_cand[rows], first[rows], count[rows])
+        i, j = _run_pairs(order, rank[rows], n_cand[rows], first[rows], count[rows])
         start = stop
         if start >= N:  # the last block: free the (N, 3^d) runs before filtering it
             order = rank = n_cand = first = count = ends = None
-        kept.append(_pairs_within(pos, box_length, *block, cutoff))
-        block = None  # so that two blocks of candidates are never held at once
-    i, j, disp, r2 = kept[0] if len(kept) == 1 else [np.concatenate(a) for a in zip(*kept)]
+        keep = _filter(coords, box_length, i, j, cutoff)[2]
+        kept.append((i.take(keep), j.take(keep)))
+        i = j = None  # so that two blocks of candidates are never held at once
+    i, j = kept[0] if len(kept) == 1 else [np.concatenate(a) for a in zip(*kept)]
     del kept
     order = np.argsort((i + j) * N + i)  # the keys are distinct: each pair is listed once
-    return i.take(order), j.take(order), disp.take(order, axis=0), r2.take(order)
+    return i.take(order), j.take(order)
 
 
 class PairList:
@@ -361,7 +369,7 @@ class PairList:
     build in their anti-diagonal order.  That is exact while no particle has
     moved more than skin/2 (minimum image) since the build; otherwise, or when the
     box or the particle count changes, the call first rebuilds the list with
-    one ``neighbor_pairs`` search.  ``builds`` counts those searches.  A
+    one ``_search_pairs`` search.  ``builds`` counts those searches.  A
     build raises ``ValueError`` when the cutoff is L/2 or more, where the
     minimum image would drop a pair's second image.
 
@@ -396,7 +404,7 @@ class PairList:
                                  f"half the box length {box_length:g}")
             # a NaN position makes the list stale, and the search raises on it
             self.skin = self._skin(box_length, *pos.shape)
-            i, j, _, _ = neighbor_pairs(pos, box_length, self.cutoff + self.skin)
+            i, j = _search_pairs(pos, box_length, self.cutoff + self.skin)
             self._built = (pos.copy(), box_length, i, j)
             self.builds += 1
         _, _, i, j = self._built

@@ -14,7 +14,7 @@ import numpy as np
 from .backend import special
 from .forces import PairList, batch_pair_sum, pair_force_sum
 from .integrators import FirstOrderSystem, SecondOrderSystem
-from .samplers import GibbsTarget, log_kernel_split
+from .samplers import GibbsTarget
 from .state import BatchDivision, KernelSpec, ParticleState, RadialKernel
 
 ETA_WEALTH = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)| initial wealth
@@ -41,22 +41,12 @@ class DysonModel:
     def gibbs_target(self) -> GibbsTarget:
         """Invariant Gibbs measure exp(-[(N-1)/2 sum x^2 - sum_{i<j} ln|x_i-x_j|]).
 
-        In the (beta, w) normal form this is w = 1/(N-1), beta = (N-1)^2 with
-        V(x) = x^2/2 and phi(r) = -ln|r| split at the model's radius.
+        In the (beta, w) normal form of ``GibbsTarget`` this is w = 1/(N-1)
+        and beta = (N-1)^2, with -ln|r| split at the model's radius.
         """
-        phi1, grad_phi1, phi2 = log_kernel_split(self.split_radius)
         N = self.N
-        return GibbsTarget(
-            V=lambda x: 0.5 * np.sum(x * x, axis=1),
-            grad_V=lambda x: x,
-            phi1=phi1,
-            grad_phi1=grad_phi1,
-            phi2=phi2,
-            phi2_cutoff=self.split_radius,
-            beta=float((N - 1) ** 2),
-            w=1.0 / (N - 1),
-            N=N,
-        )
+        return GibbsTarget(N=N, w=1.0 / (N - 1), beta=float((N - 1) ** 2),
+                           phi2_cutoff=self.split_radius)
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.2, 1.2, size=self.N)

@@ -222,7 +222,7 @@ def _build_dyson(cfg, streams):
 
 
 def _step_dyson(sim, k, dt):
-    """All sweeps of the RBMC chain: (final config, pooled snapshots, stats)."""
+    """All run.sweeps moves of the RBMC chain: (final config, pooled snapshots, stats)."""
     return run_log_gas_chain(sim.state[0], sim.target, sim.sweeps, sim.m, dt, sim.streams,
                              warmup=sim.warmup, snapshot_every=max(sim.sweeps // 400, 1))
 
@@ -484,6 +484,8 @@ MODELS = {
         output=("directory", "trajectory_every"),
         positive=("L", "lj_sigma", "temperature", "alpha", "r_c"),
     ),
+    # run.sweeps counts the RBMC chain's single-particle moves (its n_iterations), not
+    # sweeps of all N: the default 10^6 is 2000 sweeps at N = 500
     "dyson": ModelSpec(
         fields={"N": 500, "split_radius": 0.01, "m": 5},
         run={"dt": 1e-4, "sweeps": 1_000_000, "warmup": lambda run: run["sweeps"] // 3,

@@ -1,13 +1,14 @@
-"""Random Batch Monte Carlo and RBM-SVGD.
+"""Random Batch Monte Carlo for 1-d log gases, and RBM-SVGD.
 
 RBMC is a splitting Metropolis-Hastings chain for N-particle Gibbs measures
 exp(-beta H): the smooth long-range pair part phi1 drives a mini-batched
 overdamped-Langevin proposal (never rejected on its own), and the short-range
 singular part phi2 enters only through the Metropolis accept/reject, made
-cheap by its cutoff.  RBM-SVGD applies random batching to the Stein
-variational particle flow: ``stein_system`` makes that flow a
-``FirstOrderSystem``, so the ``integrators`` steppers take its explicit Euler
-steps, one random division per step for RBM-SVGD.
+cheap by its cutoff.  ``run_log_gas_chain``, the package's one RBMC chain,
+runs it on the 1-d log gas of the Dyson model.  RBM-SVGD applies random
+batching to the Stein variational particle flow: ``stein_system`` makes that
+flow a ``FirstOrderSystem``, so the ``integrators`` steppers take its explicit
+Euler steps, one random division per step for RBM-SVGD.
 """
 
 import math
@@ -29,28 +30,26 @@ _FAR = 1e6
 
 @dataclass
 class GibbsTarget:
-    """exp(-beta [sum_i w V(x_i) + sum_{i<j} w^2 phi(x_i - x_j)]) with phi = phi1 + phi2.
+    """The 1-d log gas exp(-beta [sum_i w x_i^2 / 2 - sum_{i<j} w^2 ln|x_i - x_j|]).
 
-    ``phi1``/``grad_phi1`` must be smooth and bounded (the proposal sees
-    them); ``phi2`` is the short-range singular remainder with support inside
-    ``phi2_cutoff``.  Callables are vectorized over rows.
+    ``run_log_gas_chain`` samples it, splitting -ln|r| at ``phi2_cutoff`` =
+    r0: phi1 is -ln|r| outside r0 and the parabola matching its value and
+    slope at r0 inside, and the singular remainder phi2 = -ln|r| - phi1 has
+    support in [0, r0).
     """
 
-    V: Callable
-    grad_V: Callable
-    phi1: Callable
-    grad_phi1: Callable
-    phi2: Callable
-    phi2_cutoff: Optional[float]
-    beta: float
-    w: float
     N: int
+    w: float
+    beta: float
+    phi2_cutoff: float
 
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        if self.N < 2:  # the chain's proposal weighs the N - 1 others
+            raise ValueError("N must be >= 2")
+        if self.phi2_cutoff <= 0:
+            raise ValueError("split radius must be positive")
 
 
 @dataclass
@@ -69,140 +68,6 @@ class MarkovChainStats:
         return rate
 
 
-def rbmc_propose(
-    i: int,
-    config: np.ndarray,
-    target: GibbsTarget,
-    m: int,
-    p: int,
-    schedule,
-    rng: np.random.Generator,
-    include_noise: bool = True,
-) -> Optional[np.ndarray]:
-    """m mini-batched Euler-Maruyama steps of the single-particle Langevin.
-
-    All particles but i stay frozen; each inner step estimates the phi1 force
-    from a fresh batch of p-1 distinct other particles.  Returns the candidate
-    position, or None if it left the finite range.
-    """
-    N, w, beta = target.N, target.w, target.beta
-    r = config[i].astype(np.float64).copy()
-    if N == 1:
-        # no interactions: unadjusted Langevin on V (time unit 1/w)
-        for k in range(1, m + 1):
-            dt = schedule(k) if callable(schedule) else schedule
-            r = r - dt * target.grad_V(r[None, :])[0]
-            if include_noise:
-                r = r + math.sqrt(2.0 * dt / (w * beta)) * rng.standard_normal(r.shape)
-        return r if np.all(np.isfinite(r)) else None
-    if not 2 <= p <= N:
-        raise ValueError("need 2 <= p <= N")
-    others = np.delete(np.arange(N), i)
-    noise_scale = math.sqrt(2.0 / ((N - 1) * w * w * beta))
-    for k in range(1, m + 1):
-        dt = schedule(k) if callable(schedule) else schedule
-        batch = rng.choice(others, size=p - 1, replace=False)
-        drift = target.grad_V(r[None, :])[0] / (w * (N - 1))
-        drift = drift + target.grad_phi1(r[None, :] - config[batch]).sum(axis=0) / (p - 1)
-        r = r - dt * drift
-        if include_noise:
-            r = r + noise_scale * math.sqrt(dt) * rng.standard_normal(r.shape)
-    if not np.all(np.isfinite(r)):
-        return None
-    return r
-
-
-def _phi2_sum(x: np.ndarray, others: np.ndarray, target: GibbsTarget) -> float:
-    disp = x[None, :] - others
-    if target.phi2_cutoff is not None:
-        within = np.einsum("ij,ij->i", disp, disp) < target.phi2_cutoff**2
-        disp = disp[within]
-        if disp.size == 0:
-            return 0.0
-    return float(np.sum(target.phi2(disp)))
-
-
-def rbmc_accept(
-    i: int,
-    old: np.ndarray,
-    candidate: np.ndarray,
-    config: np.ndarray,
-    target: GibbsTarget,
-    rng: np.random.Generator,
-) -> Tuple[bool, float]:
-    """Metropolis correction from the short-range part phi2 alone."""
-    others = np.delete(config, i, axis=0)
-    delta = _phi2_sum(candidate, others, target) - _phi2_sum(old, others, target)
-    log_acc = -target.beta * target.w**2 * delta
-    prob = 1.0 if log_acc >= 0 else math.exp(max(log_acc, -745.0))
-    return bool(rng.random() < prob), prob
-
-
-def rbmc_step(
-    config: np.ndarray,
-    target: GibbsTarget,
-    m: int,
-    p: int,
-    schedule,
-    rng: np.random.Generator,
-    stats: Optional[MarkovChainStats] = None,
-) -> np.ndarray:
-    """One Markov jump: pick a particle, propose via phi1, accept via phi2."""
-    config = np.asarray(config, dtype=np.float64)
-    i = int(rng.integers(target.N))
-    candidate = rbmc_propose(i, config, target, m, p, schedule, rng)
-    if stats is not None:
-        stats.proposal_count += 1
-    if candidate is None:
-        if stats is not None:
-            stats.clamp_count += 1
-        return config
-    accepted, _ = rbmc_accept(i, config[i], candidate, config, target, rng)
-    if accepted:
-        config = config.copy()
-        config[i] = candidate
-        if stats is not None:
-            stats.acceptance_count += 1
-    return config
-
-
-# --- smoothed-log pair potential (Dyson-type log gases) ----------------------
-
-
-def log_kernel_split(r0: float):
-    """Split -ln|r| at r0 into a C^1 smooth part and a short-range remainder.
-
-    phi1 equals -ln|r| outside r0 and continues as a parabola inside, matching
-    value and slope at r0; phi2 = -ln|r| - phi1 is singular with support in
-    [0, r0).  Returns (phi1, grad_phi1, phi2) as vectorized callables.
-    """
-    if r0 <= 0:
-        raise ValueError("split radius must be positive")
-    a = -math.log(r0) + 0.5
-
-    def phi1(disp):
-        r = np.abs(np.asarray(disp, dtype=np.float64)).reshape(-1)
-        out = np.where(r >= r0, -np.log(np.maximum(r, 1e-300)), a - r * r / (2 * r0 * r0))
-        return out
-
-    def grad_phi1(disp):
-        disp = np.asarray(disp, dtype=np.float64)
-        r = np.abs(disp)
-        inner = -disp / (r0 * r0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            outer = -1.0 / disp
-        return np.where(r >= r0, outer, inner)
-
-    def phi2(disp):
-        r = np.abs(np.asarray(disp, dtype=np.float64)).reshape(-1)
-        with np.errstate(divide="ignore"):
-            full = -np.log(r)
-        short = full - (a - r * r / (2 * r0 * r0))
-        return np.where(r < r0, short, 0.0)
-
-    return phi1, grad_phi1, phi2
-
-
 def run_log_gas_chain(
     x0: np.ndarray,
     target: GibbsTarget,
@@ -213,16 +78,19 @@ def run_log_gas_chain(
     warmup: int = 0,
     snapshot_every: int = 20_000,
 ) -> Tuple[np.ndarray, np.ndarray, MarkovChainStats]:
-    """RBMC chain for 1-d log-gas targets (V quadratic, p = 2), split at ``target.phi2_cutoff``.
+    """RBMC chain for the 1-d log gas ``target`` (p = 2), split at ``target.phi2_cutoff``.
 
-    The m proposal steps each take the phi1 force of one random other
-    particle; the phi2 acceptance reads the neighbours within the cutoff off a
-    sorted list of positions.  A proposal that is not finite is dropped and
-    counted in ``clamp_count``.  Returns (final config, pooled post-warmup
-    snapshots, stats).  Randomness is pre-drawn from ``streams.proposal`` in
-    chunks of ``snapshot_every`` iterations.  If a position has left
-    |x| <= 1e6 by the end of a chunk, the chain raises ``IntegrationError``
-    naming that iteration and the first such particle.
+    ``n_iterations`` counts single-particle moves: each picks one particle, so
+    a sweep of all N is N iterations (Dyson's ``run.sweeps`` arrives here, so
+    its default of 10^6 is 2000 sweeps at N = 500).  The m proposal steps each
+    take the phi1 force of one random other particle; the phi2 acceptance
+    reads the neighbours within the cutoff off a sorted list of positions.  A
+    proposal that is not finite is dropped and counted in ``clamp_count``.
+    Returns (final config, pooled post-warmup snapshots, stats).  Randomness is
+    pre-drawn from ``streams.proposal`` in chunks of ``snapshot_every``
+    iterations.  If a position has left |x| <= 1e6 by the end of a chunk, the
+    chain raises ``IntegrationError`` naming that iteration and the first
+    such particle.
     """
     x = np.asarray(x0, dtype=np.float64).tolist()
     N = len(x)
@@ -253,7 +121,7 @@ def run_log_gas_chain(
                 drift = v_coef * r + (-1.0 / y if abs(y) >= r0 else -y / r0_sq)
                 r = r - dt * drift + noise_std * z
             if not math.isfinite(r):
-                stats.clamp_count += 1  # dropped, as in rbmc_step
+                stats.clamp_count += 1  # dropped: the particle stays put
                 continue
             # sum_j phi2(r - x_j) - phi2(xi - x_j) over j != i; one entry xi is i's own
             delta = 0.0

@@ -592,10 +592,10 @@ def test_pair_list_raises_on_a_nan_position_after_replace_state():
 
 
 def test_pair_list_search_runs_only_on_builds_over_the_benchmark_episode(monkeypatch):
-    # the Coulomb real-space list and the model's LJ list both search through neighbor_pairs
+    # the Coulomb real-space list and the model's LJ list both search through _search_pairs
     calls = []
-    search = forces.neighbor_pairs
-    monkeypatch.setattr(forces, "neighbor_pairs", lambda *a: calls.append(1) or search(*a))
+    search = forces._search_pairs
+    monkeypatch.setattr(forces, "_search_pairs", lambda *a: calls.append(1) or search(*a))
     cfg = runner.validate(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
                           / "electrolyte-rbe.yaml")
     spec = runner.MODELS["electrolyte"]

@@ -538,6 +538,29 @@ def test_neighbor_pairs_matches_brute_force(L, cutoff, dim, positions):
         assert (0, 1) in set(zip(i.tolist(), j.tolist()))
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("L, cutoff, m", [(6.0, 2.4, 2), (6.0, 3.6, 1),
+                                          (6.0, np.nextafter(3.0, 0.0), 1)])
+def test_few_particle_searches_equal_brute_force_in_anti_diagonal_order(monkeypatch, N, L, cutoff, m):
+    # m: cells per side; the last cutoff is one ulp under L/2
+    grids = []
+    cells = forces._cell_candidates
+    monkeypatch.setattr(forces, "_cell_candidates", lambda c, k: grids.append(k) or cells(c, k))
+    gen = RngStream(90 + N).generator()
+    found = set()
+    for _ in range(30):
+        pos = gen.uniform(0, L, size=(N, 3))
+        expected = _brute_force_pairs(pos, L, cutoff)
+        i, j = forces._search_pairs(pos, L, cutoff)
+        listed = neighbor_pairs(pos, L, cutoff)
+        for got in ((i, j), listed[:3]):
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(listed[3], expected[3], rtol=1e-15, atol=0)  # summation order
+        found.add(i.size)
+    assert set(grids) == {m} and 0 in found and max(found) >= N - 1
+
+
 @pytest.mark.parametrize("n, d, M", [(300, 3, 20_000), (50, 2, 1000), (2, 1, 1), (40, 3, 0)])
 def test_pair_force_sum_has_the_same_bits_in_ij_and_anti_diagonal_order(n, d, M):
     # pairs sharing i come by ascending j, and pairs sharing j by ascending i,
@@ -641,9 +664,10 @@ def test_a_search_in_many_blocks_equals_one_block(monkeypatch, d, N, L, cutoff):
     pos = RngStream(60 + d).generator().uniform(0, L, size=(N, d))
     monkeypatch.setattr(forces, "_SEARCH_BLOCK", N * N)
     whole = neighbor_pairs(pos, L, cutoff)
-    blocks = []
-    within = forces._pairs_within
-    monkeypatch.setattr(forces, "_pairs_within", lambda *a: blocks.append(a[2].size) or within(*a))
+    blocks = []  # candidates per block
+    expand = forces._run_pairs
+    monkeypatch.setattr(forces, "_run_pairs",
+                        lambda *a: (lambda ij: blocks.append(ij[0].size) or ij)(expand(*a)))
     monkeypatch.setattr(forces, "_SEARCH_BLOCK", 40)
     split = neighbor_pairs(pos, L, cutoff)
     assert len(blocks) > 20 and max(blocks) <= 40 + N  # at most the budget, or a single rank

@@ -443,8 +443,8 @@ def test_split_step_evaluates_k1_once_per_pair_and_refuses_a_non_radial_k1():
 
 def test_split_list_searches_only_on_builds_over_the_benchmark_episode(monkeypatch):
     calls = []
-    search = forces.neighbor_pairs
-    monkeypatch.setattr(forces, "neighbor_pairs", lambda *a: calls.append(1) or search(*a))
+    search = forces._search_pairs
+    monkeypatch.setattr(forces, "_search_pairs", lambda *a: calls.append(1) or search(*a))
     cfg = runner.validate(Path(__file__).resolve().parents[1] / "perfbench" / "configs"
                           / "lj-split.yaml")
     spec = runner.MODELS["lj-fluid"]

@@ -16,7 +16,6 @@ from randbatch.integrators import direct_step, rbm_step_first_order
 from randbatch.models import (
     ConsensusModel,
     CuckerSmaleModel,
-    DysonModel,
     ElectrolyteModel,
     WealthModel,
     consensus_functionals,
@@ -386,26 +385,6 @@ def test_electrolyte_lj_with_no_listed_pair_skips_the_filter_and_kernel(monkeypa
     F_full, e_full = full_path(state)
     assert model.pairs.builds == 2 and F.any()
     assert np.array_equal(F, F_full) and energy == e_full
-
-
-def test_dyson_target_drift_symmetry():
-    model = DysonModel(N=6)
-    target = model.gibbs_target()
-    gen = RngStream(11).generator()
-    x = gen.standard_normal((6, 1))
-    perm = gen.permutation(6)
-
-    def drift(cfg, i):
-        others = np.delete(np.arange(6), i)
-        return (
-            target.grad_V(cfg[i][None, :])[0] / (target.w * 5)
-            + target.grad_phi1(cfg[i][None, :] - cfg[others]).sum(axis=0) / 5
-        )
-
-    for i in range(6):
-        orig = drift(x, i)
-        relabeled = drift(x[perm], int(np.flatnonzero(perm == i)[0]))
-        np.testing.assert_allclose(orig, relabeled, atol=1e-12)
 
 
 def test_split_short_coefficient_is_force_minus_smooth_and_the_short_part_odd_bit_for_bit():

@@ -1,4 +1,4 @@
-"""RBMC proposal/acceptance semantics, the log-gas chain, and SVGD."""
+"""The log-gas RBMC chain against an exact Metropolis oracle, and SVGD."""
 
 import math
 from types import SimpleNamespace
@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from randbatch.batching import enumerate_divisions, random_division
+from randbatch.diagnostics import wasserstein1_1d
 from randbatch.integrators import IntegrationError, direct_step, rbm_step_first_order
 from randbatch.models import DysonModel
 from randbatch.rng import RngStream, SimStreams
@@ -17,11 +18,6 @@ from randbatch.runner import _stop_far_svgd
 from randbatch.samplers import (
     GaussianKernel,
     GibbsTarget,
-    MarkovChainStats,
-    log_kernel_split,
-    rbmc_accept,
-    rbmc_propose,
-    rbmc_step,
     run_log_gas_chain,
     stein_system,
     svgd_velocity,
@@ -29,111 +25,48 @@ from randbatch.samplers import (
 from randbatch.state import ParticleState
 
 
-def _free_target(N, beta=1.0, w=1.0):
-    zero = lambda d: np.zeros(np.atleast_2d(d).shape[0])
-    zerov = lambda d: np.zeros_like(np.atleast_2d(d))
-    return GibbsTarget(V=lambda x: np.zeros(len(x)), grad_V=lambda x: np.zeros_like(x),
-                       phi1=zero, grad_phi1=zerov, phi2=zero, phi2_cutoff=None,
-                       beta=beta, w=w, N=N)
+def _exact_log_gas_chain(x0, n_moves, step, rng, warmup=0, snapshot_every=1):
+    """Random-walk Metropolis on exp(-H), H = (N-1)/2 sum x_i^2 - sum_{i<j} ln|x_i - x_j|.
+
+    Each move shifts one random particle by step * N(0, 1) and accepts with
+    min(1, exp(-dH)), dH summed over the N - 1 pairs it is in, so the chain
+    samples the Gibbs measure exactly.  Returns the (n, N) snapshots taken
+    every ``snapshot_every`` moves after ``warmup``.
+    """
+    x = np.asarray(x0, dtype=np.float64).tolist()
+    N = len(x)
+    picks = rng.integers(0, N, n_moves).tolist()
+    shifts = (step * rng.standard_normal(n_moves)).tolist()
+    log_u = np.log(rng.random(n_moves)).tolist()
+    snapshots = []
+    for k, (i, dx, lu) in enumerate(zip(picks, shifts, log_u), 1):
+        xi, y = x[i], x[i] + dx
+        dH = 0.5 * (N - 1) * (y * y - xi * xi)
+        for j, xj in enumerate(x):
+            if j != i:
+                dH -= math.log(abs((y - xj) / (xi - xj)))
+        if lu <= -dH:
+            x[i] = y
+        if k > warmup and k % snapshot_every == 0:
+            snapshots.append(list(x))
+    return np.array(snapshots)
 
 
-def _quadratic_target(N, beta=1.0, w=1.0, phi1=None, grad_phi1=None, phi2=None, cutoff=None):
-    zero = lambda d: np.zeros(np.atleast_2d(d).shape[0])
-    zerov = lambda d: np.zeros_like(np.atleast_2d(d))
-    return GibbsTarget(
-        V=lambda x: 0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1),
-        grad_V=lambda x: np.atleast_2d(x),
-        phi1=phi1 or zero, grad_phi1=grad_phi1 or zerov,
-        phi2=phi2 or zero, phi2_cutoff=cutoff, beta=beta, w=w, N=N,
-    )
+@pytest.mark.parametrize("field, value, message", [("N", 1, "N must be >= 2"),
+                                                   ("beta", 0.0, "beta must be positive"),
+                                                   ("phi2_cutoff", 0.0, "split radius")])
+def test_gibbs_target_refuses_what_the_chain_cannot_run(field, value, message):
+    fields = {"N": 4, "w": 1.0 / 3, "beta": 9.0, "phi2_cutoff": 0.01, field: value}
+    with pytest.raises(ValueError, match=message):
+        GibbsTarget(**fields)
 
 
-def test_propose_pure_brownian_variance():
-    N, m, dt = 5, 3, 0.01
-    target = _free_target(N, beta=2.0, w=0.5)
-    gen = RngStream(1).generator()
-    config = gen.standard_normal((N, 1))
-    draws = np.array([
-        rbmc_propose(0, config, target, m, 2, dt, gen)[0] for _ in range(100_000)
-    ])
-    expected_var = m * 2 * dt / ((N - 1) * 0.5**2 * 2.0)
-    assert abs(draws.mean() - config[0, 0]) < 4 * math.sqrt(expected_var / len(draws))
-    rel = abs(draws.var() - expected_var) / expected_var
-    assert rel < 4 * math.sqrt(2 / len(draws))
-
-
-def test_propose_full_batch_no_noise_is_deterministic_euler():
-    N, dt = 4, 0.05
-    smooth = lambda d: np.sum(np.atleast_2d(d) ** 2, axis=1)
-    grad_smooth = lambda d: 2.0 * np.atleast_2d(d)
-    target = _quadratic_target(N, phi1=smooth, grad_phi1=grad_smooth)
-    gen = RngStream(2).generator()
-    config = gen.standard_normal((N, 1))
-    out = rbmc_propose(0, config, target, 1, N, dt, gen, include_noise=False)
-    drift = config[0] / (1.0 * (N - 1)) + grad_smooth(config[0] - config[1:]).mean(axis=0)
-    np.testing.assert_allclose(out, config[0] - dt * drift, atol=1e-14)
-
-
-def test_propose_one_step_mean_matches_drift_formula():
-    N, dt = 3, 0.02
-    grad_smooth = lambda d: np.tanh(np.atleast_2d(d))
-    smooth = lambda d: np.zeros(np.atleast_2d(d).shape[0])
-    target = _quadratic_target(N, phi1=smooth, grad_phi1=grad_smooth)
-    config = np.array([[0.3], [-0.8], [1.1]])
-    gen = RngStream(3).generator()
-    draws = np.array([
-        rbmc_propose(0, config, target, 1, 2, dt, gen)[0] for _ in range(100_000)
-    ])
-    expected = config[0, 0] - dt * (
-        config[0, 0] / 2
-        + 0.5 * (math.tanh(0.3 + 0.8) + math.tanh(0.3 - 1.1))
-    )
-    noise_sd = math.sqrt(2 * dt / 2)
-    assert abs(draws.mean() - expected) < 3 * noise_sd / math.sqrt(len(draws))
-
-
-def test_accept_trivial_cases_and_oracle():
-    gen = RngStream(4).generator()
-    target = _quadratic_target(2)
-    cfg = np.array([[0.0], [1.0]])
-    # phi2 == 0: always accept
-    _, prob = rbmc_accept(0, cfg[0], np.array([5.0]), cfg, target, gen)
-    assert prob == 1.0
-    # unchanged position: always accept
-    inv = _quadratic_target(2, phi2=lambda d: 1.0 / np.abs(np.atleast_2d(d)).ravel())
-    _, prob = rbmc_accept(0, cfg[0], cfg[0], cfg, inv, gen)
-    assert prob == 1.0
-    # hand-computed Coulomb-style barrier
-    _, prob = rbmc_accept(0, cfg[0], np.array([0.5]), cfg, inv, gen)
-    assert prob == pytest.approx(math.exp(-1.0))
-
-
-def test_rbmc_step_single_particle_is_unadjusted_langevin():
-    target = _quadratic_target(1, beta=4.0, w=0.5)
-    gen = RngStream(5).generator()
-    config = np.array([[2.0]])
-    stats = MarkovChainStats()
-    out = rbmc_step(config, target, 1, 2, 0.01, gen, stats)
-    assert stats.proposal_count == 1 and stats.acceptance_count == 1
-    assert out.shape == (1, 1) and out[0, 0] != 2.0
-
-
-def test_log_kernel_split_identities():
-    r0 = 0.01
-    phi1, grad_phi1, phi2 = log_kernel_split(r0)
-    r = np.array([[0.5 * r0], [0.9 * r0], [1.5 * r0], [3.0]])
-    # phi1 + phi2 reproduces -ln|r| everywhere
-    np.testing.assert_allclose(phi1(r) + phi2(r), -np.log(np.abs(r.ravel())), atol=1e-12)
-    # phi2 supported strictly inside r0
-    assert np.all(phi2(np.array([[r0], [2 * r0]])) == 0.0)
-    # C1 continuity of phi1 at the split
-    eps = 1e-9
-    left = phi1(np.array([[r0 - eps]]))[0]
-    right = phi1(np.array([[r0 + eps]]))[0]
-    assert abs(left - right) < 1e-6
-    gl = grad_phi1(np.array([[r0 - eps]]))[0, 0]
-    gr = grad_phi1(np.array([[r0 + eps]]))[0, 0]
-    assert abs(gl - gr) < 1e-4
+def test_exact_chain_pair_spread_at_n_2_is_the_closed_form():
+    # at N = 2 the gap d = x1 - x2 has density |d| exp(-d^2 / 4), so E d^2 = 4
+    x = _exact_log_gas_chain([0.5, -0.5], 200_000, 1.5, SimStreams(3).proposal, warmup=1000)
+    d2 = (x[:, 0] - x[:, 1]) ** 2
+    batches = d2[: d2.size // 40 * 40].reshape(40, -1).mean(axis=1)  # batch means
+    assert abs(d2.mean() - 4.0) < 4 * batches.std(ddof=1) / math.sqrt(batches.size)
 
 
 def test_detailed_balance_chi_square():
@@ -144,7 +77,14 @@ def test_detailed_balance_chi_square():
     marginal by a chi-square test at the 1% level.
     """
     r0 = 0.5
-    _, _, phi2 = log_kernel_split(r0)
+
+    def phi2(r):
+        """The singular part of -ln|r| split at r0: -ln|r| minus its C^1 parabola inside r0."""
+        r = np.abs(r)
+        with np.errstate(divide="ignore"):
+            full = -np.log(r)
+        return np.where(r < r0, full - (-math.log(r0) + 0.5 - r * r / (2 * r0 * r0)), 0.0)
+
     n_chains, sweeps, dt = 2000, 600, 0.3
     gen = RngStream(6).generator()
     x = gen.standard_normal((n_chains, 2))
@@ -155,14 +95,14 @@ def test_detailed_balance_chi_square():
         old = x[np.arange(n_chains), who]
         other = x[np.arange(n_chains), 1 - who]
         candidate = old * decay + spread * gen.standard_normal(n_chains)
-        delta = phi2((candidate - other)[:, None]) - phi2((old - other)[:, None])
+        delta = phi2(candidate - other) - phi2(old - other)
         accept = gen.random(n_chains) < np.exp(np.minimum(-delta, 0.0))
         x[np.arange(n_chains), who] = np.where(accept, candidate, old)
     samples = x.ravel()
 
     def marginal(u):
         val, _ = quad(
-            lambda v: math.exp(-0.5 * (u * u + v * v) - float(phi2(np.array([[u - v]]))[0])),
+            lambda v: math.exp(-0.5 * (u * u + v * v) - float(phi2(u - v))),
             -6, 6, limit=200, points=[u - r0, u, u + r0],
         )
         return val
@@ -177,58 +117,26 @@ def test_detailed_balance_chi_square():
     assert stat < chi2.ppf(0.99, df=len(counts) - 1)
 
 
-def test_accept_rule_matches_vectorized_form():
-    # the package acceptance and the chi-square test's vectorized rule agree
-    r0 = 0.5
-    phi1, grad_phi1, phi2 = log_kernel_split(r0)
-    target = _quadratic_target(2, phi1=phi1, grad_phi1=grad_phi1, phi2=phi2, cutoff=r0)
-    gen = RngStream(7).generator()
-    for _ in range(100):
-        cfg = gen.standard_normal((2, 1))
-        cand = cfg[0] + 0.3 * gen.standard_normal(1)
-        _, prob = rbmc_accept(0, cfg[0], cand, cfg, target, gen)
-        delta = float(phi2(cand - cfg[1])[0] - phi2(cfg[0] - cfg[1])[0])
-        assert prob == pytest.approx(min(1.0, math.exp(-delta)), abs=1e-12)
-
-
-def test_fast_chain_agrees_with_generic_sampler():
-    N = 16
-    phi1, grad_phi1, phi2 = log_kernel_split(0.05)
-    target = GibbsTarget(
-        V=lambda x: 0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1),
-        grad_V=lambda x: np.atleast_2d(x),
-        phi1=phi1, grad_phi1=grad_phi1, phi2=phi2, phi2_cutoff=0.05,
-        beta=float((N - 1) ** 2), w=1.0 / (N - 1), N=N,
-    )
+def test_fast_chain_agrees_with_exact_metropolis():
+    # the exact chain moves by the spread of the RBMC proposal's m steps, so both
+    # mix at about the same rate.  Over 10 seed pairs two exact runs read W1 =
+    # 0.019 +- 0.0053 (max 0.031); the bound is that mean plus 4 sd.  At dt = 2e-2
+    # the fast chain's bias reads 0.061-0.072 against exact runs
+    N, dt, m = 16, 5e-4, 5
+    target = GibbsTarget(N=N, w=1.0 / (N - 1), beta=float((N - 1) ** 2), phi2_cutoff=0.05)
     x0 = RngStream(8).generator().uniform(-1, 1, N)
-    _, pooled_fast, stats_fast = run_log_gas_chain(
-        x0, target, 30_000, m=5, dt=5e-4, streams=SimStreams(9),
-        warmup=10_000, snapshot_every=2000,
-    )
-    gen = SimStreams(10).proposal
-    config = x0[:, None].copy()
-    stats = MarkovChainStats()
-    pooled = []
-    for k in range(30_000):
-        config = rbmc_step(config, target, 5, 2, 5e-4, gen, stats)
-        if k >= 10_000 and k % 2000 == 0:
-            pooled.append(config[:, 0].copy())
-    from randbatch.diagnostics import wasserstein1_1d
-
-    assert abs(stats_fast.acceptance_rate - stats.acceptance_rate) < 0.05
-    assert wasserstein1_1d(pooled_fast, np.concatenate(pooled)) < 0.15
+    _, fast, _ = run_log_gas_chain(x0, target, 400_000, m=m, dt=dt, streams=SimStreams(9),
+                                   warmup=100_000, snapshot_every=1000)
+    exact = _exact_log_gas_chain(x0, 400_000, math.sqrt(m * 2 * dt / (N - 1)),
+                                 SimStreams(10).proposal, warmup=100_000, snapshot_every=1000)
+    assert fast.size == exact.size == 300 * N
+    assert wasserstein1_1d(fast, exact.ravel()) < 0.04
 
 
 def test_log_gas_chain_final_config_is_pinned():
     """Pinned bits of the chain; half the particles start outside [-4, 4], in pairs within r0."""
     N = 12
-    phi1, grad_phi1, phi2 = log_kernel_split(0.05)
-    target = GibbsTarget(
-        V=lambda x: 0.5 * np.sum(np.atleast_2d(x) ** 2, axis=1),
-        grad_V=lambda x: np.atleast_2d(x),
-        phi1=phi1, grad_phi1=grad_phi1, phi2=phi2, phi2_cutoff=0.05,
-        beta=float((N - 1) ** 2), w=1.0 / (N - 1), N=N,
-    )
+    target = GibbsTarget(N=N, w=1.0 / (N - 1), beta=float((N - 1) ** 2), phi2_cutoff=0.05)
     x0 = np.concatenate([RngStream(11).generator().uniform(-1, 1, 6),
                          4.5 + 0.03 * np.arange(3), -5.0 - 0.03 * np.arange(3)])
     x, pooled, stats = run_log_gas_chain(x0, target, 4000, m=3, dt=1e-3, streams=SimStreams(12),
