@@ -5,10 +5,12 @@
 method or thermostat kind would not use rejected rather than ignored.
 ``run`` applies its ``--seed`` and ``--replicas`` overrides before that
 validation, so an override is checked like the field it replaces.  An
-invalid config exits with code 2; a run that fails exits with code 1.
-Either failure writes one JSON report to stderr; the warnings a failed run
-raised (numpy's overflow warnings on the way to a blow-up, say) go into it
-under ``"warnings"``, and a run that succeeds prints its warnings when done.
+invalid option (``--threads 0``, say) exits with code 2 and the parser's
+usage message before any output is written.  An invalid config exits with
+code 2; a run that fails exits with code 1.  Either failure writes one JSON
+report to stderr; the warnings a failed run raised (numpy's overflow
+warnings on the way to a blow-up, say) go into it under ``"warnings"``, and
+a run that succeeds prints its warnings when done.
 """
 
 import argparse
@@ -20,6 +22,13 @@ import yaml
 
 from . import __version__
 from .runner import ConfigError, run, validate
+
+
+def _thread_count(text: str) -> int:
+    n = int(text) if text.lstrip("+-").isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=None, help="output root directory")
     p_run.add_argument("--replicas", type=int, default=None, help="override replica count")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_thread_count, default=1,
                        help="cap on numpy's BLAS threads for the run (default 1); it caps "
                             "BLAS only: a first-order step fills a large noise draw on "
                             "one more thread")

@@ -472,8 +472,6 @@ def rbe_md_step(
     from . import runner  # which imports this module
 
     sim = runner._electrolyte_sim(system, params, thermostat, bank, streams, extra_force, S)
-    sim.state = runner._STEPPERS["direct"](sim, 1, dt)
-    for hook in sim.hooks:
-        hook(sim, 1, dt)
+    runner._take_step(sim, runner._STEPPERS["direct"], 1, dt)
     return (system.replace_state(sim.state),
             dict(zip(runner.ENERGY_COLUMNS[1:], sim.energy[0][1:])))

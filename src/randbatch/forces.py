@@ -34,17 +34,18 @@ filters its candidates in blocks of ``_SEARCH_BLOCK`` = 2^13, small enough
 that each block reuses the heap memory the last one freed rather than
 faulting in fresh pages, which cost a build more than the extra calls per
 block do.
-All three short-range sums (split-step K1, Coulomb real space, electrolyte LJ
-core) are Newton pairs of a radial kernel: each passes one coefficient per
-pair i < j, computed from the r^2 that the list answer carries (the split
-step's K1 is a ``state.RadialKernel``, which exposes it as a function of
-r^2), to ``pair_force_sum``, which scales the (d, M) displacements by it in
-one product.  Its ``bincount``s add each particle's terms in list order, and in
-anti-diagonal order, as in (i, j) order, the pairs sharing i come by
-ascending j and those sharing j by ascending i, so the sums have the same
-bits in either order.  Consecutive pairs rarely share an end in
-anti-diagonal order (in (i, j) order nearly all share i), so the
-``bincount``s do not add into one location in a serial chain.
+All three short-range sums (a split kernel's K1, which
+``integrators.SecondOrderSystem.batch_forces`` sums exactly, Coulomb real
+space, the electrolyte's LJ core) are Newton pairs of a radial kernel: each
+passes one coefficient per pair i < j, computed from the r^2 that the list
+answer carries (K1 is a ``state.RadialKernel``, which exposes it as a
+function of r^2), to ``pair_force_sum``, which scales the (d, M)
+displacements by it in one product.  Its ``bincount``s add each particle's
+terms in list order, and in anti-diagonal order, as in (i, j) order, the
+pairs sharing i come by ascending j and those sharing j by ascending i, so
+the sums have the same bits in either order.  Consecutive pairs rarely
+share an end in anti-diagonal order (in (i, j) order nearly all share i),
+so the ``bincount``s do not add into one location in a serial chain.
 """
 
 from typing import Callable, Optional, Tuple

@@ -1,4 +1,4 @@
-"""Time steppers: full-batch reference, RBM variants, splitting.
+"""Time steppers: the full-batch reference, RBM and RBM with replacement.
 
 First-order systems (toy, wealth, consensus, and the noiseless Stein flow of
 SVGD, ``samplers.stein_system``) take Euler-Maruyama steps.  Every
@@ -8,12 +8,17 @@ takes the symplectic Euler step ``kick_drift``: x moves with the *new* v
 step).  A non-finite result raises ``IntegrationError`` naming its first
 such particle.  The force comes from the system's ``batch_forces``: a kernel
 sum, which the Cucker-Smale, consensus, Stein and Coulomb systems replace.
+Kernel-splitting RBM is the RBM step on a ``SecondOrderSystem`` whose kernel
+declares a split: its ``batch_forces`` sums the short part K1 exactly and the
+smooth part K2 over the random batches (Jin, Li & Liu, JCP 2020), and
+``rbm_split_step`` is another name for ``rbm_step_first_order``.
 
 Every stepper is a pure function of (state, rng streams) and returns a new
-state.  The full-batch ``direct_step`` and the random-batch steppers share the
-same update expression and the same per-step noise draw, so a random-batch
-step with p = N reproduces the direct step bit for bit under identical
-streams; that coupling also underlies the strong-error measurements.
+state.  ``direct_step`` and ``rbm_step_first_order`` are one step,
+``_step``, with and without a random division, so they share the update
+expression and the per-step noise draw: a random-batch step with p = N
+reproduces the direct step bit for bit under identical streams, and that
+coupling also underlies the strong-error measurements.
 
 At p = 2 a large first-order step spends a large share of its time filling
 the Brownian increments.  ``direct_step`` and ``rbm_step_first_order``
@@ -30,8 +35,8 @@ the generator.  A step that needs its draw before the worker has started it
 makes the draw itself, and each step waits for its draw before it returns or
 raises.
 
-A ``SecondOrderSystem`` carries the Verlet list (``forces.PairList``) of the
-kernel-splitting step's exact short-range sum from step to step.  The list
+A ``SecondOrderSystem`` carries the Verlet list (``forces.PairList``) of a
+split kernel's exact short-range sum from step to step.  The list
 changes only how the pairs within the split radius are found: it hands them
 on in the anti-diagonal order of a fresh search (by i + j, then i), so they
 are summed in the same order whenever the list was built.
@@ -93,8 +98,8 @@ class SecondOrderSystem(_KernelForces):
     sigma = sqrt(2 gamma / beta) makes the Gibbs measure at inverse
     temperature beta invariant; ``thermostats.Langevin`` builds that pair.
     Without noise gamma may be negative, as the Nose-Hoover xi of a cold system is.
-    ``pairs`` is the short-range pair list that ``rbm_split_step`` creates at
-    the kernel's split radius and reuses on later steps.
+    ``pairs`` is the short-range pair list that ``batch_forces`` creates at a
+    split kernel's radius, on first use or for a new radius, and reuses.
     """
 
     kernel: object
@@ -107,6 +112,18 @@ class SecondOrderSystem(_KernelForces):
     def __post_init__(self):
         if self.sigma < 0 or (self.sigma > 0 and self.gamma < 0):
             raise ValueError("sigma must be nonnegative, and gamma too when sigma > 0")
+
+    def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
+        """The kernel sum; for a split kernel and a division, the exact short-range
+        sum over ``pairs`` plus the smooth part's batch sum."""
+        kernel = self.kernel
+        if division is None or not (isinstance(kernel, KernelSpec) and kernel.has_split):
+            return super().batch_forces(state, division)
+        if self.pairs is None or self.pairs.cutoff != kernel.split_radius:
+            self.pairs = PairList(kernel.split_radius)
+        short = short_range_force_all(state, kernel.short_part, kernel.split_radius, self.alpha_N,
+                                      self.pairs)
+        return short + division_forces(state, division, kernel.smooth_part, self.alpha_N)
 
 
 @dataclass
@@ -284,28 +301,27 @@ def _advance(state, system, force, dt, noise_rng, drawn=None) -> ParticleState:
     return _stepped(state, "first-order step", positions=new)
 
 
-def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) -> ParticleState:
-    """Full-batch step with exact O(N^2) forces."""
+def _step(state: ParticleState, system, p, dt: float, streams: SimStreams) -> ParticleState:
+    """A random division into batches of p (None: one batch of all N), then ``_advance``
+    under the system's batch forces: an Euler-Maruyama step for a ``FirstOrderSystem``,
+    the ``kick_drift`` velocity kick for a ``SecondOrderSystem``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     with _noise_alongside(system, state.positions.shape, streams.noise) as drawn:
-        return _advance(state, system, system.batch_forces(state), dt, streams.noise, drawn)
+        division = None if p is None else random_division(state.n_particles, p, streams.division)
+        return _advance(state, system, system.batch_forces(state, division), dt, streams.noise,
+                        drawn)
+
+
+def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) -> ParticleState:
+    """Full-batch step with exact O(N^2) forces."""
+    return _step(state, system, None, dt, streams)
 
 
 def rbm_step_first_order(state: ParticleState, system, p: int, dt: float,
                          streams: SimStreams) -> ParticleState:
-    """One random division, then ``_advance`` with the batch forces.
-
-    ``_advance`` serves both orders: an Euler-Maruyama step for a
-    ``FirstOrderSystem``, the ``kick_drift`` velocity kick for a
-    ``SecondOrderSystem``.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    with _noise_alongside(system, state.positions.shape, streams.noise) as drawn:
-        division = random_division(state.n_particles, p, streams.division)
-        return _advance(state, system, system.batch_forces(state, division), dt, streams.noise,
-                        drawn)
+    """One random division into batches of p, then the step under their forces."""
+    return _step(state, system, p, dt, streams)
 
 
 def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStreams) -> ParticleState:
@@ -333,25 +349,4 @@ def rbmr_step(state: ParticleState, system, p: int, dt: float, streams: SimStrea
     return state.replace(positions=x, velocities=v)
 
 
-def rbm_split_step(
-    state: ParticleState, system: SecondOrderSystem, p: int, dt: float, streams: SimStreams
-) -> ParticleState:
-    """Kernel-splitting RBM: exact short-range sum plus random-batch smooth part.
-
-    The short-range pairs come from ``system.pairs``, which is created here
-    when the system has no list yet or one for another split radius.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    kernel = system.kernel
-    if not isinstance(kernel, KernelSpec) or not kernel.has_split:
-        raise ValueError("rbm_split_step needs a kernel with a declared split")
-    if state.box_length is None:
-        raise ValueError("rbm_split_step needs a periodic box")
-    if system.pairs is None or system.pairs.cutoff != kernel.split_radius:
-        system.pairs = PairList(kernel.split_radius)
-    short = short_range_force_all(state, kernel.short_part, kernel.split_radius, system.alpha_N,
-                                  system.pairs)
-    division = random_division(state.n_particles, p, streams.division)
-    smooth = division_forces(state, division, kernel.smooth_part, system.alpha_N)
-    return _advance(state, system, short + smooth, dt, streams.noise)
+rbm_split_step = rbm_step_first_order  # on a split kernel: SecondOrderSystem.batch_forces

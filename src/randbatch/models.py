@@ -234,6 +234,8 @@ class ConsensusModel:
             raise ValueError("intrinsic velocities nu must sum to zero")
         if self.adjacency is not None:
             self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
+            if self.adjacency.shape != (self.N, self.N):
+                raise ValueError(f"adjacency must be N x N = {self.N} x {self.N}")
             if not np.allclose(self.adjacency, self.adjacency.T):
                 raise ValueError("adjacency must be symmetric")
             if np.any(self.adjacency < 0):

@@ -15,10 +15,12 @@ so the range checks of model fields live only in the constructors the
 builders call, and a config that validates builds.  ``run`` executes a
 resolved config through one loop shared by all models: stepping, per-step
 hooks (wealth reflection, thermostats, the electrolyte's energy log, the Stein
-flow's 1e6 bound), recording every ``record_every`` steps and replicas.  It
-writes ``config.resolved.yaml``, ``metrics.json`` and ``log.txt`` into the
-output directory, and the CSV artifacts there too for one replica; with
-``run.replicas`` > 1, replica r writes its CSVs into ``replica<r>/`` under it.
+flow's 1e6 bound), recording every ``record_every`` steps and replicas; one
+step and its hooks are ``_take_step``, which ``ewald.rbe_md_step`` calls
+too.  It writes ``config.resolved.yaml``, ``metrics.json`` and ``log.txt``
+into the output directory, and the CSV artifacts there too for one replica;
+with ``run.replicas`` > 1, replica r writes its CSVs into ``replica<r>/``
+under it.
 A rerun into the same directory first removes those files of the earlier run.
 Identical (config, seed) pairs produce byte-identical metrics.
 Without ``method`` a config runs its model's first: ``rbm`` for wealth,
@@ -58,7 +60,6 @@ from .integrators import (
     SecondOrderSystem,
     StepSchedule,
     direct_step,
-    rbm_split_step,
     rbm_step_first_order,
     rbmr_step,
 )
@@ -108,7 +109,7 @@ class ModelSpec:
     ``run`` lists the run fields the model honours with their defaults (a
     callable default is worked out from the resolved section).  ``steppers``
     maps each method, the default first, to ``step(sim, k, dt) -> state``;
-    every model but lj-fluid and dyson takes its steppers from ``_STEPPERS``.
+    every model but dyson takes its steppers from ``_STEPPERS``.
     ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
     past the warmup, and before the first step when ``observe_start`` is set;
     ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
@@ -462,8 +463,7 @@ MODELS = {
         fields={"N": 125, "density": 0.3, "sigma": 1.0, "epsilon": 1.0,
                 "split_radius": 1.6, "beta": 0.5},
         run={"p": 2, "dt": 1e-3, "schedule": None, "steps": 500, "replicas": 1},
-        steppers={"rbm-split": lambda s, k, dt: rbm_split_step(s.state, s.system, s.p, dt,
-                                                               s.streams)},
+        steppers={"rbm-split": _STEPPERS["rbm"]},
         diagnostics=("temperature",), build=_build_lj, finish=_finish_lj,
         observe=lambda s, k: 0.5 * float(np.sum(s.state.velocities**2)),
         thermostats=("andersen", "langevin"),
@@ -741,6 +741,13 @@ def _schedule(run: dict) -> StepSchedule:
                         **{k: v for k, v in s.items() if k != "kind"})
 
 
+def _take_step(sim, step, k: int, dt: float):
+    """Step k of size dt: ``sim.state = step(sim, k, dt)``, then each of ``sim.hooks``."""
+    sim.state = step(sim, k, dt)
+    for hook in sim.hooks:
+        hook(sim, k, dt)
+
+
 def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
     spec = MODELS[cfg["model"]["id"]]
     run = cfg["run"]
@@ -753,11 +760,8 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
     if spec.observe_start:
         sim.rows.append(observe(sim, 0))
     for k in range(1, _n_steps(run) + 1):
-        dt = schedule(k)
         try:
-            sim.state = step(sim, k, dt)
-            for hook in sim.hooks:
-                hook(sim, k, dt)
+            _take_step(sim, step, k, schedule(k))
         except IntegrationError as exc:
             raise IntegrationError(f"{exc} at step {k}") from exc
         if observe is not None and k > warmup and k % every == 0:
@@ -817,10 +821,12 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
 
     An earlier run's artifacts in that directory are removed first (see
     ``_clear_artifacts``), so what it holds afterwards is this run's alone.
-    ``threads`` caps numpy's BLAS thread pool before the run starts; None
-    leaves it as it is.  It caps BLAS only: a first-order step whose noise
-    draw is large fills it on one more thread (``integrators``).
+    ``threads`` caps numpy's BLAS thread pool first, so a count below 1 is
+    refused before any file is touched; None leaves it as it is.  It caps
+    BLAS only: a first-order step whose noise draw is large fills it on one
+    more thread (``integrators``).
     """
+    capped = threads is not None and set_blas_threads(threads)
     out_root = Path(out_root or cfg["output"]["directory"])
     outdir = out_root / f"{cfg['name']}-seed{cfg['seed']}"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -829,7 +835,7 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
         yaml.safe_dump(cfg, fh, sort_keys=True)
     log_lines = [f"randbatch {__version__}", f"method={cfg['method']} model={cfg['model']['id']}"]
     if threads is not None:
-        log_lines.append(f"blas_threads={threads}" if set_blas_threads(threads) else
+        log_lines.append(f"blas_threads={threads}" if capped else
                          "blas_threads: not capped, numpy's BLAS exposes no thread-count call")
     t0 = time.perf_counter()
     replicas = cfg["run"]["replicas"]

@@ -166,9 +166,10 @@ class GaussianKernel:
     bandwidth: float | str = "median"
 
     def __post_init__(self):
-        if self.bandwidth != "median" and not (isinstance(self.bandwidth, (int, float))
-                                               and self.bandwidth > 0):
-            raise ValueError("bandwidth must be 'median' or a positive number")
+        h = self.bandwidth
+        if h != "median" and not (isinstance(h, (int, float)) and not isinstance(h, bool)
+                                  and math.isfinite(h) and h > 0):
+            raise ValueError("bandwidth must be 'median' or a positive finite number")
 
     def resolve(self, sq_dists: np.ndarray, n: int):
         """Bandwidth for groups of n particles; the median runs over the last axis."""

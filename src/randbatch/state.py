@@ -107,8 +107,8 @@ class KernelSpec:
     """Pairwise force kernel, optionally split into short + smooth parts.
 
     When a split is declared, ``short_part`` must vanish for |x| >= split_radius
-    and ``short_part + smooth_part`` must reproduce ``force``.  The split step
-    sums the short part once per pair, so the short part must be a
+    and ``short_part + smooth_part`` must reproduce ``force``.  A second-order
+    system's batch forces sum the short part once per pair, so it must be a
     ``RadialKernel``, whose oddness K1(-x) = -K1(x) holds by construction; any
     other is refused with TypeError here, where the split is built.
     """

@@ -36,10 +36,7 @@ def test_the_bench_steps_what_the_runner_runs(workloads, name, seed):
     step, schedule = spec.steppers[cfg["method"]], runner._schedule(cfg["run"])
     n_steps = runner._n_steps(cfg["run"])
     for k in range(1, n_steps + 1):
-        dt = schedule(k)
-        sim.state = step(sim, k, dt)
-        for hook in sim.hooks:
-            hook(sim, k, dt)
+        runner._take_step(sim, step, k, schedule(k))
 
     assert n_steps == ep.steps
     np.testing.assert_array_equal(sim.state.positions, ep.state.positions)

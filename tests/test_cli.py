@@ -205,6 +205,22 @@ def test_cli_threads_caps_the_bundled_openblas(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_threads_below_one_is_refused_before_the_earlier_run_is_touched(tmp_path, capsys):
+    cfg_file = _write(tmp_path, "w.yaml", _tiny_wealth_cfg())
+    assert main(["run", str(cfg_file), "--out", str(tmp_path / "o")]) == 0
+    outdir = tmp_path / "o" / "tiny-seed3"
+    earlier = {f.name: f.read_bytes() for f in outdir.iterdir()}
+    assert {"metrics.json", "samples.csv", "config.resolved.yaml"} <= set(earlier)
+    for n in ("0", "-2", "1.5", "two"):
+        with pytest.raises(SystemExit) as info:
+            main(["run", str(cfg_file), "--threads", n, "--out", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "--threads: must be an integer >= 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=">= 1"):
+        run(validate(cfg_file), out_root=tmp_path / "o", threads=0)
+    assert {f.name: f.read_bytes() for f in outdir.iterdir()} == earlier
+
+
 def test_electrolyte_without_thermostat_runs_nve(tmp_path):
     # the Andersen run matches what `none` used to be replaced by
     base = {"seed": 3, "model": {"id": "electrolyte", "N": 20, "L": 8.0},

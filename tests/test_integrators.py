@@ -456,6 +456,25 @@ def test_split_list_searches_only_on_builds_over_the_benchmark_episode(monkeypat
     assert len(calls) == sim.system.pairs.builds
 
 
+def test_kernel_splitting_is_the_rbm_step_on_a_split_kernels_forces():
+    assert rbm_split_step is rbm_step_first_order
+    assert runner.MODELS["lj-fluid"].steppers["rbm-split"] is runner._STEPPERS["rbm"]
+    state, _ = _lj_fluid(64, seed=5)
+    spec = lj_kernel_spec()
+    system = SecondOrderSystem(kernel=spec, alpha_N=0.5)
+    division = integrators.random_division(64, 4, SimStreams(2).division)
+    short = forces.short_range_force_all(state, spec.short_part, 1.6, 0.5)
+    smooth = forces.division_forces(state, division, spec.smooth_part, 0.5)
+    np.testing.assert_array_equal(system.batch_forces(state, division), short + smooth)
+    # without a division, and for a kernel with no split, the plain kernel sum
+    np.testing.assert_array_equal(system.batch_forces(state),
+                                  forces.full_force_all(state, spec, 0.5))
+    plain = SecondOrderSystem(kernel=spec.force, alpha_N=0.5)
+    np.testing.assert_array_equal(plain.batch_forces(state, division),
+                                  forces.division_forces(state, division, spec.force, 0.5))
+    assert plain.pairs is None
+
+
 def test_split_step_makes_a_new_pair_list_for_a_new_split_radius():
     state, _ = _lj_fluid(64, seed=4)
     system = SecondOrderSystem(kernel=lj_kernel_spec(r0=1.6), alpha_N=1.0)

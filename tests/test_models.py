@@ -231,6 +231,13 @@ def test_batched_consensus_matches_double_loop_on_a_remainder_division(N):
     np.testing.assert_allclose(rhs, oracle, rtol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(5, 5), (3,), (3, 4), (2, 2)])
+def test_consensus_refuses_an_adjacency_that_is_not_n_by_n(shape):
+    # a 5 x 5 matrix for N = 3 used to be accepted, and its top-left block used
+    with pytest.raises(ValueError, match=r"adjacency must be N x N = 3 x 3"):
+        ConsensusModel(N=3, adjacency=np.ones(shape))
+
+
 def test_consensus_zero_fixed_point():
     model = ConsensusModel(N=4, kappa=1.0)
     q = np.ones((4, 1)) * 2.5

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from randbatch.runner import (
     MODELS,
     ConfigError,
     _run_replica,
+    _take_step,
     run,
     validate,
     validate_dict,
@@ -223,6 +225,13 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     ({"model": {"id": "electrolyte", "alpha": 100}},
      "model: the exact Fourier sums' half cube at m_max = 168 holds 1.92e+07 frequencies, "
      "more than 2^24: lower alpha"),
+    # true ran with h = 1, and .inf validated
+    (_tiny_model("gaussian", bandwidth=True), "model: bandwidth must be 'median' or a positive "
+                                              "finite number"),
+    (_tiny_model("gaussian", bandwidth=math.inf), "model: bandwidth must be 'median' or a "
+                                                  "positive finite number"),
+    (_tiny_model("gaussian", bandwidth=math.nan), "model: bandwidth must be 'median' or a "
+                                                  "positive finite number"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -506,3 +515,12 @@ def test_integer_dt_writes_the_same_outputs_as_float_dt(model, tmp_path):
     assert as_int == as_float
     if model != "toy":
         assert as_int["functionals.csv"].splitlines()[2].startswith(b"1.0,")
+
+
+def test_one_step_runs_the_stepper_then_each_hook_in_order():
+    calls = []
+    sim = SimpleNamespace(state="x0", hooks=[lambda s, k, dt: calls.append(("a", s.state, k, dt)),
+                                             lambda s, k, dt: calls.append(("b", s.state, k, dt))])
+    _take_step(sim, lambda s, k, dt: f"{s.state}+{k}", 3, 0.5)
+    assert sim.state == "x0+3"
+    assert calls == [("a", "x0+3", 3, 0.5), ("b", "x0+3", 3, 0.5)]
