@@ -10,7 +10,7 @@ diagnostics used to validate them.
 A heavy dependency is loaded by the object that needs it, when that object
 is built, never at package import: ``scipy.special`` by
 ``ewald.PeriodicChargeSystem`` and ``models.WealthModel`` (through
-``backend.special``), and ``scipy.spatial`` likewise once it is used.
+``backend.special``).
 """
 
 __version__ = "0.1.0"

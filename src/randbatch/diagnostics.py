@@ -16,6 +16,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .state import minimum_image
+
 
 def _as_weighted(samples) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted samples, each with weight 1/n.
@@ -176,13 +178,8 @@ def radial_net_charge(
             c = cations[s: s + rows]
             dx, wrap, r = work[:, :c.size]
             for axis in range(frame.shape[1]):
-                # minimum_image, in place with its operations in their order
                 np.subtract(frame[c, axis][:, None], frame[:, axis], out=dx)
-                np.divide(dx, box_length, out=wrap)
-                wrap += 0.5
-                np.floor(wrap, out=wrap)
-                wrap *= box_length
-                dx -= wrap
+                minimum_image(dx, box_length, wrap)
                 if axis:
                     dx *= dx
                     r += dx

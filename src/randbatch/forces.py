@@ -1,16 +1,19 @@
 """Pairwise-force evaluation: exact sums, random-batch estimators, pair search.
 
 All kernels are vectorized callables mapping an (M, d) displacement array to
-(M, d) force rows; displacements use the minimum-image convention whenever the
-state carries a periodic box.  ``batch_pair_sum`` is the one sum over batch
-mates: the random-batch forces here, the Cucker-Smale and consensus
-right-hand sides and the RBM-SVGD update all run through it.  It takes a
-``BatchDivision`` (or None for one batch of all N), groups the batches from
-its order and gathers each field by ``np.take``.  Batches of two, the
+(M, d) force rows.  Whenever the state carries a periodic box, every
+displacement goes through ``state.minimum_image``, whose components lie in
+[-L/2, L/2]; a component of exactly +-L/2 keeps its sign, so the two
+displacements of a pair are exact negatives, and an odd kernel gives the mates
+of a batch opposite forces at any separation.  ``batch_pair_sum`` is the one
+sum over batch mates: the random-batch forces here, the Cucker-Smale and
+consensus right-hand sides and the RBM-SVGD update all run through it.  It
+takes a ``BatchDivision`` (or None for one batch of all N), groups the batches
+from its order and gathers each field by ``np.take``.  Batches of two, the
 paper's p = 2, skip the grouping: a mate array pairs each particle with its
 batch mate, so each field is gathered once and the sums come out in particle
-order.  Summation within a batch runs in ascending particle order so that
-the p = N random-batch step reproduces the full-batch step bit for bit.
+order.  Summation within a batch runs in ascending particle order so that the
+p = N random-batch step reproduces the full-batch step bit for bit.
 
 Short-range sums find their pairs with one cell search, ``_search_pairs``,
 which returns only (i, j), in anti-diagonal order: by i + j, then by i.
@@ -22,14 +25,9 @@ depend on the positions alone, not on the skin, the cell grid or when the
 list was last built.  Searches and lists share one filter,
 ``_filter``, which works on the whole (d, M) displacement block at
 once: both ends are gathered with ``take`` from the (d, N) coordinates, and
-the difference, the minimum image d - L rint(d / L) (four in-place passes
-through one shift block) and r^2 each run once over the block rather than
-once per axis.  rint picks the image that ``minimum_image``'s
-floor(d / L + 0.5) picks unless d / L is within a few ulps of +-1/2, where
-the component is about L/2 either way; a pair kept at a cutoff below L/2 has
-no such component, so its displacement has the same bits.  The list's
-staleness test takes the same image: a component of about L/2 is far past
-skin/2, so the list is stale under either image.  A search expands and
+the difference, ``minimum_image`` in place (four passes through one shift
+block) and r^2 each run once over the block rather than once per axis.
+The list's staleness test takes the same image.  A search expands and
 filters its candidates in blocks of ``_SEARCH_BLOCK`` = 2^13, small enough
 that each block reuses the heap memory the last one freed rather than
 faulting in fresh pages, which cost a build more than the extra calls per
@@ -287,17 +285,9 @@ def _filter(coords: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray,
     several times faster to apply than a mask that keeps a scattered half."""
     disp, shift = coords.take(i, axis=1), coords.take(j, axis=1)
     disp -= shift
-    _rint_image(disp, box_length, shift)  # the minimum image in place (see the module notes)
+    minimum_image(disp, box_length, shift)
     r2 = np.einsum("ij,ij->j", disp, disp)
     return disp, r2, np.flatnonzero(r2 < cutoff * cutoff)
-
-
-def _rint_image(disp: np.ndarray, box_length: float, shift: np.ndarray) -> None:
-    """disp -= L rint(disp / L), in place; ``shift`` is a work array of disp's shape."""
-    np.multiply(disp, 1.0 / box_length, out=shift)
-    np.rint(shift, out=shift)
-    shift *= box_length
-    disp -= shift
 
 
 # candidates per block of ``_search_pairs``: a block's rows of 2^13 entries
@@ -422,10 +412,7 @@ class PairList:
         x0, L0 = self._built[:2]
         if L0 != box_length or x0.shape != pos.shape:
             return True
-        # the filter's minimum image: it differs from minimum_image's only in
-        # components of about L/2, far past skin/2, which are stale either way
-        moved = np.subtract(pos, x0)
-        _rint_image(moved, box_length, np.empty_like(moved))
+        moved = minimum_image(pos - x0, box_length)
         # a NaN is the max, and fails the comparison
         return not np.einsum("ij,ij->i", moved, moved).max(initial=0.0) <= (0.5 * self.skin) ** 2
 

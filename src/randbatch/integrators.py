@@ -126,26 +126,6 @@ class SecondOrderSystem(_KernelForces):
         return short + division_forces(state, division, kernel.smooth_part, self.alpha_N)
 
 
-@dataclass
-class StepSchedule:
-    """Step sizes: constant dt, c/log(k+1) decay, or 1/(k+k0)."""
-
-    kind: str = "constant"
-    dt: float = 1e-3
-    c: float = 1e-3
-    k0: float = 1.0
-
-    def __call__(self, k: int) -> float:
-        """Step size for 1-based step index k."""
-        if self.kind == "constant":
-            return self.dt
-        if self.kind == "log_decay":
-            return self.c / math.log(k + 1)
-        if self.kind == "inverse":
-            return 1.0 / (k + self.k0)
-        raise ValueError(f"unknown schedule kind {self.kind!r}")
-
-
 def _stepped(state: ParticleState, label: str, **fields) -> ParticleState:
     """``state.replace(**fields)``, with a non-finite position raised as IntegrationError
     naming the first bad particle.

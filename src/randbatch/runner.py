@@ -13,14 +13,16 @@ every default, and a field that the chosen model, method or thermostat kind
 does not use is rejected, never silently ignored.  It then builds replica 0,
 so the range checks of model fields live only in the constructors the
 builders call, and a config that validates builds.  ``run`` executes a
-resolved config through one loop shared by all models: stepping, per-step
-hooks (wealth reflection, thermostats, the electrolyte's energy log, the Stein
-flow's 1e6 bound), recording every ``record_every`` steps and replicas; one
-step and its hooks are ``_take_step``, which ``ewald.rbe_md_step`` calls
-too.  It writes ``config.resolved.yaml``, ``metrics.json`` and ``log.txt``
-into the output directory, and the CSV artifacts there too for one replica;
-with ``run.replicas`` > 1, replica r writes its CSVs into ``replica<r>/``
-under it.
+resolved config replica by replica.  ``_simulate`` is the one loop that steps
+a model: it builds a replica, steps it with its per-step hooks (wealth
+reflection, thermostats, the electrolyte's energy log, the Stein flow's 1e6
+bound) and records every ``record_every`` steps, and the model's ``finish``
+turns the result into metrics; the toy's convergence study runs its coupled
+pairs through it too.  One step and its hooks are ``_take_step``, which
+``ewald.rbe_md_step`` calls too.  ``run`` writes ``config.resolved.yaml``,
+``metrics.json`` and ``log.txt`` into the output directory, and the CSV
+artifacts there too for one replica; with ``run.replicas`` > 1, replica r
+writes its CSVs into ``replica<r>/`` under it.
 A rerun into the same directory first removes those files of the earlier run.
 Identical (config, seed) pairs produce byte-identical metrics.
 Without ``method`` a config runs its model's first: ``rbm`` for wealth,
@@ -58,7 +60,6 @@ from .ewald import (
 from .integrators import (
     IntegrationError,
     SecondOrderSystem,
-    StepSchedule,
     direct_step,
     rbm_step_first_order,
     rbmr_step,
@@ -158,28 +159,23 @@ def _finish_toy(sim, cfg, outdir):
     x = sim.state.positions
     metrics = {"final_mean": float(x.mean()), "final_second_moment": float(np.mean(x**2))}
     if "convergence" in cfg["diagnostics"]:
-        m = cfg["model"]
-        metrics["convergence"] = _toy_convergence_study(m["N"], m["sigma"], cfg["seed"])
+        metrics["convergence"] = _toy_convergence_study(cfg)
     return metrics
 
 
-def _toy_convergence_study(N, sigma, seed, dts=(0.1, 0.05, 0.025), T=1.0, replicas=200, p=2):
-    """Coupled strong error of RBM vs the full-batch reference at several dt."""
+def _toy_convergence_study(cfg, dts=(0.1, 0.05, 0.025), T=1.0, replicas=200, p=2):
+    """Coupled strong error of RBM vs the full-batch reference at several dt: pair r
+    runs ``direct`` and ``rbm`` through ``_simulate`` on the streams of replica 2r,
+    so both start from one draw and share the noise."""
     errors = {}
     for dt in dts:
-        steps = int(round(T / dt))
-        sup_sq = np.zeros(steps)
+        run = {"p": p, "dt": dt, "steps": int(round(T / dt)), "replicas": 1}
+        sup_sq = 0.0
         for rep in range(replicas):
-            st_d = SimStreams(seed, replica=2 * rep)
-            st_r = SimStreams(seed, replica=2 * rep)  # same noise stream: coupling
-            system = toy_lipschitz_system(N, sigma=sigma)
-            x0 = st_d.init.standard_normal((N, 1))
-            a = ParticleState(positions=x0.copy())
-            b = ParticleState(positions=x0.copy())
-            for k in range(steps):
-                a = direct_step(a, system, dt, st_d)
-                b = rbm_step_first_order(b, system, p, dt, st_r)
-                sup_sq[k] += float(np.mean((a.positions - b.positions) ** 2))
+            a, b = (_simulate({**cfg, "method": method, "run": run},
+                              SimStreams(cfg["seed"], replica=2 * rep)).rows
+                    for method in ("direct", "rbm"))
+            sup_sq += np.array([float(np.mean((xa - xb) ** 2)) for (_, xa), (_, xb) in zip(a, b)])
         errors[dt] = float(np.sqrt((sup_sq / replicas).max()))
     dts_sorted = sorted(errors, reverse=True)
     slopes = [math.log2(errors[hi] / errors[lo]) for hi, lo in zip(dts_sorted, dts_sorted[1:])]
@@ -592,8 +588,13 @@ def _check_run(run: dict, raw_run: dict, method: str, N, errors: list):
     if "T" in run:
         if not _positive(run["T"]):
             errors.append("run.T: must be positive")
-        elif _positive(run["dt"]) and round(run["T"] / run["dt"]) < 1:
-            errors.append("run.T: must span at least one step of run.dt")
+        elif _positive(run["dt"]):
+            n = run["T"] / run["dt"]
+            if round(n) < 1:
+                errors.append("run.T: must span at least one step of run.dt")
+            elif abs(n - round(n)) > 1e-9 * n:  # a run takes whole steps
+                errors.append("run.T: must be a whole number of run.dt steps, "
+                              f"not T / dt = {n:.10g}")
     errors += [f"run.{key}: must be an integer >= 1" for key in
                ("steps", "sweeps", "record_every", "replicas") if key in run
                and not _is_int(run[key], 1)]
@@ -671,6 +672,13 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     if "dim" in model and not _is_int(model["dim"], 1):
         errors.append("model.dim: must be an integer >= 1")
     _check_run(cfg["run"], sections["run"], cfg["method"], N, errors)
+    run = cfg["run"]  # record_every is left only where a frame diagnostic reads the rows
+    if not errors and "record_every" in run and (
+            run["steps"] // run["record_every"] <= run["warmup"] // run["record_every"]):
+        frames = " and ".join(d for d in _FRAME_DIAGNOSTICS if d in cfg["diagnostics"])
+        errors.append(f"run.record_every: no multiple of {run['record_every']} lies in "
+                      f"(run.warmup, run.steps] = ({run['warmup']}, {run['steps']}], so "
+                      f"{frames} would read no recorded frame")
     if not _is_int(cfg["output"].get("trajectory_every", 0), 0):
         errors.append("output.trajectory_every: must be an integer >= 0")
     errors += [f"model.{k}: must be positive" for k in spec.positive if not _positive(model[k])
@@ -733,12 +741,15 @@ def _n_steps(run: dict) -> int:
     return run["steps"] if "steps" in run else int(round(run["T"] / run["dt"]))
 
 
-def _schedule(run: dict) -> StepSchedule:
+def _schedule(run: dict) -> Callable[[int], float]:
+    """The size of step k (from 1): run.dt, or run.schedule's c / log(k + 1)
+    (``log-decay``) or 1 / (k + k0) (``inverse``)."""
     s = run.get("schedule")
     if s is None:
-        return StepSchedule(kind="constant", dt=run["dt"])
-    return StepSchedule(kind=s["kind"].replace("-", "_"),
-                        **{k: v for k, v in s.items() if k != "kind"})
+        return lambda k: run["dt"]
+    if s["kind"] == "log-decay":
+        return lambda k: s["c"] / math.log(k + 1)
+    return lambda k: 1.0 / (k + s["k0"])
 
 
 def _take_step(sim, step, k: int, dt: float):
@@ -748,11 +759,10 @@ def _take_step(sim, step, k: int, dt: float):
         hook(sim, k, dt)
 
 
-def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
-    spec = MODELS[cfg["model"]["id"]]
-    run = cfg["run"]
-    step = spec.steppers[cfg["method"]]
-    schedule = _schedule(run)
+def _simulate(cfg: dict, streams: SimStreams) -> SimpleNamespace:
+    """One replica's sim: built, stepped through ``_take_step`` and recorded."""
+    spec, run = MODELS[cfg["model"]["id"]], cfg["run"]
+    step, schedule = spec.steppers[cfg["method"]], _schedule(run)
     every, warmup = run.get("record_every", 1), run.get("warmup") or 0
     # validation drops record_every from a model that honours it when nothing reads the rows
     observe = None if "record_every" in spec.run and "record_every" not in run else spec.observe
@@ -766,7 +776,11 @@ def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
             raise IntegrationError(f"{exc} at step {k}") from exc
         if observe is not None and k > warmup and k % every == 0:
             sim.rows.append(observe(sim, k))
-    return spec.finish(sim, cfg, outdir)
+    return sim
+
+
+def _run_replica(cfg: dict, streams: SimStreams, outdir: Path) -> dict:
+    return MODELS[cfg["model"]["id"]].finish(_simulate(cfg, streams), cfg, outdir)
 
 
 # --- output writers -----------------------------------------------------------

@@ -20,16 +20,20 @@ def wrap_positions(positions: np.ndarray, box_length: float) -> np.ndarray:
     return np.where(wrapped < box_length, wrapped, 0.0)
 
 
-def minimum_image(disp: np.ndarray, box_length: Optional[float]) -> np.ndarray:
-    """Wrap displacement components into [-L/2, L/2)."""
+def minimum_image(disp: np.ndarray, box_length: Optional[float],
+                  work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Wrap displacement components into [-L/2, L/2]: disp - L rint(disp (1/L)).
+
+    rint is odd, so an exact +-L/2 stays as it is and the displacements
+    x_i - x_j and x_j - x_i of a pair stay exact negatives.  With ``work``, a
+    float array of disp's shape, disp is wrapped in place and returned.
+    """
     if box_length is None:
         return disp
-    # disp - L floor(disp / L + 0.5), with its operations in their order on one temporary
-    shift = np.divide(disp, box_length)
-    shift += 0.5
-    np.floor(shift, out=shift)
+    shift = np.multiply(disp, 1.0 / box_length, out=work)
+    np.rint(shift, out=shift)
     shift *= box_length
-    return np.subtract(disp, shift, out=shift)
+    return np.subtract(disp, shift, out=shift if work is None else disp)
 
 
 @dataclass

@@ -665,9 +665,10 @@ def test_real_space_matches_brute_double_loop():
 def _real_space_oracle(system, params):
     """Real-space forces and energy by the plain expressions, over every pair i < j.
 
-    The pairs are minimum-imaged with ``minimum_image``'s floor(d / L + 0.5),
-    taken in the anti-diagonal order of a search (by i + j, then i),
-    axis-major like the search, and the kernel is evaluated out of place: the
+    The pairs are minimum-imaged with floor(d / L + 0.5), which picks the
+    image ``minimum_image`` picks for every pair closer than r_c < L/2, taken
+    in the anti-diagonal order of a search (by i + j, then i), axis-major like
+    the search, and the kernel is evaluated out of place: the
     bits the in-place filter and kernel must reproduce.  The energy is summed
     in that order, the forces by ``bincount``s in ascending (i, j) order, the
     order searches listed pairs in before: a force equal to these has the

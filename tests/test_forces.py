@@ -332,6 +332,18 @@ def test_minimum_image_bounds(x, L):
     assert abs((wrapped - x) / L - round((wrapped - x) / L)) < 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-50, 50), st.floats(0.5, 20))
+def test_minimum_image_keeps_the_two_displacements_of_a_pair_opposite(x, L):
+    # ties included: an exact +-L/2 (or an odd multiple) keeps its sign
+    disp = np.array([[x, -x], [L / 2, -L / 2], [2.5 * L, -2.5 * L]])
+    wrapped = minimum_image(disp, L)
+    assert np.array_equal(wrapped[:, 1], -wrapped[:, 0])
+    assert np.array_equal(wrapped[1], disp[1])
+    work, inplace = np.empty_like(disp), disp.copy()
+    assert minimum_image(inplace, L, work) is inplace and np.array_equal(inplace, wrapped)
+
+
 def _truncated_brute_force(state, K1, r0, alpha_N):
     N = state.n_particles
     out = np.zeros_like(state.positions)
@@ -605,15 +617,17 @@ def test_pair_force_sum_equals_the_per_axis_sum_on_the_list_view_and_on_plain_ro
 
 
 def _floor_form_stale(x0, pos, L, skin):
-    """PairList's staleness test with ``minimum_image``'s floor(d / L + 0.5) image."""
-    moved = minimum_image(pos - x0, L)
+    """PairList's staleness test with the floor(d / L + 0.5) image, which sends
+    both d = L/2 and d = -L/2 to -L/2 where ``minimum_image`` keeps them."""
+    d = pos - x0
+    moved = d - L * np.floor(d / L + 0.5)
     return not np.all(np.einsum("ij,ij->i", moved, moved) <= (0.5 * skin) ** 2)
 
 
 def test_pair_list_staleness_decides_as_the_floor_form_image_at_half_the_box_and_skin():
     # each case moves one particle along one axis by exactly +-c or one ulp either
-    # side of it, c = L/2 or skin/2: rint and floor(d / L + 0.5) pick opposite
-    # images at L/2, and the skin/2 cases decide on the comparison's last bit
+    # side of it, c = L/2 or skin/2: the two images differ at +L/2, where either
+    # is far past skin/2, and the skin/2 cases decide on the comparison's last bit
     L = 10.0
     base = RngStream(36).generator().uniform(1.0, 9.0, size=(30, 3))
     skin = PairList(2.0)._skin(L, *base.shape)

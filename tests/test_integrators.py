@@ -13,11 +13,11 @@ import pytest
 
 import randbatch
 from randbatch import forces, integrators, runner
+from randbatch.batching import random_division
 from randbatch.integrators import (
     FirstOrderSystem,
     IntegrationError,
     SecondOrderSystem,
-    StepSchedule,
     direct_step,
     kick_drift,
     rbm_split_step,
@@ -369,8 +369,8 @@ def _lj_fluid(N, seed, beta=0.5):
 
 def test_split_smooth_part_takes_the_minimum_image_of_mates_half_a_box_apart():
     # on the lj-split lattice start (10 sites per side) sites 5 and 0 of a row are
-    # exactly L/2 apart, where floor(d / L + 0.5) and rint(d / L) pick opposite
-    # images; the smooth term takes minimum_image's, so both mates see d_x = -L/2
+    # exactly L/2 apart; the minimum image keeps each mate's d_x = +-L/2 as it is,
+    # so the two displacements, and the two smooth forces, are exact negatives
     state, _ = _lj_fluid(1000, seed=0)
     L, pos = state.box_length, state.positions
     assert (pos[500, 0] - pos[0, 0]) / L == 0.5 and np.all(pos[500, 1:] == pos[0, 1:])
@@ -378,12 +378,28 @@ def test_split_smooth_part_takes_the_minimum_image_of_mates_half_a_box_apart():
     spec = lj_kernel_spec()
     smooth = forces.division_forces(state, BatchDivision(order=order, batch_size=2),
                                     spec.smooth_part, 1.0)
-    for i, j in ((0, 500), (500, 0)):
+    for i, j, sign in ((0, 500, -1.0), (500, 0, 1.0)):
         d = minimum_image(pos[i] - pos[j], L)
-        assert d[0] == -L / 2
+        assert d[0] == sign * L / 2
         expected = forces.batch_prefactor(1.0, 1000, 2) * spec.smooth_part(d[None, :])[0]
         np.testing.assert_allclose(smooth[i], expected, rtol=1e-14)
-    assert smooth[500, 0] == smooth[0, 0] != 0.0
+    assert smooth[0, 0] != 0.0
+    assert np.array_equal(smooth[500], -smooth[0])
+
+
+def test_split_batch_forces_conserve_momentum_at_the_lattice_start():
+    # each batch of the random-batch force is a sum of pair terms of an odd kernel,
+    # so the forces of any division sum to zero up to rounding; on the lj-split
+    # lattice a quarter of the batches of two hold mates with a component L/2 apart
+    state, _ = _lj_fluid(1000, seed=0)
+    system = SecondOrderSystem(kernel=lj_kernel_spec(), alpha_N=1.0)
+    L, pos = state.box_length, state.positions
+    for seed in range(4):
+        division = random_division(1000, 2, np.random.default_rng(seed))
+        a, b = division.order[0::2], division.order[1::2]
+        assert np.any(np.abs(pos[a] - pos[b]) == L / 2)  # ties the image must keep opposite
+        total = system.batch_forces(state, division).sum(axis=0)
+        assert np.all(np.abs(total) <= 1e-10), total
 
 
 def test_split_step_short_force_matches_a_fresh_search_across_list_rebuilds(monkeypatch):
@@ -490,18 +506,6 @@ def test_split_step_makes_a_new_pair_list_for_a_new_split_radius():
     fresh = SecondOrderSystem(kernel=system.kernel, alpha_N=1.0)
     np.testing.assert_array_equal(
         out.velocities, rbm_split_step(state, fresh, 2, 1e-3, SimStreams(1)).velocities)
-
-
-def test_schedules():
-    const = StepSchedule(kind="constant", dt=0.01)
-    assert const(1) == const(100) == 0.01
-    log = StepSchedule(kind="log_decay", c=0.001)
-    vals = [log(k) for k in range(1, 50)]
-    assert all(v > 0 for v in vals)
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert log(1) == pytest.approx(0.001 / np.log(2))
-    inv = StepSchedule(kind="inverse", k0=2.0)
-    assert inv(1) == pytest.approx(1 / 3)
 
 
 def test_non_finite_state_raises():

@@ -17,6 +17,7 @@ from randbatch.runner import (
     MODELS,
     ConfigError,
     _run_replica,
+    _schedule,
     _take_step,
     run,
     validate,
@@ -231,7 +232,20 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     (_tiny_model("gaussian", bandwidth=math.inf), "model: bandwidth must be 'median' or a "
                                                   "positive finite number"),
     (_tiny_model("gaussian", bandwidth=math.nan), "model: bandwidth must be 'median' or a "
-                                                  "positive finite number"),
+                                                  "positive finite number"),    # a run takes whole steps, so T = 0.07 would stop at t = 0.05
+    (_tiny("toy", T=0.07, dt=0.05), "run.T: must be a whole number of run.dt steps, "
+                                    "not T / dt = 1.4"),
+    (_tiny("wealth", T=0.0105), "run.T: must be a whole number of run.dt steps, "
+                                "not T / dt = 10.5"),
+    # no frame in (2, 20] would be recorded, so no dh_* or fourier_energy_* metric written
+    ({"model": {"id": "electrolyte", "N": 20, "L": 8.0},
+      "run": {"p": 10, "steps": 20, "warmup": 2, "record_every": 50}},
+     "run.record_every: no multiple of 50 lies in (run.warmup, run.steps] = (2, 20], so "
+     "dh_screening and fourier_energy_error would read no recorded frame"),
+    ({**_tiny("electrolyte", steps=20, warmup=15, record_every=12),
+      "diagnostics": ["dh_screening"]},
+     "run.record_every: no multiple of 12 lies in (run.warmup, run.steps] = (15, 20], so "
+     "dh_screening would read no recorded frame"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
@@ -515,6 +529,18 @@ def test_integer_dt_writes_the_same_outputs_as_float_dt(model, tmp_path):
     assert as_int == as_float
     if model != "toy":
         assert as_int["functionals.csv"].splitlines()[2].startswith(b"1.0,")
+
+
+def test_schedules():
+    const = _schedule({"dt": 0.01, "schedule": None})
+    assert const(1) == const(100) == 0.01
+    log = _schedule({"dt": None, "schedule": {"kind": "log-decay", "c": 0.001}})
+    vals = [log(k) for k in range(1, 50)]
+    assert all(v > 0 for v in vals)
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
+    assert log(1) == pytest.approx(0.001 / np.log(2))
+    inv = _schedule({"dt": None, "schedule": {"kind": "inverse", "k0": 2.0}})
+    assert inv(1) == pytest.approx(1 / 3)
 
 
 def test_one_step_runs_the_stepper_then_each_hook_in_order():
