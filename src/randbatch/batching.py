@@ -1,8 +1,6 @@
 """Random batch divisions and with-replacement batch sampling, drawn from a
 ``np.random.Generator`` (``RngStream.generator()`` gives a stream's)."""
 
-from typing import Iterator, List
-
 import numpy as np
 
 from .state import BatchDivision
@@ -38,33 +36,6 @@ def sample_batch_with_replacement(N: int, p: int, rng: np.random.Generator) -> n
     return np.sort(rng.choice(N, size=p, replace=False))
 
 
-def enumerate_divisions(N: int, p: int) -> Iterator[BatchDivision]:
-    """Yield every partition of {0..N-1} into batches of size p, exactly once.
-
-    Exhaustive-enumeration oracle for the batch-estimator statistics; only
-    sensible for small N.  Requires p | N.
-    """
-    if N % p != 0:
-        raise ValueError("enumeration requires p to divide N")
-
-    def rec(remaining: List[int]) -> Iterator[List[List[int]]]:
-        if not remaining:
-            yield []
-            return
-        first = remaining[0]
-        rest = remaining[1:]
-        from itertools import combinations
-
-        for others in combinations(rest, p - 1):
-            batch = [first, *others]
-            leftover = [x for x in rest if x not in others]
-            for tail in rec(leftover):
-                yield [batch, *tail]
-
-    for batches in rec(list(range(N))):
-        yield BatchDivision(np.concatenate(batches), p)  # each batch ascending
-
-
 def batch_index_matrices(division: BatchDivision):
     """A division's batches as (size, (n_batches, size) index matrix) blocks.
 
@@ -80,14 +51,3 @@ def batch_index_matrices(division: BatchDivision):
         blocks = [(p, order[: order.size - tail].reshape(-1, p)), (tail, order[-tail:][None, :])]
     return [(size, np.sort(idx, axis=1)) for size, idx in blocks if idx.size]
 
-
-def count_divisions(N: int, p: int) -> int:
-    """Number of distinct partitions ``random_division(N, p, ...)`` can draw.
-
-    N // p batches of size p, except that a lone leftover makes the last one
-    p + 1, and a remainder of at least 2 forms one more batch of its own.
-    """
-    from math import factorial
-
-    n_p = N // p - (N % p == 1)  # batches of exactly p; at most one other batch
-    return factorial(N) // (factorial(p) ** n_p * factorial(n_p) * factorial(N - n_p * p))

@@ -178,15 +178,6 @@ def cube_m_max(L: float, k_c: float) -> int:
     return m_max
 
 
-def kvectors_in_ball(L: float, k_c: float) -> np.ndarray:
-    """All nonzero lattice frequencies k = 2 pi m / L with |k| <= k_c."""
-    m_max = cube_m_max(L, k_c)
-    g = np.arange(-m_max, m_max + 1)
-    mm = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    k = TWO_PI * mm[np.any(mm != 0, axis=1)] / L
-    return np.ascontiguousarray(k[np.einsum("ij,ij->i", k, k) <= k_c**2 * (1 + 1e-12)])
-
-
 @functools.lru_cache(maxsize=8)
 def _cube_weights(L: float, k_c: float, alpha: float) -> Tuple[int, np.ndarray]:
     """m_max and exp(-k^2 / 4 alpha) / k^2 on the half cube 0 <= m_x, |m_y|, |m_z| <= m_max.
@@ -289,22 +280,6 @@ def mh_sample_kvectors(alpha: float, L: float, count: int, rng: np.random.Genera
     return KSampleBank(alpha=alpha, L=L, samples=TWO_PI * m / L, _rng=rng)
 
 
-def discrete_gaussian_moments(alpha: float, L: float) -> Tuple[float, float]:
-    """Exact per-component (mean, variance) of m under the zero-excluded target.
-
-    With h = sum_{m != 0} w(m) and V1 = sum_m m^2 w(m), the variance is
-    V1 (1 + h)^2 / S and S = (1 + h)^3 - 1 = h (3 + h (3 + h)), which keeps
-    full precision when h is tiny.  The sums run to the m where c m^2 >= 200
-    (m^2 w(m) is then below 1e-80 of its peak), taken relative to w(1) so
-    that they do not underflow either.
-    """
-    c = math.pi**2 / (alpha * L**2)
-    m2 = np.arange(1, math.ceil(math.sqrt(200.0 / c)) + 2) ** 2
-    u = np.exp(-c * (m2 - 1))  # w(m) / w(1) for m >= 1
-    h = 2.0 * math.exp(-c) * u.sum()
-    return 0.0, float((m2 * u).sum() * (1.0 + h) ** 2 / (u.sum() * (3.0 + h * (3.0 + h))))
-
-
 def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:
     """exp(i k.r_n) for every frequency k and particle n, shape (len(kvecs), N).
 
@@ -321,12 +296,6 @@ def _lattice_phases(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarr
     e = _phase_tables(system.state.positions, system.L, rows)
     out = e[0][idx[:, 0]]
     return np.multiply(np.multiply(out, e[1][idx[:, 1]], out=out), e[2][idx[:, 2]], out=out)
-
-
-def structure_factors(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:
-    """rho(k) = sum_n q_n exp(i k.r_n) for each lattice frequency k in ``kvecs``."""
-    # not a BLAS product, which rounds a lone row unlike a row of a longer kvecs
-    return np.einsum("kn,n->k", _lattice_phases(system, np.atleast_2d(kvecs)), system.charges)
 
 
 def _exact_fourier(system: PeriodicChargeSystem, params: EwaldParams, forces: bool = True):
@@ -411,12 +380,6 @@ def fourier_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
 
 def self_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
     return float(-math.sqrt(params.alpha / math.pi) * np.sum(system.charges**2))
-
-
-def ewald_energy(system: PeriodicChargeSystem, params: EwaldParams) -> float:
-    """Total Coulomb energy U_real + U_fourier + U_self (reference value)."""
-    return (real_space_force_all(system, params)[1] + fourier_energy(system, params)
-            + self_energy(system, params))
 
 
 class CoulombSystem(SecondOrderSystem):

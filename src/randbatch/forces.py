@@ -20,7 +20,7 @@ which returns only (i, j), in anti-diagonal order: by i + j, then by i.
 ``PairList`` is the Verlet list on top of it (Verlet, Phys. Rev. 159, 98,
 1967): it searches once at cutoff + skin and, until some particle has moved
 skin/2 since, answers each call by filtering the listed pairs in order.
-Every answer is therefore the array ``neighbor_pairs`` would return, so forces
+Every answer is therefore what a fresh search at the cutoff returns, so forces
 depend on the positions alone, not on the skin, the cell grid or when the
 list was last built.  Searches and lists share one filter,
 ``_filter``, which works on the whole (d, M) displacement block at
@@ -67,35 +67,6 @@ def _kernel_term(kernel, state: ParticleState) -> Callable:
 def batch_prefactor(alpha_N: float, N: int, batch_size: int) -> float:
     """Unbiased random-batch weight alpha_N (N-1)/(q-1) for a batch of size q."""
     return alpha_N * (N - 1) / (batch_size - 1)
-
-
-def pair_sum(i: int, others: np.ndarray, state: ParticleState, kernel) -> np.ndarray:
-    """Sum of K(x_i - x_j) over the given indices (self excluded)."""
-    K = _kernel_fn(kernel)
-    others = np.asarray(others)
-    others = others[others != i]
-    if others.size == 0:
-        return np.zeros(state.dim)
-    disp = minimum_image(state.positions[i] - state.positions[others], state.box_length)
-    return np.asarray(K(disp)).sum(axis=0)
-
-
-def batch_force(i: int, state: ParticleState, batch: np.ndarray, kernel, alpha_N: float) -> np.ndarray:
-    """Random-batch force alpha_N (N-1)/(p-1) * sum over the batch."""
-    batch = np.sort(np.asarray(batch))
-    if i not in batch:
-        raise ValueError("particle must belong to its batch")
-    if batch.size < 2:
-        raise ValueError("batch must contain at least 2 particles")
-    pref = batch_prefactor(alpha_N, state.n_particles, batch.size)
-    return pref * pair_sum(i, batch, state, kernel)
-
-
-def full_force(i: int, state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
-    """Exact interaction force alpha_N * sum over all j != i."""
-    if state.n_particles < 2:
-        raise ValueError("need at least 2 particles")
-    return alpha_N * pair_sum(i, np.arange(state.n_particles), state, kernel)
 
 
 def full_force_all(state: ParticleState, kernel, alpha_N: float) -> np.ndarray:
@@ -184,17 +155,6 @@ def division_forces(state: ParticleState, division: BatchDivision, kernel, alpha
                           lambda q: batch_prefactor(alpha_N, N, q))
 
 
-def chi(i: int, state: ParticleState, batch: np.ndarray, kernel) -> np.ndarray:
-    """Force-estimator error: batch average minus full average of K around i."""
-    batch = np.asarray(batch)
-    if i not in batch:
-        raise ValueError("particle must belong to its batch")
-    N = state.n_particles
-    batch_avg = pair_sum(i, batch, state, kernel) / (batch.size - 1)
-    full_avg = pair_sum(i, np.arange(N), state, kernel) / (N - 1)
-    return batch_avg - full_avg
-
-
 def interaction_spread(i: int, state: ParticleState, kernel) -> float:
     """Spread of the pair forces around their mean: the Lambda_i factor.
 
@@ -273,7 +233,9 @@ def _run_pairs(
 def _pairs_within(
     pos: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray, cutoff: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The candidate pairs (i, j) closer than ``cutoff``, as ``neighbor_pairs`` returns them."""
+    """(i, j, disp, r2) of the candidate pairs closer than ``cutoff``, with the (M, d)
+    minimum-image displacements x_i - x_j; from candidates that hold every such
+    pair in anti-diagonal order, what a fresh search at the cutoff returns."""
     disp, r2, keep = _filter(np.ascontiguousarray(pos.T), box_length, i, j, cutoff)
     return i.take(keep), j.take(keep), disp.take(keep, axis=1).T, r2.take(keep)
 
@@ -299,23 +261,9 @@ def _filter(coords: np.ndarray, box_length: float, i: np.ndarray, j: np.ndarray,
 _SEARCH_BLOCK = 1 << 13
 
 
-def neighbor_pairs(
-    positions: np.ndarray, box_length: float, cutoff: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Unordered pairs i < j closer than ``cutoff`` in a periodic box.
-
-    Returns ``(i, j, disp, r2)``: the index arrays, the (M, d) minimum-image
-    displacements x_i - x_j and their squared lengths, in anti-diagonal
-    order (ascending i + j, then ascending i; see the module notes), so the
-    answer depends on the positions alone: the (i, j) of ``_search_pairs``,
-    then one ``_pairs_within`` pass at the same cutoff, which keeps them all.
-    """
-    pos = np.asarray(positions, dtype=np.float64)
-    return _pairs_within(pos, box_length, *_search_pairs(pos, box_length, cutoff), cutoff)
-
-
 def _search_pairs(pos: np.ndarray, box_length: float, cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The (i, j) of ``neighbor_pairs``, in its order, from one cell search.
+    """The pairs i < j closer than ``cutoff`` as (i, j), in anti-diagonal order
+    (ascending i + j, then ascending i; see the module notes), from one cell search.
 
     Particles are binned into about floor(L / cutoff) cells per side, so
     every pair within the cutoff lies in the same or an adjacent cell.
@@ -355,9 +303,9 @@ def _search_pairs(pos: np.ndarray, box_length: float, cutoff: float) -> Tuple[np
 class PairList:
     """Verlet list: the pairs within ``cutoff`` + skin, reused across calls.
 
-    A call returns what ``neighbor_pairs(positions, box_length, cutoff)``
-    returns, array for array, by filtering the pairs listed at the last
-    build in their anti-diagonal order.  That is exact while no particle has
+    A call returns (i, j, disp, r2), what a fresh search at ``cutoff`` returns,
+    array for array, by filtering the pairs listed at the last build in their
+    anti-diagonal order.  That is exact while no particle has
     moved more than skin/2 (minimum image) since the build; otherwise, or when the
     box or the particle count changes, the call first rebuilds the list with
     one ``_search_pairs`` search.  ``builds`` counts those searches.  A

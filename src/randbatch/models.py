@@ -14,7 +14,6 @@ import numpy as np
 from .backend import special
 from .forces import PairList, batch_pair_sum, pair_force_sum
 from .integrators import FirstOrderSystem, SecondOrderSystem
-from .samplers import GibbsTarget
 from .state import BatchDivision, KernelSpec, ParticleState, RadialKernel
 
 ETA_WEALTH = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)| initial wealth
@@ -27,7 +26,9 @@ ETA_WEALTH = math.sqrt(2.0 / math.pi)  # mean of |N(0,1)| initial wealth
 class DysonModel:
     """Eigenvalue gas: drift -x, kernel 1/x, noise 1/sqrt(N-1), d = 1.
 
-    ``m`` is the number of proposal steps per RBMC iteration.
+    Its invariant Gibbs measure exp(-[(N-1)/2 sum x^2 - sum_{i<j} ln|x_i-x_j|])
+    is what ``samplers.run_log_gas_chain`` samples, splitting -ln|r| at
+    ``split_radius`` and taking ``m`` proposal steps per RBMC iteration.
     """
 
     N: int
@@ -37,16 +38,10 @@ class DysonModel:
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError("m must be an integer >= 1")
-
-    def gibbs_target(self) -> GibbsTarget:
-        """Invariant Gibbs measure exp(-[(N-1)/2 sum x^2 - sum_{i<j} ln|x_i-x_j|]).
-
-        In the (beta, w) normal form of ``GibbsTarget`` this is w = 1/(N-1)
-        and beta = (N-1)^2, with -ln|r| split at the model's radius.
-        """
-        N = self.N
-        return GibbsTarget(N=N, w=1.0 / (N - 1), beta=float((N - 1) ** 2),
-                           phi2_cutoff=self.split_radius)
+        if self.N < 2:  # the chain's proposal weighs the N - 1 others
+            raise ValueError("N must be >= 2")
+        if self.split_radius <= 0:
+            raise ValueError("split radius must be positive")
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.2, 1.2, size=self.N)

@@ -213,14 +213,13 @@ def _finish_wealth(sim, cfg, outdir):
 def _build_dyson(cfg, streams):
     m, run = cfg["model"], cfg["run"]
     model = DysonModel(N=m["N"], split_radius=m["split_radius"], m=m["m"])
-    return _sim(cfg, streams, target=model.gibbs_target(),
-                state=(model.initial(streams.init), None, None),
-                m=model.m, sweeps=run["sweeps"], warmup=run["warmup"])
+    return _sim(cfg, streams, model=model, state=(model.initial(streams.init), None, None),
+                sweeps=run["sweeps"], warmup=run["warmup"])
 
 
 def _step_dyson(sim, k, dt):
     """All run.sweeps moves of the RBMC chain: (final config, pooled snapshots, stats)."""
-    return run_log_gas_chain(sim.state[0], sim.target, sim.sweeps, sim.m, dt, sim.streams,
+    return run_log_gas_chain(sim.state[0], sim.model, sim.sweeps, dt, sim.streams,
                              warmup=sim.warmup, snapshot_every=max(sim.sweeps // 400, 1))
 
 
@@ -320,8 +319,6 @@ def _build_lj(cfg, streams):
 
 
 def _finish_lj(sim, cfg, outdir):
-    if "temperature" not in cfg["diagnostics"]:
-        return {}
     tail = sim.rows[len(sim.rows) // 2:]
     return {"mean_temperature": float(2.0 * np.mean(tail) / (3 * cfg["model"]["N"]))}
 
@@ -519,11 +516,14 @@ ENERGY_COLUMNS = ("step", "U_real", "U_fourier", "U_self", "kinetic", "T_inst") 
 
 
 def _resolve(raw: dict, fields: dict, known, path: str, owner: str, errors: list) -> dict:
-    """``fields`` overlaid with ``raw``; a key outside ``fields`` is an error."""
-    for key in raw:
+    """``fields`` overlaid with ``raw``; a key outside ``fields`` is an error, and so
+    is a value ``_finite`` refuses."""
+    for key, value in raw.items():
         if key not in fields:
             errors.append(f"{path}.{key}: " + (f"not used by {owner}" if key in known
                                                  else "unknown key"))
+        elif not _finite(value, fields[key]):
+            errors.append(f"{path}.{key}: must be a finite number")
     return {**fields, **{k: v for k, v in raw.items() if k in fields}}
 
 
@@ -535,8 +535,13 @@ def _positive(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+def _finite(v, default) -> bool:
+    """Whether ``v`` may fill a field whose default is ``default``: a finite number where
+    that is a float; where it is None (unset, or ``run.schedule``'s mapping), anything but
+    a bool or a non-finite float.  Integer fields refuse a bool in their own checks."""
+    if isinstance(v, bool) or isinstance(v, float) and not math.isfinite(v):
+        return not (default is None or isinstance(default, float))
+    return not isinstance(default, float) or isinstance(v, (int, float))
 
 
 def _resolve_thermostat(raw: dict, model_id: str, kinds: tuple, errors: list) -> dict:
@@ -588,7 +593,7 @@ def _check_run(run: dict, raw_run: dict, method: str, N, errors: list):
     if "T" in run:
         if not _positive(run["T"]):
             errors.append("run.T: must be positive")
-        elif _positive(run["dt"]):
+        elif _positive(run["dt"]) and math.isfinite(run["T"]):  # else refused by _resolve
             n = run["T"] / run["dt"]
             if round(n) < 1:
                 errors.append("run.T: must span at least one step of run.dt")
@@ -687,8 +692,6 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
         errors.append(f"model.N: the 'convergence' diagnostic needs N >= 4; at N = {N} its "
                       "p = 2 division is one batch, so RBM is the direct step and no error "
                       "is measured")
-    if model_id == "gaussian" and not _is_real(model["init_mean"]):
-        errors.append("model.init_mean: must be a finite number")
     if errors:
         raise ConfigError(errors)
     try:

@@ -5,7 +5,7 @@ exp(-beta H): the smooth long-range pair part phi1 drives a mini-batched
 overdamped-Langevin proposal (never rejected on its own), and the short-range
 singular part phi2 enters only through the Metropolis accept/reject, made
 cheap by its cutoff.  ``run_log_gas_chain``, the package's one RBMC chain,
-runs it on the 1-d log gas of the Dyson model.  RBM-SVGD applies random
+runs it on the 1-d log gas of a ``models.DysonModel``.  RBM-SVGD applies random
 batching to the Stein variational particle flow: ``stein_system`` makes that
 flow a ``FirstOrderSystem``, so the ``integrators`` steppers take its explicit
 Euler steps, one random division per step for RBM-SVGD.
@@ -21,35 +21,12 @@ import numpy as np
 from .batching import batch_index_matrices
 from .forces import batch_pair_sum
 from .integrators import FirstOrderSystem, IntegrationError
+from .models import DysonModel
 from .rng import SimStreams
 from .state import BatchDivision
 
 # |x| past which a chain has diverged
 _FAR = 1e6
-
-
-@dataclass
-class GibbsTarget:
-    """The 1-d log gas exp(-beta [sum_i w x_i^2 / 2 - sum_{i<j} w^2 ln|x_i - x_j|]).
-
-    ``run_log_gas_chain`` samples it, splitting -ln|r| at ``phi2_cutoff`` =
-    r0: phi1 is -ln|r| outside r0 and the parabola matching its value and
-    slope at r0 inside, and the singular remainder phi2 = -ln|r| - phi1 has
-    support in [0, r0).
-    """
-
-    N: int
-    w: float
-    beta: float
-    phi2_cutoff: float
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.N < 2:  # the chain's proposal weighs the N - 1 others
-            raise ValueError("N must be >= 2")
-        if self.phi2_cutoff <= 0:
-            raise ValueError("split radius must be positive")
 
 
 @dataclass
@@ -70,22 +47,26 @@ class MarkovChainStats:
 
 def run_log_gas_chain(
     x0: np.ndarray,
-    target: GibbsTarget,
+    model: DysonModel,
     n_iterations: int,
-    m: int,
     dt: float,
     streams: SimStreams,
     warmup: int = 0,
     snapshot_every: int = 20_000,
 ) -> Tuple[np.ndarray, np.ndarray, MarkovChainStats]:
-    """RBMC chain for the 1-d log gas ``target`` (p = 2), split at ``target.phi2_cutoff``.
+    """RBMC chain (p = 2) for the 1-d log gas of ``model``.
 
+    The target is exp(-beta [sum_i w x_i^2 / 2 - sum_{i<j} w^2 ln|x_i - x_j|])
+    with w = 1/(N-1) and beta = (N-1)^2, the Dyson model's invariant measure.
+    -ln|r| splits at r0 = ``model.split_radius``: phi1 is -ln|r| outside r0
+    and the parabola matching its value and slope at r0 inside, and the
+    singular remainder phi2 = -ln|r| - phi1 has support in [0, r0).
     ``n_iterations`` counts single-particle moves: each picks one particle, so
     a sweep of all N is N iterations (Dyson's ``run.sweeps`` arrives here, so
-    its default of 10^6 is 2000 sweeps at N = 500).  The m proposal steps each
-    take the phi1 force of one random other particle; the phi2 acceptance
-    reads the neighbours within the cutoff off a sorted list of positions.  A
-    proposal that is not finite is dropped and counted in ``clamp_count``.
+    its default of 10^6 is 2000 sweeps at N = 500).  The ``model.m`` proposal
+    steps each take the phi1 force of one random other particle; the phi2
+    acceptance reads the neighbours within r0 off a sorted list of positions.
+    A proposal that is not finite is dropped and counted in ``clamp_count``.
     Returns (final config, pooled post-warmup snapshots, stats).  Randomness is
     pre-drawn from ``streams.proposal`` in chunks of ``snapshot_every``
     iterations.  If a position has left |x| <= 1e6 by the end of a chunk, the
@@ -94,12 +75,13 @@ def run_log_gas_chain(
     """
     x = np.asarray(x0, dtype=np.float64).tolist()
     N = len(x)
-    if target.N != N:
-        raise ValueError("config size does not match target")
-    dt, r0 = float(dt), float(target.phi2_cutoff)
-    v_coef = 1.0 / (target.w * (N - 1))
-    noise_std = math.sqrt(2.0 * dt / ((N - 1) * target.w**2 * target.beta))
-    beta_w2 = target.beta * target.w**2
+    if model.N != N:
+        raise ValueError("config size does not match model")
+    w, beta = 1.0 / (N - 1), float((N - 1) ** 2)
+    dt, r0, m = float(dt), float(model.split_radius), model.m
+    v_coef = 1.0 / (w * (N - 1))
+    noise_std = math.sqrt(2.0 * dt / ((N - 1) * w**2 * beta))
+    beta_w2 = beta * w**2
     r0_sq, phi1_at_0 = r0 * r0, -math.log(r0) + 0.5
     ordered = sorted(x)
 
@@ -177,26 +159,6 @@ class GaussianKernel:
             med = np.median(sq_dists, axis=-1) if sq_dists.size else 1.0
             return np.maximum(med / max(math.log(max(n, 2)), 1.0), 1e-12)
         return float(self.bandwidth)
-
-
-def _offdiag_sq_dists(X: np.ndarray) -> np.ndarray:
-    diffs = X[:, None, :] - X[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diffs, diffs)
-    return sq[~np.eye(X.shape[0], dtype=bool)]
-
-
-def _svgd_term_sum(X: np.ndarray, i: int, js: np.ndarray, h: float, gv: np.ndarray) -> np.ndarray:
-    """sum over js of grad_y K(x_i, x_j) - K(x_i, x_j) grad V(x_j)."""
-    diffs = X[i] - X[js]
-    k = np.exp(-np.einsum("ij,ij->i", diffs, diffs) / h)
-    return ((2.0 / h) * diffs * k[:, None] - k[:, None] * gv[js]).sum(axis=0)
-
-
-def svgd_velocity(i: int, X: np.ndarray, grad_V: Callable, kernel: GaussianKernel) -> np.ndarray:
-    """Full-batch Stein flow velocity (1/N) sum_j [grad_y K - K grad V] of particle i."""
-    N = X.shape[0]
-    h = kernel.resolve(_offdiag_sq_dists(X), N)
-    return _svgd_term_sum(X, i, np.arange(N), h, grad_V(X)) / N
 
 
 def _batch_bandwidths(X: np.ndarray, division: Optional[BatchDivision], kernel: GaussianKernel):

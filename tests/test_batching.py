@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randbatch.batching import (
-    batch_index_matrices,
-    count_divisions,
-    enumerate_divisions,
-    random_division,
-    sample_batch_with_replacement,
-)
+from oracles import count_divisions, enumerate_divisions
+from randbatch.batching import batch_index_matrices, random_division, sample_batch_with_replacement
 from randbatch.rng import RngStream
 from randbatch.state import BatchDivision
 

@@ -11,20 +11,18 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from oracles import (discrete_gaussian_moments, ewald_energy, kvectors_in_ball, neighbor_pairs,
+                     structure_factors)
 from randbatch import ewald, forces, runner
 from randbatch.ewald import (
     EwaldParams,
     PeriodicChargeSystem,
-    discrete_gaussian_moments,
-    ewald_energy,
     fourier_energy,
     fourier_force_exact_all,
-    kvectors_in_ball,
     mh_sample_kvectors,
     rbe_force_all,
     real_space_force_all,
     self_energy,
-    structure_factors,
     sum_S,
     rbe_md_step,
 )
@@ -539,7 +537,7 @@ def test_pair_list_forces_match_brute_force_with_and_without_a_rebuild():
     shift = gen.standard_normal((64, 3))
     shift *= 0.999 * pairs.skin / 2 / np.linalg.norm(shift, axis=1)[:, None]
     moved = _moved(system, shift)
-    within = [set(zip(*forces.neighbor_pairs(s.state.positions, 6.0, 2.5)[:2]))
+    within = [set(zip(*neighbor_pairs(s.state.positions, 6.0, 2.5)[:2]))
               for s in (system, moved)]
     assert within[0] != within[1]
     for step in (system, moved):
@@ -629,7 +627,7 @@ def test_coulomb_list_build_at_n_3000_peaks_at_a_few_times_the_list():
     cutoff = r_c + forces.PairList(r_c)._skin(L, N, 3)
     tracemalloc.start()
     try:
-        listed = forces.neighbor_pairs(pos, L, cutoff)
+        listed = neighbor_pairs(pos, L, cutoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

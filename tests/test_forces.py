@@ -10,19 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randbatch
+from oracles import batch_force, chi, enumerate_divisions, full_force, neighbor_pairs
 from randbatch import forces, runner
-from randbatch.batching import enumerate_divisions, random_division
+from randbatch.batching import random_division
 from randbatch.forces import (
     PairList,
-    batch_force,
     batch_prefactor,
-    chi,
     chi_variance_exact,
     division_forces,
-    full_force,
     full_force_all,
     interaction_spread,
-    neighbor_pairs,
     pair_force_sum,
     short_range_force_all,
 )
@@ -453,7 +450,7 @@ def test_pair_search_on_an_empty_system_twice():
 
 def test_only_forces_searches_for_neighbour_pairs():
     # every other module takes its pairs from a PairList, which searches only on
-    # rebuilds; any reference to neighbor_pairs outside forces.py (a call, an
+    # rebuilds; any reference to _search_pairs outside forces.py (a call, an
     # import) would bring a per-call search back
     offenders = []
     for path in sorted(Path(randbatch.__file__).parent.glob("*.py")):
@@ -463,7 +460,7 @@ def test_only_forces_searches_for_neighbour_pairs():
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
-            if name == "neighbor_pairs":
+            if name == "_search_pairs":
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

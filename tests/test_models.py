@@ -9,9 +9,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from oracles import neighbor_pairs
 from randbatch import forces
 from randbatch.batching import random_division
-from randbatch.forces import neighbor_pairs, pair_force_sum
+from randbatch.forces import pair_force_sum
 from randbatch.integrators import direct_step, rbm_step_first_order
 from randbatch.models import (
     ConsensusModel,

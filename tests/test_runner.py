@@ -246,6 +246,20 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
       "diagnostics": ["dh_screening"]},
      "run.record_every: no multiple of 12 lies in (run.warmup, run.steps] = (15, 20], so "
      "dh_screening would read no recorded frame"),
+    # a bool or a non-finite number either failed part way, ran something other than
+    # the echoed config (sigma: true ran as 1, beta: .inf as T = 0) or stopped validate
+    (_tiny_model("toy", sigma=math.nan), "model.sigma: must be a finite number"),
+    (_tiny("toy", dt=math.inf), "run.dt: must be a finite number"),
+    (_tiny_model("wealth", kappa=math.inf), "model.kappa: must be a finite number"),
+    (_tiny_model("cucker-smale", kappa=math.nan), "model.kappa: must be a finite number"),
+    (_tiny_model("lj-fluid", beta=math.inf), "model.beta: must be a finite number"),
+    (_tiny_model("toy", sigma=True), "model.sigma: must be a finite number"),
+    ({**_tiny("lj-fluid"), "thermostat": {"kind": "andersen", "nu": True}},
+     "thermostat.nu: must be a finite number"),
+    ({**_tiny("electrolyte"), "thermostat": {"kind": "nose-hoover", "Q": True}},
+     "thermostat.Q: must be a finite number"),
+    (_tiny_model("gaussian", init_mean=math.inf), "model.init_mean: must be a finite number"),
+    (_tiny("wealth", T=math.inf), "run.T: must be a finite number"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:

@@ -9,19 +9,14 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from randbatch.batching import enumerate_divisions, random_division
+from oracles import _offdiag_sq_dists, _svgd_term_sum, enumerate_divisions, svgd_velocity
+from randbatch.batching import random_division
 from randbatch.diagnostics import wasserstein1_1d
 from randbatch.integrators import IntegrationError, direct_step, rbm_step_first_order
 from randbatch.models import DysonModel
 from randbatch.rng import RngStream, SimStreams
 from randbatch.runner import _stop_far_svgd
-from randbatch.samplers import (
-    GaussianKernel,
-    GibbsTarget,
-    run_log_gas_chain,
-    stein_system,
-    svgd_velocity,
-)
+from randbatch.samplers import GaussianKernel, run_log_gas_chain, stein_system
 from randbatch.state import ParticleState
 
 
@@ -53,12 +48,12 @@ def _exact_log_gas_chain(x0, n_moves, step, rng, warmup=0, snapshot_every=1):
 
 
 @pytest.mark.parametrize("field, value, message", [("N", 1, "N must be >= 2"),
-                                                   ("beta", 0.0, "beta must be positive"),
-                                                   ("phi2_cutoff", 0.0, "split radius")])
-def test_gibbs_target_refuses_what_the_chain_cannot_run(field, value, message):
-    fields = {"N": 4, "w": 1.0 / 3, "beta": 9.0, "phi2_cutoff": 0.01, field: value}
+                                                   ("m", 0, "m must be an integer >= 1"),
+                                                   ("split_radius", 0.0, "split radius")])
+def test_dyson_model_refuses_what_the_chain_cannot_run(field, value, message):
+    fields = {"N": 4, "split_radius": 0.01, "m": 5, field: value}
     with pytest.raises(ValueError, match=message):
-        GibbsTarget(**fields)
+        DysonModel(**fields)
 
 
 def test_exact_chain_pair_spread_at_n_2_is_the_closed_form():
@@ -135,9 +130,9 @@ def test_fast_chain_agrees_with_exact_metropolis():
     # the bound is that mean plus 4 sd.  The proposal noise x1.3 reads 2.97-3.49
     # and a dropped phi2 acceptance 0.87-1.68 over 6 seeds
     N, dt, m = 16, 5e-4, 5
-    target = GibbsTarget(N=N, w=1.0 / (N - 1), beta=float((N - 1) ** 2), phi2_cutoff=0.05)
+    model = DysonModel(N=N, split_radius=0.05, m=m)
     x0 = RngStream(8).generator().uniform(-1, 1, N)
-    _, fast, _ = run_log_gas_chain(x0, target, 400_000, m=m, dt=dt, streams=SimStreams(9),
+    _, fast, _ = run_log_gas_chain(x0, model, 400_000, dt=dt, streams=SimStreams(9),
                                    warmup=100_000, snapshot_every=1000)
     exact = _exact_log_gas_chain(x0, 400_000, math.sqrt(m * 2 * dt / (N - 1)),
                                  SimStreams(10).proposal, warmup=100_000, snapshot_every=1000)
@@ -149,10 +144,10 @@ def test_fast_chain_agrees_with_exact_metropolis():
 def test_log_gas_chain_final_config_is_pinned():
     """Pinned bits of the chain; half the particles start outside [-4, 4], in pairs within r0."""
     N = 12
-    target = GibbsTarget(N=N, w=1.0 / (N - 1), beta=float((N - 1) ** 2), phi2_cutoff=0.05)
+    model = DysonModel(N=N, split_radius=0.05, m=3)
     x0 = np.concatenate([RngStream(11).generator().uniform(-1, 1, 6),
                          4.5 + 0.03 * np.arange(3), -5.0 - 0.03 * np.arange(3)])
-    x, pooled, stats = run_log_gas_chain(x0, target, 4000, m=3, dt=1e-3, streams=SimStreams(12),
+    x, pooled, stats = run_log_gas_chain(x0, model, 4000, dt=1e-3, streams=SimStreams(12),
                                          warmup=0, snapshot_every=1000)
     expected = [
         0.9795057688346478, 0.5871028207133473, 0.00872862292552165, -0.9959566394875689,
@@ -168,8 +163,8 @@ def test_log_gas_chain_final_config_is_pinned():
 def test_dyson_chain_acceptance_counts_are_pinned(seed, accepted):
     model = DysonModel(N=500, split_radius=0.01)
     streams = SimStreams(seed)
-    _, _, stats = run_log_gas_chain(model.initial(streams.init), model.gibbs_target(), 20_000,
-                                    m=5, dt=1e-4, streams=streams, snapshot_every=5000)
+    _, _, stats = run_log_gas_chain(model.initial(streams.init), model, 20_000,
+                                    dt=1e-4, streams=streams, snapshot_every=5000)
     assert stats.acceptance_count == accepted
 
 
@@ -178,8 +173,7 @@ def test_dyson_chain_counts_the_proposals_it_drops():
     model = DysonModel(N=50)
     streams = SimStreams(0)
     x0 = model.initial(streams.init)
-    x, _, stats = run_log_gas_chain(x0, model.gibbs_target(), 2000, m=5, dt=math.inf,
-                                    streams=streams)
+    x, _, stats = run_log_gas_chain(x0, model, 2000, dt=math.inf, streams=streams)
     assert stats.clamp_count == stats.proposal_count == 2000
     assert stats.acceptance_count == 0
     assert np.array_equal(x, x0)
@@ -192,7 +186,7 @@ def test_a_diverging_dyson_chain_stops_at_the_chunk_it_leaves_the_bound_in(chunk
     streams = SimStreams(0)
     message = r"beyond 1e6 .* by iteration \d+ at particle \d+$"
     with pytest.raises(IntegrationError, match=message) as info:
-        run_log_gas_chain(model.initial(streams.init), model.gibbs_target(), 2000, m=5, dt=1e3,
+        run_log_gas_chain(model.initial(streams.init), model, 2000, dt=1e3,
                           streams=streams, snapshot_every=chunk)
     iteration = int(str(info.value).split("by iteration ")[1].split()[0])
     assert iteration % chunk == 0 or iteration == 2000
@@ -254,8 +248,6 @@ def test_rbm_svgd_full_batch_matches_svgd_step_exactly():
 @pytest.mark.parametrize("N", [10, 11])
 def test_rbm_svgd_step_matches_per_particle_oracle_on_a_remainder_division(N):
     # p = 3 leaves a batch of 4 (N = 10) or of 2 (N = 11); each batch has its own bandwidth
-    from randbatch.samplers import _offdiag_sq_dists, _svgd_term_sum
-
     gen = RngStream(21).generator()
     X = gen.standard_normal((N, 2))
     state, system = _stein(X, "median")
@@ -305,8 +297,6 @@ def test_rbm_svgd_batch_term_unbiased_by_enumeration():
     X = gen.standard_normal((4, 1))
     gv = X
     h = 0.9
-
-    from randbatch.samplers import _svgd_term_sum
 
     N = 4
     full_offdiag = np.array([
