@@ -27,8 +27,9 @@ class DysonModel:
     """Eigenvalue gas: drift -x, kernel 1/x, noise 1/sqrt(N-1), d = 1.
 
     Its invariant Gibbs measure exp(-[(N-1)/2 sum x^2 - sum_{i<j} ln|x_i-x_j|])
-    is what ``samplers.run_log_gas_chain`` samples, splitting -ln|r| at
-    ``split_radius`` and taking ``m`` proposal steps per RBMC iteration.
+    is what ``samplers.run_log_gas_chain`` samples, a block of moves at a
+    time, splitting -ln|r| at ``split_radius`` and taking ``m`` proposal
+    steps per move.
     """
 
     N: int
@@ -100,20 +101,6 @@ class WealthModel:
     @property
     def scale(self) -> float:
         return self.kappa * ETA_WEALTH / self.D
-
-    @property
-    def mode(self) -> float:
-        return self.kappa * ETA_WEALTH / (self.kappa + 2.0 * self.D)
-
-    def equilibrium_density(self, y) -> np.ndarray:
-        """Inverse-Gamma density with shape kappa/D + 1 and scale kappa eta / D."""
-        y = np.asarray(y, dtype=np.float64)
-        a, b = self.shape, self.scale
-        out = np.zeros_like(y)
-        pos = y > 0
-        yp = y[pos]
-        out[pos] = np.exp(a * math.log(b) - math.lgamma(a) - (a + 1) * np.log(yp) - b / yp)
-        return out
 
     def equilibrium_cdf(self, y) -> np.ndarray:
         """Inverse-Gamma CDF, elementwise: 0 wherever y is not positive."""

@@ -15,14 +15,17 @@ so the range checks of model fields live only in the constructors the
 builders call, and a config that validates builds.  ``run`` executes a
 resolved config replica by replica.  ``_simulate`` is the one loop that steps
 a model: it builds a replica, steps it with its per-step hooks (wealth
-reflection, thermostats, the electrolyte's energy log, the Stein flow's 1e6
-bound) and records every ``record_every`` steps, and the model's ``finish``
-turns the result into metrics; the toy's convergence study runs its coupled
-pairs through it too.  One step and its hooks are ``_take_step``, which
-``ewald.rbe_md_step`` calls too.  ``run`` writes ``config.resolved.yaml``,
-``metrics.json`` and ``log.txt`` into the output directory, and the CSV
-artifacts there too for one replica; with ``run.replicas`` > 1, replica r
-writes its CSVs into ``replica<r>/`` under it.
+reflection, thermostats, the electrolyte's energy log, the 1e6 bound on the
+Stein flow and the RBMC chain) and records every ``record_every`` steps past
+the warmup, and the model's ``finish`` turns the result into metrics; the
+toy's convergence study runs its coupled pairs through it too.  Dyson's RBMC
+chain counts its run in moves, ``run.sweeps``, and a loop step advances it by
+one block of them (``_loop_length``).  One step and its hooks are
+``_take_step``, which ``ewald.rbe_md_step`` calls too.  ``run`` writes
+``config.resolved.yaml``, ``metrics.json`` and ``log.txt`` into the output
+directory, and the CSV artifacts there too for one replica; with
+``run.replicas`` > 1, replica r writes its CSVs into ``replica<r>/`` under it.
+The resolved config validates to itself, so a run repeats from its echo.
 A rerun into the same directory first removes those files of the earlier run.
 Identical (config, seed) pairs produce byte-identical metrics.
 Without ``method`` a config runs its model's first: ``rbm`` for wealth,
@@ -80,7 +83,7 @@ from .models import (
     toy_lipschitz_system,
 )
 from .rng import SimStreams
-from .samplers import GaussianKernel, run_log_gas_chain, stein_system
+from .samplers import GaussianKernel, MarkovChainStats, run_log_gas_chain, stein_system
 from .state import ParticleState
 from .thermostats import Andersen, Langevin, NoseHoover, apply_andersen
 
@@ -109,8 +112,9 @@ class ModelSpec:
 
     ``run`` lists the run fields the model honours with their defaults (a
     callable default is worked out from the resolved section).  ``steppers``
-    maps each method, the default first, to ``step(sim, k, dt) -> state``;
-    every model but dyson takes its steppers from ``_STEPPERS``.
+    maps each method, the default first, to ``step(sim, k, dt) -> state``:
+    the ``integrators`` steppers of ``_STEPPERS``, or dyson's one block of
+    RBMC moves.
     ``observe(sim, k)`` gives the row recorded every ``record_every`` steps
     past the warmup, and before the first step when ``observe_start`` is set;
     ``finish(sim, cfg, outdir)`` writes the model's CSVs and returns its metrics.
@@ -146,6 +150,11 @@ _STEPPERS = {
     "rbm": lambda s, k, dt: rbm_step_first_order(s.state, s.system, s.p, dt, s.streams),
     "rbm-r": lambda s, k, dt: rbmr_step(s.state, s.system, s.p, dt, s.streams),
 }
+
+
+def _first_coordinates(sim, k):
+    """(k, every particle's first coordinate): the toy's rows and the chain's samples."""
+    return k, sim.state.positions[:, 0].copy()
 
 
 def _build_toy(cfg, streams):
@@ -211,23 +220,26 @@ def _finish_wealth(sim, cfg, outdir):
 
 
 def _build_dyson(cfg, streams):
-    m, run = cfg["model"], cfg["run"]
+    m = cfg["model"]
     model = DysonModel(N=m["N"], split_radius=m["split_radius"], m=m["m"])
-    return _sim(cfg, streams, model=model, state=(model.initial(streams.init), None, None),
-                sweeps=run["sweeps"], warmup=run["warmup"])
+    x = model.initial(streams.init).tolist()
+    return _sim(cfg, streams, model=model, state=ParticleState(positions=np.array(x)[:, None]),
+                x=x, ordered=sorted(x), stats=MarkovChainStats(), hooks=[_stop_far],
+                sweeps=cfg["run"]["sweeps"], block=_block(cfg["run"]))
 
 
 def _step_dyson(sim, k, dt):
-    """All run.sweeps moves of the RBMC chain: (final config, pooled snapshots, stats)."""
-    return run_log_gas_chain(sim.state[0], sim.model, sim.sweeps, dt, sim.streams,
-                             warmup=sim.warmup, snapshot_every=max(sim.sweeps // 400, 1))
+    """Block k of the RBMC chain: ``sim.block`` moves, or what is left of run.sweeps."""
+    run_log_gas_chain(sim, min(sim.block, sim.sweeps - (k - 1) * sim.block), dt,
+                      sim.streams.proposal)
+    return ParticleState(positions=np.array(sim.x)[:, None])
 
 
 def _finish_dyson(sim, cfg, outdir):
-    _, pooled, stats = sim.state
+    pooled = np.concatenate([x for _, x in sim.rows])
     _write_samples_csv(outdir / "samples.csv", [(sim.sweeps, pooled)])
-    metrics = {"acceptance_rate": stats.acceptance_rate, "pooled_samples": int(pooled.size),
-               "clamp_count": stats.clamp_count}
+    metrics = {"acceptance_rate": sim.stats.acceptance_rate, "pooled_samples": int(pooled.size),
+               "clamp_count": sim.stats.clamp_count}
     if "w1_semicircle" in cfg["diagnostics"]:
         metrics["w1_semicircle"] = wasserstein1_1d(pooled, semicircle_cdf, support=(-2.0, 2.0))
     if "density_at_zero" in cfg["diagnostics"]:
@@ -399,11 +411,11 @@ def _build_svgd(cfg, streams):
     X0 = m["init_mean"] + m["init_std"] * streams.init.standard_normal((m["N"], m["dim"]))
     system = stein_system(lambda x: x, GaussianKernel(bandwidth=m["bandwidth"]))
     return _sim(cfg, streams, state=ParticleState(positions=X0), system=system,
-                hooks=[_stop_far_svgd])
+                hooks=[_stop_far])
 
 
-def _stop_far_svgd(sim, k, dt):
-    """Stop a diverging Stein flow while it is finite: no coordinate may pass 1e6."""
+def _stop_far(sim, k, dt):
+    """Stop a diverging run while it is finite: no coordinate may pass 1e6."""
     far = np.abs(sim.state.positions).max(axis=1) > 1e6
     if np.any(far):
         raise IntegrationError("coordinate beyond 1e6 (decrease the step size) at particle "
@@ -426,7 +438,7 @@ MODELS = {
         fields={"N": 64, "sigma": 0.5},
         run={"p": 2, "dt": 0.05, "steps": 20, "T": None, "replicas": 1},
         steppers=_STEPPERS, diagnostics=("convergence",), build=_build_toy, finish=_finish_toy,
-        observe=lambda s, k: (k, s.state.positions[:, 0].copy()),
+        observe=_first_coordinates,
     ),
     "wealth": ModelSpec(
         fields={"N": 10_000, "kappa": 1.0, "D": 0.5},
@@ -477,14 +489,15 @@ MODELS = {
         output=("directory", "trajectory_every"),
         positive=("L", "lj_sigma", "temperature", "alpha", "r_c"),
     ),
-    # run.sweeps counts the RBMC chain's single-particle moves (its n_iterations), not
-    # sweeps of all N: the default 10^6 is 2000 sweeps at N = 500
+    # run.sweeps counts the RBMC chain's single-particle moves, not sweeps of all N (the
+    # default 10^6 is 2000 sweeps at N = 500), run in blocks of max(sweeps // 400, 1)
     "dyson": ModelSpec(
         fields={"N": 500, "split_radius": 0.01, "m": 5},
         run={"dt": 1e-4, "sweeps": 1_000_000, "warmup": lambda run: run["sweeps"] // 3,
              "replicas": 1},
         steppers={"rbmc": _step_dyson}, diagnostics=("w1_semicircle", "density_at_zero"),
-        build=_build_dyson, finish=_finish_dyson, positive=("split_radius",),
+        build=_build_dyson, finish=_finish_dyson, observe=_first_coordinates,
+        positive=("split_radius",),
     ),
     # random-batch SVGD toward exp(-|x|^2 / 2); run.dt is the step size eta
     "gaussian": ModelSpec(
@@ -572,7 +585,7 @@ def _check_run(run: dict, raw_run: dict, method: str, N, errors: list):
                       "leave run.p at 2 or set it to model.N")
     s = run.get("schedule")
     if s is not None:
-        run["dt"] = None
+        del run["dt"]
         if not isinstance(s, dict) or s.get("kind") not in tuple(_SCHEDULE_FIELDS):
             errors.append("run.schedule.kind: must be one of log-decay|inverse; "
                           "a constant step is run.dt")
@@ -595,7 +608,9 @@ def _check_run(run: dict, raw_run: dict, method: str, N, errors: list):
             errors.append("run.T: must be positive")
         elif _positive(run["dt"]) and math.isfinite(run["T"]):  # else refused by _resolve
             n = run["T"] / run["dt"]
-            if round(n) < 1:
+            if not math.isfinite(n):
+                errors.append(f"run.T: T / dt = {run['T']:g} / {run['dt']:g} overflows")
+            elif round(n) < 1:
                 errors.append("run.T: must span at least one step of run.dt")
             elif abs(n - round(n)) > 1e-9 * n:  # a run takes whole steps
                 errors.append("run.T: must be a whole number of run.dt steps, "
@@ -623,7 +638,10 @@ def validate_dict(raw: dict, name: str = "run") -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected a mapping"])
     errors = [f"config.{key}: unknown key" for key in raw
-              if key not in ("name", "seed", "method", "diagnostics", *_SECTIONS)]
+              if key not in ("name", "seed", "version", "method", "diagnostics", *_SECTIONS)]
+    if raw.get("version", __version__) != __version__:  # a run's echo names its version
+        errors.append(f"config.version: {raw['version']!r} is not this randbatch's "
+                      f"{__version__!r}")
     sections = {key: raw.get(key) or {} for key in _SECTIONS}
     errors += [f"{key}: expected a mapping" for key, section in sections.items()
                if not isinstance(section, dict)]
@@ -739,9 +757,20 @@ def validate(path, seed: Optional[int] = None, replicas: Optional[int] = None) -
 
 
 def _n_steps(run: dict) -> int:
-    if "sweeps" in run:  # the chain runs every sweep in one call
-        return 1
     return run["steps"] if "steps" in run else int(round(run["T"] / run["dt"]))
+
+
+def _block(run: dict) -> int:
+    """Moves per loop step of a chain that runs for run.sweeps moves."""
+    return max(run["sweeps"] // 400, 1)
+
+
+def _loop_length(run: dict) -> tuple:
+    """(steps, warmup steps) of the loop.  A chain's run.sweeps moves take one ``_block``
+    per step, the last step what is left; its warmup is the blocks run.warmup covers."""
+    if "sweeps" not in run:
+        return _n_steps(run), run.get("warmup") or 0
+    return -(-run["sweeps"] // _block(run)), run["warmup"] // _block(run)
 
 
 def _schedule(run: dict) -> Callable[[int], float]:
@@ -766,13 +795,13 @@ def _simulate(cfg: dict, streams: SimStreams) -> SimpleNamespace:
     """One replica's sim: built, stepped through ``_take_step`` and recorded."""
     spec, run = MODELS[cfg["model"]["id"]], cfg["run"]
     step, schedule = spec.steppers[cfg["method"]], _schedule(run)
-    every, warmup = run.get("record_every", 1), run.get("warmup") or 0
+    (n_steps, warmup), every = _loop_length(run), run.get("record_every", 1)
     # validation drops record_every from a model that honours it when nothing reads the rows
     observe = None if "record_every" in spec.run and "record_every" not in run else spec.observe
     sim = spec.build(cfg, streams)
     if spec.observe_start:
         sim.rows.append(observe(sim, 0))
-    for k in range(1, _n_steps(run) + 1):
+    for k in range(1, n_steps + 1):
         try:
             _take_step(sim, step, k, schedule(k))
         except IntegrationError as exc:

@@ -5,28 +5,24 @@ exp(-beta H): the smooth long-range pair part phi1 drives a mini-batched
 overdamped-Langevin proposal (never rejected on its own), and the short-range
 singular part phi2 enters only through the Metropolis accept/reject, made
 cheap by its cutoff.  ``run_log_gas_chain``, the package's one RBMC chain,
-runs it on the 1-d log gas of a ``models.DysonModel``.  RBM-SVGD applies random
-batching to the Stein variational particle flow: ``stein_system`` makes that
-flow a ``FirstOrderSystem``, so the ``integrators`` steppers take its explicit
-Euler steps, one random division per step for RBM-SVGD.
+advances the 1-d log gas of a ``models.DysonModel`` by a block of moves, and
+the runner's experiment loop steps it one block per step.  RBM-SVGD applies
+random batching to the Stein variational particle flow: ``stein_system`` makes
+that flow a ``FirstOrderSystem``, so the ``integrators`` steppers take its
+explicit Euler steps, one random division per step for RBM-SVGD.
 """
 
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from .batching import batch_index_matrices
 from .forces import batch_pair_sum
-from .integrators import FirstOrderSystem, IntegrationError
-from .models import DysonModel
-from .rng import SimStreams
+from .integrators import FirstOrderSystem
 from .state import BatchDivision
-
-# |x| past which a chain has diverged
-_FAR = 1e6
 
 
 @dataclass
@@ -45,97 +41,68 @@ class MarkovChainStats:
         return rate
 
 
-def run_log_gas_chain(
-    x0: np.ndarray,
-    model: DysonModel,
-    n_iterations: int,
-    dt: float,
-    streams: SimStreams,
-    warmup: int = 0,
-    snapshot_every: int = 20_000,
-) -> Tuple[np.ndarray, np.ndarray, MarkovChainStats]:
-    """RBMC chain (p = 2) for the 1-d log gas of ``model``.
+def run_log_gas_chain(chain, n_moves: int, dt: float, rng: np.random.Generator):
+    """``n_moves`` moves of the RBMC chain (p = 2) for the 1-d log gas of ``chain.model``.
 
     The target is exp(-beta [sum_i w x_i^2 / 2 - sum_{i<j} w^2 ln|x_i - x_j|])
     with w = 1/(N-1) and beta = (N-1)^2, the Dyson model's invariant measure.
     -ln|r| splits at r0 = ``model.split_radius``: phi1 is -ln|r| outside r0
     and the parabola matching its value and slope at r0 inside, and the
     singular remainder phi2 = -ln|r| - phi1 has support in [0, r0).
-    ``n_iterations`` counts single-particle moves: each picks one particle, so
-    a sweep of all N is N iterations (Dyson's ``run.sweeps`` arrives here, so
-    its default of 10^6 is 2000 sweeps at N = 500).  The ``model.m`` proposal
-    steps each take the phi1 force of one random other particle; the phi2
-    acceptance reads the neighbours within r0 off a sorted list of positions.
-    A proposal that is not finite is dropped and counted in ``clamp_count``.
-    Returns (final config, pooled post-warmup snapshots, stats).  Randomness is
-    pre-drawn from ``streams.proposal`` in chunks of ``snapshot_every``
-    iterations.  If a position has left |x| <= 1e6 by the end of a chunk, the
-    chain raises ``IntegrationError`` naming that iteration and the first
-    such particle.
+    ``chain`` carries the positions ``x``, a list of floats, the same values
+    sorted in ``ordered``, and a ``MarkovChainStats``; the moves update all
+    three in place.  Each move picks one particle, so a sweep of all N is N
+    moves.  The ``model.m`` proposal steps each take the phi1 force of one
+    random other particle; the phi2 acceptance reads the neighbours within r0
+    off ``ordered``.  A proposal that is not finite is dropped and counted in
+    ``clamp_count``.  The moves' randomness is drawn from ``rng`` up front,
+    so a run's bits depend on how its moves are split into calls.
     """
-    x = np.asarray(x0, dtype=np.float64).tolist()
+    x, ordered, stats, model = chain.x, chain.ordered, chain.stats, chain.model
     N = len(x)
-    if model.N != N:
-        raise ValueError("config size does not match model")
     w, beta = 1.0 / (N - 1), float((N - 1) ** 2)
     dt, r0, m = float(dt), float(model.split_radius), model.m
     v_coef = 1.0 / (w * (N - 1))
     noise_std = math.sqrt(2.0 * dt / ((N - 1) * w**2 * beta))
     beta_w2 = beta * w**2
     r0_sq, phi1_at_0 = r0 * r0, -math.log(r0) + 0.5
-    ordered = sorted(x)
 
-    rng = streams.proposal
-    stats = MarkovChainStats()
-    snapshots = []
-    done = 0
-    while done < n_iterations:
-        size = min(snapshot_every, n_iterations - done)
-        picks = rng.integers(0, N, size=size).tolist()
-        batch_ints = rng.integers(0, N - 1, size=(size, m)).tolist()
-        normals = rng.standard_normal((size, m)).tolist()
-        accept_u = rng.random(size).tolist()
-        for i, mates, noise, u in zip(picks, batch_ints, normals, accept_u):
-            xi = x[i]
-            r = xi
-            for j, z in zip(mates, noise):
-                y = r - x[j if j < i else j + 1]
-                drift = v_coef * r + (-1.0 / y if abs(y) >= r0 else -y / r0_sq)
-                r = r - dt * drift + noise_std * z
-            if not math.isfinite(r):
-                stats.clamp_count += 1  # dropped: the particle stays put
-                continue
-            # sum_j phi2(r - x_j) - phi2(xi - x_j) over j != i; one entry xi is i's own
-            delta = 0.0
-            for pos, sign in ((r, 1.0), (xi, -1.0)):
-                own = True
-                for xj in ordered[bisect_left(ordered, pos - r0):bisect_right(ordered, pos + r0)]:
-                    if own and xj == xi:
-                        own = False
-                        continue
-                    ay = abs(pos - xj)
-                    if ay >= r0:
-                        continue
-                    # 1e300: a hard core for a position exactly on another particle
-                    phi2 = (-math.log(ay) - phi1_at_0 + ay * ay / (2.0 * r0_sq) if ay > 0.0
-                            else 1e300)
-                    delta += sign * phi2
-            log_acc = -beta_w2 * delta
-            if log_acc >= 0.0 or math.log(max(u, 1e-300)) <= log_acc:
-                del ordered[bisect_left(ordered, xi)]
-                insort(ordered, r)
-                x[i] = r
-                stats.acceptance_count += 1
-        stats.proposal_count += size
-        done += size
-        if ordered[0] < -_FAR or ordered[-1] > _FAR:
-            far = next(k for k, xk in enumerate(x) if abs(xk) > _FAR)
-            raise IntegrationError(f"position beyond 1e6 (decrease the step size) by iteration "
-                                   f"{done} at particle {far}")
-        if done > warmup:
-            snapshots.append(np.array(x))
-    pooled = np.concatenate(snapshots) if snapshots else np.empty(0)
-    return np.array(x), pooled, stats
+    picks = rng.integers(0, N, size=n_moves).tolist()
+    batch_ints = rng.integers(0, N - 1, size=(n_moves, m)).tolist()
+    normals = rng.standard_normal((n_moves, m)).tolist()
+    accept_u = rng.random(n_moves).tolist()
+    for i, mates, noise, u in zip(picks, batch_ints, normals, accept_u):
+        xi = x[i]
+        r = xi
+        for j, z in zip(mates, noise):
+            y = r - x[j if j < i else j + 1]
+            drift = v_coef * r + (-1.0 / y if abs(y) >= r0 else -y / r0_sq)
+            r = r - dt * drift + noise_std * z
+        if not math.isfinite(r):
+            stats.clamp_count += 1  # dropped: the particle stays put
+            continue
+        # sum_j phi2(r - x_j) - phi2(xi - x_j) over j != i; one entry xi is i's own
+        delta = 0.0
+        for pos, sign in ((r, 1.0), (xi, -1.0)):
+            own = True
+            for xj in ordered[bisect_left(ordered, pos - r0):bisect_right(ordered, pos + r0)]:
+                if own and xj == xi:
+                    own = False
+                    continue
+                ay = abs(pos - xj)
+                if ay >= r0:
+                    continue
+                # 1e300: a hard core for a position exactly on another particle
+                phi2 = (-math.log(ay) - phi1_at_0 + ay * ay / (2.0 * r0_sq) if ay > 0.0
+                        else 1e300)
+                delta += sign * phi2
+        log_acc = -beta_w2 * delta
+        if log_acc >= 0.0 or math.log(max(u, 1e-300)) <= log_acc:
+            del ordered[bisect_left(ordered, xi)]
+            insort(ordered, r)
+            x[i] = r
+            stats.acceptance_count += 1
+    stats.proposal_count += n_moves
 
 
 # --- Stein variational gradient descent --------------------------------------

@@ -2,7 +2,7 @@
 loop counter), interaction kernels and batch divisions, built from their order."""
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -135,28 +135,6 @@ class KernelSpec:
     def has_split(self) -> bool:
         return self.split_radius is not None
 
-    def check_split(self, rng: np.random.Generator, dim: int = 1, n_samples: int = 200):
-        """Verify the split identities on random sample points; raises on failure."""
-        if not self.has_split:
-            return
-        r0 = self.split_radius
-        # short part must vanish outside the cutoff
-        radii = rng.uniform(r0, 2 * r0, size=n_samples)
-        dirs = rng.standard_normal((n_samples, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        x = radii[:, None] * dirs
-        k1 = np.asarray(self.short_part(x))
-        if np.max(np.abs(k1)) > 1e-12:
-            raise ValueError("short_part does not vanish beyond split_radius")
-        # K = K1 + K2 on points spanning both ranges
-        radii = rng.uniform(0.05 * r0, 2 * r0, size=n_samples)
-        x = radii[:, None] * dirs
-        total = np.asarray(self.force(x))
-        recomposed = np.asarray(self.short_part(x)) + np.asarray(self.smooth_part(x))
-        bound = 1e-12 * (1.0 + np.abs(total))
-        if np.any(np.abs(total - recomposed) > bound):
-            raise ValueError("short_part + smooth_part does not reproduce force")
-
 
 class BatchDivision:
     """A random partition of {0..N-1} into batches of (nominal) size p.
@@ -188,29 +166,3 @@ class BatchDivision:
     @property
     def n_particles(self) -> int:
         return self.order.size
-
-    def batch_of(self, i: int) -> np.ndarray:
-        """Sorted indices of the batch containing particle i."""
-        return np.flatnonzero(self.assignment == self.assignment[i])
-
-    def iter_batches(self) -> Iterator[np.ndarray]:
-        """Yield each batch as a sorted index array, in batch order."""
-        from .batching import batch_index_matrices  # batching imports this module
-
-        for _, idx in batch_index_matrices(self):
-            yield from idx
-
-    def validate(self):
-        """Check that ``order`` is a permutation of 0..N-1 and the partition
-        property; raises on violation."""
-        n = self.order.size
-        if not (np.issubdtype(self.order.dtype, np.integer)
-                and np.array_equal(np.sort(self.order), np.arange(n))):
-            raise ValueError(f"order is not a permutation of 0..{n - 1}")
-        counts = np.bincount(self.assignment, minlength=self.n_batches)
-        small = np.flatnonzero(counts != self.batch_size)
-        # at most one remainder batch, and it must be the last one
-        if small.size > 1 or (small.size == 1 and small[0] != self.n_batches - 1):
-            raise ValueError("batches are not of uniform size p (plus one remainder)")
-        if small.size == 1 and not (2 <= counts[small[0]] <= self.batch_size + 1):
-            raise ValueError("remainder batch has invalid size")

@@ -1,7 +1,9 @@
 """Exact references that the tests check the package against and no run reports.
 
 The closed forms a run could report, ``forces.interaction_spread`` and
-``chi_variance_exact``, stay in the package.
+``chi_variance_exact``, stay in the package.  So do the types whose checks
+and views live here as functions: ``BatchDivision``, ``KernelSpec`` and
+``WealthModel``.
 """
 
 import math
@@ -9,11 +11,13 @@ from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
+from randbatch.batching import batch_index_matrices
 from randbatch.ewald import (TWO_PI, EwaldParams, PeriodicChargeSystem, _lattice_phases,
                              cube_m_max, fourier_energy, real_space_force_all, self_energy)
 from randbatch.forces import _kernel_fn, _pairs_within, _search_pairs, batch_prefactor
+from randbatch.models import ETA_WEALTH, WealthModel
 from randbatch.samplers import GaussianKernel
-from randbatch.state import BatchDivision, ParticleState, minimum_image
+from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image
 
 
 def pair_sum(i: int, others: np.ndarray, state: ParticleState, kernel) -> np.ndarray:
@@ -168,3 +172,69 @@ def count_divisions(N: int, p: int) -> int:
 
     n_p = N // p - (N % p == 1)  # batches of exactly p; at most one other batch
     return factorial(N) // (factorial(p) ** n_p * factorial(n_p) * factorial(N - n_p * p))
+
+
+def batch_of(division: BatchDivision, i: int) -> np.ndarray:
+    """Sorted indices of the batch containing particle i."""
+    return np.flatnonzero(division.assignment == division.assignment[i])
+
+
+def iter_batches(division: BatchDivision) -> Iterator[np.ndarray]:
+    """Yield each batch as a sorted index array, in batch order."""
+    for _, idx in batch_index_matrices(division):
+        yield from idx
+
+
+def validate_division(division: BatchDivision):
+    """Check that ``order`` is a permutation of 0..N-1 and the partition
+    property; raises on violation."""
+    n = division.order.size
+    if not (np.issubdtype(division.order.dtype, np.integer)
+            and np.array_equal(np.sort(division.order), np.arange(n))):
+        raise ValueError(f"order is not a permutation of 0..{n - 1}")
+    counts = np.bincount(division.assignment, minlength=division.n_batches)
+    small = np.flatnonzero(counts != division.batch_size)
+    # at most one remainder batch, and it must be the last one
+    if small.size > 1 or (small.size == 1 and small[0] != division.n_batches - 1):
+        raise ValueError("batches are not of uniform size p (plus one remainder)")
+    if small.size == 1 and not (2 <= counts[small[0]] <= division.batch_size + 1):
+        raise ValueError("remainder batch has invalid size")
+
+
+def check_split(spec: KernelSpec, rng: np.random.Generator, dim: int = 1, n_samples: int = 200):
+    """Verify a kernel's split identities on random sample points; raises on failure."""
+    if not spec.has_split:
+        return
+    r0 = spec.split_radius
+    # short part must vanish outside the cutoff
+    radii = rng.uniform(r0, 2 * r0, size=n_samples)
+    dirs = rng.standard_normal((n_samples, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    x = radii[:, None] * dirs
+    k1 = np.asarray(spec.short_part(x))
+    if np.max(np.abs(k1)) > 1e-12:
+        raise ValueError("short_part does not vanish beyond split_radius")
+    # K = K1 + K2 on points spanning both ranges
+    radii = rng.uniform(0.05 * r0, 2 * r0, size=n_samples)
+    x = radii[:, None] * dirs
+    total = np.asarray(spec.force(x))
+    recomposed = np.asarray(spec.short_part(x)) + np.asarray(spec.smooth_part(x))
+    bound = 1e-12 * (1.0 + np.abs(total))
+    if np.any(np.abs(total - recomposed) > bound):
+        raise ValueError("short_part + smooth_part does not reproduce force")
+
+
+def equilibrium_mode(model: WealthModel) -> float:
+    """Mode of the wealth model's inverse-Gamma equilibrium."""
+    return model.kappa * ETA_WEALTH / (model.kappa + 2.0 * model.D)
+
+
+def equilibrium_density(model: WealthModel, y) -> np.ndarray:
+    """Inverse-Gamma density with shape kappa/D + 1 and scale kappa eta / D."""
+    y = np.asarray(y, dtype=np.float64)
+    a, b = model.shape, model.scale
+    out = np.zeros_like(y)
+    pos = y > 0
+    yp = y[pos]
+    out[pos] = np.exp(a * math.log(b) - math.lgamma(a) - (a + 1) * np.log(yp) - b / yp)
+    return out

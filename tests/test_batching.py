@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import count_divisions, enumerate_divisions
+from oracles import (batch_of, count_divisions, enumerate_divisions, iter_batches,
+                     validate_division)
 from randbatch.batching import batch_index_matrices, random_division, sample_batch_with_replacement
 from randbatch.rng import RngStream
 from randbatch.state import BatchDivision
@@ -21,15 +22,15 @@ LAYOUTS = [(12, 3), (9, 4), (23, 4), (8, 8), (10, 2), (11, 2)]
 def test_single_batch_when_p_equals_n():
     div = random_division(4, 4, RngStream(1).generator())
     assert div.n_batches == 1
-    np.testing.assert_array_equal(np.sort(div.batch_of(0)), np.arange(4))
+    np.testing.assert_array_equal(np.sort(batch_of(div, 0)), np.arange(4))
 
 
 def test_two_disjoint_batches_cover_everything():
     div = random_division(4, 2, RngStream(2).generator())
     assert div.n_batches == 2
-    members = np.concatenate([div.batch_of(0), *(div.batch_of(i) for i in range(4)
+    members = np.concatenate([batch_of(div, 0), *(batch_of(div, i) for i in range(4)
                                                  if div.assignment[i] != div.assignment[0])])
-    b0 = div.batch_of(0)
+    b0 = batch_of(div, 0)
     b1 = np.setdiff1d(np.arange(4), b0)
     assert b0.size == 2 and b1.size == 2
     np.testing.assert_array_equal(np.sort(np.concatenate([b0, b1])), np.arange(4))
@@ -51,12 +52,12 @@ def test_remainder_batch_rules():
     div = random_division(8, 3, RngStream(3).generator())
     sizes = sorted(np.bincount(div.assignment))
     assert sizes == [2, 3, 3]
-    div.validate()
+    validate_division(div)
     # a lone leftover joins the last batch instead
     div = random_division(7, 3, RngStream(4).generator())
     sizes = sorted(np.bincount(div.assignment))
     assert sizes == [3, 4]
-    div.validate()
+    validate_division(div)
 
 
 def test_invalid_batch_sizes_rejected():
@@ -84,7 +85,7 @@ def test_partition_property(n_mult, p, seed):
     counts = np.bincount(div.assignment, minlength=N // p)
     assert counts.sum() == N
     assert np.all(counts == p)
-    div.validate()
+    validate_division(div)
 
 
 def test_with_replacement_full_set():
@@ -115,7 +116,7 @@ def test_with_replacement_pair_frequencies():
 def test_validate_refuses_an_order_that_is_not_a_permutation():
     # read first, this order's assignment would hold an uninitialised entry
     with pytest.raises(ValueError, match=r"order is not a permutation of 0\.\.5"):
-        BatchDivision(np.array([0, 0, 1, 2, 3, 4]), 2).validate()
+        validate_division(BatchDivision(np.array([0, 0, 1, 2, 3, 4]), 2))
 
 
 @pytest.mark.parametrize("N,p,expected", [(4, 2, 3), (6, 2, 15), (6, 3, 10), (4, 4, 1)])
@@ -125,8 +126,8 @@ def test_enumeration_counts(N, p, expected):
     assert count_divisions(N, p) == expected
     seen = set()
     for div in divisions:
-        div.validate()
-        key = tuple(sorted(tuple(sorted(map(int, b))) for b in div.iter_batches()))
+        validate_division(div)
+        key = tuple(sorted(tuple(sorted(map(int, b))) for b in iter_batches(div)))
         seen.add(key)
     assert len(seen) == expected
 
@@ -150,10 +151,10 @@ def test_kept_permutation_groups_like_the_sorted_assignment(N, p):
     assert [size for size, _ in kept] == [size for size, _ in sorted_]
     for (_, a), (_, b) in zip(kept, sorted_):
         np.testing.assert_array_equal(a, b)
-    batches = list(div.iter_batches())
+    batches = list(iter_batches(div))
     assert len(batches) == div.n_batches
     for batch in batches:
-        np.testing.assert_array_equal(batch, div.batch_of(batch[0]))
+        np.testing.assert_array_equal(batch, batch_of(div, batch[0]))
 
 
 def _assignment_formula(perm: np.ndarray, p: int) -> np.ndarray:
@@ -178,7 +179,7 @@ def test_derived_assignment_matches_the_explicit_formula():
             assert np.array_equal(div.assignment, expected)
             assert div.n_batches == expected.max() + 1
             assert div.n_particles == N
-            div.validate()
+            validate_division(div)
 
 
 def test_random_division_allocates_only_its_permutation():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randbatch
-from oracles import batch_force, chi, enumerate_divisions, full_force, neighbor_pairs
+from oracles import (batch_force, batch_of, check_split, chi, enumerate_divisions, full_force,
+                     neighbor_pairs)
 from randbatch import forces, runner
 from randbatch.batching import random_division
 from randbatch.forces import (
@@ -113,7 +114,7 @@ def test_chi_statistics_match_enumeration(N, p, kernel):
     gen = RngStream(100 + N + p).generator()
     state = ParticleState(positions=gen.standard_normal((N, 1)))
     for i in range(N):
-        values = np.array([chi(i, state, div.batch_of(i), kernel)
+        values = np.array([chi(i, state, batch_of(div, i), kernel)
                            for div in enumerate_divisions(N, p)])
         np.testing.assert_allclose(values.mean(axis=0), 0.0, atol=1e-12)
         enumerated_var = float(np.mean(np.sum(values**2, axis=1)))
@@ -124,7 +125,7 @@ def test_chi_variance_trace_in_higher_dimension():
     gen = RngStream(8).generator()
     state = ParticleState(positions=gen.standard_normal((6, 2)))
     kernel = lambda x: np.sin(x)
-    values = np.array([chi(0, state, div.batch_of(0), kernel)
+    values = np.array([chi(0, state, batch_of(div, 0), kernel)
                        for div in enumerate_divisions(6, 2)])
     trace = float(np.mean(np.sum(values**2, axis=1)))
     assert abs(trace - chi_variance_exact(0, state, 2, kernel)) < 1e-12
@@ -158,7 +159,7 @@ def test_division_forces_match_per_particle_batch_force():
     forces = division_forces(state, division, gaussian, 1 / 9)
     for i in range(10):
         np.testing.assert_array_equal(
-            forces[i], batch_force(i, state, division.batch_of(i), gaussian, 1 / 9)
+            forces[i], batch_force(i, state, batch_of(division, i), gaussian, 1 / 9)
         )
 
 
@@ -169,7 +170,7 @@ def test_division_forces_remainder_batch():
     forces = division_forces(state, division, linear, 1 / 6)
     for i in range(7):
         np.testing.assert_array_equal(
-            forces[i], batch_force(i, state, division.batch_of(i), linear, 1 / 6)
+            forces[i], batch_force(i, state, batch_of(division, i), linear, 1 / 6)
         )
 
 
@@ -794,17 +795,17 @@ def test_kernel_split_invariants_checked():
     from randbatch.models import lj_kernel_spec
 
     spec = lj_kernel_spec(sigma=1.0, epsilon=1.0, r0=1.6)
-    spec.check_split(RngStream(6).generator(), dim=3)
+    check_split(spec, RngStream(6).generator(), dim=3)
     zero = RadialKernel(np.zeros_like)
     # K1 = x does not vanish outside the cutoff, though K1 + K2 = K everywhere
     bad = KernelSpec(force=IDENTITY, split_radius=1.0, short_part=IDENTITY, smooth_part=zero)
     with pytest.raises(ValueError, match="does not vanish"):
-        bad.check_split(RngStream(6).generator(), dim=1)
+        check_split(bad, RngStream(6).generator(), dim=1)
     # K1 = x inside the cutoff and 0 beyond it, but K1 + K2 misses K = x beyond it
     inside = RadialKernel(lambda r2: np.where(r2 < 1.0, 1.0, 0.0))
     bad = KernelSpec(force=IDENTITY, split_radius=1.0, short_part=inside, smooth_part=zero)
     with pytest.raises(ValueError, match="does not reproduce"):
-        bad.check_split(RngStream(6).generator(), dim=1)
+        check_split(bad, RngStream(6).generator(), dim=1)
     # a short part that is not radial is refused where the split is built
     with pytest.raises(TypeError, match="RadialKernel"):
         KernelSpec(force=IDENTITY, split_radius=1.0, short_part=lambda x: x, smooth_part=zero)

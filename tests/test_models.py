@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from oracles import neighbor_pairs
+from oracles import (batch_of, equilibrium_density, equilibrium_mode, iter_batches,
+                     neighbor_pairs)
 from randbatch import forces
 from randbatch.batching import random_division
 from randbatch.forces import pair_force_sum
@@ -52,23 +53,23 @@ def test_semicircle_normalization_by_quadrature():
 
 def test_wealth_density_support_and_normalization():
     model = WealthModel(N=100, kappa=1.0, D=0.5)
-    np.testing.assert_array_equal(model.equilibrium_density(np.array([-1.0, 0.0])), [0.0, 0.0])
-    val, _ = quad(lambda y: float(model.equilibrium_density(y)), 0, 200, limit=200)
+    np.testing.assert_array_equal(equilibrium_density(model, np.array([-1.0, 0.0])), [0.0, 0.0])
+    val, _ = quad(lambda y: float(equilibrium_density(model, y)), 0, 200, limit=200)
     assert abs(val - 1.0) < 1e-6
 
 
 def test_wealth_mode_matches_numeric_maximization():
     model = WealthModel(N=100, kappa=1.3, D=0.4)
-    res = minimize_scalar(lambda y: -float(model.equilibrium_density(y)),
+    res = minimize_scalar(lambda y: -float(equilibrium_density(model, y)),
                           bounds=(1e-3, 10), method="bounded",
                           options={"xatol": 1e-10})
-    assert abs(res.x - model.mode) < 1e-6
+    assert abs(res.x - equilibrium_mode(model)) < 1e-6
 
 
 def test_wealth_cdf_consistent_with_density():
     model = WealthModel(N=100, kappa=1.0, D=0.5)
     for y in (0.3, 0.8, 2.0):
-        val, _ = quad(lambda u: float(model.equilibrium_density(u)), 0, y, limit=200)
+        val, _ = quad(lambda u: float(equilibrium_density(model, u)), 0, y, limit=200)
         assert abs(val - float(model.equilibrium_cdf(np.array([y]))[0])) < 1e-8
 
 
@@ -112,7 +113,7 @@ def test_cs_rhs_momentum_conservation_batchwise():
     np.testing.assert_allclose(cs_rhs(x, v, model).sum(axis=0), 0.0, atol=1e-12)
     division = random_division(12, 3, gen)
     dv = cs_rhs(x, v, model, division)
-    for batch in division.iter_batches():
+    for batch in iter_batches(division):
         np.testing.assert_allclose(dv[batch].sum(axis=0), 0.0, atol=1e-12)
 
 
@@ -220,11 +221,11 @@ def test_batched_consensus_matches_double_loop_on_a_remainder_division(N):
     model = ConsensusModel(N=N, kappa=0.8, nu=nu, adjacency=adjacency, gamma=np.tanh, dim=2)
     q = gen.standard_normal((N, 2))
     division = random_division(N, 3, gen)
-    assert {len(b) for b in division.iter_batches()} != {3}
+    assert {len(b) for b in iter_batches(division)} != {3}
     rhs = consensus_rhs(q, model, division)
     oracle = np.zeros_like(q)
     for i in range(N):
-        batch = division.batch_of(i)
+        batch = batch_of(division, i)
         for j in batch[batch != i]:
             nu_bar = (N - 1) * (nu[i] - nu[j]) / (model.kappa * N)
             oracle[i] += nu_bar + adjacency[i, j] * np.tanh(q[j] - q[i])

@@ -1,6 +1,7 @@
 """The registry-driven experiment loop: schema strictness, range checks, determinism."""
 
 import copy
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from randbatch import __version__
 from randbatch.cli import main
 from randbatch.integrators import IntegrationError
 from randbatch.rng import SimStreams
@@ -260,11 +262,26 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
      "thermostat.Q: must be a finite number"),
     (_tiny_model("gaussian", init_mean=math.inf), "model.init_mean: must be a finite number"),
     (_tiny("wealth", T=math.inf), "run.T: must be a finite number"),
+    # T / dt overflowed to inf, and validate raised OverflowError rounding it
+    (_tiny("wealth", T=1e300, dt=1e-12), "run.T: T / dt = 1e+300 / 1e-12 overflows"),
+    # a run's echo names the version that wrote it
+    ({**_tiny("toy"), "version": "0.0.1"},
+     f"config.version: '0.0.1' is not this randbatch's {__version__!r}"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
         validate_dict(raw)
     assert any(message in e for e in info.value.errors), info.value.errors
+
+
+@pytest.mark.parametrize("raw", [*TINY.values(), {
+    "model": {"id": "lj-fluid", "N": 27}, "run": {"steps": 8, "schedule": {"kind": "inverse"}}}],
+    ids=[*TINY, "lj-fluid-scheduled"])
+def test_a_resolved_config_resolves_to_itself(raw):
+    """What ``run`` writes to config.resolved.yaml validates, to the same config; a
+    scheduled run's echo holds no run.dt, as no step reads it."""
+    cfg = validate_dict(copy.deepcopy(raw))
+    assert validate_dict(yaml.safe_load(yaml.safe_dump(cfg, sort_keys=True))) == cfg
 
 
 def test_hidden_defaults_are_echoed():
@@ -462,16 +479,43 @@ def test_diverging_run_names_step_and_particle(model, tmp_path, capsys):
     assert not list(tmp_path.rglob("metrics.json"))
 
 
-def test_a_diverging_dyson_chain_exits_1_naming_iteration_and_particle(tmp_path, capsys):
-    # at dt = 1000 the proposals fling particles out to about 1e300 within the first sweeps
+def test_a_diverging_dyson_chain_exits_1_naming_step_and_particle(tmp_path, capsys):
+    # at dt = 1000 the proposals fling particles out to about 1e300 within the first sweeps;
+    # the 2000 moves run in 400 steps of 5
     raw = {"model": {"id": "dyson", "N": 50}, "run": {"dt": 1000, "sweeps": 2000}}
     assert main(["run", str(_write(tmp_path, "boom.yaml", raw)), "--out", str(tmp_path / "o")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IntegrationError"
     (detail,) = err["details"]
-    assert "beyond 1e6" in detail and "by iteration" in detail and "at particle" in detail
-    assert 0 < int(detail.split("by iteration ", 1)[1].split()[0]) <= 2000
+    assert "beyond 1e6" in detail and "at particle" in detail and "at step" in detail
+    assert 0 < int(detail.rsplit("at step ", 1)[1]) <= 400
     assert not list(tmp_path.rglob("metrics.json"))
+
+
+# Dyson runs at the edges of the chain's blocks of max(sweeps // 400, 1) moves: 1001
+# moves go in 500 blocks of 2 and a last block of 1, with the warmup ending inside a
+# block; 399 moves go one to a block; and CI's dyson-small takes 3000 in blocks of 7
+@pytest.mark.parametrize("raw, metrics, samples_sha256", [
+    ({"model": {"id": "dyson", "N": 50}, "run": {"sweeps": 1001, "warmup": 333}},
+     {"acceptance_rate": 0.9600399600399601, "clamp_count": 0, "density_at_zero": 0.0,
+      "pooled_samples": 16750, "w1_semicircle": 0.0747524192806804},
+     "d22dba7a0f77f4448ada2c5a5eed80d27977d5e18d38e85b8eff591084ce1740"),
+    ({"model": {"id": "dyson", "N": 20}, "run": {"sweeps": 399}},
+     {"acceptance_rate": 0.9849624060150376, "clamp_count": 0, "density_at_zero": 0.0,
+      "pooled_samples": 5320, "w1_semicircle": 0.1382308932747226},
+     "cff66da15a5fbcad14d33f16cbef5e8aa8d30b6de9d20e1232d014045439a720"),
+    ({"seed": 1, "model": {"id": "dyson", "N": 100}, "run": {"sweeps": 3000}},
+     {"acceptance_rate": 0.9116666666666666, "clamp_count": 0,
+      "density_at_zero": 0.4179442508710801, "pooled_samples": 28700,
+      "w1_semicircle": 0.11684870760826155},
+     "d4de38b0f8e03d262950c81b3561c524d5e25249f18a8968c13bfc8bba80754c"),
+], ids=["sweeps1001-warmup333", "sweeps399", "sweeps3000"])
+def test_dyson_runs_at_the_block_edges_are_pinned(raw, metrics, samples_sha256, tmp_path):
+    outdir = run(validate_dict(raw), out_root=tmp_path)
+    written = json.loads((outdir / "metrics.json").read_text())
+    assert {k: written[k] for k in metrics} == metrics
+    assert written["density_at_zero_reference"] == 0.4501581580785531
+    assert hashlib.sha256((outdir / "samples.csv").read_bytes()).hexdigest() == samples_sha256
 
 
 @pytest.mark.parametrize("model", sorted(TINY))

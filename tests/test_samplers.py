@@ -1,6 +1,7 @@
 """The log-gas RBMC chain against an exact Metropolis oracle, and SVGD."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,15 +10,30 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from oracles import _offdiag_sq_dists, _svgd_term_sum, enumerate_divisions, svgd_velocity
+from oracles import (_offdiag_sq_dists, _svgd_term_sum, batch_of, enumerate_divisions,
+                     iter_batches, svgd_velocity)
 from randbatch.batching import random_division
 from randbatch.diagnostics import wasserstein1_1d
 from randbatch.integrators import IntegrationError, direct_step, rbm_step_first_order
 from randbatch.models import DysonModel
 from randbatch.rng import RngStream, SimStreams
-from randbatch.runner import _stop_far_svgd
-from randbatch.samplers import GaussianKernel, run_log_gas_chain, stein_system
+from randbatch.runner import MODELS, _simulate, _stop_far, validate_dict
+from randbatch.samplers import GaussianKernel, MarkovChainStats, run_log_gas_chain, stein_system
 from randbatch.state import ParticleState
+
+
+def _log_gas_chain(x0, model, n_moves, dt, rng, block, warmup=0):
+    """``run_log_gas_chain`` from x0, ``block`` moves a call as the runner's loop calls it:
+    (final x, the snapshots after each call that ends past ``warmup`` moves, stats)."""
+    x = np.asarray(x0, dtype=np.float64).tolist()
+    chain = SimpleNamespace(x=x, ordered=sorted(x), stats=MarkovChainStats(), model=model)
+    snapshots = []
+    for start in range(0, n_moves, block):
+        moves = min(block, n_moves - start)
+        run_log_gas_chain(chain, moves, dt, rng)
+        if start + moves > warmup:
+            snapshots.append(np.array(x))
+    return np.array(x), np.concatenate(snapshots), chain.stats
 
 
 def _exact_log_gas_chain(x0, n_moves, step, rng, warmup=0, snapshot_every=1):
@@ -132,8 +148,8 @@ def test_fast_chain_agrees_with_exact_metropolis():
     N, dt, m = 16, 5e-4, 5
     model = DysonModel(N=N, split_radius=0.05, m=m)
     x0 = RngStream(8).generator().uniform(-1, 1, N)
-    _, fast, _ = run_log_gas_chain(x0, model, 400_000, dt=dt, streams=SimStreams(9),
-                                   warmup=100_000, snapshot_every=1000)
+    _, fast, _ = _log_gas_chain(x0, model, 400_000, dt, SimStreams(9).proposal, block=1000,
+                                warmup=100_000)
     exact = _exact_log_gas_chain(x0, 400_000, math.sqrt(m * 2 * dt / (N - 1)),
                                  SimStreams(10).proposal, warmup=100_000, snapshot_every=1000)
     assert fast.size == exact.size == 300 * N
@@ -147,8 +163,8 @@ def test_log_gas_chain_final_config_is_pinned():
     model = DysonModel(N=N, split_radius=0.05, m=3)
     x0 = np.concatenate([RngStream(11).generator().uniform(-1, 1, 6),
                          4.5 + 0.03 * np.arange(3), -5.0 - 0.03 * np.arange(3)])
-    x, pooled, stats = run_log_gas_chain(x0, model, 4000, dt=1e-3, streams=SimStreams(12),
-                                         warmup=0, snapshot_every=1000)
+    x, pooled, stats = _log_gas_chain(x0, model, 4000, 1e-3, SimStreams(12).proposal,
+                                      block=1000)
     expected = [
         0.9795057688346478, 0.5871028207133473, 0.00872862292552165, -0.9959566394875689,
         0.11197550741682333, -0.5515782495984912, 1.5762874919452805, 2.1128697516534465,
@@ -163,8 +179,8 @@ def test_log_gas_chain_final_config_is_pinned():
 def test_dyson_chain_acceptance_counts_are_pinned(seed, accepted):
     model = DysonModel(N=500, split_radius=0.01)
     streams = SimStreams(seed)
-    _, _, stats = run_log_gas_chain(model.initial(streams.init), model, 20_000,
-                                    dt=1e-4, streams=streams, snapshot_every=5000)
+    _, _, stats = _log_gas_chain(model.initial(streams.init), model, 20_000, 1e-4,
+                                 streams.proposal, block=5000)
     assert stats.acceptance_count == accepted
 
 
@@ -173,23 +189,27 @@ def test_dyson_chain_counts_the_proposals_it_drops():
     model = DysonModel(N=50)
     streams = SimStreams(0)
     x0 = model.initial(streams.init)
-    x, _, stats = run_log_gas_chain(x0, model, 2000, dt=math.inf, streams=streams)
+    x, _, stats = _log_gas_chain(x0, model, 2000, math.inf, streams.proposal, block=2000)
     assert stats.clamp_count == stats.proposal_count == 2000
     assert stats.acceptance_count == 0
     assert np.array_equal(x, x0)
 
 
-@pytest.mark.parametrize("chunk", [5, 20_000])
-def test_a_diverging_dyson_chain_stops_at_the_chunk_it_leaves_the_bound_in(chunk):
-    # at dt = 1e3 accepted proposals fling particles out to about 1e300
-    model = DysonModel(N=50)
-    streams = SimStreams(0)
-    message = r"beyond 1e6 .* by iteration \d+ at particle \d+$"
+@pytest.mark.parametrize("sweeps", [399, 2000])  # blocks of one move and of five
+def test_a_diverging_dyson_chain_stops_at_the_block_it_leaves_the_bound_in(sweeps):
+    # at dt = 3 the proposals overshoot, and the chain passes 1e6 after a few blocks
+    cfg = validate_dict({"model": {"id": "dyson", "N": 50}, "run": {"dt": 3, "sweeps": sweeps}})
+    message = r"beyond 1e6 .* at particle \d+ at step \d+$"
     with pytest.raises(IntegrationError, match=message) as info:
-        run_log_gas_chain(model.initial(streams.init), model, 2000, dt=1e3,
-                          streams=streams, snapshot_every=chunk)
-    iteration = int(str(info.value).split("by iteration ")[1].split()[0])
-    assert iteration % chunk == 0 or iteration == 2000
+        _simulate(cfg, SimStreams(0))
+    particle, step = (int(n) for n in re.findall(r"at (?:particle|step) (\d+)", str(info.value)))
+    assert step > 1
+    sim = MODELS["dyson"].build(cfg, SimStreams(0))
+    for k in range(1, step + 1):
+        run_log_gas_chain(sim, sim.block, 3, sim.streams.proposal)
+        far = np.flatnonzero(np.abs(sim.x) > 1e6)
+        assert (far.size > 0) == (k == step)
+    assert far[0] == particle
 
 
 # --- SVGD --------------------------------------------------------------------
@@ -255,9 +275,9 @@ def test_rbm_svgd_step_matches_per_particle_oracle_on_a_remainder_division(N):
     gv = GRAD_V(X)
     out = rbm_step_first_order(state, system, 3, eta, SimStreams(22))
     division = random_division(N, 3, SimStreams(22).division)
-    assert {len(b) for b in division.iter_batches()} != {3}
+    assert {len(b) for b in iter_batches(division)} != {3}
     velocity = np.empty_like(X)
-    for batch in division.iter_batches():
+    for batch in iter_batches(division):
         h = system.kernel.resolve(_offdiag_sq_dists(X[batch]), len(batch))
         for i in batch:
             mates = batch[batch != i]
@@ -306,7 +326,7 @@ def test_rbm_svgd_batch_term_unbiased_by_enumeration():
     batch_terms = np.zeros((len(divisions), N, 1))
     for d_idx, div in enumerate(divisions):
         for i in range(N):
-            js = div.batch_of(i)
+            js = batch_of(div, i)
             js = js[js != i]
             batch_terms[d_idx, i] = (N - 1) / (N * (2 - 1)) * _svgd_term_sum(X, i, js, h, gv)
     np.testing.assert_allclose(batch_terms.mean(axis=0), full_offdiag, atol=1e-12)
@@ -314,7 +334,7 @@ def test_rbm_svgd_batch_term_unbiased_by_enumeration():
 
 def _guard(state):
     """The gaussian run's per-step hook on ``state``."""
-    _stop_far_svgd(SimpleNamespace(state=state), None, None)
+    _stop_far(SimpleNamespace(state=state), None, None)
 
 
 def test_rbm_svgd_divergence_guard():
