@@ -35,10 +35,11 @@ block do.
 All three short-range sums (a split kernel's K1, which
 ``integrators.SecondOrderSystem.batch_forces`` sums exactly, Coulomb real
 space, the electrolyte's LJ core) are Newton pairs of a radial kernel: each
-passes one coefficient per pair i < j, computed from the r^2 that the list
-answer carries (K1 is a ``state.RadialKernel``, which exposes it as a
-function of r^2), to ``pair_force_sum``, which scales the (d, M)
-displacements by it in one product.  Its ``bincount``s add each particle's
+reads the ``PairList`` that its owner carries across steps, and passes one
+coefficient per pair i < j, computed from the r^2 that the list answer
+carries (K1 is a ``state.RadialKernel``, which exposes it as a function of
+r^2), to ``pair_force_sum``, which scales the (d, M) displacements by it in
+one product.  Its ``bincount``s add each particle's
 terms in list order, and in anti-diagonal order, as in (i, j) order, the
 pairs sharing i come by ascending j and those sharing j by ascending i, so
 the sums have the same bits in either order.  Consecutive pairs rarely
@@ -384,24 +385,21 @@ def pair_force_sum(
 
 
 def short_range_force_all(
-    state: ParticleState, K1: RadialKernel, r0: float, alpha_N: float,
-    pairs: Optional[PairList] = None,
+    state: ParticleState, K1: RadialKernel, r0: float, alpha_N: float, pairs: PairList
 ) -> np.ndarray:
     """alpha_N * sum of K1(x_i - x_j) over the neighbours within r0, for every i.
 
     The pairs come from ``pairs``, a ``PairList`` at cutoff r0 that the caller
-    carries across steps; None searches with a fresh list.  K1 is evaluated
-    once per pair and the pair's force goes to both particles with opposite
-    signs, so K1 must be odd; it is taken only as a ``RadialKernel``, odd by
-    construction, whose coefficient is evaluated on the list's own r^2.
+    carries across steps.  K1 is evaluated once per pair and the pair's force
+    goes to both particles with opposite signs, so K1 must be odd; it is taken
+    only as a ``RadialKernel``, odd by construction, whose coefficient is
+    evaluated on the list's own r^2.
     """
     if not isinstance(K1, RadialKernel):
         raise TypeError("the short-range kernel K1 must be a RadialKernel, x c(|x|^2)")
     if state.box_length is None:
         raise ValueError("short-range force requires a periodic box")
-    if pairs is None:
-        pairs = PairList(r0)
-    elif pairs.cutoff != r0:
+    if pairs.cutoff != r0:
         raise ValueError("pair list cutoff differs from r0")
     i, j, disp, r2 = pairs(state.positions, state.box_length)
     return alpha_N * pair_force_sum(state.n_particles, i, j, disp, K1.coef(r2))

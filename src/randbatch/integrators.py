@@ -9,9 +9,10 @@ step).  A non-finite result raises ``IntegrationError`` naming its first
 such particle.  The force comes from the system's ``batch_forces``: a kernel
 sum, which the Cucker-Smale, consensus, Stein and Coulomb systems replace.
 Kernel-splitting RBM is the RBM step on a ``SecondOrderSystem`` whose kernel
-declares a split: its ``batch_forces`` sums the short part K1 exactly and the
-smooth part K2 over the random batches (Jin, Li & Liu, JCP 2020), and
-``rbm_split_step`` is another name for ``rbm_step_first_order``.
+is a ``state.KernelSpec``, which is always split: its ``batch_forces`` sums
+the short part K1 exactly and the smooth part K2 over the random batches
+(Jin, Li & Liu, JCP 2020), and ``rbm_split_step`` is another name for
+``rbm_step_first_order``.
 
 Every stepper is a pure function of (state, rng streams) and returns a new
 state.  ``direct_step`` and ``rbm_step_first_order`` are one step,
@@ -114,10 +115,10 @@ class SecondOrderSystem(_KernelForces):
             raise ValueError("sigma must be nonnegative, and gamma too when sigma > 0")
 
     def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
-        """The kernel sum; for a split kernel and a division, the exact short-range
+        """The kernel sum; for a ``KernelSpec`` and a division, the exact short-range
         sum over ``pairs`` plus the smooth part's batch sum."""
         kernel = self.kernel
-        if division is None or not (isinstance(kernel, KernelSpec) and kernel.has_split):
+        if division is None or not isinstance(kernel, KernelSpec):
             return super().batch_forces(state, division)
         if self.pairs is None or self.pairs.cutoff != kernel.split_radius:
             self.pairs = PairList(kernel.split_radius)

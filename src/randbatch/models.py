@@ -184,7 +184,7 @@ def flocking_functionals(positions: np.ndarray, velocities: np.ndarray):
 
 @dataclass
 class ConsensusModel:
-    """Agents with intrinsic velocities nu_i seeking consensus through Gamma.
+    """Agents with intrinsic velocities nu_i seeking consensus; a_ij = 1 and Gamma(q) = q.
 
     The dispersion term is decomposed as antisymmetric nu_bar with
     (kappa/(N-1)) sum_j nu_bar[i, j] = nu_i, so random batching can sample
@@ -192,14 +192,11 @@ class ConsensusModel:
     nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N), valid when sum nu = 0; it
     is computed per batch from the nu rows (``dispersion``), never stored.
     ``nu`` must be N finite rows of ``dim`` numbers (N numbers when dim is 1).
-    ``adjacency=None`` means a_ij = 1 for every pair, with no N x N array.
     """
 
     N: int
     kappa: float = 1.0
     nu: Optional[np.ndarray] = None
-    adjacency: Optional[np.ndarray] = None
-    gamma: Callable = field(default=lambda q: q)
     dim: int = 1
 
     def __post_init__(self):
@@ -214,14 +211,6 @@ class ConsensusModel:
         self.nu = nu.reshape(self.N, self.dim)
         if abs(self.nu.sum(axis=0)).max() > 1e-10:
             raise ValueError("intrinsic velocities nu must sum to zero")
-        if self.adjacency is not None:
-            self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
-            if self.adjacency.shape != (self.N, self.N):
-                raise ValueError(f"adjacency must be N x N = {self.N} x {self.N}")
-            if not np.allclose(self.adjacency, self.adjacency.T):
-                raise ValueError("adjacency must be symmetric")
-            if np.any(self.adjacency < 0):
-                raise ValueError("adjacency must be nonnegative")
 
     def dispersion(self, nu_i: np.ndarray, nu_j: np.ndarray) -> np.ndarray:
         """nu_bar[i, j] = (N-1) (nu_i - nu_j) / (kappa N) for the given rows."""
@@ -256,20 +245,16 @@ def consensus_rhs(
     model: ConsensusModel,
     division: Optional[BatchDivision] = None,
 ) -> np.ndarray:
-    """dq_i = (kappa/(q-1)) sum_j (nu_bar_ij + a_ij Gamma(q_j - q_i)) over i's batch.
+    """dq_i = (kappa/(s-1)) sum_j (nu_bar_ij + q_j - q_i) over the s agents of i's batch.
 
     ``q`` is (N, d).  With no division the sum runs over all N agents (weight
     kappa/(N-1)); a division samples the dispersion and the interaction together.
     """
 
-    def term(qi, qj, nu_i, nu_j, *ij):  # ij: index rows, given for an explicit adjacency
-        interaction = model.gamma(qj - qi)
-        if ij:
-            interaction = model.adjacency[ij][..., None] * interaction
-        return model.dispersion(nu_i, nu_j) + interaction
+    def term(qi, qj, nu_i, nu_j):
+        return model.dispersion(nu_i, nu_j) + (qj - qi)
 
-    fields = (q, model.nu) if model.adjacency is None else (q, model.nu, np.arange(model.N))
-    return batch_pair_sum(division, term, fields, lambda size: model.kappa / (size - 1))
+    return batch_pair_sum(division, term, (q, model.nu), lambda size: model.kappa / (size - 1))
 
 
 class _ConsensusSystem(FirstOrderSystem):

@@ -12,6 +12,7 @@ that flow a ``FirstOrderSystem``, so the ``integrators`` steppers take its
 explicit Euler steps, one random division per step for RBM-SVGD.
 """
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
@@ -41,6 +42,11 @@ class MarkovChainStats:
         return rate
 
 
+# moves whose randomness is drawn at once: as Python lists a move's draws take about
+# 470 bytes at m = 5, so a call holds about 4 MB of them however many moves it makes
+_CHUNK_MOVES = 1 << 13
+
+
 def run_log_gas_chain(chain, n_moves: int, dt: float, rng: np.random.Generator):
     """``n_moves`` moves of the RBMC chain (p = 2) for the 1-d log gas of ``chain.model``.
 
@@ -55,8 +61,9 @@ def run_log_gas_chain(chain, n_moves: int, dt: float, rng: np.random.Generator):
     moves.  The ``model.m`` proposal steps each take the phi1 force of one
     random other particle; the phi2 acceptance reads the neighbours within r0
     off ``ordered``.  A proposal that is not finite is dropped and counted in
-    ``clamp_count``.  The moves' randomness is drawn from ``rng`` up front,
-    so a run's bits depend on how its moves are split into calls.
+    ``clamp_count``.  The moves' randomness is drawn from ``rng`` a chunk of
+    at most ``_CHUNK_MOVES`` moves at a time, so a run's bits depend on how
+    its moves are split into calls.
     """
     x, ordered, stats, model = chain.x, chain.ordered, chain.stats, chain.model
     N = len(x)
@@ -67,11 +74,12 @@ def run_log_gas_chain(chain, n_moves: int, dt: float, rng: np.random.Generator):
     beta_w2 = beta * w**2
     r0_sq, phi1_at_0 = r0 * r0, -math.log(r0) + 0.5
 
-    picks = rng.integers(0, N, size=n_moves).tolist()
-    batch_ints = rng.integers(0, N - 1, size=(n_moves, m)).tolist()
-    normals = rng.standard_normal((n_moves, m)).tolist()
-    accept_u = rng.random(n_moves).tolist()
-    for i, mates, noise, u in zip(picks, batch_ints, normals, accept_u):
+    # each chunk's picks, mates, normals and uniforms, drawn when the moves reach it
+    chunks = (min(_CHUNK_MOVES, n_moves - s) for s in range(0, n_moves, _CHUNK_MOVES))
+    draws = itertools.chain.from_iterable(
+        zip(rng.integers(0, N, size=n).tolist(), rng.integers(0, N - 1, size=(n, m)).tolist(),
+            rng.standard_normal((n, m)).tolist(), rng.random(n).tolist()) for n in chunks)
+    for i, mates, noise, u in draws:
         xi = x[i]
         r = xi
         for j, z in zip(mates, noise):

@@ -108,32 +108,25 @@ class RadialKernel:
 
 @dataclass
 class KernelSpec:
-    """Pairwise force kernel, optionally split into short + smooth parts.
+    """Pairwise force kernel split at ``split_radius`` into short + smooth parts.
 
-    When a split is declared, ``short_part`` must vanish for |x| >= split_radius
-    and ``short_part + smooth_part`` must reproduce ``force``.  A second-order
-    system's batch forces sum the short part once per pair, so it must be a
-    ``RadialKernel``, whose oddness K1(-x) = -K1(x) holds by construction; any
-    other is refused with TypeError here, where the split is built.
+    ``short_part`` K1 must vanish for |x| >= split_radius, and ``short_part +
+    smooth_part`` must reproduce ``force``.  A second-order system's batch
+    forces sum K1 once per pair, so it must be a ``RadialKernel``, whose
+    oddness K1(-x) = -K1(x) holds by construction; any other is refused with
+    TypeError here, where the split is built.
     """
 
     force: Kernel
-    split_radius: Optional[float] = None
-    short_part: Optional[Kernel] = None
-    smooth_part: Optional[Kernel] = None
+    split_radius: float
+    short_part: RadialKernel
+    smooth_part: Kernel
 
     def __post_init__(self):
-        if self.split_radius is not None:
-            if self.split_radius <= 0:
-                raise ValueError("split_radius must be positive")
-            if self.short_part is None or self.smooth_part is None:
-                raise ValueError("a split kernel needs both short_part and smooth_part")
-            if not isinstance(self.short_part, RadialKernel):
-                raise TypeError("the short part K1 must be a RadialKernel, x c(|x|^2)")
-
-    @property
-    def has_split(self) -> bool:
-        return self.split_radius is not None
+        if self.split_radius <= 0:
+            raise ValueError("split_radius must be positive")
+        if not isinstance(self.short_part, RadialKernel):
+            raise TypeError("the short part K1 must be a RadialKernel, x c(|x|^2)")
 
 
 class BatchDivision:
@@ -162,7 +155,3 @@ class BatchDivision:
             self._assignment[self.order] = np.minimum(
                 np.arange(self.order.size) // self.batch_size, self.n_batches - 1)
         return self._assignment
-
-    @property
-    def n_particles(self) -> int:
-        return self.order.size

@@ -203,8 +203,6 @@ def validate_division(division: BatchDivision):
 
 def check_split(spec: KernelSpec, rng: np.random.Generator, dim: int = 1, n_samples: int = 200):
     """Verify a kernel's split identities on random sample points; raises on failure."""
-    if not spec.has_split:
-        return
     r0 = spec.split_radius
     # short part must vanish outside the cutoff
     radii = rng.uniform(r0, 2 * r0, size=n_samples)

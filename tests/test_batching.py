@@ -178,7 +178,7 @@ def test_derived_assignment_matches_the_explicit_formula():
             assert div.assignment.dtype == expected.dtype
             assert np.array_equal(div.assignment, expected)
             assert div.n_batches == expected.max() + 1
-            assert div.n_particles == N
+            assert div.order.size == N
             validate_division(div)
 
 

@@ -199,11 +199,11 @@ def _per_pair_oracle(division, term, weight):
     The batches are read off ``division.order`` and summed in ascending order.
     """
     out = {}
-    for batch in _sorted_batches(division, division.n_particles):
+    for batch in _sorted_batches(division, division.order.size):
         for i in batch:
             terms = [term(i, j) for j in batch if j != i]
             out[i] = weight(batch.size) * sum(terms[1:], terms[0])
-    return np.array([out[i] for i in range(division.n_particles)])
+    return np.array([out[i] for i in range(division.order.size)])
 
 
 @pytest.mark.parametrize("N", [10, 11])  # N = 11 ends in a batch of three
@@ -231,14 +231,22 @@ def test_pair_batches_are_bit_identical_to_a_per_pair_oracle(N, d):
     expected = _per_pair_oracle(division, cs_term, lambda q: cs.kappa / (q - 1))
     assert np.array_equal(cs_rhs(x, v, cs, division), expected)
 
-    adjacency = gen.uniform(0.0, 1.0, (N, N))
-    model = ConsensusModel(N=N, kappa=0.8, nu=nu - nu.mean(axis=0),
-                           adjacency=adjacency + adjacency.T, gamma=np.tanh, dim=d)
+    model = ConsensusModel(N=N, kappa=0.8, nu=nu - nu.mean(axis=0), dim=d)
     expected = _per_pair_oracle(
-        division, lambda i, j: (model.dispersion(model.nu[i], model.nu[j])
-                                + model.adjacency[i, j] * np.tanh(x[j] - x[i])),
+        division, lambda i, j: model.dispersion(model.nu[i], model.nu[j]) + (x[j] - x[i]),
         lambda q: model.kappa / (q - 1))
     assert np.array_equal(consensus_rhs(x, model, division), expected)
+
+    # a nonlinear term that also reads an index field, the particles' own numbers
+    a = gen.uniform(0.0, 1.0, (N, N))
+
+    def indexed_term(xi, xj, ii, jj):
+        return a[ii, jj][..., None] * np.tanh(xj - xi)
+
+    weight = lambda q: 0.8 / (q - 1)
+    expected = _per_pair_oracle(division, lambda i, j: a[i, j] * np.tanh(x[j] - x[i]), weight)
+    got = forces.batch_pair_sum(division, indexed_term, (x, np.arange(N)), weight)
+    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("N", [10, 11])
@@ -362,7 +370,7 @@ GAUSS = RadialKernel(lambda r2: np.exp(-r2))
 
 def test_short_range_force_empty_when_all_far():
     state = ParticleState(positions=np.array([[0.0, 0, 0], [4.0, 4, 4]]), box_length=10.0)
-    out = short_range_force_all(state, IDENTITY, r0=1.0, alpha_N=1.0)[0]
+    out = short_range_force_all(state, IDENTITY, 1.0, 1.0, PairList(1.0))[0]
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
@@ -370,7 +378,8 @@ def test_short_range_force_matches_brute_force():
     gen = RngStream(13).generator()
     state = ParticleState(positions=gen.uniform(0, 8.0, size=(64, 3)), box_length=8.0)
     expected = _truncated_brute_force(state, GAUSS, 1.5, 0.7)
-    np.testing.assert_allclose(short_range_force_all(state, GAUSS, 1.5, 0.7), expected, atol=1e-13)
+    np.testing.assert_allclose(short_range_force_all(state, GAUSS, 1.5, 0.7, PairList(1.5)),
+                               expected, atol=1e-13)
 
 
 def test_short_range_force_reuses_a_pair_list_across_a_rebuild():
@@ -435,7 +444,7 @@ def test_short_range_kernel_gets_c_ordered_rows():
         return np.exp(-r2)
 
     K1 = RadialKernel(coef)
-    np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7),
+    np.testing.assert_allclose(short_range_force_all(state, K1, 1.5, 0.7, PairList(1.5)),
                                _truncated_brute_force(state, K1, 1.5, 0.7), atol=1e-13)
 
 
@@ -755,7 +764,7 @@ def test_neighbor_pairs_rejects_non_finite_positions():
 def test_short_range_force_minimum_image_across_boundary():
     L = 10.0
     state = ParticleState(positions=np.array([[0.1, 0, 0], [L - 0.1, 0, 0]]), box_length=L)
-    out = short_range_force_all(state, IDENTITY, r0=0.5, alpha_N=1.0)[0]
+    out = short_range_force_all(state, IDENTITY, 0.5, 1.0, PairList(0.5))[0]
     # interaction seen at displacement +0.2 through the boundary
     np.testing.assert_allclose(out, [0.2, 0.0, 0.0], atol=1e-13)
 
@@ -763,7 +772,7 @@ def test_short_range_force_minimum_image_across_boundary():
 def test_short_range_force_rejects_wide_cutoff():
     state = ParticleState(positions=np.zeros((2, 3)), box_length=4.0)
     with pytest.raises(ValueError, match="half the box"):
-        short_range_force_all(state, IDENTITY, r0=2.0, alpha_N=1.0)
+        short_range_force_all(state, IDENTITY, 2.0, 1.0, PairList(2.0))
 
 
 def test_pair_list_refuses_a_cutoff_of_half_the_box():

@@ -479,10 +479,10 @@ def test_kernel_splitting_is_the_rbm_step_on_a_split_kernels_forces():
     spec = lj_kernel_spec()
     system = SecondOrderSystem(kernel=spec, alpha_N=0.5)
     division = integrators.random_division(64, 4, SimStreams(2).division)
-    short = forces.short_range_force_all(state, spec.short_part, 1.6, 0.5)
+    short = forces.short_range_force_all(state, spec.short_part, 1.6, 0.5, forces.PairList(1.6))
     smooth = forces.division_forces(state, division, spec.smooth_part, 0.5)
     np.testing.assert_array_equal(system.batch_forces(state, division), short + smooth)
-    # without a division, and for a kernel with no split, the plain kernel sum
+    # without a division, and for a plain kernel, the kernel sum
     np.testing.assert_array_equal(system.batch_forces(state),
                                   forces.full_force_all(state, spec, 0.5))
     plain = SecondOrderSystem(kernel=spec.force, alpha_N=0.5)

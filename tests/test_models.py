@@ -196,7 +196,7 @@ def test_consensus_full_form_reproduces_original_equation():
     gen = RngStream(7).generator()
     nu = gen.standard_normal((6, 2))
     nu -= nu.mean(axis=0)
-    model = ConsensusModel(N=6, kappa=0.9, nu=nu, gamma=lambda q: np.tanh(q), dim=2)
+    model = ConsensusModel(N=6, kappa=0.9, nu=nu, dim=2)
     q = gen.standard_normal((6, 2))
     rhs = consensus_rhs(q, model)
     direct = np.empty_like(q)
@@ -204,7 +204,7 @@ def test_consensus_full_form_reproduces_original_equation():
         acc = np.zeros(2)
         for j in range(6):
             if j != i:
-                acc += 1.0 * np.tanh(q[j] - q[i])  # the default a_ij
+                acc += q[j] - q[i]  # a_ij = 1 and Gamma(q) = q
         direct[i] = nu[i] + model.kappa / 5 * acc
     np.testing.assert_allclose(rhs, direct, atol=1e-12)
 
@@ -215,10 +215,7 @@ def test_batched_consensus_matches_double_loop_on_a_remainder_division(N):
     gen = RngStream(20).generator()
     nu = gen.standard_normal((N, 2))
     nu -= nu.mean(axis=0)
-    adjacency = gen.uniform(0.0, 1.0, (N, N))
-    adjacency = adjacency + adjacency.T
-    np.fill_diagonal(adjacency, 0.0)
-    model = ConsensusModel(N=N, kappa=0.8, nu=nu, adjacency=adjacency, gamma=np.tanh, dim=2)
+    model = ConsensusModel(N=N, kappa=0.8, nu=nu, dim=2)
     q = gen.standard_normal((N, 2))
     division = random_division(N, 3, gen)
     assert {len(b) for b in iter_batches(division)} != {3}
@@ -228,16 +225,9 @@ def test_batched_consensus_matches_double_loop_on_a_remainder_division(N):
         batch = batch_of(division, i)
         for j in batch[batch != i]:
             nu_bar = (N - 1) * (nu[i] - nu[j]) / (model.kappa * N)
-            oracle[i] += nu_bar + adjacency[i, j] * np.tanh(q[j] - q[i])
+            oracle[i] += nu_bar + (q[j] - q[i])
         oracle[i] *= model.kappa / (len(batch) - 1)
     np.testing.assert_allclose(rhs, oracle, rtol=1e-12)
-
-
-@pytest.mark.parametrize("shape", [(5, 5), (3,), (3, 4), (2, 2)])
-def test_consensus_refuses_an_adjacency_that_is_not_n_by_n(shape):
-    # a 5 x 5 matrix for N = 3 used to be accepted, and its top-left block used
-    with pytest.raises(ValueError, match=r"adjacency must be N x N = 3 x 3"):
-        ConsensusModel(N=3, adjacency=np.ones(shape))
 
 
 def test_consensus_zero_fixed_point():
@@ -277,7 +267,7 @@ def test_consensus_diameter_memory_is_linear():
 
 
 def test_consensus_default_adjacency_memory_is_linear():
-    # the default a_ij = 1 is implicit: a dense N x N adjacency would be 128 MB
+    # a_ij = 1 is implicit: a dense N x N adjacency would be 128 MB
     tracemalloc.start()
     try:
         model = ConsensusModel(N=4000)
@@ -287,16 +277,7 @@ def test_consensus_default_adjacency_memory_is_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.adjacency is None
     assert peak < 20e6
-
-
-@pytest.mark.parametrize("adjacency", [np.array([[0.0, 1.0], [2.0, 0.0]]),
-                                       np.array([[0.0, -1.0], [-1.0, 0.0]])],
-                         ids=["asymmetric", "negative"])
-def test_consensus_checks_an_explicit_adjacency(adjacency):
-    with pytest.raises(ValueError, match="adjacency"):
-        ConsensusModel(N=2, adjacency=adjacency)
 
 
 def test_consensus_requires_zero_sum_nu():

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -182,6 +183,25 @@ def test_dyson_chain_acceptance_counts_are_pinned(seed, accepted):
     _, _, stats = _log_gas_chain(model.initial(streams.init), model, 20_000, 1e-4,
                                  streams.proposal, block=5000)
     assert stats.acceptance_count == accepted
+
+
+def test_a_long_dyson_chain_call_holds_one_chunk_of_draws():
+    # the draws come in chunks of 2^13 moves, about 3.8 MB of Python lists at N = 500
+    # and m = 5 (3.85 MB for 10^5 moves); one up-front draw of 20 000 moves peaks at
+    # 9.4 MB, and of 10^5 moves at 47 MB.  Under tracemalloc a move costs about 70 us,
+    # so the call is kept to two chunks and part of a third
+    model = DysonModel(N=500)
+    streams = SimStreams(0)
+    x = model.initial(streams.init).tolist()
+    chain = SimpleNamespace(x=x, ordered=sorted(x), stats=MarkovChainStats(), model=model)
+    tracemalloc.start()
+    try:
+        run_log_gas_chain(chain, 20_000, 1e-4, streams.proposal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.stats.proposal_count == 20_000
+    assert peak < 5e6
 
 
 def test_dyson_chain_counts_the_proposals_it_drops():
