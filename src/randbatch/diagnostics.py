@@ -1,18 +1,17 @@
 """Metrics comparing simulations against oracles and analytic references.
 
-Both scans here run in blocks, so their memory does not grow with the grid
-or the pair count.  ``wasserstein1_1d`` against a CDF integrates on the grid
-lo + k h (k = 0 .. 200 000, formed as ``np.linspace`` forms it) merged with
-the samples inside the support, and evaluates the CDF, which must be
-elementwise, on a few thousand of those points at a time; only its trapezoid
-terms span the whole grid.  ``radial_net_charge`` bins the cation-ion pairs a
-chunk of about 2^15 at a time into reused work arrays.  Both give the bits of
-the whole-array formulas.
+``wasserstein1_1d`` against a law (a ``CDF``: its CDF F and an
+antiderivative G) integrates |F_N - F| exactly from F and G, with F called on
+the samples inside the support, its two ends and the points of its crossing
+solves; its arrays are a few of the samples' size.  ``radial_net_charge``
+bins the cation-ion pairs a chunk of about 2^15 at a time into reused work
+arrays, so its memory does not grow with the pair count, and gives the bits
+of the whole-array formula.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -36,26 +35,38 @@ def _step_cdf(x_sorted: np.ndarray, w_sorted: np.ndarray, grid: np.ndarray) -> n
     return cw[idx]
 
 
+@dataclass(frozen=True)
+class CDF:
+    """A continuous law on the line: its CDF F and an antiderivative G of F.
+
+    Calling it evaluates F.  Both take and return arrays elementwise, and F
+    must be nondecreasing; ``wasserstein1_1d`` integrates |F_N - F| with G.
+    """
+
+    cdf: Callable[[np.ndarray], np.ndarray]
+    integral: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x) -> np.ndarray:
+        return self.cdf(x)
+
+
 def wasserstein1_1d(a, b, support: Optional[Tuple[float, float]] = None) -> float:
     """W1 distance between two 1-d measures via their CDFs.
 
-    ``a`` is samples; ``b`` is either samples or a callable CDF.  The
+    ``a`` is samples; ``b`` is either samples or a law, a ``CDF``.  The
     two-sample case integrates |F_a - F_b| exactly between merged sample
-    points.  Against a callable CDF the integral is the trapezoid rule over
-    ``support`` (default: padded sample range) on the 200 001 points lo + k h,
-    formed as ``np.linspace`` forms them, merged with the distinct samples
-    inside the support.  The CDF must be elementwise: it is called on one
-    block of that grid at a time, a block of at most ``_W1_BLOCK`` grid
-    points and about as many samples.  Beyond a sorted copy of the samples
-    and their cumulative weights, only the trapezoid terms span the whole
-    grid: 1.6 MB, plus 8 bytes per sample inside the support.
-    ``ValueError`` if the support is not finite, not increasing, or too
-    narrow for its 200 000 steps to be distinct floats.
+    points.  Against a law the integral of |F_N - F| over ``support``
+    (default: the sample range padded by 1) is exact too, up to roundoff: see
+    ``_w1_against_law``.  ``TypeError`` for a callable that is not a ``CDF``,
+    as it carries no antiderivative; ``ValueError`` if the support is not
+    finite or not increasing.
     """
     xa, wa = _as_weighted(a)
     if callable(b):
+        if not isinstance(b, CDF):
+            raise TypeError("a law needs its antiderivative: pass diagnostics.CDF(cdf, integral)")
         lo, hi = support if support is not None else (xa[0] - 1.0, xa[-1] + 1.0)
-        return _w1_against_cdf(xa, wa, b, float(lo), float(hi))
+        return _w1_against_law(xa, b, float(lo), float(hi))
     xb, wb = _as_weighted(b)
     grid = np.concatenate([xa, xb])
     grid.sort(kind="stable")
@@ -63,62 +74,46 @@ def wasserstein1_1d(a, b, support: Optional[Tuple[float, float]] = None) -> floa
     return float(np.sum(diff[:-1] * np.diff(grid)))
 
 
-# points of the W1 grid against a CDF, and the most grid points and samples
-# in one block of its scan: 2^12 doubles keep a block's arrays well below
-# glibc's 128 KiB mmap threshold, so they come from the heap
-_W1_POINTS = 200_001
-_W1_BLOCK = 1 << 12
+def _w1_against_law(x: np.ndarray, law: CDF, lo: float, hi: float) -> float:
+    """The integral of |F_N - F| over [lo, hi] for the n sorted samples ``x``.
 
-
-def _w1_against_cdf(xa: np.ndarray, wa: np.ndarray, cdf, lo: float, hi: float) -> float:
-    """Trapezoid W1 of the sorted samples ``xa`` (weights ``wa``) against ``cdf``.
-
-    Walks the grid in blocks.  F_N at a merged point is the cumulative weight
-    of the samples at or below it, whose count is the samples before the
-    block plus a running count of the block's samples.  Each block writes its trapezoid terms, and the
-    one before its first point, into a single array whose ``np.sum`` is the
-    integral, so the result has the bits of the whole-grid formula.
+    The points P are lo, the samples inside [lo, hi] and hi; F_N is
+    c_k = (s0 + k) / n on [P_k, P_{k+1}), where s0 samples lie below lo.  As F
+    rises, c_k - F has one sign on an interval unless F(P_k) < c_k < F(P_{k+1}),
+    where it changes sign at x* = F^-1(c_k).  An interval of sign s, or a
+    piece of one, adds s (c_k length - (G(end) - G(start))).  The G terms
+    cancel within each run of one sign, so F is called once on P and then
+    in the crossing solves, and G once, on the run ends and the x*.
     """
-    step = (hi - lo) / (_W1_POINTS - 1)  # np.linspace's step
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"support must be finite with lo < hi, got {(lo, hi)}")
-    if not step > 2.0 * np.spacing(2.0 * max(abs(lo), abs(hi))):
-        raise ValueError(f"support {(lo, hi)} is too narrow for {_W1_POINTS} distinct points")
-    cw = np.concatenate([[0.0], np.cumsum(wa)])
-    s0, s_end = int(xa.searchsorted(lo)), int(xa.searchsorted(hi, "right"))
-    terms = np.empty(_W1_POINTS - 1 + s_end - s0)
-    t = k0 = 0
-    x_prev = d_prev = None  # the last point of the block before, and its |F_N - F|
-    while k0 < _W1_POINTS:
-        k1 = min(k0 + _W1_BLOCK, _W1_POINTS)
-        if s_end - s0 > _W1_BLOCK:  # end the block near its _W1_BLOCK-th sample
-            k1 = min(k1, max(k0 + 1, int((xa[s0 + _W1_BLOCK] - lo) / step)))
-        x = np.arange(k0, k1, dtype=np.float64)
-        x *= step
-        x += lo
-        if k1 == _W1_POINTS:
-            x[-1] = hi
-            s1 = s_end
-        else:
-            s1 = int(xa.searchsorted(k1 * step + lo))  # samples before the next block
-        if s1 > s0:
-            xs = xa[s0:s1]
-            x = np.union1d(x, xs)
-            F = cw[s0 + np.cumsum(np.bincount(x.searchsorted(xs), minlength=x.size))]
-        else:
-            F = cw[s0]
-        d = np.abs(F - np.asarray(cdf(x), dtype=np.float64))
-        if x_prev is not None:
-            terms[t] = 0.5 * (d[0] + d_prev) * (x[0] - x_prev)
-            t += 1
-        seg = terms[t: t + x.size - 1]
-        np.add(d[1:], d[:-1], out=seg)
-        seg *= 0.5
-        seg *= np.diff(x)
-        t += seg.size
-        x_prev, d_prev = x[-1], d[-1]
-        k0, s0 = k1, s1
-    return float(np.sum(terms[:t]))
+    s0, s1 = int(x.searchsorted(lo)), int(x.searchsorted(hi, "right"))
+    P = np.concatenate(([lo], x[s0:s1], [hi]))
+    F = np.asarray(law(P), dtype=np.float64)
+    c = np.arange(s0, s1 + 1) / x.size
+    above = c >= F[1:]  # c - F >= 0 on the whole interval
+    cross = ~above & (c > F[:-1])
+    start, end = np.where(above | cross, 1.0, -1.0), np.where(above, 1.0, -1.0)
+    cx, right = c[cross], P[1:][cross]
+    xs = _crossings(law, cx, P[:-1][cross], right)
+    # G(P_k) enters with the sign after P_k less the sign before it, G(x*) with -2
+    weight = np.append(start, 0.0) - np.insert(end, 0, 0.0)
+    ends = weight != 0
+    G = np.asarray(law.integral(np.concatenate((P[ends], xs))), dtype=np.float64)
+    weight = np.concatenate((weight[ends], np.full(xs.size, -2.0)))
+    total = np.dot(start * c, np.diff(P)) - 2.0 * np.dot(cx, right - xs)
+    return float(total + np.dot(weight, G))
+
+
+def _crossings(law: CDF, c, a, b) -> np.ndarray:
+    """x in (a, b) with F(x) = c, given F(a) < c < F(b): bisection on all the
+    brackets at once, until each is at most 4 ulps wide."""
+    tol = 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    while np.any(b - a > tol):
+        m = 0.5 * (a + b)
+        low = np.asarray(law(m), dtype=np.float64) < c
+        a, b = np.where(low, m, a), np.where(low, b, m)
+    return 0.5 * (a + b)
 
 
 # cation-ion pairs per chunk of the radial scan

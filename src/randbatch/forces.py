@@ -52,17 +52,12 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .batching import batch_index_matrices
-from .state import BatchDivision, Kernel, KernelSpec, ParticleState, RadialKernel, minimum_image
-
-
-def _kernel_fn(kernel) -> Kernel:
-    return kernel.force if isinstance(kernel, KernelSpec) else kernel
+from .state import BatchDivision, ParticleState, RadialKernel, minimum_image
 
 
 def _kernel_term(kernel, state: ParticleState) -> Callable:
     """Pair term K(x_i - x_j) over minimum-image displacements, as (M, d) rows."""
-    K = _kernel_fn(kernel)
-    return lambda xi, xj: K(minimum_image(xi - xj, state.box_length).reshape(-1, state.dim))
+    return lambda xi, xj: kernel(minimum_image(xi - xj, state.box_length).reshape(-1, state.dim))
 
 
 def batch_prefactor(alpha_N: float, N: int, batch_size: int) -> float:
@@ -146,7 +141,7 @@ def _mate_terms(order: np.ndarray, pair_term: Callable, fields) -> np.ndarray:
 
 
 def division_forces(state: ParticleState, division: BatchDivision, kernel, alpha_N: float) -> np.ndarray:
-    """Random-batch forces on every particle for one shared division.
+    """Random-batch forces on every particle for one shared division (None: all N).
 
     Each batch of size q carries the unbiased weight alpha_N (N-1)/(q-1), so a
     remainder batch gets its own size-matched prefactor.
@@ -161,13 +156,12 @@ def interaction_spread(i: int, state: ParticleState, kernel) -> float:
 
     (1/(N-2)) sum_{j != i} |K(x_i - x_j) - mean_l K(x_i - x_l)|^2.
     """
-    K = _kernel_fn(kernel)
     N = state.n_particles
     if N < 3:
         raise ValueError("need at least 3 particles")
     others = np.delete(np.arange(N), i)
     disp = minimum_image(state.positions[i] - state.positions[others], state.box_length)
-    values = np.asarray(K(disp))
+    values = np.asarray(kernel(disp))
     mean = values.mean(axis=0)
     return float(np.sum((values - mean) ** 2) / (N - 2))
 

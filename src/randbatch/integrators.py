@@ -115,10 +115,10 @@ class SecondOrderSystem(_KernelForces):
             raise ValueError("sigma must be nonnegative, and gamma too when sigma > 0")
 
     def batch_forces(self, state: ParticleState, division=None) -> np.ndarray:
-        """The kernel sum; for a ``KernelSpec`` and a division, the exact short-range
-        sum over ``pairs`` plus the smooth part's batch sum."""
+        """The kernel sum; for a ``KernelSpec``, the exact short-range sum over
+        ``pairs`` plus the smooth part's sum over the division (None: over all N)."""
         kernel = self.kernel
-        if division is None or not isinstance(kernel, KernelSpec):
+        if not isinstance(kernel, KernelSpec):
             return super().batch_forces(state, division)
         if self.pairs is None or self.pairs.cutoff != kernel.split_radius:
             self.pairs = PairList(kernel.split_radius)

@@ -12,6 +12,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .backend import special
+from .diagnostics import CDF
 from .forces import PairList, batch_pair_sum, pair_force_sum
 from .integrators import FirstOrderSystem, SecondOrderSystem
 from .state import BatchDivision, KernelSpec, ParticleState, RadialKernel
@@ -55,12 +56,18 @@ def semicircle_density(x) -> np.ndarray:
     return np.where(inside > 0, np.sqrt(np.maximum(inside, 0.0)) / math.pi, 0.0)
 
 
-def semicircle_cdf(x) -> np.ndarray:
+def _semicircle_F(x) -> np.ndarray:
     x = np.clip(np.asarray(x, dtype=np.float64), -math.sqrt(2.0), math.sqrt(2.0))
     inside = np.maximum(2.0 - x * x, 0.0)
     return 0.5 + (x * np.sqrt(inside) + 2.0 * np.arcsin(np.clip(x / math.sqrt(2.0), -1, 1))) / (
         2.0 * math.pi
     )
+
+
+semicircle_cdf = CDF(_semicircle_F, lambda x: np.multiply(x, _semicircle_F(x))
+                     + np.maximum(2.0 - np.square(x), 0.0) ** 1.5 / (3.0 * math.pi))
+"""The semicircle law on |x| <= sqrt(2): F is 0 below it and 1 above, and its
+antiderivative is G(x) = x F(x) + (2 - x^2)_+^(3/2) / (3 pi)."""
 
 
 # --- wealth exchange ----------------------------------------------------------
@@ -73,7 +80,8 @@ class WealthModel:
     The quadratic trading potential gives the linear exchange drift; the noise
     is multiplicative, so the mean wealth is conserved.  Starting from
     |N(0,1)| wealth the conserved mean is sqrt(2/pi), which fixes the
-    inverse-Gamma equilibrium completely.
+    inverse-Gamma equilibrium completely: ``equilibrium_cdf`` is that law,
+    of shape kappa/D + 1 and scale kappa sqrt(2/pi)/D, as a ``diagnostics.CDF``.
     """
 
     N: int
@@ -102,12 +110,20 @@ class WealthModel:
     def scale(self) -> float:
         return self.kappa * ETA_WEALTH / self.D
 
-    def equilibrium_cdf(self, y) -> np.ndarray:
-        """Inverse-Gamma CDF, elementwise: 0 wherever y is not positive."""
-        y = np.asarray(y, dtype=np.float64)
-        pos = y > 0
-        z = np.divide(self.scale, y, out=np.ones_like(y), where=pos)
-        return special("gammaincc")(self.shape, z, out=np.zeros_like(y), where=pos)
+    @property
+    def equilibrium_cdf(self) -> CDF:
+        """The inverse-Gamma law: F(y) = Q(a, b / y) and G(y) = y F(y) - b / (a - 1)
+        Q(a - 1, b / y) for y > 0, both 0 elsewhere, where Q is the regularized upper
+        incomplete gamma function, a = ``shape`` > 1 and b = ``scale``."""
+        a, b = self.shape, self.scale
+
+        def q(s, y):  # Q(s, b / y) where y > 0, else 0
+            y = np.asarray(y, dtype=np.float64)
+            z = np.divide(b, y, out=np.ones_like(y), where=y > 0)
+            return special("gammaincc")(s, z, out=np.zeros_like(y), where=y > 0)
+
+        return CDF(lambda y: q(a, y),
+                   lambda y: np.multiply(y, q(a, y)) - b / (a - 1.0) * q(a - 1.0, y))
 
     def initial(self, rng: np.random.Generator) -> np.ndarray:
         return np.abs(rng.standard_normal(self.N))

@@ -400,6 +400,10 @@ def _finish_electrolyte(sim, cfg, outdir):
     if "momentum" in diagnostics:
         f_real = real_space_force_all(system, params)[0]
         f = f_real + fourier_force_exact_all(system, params)
+        bad = ~np.isfinite(f).all(axis=1)
+        if bad.any():  # a last step can leave ions on one another: a finite state, infinite forces
+            raise IntegrationError(f"non-finite exact force at particle {int(np.argmax(bad))} "
+                                   f"at step {sim.energy[-1][0]}")
         metrics["momentum_exact"] = float(np.abs(f.sum(axis=0)).max())
         f_rbe = f_real + rbe_force_all(system, sim.system.bank.draw(params.p), sim.system.S)
         metrics["momentum_rbe"] = float(np.abs(f_rbe.sum(axis=0)).max())

@@ -7,6 +7,7 @@ and views live here as functions: ``BatchDivision``, ``KernelSpec`` and
 """
 
 import math
+import warnings
 from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from randbatch.batching import batch_index_matrices
 from randbatch.ewald import (TWO_PI, EwaldParams, PeriodicChargeSystem, _lattice_phases,
                              cube_m_max, fourier_energy, real_space_force_all, self_energy)
-from randbatch.forces import _kernel_fn, _pairs_within, _search_pairs, batch_prefactor
+from randbatch.forces import _pairs_within, _search_pairs, batch_prefactor
 from randbatch.models import ETA_WEALTH, WealthModel
 from randbatch.samplers import GaussianKernel
 from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_image
@@ -22,13 +23,12 @@ from randbatch.state import BatchDivision, KernelSpec, ParticleState, minimum_im
 
 def pair_sum(i: int, others: np.ndarray, state: ParticleState, kernel) -> np.ndarray:
     """Sum of K(x_i - x_j) over the given indices (self excluded)."""
-    K = _kernel_fn(kernel)
     others = np.asarray(others)
     others = others[others != i]
     if others.size == 0:
         return np.zeros(state.dim)
     disp = minimum_image(state.positions[i] - state.positions[others], state.box_length)
-    return np.asarray(K(disp)).sum(axis=0)
+    return np.asarray(kernel(disp)).sum(axis=0)
 
 
 def batch_force(i: int, state: ParticleState, batch: np.ndarray, kernel, alpha_N: float) -> np.ndarray:
@@ -236,3 +236,44 @@ def equilibrium_density(model: WealthModel, y) -> np.ndarray:
     yp = y[pos]
     out[pos] = np.exp(a * math.log(b) - math.lgamma(a) - (a + 1) * np.log(yp) - b / yp)
     return out
+
+
+def _support(x: np.ndarray, support) -> Tuple[float, float]:
+    return support if support is not None else (x[0] - 1.0, x[-1] + 1.0)
+
+
+def w1_trapezoid(samples, cdf, support=None, points: int = 200_001) -> float:
+    """W1 against a CDF by the trapezoid rule on ``points`` grid points merged with the
+    samples inside the support, every array spanning the merged grid.  First-order: the
+    cell that ends at a sample reads the right-continuous F_N there."""
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1), kind="stable")
+    lo, hi = _support(x, support)
+    grid = np.union1d(np.linspace(lo, hi, points), x[(x >= lo) & (x <= hi)])
+    cw = np.concatenate([[0.0], np.cumsum(np.full(x.size, 1.0 / x.size))])
+    diff = np.abs(cw[np.searchsorted(x, grid, side="right")] - np.asarray(cdf(grid), dtype=float))
+    return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
+
+
+def w1_quad(samples, cdf, support=None) -> float:
+    """W1 against a CDF by ``scipy.integrate.quad`` of |F_N - F| on each interval between
+    the merged points, with the kink where F crosses F_N's value, found by ``brentq``,
+    passed in ``points``.  quad's roundoff warning on intervals a few ulps wide is silenced."""
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.optimize import brentq
+
+    x = np.sort(np.asarray(samples, dtype=np.float64).reshape(-1))
+    lo, hi = _support(x, support)
+    s0 = int(np.searchsorted(x, lo))
+    P = np.concatenate(([lo], x[s0: np.searchsorted(x, hi, "right")], [hi]))
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for k in range(P.size - 1):
+            a, b, c = P[k], P[k + 1], (s0 + k) / x.size
+            if b > a:
+                f = lambda t: float(cdf(np.array([t]))[0]) - c  # noqa: E731
+                kink = [brentq(f, a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps)] if (
+                    f(a) < 0 < f(b)) else None
+                total += quad(lambda t: abs(f(t)), a, b, points=kink, epsabs=0, epsrel=1e-12,
+                              limit=200)[0]
+    return total

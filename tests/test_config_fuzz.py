@@ -5,16 +5,19 @@ of its run section, schedule and thermostat, to an edge value; every other
 field keeps its default.  A config that ``validate_dict`` accepts must
 resolve to itself through its YAML echo, and run, cut to 3 loop steps (a
 chain to 2000 moves), into a temporary directory.  It may fail only loudly:
-with an ``IntegrationError`` at a step, or with ``run``'s refusal to write a
-non-finite metric.  The second shows when a run blows up in its last step:
+with an ``IntegrationError`` naming a step, or, from a finite state whose
+squares overflow (the toy at sigma = 1e300), with ``run``'s refusal to write
+a non-finite metric.  A run that blows up in its last step raises the first:
 the electrolyte under Nose-Hoover at beta = 1e-12 moves its ions up to 1.6e17
 in the third step, the wrap into the box puts 130 of the 300 on another ion,
-and the momentum diagnostic then sums infinite forces.
+and the momentum diagnostic's exact forces there are refused by particle and
+step.
 """
 
 import copy
 import math
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -80,6 +83,7 @@ def _cut(cfg: dict) -> dict:
           "run": {"schedule": {"kind": "log-decay"}, "steps": 20}})
 @example({"model": {"id": "electrolyte"}, "thermostat": {"kind": "nose-hoover", "beta": 1e-12},
           "diagnostics": ["momentum"]})
+@example({"model": {"id": "toy", "sigma": 1e300}, "diagnostics": []})
 @given(configs())
 def test_a_config_validate_accepts_repeats_from_its_echo_and_runs(raw):
     try:
@@ -93,6 +97,10 @@ def test_a_config_validate_accepts_repeats_from_its_echo_and_runs(raw):
             run(_cut(cfg), out)
         except IntegrationError:
             pass
-        except ValueError as exc:  # a metric that a blow-up made non-finite, refused by name
+        except ValueError as exc:
+            # a finite state whose squares overflow, as the toy's at sigma = 1e300: each CSV
+            # the run wrote holds finite numbers, and run refuses the metric by name
             if not str(exc).startswith("metrics.json: non-finite value at "):
                 raise
+            for csv in Path(out).rglob("*.csv"):
+                assert np.isfinite(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)).all()

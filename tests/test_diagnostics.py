@@ -11,11 +11,17 @@ from scipy.optimize import linprog
 from scipy.special import gammaincc
 from scipy.stats import norm
 
+import oracles
 from randbatch import diagnostics
-from randbatch.diagnostics import radial_net_charge, wasserstein1_1d
+from randbatch.diagnostics import CDF, radial_net_charge, wasserstein1_1d
 from randbatch.models import WealthModel, semicircle_cdf
 from randbatch.rng import RngStream
 from randbatch.runner import run, validate
+
+# the standard normal law and the uniform law on [0, 1], each with its antiderivative
+NORMAL = CDF(norm.cdf, lambda x: x * norm.cdf(x) + norm.pdf(x))
+UNIFORM = CDF(lambda x: np.clip(x, 0.0, 1.0),
+              lambda x: np.where(x < 0.0, 0.0, np.where(x > 1.0, x - 0.5, 0.5 * x * x)))
 
 
 def _w1_lp_oracle(a, b):
@@ -76,7 +82,7 @@ def test_w1_symmetry_and_triangle():
 def test_w1_against_callable_cdf():
     gen = RngStream(5).generator()
     x = gen.standard_normal(5000)
-    against_cdf = wasserstein1_1d(x, norm.cdf, support=(-8, 8))
+    against_cdf = wasserstein1_1d(x, NORMAL, support=(-8, 8))
     quantiles = norm.ppf((np.arange(200_000) + 0.5) / 200_000)
     against_samples = wasserstein1_1d(x, quantiles)
     assert abs(against_cdf - against_samples) < 1e-3
@@ -130,22 +136,11 @@ def test_radial_profile_synthetic_screening_roundtrip():
     assert abs(prof.slope - (-kappa)) < 0.05
 
 
-# --- the blocked W1 scan and the mask-free radial scan, exactly against the
-# whole-array formulas they replace
+# --- W1 against a law, exactly against closed forms and a per-interval quad oracle; the
+# mask-free radial scan, exactly against the whole-array formula it replaces
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID = np.linspace(-3.0, 5.0, 200_001)
-
-
-def _w1_whole_grid(a, cdf, support=None):
-    """W1 against a CDF with every array spanning the merged grid."""
-    x = np.sort(np.asarray(a, dtype=np.float64).reshape(-1), kind="stable")
-    lo, hi = support if support is not None else (x[0] - 1.0, x[-1] + 1.0)
-    grid = np.union1d(np.linspace(lo, hi, 200_001), x[(x >= lo) & (x <= hi)])
-    cw = np.concatenate([[0.0], np.cumsum(np.full(x.size, 1.0 / x.size))])
-    f_n = cw[np.searchsorted(x, grid, side="right")]
-    diff = np.abs(f_n - np.asarray(cdf(grid), dtype=np.float64))
-    return float(np.sum(0.5 * (diff[1:] + diff[:-1]) * np.diff(grid)))
 
 
 @pytest.fixture(scope="module")
@@ -162,66 +157,108 @@ def _wealth_support(wealth):
     return (0.0, max(60.0, wealth.max() * 2))
 
 
-def test_w1_against_the_wealth_equilibrium_has_the_whole_grid_bits(wealth_final):
+@pytest.mark.parametrize("samples, want", [
+    ([0.3], 0.3**2 / 2 + 0.7**2 / 2),
+    ([0.0], 0.5),
+    ([1.0], 0.5),
+    ([0.25, 0.75], 4 * 0.25**2 / 2),  # F_N - F is a sawtooth of four legs 1/4 long
+    ([0.5, 0.5], 0.25),
+    ([-1.0, 2.0], 0.25),  # F_N = 1/2 on [0, 1]
+    ([0.1, 0.2, 0.9], (0.1**2 + (1 / 3 - 0.1)**2 - (1 / 3 - 0.2)**2 + (2 / 3 - 0.2)**2
+                       + (0.9 - 2 / 3)**2 + 0.1**2) / 2),
+])
+def test_w1_against_the_uniform_law_has_its_closed_form(samples, want):
+    assert abs(wasserstein1_1d(np.array(samples), UNIFORM, support=(0.0, 1.0)) - want) < 1e-14
+
+
+def test_w1_against_the_wealth_equilibrium_is_what_the_run_writes(wealth_final):
     wealth, model, written = wealth_final
     support = _wealth_support(wealth)
     got = wasserstein1_1d(wealth, model.equilibrium_cdf, support=support)
-    assert got == _w1_whole_grid(wealth, model.equilibrium_cdf, support) == written
+    assert got == written
+    # the first-order trapezoid on 200 001 points reads 0.0076722, 1.4e-5 low
+    assert 0.0 < got - oracles.w1_trapezoid(wealth, model.equilibrium_cdf, support) < 2e-5
+
+
+def test_the_trapezoid_converges_first_order_to_the_exact_w1():
+    x = RngStream(18).generator().standard_normal(40)
+    exact = wasserstein1_1d(x, NORMAL, support=(-8.0, 8.0))
+    err = [abs(oracles.w1_trapezoid(x, NORMAL, (-8.0, 8.0), n) - exact)
+           for n in (200_001, 2_000_001)]
+    assert 8.0 < err[0] / err[1] < 12.0
 
 
 def _on_grid_points():
-    block = diagnostics._W1_BLOCK
-    idx = [0, 1, block - 1, block, block + 1, 2 * block, 3 * block - 1, 199_999, 200_000]
-    return np.concatenate([GRID[idx], RngStream(11).generator().uniform(-3.0, 5.0, 200)])
+    idx = [0, 1, 4095, 4096, 4097, 8192, 12_287, 199_999, 200_000]
+    return np.concatenate([GRID[idx], RngStream(11).generator().uniform(-3.0, 5.0, 60)])
+
+
+def _wealth_draws(seed, n):
+    model = WealthModel(N=n)
+    return model.scale / RngStream(seed).generator().gamma(model.shape, size=n), model
 
 
 W1_CASES = {
-    "on-grid-points": lambda: (_on_grid_points(), norm.cdf, (-3.0, 5.0)),
-    "duplicates": lambda: (np.repeat(_on_grid_points()[::3], 4), norm.cdf, (-3.0, 5.0)),
-    "outside-support": lambda: (RngStream(12).generator().uniform(-6.0, 8.0, 500), norm.cdf,
+    "on-grid-points": lambda: (_on_grid_points(), NORMAL, (-3.0, 5.0)),
+    "duplicates": lambda: (np.repeat(_on_grid_points()[::3], 4), NORMAL, (-3.0, 5.0)),
+    "outside-support": lambda: (RngStream(12).generator().uniform(-6.0, 8.0, 100), NORMAL,
                                 (-3.0, 5.0)),
-    "none-in-support": lambda: (RngStream(13).generator().uniform(6.0, 9.0, 50), norm.cdf,
+    "none-in-support": lambda: (RngStream(13).generator().uniform(6.0, 9.0, 50), NORMAL,
                                 (-3.0, 5.0)),
-    "single-sample": lambda: (np.array([0.3]), norm.cdf, (-3.0, 5.0)),
-    "integer-support": lambda: (RngStream(14).generator().standard_normal(5000), norm.cdf, (-8, 8)),
-    "support-none": lambda: (RngStream(15).generator().standard_normal(3000), norm.cdf, None),
-    "many-samples-per-grid-step": lambda: (1e-6 * RngStream(16).generator().standard_normal(
-        20_000), norm.cdf, (-1.0, 1.0)),
-    "semicircle-2e5": lambda: (
-        math.sqrt(2.0) * (2.0 * RngStream(17).generator().beta(1.5, 1.5, 200_000) - 1.0),
+    "single-sample": lambda: (np.array([0.3]), NORMAL, (-3.0, 5.0)),
+    "integer-support": lambda: (RngStream(14).generator().standard_normal(100), NORMAL, (-8, 8)),
+    "support-none": lambda: (RngStream(15).generator().standard_normal(60), NORMAL, None),
+    "tight-cluster": lambda: (1e-6 * RngStream(16).generator().standard_normal(100), NORMAL,
+                              (-1.0, 1.0)),
+    "semicircle": lambda: (
+        math.sqrt(2.0) * (2.0 * RngStream(17).generator().beta(1.5, 1.5, 100) - 1.0),
         semicircle_cdf, (-2.0, 2.0)),
+    "inverse-gamma": lambda: (lambda x, model: (x, model.equilibrium_cdf, _wealth_support(x)))(
+        *_wealth_draws(20, 100)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(W1_CASES))
-def test_w1_against_a_cdf_has_the_whole_grid_bits(case):
-    a, cdf, support = W1_CASES[case]()
-    assert wasserstein1_1d(a, cdf, support=support) == _w1_whole_grid(a, cdf, support)
+def test_w1_against_a_law_matches_the_quad_oracle(case):
+    a, law, support = W1_CASES[case]()
+    want = oracles.w1_quad(a, law, support)
+    assert wasserstein1_1d(a, law, support=support) == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("case", ["wealth", "on-grid-points", "duplicates", "semicircle-2e5",
-                                  "many-samples-per-grid-step"])
-def test_w1_calls_the_cdf_once_per_point_on_block_sized_arrays(case, wealth_final):
+@pytest.mark.parametrize("case", ["wealth", "on-grid-points", "duplicates", "semicircle",
+                                  "tight-cluster"])
+def test_w1_calls_the_cdf_on_the_merged_points_then_only_in_the_crossing_solves(
+    case, wealth_final
+):
     if case == "wealth":
         wealth, model, _ = wealth_final
-        a, cdf, support = wealth, model.equilibrium_cdf, _wealth_support(wealth)
+        a, law, support = wealth, model.equilibrium_cdf, _wealth_support(wealth)
     else:
-        a, cdf, support = W1_CASES[case]()
-    sizes = []
-
-    def recording(x):
-        sizes.append(x.size)
-        return cdf(x)
-
+        a, law, support = W1_CASES[case]()
+    F_calls, G_calls = [], []
+    recording = CDF(lambda x: F_calls.append(x.copy()) or law(x),
+                    lambda x: G_calls.append(x.copy()) or law.integral(x))
     wasserstein1_1d(a, recording, support=support)
-    inside = a[(a >= support[0]) & (a <= support[1])]
-    assert sum(sizes) == np.union1d(np.linspace(*support, 200_001), inside).size
-    # samples piled into one grid step cannot be split further
-    limit = 2 * diagnostics._W1_BLOCK + 1 if case != "many-samples-per-grid-step" else a.size + 2
-    assert max(sizes) <= limit
+    x = np.sort(a)
+    P = np.concatenate([[support[0]], x[(x >= support[0]) & (x <= support[1])], [support[1]]])
+    assert np.array_equal(F_calls[0], P)
+    F = law(P)
+    c = np.searchsorted(x, P[:-1], side="right") / x.size
+    cross = (F[:-1] < c) & (c < F[1:])
+    # a crossing solve takes at most 64 steps; tight-cluster's F_N passes F only at its jumps
+    assert len(F_calls) == 1 if case == "tight-cluster" else 1 < len(F_calls) <= 65
+    for m in F_calls[1:]:
+        assert np.all((P[:-1][cross] <= m) & (m <= P[1:][cross]))
+    # G once, at the points where the sign of F_N - F changes and at the crossings
+    assert len(G_calls) == 1 and G_calls[0].size < P.size // 2 + cross.sum() + 2
 
 
-def test_w1_against_the_wealth_equilibrium_peaks_under_4_mb(wealth_final):
+def test_a_bare_callable_has_no_antiderivative_and_is_refused():
+    with pytest.raises(TypeError, match="antiderivative"):
+        wasserstein1_1d(np.array([0.5, 1.5]), norm.cdf, support=(-8.0, 8.0))
+
+
+def test_w1_against_the_wealth_equilibrium_peaks_under_1_mb(wealth_final):
     wealth, model, _ = wealth_final
     support = _wealth_support(wealth)
     wasserstein1_1d(wealth, model.equilibrium_cdf, support=support)  # warm caches
@@ -231,7 +268,7 @@ def test_w1_against_the_wealth_equilibrium_peaks_under_4_mb(wealth_final):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    assert peak <= 2**20
 
 
 def _stable_sorted(samples):
@@ -249,25 +286,38 @@ def test_w1_with_the_default_sort_equals_the_stable_sort_on_signed_zeros_ties_an
     b = np.concatenate([zeros[:30], np.round(gen.standard_normal(300) + 0.2, 2), [-0.0] * 9])
     gen.shuffle(a)
     gen.shuffle(b)
-    cases = [(a, b, None), (b, a, None), (a, a[::-1].copy(), None), (a, norm.cdf, (-3.0, 5.0)),
-             (b, norm.cdf, None), (0.5 * a, semicircle_cdf, (-2.0, 2.0)),
-             (np.concatenate([zeros, [1.0]]), norm.cdf, (-1.0, 1.0))]
+    cases = [(a, b, None), (b, a, None), (a, a[::-1].copy(), None), (a, NORMAL, (-3.0, 5.0)),
+             (b, NORMAL, None), (0.5 * a, semicircle_cdf, (-2.0, 2.0)),
+             (np.concatenate([zeros, [1.0]]), NORMAL, (-1.0, 1.0))]
     got = [wasserstein1_1d(x, y, support=s) for x, y, s in cases]
     monkeypatch.setattr(diagnostics, "_as_weighted", _stable_sorted)
     want = [wasserstein1_1d(x, y, support=s) for x, y, s in cases]
     assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
 
+# an empty, reversed or non-finite support; a narrow one is integrated as any other
 @pytest.mark.parametrize("support", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0), (0.0, math.nan),
-                                     (0.0, math.inf), (-math.inf, 0.0), (1e6, 1e6 + 1e-9)])
+                                     (0.0, math.inf), (-math.inf, 0.0)])
 def test_w1_refuses_a_reversed_non_finite_or_unresolvable_support(support):
     with pytest.raises(ValueError, match="support"):
-        wasserstein1_1d(np.array([0.5, 1.5]), norm.cdf, support=support)
+        wasserstein1_1d(np.array([0.5, 1.5]), NORMAL, support=support)
+
+
+def test_w1_on_a_support_too_narrow_for_200_000_float_steps_is_exact():
+    # the uniform law on [1e6, 1e6 + 1e-5], 86 000 floats wide
+    w = 1e-5
+    law = CDF(lambda t: np.clip((t - 1e6) / w, 0.0, 1.0),
+              lambda t: np.where(t < 1e6, 0.0, np.where(t > 1e6 + w, t - 1e6 - 0.5 * w,
+                                                        0.5 * (t - 1e6) ** 2 / w)))
+    x = 1e6 + w * np.array([0.25, 0.75])
+    u1, u2 = (x - 1e6) / w
+    want = w * (u1**2 + (0.5 - u1) ** 2 + (u2 - 0.5) ** 2 + (1.0 - u2) ** 2) / 2
+    assert wasserstein1_1d(x, law, support=(1e6, 1e6 + w)) == pytest.approx(want, rel=1e-8)
 
 
 def test_w1_with_a_nan_sample_and_no_support_refuses_the_nan_range():
     with pytest.raises(ValueError, match="support"):
-        wasserstein1_1d(np.array([0.5, math.nan]), norm.cdf)
+        wasserstein1_1d(np.array([0.5, math.nan]), NORMAL)
 
 
 def _radial_masked(frames, charges, box_length, bin_width=0.1, fit_window=(0.5, 2.5)):

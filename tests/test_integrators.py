@@ -482,9 +482,13 @@ def test_kernel_splitting_is_the_rbm_step_on_a_split_kernels_forces():
     short = forces.short_range_force_all(state, spec.short_part, 1.6, 0.5, forces.PairList(1.6))
     smooth = forces.division_forces(state, division, spec.smooth_part, 0.5)
     np.testing.assert_array_equal(system.batch_forces(state, division), short + smooth)
-    # without a division, and for a plain kernel, the kernel sum
-    np.testing.assert_array_equal(system.batch_forces(state),
-                                  forces.full_force_all(state, spec, 0.5))
+    # without a division, the split sum over all N: the exact force up to roundoff
+    whole = system.batch_forces(state)
+    np.testing.assert_array_equal(whole, short + forces.division_forces(state, None,
+                                                                        spec.smooth_part, 0.5))
+    np.testing.assert_allclose(whole, forces.full_force_all(state, spec.force, 0.5), rtol=1e-10,
+                               atol=1e-10)
+    # for a plain kernel, the kernel sum
     plain = SecondOrderSystem(kernel=spec.force, alpha_N=0.5)
     np.testing.assert_array_equal(plain.batch_forces(state, division),
                                   forces.division_forces(state, division, spec.force, 0.5))

@@ -29,7 +29,7 @@ from randbatch.models import (
     semicircle_density,
 )
 from randbatch.rng import RngStream, SimStreams
-from randbatch.runner import run, validate_dict
+from randbatch.runner import _reflect_wealth, _simulate, run, validate_dict
 from randbatch.state import ParticleState
 
 
@@ -74,20 +74,28 @@ def test_wealth_cdf_consistent_with_density():
 
 
 def test_wealth_stability_band():
-    # Y stays finite under the RBM update at dt = 1e-3, kappa = D = 1
-    gen = RngStream(1).generator()
-    N, dt, steps = 16, 1e-3, 1_000_000
-    kappa, D = 1.0, 1.0
-    y = np.abs(gen.standard_normal(N))
-    sq = math.sqrt(2 * D * dt)
-    for _ in range(steps):
-        perm = gen.permutation(N).reshape(-1, 2)
-        partner = np.empty(N, dtype=int)
-        partner[perm[:, 0]] = perm[:, 1]
-        partner[perm[:, 1]] = perm[:, 0]
-        y = y - dt * kappa * (y - y[partner]) + sq * y * gen.standard_normal(N)
-        y = np.abs(y)
-    assert np.all(np.isfinite(y))
+    # the package's wealth run, reflection hook included, keeps Y finite and positive at
+    # N = 16, kappa = D = 1 and dt = 1e-3 over 10^4 steps
+    cfg = validate_dict({"seed": 1, "model": {"id": "wealth", "N": 16, "kappa": 1.0, "D": 1.0},
+                         "run": {"dt": 1e-3, "T": 10.0}})
+    sim = _simulate(cfg, SimStreams(1))
+    assert _reflect_wealth in sim.hooks
+    y = sim.state.positions
+    assert np.all(np.isfinite(y)) and np.all(y > 0)
+
+
+@pytest.mark.parametrize("law, points", [
+    (semicircle_cdf, [-3.0, -math.sqrt(2.0), -0.7, 0.0, 0.4, 1.3, math.sqrt(2.0), 2.5]),
+    (WealthModel(N=10).equilibrium_cdf, [0.0, 0.05, 0.3, 0.8, 2.0, 7.5, 60.0]),
+    (WealthModel(N=10, kappa=2.0, D=0.3).equilibrium_cdf, [0.02, 0.5, 1.0, 3.0, 40.0]),
+])
+def test_a_laws_integral_is_the_antiderivative_of_its_cdf(law, points):
+    # G(b) - G(a) = int_a^b F, and G = 0 below the law's support
+    G = law.integral(np.array(points))
+    for a, b, Ga, Gb in zip(points[:-1], points[1:], G[:-1], G[1:]):
+        want = quad(lambda t: float(law(np.array([t]))[0]), a, b, epsabs=1e-14, limit=200)[0]
+        assert Gb - Ga == pytest.approx(want, rel=1e-10, abs=1e-13)
+    assert law.integral(np.array([-5.0]))[0] == 0.0
 
 
 def test_cs_rhs_flocked_fixed_point():

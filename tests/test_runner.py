@@ -492,22 +492,39 @@ def test_a_diverging_dyson_chain_exits_1_naming_step_and_particle(tmp_path, caps
     assert not list(tmp_path.rglob("metrics.json"))
 
 
+def test_a_run_that_leaves_ions_on_one_another_in_its_last_step_exits_1_naming_them(
+    tmp_path, capsys
+):
+    # the Nose-Hoover friction at beta = 1e-12 flings the ions up to 1.6e17 in the third
+    # step, and the wrap into the box puts 130 of them on another ion: the state is finite,
+    # the final exact forces are not
+    raw = {"model": {"id": "electrolyte"}, "run": {"steps": 3},
+           "thermostat": {"kind": "nose-hoover", "beta": 1.0e-12}, "diagnostics": ["momentum"]}
+    with np.errstate(all="ignore"):
+        status = main(["run", str(_write(tmp_path, "boom.yaml", raw)), "--out", str(tmp_path / "o")])
+    assert status == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IntegrationError"
+    assert err["details"] == ["non-finite exact force at particle 0 at step 3"]
+    assert not list(tmp_path.rglob("metrics.json"))
+
+
 # Dyson runs at the edges of the chain's blocks of max(sweeps // 400, 1) moves: 1001
 # moves go in 500 blocks of 2 and a last block of 1, with the warmup ending inside a
 # block; 399 moves go one to a block; and CI's dyson-small takes 3000 in blocks of 7
 @pytest.mark.parametrize("raw, metrics, samples_sha256", [
     ({"model": {"id": "dyson", "N": 50}, "run": {"sweeps": 1001, "warmup": 333}},
      {"acceptance_rate": 0.9600399600399601, "clamp_count": 0, "density_at_zero": 0.0,
-      "pooled_samples": 16750, "w1_semicircle": 0.0747524192806804},
+      "pooled_samples": 16750, "w1_semicircle": 0.07475134599437838},
      "d22dba7a0f77f4448ada2c5a5eed80d27977d5e18d38e85b8eff591084ce1740"),
     ({"model": {"id": "dyson", "N": 20}, "run": {"sweeps": 399}},
      {"acceptance_rate": 0.9849624060150376, "clamp_count": 0, "density_at_zero": 0.0,
-      "pooled_samples": 5320, "w1_semicircle": 0.1382308932747226},
+      "pooled_samples": 5320, "w1_semicircle": 0.13823125153390037},
      "cff66da15a5fbcad14d33f16cbef5e8aa8d30b6de9d20e1232d014045439a720"),
     ({"seed": 1, "model": {"id": "dyson", "N": 100}, "run": {"sweeps": 3000}},
      {"acceptance_rate": 0.9116666666666666, "clamp_count": 0,
       "density_at_zero": 0.4179442508710801, "pooled_samples": 28700,
-      "w1_semicircle": 0.11684870760826155},
+      "w1_semicircle": 0.11685314243572426},
      "d4de38b0f8e03d262950c81b3561c524d5e25249f18a8968c13bfc8bba80754c"),
 ], ids=["sweeps1001-warmup333", "sweeps399", "sweeps3000"])
 def test_dyson_runs_at_the_block_edges_are_pinned(raw, metrics, samples_sha256, tmp_path):
