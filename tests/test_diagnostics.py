@@ -227,7 +227,7 @@ def test_w1_against_a_law_matches_the_quad_oracle(case):
 
 @pytest.mark.parametrize("case", ["wealth", "on-grid-points", "duplicates", "semicircle",
                                   "tight-cluster"])
-def test_w1_calls_the_cdf_on_the_merged_points_then_only_in_the_crossing_solves(
+def test_w1_calls_the_cdf_on_merged_points_then_in_crossings(
     case, wealth_final
 ):
     if case == "wealth":
