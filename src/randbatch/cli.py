@@ -48,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output root directory")
     p_run.add_argument("--replicas", type=int, default=None, help="override replica count")
     p_run.add_argument("--threads", type=_thread_count, default=1,
-                       help="cap on numpy's BLAS threads for the run (default 1); it caps "
-                            "BLAS only: a first-order step fills a large noise draw on "
-                            "one more thread")
+                       help="cap on numpy's BLAS threads for the run (default 1)")
     return parser
 
 

@@ -21,20 +21,8 @@ expression and the per-step noise draw: a random-batch step with p = N
 reproduces the direct step bit for bit under identical streams, and that
 coupling also underlies the strong-error measurements.
 
-At p = 2 a large first-order step spends a large share of its time filling
-the Brownian increments.  ``direct_step`` and ``rbm_step_first_order``
-therefore hand an Euler-Maruyama draw of at least ``_CONCURRENT_DRAW``
-values to one worker thread, when the process may run on more than one CPU,
-and divide and sum the forces while numpy fills it without the interpreter
-lock; ``_advance`` takes the finished array.  The draw comes from the same
-``noise`` generator, which nothing else in the step reads, so its bits do not
-change.  Smaller draws are drawn in line: a round trip to the thread costs
-about as much as drawing 10^3 normals, and a step at N = 10^3 gained nothing
-from it.  Second-order steps draw their noise in line too.  The worker is
-made on the first large draw, dropped in a forked child, and runs nothing but
-the generator.  A step that needs its draw before the worker has started it
-makes the draw itself, and each step waits for its draw before it returns or
-raises.
+Every step draws its Brownian increments in line, in ``_advance``, from
+``streams.noise``, after the division and the forces.
 
 A ``SecondOrderSystem`` carries the Verlet list (``forces.PairList``) of a
 split kernel's exact short-range sum from step to step.  The list
@@ -44,10 +32,6 @@ are summed in the same order whenever the list was built.
 """
 
 import math
-import os
-import queue
-import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -173,98 +157,8 @@ def kick_drift(state: ParticleState, force: np.ndarray, dt: float, friction: flo
     return _stepped(state, "second-order step", positions=new_x, velocities=new_v)
 
 
-# the smallest Euler-Maruyama draw that goes to the worker thread
-_CONCURRENT_DRAW = 1 << 13
-_jobs = None  # the worker thread's queue of _Draw jobs, made on first use
-
-
-def _drop_worker():
-    global _jobs
-    _jobs = None
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # Linux
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fill(claim, rng, shape, box):
-    """Put ``rng.standard_normal(shape)``, or what it raised, into ``box``, unless
-    the other thread has taken ``claim`` first."""
-    if claim.acquire(blocking=False):
-        try:
-            box.put(rng.standard_normal(shape))
-        except BaseException as exc:  # handed to the step, which raises it
-            box.put(exc)
-
-
-def _serve_draws(jobs):
-    while True:
-        _fill(*jobs.get())
-
-
-class _Draw:
-    """``rng.standard_normal(shape)`` queued for the worker thread.
-
-    A step that needs the draw before the worker has started it makes it in
-    line, so a worker that wakes late costs the step little more than the
-    in-line draw would.  Leaving a ``with`` block on it waits for the draw, so
-    none outlives its step.
-    """
-
-    def __init__(self, rng, shape):
-        global _jobs
-        if _jobs is None:
-            _jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve_draws, args=(_jobs,), name="randbatch-noise",
-                             daemon=True).start()
-        self._job = (threading.Lock(), rng, shape, queue.SimpleQueue())
-        _jobs.put(self._job)
-
-    def _wait(self):
-        if self._job is not None:
-            _fill(*self._job)
-            self._value, self._job = self._job[3].get(), None
-
-    def result(self) -> np.ndarray:
-        """The drawn array."""
-        self._wait()
-        if isinstance(self._value, BaseException):
-            raise self._value
-        return self._value
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._wait()
-
-
-def _noise_alongside(system, shape, noise_rng):
-    """A ``_Draw`` of the Euler-Maruyama step's ``noise_rng.standard_normal(shape)``,
-    or a context yielding None when the step draws it in line.
-
-    The worker takes a noisy ``FirstOrderSystem``'s draw of at least
-    ``_CONCURRENT_DRAW`` values, when the process may use more than one CPU.
-    """
-    if (isinstance(system, FirstOrderSystem) and system.sigma
-            and math.prod(shape) >= _CONCURRENT_DRAW and _cpus() > 1):
-        return _Draw(noise_rng, shape)
-    return nullcontext()
-
-
-def _advance(state, system, force, dt, noise_rng, drawn=None) -> ParticleState:
-    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift.
-
-    ``drawn``, when given, is the ``_Draw`` of the Euler-Maruyama step's
-    N(0, I) increments from ``noise_rng``.
-    """
+def _advance(state, system, force, dt, noise_rng) -> ParticleState:
+    """Euler-Maruyama or ``kick_drift`` under ``force`` plus the system's drift."""
     x = state.positions
     if system.drift is not None:
         force = system.drift(x) + force
@@ -275,7 +169,7 @@ def _advance(state, system, force, dt, noise_rng, drawn=None) -> ParticleState:
     new += x
     if system.sigma:
         scale = system.sigma if system.noise_scale is None else system.sigma * system.noise_scale(x)
-        xi = noise_rng.standard_normal(x.shape) if drawn is None else drawn.result()
+        xi = noise_rng.standard_normal(x.shape)
         xi *= math.sqrt(dt)
         xi *= scale
         new += xi
@@ -288,10 +182,8 @@ def _step(state: ParticleState, system, p, dt: float, streams: SimStreams) -> Pa
     the ``kick_drift`` velocity kick for a ``SecondOrderSystem``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    with _noise_alongside(system, state.positions.shape, streams.noise) as drawn:
-        division = None if p is None else random_division(state.n_particles, p, streams.division)
-        return _advance(state, system, system.batch_forces(state, division), dt, streams.noise,
-                        drawn)
+    division = None if p is None else random_division(state.n_particles, p, streams.division)
+    return _advance(state, system, system.batch_forces(state, division), dt, streams.noise)
 
 
 def direct_step(state: ParticleState, system, dt: float, streams: SimStreams) -> ParticleState:

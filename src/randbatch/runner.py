@@ -872,9 +872,7 @@ def run(cfg: dict, out_root=None, threads: Optional[int] = None) -> Path:
     An earlier run's artifacts in that directory are removed first (see
     ``_clear_artifacts``), so what it holds afterwards is this run's alone.
     ``threads`` caps numpy's BLAS thread pool first, so a count below 1 is
-    refused before any file is touched; None leaves it as it is.  It caps
-    BLAS only: a first-order step whose noise draw is large fills it on one
-    more thread (``integrators``).
+    refused before any file is touched; None leaves it as it is.
     """
     capped = threads is not None and set_blas_threads(threads)
     out_root = Path(out_root or cfg["output"]["directory"])
