@@ -14,7 +14,14 @@ its own at its own cutoff, held by ``models.ElectrolyteModel``.  The smooth part
 summed in Fourier space, where the random-batch estimator importance-samples
 frequency vectors from the discrete Gaussian ~ exp(-k^2 / 4 alpha).  Frequency
 samples are exact i.i.d. draws from that target, made in blocks ahead of use
-and consumed from a bank in order.
+and consumed from a bank in order.  The target is a product of 1-d weights,
+so each component is the count of the weights' running sums at or below a
+uniform draw.  A guide table, cached per (alpha, L), splits the draws' range
+into 1024 equal cells and holds, per cell, the count of sums in the cells
+before it; a draw adds one comparison with the next sum, and only a cell
+holding two sums or more, in the Gaussian's far tails, falls back to a binary
+search.  The cells are rounded products of the draw and so never decrease as
+it grows, which makes every answer the binary search's.
 
 Every frequency is a lattice vector k = 2 pi m / L, so exp(i k.r) is the
 product e_x[m_x] e_y[m_y] e_z[m_z] of per-axis phase tables
@@ -37,7 +44,7 @@ single (N, p) @ (p, 3) complex product over its batch.
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -127,12 +134,19 @@ class EwaldParams:
 def _weight_table(alpha: float, L: float) -> Tuple[np.ndarray, np.ndarray]:
     """Integers |m| <= m_max and their weights w(m) = exp(-pi^2 m^2 / (alpha L^2)).
 
-    exp(-k^2 / 4 alpha) on Z^3 is the product w(m_x) w(m_y) w(m_z).
+    exp(-k^2 / 4 alpha) on Z^3 is the product w(m_x) w(m_y) w(m_z).  Raises
+    ValueError past 2^20 weights (8 MiB of them; the default alpha gives
+    about 6.4 N^(1/3)).
     """
     if alpha <= 0 or L <= 0:
         raise ValueError("alpha and L must be positive")
     c = math.pi**2 / (alpha * L**2)
-    m_max = math.ceil(10.0 / math.sqrt(c))  # c m_max^2 >= 100: each dropped w is below 4e-44
+    # c m_max^2 >= 100: each dropped w is below 4e-44
+    reach = 10.0 / math.sqrt(c) if c > 0 else math.inf
+    if reach > (1 << 19) - 1:
+        raise ValueError(f"the frequency weight table at alpha = {alpha:g}, L = {L:g} holds more "
+                         "than 2^20 weights: lower alpha")
+    m_max = math.ceil(reach)
     m = np.arange(-m_max, m_max + 1)
     return m, np.exp(-c * m * m)
 
@@ -144,24 +158,83 @@ def sum_S(alpha: float, L: float) -> float:
     return float(h * (3.0 + h * (3.0 + h)))
 
 
-def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
+_GUIDE_CELLS = 1 << 10  # cells of the frequency sampler's guide table
 
-    Each component is drawn by inverse CDF from the 1-d table of weights; all-zero
-    rows are dropped and redrawn.  Raises ValueError when P(m != 0) is below
-    1e-4, where all-zero draws would be redrawn thousands of times per sample.
+
+class _Guide(NamedTuple):
+    """The 1-d weights' running sums c_j and their guide table, for ``_guide_lookup``.
+
+    A draw u in [0, H) lies in cell int(u * scale) of the table, scale = G / H,
+    and a sum c_j in cell int(c_j * scale).
+    """
+
+    H: float  # the weights' total
+    scale: float
+    cdf: np.ndarray  # c_j for j < 2 m_max, then +inf
+    lo: np.ndarray  # per cell, the count of sums in the cells before it
+    crowded: np.ndarray  # per cell, True where it holds two sums or more
+    m_max: int
+
+
+@functools.lru_cache(maxsize=8)
+def _guide_table(alpha: float, L: float) -> _Guide:
+    """The ``_Guide`` of ``_weight_table``'s weights, over G = ``_GUIDE_CELLS`` cells.
+
+    Its arrays are read-only, as the cache hands the same ones to every caller.
     """
     m, w = _weight_table(alpha, L)
     cdf = np.cumsum(w)
-    keep = 1.0 - cdf[-1] ** -3.0  # P(m != 0), as w(0) = 1
+    H = float(cdf[-1])
+    scale = _GUIDE_CELLS / H
+    cells = (cdf[:-1] * scale).astype(np.intp)  # at most G, as c_j <= H
+    lo = np.searchsorted(cells, np.arange(_GUIDE_CELLS + 1), "left")
+    crowded = np.bincount(cells, minlength=_GUIDE_CELLS + 1) > 1
+    cdf[-1] = np.inf
+    for a in (cdf, lo, crowded):
+        a.flags.writeable = False
+    return _Guide(H, scale, cdf, lo, crowded, len(m) // 2)
+
+
+def _guide_lookup(guide: _Guide, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(c, u, "right") for draws 0 <= u < H, through the guide table.
+
+    A rounded product never decreases as its factor grows, so in u's cell g
+    every sum of an earlier cell lies below u and every sum of a later cell
+    above it.  The answer is thus lo[g] plus the count of cell g's sums at or
+    below u, which is (u >= cdf[lo[g]]) when the cell holds at most one:
+    cdf[lo[g]] is then that sum, or a later cell's, or +inf.  The draws in
+    crowded cells, the Gaussian's far tails, take the binary search.
+    """
+    cell = (u * guide.scale).astype(np.intp)
+    j = guide.lo[cell]
+    idx = j + (u >= guide.cdf[j])
+    crowded = np.flatnonzero(guide.crowded[cell])
+    if len(crowded):
+        idx[crowded] = np.searchsorted(guide.cdf, u[crowded], "right")
+    return idx
+
+
+def _sample_m(alpha: float, L: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` i.i.d. integer vectors m != 0 with probability w(m_x) w(m_y) w(m_z) / S.
+
+    Each component is j - m_max, with j the count of the 1-d weights' running
+    sums at or below a uniform u in [0, H): ``_guide_lookup`` reads j from a
+    guide table, with the binary search's answer at every u.  The u are drawn
+    in order from ``rng.random``; all-zero rows are dropped and redrawn.
+    Raises ValueError when P(m != 0) is below 1e-4, where all-zero draws
+    would be redrawn thousands of times per sample.
+    """
+    guide = _guide_table(alpha, L)
+    keep = 1.0 - guide.H ** -3.0  # P(m != 0), as w(0) = 1
     if keep < 1e-4:
         raise ValueError(f"alpha L^2 = {alpha * L**2:g} leaves P(m != 0) = {keep:.1e}: "
                          "too little frequency mass to sample")
     blocks, need = [], count
     while need > 0:
-        u = rng.random((min(int(need / keep) + 16, 1 << 18), 3)) * cdf[-1]
-        block = m[np.searchsorted(cdf[:-1], u, side="right")]
-        blocks.append(block[np.any(block != 0, axis=1)][:need])
+        u = rng.random(3 * min(int(need / keep) + 16, 1 << 18)) * guide.H
+        block = (_guide_lookup(guide, u) - guide.m_max).reshape(-1, 3)
+        nonzero = (block[:, 0] != 0) | (block[:, 1] != 0) | (block[:, 2] != 0)
+        blocks.append(block.take(np.flatnonzero(nonzero)[:need], axis=0))
         need -= len(blocks[-1])
     return np.concatenate(blocks)
 
@@ -247,23 +320,28 @@ class KSampleBank:
 
     def draw(self, p: int) -> np.ndarray:
         """Next p unused samples; extends the bank rather than reusing any."""
-        while self.remaining < p:
-            self.refill()
+        if self.remaining < p:
+            self.refill(p)
         out = self.samples[self.cursor - self._dropped: self.cursor - self._dropped + p]
         self.cursor += p
         return out
 
-    def refill(self):
-        """Replace the consumed samples by max(their count, 1024) fresh draws.
+    def refill(self, need: int = 0):
+        """Replace the consumed samples by max(their count, 1024) fresh draws, then
+        draw 1024 more at a time until ``need`` samples are unconsumed.
 
-        A bank drawn p at a time thus never holds more than max(its first
-        size, 1024 + p) samples, however many it has handed out.
+        The draws are those of as many one-draw refills, joined once.  A bank
+        drawn p at a time thus never holds more than max(its first size,
+        1024 + p) samples, however many it has handed out.
         """
         if self._rng is None:
             raise RuntimeError("bank exhausted and no generator attached for refills")
         used = self.cursor - self._dropped
-        more = _sample_m(self.alpha, self.L, max(used, 1024), self._rng)
-        self.samples = np.concatenate([self.samples[used:], TWO_PI * more / self.L])
+        held, size, more = self.remaining, max(used, 1024), []
+        while not more or held < need:
+            more.append(_sample_m(self.alpha, self.L, size, self._rng))
+            held, size = held + size, 1024
+        self.samples = np.concatenate([self.samples[used:], TWO_PI * np.concatenate(more) / self.L])
         self._dropped = self.cursor
 
 

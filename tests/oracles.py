@@ -14,7 +14,8 @@ import numpy as np
 
 from randbatch.batching import batch_index_matrices
 from randbatch.ewald import (TWO_PI, EwaldParams, PeriodicChargeSystem, _lattice_phases,
-                             cube_m_max, fourier_energy, real_space_force_all, self_energy)
+                             _weight_table, cube_m_max, fourier_energy, real_space_force_all,
+                             self_energy)
 from randbatch.forces import _pairs_within, _search_pairs, batch_prefactor
 from randbatch.models import ETA_WEALTH, WealthModel
 from randbatch.samplers import GaussianKernel
@@ -120,6 +121,24 @@ def discrete_gaussian_moments(alpha: float, L: float) -> Tuple[float, float]:
     u = np.exp(-c * (m2 - 1))  # w(m) / w(1) for m >= 1
     h = 2.0 * math.exp(-c) * u.sum()
     return 0.0, float((m2 * u).sum() * (1.0 + h) ** 2 / (u.sum() * (3.0 + h * (3.0 + h))))
+
+
+def sample_m_searchsorted(alpha: float, L: float, count: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """``ewald._sample_m`` by a binary search of the weights' running sums per component."""
+    m, w = _weight_table(alpha, L)
+    cdf = np.cumsum(w)
+    keep = 1.0 - cdf[-1] ** -3.0  # P(m != 0), as w(0) = 1
+    if keep < 1e-4:
+        raise ValueError(f"alpha L^2 = {alpha * L**2:g} leaves P(m != 0) = {keep:.1e}: "
+                         "too little frequency mass to sample")
+    blocks, need = [], count
+    while need > 0:
+        u = rng.random((min(int(need / keep) + 16, 1 << 18), 3)) * cdf[-1]
+        block = m[np.searchsorted(cdf[:-1], u, side="right")]
+        blocks.append(block[np.any(block != 0, axis=1)][:need])
+        need -= len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 def structure_factors(system: PeriodicChargeSystem, kvecs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import scipy.special
 import scipy.stats
 
 from oracles import (discrete_gaussian_moments, ewald_energy, kvectors_in_ball, neighbor_pairs,
-                     structure_factors)
+                     sample_m_searchsorted, structure_factors)
 from randbatch import ewald, forces, runner
 from randbatch.ewald import (
     EwaldParams,
@@ -174,6 +174,71 @@ def test_consecutive_draws_repeat_as_often_as_independent_ones():
 def test_sampler_rejects_a_target_with_almost_no_nonzero_mass():
     with pytest.raises(ValueError, match="frequency mass"):
         mh_sample_kvectors(0.01, 8.0, 10, RngStream(24).generator())
+
+
+# the bench's (alpha, L), another box, one with little frequency mass (P(m != 0) = 0.23)
+# and one of 203 weights
+GUIDED = pytest.mark.parametrize("alpha, L", [(0.3 ** (2 / 3), 10.0), (1.0, 7.0), (0.05, 8.0),
+                                              (10.0, 10.0)], ids=["bench", "1-7", "0.05-8", "203"])
+
+
+@GUIDED
+@pytest.mark.parametrize("count", [1, 64, 5000, 300_000])  # 300 000 takes two 2^18-row blocks
+def test_the_guide_table_draws_the_binary_searchs_vectors(alpha, L, count):
+    for seed in range(4):
+        got = ewald._sample_m(alpha, L, count, np.random.default_rng(seed))
+        want = sample_m_searchsorted(alpha, L, count, np.random.default_rng(seed))
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@GUIDED
+def test_the_guide_lookup_is_the_binary_search_at_every_running_sum(alpha, L):
+    c = np.cumsum(ewald._weight_table(alpha, L)[1])
+    H = c[-1]
+    c = c[:-1]
+    u = np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
+                        [0.0, np.nextafter(H, 0.0)],
+                        np.random.default_rng(0).random(10**6) * H])
+    u = u[(u >= 0.0) & (u < H)]  # a draw's range; the top sums round to H itself
+    guide = ewald._guide_table(alpha, L)
+    assert guide.H == H
+    np.testing.assert_array_equal(ewald._guide_lookup(guide, u), np.searchsorted(c, u, "right"))
+
+
+def test_the_cached_guide_table_is_read_only():
+    guide = ewald._guide_table(1.0, 7.0)
+    assert ewald._guide_table(1.0, 7.0) is guide
+    for a in (guide.cdf, guide.lo, guide.crowded):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+
+
+def test_the_weight_table_holds_at_most_2_20_weights():
+    # 10 sqrt(alpha) L / pi = 2^19 - 1 at L = 1 leaves 2 m_max + 1 = 2^20 - 1 weights
+    alpha = (math.pi * ((1 << 19) - 1) / 10.0) ** 2
+    assert len(ewald._weight_table(alpha * (1 - 1e-12), 1.0)[0]) == (1 << 20) - 1
+    with pytest.raises(ValueError, match="more than 2\\^20 weights: lower alpha"):
+        ewald._weight_table(alpha * (1 + 1e-12), 1.0)
+    with pytest.raises(ValueError, match="alpha = 1e\\+300"):
+        ewald._weight_table(1e300, 1e10)  # alpha L^2 overflows to inf
+
+
+@pytest.mark.parametrize("p", [10**4, 10**5, 3 * 10**5])
+def test_a_large_first_draw_has_the_bits_of_one_refill_at_a_time(p):
+    alpha, L = 0.3 ** (2 / 3), 10.0
+    bank = mh_sample_kvectors(alpha, L, 4096, np.random.default_rng(3))
+    refills = []
+    bank.refill = lambda *need: refills.append(need) or ewald.KSampleBank.refill(bank, *need)
+    slow = mh_sample_kvectors(alpha, L, 4096, np.random.default_rng(3))
+    np.testing.assert_array_equal(bank.draw(100), slow.draw(100))
+    while slow.remaining < p:  # the refills as draw made them, the whole bank joined each time
+        slow.refill()
+    np.testing.assert_array_equal(bank.draw(p), slow.draw(p))
+    assert refills == [(p,)]  # joined once
+    np.testing.assert_array_equal(bank.samples, slow.samples)
+    np.testing.assert_array_equal(bank.draw(5000), slow.draw(5000))
 
 
 def test_structure_factor_point_charges():

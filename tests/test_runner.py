@@ -267,6 +267,14 @@ def test_every_accepted_field_changes_the_output(model, method, kind, field, bas
     # a run's echo names the version that wrote it
     ({**_tiny("toy"), "version": "0.0.1"},
      f"config.version: '0.0.1' is not this randbatch's {__version__!r}"),
+    # the frequency weight table, refused before it is allocated (alpha = 1e20 raised
+    # MemoryError out of validate)
+    ({"model": {"id": "electrolyte", "alpha": 1e11}, "diagnostics": ["dh_screening"]},
+     "model: the frequency weight table at alpha = 1e+11, L = 10 holds more than 2^20 "
+     "weights: lower alpha"),
+    ({"model": {"id": "electrolyte", "alpha": 1e20}, "diagnostics": ["dh_screening"]},
+     "model: the frequency weight table at alpha = 1e+20, L = 10 holds more than 2^20 "
+     "weights: lower alpha"),
 ])
 def test_out_of_range_or_unused_fields_are_rejected(raw, message):
     with pytest.raises(ConfigError) as info:
